@@ -39,6 +39,16 @@ def _params_or_exit(cfg: RunConfig) -> FermatParams:
         raise SystemExit(USAGE_ERROR)
 
 
+def _tower_or_exit(path: str):
+    from .towerfile import load_tower
+
+    try:
+        return load_tower(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+
+
 def cmd_build(cfg: RunConfig) -> int:
     from .report import render_report
     from .tower import SignAmbiguous, VerificationFailure, build_tower
@@ -70,10 +80,9 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .towerfile import load_tower
     from .verify import verify_tower
 
-    tower = load_tower(args.tower)
+    tower = _tower_or_exit(args.tower)
     failures = verify_tower(tower, precision=args.precision, oracle=not args.no_oracle)
     if failures:
         for f in failures:
@@ -139,9 +148,8 @@ def cmd_tables(cfg: RunConfig) -> int:
 
 def cmd_compile(args) -> int:
     from .construction import compile_to_arith, dump_arith, dump_geom, lower_to_geom
-    from .towerfile import load_tower
 
-    tower = load_tower(args.tower)
+    tower = _tower_or_exit(args.tower)
     prog = compile_to_arith(tower)
     if args.target == "arith":
         dump_arith(prog, args.out)
@@ -154,9 +162,8 @@ def cmd_compile(args) -> int:
 
 def cmd_render(args) -> int:
     from .construction import emit_svg
-    from .towerfile import load_tower
 
-    tower = load_tower(args.tower)
+    tower = _tower_or_exit(args.tower)
     if tower.nodes and tower.nodes[-1].value_left is None:
         print("error: tower has no stored values; rebuild it", file=sys.stderr)
         return USAGE_ERROR

@@ -96,40 +96,46 @@ def dump_tower(tower: Tower, path: str) -> None:
             )
 
 
-def load_tower(path: str) -> Tower:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != FORMAT_NAME:
-            raise ValueError(f"{path} is not a tower document")
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported tower format version {header.get('version')}")
-        params = FermatParams.from_n(header["n"], assume_prime=True)
-        table = build_invariant_sets(params, factor=header["factor"])
-        nodes = []
-        for line in fh:
-            d = json.loads(line)
-            nodes.append(
-                QuadraticNode(
-                    id=d["id"],
-                    step=d["step"],
-                    splits=_part_from_json(d["splits"]),
-                    left=_part_from_json(d["left"]),
-                    right=_part_from_json(d["right"]),
-                    sum_source=d["sum_source"],
-                    product_expr=_combo_from_json(d["product"]),
-                    left_is_larger=d["left_is_larger"],
-                    sign_margin=_value_from_json(d["sign_margin"]),
-                    value_left=_value_from_json(d["value_left"]),
-                    value_right=_value_from_json(d["value_right"]),
-                )
-            )
-    tower = Tower(
-        params=params,
-        table=table,
-        kind=header["schedule"],
-        nodes=nodes,
-        precision=header["precision"],
+def _node_from_json(d) -> QuadraticNode:
+    return QuadraticNode(
+        id=d["id"],
+        step=d["step"],
+        splits=_part_from_json(d["splits"]),
+        left=_part_from_json(d["left"]),
+        right=_part_from_json(d["right"]),
+        sum_source=d["sum_source"],
+        product_expr=_combo_from_json(d["product"]),
+        left_is_larger=d["left_is_larger"],
+        sign_margin=_value_from_json(d["sign_margin"]),
+        value_left=_value_from_json(d["value_left"]),
+        value_right=_value_from_json(d["value_right"]),
     )
+
+
+def load_tower(path: str) -> Tower:
+    """Read a tower document.
+
+    Any malformed line, including a header whose n is not a Fermat prime up
+    to 65537, raises ValueError naming the file and the line; the header is
+    checked before any table is built.
+    """
+    with open(path) as fh:
+        lineno = 1
+        try:
+            header = json.loads(fh.readline())
+            if header.get("format") != FORMAT_NAME:
+                raise ValueError("not a tower document")
+            if header.get("version") != FORMAT_VERSION:
+                raise ValueError(f"unsupported tower format version {header.get('version')}")
+            params = FermatParams.from_n(header["n"])
+            table = build_invariant_sets(params, factor=header["factor"])
+            kind, precision = header["schedule"], header["precision"]
+            nodes = []
+            for lineno, line in enumerate(fh, start=2):
+                nodes.append(_node_from_json(json.loads(line)))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+            raise ValueError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
+    tower = Tower(params=params, table=table, kind=kind, nodes=nodes, precision=precision)
     tower.finalize_indexes()
     if nodes and nodes[-1].value_left is not None:
         tower.report = VerificationReport(

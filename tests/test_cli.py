@@ -1,5 +1,7 @@
+import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,3 +140,44 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("yes")
+
+
+def run_console(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "ngontower.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_truncated_tower_is_a_usage_error(tmp_path, capsys):
+    tower_path = tmp_path / "t17.tower"
+    run_cli(capsys, "build", "--n", "17", "--out", str(tower_path))
+    cut = tmp_path / "cut.tower"
+    cut.write_bytes(tower_path.read_bytes()[:1500])
+    for argv in (
+        ["verify", "--tower", str(cut)],
+        ["compile", "--tower", str(cut), "--target", "geom", "--out", str(tmp_path / "p.geom")],
+        ["render", "--tower", str(cut), "--out", str(tmp_path / "p.svg")],
+    ):
+        result = run_console(*argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert f"{cut} line" in result.stderr
+
+
+def test_tower_header_n_beyond_range(tmp_path, capsys):
+    # The header is refused before any table for n is built.
+    tower_path = tmp_path / "huge.tower"
+    header = {"format": "ngontower-tower", "version": 1, "n": 4294967297,
+              "schedule": "pruned", "precision": 128, "factor": 3}
+    tower_path.write_text(json.dumps(header) + "\n")
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tower", str(tower_path)])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "4294967297" in capsys.readouterr().err
+    result = run_console("verify", "--tower", str(tower_path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

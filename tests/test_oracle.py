@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngontower import oracle
 from ngontower.oracle import (
     NotSetUniform,
     PeriodVector,
+    _mul_direct,
+    _mul_fft,
+    _pair_mul_bigint,
     decompose_into_sets,
     pair_product,
     pv_from_pairs,
@@ -13,7 +17,6 @@ from ngontower.oracle import (
     pv_s,
     pv_zero,
 )
-from ngontower.kernels import active_backend, pair_mul_accumulate
 
 
 def pv(pairs, params, constant=0):
@@ -138,19 +141,103 @@ def test_big_coefficients_stay_exact(params17):
     assert list(prod.coeffs[1:]) == [big * big * int(c) for c in small.coeffs[1:]]
 
 
-def test_backend_agreement(params257, table257):
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        ai = rng.choice(np.arange(1, 129), size=20, replace=False).astype(np.int64)
-        bi = rng.choice(np.arange(1, 129), size=15, replace=False).astype(np.int64)
-        av = rng.integers(-5, 6, size=20).astype(np.int64)
-        bv = rng.integers(-5, 6, size=15).astype(np.int64)
-        out1 = np.zeros(129, dtype=np.int64)
-        out2 = np.zeros(129, dtype=np.int64)
-        c1 = pair_mul_accumulate(ai, av, bi, bv, 257, out1)
-        c2 = pair_mul_accumulate(ai, av, bi, bv, 257, out2, force_pure=True)
-        assert c1 == c2 and np.array_equal(out1, out2)
+def vector(n, constant, terms):
+    coeffs = np.zeros((n - 1) // 2 + 1, dtype=np.int64)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return PeriodVector(n, constant, coeffs)
 
 
-def test_active_backend_reports():
-    assert active_backend() in ("compiled", "numpy")
+@st.composite
+def vector_pairs(draw):
+    """Two vectors mod 17 or 257, each sparse or dense, with signed
+    coefficients and constants small enough for both fast routes."""
+    n = draw(st.sampled_from([17, 257]))
+    half = (n - 1) // 2
+    coeff = st.integers(-1000, 1000)
+    sparse = st.dictionaries(st.integers(1, half), coeff, max_size=6)
+    dense = st.lists(coeff, min_size=half, max_size=half).map(
+        lambda cs: dict(enumerate(cs, start=1))
+    )
+    return tuple(
+        vector(n, draw(coeff), draw(st.one_of(sparse, dense))) for _ in range(2)
+    )
+
+
+def two_pair_reference(a, b):
+    """a * b as a sum of pair_product terms, constants distributed by hand."""
+    acc = PeriodVector(a.n, a.constant * b.constant, a.constant * b.coeffs + b.constant * a.coeffs)
+    for k in a.nonzero_pairs():
+        for m in b.nonzero_pairs():
+            acc = acc + pair_product(int(k), int(m), a.n).scaled(int(a.coeffs[k] * b.coeffs[m]))
+    return acc
+
+
+def bigint_reference(a, b):
+    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
+    const, out = _pair_mul_bigint(a, b, ai, bi, a.n)
+    return PeriodVector(
+        a.n, const + a.constant * b.constant, out + a.constant * b.coeffs + b.constant * a.coeffs
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(ab=vector_pairs())
+def test_product_routes_agree(ab):
+    a, b = ab
+    expected = two_pair_reference(a, b)
+    assert bigint_reference(a, b) == expected
+    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
+    assert _mul_direct(a, b, ai, bi) == expected
+    assert _mul_fft(a, b, ai, bi) == expected
+    assert pv_mul(a, b) == expected
+
+
+def test_size_rule_reaches_both_routes(params257, monkeypatch):
+    taken = []
+    for name in ("_mul_direct", "_mul_fft"):
+        route = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda *args, route=route, name=name: taken.append(name) or route(*args)
+        )
+    sparse = pv(range(1, 65), params257)
+    dense = pv(range(1, 129), params257, constant=3)
+    assert pv_mul(sparse, sparse) == two_pair_reference(sparse, sparse)
+    assert pv_mul(dense, dense) == two_pair_reference(dense, dense)
+    assert taken == ["_mul_direct", "_mul_fft"]
+
+
+def test_fft_guard_falls_back_to_bigint(params257):
+    # Dense coefficients near 2^40 put |A|_1 |B|_1 far past both guards.
+    rng = np.random.default_rng(11)
+    big = 1 << 40
+    u = vector(257, 5, dict(enumerate(rng.integers(-9, 10, size=128), start=1)))
+    v = vector(257, -7, dict(enumerate(rng.integers(-9, 10, size=128), start=1)))
+    s = pv_s(params257)
+    a, b = s.scaled(big) + u, s.scaled(-big) + v
+    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
+    assert _mul_fft(a, b, ai, bi) is None and _mul_direct(a, b, ai, bi) is None
+
+    def wide(x):
+        return PeriodVector(x.n, x.constant, x.coeffs.astype(object))
+
+    # Bilinearity gives the exact product from small ones.
+    expected = (
+        wide(pv_mul(s, s)).scaled(-big * big)
+        + wide(pv_mul(s, v)).scaled(big)
+        + wide(pv_mul(u, s)).scaled(-big)
+        + pv_mul(u, v)
+    )
+    assert pv_mul(a, b) == expected
+    assert pv_mul(a, b) == bigint_reference(a, b)
+
+
+def test_fft_residual_guard_falls_back(params257, monkeypatch):
+    a = pv(range(1, 129), params257, constant=1)
+    b = pv(range(2, 129, 3), params257)
+    expected = two_pair_reference(a, b)
+    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    assert _mul_fft(a, b, ai, bi) is None
+    assert pv_mul(a, b) == expected
