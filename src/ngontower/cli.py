@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .invariant_sets import InvalidFactor, build_invariant_sets
 from .residues import KNOWN_FERMAT_PRIMES, FermatParams, InvalidN
@@ -15,25 +14,9 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-@dataclass
-class RunConfig:
-    n: int = 0
-    schedule: str = "pruned"
-    precision: int | None = None
-    factor: int = 3
-    assume_fermat_prime: bool = False
-    out: str | None = None
-    kind: str | None = None
-    i: int | None = None
-    j: int | None = None
-    m: int | None = None
-    max_vertices: int = 0
-    oracle: bool = True
-
-
-def _params_or_exit(cfg: RunConfig) -> FermatParams:
+def _params_or_exit(args) -> FermatParams:
     try:
-        return FermatParams.from_n(cfg.n, assume_prime=cfg.assume_fermat_prime)
+        return FermatParams.from_n(args.n, assume_prime=args.assume_fermat_prime)
     except InvalidN as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -49,22 +32,31 @@ def _tower_or_exit(path: str):
         raise SystemExit(USAGE_ERROR)
 
 
-def cmd_build(cfg: RunConfig) -> int:
+def _signed_tower_or_exit(path: str):
+    """A loaded tower that records every node's sign, which picks its roots."""
+    tower = _tower_or_exit(path)
+    if any(node.left_is_larger is None for node in tower.nodes):
+        print(f"error: {path}: tower has unresolved signs; rebuild it", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    return tower
+
+
+def cmd_build(args) -> int:
     from .report import render_report
     from .tower import SignAmbiguous, VerificationFailure, build_tower
     from .towerfile import dump_tower
     from .verify import OracleMismatch, oracle_check_tower
 
-    _params_or_exit(cfg)
+    _params_or_exit(args)
     try:
         tower = build_tower(
-            cfg.n,
-            kind=cfg.schedule,
-            precision=cfg.precision,
-            factor=cfg.factor,
-            assume_prime=cfg.assume_fermat_prime,
+            args.n,
+            kind=args.schedule,
+            precision=args.precision,
+            factor=args.factor,
+            assume_prime=args.assume_fermat_prime,
         )
-        if cfg.oracle and tower.nodes:
+        if not args.no_oracle and tower.nodes:
             oracle_check_tower(tower)
     except (VerificationFailure, SignAmbiguous, OracleMismatch) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
@@ -72,9 +64,9 @@ def cmd_build(cfg: RunConfig) -> int:
     except InvalidFactor as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if cfg.out:
-        dump_tower(tower, cfg.out)
-        print(f"tower written to {cfg.out}")
+    if args.out:
+        dump_tower(tower, args.out)
+        print(f"tower written to {args.out}")
     print(render_report(tower))
     return 0
 
@@ -100,44 +92,44 @@ def _emit_combination(comb) -> str:
     return " + ".join([str(comb.constant)] + terms)
 
 
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_tables(args) -> int:
     from .report import f_sign_sets
     from .period_algebra import set_product, set_square
     from .splitting import mu_groups, mu_table
     from .tower import CosineCache
 
-    params = _params_or_exit(cfg)
-    table = build_invariant_sets(params, factor=cfg.factor)
-    kind = cfg.kind
+    params = _params_or_exit(args)
+    table = build_invariant_sets(params, factor=args.factor)
+    kind = args.kind
     if kind == "sets":
         for row in table.sets:
             print(" ".join(str(p) for p in row))
     elif kind == "product":
-        if cfg.i is None or cfg.j is None:
+        if args.i is None or args.j is None:
             print("error: --kind product needs --i and --j", file=sys.stderr)
             return USAGE_ERROR
-        print(_emit_combination(set_product(cfg.i, cfg.j, table)))
+        print(_emit_combination(set_product(args.i, args.j, table)))
     elif kind == "square":
-        if cfg.i is None:
+        if args.i is None:
             print("error: --kind square needs --i", file=sys.stderr)
             return USAGE_ERROR
-        print(_emit_combination(set_square(cfg.i, table)))
+        print(_emit_combination(set_square(args.i, table)))
     elif kind == "mu":
-        if cfg.m is None:
+        if args.m is None:
             print("error: --kind mu needs --m", file=sys.stderr)
             return USAGE_ERROR
-        for k, v in enumerate(mu_table(cfg.m, table), start=1):
+        for k, v in enumerate(mu_table(args.m, table), start=1):
             print(f"{k} {v}")
     elif kind == "ksets":
-        if cfg.m is None:
+        if args.m is None:
             print("error: --kind ksets needs --m", file=sys.stderr)
             return USAGE_ERROR
-        for mult, ks in mu_groups(cfg.m, table).items():
-            print(f"K({mult},{1 << cfg.m}) = {' '.join(str(k) for k in ks)}")
+        for mult, ks in mu_groups(args.m, table).items():
+            print(f"K({mult},{1 << args.m}) = {' '.join(str(k) for k in ks)}")
     elif kind == "signs":
-        cache = CosineCache(params, table, cfg.precision or 128)
+        cache = CosineCache(params, table, args.precision or 128)
         for step, greater in f_sign_sets(table, cache).items():
-            if cfg.m is not None and step != cfg.m:
+            if args.m is not None and step != args.m:
                 continue
             print(f"step {step}: {' '.join(str(j) for j in sorted(greater))}")
     else:
@@ -147,30 +139,58 @@ def cmd_tables(cfg: RunConfig) -> int:
 
 
 def cmd_compile(args) -> int:
-    from .construction import compile_to_arith, dump_arith, dump_geom, lower_to_geom
+    import mpmath as mp
 
-    tower = _tower_or_exit(args.tower)
+    from .construction import (
+        NegativeRadicand,
+        arith_values,
+        compile_to_arith,
+        dump_arith,
+        dump_geom,
+        lower_to_geom,
+    )
+
+    tower = _signed_tower_or_exit(args.tower)
+    precision = tower.precision or 128
     prog = compile_to_arith(tower)
+    try:
+        values = arith_values(prog, precision)
+    except NegativeRadicand as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
+    # The stored signs choose the roots, so a wrong one yields a wrong program.
+    cos = values[prog.outputs["cos"]]
+    with mp.workprec(precision):
+        err = abs(cos - mp.cos(2 * mp.pi / tower.params.n))
+        if err > mp.mpf(2) ** (-(precision // 2)):
+            print(
+                f"verification failure: program gives cos(2pi/n) = {mp.nstr(cos, 20)}, "
+                f"off by {mp.nstr(err, 5)}",
+                file=sys.stderr,
+            )
+            return VERIFY_ERROR
     if args.target == "arith":
         dump_arith(prog, args.out)
     else:
-        geom = lower_to_geom(prog, tower.precision)
-        dump_geom(geom, args.out)
+        dump_geom(lower_to_geom(prog, precision, values), args.out)
     print(f"{args.target} program written to {args.out} ({prog.sqrt_count()} square roots)")
     return 0
 
 
 def cmd_render(args) -> int:
     from .construction import emit_svg
+    from .tower import VerificationFailure, evaluate_tower
 
-    tower = _tower_or_exit(args.tower)
+    tower = _signed_tower_or_exit(args.tower)
     if tower.nodes and tower.nodes[-1].value_left is None:
         print("error: tower has no stored values; rebuild it", file=sys.stderr)
         return USAGE_ERROR
     if tower.report is None or tower.report.p1 is None:
-        from .tower import evaluate_tower
-
-        evaluate_tower(tower, tower.precision)
+        try:
+            evaluate_tower(tower, tower.precision)
+        except VerificationFailure as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return VERIFY_ERROR
     svg = emit_svg(tower, max_vertices=args.max_vertices)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -249,38 +269,15 @@ def main(argv=None) -> int:
     p_constr.add_argument("n", type=int)
 
     args = parser.parse_args(argv)
-    if args.command == "build":
-        cfg = RunConfig(
-            n=args.n,
-            schedule=args.schedule,
-            precision=args.precision,
-            factor=args.factor,
-            assume_fermat_prime=args.assume_fermat_prime,
-            out=args.out,
-            oracle=not args.no_oracle,
-        )
-        return cmd_build(cfg)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "tables":
-        cfg = RunConfig(
-            n=args.n,
-            factor=args.factor,
-            precision=args.precision,
-            assume_fermat_prime=args.assume_fermat_prime,
-            kind=args.kind,
-            i=args.i,
-            j=args.j,
-            m=args.m,
-        )
-        return cmd_tables(cfg)
-    if args.command == "compile":
-        return cmd_compile(args)
-    if args.command == "render":
-        return cmd_render(args)
-    if args.command == "constructible":
-        return cmd_constructible(args)
-    return USAGE_ERROR
+    commands = {
+        "build": cmd_build,
+        "verify": cmd_verify,
+        "tables": cmd_tables,
+        "compile": cmd_compile,
+        "render": cmd_render,
+        "constructible": cmd_constructible,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ products and quotients of two general lengths use the intercept construction;
 integer scalings up to 64 are lowered as repeated additions (binary doubling
 chains of compass transfers).
 
-Every intersection branch is recorded at lowering time from the shadow
-numeric evaluation, so geometric execution never re-decides a choice.
+Every intersection branch is recorded at lowering time from the instruction
+values that `arith_values`, the one interpreter of the arithmetic IR,
+computes, so geometric execution never re-decides a choice.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ _INTERCEPT_THRESHOLD = 64
 
 
 class NegativeRadicand(RuntimeError):
-    """A SQRT operand came out negative during compile-time shadow evaluation."""
+    """A SQRT operand came out negative when the arithmetic program was evaluated."""
 
 
 class DegenerateIntersection(RuntimeError):
@@ -55,8 +56,8 @@ class ArithProgram:
         return sum(1 for i in self.instrs if i.op == "SQRT")
 
 
-def evaluate_arith(prog: ArithProgram, precision: int = 128) -> dict[str, object]:
-    """Reference interpreter for the arithmetic IR."""
+def arith_values(prog: ArithProgram, precision: int = 128) -> list:
+    """Value of every instruction, in order: the definition of the IR ops."""
     with mp.workprec(precision):
         vals: list[object] = []
         for instr in prog.instrs:
@@ -82,48 +83,27 @@ def evaluate_arith(prog: ArithProgram, precision: int = 128) -> dict[str, object
             else:
                 raise ValueError(f"unknown op {instr.op}")
             vals.append(v)
-        return {name: vals[idx] for name, idx in prog.outputs.items()}
+    return vals
+
+
+def evaluate_arith(prog: ArithProgram, precision: int = 128) -> dict[str, object]:
+    """Named outputs of the program, from `arith_values`."""
+    vals = arith_values(prog, precision)
+    return {name: vals[idx] for name, idx in prog.outputs.items()}
 
 
 class _ArithBuilder:
-    """Emits instructions while shadow-evaluating them, so radicand checks and
-    the later branch recording use actual high-precision values."""
+    """Emits instructions, one CONST per distinct constant."""
 
-    def __init__(self, precision: int):
+    def __init__(self):
         self.prog = ArithProgram()
-        self.precision = precision
-        self.shadow: list[object] = []
+        self.emit = self.prog.emit
         self._const_cache: dict[Fraction, int] = {}
-
-    def _push(self, op, *args, value=None):
-        idx = self.prog.emit(op, *args, value=value)
-        a = [self.shadow[i] for i in args]
-        with mp.workprec(self.precision):
-            if op == "CONST":
-                v = mp.mpf(value.numerator) / value.denominator
-            elif op == "NEG":
-                v = -a[0]
-            elif op == "ADD":
-                v = a[0] + a[1]
-            elif op == "SUB":
-                v = a[0] - a[1]
-            elif op == "MUL":
-                v = a[0] * a[1]
-            elif op == "DIV":
-                v = a[0] / a[1]
-            elif op == "HALF":
-                v = a[0] / 2
-            else:  # SQRT
-                if a[0] < 0:
-                    raise NegativeRadicand(f"sqrt of {mp.nstr(a[0])}")
-                v = mp.sqrt(a[0])
-        self.shadow.append(v)
-        return idx
 
     def const(self, value) -> int:
         value = Fraction(value)
         if value not in self._const_cache:
-            self._const_cache[value] = self._push("CONST", value=value)
+            self._const_cache[value] = self.emit("CONST", value=value)
         return self._const_cache[value]
 
     def combo(self, expr: LinearCombo, refs: dict) -> int:
@@ -131,7 +111,7 @@ class _ArithBuilder:
         for coeff, part in list(expr.linear) + [(c, ("sq", p)) for c, p in expr.squares]:
             if isinstance(part, tuple):
                 base = refs[part[1]]
-                term = self._push("MUL", base, base)
+                term = self.emit("MUL", base, base)
             else:
                 term = refs[part]
             acc = self._add_scaled(acc, coeff, term)
@@ -141,18 +121,17 @@ class _ArithBuilder:
         neg = coeff < 0
         c = -coeff if neg else coeff
         if c.denominator == 2:
-            term = self._push("HALF", term)
+            term = self.emit("HALF", term)
             c = Fraction(c.numerator)
         if c != 1:
-            term = self._push("MUL", self.const(c), term)
-        return self._push("SUB" if neg else "ADD", acc, term)
+            term = self.emit("MUL", self.const(c), term)
+        return self.emit("SUB" if neg else "ADD", acc, term)
 
 
-def compile_to_arith(tower: Tower, precision: int | None = None) -> ArithProgram:
+def compile_to_arith(tower: Tower) -> ArithProgram:
     """One SQRT per tower node plus one for sin(theta); constants come from the
-    product expressions.  The tower must be evaluated (signs resolved)."""
-    precision = precision or tower.precision or 128
-    b = _ArithBuilder(precision)
+    product expressions.  The tower's signs must be resolved."""
+    b = _ArithBuilder()
     refs: dict = {}
     if tower.nodes:
         from .tower import _root_part
@@ -164,11 +143,11 @@ def compile_to_arith(tower: Tower, precision: int | None = None) -> ArithProgram
                 raise ValueError("tower signs must be resolved before compiling")
             sum_idx = refs[node.splits]
             prod_idx = b.combo(node.product_expr, refs)
-            half = b._push("HALF", sum_idx)
-            disc = b._push("SUB", b._push("MUL", half, half), prod_idx)
-            root_idx = b._push("SQRT", disc)
-            bigger = b._push("ADD", half, root_idx)
-            smaller = b._push("SUB", sum_idx, bigger)
+            half = b.emit("HALF", sum_idx)
+            disc = b.emit("SUB", b.emit("MUL", half, half), prod_idx)
+            root_idx = b.emit("SQRT", disc)
+            bigger = b.emit("ADD", half, root_idx)
+            smaller = b.emit("SUB", sum_idx, bigger)
             if node.left_is_larger:
                 refs[node.left], refs[node.right] = bigger, smaller
             else:
@@ -176,11 +155,10 @@ def compile_to_arith(tower: Tower, precision: int | None = None) -> ArithProgram
         p1 = refs[tower.p1_part()]
     else:
         p1 = b.const(-1)  # n = 3: the single pair is S itself
-    cos_idx = b._push("HALF", p1)
-    sin_sq = b._push("SUB", b.const(1), b._push("MUL", cos_idx, cos_idx))
-    sin_idx = b._push("SQRT", sin_sq)
+    cos_idx = b.emit("HALF", p1)
+    sin_sq = b.emit("SUB", b.const(1), b.emit("MUL", cos_idx, cos_idx))
+    sin_idx = b.emit("SQRT", sin_sq)
     b.prog.outputs = {"p1": p1, "cos": cos_idx, "sin": sin_idx}
-    b.prog.shadow = b.shadow  # kept for the lowering's branch recording
     return b.prog
 
 
@@ -340,11 +318,9 @@ class _GeomBuilder:
     AXIS = 2
     CIRCLE = 3
 
-    def __init__(self, shadow_values, precision):
+    def __init__(self):
         self.prog = GeomProgram()
         self.prog.emit("GIVEN_UNIT")
-        self.shadow = shadow_values
-        self.precision = precision
         self._int_cache: dict[int, int] = {1: self.X}
         self._yaxis = None
 
@@ -440,47 +416,23 @@ class _GeomBuilder:
         return self._drop_to_axis(height, mp.sqrt(value))
 
 
-def attach_shadow(prog: ArithProgram, precision: int = 128) -> ArithProgram:
-    """Compute and attach per-instruction values (for programs not built by
-    compile_to_arith, e.g. in tests)."""
-    with mp.workprec(precision):
-        vals: list = []
-        for instr in prog.instrs:
-            a = [vals[i] for i in instr.args]
-            if instr.op == "CONST":
-                vals.append(mp.mpf(instr.value.numerator) / instr.value.denominator)
-            elif instr.op == "NEG":
-                vals.append(-a[0])
-            elif instr.op == "ADD":
-                vals.append(a[0] + a[1])
-            elif instr.op == "SUB":
-                vals.append(a[0] - a[1])
-            elif instr.op == "MUL":
-                vals.append(a[0] * a[1])
-            elif instr.op == "DIV":
-                vals.append(a[0] / a[1])
-            elif instr.op == "HALF":
-                vals.append(a[0] / 2)
-            elif instr.op == "SQRT":
-                if a[0] < 0:
-                    raise NegativeRadicand(f"sqrt of {mp.nstr(a[0])}")
-                vals.append(mp.sqrt(a[0]))
-    prog.shadow = vals
-    return prog
-
-
-def lower_to_geom(prog: ArithProgram, precision: int | None = None) -> GeomProgram:
+def lower_to_geom(
+    prog: ArithProgram, precision: int | None = None, values: list | None = None
+) -> GeomProgram:
     """Semantically equivalent straightedge/compass program; axis points carry
-    the arithmetic values."""
-    shadow = getattr(prog, "shadow", None)
-    if shadow is None:
-        raise ValueError("lowering needs shadow values; call attach_shadow first")
+    the arithmetic values.
+
+    Every branch is recorded from `values`, the instruction values that
+    `arith_values(prog, precision)` computes; they are computed here when not
+    given.
+    """
     precision = precision or 128
-    b = _GeomBuilder(shadow, precision)
+    if values is None:
+        values = arith_values(prog, precision)
+    b = _GeomBuilder()
     loc: list[int] = []
     with mp.workprec(precision):
-        for idx, instr in enumerate(prog.instrs):
-            val = shadow[idx]
+        for instr in prog.instrs:
             args = instr.args
             if instr.op == "CONST":
                 num, den = instr.value.numerator, instr.value.denominator
@@ -504,13 +456,13 @@ def lower_to_geom(prog: ArithProgram, precision: int | None = None) -> GeomProgr
             elif instr.op == "MUL":
                 ka = prog.instrs[args[0]]
                 if ka.op == "CONST" and ka.value.denominator == 1 and abs(ka.value) <= _INTERCEPT_THRESHOLD:
-                    loc.append(b.scale_int(loc[args[1]], int(ka.value), shadow[args[1]]))
+                    loc.append(b.scale_int(loc[args[1]], int(ka.value), values[args[1]]))
                 else:
-                    loc.append(b.mul(loc[args[0]], loc[args[1]], shadow[args[0]], shadow[args[1]]))
+                    loc.append(b.mul(loc[args[0]], loc[args[1]], values[args[0]], values[args[1]]))
             elif instr.op == "DIV":
-                loc.append(b.div(loc[args[0]], loc[args[1]], shadow[args[0]], shadow[args[1]]))
+                loc.append(b.div(loc[args[0]], loc[args[1]], values[args[0]], values[args[1]]))
             elif instr.op == "SQRT":
-                loc.append(b.sqrt(loc[args[0]], shadow[args[0]]))
+                loc.append(b.sqrt(loc[args[0]], values[args[0]]))
             else:
                 raise ValueError(f"unknown op {instr.op}")
         for name, idx in prog.outputs.items():
@@ -519,7 +471,7 @@ def lower_to_geom(prog: ArithProgram, precision: int | None = None) -> GeomProgr
     return b.prog
 
 
-def append_polygon_steps(geom: GeomProgram, arith: ArithProgram, count: int) -> None:
+def append_polygon_steps(geom: GeomProgram, count: int) -> None:
     """Construct the first vertex from the cos output and step the chord
     `count` times around the unit circle."""
     cos_point = None

@@ -195,7 +195,7 @@ def closure_diffs(tower: Tower) -> list[str]:
 
 def reference_diffs(tower: Tower) -> list[str]:
     """Every divergence between computed results and the published tables."""
-    cache = getattr(tower, "_cos_cache", None)
+    cache = tower.cosines
     if cache is None:
         cache = CosineCache(tower.params, tower.table, tower.precision or 128)
     out = []

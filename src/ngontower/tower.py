@@ -78,21 +78,8 @@ class Tower:
     nodes: list[QuadraticNode]
     precision: int | None = None
     report: VerificationReport | None = None
-
-    def node_for_split(self, part: PartRef) -> QuadraticNode:
-        return self._by_split[part]
-
-    def producer_of(self, part: PartRef) -> QuadraticNode | None:
-        """Node whose left or right child is the given part (None for S)."""
-        return self._by_child.get(part)
-
-    def finalize_indexes(self) -> "Tower":
-        self._by_split = {node.splits: node for node in self.nodes}
-        self._by_child = {}
-        for node in self.nodes:
-            self._by_child[node.left] = node
-            self._by_child[node.right] = node
-        return self
+    # Direct cosine sums at `precision`, set by sign resolution and evaluation.
+    cosines: "CosineCache | None" = field(default=None, repr=False, compare=False)
 
     def p1_part(self) -> PartRef:
         if self.params.npairs == 1:
@@ -215,8 +202,7 @@ def build_schedule(
         if node.sum_source is not None:
             node.sum_source = old_to_new[node.sum_source]
 
-    tower = Tower(params=params, table=table, kind=kind, nodes=nodes)
-    return tower.finalize_indexes()
+    return Tower(params=params, table=table, kind=kind, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +237,11 @@ class CosineCache:
 
 
 def resolve_signs(tower: Tower, precision: int) -> Tower:
-    """Decide which side of every split is larger, by direct cosine sums."""
+    """Decide which side of every split is larger, by direct cosine sums.
+
+    A sign already stored on a node (a loaded tower) is checked, not
+    replaced: one that disagrees raises VerificationFailure.
+    """
     cache = CosineCache(tower.params, tower.table, precision)
     threshold = mp.mpf(2) ** (-(precision // 4))
     with mp.workprec(precision):
@@ -264,10 +254,17 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
                     f"node {node.id} ({node.splits.label()}): margin {mp.nstr(margin)} "
                     f"below 2^-{precision // 4}; raise the precision"
                 )
-            node.left_is_larger = lv > rv
+            larger = lv > rv
+            if node.left_is_larger is not None and node.left_is_larger != larger:
+                raise VerificationFailure(
+                    node.id,
+                    f"stored left_is_larger={node.left_is_larger} but cosine sums give "
+                    f"{larger} (margin {mp.nstr(margin)})",
+                )
+            node.left_is_larger = larger
             node.sign_margin = margin
     tower.precision = precision
-    tower._cos_cache = cache
+    tower.cosines = cache
     return tower
 
 
@@ -281,13 +278,17 @@ def _combo_value(combo: LinearCombo, values: dict[PartRef, object]):
 
 
 def evaluate_tower(tower: Tower, precision: int | None = None) -> Tower:
-    """Top-down evaluation; every node value is cross-checked against its
-    direct cosine sum within 2^(-precision/2)."""
+    """Top-down evaluation with the signs stored on the nodes; every node
+    value is cross-checked against its direct cosine sum within
+    2^(-precision/2)."""
     if precision is None:
         precision = tower.precision
-    if tower.precision != precision or getattr(tower, "_cos_cache", None) is None:
-        resolve_signs(tower, precision)
-    cache: CosineCache = tower._cos_cache
+    if any(node.left_is_larger is None for node in tower.nodes):
+        raise ValueError("tower signs must be resolved before evaluating")
+    cache = tower.cosines
+    if cache is None or cache.precision != precision:
+        cache = tower.cosines = CosineCache(tower.params, tower.table, precision)
+    tower.precision = precision
     tol = mp.mpf(2) ** (-(precision // 2))
     report = VerificationReport(
         node_count=len(tower.nodes),

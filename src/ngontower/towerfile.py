@@ -136,7 +136,6 @@ def load_tower(path: str) -> Tower:
         except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
             raise ValueError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     tower = Tower(params=params, table=table, kind=kind, nodes=nodes, precision=precision)
-    tower.finalize_indexes()
     if nodes and nodes[-1].value_left is not None:
         tower.report = VerificationReport(
             node_count=len(nodes), per_step=_per_step(nodes)

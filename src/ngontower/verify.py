@@ -6,10 +6,12 @@ them brute-force; the result must equal the product expression exactly as
 integers (expressions are doubled first so half-integer coefficients clear).
 """
 
+import numpy as np
+
 from .invariant_sets import InvariantSetTable
-from .oracle import PeriodVector, pv_from_pairs, pv_mul, pv_zero
+from .oracle import PeriodVector, pv_from_pairs, pv_mul
 from .splitting import LinearCombo, PartRef, part_pairs
-from .tower import Tower, evaluate_tower
+from .tower import Tower, evaluate_tower, resolve_signs
 
 
 class OracleMismatch(RuntimeError):
@@ -25,24 +27,29 @@ def pv_of_part(part: PartRef, table: InvariantSetTable) -> PeriodVector:
 
 
 def combo_as_pv_doubled(combo: LinearCombo, table: InvariantSetTable) -> PeriodVector:
-    """2 * combo expanded over the pair basis (all coefficients integral)."""
-    acc = pv_zero(table.params)
-    const = 2 * combo.constant
-    if const.denominator != 1:
+    """2 * combo expanded over the pair basis (all coefficients integral).
+
+    The linear terms are scattered in one pass over their concatenated pair
+    numbers, accumulating in int64; each square goes through `pv_mul`.
+    """
+    doubled = [2 * combo.constant] + [2 * c for c, _ in (*combo.linear, *combo.squares)]
+    if any(c.denominator != 1 for c in doubled):
         raise ValueError("coefficient denominators exceed 2")
-    acc = PeriodVector(acc.n, int(const), acc.coeffs)
-    for c, p in combo.linear:
-        c2 = 2 * c
-        if c2.denominator != 1:
-            raise ValueError("coefficient denominators exceed 2")
-        acc = acc + pv_of_part(p, table).scaled(int(c2))
-    for c, p in combo.squares:
-        c2 = 2 * c
-        if c2.denominator != 1:
-            raise ValueError("coefficient denominators exceed 2")
+    const, *coeffs = (int(c) for c in doubled)
+    linear, squares = coeffs[: len(combo.linear)], coeffs[len(combo.linear) :]
+    pairs = [part_pairs(p, table) for _, p in combo.linear]
+    acc = np.zeros(table.params.npairs + 1, dtype=np.int64)
+    if pairs:
+        np.add.at(
+            acc,
+            np.concatenate([np.asarray(pp, dtype=np.int64) for pp in pairs]),
+            np.repeat(np.asarray(linear, dtype=np.int64), [len(pp) for pp in pairs]),
+        )
+    result = PeriodVector(table.params.n, const, acc)
+    for c, (_, p) in zip(squares, combo.squares):
         pvp = pv_of_part(p, table)
-        acc = acc + pv_mul(pvp, pvp).scaled(int(c2))
-    return acc
+        result = result + pv_mul(pvp, pvp).scaled(c)
+    return result
 
 
 def _normalize_mod_s(v: PeriodVector) -> PeriodVector:
@@ -84,8 +91,9 @@ def oracle_check_tower(tower: Tower, sample=None) -> int:
 def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True) -> list[str]:
     """Full verification pass; returns failure messages (empty means pass).
 
-    Runs the exact oracle on every product expression, then re-resolves signs
-    and re-evaluates numerically, cross-checking every node value against its
+    Runs the exact oracle on every product expression, then re-derives the
+    signs from direct cosine sums (a stored sign that disagrees fails) and
+    re-evaluates numerically, cross-checking every node value against its
     direct cosine sum.
     """
     failures: list[str] = []
@@ -98,8 +106,10 @@ def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True
                 break
     if failures:
         return failures
+    precision = precision or tower.precision or 128
     try:
-        evaluate_tower(tower, precision or tower.precision or 128)
+        resolve_signs(tower, precision)
+        evaluate_tower(tower, precision)
         if tower.report is not None and oracle:
             tower.report.oracle_checked = len(tower.nodes)
     except Exception as exc:  # noqa: BLE001 - verification surfaces any failure

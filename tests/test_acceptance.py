@@ -102,7 +102,7 @@ def test_criterion_05_sign_reproduction(tower65537, tower257_full):
 
     ok = True
     # n=257, steps 1-3 and 5-7 strict; the step-4 anomaly goes to the diff.
-    cache257 = tower257_full._cos_cache
+    cache257 = tower257_full.cosines
     signs257 = f_sign_sets(tower257_full.table, cache257)
     for step, published in ref.SIGNS_F_257.items():
         ok &= signs257[step] == published
@@ -113,7 +113,7 @@ def test_criterion_05_sign_reproduction(tower65537, tower257_full):
 
     # n=65537, steps 3-10 strict modulo the two documented list misprints,
     # which must surface in the diff report with their erratum notes.
-    cache65 = tower65537._cos_cache
+    cache65 = tower65537.cosines
     signs65 = f_sign_sets(tower65537.table, cache65)
     for step in range(3, 10):
         expected = ref.SIGNS_F_65537[step]
@@ -132,7 +132,7 @@ def test_criterion_05_sign_reproduction(tower65537, tower257_full):
 
 
 def test_criterion_06_numeric_approximations(tower65537):
-    cache = tower65537._cos_cache
+    cache = tower65537.cosines
     ok = True
     with mp.workprec(128):
         for name, part in (
@@ -266,7 +266,7 @@ def test_criterion_10_construction_pipeline(tower65537):
     tower17 = build_tower(17, precision=128)
     prog = compile_to_arith(tower17)
     geom = lower_to_geom(prog, 128)
-    append_polygon_steps(geom, prog, 18)
+    append_polygon_steps(geom, 18)
     res = execute_geom(geom, 128)
     with mp.workprec(128):
         tol = mp.mpf(2) ** -64
@@ -279,7 +279,7 @@ def test_criterion_10_construction_pipeline(tower65537):
     tower257 = build_tower(257, precision=128)
     prog = compile_to_arith(tower257)
     geom = lower_to_geom(prog, 128)
-    append_polygon_steps(geom, prog, 258)
+    append_polygon_steps(geom, 258)
     res = execute_geom(geom, 128)
     with mp.workprec(128):
         v0, vn = res["vertices"][0], res["vertices"][257]

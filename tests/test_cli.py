@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 from ngontower.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +119,9 @@ def test_compile_and_render(tmp_path, capsys):
     assert code == 0
     svg = (tmp_path / "p.svg").read_text()
     assert svg == (GOLDEN / "polygon_17.svg").read_text()
+    for target in ("arith", "geom"):
+        written = (tmp_path / f"p.{target}").read_bytes()
+        assert written == (GOLDEN / f"program_17.{target}").read_bytes()
 
 
 def test_constructible(capsys):
@@ -132,20 +137,21 @@ def test_constructible(capsys):
     assert code == 0 and out.startswith("no")
 
 
-def test_console_script_entry():
-    result = subprocess.run(
-        [sys.executable, "-m", "ngontower.cli", "constructible", "12"],
+def run_console(*argv):
+    """`python -m ngontower.cli` in a child that imports this checkout."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "ngontower.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_entry():
+    result = run_console("constructible", "12")
     assert result.returncode == 0
     assert result.stdout.startswith("yes")
-
-
-def run_console(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "ngontower.cli", *argv], capture_output=True, text=True
-    )
 
 
 def test_truncated_tower_is_a_usage_error(tmp_path, capsys):
@@ -181,3 +187,58 @@ def test_tower_header_n_beyond_range(tmp_path, capsys):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def _tampered_17(tmp_path, capsys, change):
+    """An n = 17 tower file whose node 0 was edited by `change`."""
+    tower_path = tmp_path / "t17.tower"
+    run_cli(capsys, "build", "--n", "17", "--out", str(tower_path))
+    lines = tower_path.read_text().splitlines()
+    node = json.loads(lines[1])
+    change(node)
+    lines[1] = json.dumps(node)
+    tower_path.write_text("\n".join(lines) + "\n")
+    return tower_path
+
+
+def _flip_sign(node):
+    node["left_is_larger"] = not node["left_is_larger"]
+
+
+def _constant_40(node):
+    node["product"]["constant"] = [40, 1]
+
+
+def test_verify_detects_flipped_stored_sign(tmp_path, capsys):
+    tower_path = _tampered_17(tmp_path, capsys, _flip_sign)
+    result = run_console("verify", "--tower", str(tower_path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("FAIL: node 0: ")
+
+
+@pytest.mark.parametrize("change", [_flip_sign, _constant_40], ids=["flipped-sign", "constant-40"])
+def test_compile_and_render_fail_cleanly_on_tampered_tower(change, tmp_path, capsys):
+    tower_path = _tampered_17(tmp_path, capsys, change)
+    for argv in (
+        ["compile", "--tower", str(tower_path), "--target", "arith", "--out", str(tmp_path / "p.arith")],
+        ["compile", "--tower", str(tower_path), "--target", "geom", "--out", str(tmp_path / "p.geom")],
+        ["render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg")],
+    ):
+        result = run_console(*argv)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("verification failure: ")
+        assert result.stderr.count("\n") == 1
+        assert not Path(argv[-1]).exists()
+
+
+def test_unsigned_tower_is_a_usage_error(tmp_path, capsys):
+    tower_path = _tampered_17(tmp_path, capsys, lambda node: node.update(left_is_larger=None))
+    for argv in (
+        ["compile", "--tower", str(tower_path), "--target", "arith", "--out", str(tmp_path / "p.arith")],
+        ["render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg")],
+    ):
+        result = run_console(*argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and "unresolved signs" in result.stderr

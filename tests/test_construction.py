@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from ngontower.construction import (
     ArithProgram,
     NegativeRadicand,
     append_polygon_steps,
-    attach_shadow,
+    arith_values,
     compile_to_arith,
     dump_arith,
     dump_geom,
@@ -56,13 +57,19 @@ def test_arith_outputs_match_cosine(tower17):
         assert abs(outs["p1"] - 2 * outs["cos"]) < mp.mpf(2) ** -64
 
 
+def test_state_is_declared_fields_only(tower17):
+    prog = compile_to_arith(tower17)
+    for obj in (tower17, *tower17.nodes, prog):
+        assert set(vars(obj)) == {f.name for f in fields(obj)}
+
+
 def test_negative_radicand_rejected():
     prog = ArithProgram()
     c = prog.emit("CONST", value=Fraction(-2))
     s = prog.emit("SQRT", c)
     prog.outputs = {"x": s}
     with pytest.raises(NegativeRadicand):
-        attach_shadow(prog)
+        arith_values(prog)
 
 
 def _run_simple(ops):
@@ -74,8 +81,7 @@ def _run_simple(ops):
         else:
             idx = prog.emit(op, *rest)
     prog.outputs = {"out": idx}
-    attach_shadow(prog, 128)
-    geom = lower_to_geom(prog, 128)
+    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
     return execute_geom(geom, 128)["out"]
 
 
@@ -104,7 +110,7 @@ def test_unit_circle_axis_intersections():
 
 def test_geom_17_matches_tower(tower17):
     prog = compile_to_arith(tower17)
-    geom = lower_to_geom(prog, 128)
+    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
     res = execute_geom(geom, 128)
     with mp.workprec(128):
         assert abs(res["cos"] - mp.cos(2 * mp.pi / 17)) < mp.mpf(2) ** -64
@@ -115,8 +121,8 @@ def test_geom_17_matches_tower(tower17):
 def test_step_chord_closure(n, tower17, tower257):
     tower = {17: tower17, 257: tower257}[n]
     prog = compile_to_arith(tower)
-    geom = lower_to_geom(prog, tower.precision)
-    append_polygon_steps(geom, prog, n + 1)
+    geom = lower_to_geom(prog, tower.precision, arith_values(prog, tower.precision))
+    append_polygon_steps(geom, n + 1)
     res = execute_geom(geom, tower.precision)
     with mp.workprec(tower.precision):
         v0, vn = res["vertices"][0], res["vertices"][n]
@@ -137,7 +143,7 @@ def _random_program(rng: random.Random) -> ArithProgram:
         return len(vals) - 1
 
     idx = emit("CONST", value=Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4))))
-    shadow = attach_shadow(prog, 96).shadow
+    values = arith_values(prog, 96)
     for _ in range(rng.randint(2, 8)):
         op = rng.choice(("CONST", "NEG", "ADD", "SUB", "MUL", "HALF", "DIV", "SQRT"))
         n = len(prog.instrs)
@@ -150,15 +156,15 @@ def _random_program(rng: random.Random) -> ArithProgram:
             emit(op, pick(), pick())
         elif op == "DIV":
             den = pick()
-            if abs(shadow[den]) < mp.mpf("0.05"):
+            if abs(values[den]) < mp.mpf("0.05"):
                 continue
             emit(op, pick(), den)
         else:  # SQRT
             arg = pick()
-            if shadow[arg] < mp.mpf("0.05"):
+            if values[arg] < mp.mpf("0.05"):
                 continue
             emit(op, arg)
-        shadow = attach_shadow(prog, 96).shadow
+        values = arith_values(prog, 96)
     prog.outputs = {"out": len(prog.instrs) - 1}
     return prog
 
@@ -168,11 +174,11 @@ def test_lowering_fuzz():
     checked = 0
     for _ in range(1000):
         prog = _random_program(rng)
-        attach_shadow(prog, 96)
-        want = evaluate_arith(prog, 96)["out"]
+        values = arith_values(prog, 96)
+        want = values[prog.outputs["out"]]
         if abs(want) > mp.mpf(10) ** 9:  # intercept slopes degenerate far out
             continue
-        geom = lower_to_geom(prog, 96)
+        geom = lower_to_geom(prog, 96, values)
         got = execute_geom(geom, 96)["out"]
         with mp.workprec(96):
             scale = max(mp.mpf(1), abs(want))
@@ -194,7 +200,7 @@ def test_arith_roundtrip(tmp_path, tower17):
 
 def test_geom_roundtrip(tmp_path, tower17):
     prog = compile_to_arith(tower17)
-    geom = lower_to_geom(prog, 128)
+    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
     path = tmp_path / "prog.geom"
     dump_geom(geom, str(path))
     loaded = load_geom(str(path))
@@ -228,7 +234,7 @@ def test_svg_zoomed_sector(tower65537):
 def test_geom_65537_matches_cosine(tower65537):
     # The full geometric pipeline holds up at depth 15 and 512 bits.
     prog = compile_to_arith(tower65537)
-    geom = lower_to_geom(prog, 512)
+    geom = lower_to_geom(prog, 512, arith_values(prog, 512))
     res = execute_geom(geom, 512)
     with mp.workprec(512):
         assert abs(res["cos"] - mp.cos(2 * mp.pi / 65537)) < mp.mpf(2) ** -256

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ngontower.oracle import pv_mul, pv_s
+from ngontower.oracle import PeriodVector, pv_mul, pv_s, pv_zero
 from ngontower.splitting import (
+    LinearCombo,
     f_part,
     f_split_product,
     f_split_product_squares,
@@ -16,6 +19,7 @@ from ngontower.splitting import (
     pr_terms,
     split_children,
 )
+from ngontower.tower import build_schedule
 from ngontower.verify import combo_as_pv_doubled, pv_of_part
 
 
@@ -237,3 +241,54 @@ def test_part_pairs_f_vs_g(table257):
     f = part_pairs(f_part(1, 16), table257)
     g = part_pairs(g_part(1, 1, 1), table257)
     assert set(f) == set(g) == set(table257.sets[0])
+
+
+def _per_term_doubled(combo, table):
+    """2 * combo summed one full-length vector per term."""
+    acc = PeriodVector(table.params.n, int(2 * combo.constant), pv_zero(table.params).coeffs)
+    for c, p in combo.linear:
+        acc = acc + pv_of_part(p, table).scaled(int(2 * c))
+    for c, p in combo.squares:
+        pvp = pv_of_part(p, table)
+        acc = acc + pv_mul(pvp, pvp).scaled(int(2 * c))
+    return acc
+
+
+_SCHEDULE_PARTS = {}
+
+
+def _schedule_parts(table):
+    """Every part a full schedule splits or produces, overlapping ones included."""
+    n = table.params.n
+    if n not in _SCHEDULE_PARTS:
+        nodes = build_schedule(table.params, table, kind="full").nodes
+        _SCHEDULE_PARTS[n] = sorted(
+            {p for node in nodes for p in (node.splits, node.left, node.right)}, key=repr
+        )
+    return _SCHEDULE_PARTS[n]
+
+
+@pytest.mark.parametrize("n", [17, 257])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combo_expansion_matches_per_term_sum(n, data, table17, table257):
+    table = {17: table17, 257: table257}[n]
+    half = st.builds(Fraction, st.integers(-1000, 1000), st.sampled_from([1, 2]))
+    term = st.tuples(half, st.sampled_from(_schedule_parts(table)))
+    combo = LinearCombo(
+        constant=data.draw(half),
+        linear=tuple(data.draw(st.lists(term, max_size=8))),
+        squares=tuple(data.draw(st.lists(term, max_size=3))),
+    )
+    assert combo_as_pv_doubled(combo, table) == _per_term_doubled(combo, table)
+
+
+def test_combo_expansion_rejects_quarters(table17):
+    part = f_part(1, 2)
+    for combo in (
+        LinearCombo(Fraction(1, 4), (), ()),
+        LinearCombo(Fraction(0), ((Fraction(3, 4), part),), ()),
+        LinearCombo(Fraction(0), (), ((Fraction(1, 4), part),)),
+    ):
+        with pytest.raises(ValueError, match="denominators"):
+            combo_as_pv_doubled(combo, table17)

@@ -55,6 +55,19 @@ def test_flipped_sign_detected():
     assert failures
 
 
+def test_flipped_sign_detected_after_reload(tmp_path):
+    # A loaded tower's stored sign is checked against the cosine sums, not
+    # replaced by them.
+    from ngontower.towerfile import dump_tower, load_tower
+
+    tower = build_tower(257)
+    tower.nodes[6].left_is_larger = not tower.nodes[6].left_is_larger
+    path = tmp_path / "t.tower"
+    dump_tower(tower, str(path))
+    failures = verify_tower(load_tower(str(path)), oracle=False)
+    assert failures and "node 6" in failures[0]
+
+
 def test_verify_at_lower_precision_still_passes():
     tower = build_tower(257, precision=192)
     assert verify_tower(tower, precision=128) == []
