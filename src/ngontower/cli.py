@@ -22,6 +22,15 @@ def _params_or_exit(args) -> FermatParams:
         raise SystemExit(USAGE_ERROR)
 
 
+def _check_precision_or_exit(args) -> None:
+    if args.precision is not None and args.precision < 1:
+        print(
+            f"error: --precision must be a positive number of bits, got {args.precision}",
+            file=sys.stderr,
+        )
+        raise SystemExit(USAGE_ERROR)
+
+
 def _tower_or_exit(path: str):
     from .towerfile import load_tower
 
@@ -48,6 +57,7 @@ def cmd_build(args) -> int:
     from .verify import OracleMismatch, oracle_check_tower
 
     _params_or_exit(args)
+    _check_precision_or_exit(args)
     try:
         tower = build_tower(
             args.n,
@@ -74,6 +84,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import verify_tower
 
+    _check_precision_or_exit(args)
     tower = _tower_or_exit(args.tower)
     failures = verify_tower(tower, precision=args.precision, oracle=not args.no_oracle)
     if failures:
@@ -93,13 +104,21 @@ def _emit_combination(comb) -> str:
 
 
 def cmd_tables(args) -> int:
+    params = _params_or_exit(args)
+    _check_precision_or_exit(args)
+    try:
+        return _print_table(args, params, build_invariant_sets(params, factor=args.factor))
+    except ValueError as exc:  # a factor, set index or level out of range for this n
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+
+
+def _print_table(args, params, table) -> int:
     from .report import f_sign_sets
     from .period_algebra import set_product, set_square
     from .splitting import mu_groups, mu_table
     from .tower import CosineCache
 
-    params = _params_or_exit(args)
-    table = build_invariant_sets(params, factor=args.factor)
     kind = args.kind
     if kind == "sets":
         for row in table.sets:

@@ -25,13 +25,15 @@ class InvariantSetTable:
     """Ordered invariant sets plus the pair -> (set, position) lookup.
 
     sets[k-1] holds the pair numbers of set k in natural order (each entry the
-    doubled predecessor).  set_of / pos_of are 1-based lookup arrays indexed by
+    doubled predecessor); set_array is the same as a read-only int64
+    (ng, 2^nu) array.  set_of / pos_of are 1-based lookup arrays indexed by
     pair number (slot 0 unused).
     """
 
     params: FermatParams
     factor: int
     sets: tuple[tuple[int, ...], ...]
+    set_array: np.ndarray = field(repr=False, compare=False)
     set_of: np.ndarray = field(repr=False, compare=False)
     pos_of: np.ndarray = field(repr=False, compare=False)
 
@@ -88,10 +90,16 @@ def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetT
     if params.ng > 1 and set_of[pair_of(start_degree, n)] != 1:
         raise PartitionFailure("factor rule does not wrap back to set 1")
 
-    set_of.setflags(write=False)
-    pos_of.setflags(write=False)
+    set_array = np.array(sets, dtype=np.int64)
+    for arr in (set_array, set_of, pos_of):
+        arr.setflags(write=False)
     return InvariantSetTable(
-        params=params, factor=factor, sets=tuple(sets), set_of=set_of, pos_of=pos_of
+        params=params,
+        factor=factor,
+        sets=tuple(sets),
+        set_array=set_array,
+        set_of=set_of,
+        pos_of=pos_of,
     )
 
 

@@ -8,6 +8,7 @@ the rotation argument then lifts each classified pair to its full set.  Cost is
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .invariant_sets import InvariantSetTable
 from .residues import rho
@@ -26,7 +27,9 @@ class SetCombination:
 
     def terms(self) -> list[tuple[int, int]]:
         """(set index, coefficient) for the nonzero entries."""
-        return [(k, c) for k, c in enumerate(self.coeffs, start=1) if c]
+        # compress skips the zeros in C; a set product has few nonzero sets.
+        coeffs = self.coeffs
+        return [(i + 1, coeffs[i]) for i in compress(range(self.ng), coeffs)]
 
     def coeff_sum(self) -> int:
         return sum(self.coeffs)

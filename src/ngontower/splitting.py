@@ -8,12 +8,25 @@ Two families of parts are split on the way from S down to p_1:
 For every split the sum of the two children is the parent, so only the product
 needs an expression over already-computed parts.  F-split products come from
 the multiplicity table mu(k, 2^m); G-split products come from the squares
-identity with the correction term Pr = Pr_M + 2*Pr_L.
+identity with the correction term Pr = Pr_M + 2*Pr_L, derived for G_1(1, 2^m)
+and shifted to every other set and offset.
+
+`f_split_product` and `g_split_product` are the only definitions of the
+products.  What they need per level -- mu(., 2^m) with its fold, the unshifted
+G_1(1, 2^m) product and the wrap twist -- depends on the level alone, so a
+schedule build passes one `SplitLevels` to every call and each level is
+derived once per build; a call without one derives its level afresh.
+
+`part_pairs` reads the pair numbers of a part straight from the table's int64
+set array.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .invariant_sets import InvariantSetTable, locate_pair
 from .period_algebra import set_product, set_square
@@ -84,28 +97,31 @@ def g_part(k: int, j: int, stride: int) -> PartRef:
     return PartRef(kind="G", offset=j, stride=stride, set_index=k)
 
 
-def part_members(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
-    """Set indices of an F part / pair numbers of a G part."""
-    params = table.params
+def _check_part(p: PartRef, params) -> None:
     if p.kind == "F":
         if not (1 <= p.offset <= p.stride and params.ng % p.stride == 0):
             raise ValueError(f"invalid F part {p}")
-        return tuple(range(p.offset, params.ng + 1, p.stride))
+        return
     per_set = 1 << params.nu
     if not (1 <= p.offset <= p.stride and per_set % p.stride == 0):
         raise ValueError(f"invalid G part {p}")
-    row = table.sets[p.set_index - 1]
-    return tuple(row[pos - 1] for pos in range(p.offset, per_set + 1, p.stride))
 
 
-def part_pairs(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
-    """All pair numbers covered by the part."""
-    if p.kind == "G":
-        return part_members(p, table)
-    pairs: list[int] = []
-    for k in part_members(p, table):
-        pairs.extend(table.sets[k - 1])
-    return tuple(pairs)
+def part_members(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
+    """Set indices of an F part / pair numbers of a G part."""
+    _check_part(p, table.params)
+    if p.kind == "F":
+        return tuple(range(p.offset, table.params.ng + 1, p.stride))
+    return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
+
+
+def part_pairs(p: PartRef, table: InvariantSetTable) -> np.ndarray:
+    """All pair numbers covered by the part, in member order, as an int64
+    array read from `table.set_array` (a read-only view where possible)."""
+    _check_part(p, table.params)
+    if p.kind == "F":
+        return table.set_array[p.offset - 1 :: p.stride].ravel()
+    return table.set_array[p.set_index - 1, p.offset - 1 :: p.stride]
 
 
 def split_children(p: PartRef, table: InvariantSetTable) -> tuple[PartRef, PartRef]:
@@ -135,9 +151,9 @@ def mu_table(m: int, table: InvariantSetTable) -> tuple[int, ...]:
     product G_1 * G_{1+2^m} already carries uniform coefficients on each part.
     """
     ng = table.params.ng
+    if not 0 <= m < ng.bit_length() - 1:
+        raise ValueError(f"no F split at level m={m} for ng={ng}")
     stride = 1 << m
-    if 2 * stride > ng:
-        raise ValueError(f"no F split below stride {stride} for ng={ng}")
     mu = [0] * stride
     if 2 * stride == ng:
         comb = set_product(1, 1 + stride, table)
@@ -171,20 +187,24 @@ def _fold_level(mu: tuple[int, ...]) -> int:
     return max(v for v, c in counts.items() if c == best)
 
 
-def f_split_product(j: int, m: int, table: InvariantSetTable) -> LinearCombo:
+def f_split_product(
+    j: int, m: int, table: InvariantSetTable, levels: "SplitLevels | None" = None
+) -> LinearCombo:
     """Product of the two halves of F(j, 2^m) over the level-m parts:
     sum_k mu(k,2^m) F(rho(k+j-1, 2^m), 2^m), with the uniform part of mu
-    rewritten into the constant."""
+    rewritten into the constant.  `levels` shares mu and its fold across the
+    splits of one build; without it they are derived for this call."""
     stride = 1 << m
     if not 1 <= j <= stride:
         raise ValueError(f"offset {j} out of range [1, {stride}]")
-    mu = mu_table(m, table)
-    fold = _fold_level(mu)
-    linear = []
-    for k, v in enumerate(mu, start=1):
-        if v != fold:
-            linear.append((Fraction(v - fold), f_part(rho(k + j - 1, stride), stride)))
-    return LinearCombo(constant=Fraction(-fold), linear=tuple(linear), squares=())
+    mu, fold, parts = (levels or SplitLevels(table)).f_level(m)
+    # parts[i] is F(i+1, 2^m), so F(rho(k+j-1, 2^m), 2^m) is parts[(k+j-2) % 2^m].
+    linear = tuple(
+        (Fraction(v - fold), parts[(k + j - 2) % stride])
+        for k, v in enumerate(mu, start=1)
+        if v != fold
+    )
+    return LinearCombo(constant=Fraction(-fold), linear=linear, squares=())
 
 
 def f_split_product_squares(j: int, m: int, table: InvariantSetTable) -> LinearCombo:
@@ -276,21 +296,31 @@ def pr_terms(m: int, table: InvariantSetTable) -> tuple[LinearCombo, LinearCombo
     return pm, LinearCombo(Fraction(0), pl_terms, ())
 
 
-def g_split_product(k: int, s: int, m: int, table: InvariantSetTable) -> LinearCombo:
+def g_split_product(
+    k: int, s: int, m: int, table: InvariantSetTable, levels: "SplitLevels | None" = None
+) -> LinearCombo:
     """Product of the two halves of G_k(s, 2^m):
 
         (G_k^2(s,2^m) - G_k(rho(s+1,2^m),2^m) - 2^(nu+1-m) - Pr) / 2
 
     derived once for (k=1, s=1) and then mapped by the set shift k-1 (set
     numbers move by rho(.+k-1, ng)) and the offset shift s-1 (positions move
-    by rho(.+s-1, 2^m))."""
+    by rho(.+s-1, 2^m)).  `levels` shares the (k=1, s=1) product and the wrap
+    twist across the splits of one build; without it they are derived for
+    this call."""
     params = table.params
     per_set = 1 << params.nu
     stride = 1 << m
     if not (1 <= k <= params.ng and 1 <= s <= stride and 2 * stride <= per_set):
         raise ValueError(f"invalid G split (k={k}, s={s}, stride={stride})")
+    levels = levels or SplitLevels(table)
+    return shift_g_combo(levels.g_level(m), k - 1, s - 1, table, levels.twist)
 
+
+def _g_base_product(m: int, table: InvariantSetTable) -> LinearCombo:
+    """The product of the halves of G_1(1, 2^m), before any shift."""
     pr_m, pr_l = pr_terms(m, table)
+    stride = 1 << m
     linear: list[tuple[Fraction, PartRef]] = [
         (Fraction(-1, 2), g_part(1, rho(2, stride), stride))
     ]
@@ -298,12 +328,11 @@ def g_split_product(k: int, s: int, m: int, table: InvariantSetTable) -> LinearC
         linear.append((-c / 2, p))
     for c, p in pr_l.linear:
         linear.append((-c, p))
-    combo = LinearCombo(
-        constant=Fraction(-(1 << (params.nu + 1 - m)), 2),
+    return LinearCombo(
+        constant=Fraction(-(1 << (table.params.nu + 1 - m)), 2),
         linear=tuple(linear),
         squares=((Fraction(1, 2), g_part(1, 1, stride)),),
     )
-    return shift_g_combo(combo, set_shift=k - 1, offset_shift=s - 1, table=table)
 
 
 def wrap_twist(table: InvariantSetTable) -> int:
@@ -326,11 +355,17 @@ def wrap_twist(table: InvariantSetTable) -> int:
 
 
 def shift_g_combo(
-    combo: LinearCombo, set_shift: int, offset_shift: int, table: InvariantSetTable
+    combo: LinearCombo,
+    set_shift: int,
+    offset_shift: int,
+    table: InvariantSetTable,
+    twist: int | None = None,
 ) -> LinearCombo:
-    """Apply the two shift rules to every G part of a combo."""
+    """Apply the two shift rules to every G part of a combo; `twist` is
+    `wrap_twist(table)`, derived here when not given."""
     ng = table.params.ng
-    twist = wrap_twist(table)
+    if twist is None:
+        twist = wrap_twist(table)
 
     def move(p: PartRef) -> PartRef:
         if p.kind != "G":
@@ -343,7 +378,44 @@ def shift_g_combo(
         acc: dict[PartRef, Fraction] = {}
         for c, p in terms:
             q = move(p)
-            acc[q] = acc.get(q, Fraction(0)) + c
+            acc[q] = acc[q] + c if q in acc else c
         return tuple(sorted(((c, p) for p, c in acc.items() if c), key=lambda t: t[1]))
 
     return LinearCombo(combo.constant, merge(combo.linear), merge(combo.squares))
+
+
+# ---------------------------------------------------------------------------
+# Per-build level data
+
+
+class SplitLevels:
+    """The per-level data that the splits of one schedule build share, each
+    item derived on first use and then kept for the build: mu(., 2^m) with
+    its fold and the level's parts for each F level, the unshifted product of
+    G_1(1, 2^m)'s halves (from `pr_terms(m)`) for each G level, and the wrap
+    twist.
+
+    Keyed on the level alone: hashing the table itself would cost more than
+    the derivations it saves."""
+
+    def __init__(self, table: InvariantSetTable):
+        self.table = table
+        self._f: dict[int, tuple] = {}
+        self._g: dict[int, LinearCombo] = {}
+
+    def f_level(self, m: int) -> tuple[tuple[int, ...], int, tuple[PartRef, ...]]:
+        """(mu(., 2^m), its fold, the parts F(1, 2^m) .. F(2^m, 2^m))."""
+        if m not in self._f:
+            mu = mu_table(m, self.table)
+            parts = tuple(f_part(i, 1 << m) for i in range(1, (1 << m) + 1))
+            self._f[m] = (mu, _fold_level(mu), parts)
+        return self._f[m]
+
+    def g_level(self, m: int) -> LinearCombo:
+        if m not in self._g:
+            self._g[m] = _g_base_product(m, self.table)
+        return self._g[m]
+
+    @cached_property
+    def twist(self) -> int:
+        return wrap_twist(self.table)

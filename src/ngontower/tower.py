@@ -17,11 +17,13 @@ from .residues import FermatParams, rho
 from .splitting import (
     LinearCombo,
     PartRef,
+    SplitLevels,
     f_part,
     f_split_product,
     g_part,
     g_split_product,
     part_pairs,
+    split_children,
 )
 
 
@@ -107,101 +109,94 @@ def _canonical_child(child: PartRef, params: FermatParams) -> PartRef:
     return child
 
 
-def _split_children_canonical(part: PartRef, table: InvariantSetTable):
-    from .splitting import split_children
+def _producer(part: PartRef, params: FermatParams) -> PartRef:
+    """The split whose half `part` is (`part` is not the root)."""
+    if part.kind == "G" and part.stride == 1:
+        half = params.ng // 2
+        return f_part(rho(part.set_index, half), half)
+    half = part.stride // 2
+    return PartRef(part.kind, rho(part.offset, half), half, part.set_index)
 
-    left, right = split_children(part, table)
-    return (
-        _canonical_child(left, table.params),
-        _canonical_child(right, table.params),
-    )
+
+def _step(split: PartRef, params: FermatParams) -> int:
+    """Schedule step of a split: F levels first, then G levels."""
+    level = split.stride.bit_length()
+    return level if split.kind == "F" else params.ng.bit_length() - 1 + level
 
 
 def build_schedule(
     params: FermatParams, table: InvariantSetTable, kind: str = "pruned"
 ) -> Tower:
-    """Assemble the (unevaluated) node DAG.
+    """Assemble the (unevaluated) node DAG by one demand-driven walk.
 
-    full: every F level then every G level for all sets and offsets.
-    pruned: the backward dependency closure of the node producing p_1,
-    walking product_expr references (the published pruning lists are only
-    compared against, never trusted).
+    The walk starts from its seeds -- full: every split of every F level and
+    every G level; pruned: the split that produces p_1 -- and builds a node
+    for each split it reaches.  A node pushes the producer of the part it
+    splits and of every part its product expression references (the producer
+    of a part is the split whose half it is; a whole set G_k comes from
+    F(rho(k, ng/2), ng/2)), so pruned is the backward dependency closure of
+    p_1 and nothing outside it is derived.  The per-level tables the products
+    need (mu with its fold, the base G product, the wrap twist) come from one
+    `SplitLevels` shared by the build.  The nodes are then ordered by (step,
+    set, offset) and numbered, and each gets the id of its sum's producer.
+    The published pruning lists are only compared against, never trusted.
     """
     if kind not in ("full", "pruned"):
         raise ValueError(f"unknown schedule kind {kind!r}")
-    nodes: list[QuadraticNode] = []
-    f_levels = params.ng.bit_length() - 1  # log2(ng)
+    if params.npairs == 1:
+        return Tower(params=params, table=table, kind=kind, nodes=[])
+    levels = SplitLevels(table)
+    if kind == "full":
+        f_levels = params.ng.bit_length() - 1
+        stack = [f_part(j, 1 << m) for m in range(f_levels) for j in range(1, (1 << m) + 1)]
+        stack += [
+            g_part(k, s, 1 << m)
+            for m in range(params.nu)
+            for k in range(1, params.ng + 1)
+            for s in range(1, (1 << m) + 1)
+        ]
+    else:
+        stack = [g_part(1, 1, 1 << (params.nu - 1))]
 
-    for m in range(f_levels):
-        for j in range(1, (1 << m) + 1):
-            nodes.append(
-                QuadraticNode(
-                    id=len(nodes),
-                    step=m + 1,
-                    splits=f_part(j, 1 << m),
-                    left=PartRef("F", 0, 0),  # placeholder, fixed below
-                    right=PartRef("F", 0, 0),
-                    sum_source=None,
-                    product_expr=f_split_product(j, m, table),
-                )
-            )
-    for mg in range(params.nu):
-        for k in range(1, params.ng + 1):
-            for s in range(1, (1 << mg) + 1):
-                nodes.append(
-                    QuadraticNode(
-                        id=len(nodes),
-                        step=f_levels + mg + 1,
-                        splits=g_part(k, s, 1 << mg),
-                        left=PartRef("F", 0, 0),
-                        right=PartRef("F", 0, 0),
-                        sum_source=None,
-                        product_expr=g_split_product(k, s, mg, table),
-                    )
-                )
-
-    by_split: dict[PartRef, QuadraticNode] = {}
-    for node in nodes:
-        node.left, node.right = _split_children_canonical(node.splits, table)
-        by_split[node.splits] = node
-    by_child: dict[PartRef, int] = {}
-    for node in nodes:
-        by_child[node.left] = node.id
-        by_child[node.right] = node.id
     root = _root_part(params)
-    for node in nodes:
-        node.sum_source = by_child.get(node.splits)
-        if node.sum_source is None and node.splits != root:
-            raise AssertionError(f"part {node.splits} has no producer")
+    products: dict[PartRef, LinearCombo] = {}
+    needed = {root}  # parts whose producer is built or on the stack; the root has none
+    while stack:
+        split = stack.pop()
+        if split in products:
+            continue
+        m = split.stride.bit_length() - 1
+        if split.kind == "F":
+            expr = f_split_product(split.offset, m, table, levels)
+        else:
+            expr = g_split_product(split.set_index, split.offset, m, table, levels)
+        products[split] = expr
+        for part in (split, *expr.referenced_parts()):
+            if part not in needed:
+                needed.add(part)
+                stack.append(_producer(part, params))
 
-    if kind == "pruned" and nodes:
-        target = by_split[g_part(1, 1, 1 << (params.nu - 1))]
-        keep: set[int] = set()
-        stack = [target.id]
-        while stack:
-            nid = stack.pop()
-            if nid in keep:
-                continue
-            keep.add(nid)
-            node = nodes[nid]
-            deps = [node.splits] + node.product_expr.referenced_parts()
-            for part in deps:
-                pid = by_child.get(part)
-                if pid is not None and pid not in keep:
-                    stack.append(pid)
-                elif pid is None and part != root:
-                    raise AssertionError(f"pruned closure hit unproduced part {part}")
-        nodes = [n for n in nodes if n.id in keep]
-
-    # Re-number densely, preserving topological (step, id) order.
-    old_to_new = {}
-    for new_id, node in enumerate(nodes):
-        old_to_new[node.id] = new_id
-        node.id = new_id
-    for node in nodes:
-        if node.sum_source is not None:
-            node.sum_source = old_to_new[node.sum_source]
-
+    nodes: list[QuadraticNode] = []
+    by_child: dict[PartRef, int] = {}
+    for split in sorted(products, key=lambda p: (_step(p, params), p.set_index, p.offset)):
+        expr = products[split]
+        for part in (split, *expr.referenced_parts()):
+            if part not in by_child and part != root:
+                raise AssertionError(f"part {part} has no earlier producer")
+        left, right = (_canonical_child(c, params) for c in split_children(split, table))
+        node_id = len(nodes)
+        nodes.append(
+            QuadraticNode(
+                id=node_id,
+                step=_step(split, params),
+                splits=split,
+                left=left,
+                right=right,
+                sum_source=by_child.get(split),
+                product_expr=expr,
+            )
+        )
+        by_child[left] = by_child[right] = node_id
     return Tower(params=params, table=table, kind=kind, nodes=nodes)
 
 
@@ -231,7 +226,8 @@ class CosineCache:
         cached = self._part.get(part)
         if cached is None:
             with mp.workprec(self.precision):
-                cached = mp.fsum(self.pair_values[p] for p in part_pairs(part, self.table))
+                pairs = part_pairs(part, self.table).tolist()
+                cached = mp.fsum(self.pair_values[p] for p in pairs)
             self._part[part] = cached
         return cached
 

@@ -66,6 +66,34 @@ def test_tables_missing_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--n", "17", "--kind", "mu", "--m", "9"],
+        ["tables", "--n", "17", "--kind", "ksets", "--m", "7"],
+        ["tables", "--n", "17", "--kind", "product", "--i", "0", "--j", "1"],
+        ["tables", "--n", "17", "--kind", "signs", "--precision", "-5"],
+        ["build", "--n", "17", "--precision", "-5"],
+        ["verify", "--tower", "{tower}", "--precision", "0"],
+    ],
+    ids=["mu-level", "ksets-level", "product-set", "tables-precision", "build-precision",
+         "verify-precision"],
+)
+def test_argument_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
+    if "{tower}" in argv:
+        tower_path = str(tmp_path / "t17.tower")
+        run_cli(capsys, "build", "--n", "17", "--out", tower_path)
+        argv = [tower_path if a == "{tower}" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_build_invalid_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--n", "9"])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ngontower import reference_tables as ref
@@ -38,6 +39,16 @@ def test_partition_property(n, table17, table257, table65537):
 def test_65537_shape(table65537):
     assert len(table65537.sets) == 2048
     assert all(len(row) == 16 for row in table65537.sets)
+
+
+def test_set_array_is_read_only_sets(table257, table65537):
+    for table in (table257, table65537):
+        arr = table.set_array
+        assert arr.dtype == np.int64
+        assert arr.shape == (table.params.ng, 1 << table.params.nu)
+        assert arr.tolist() == [list(row) for row in table.sets]
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
 
 
 def test_natural_order_doubling(table257):

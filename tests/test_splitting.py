@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,3 +293,18 @@ def test_combo_expansion_rejects_quarters(table17):
     ):
         with pytest.raises(ValueError, match="denominators"):
             combo_as_pv_doubled(combo, table17)
+
+
+@pytest.mark.parametrize("n", [17, 257])
+def test_part_pairs_match_members_of_sets(n, table17, table257):
+    table = {17: table17, 257: table257}[n]
+    per_set, ng = 1 << table.params.nu, table.params.ng
+    for part in _schedule_parts(table):
+        if part.kind == "G":
+            row = table.sets[part.set_index - 1]
+            expected = [row[pos - 1] for pos in range(part.offset, per_set + 1, part.stride)]
+        else:
+            expected = [p for k in range(part.offset, ng + 1, part.stride) for p in table.sets[k - 1]]
+        pairs = part_pairs(part, table)
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == expected, part
