@@ -16,7 +16,7 @@ VERIFY_ERROR = 1
 
 def _params_or_exit(args) -> FermatParams:
     try:
-        return FermatParams.from_n(args.n, assume_prime=args.assume_fermat_prime)
+        return FermatParams.from_n(args.n)
     except InvalidN as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -60,11 +60,7 @@ def cmd_build(args) -> int:
     _check_precision_or_exit(args)
     try:
         tower = build_tower(
-            args.n,
-            kind=args.schedule,
-            precision=args.precision,
-            factor=args.factor,
-            assume_prime=args.assume_fermat_prime,
+            args.n, kind=args.schedule, precision=args.precision, factor=args.factor
         )
         if not args.no_oracle and tower.nodes:
             oracle_check_tower(tower)
@@ -253,7 +249,6 @@ def main(argv=None) -> int:
     p_build.add_argument("--schedule", choices=("full", "pruned"), default="pruned")
     p_build.add_argument("--precision", type=int, default=None, help="mantissa bits")
     p_build.add_argument("--factor", type=int, default=3)
-    p_build.add_argument("--assume-fermat-prime", action="store_true")
     p_build.add_argument("--no-oracle", action="store_true", help="skip exact product checks")
     p_build.add_argument("--out", default=None)
 
@@ -272,7 +267,6 @@ def main(argv=None) -> int:
     p_tables.add_argument("--m", type=int, default=None)
     p_tables.add_argument("--factor", type=int, default=3)
     p_tables.add_argument("--precision", type=int, default=None)
-    p_tables.add_argument("--assume-fermat-prime", action="store_true")
 
     p_compile = sub.add_parser("compile", help="lower a tower to a program")
     p_compile.add_argument("--tower", required=True)

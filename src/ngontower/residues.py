@@ -76,12 +76,12 @@ class FermatParams:
     orbit_len: int
 
     @classmethod
-    def from_n(cls, n: int, assume_prime: bool = False) -> "FermatParams":
+    def from_n(cls, n: int) -> "FermatParams":
         """Validate n and derive the constants.
 
-        Primality is checked by trial division for n <= 65537; larger n must be
-        asserted prime by the caller via assume_prime (the shape check is
-        always enforced).
+        n must be one of the Fermat primes up to 65537: the shape is checked,
+        and primality by trial division.  Every larger Fermat number that has
+        been tested is composite, so larger n are refused.
         """
         if n < 3:
             raise InvalidN(f"n={n} is too small")
@@ -90,13 +90,10 @@ class FermatParams:
             nu += 1
         if (1 << (1 << nu)) + 1 != n:
             raise InvalidN(f"n={n} is not of the form 2^(2^nu) + 1")
-        if n <= 65537:
-            if any(n % d == 0 for d in range(2, int(n**0.5) + 1)):
-                raise InvalidN(f"n={n} is not prime")
-        elif not assume_prime:
-            raise InvalidN(
-                f"n={n} exceeds the tested range; pass assume_prime for asserted Fermat primes"
-            )
+        if n > KNOWN_FERMAT_PRIMES[-1]:
+            raise InvalidN(f"n={n} exceeds the tested range (Fermat primes up to 65537)")
+        if any(n % d == 0 for d in range(2, int(n**0.5) + 1)):
+            raise InvalidN(f"n={n} is not prime")
         orbit_len = 1 << (nu + 1)
         ng = (n - 1) // orbit_len
         return cls(nu=nu, n=n, ng=ng, npairs=(n - 1) // 2, orbit_len=orbit_len)

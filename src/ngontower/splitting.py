@@ -97,19 +97,27 @@ def g_part(k: int, j: int, stride: int) -> PartRef:
     return PartRef(kind="G", offset=j, stride=stride, set_index=k)
 
 
-def _check_part(p: PartRef, params) -> None:
+def check_part(p: PartRef, params) -> None:
+    """Raise ValueError unless `p` names a part of S for these params: kind F
+    (no set) or G with a set in 1..ng, an offset in 1..stride, and a stride
+    dividing the set count (F) or the pairs per set (G)."""
     if p.kind == "F":
-        if not (1 <= p.offset <= p.stride and params.ng % p.stride == 0):
+        if not (p.set_index == 0 and 1 <= p.offset <= p.stride and params.ng % p.stride == 0):
             raise ValueError(f"invalid F part {p}")
         return
     per_set = 1 << params.nu
-    if not (1 <= p.offset <= p.stride and per_set % p.stride == 0):
-        raise ValueError(f"invalid G part {p}")
+    if not (
+        p.kind == "G"
+        and 1 <= p.set_index <= params.ng
+        and 1 <= p.offset <= p.stride
+        and per_set % p.stride == 0
+    ):
+        raise ValueError(f"invalid part {p}")
 
 
 def part_members(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
     """Set indices of an F part / pair numbers of a G part."""
-    _check_part(p, table.params)
+    check_part(p, table.params)
     if p.kind == "F":
         return tuple(range(p.offset, table.params.ng + 1, p.stride))
     return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
@@ -118,7 +126,7 @@ def part_members(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
 def part_pairs(p: PartRef, table: InvariantSetTable) -> np.ndarray:
     """All pair numbers covered by the part, in member order, as an int64
     array read from `table.set_array` (a read-only view where possible)."""
-    _check_part(p, table.params)
+    check_part(p, table.params)
     if p.kind == "F":
         return table.set_array[p.offset - 1 :: p.stride].ravel()
     return table.set_array[p.set_index - 1, p.offset - 1 :: p.stride]

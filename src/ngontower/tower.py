@@ -6,6 +6,12 @@ product is an integer (or half-integer) combination of earlier parts.  Signs
 (which root is which) are decided by direct cosine sums, never taken from the
 published lists; evaluation cross-checks every node value against the same
 cosine sums, which are independent of the tower arithmetic.
+
+The cosine sums (`CosineCache`) hold every pair value 2cos(2 pi k / n) as an
+int at scale 2^F, F = precision + 64 guard bits, built from two tables of
+about sqrt(npairs) angles each (block B = 2^ceil(bits(npairs) / 2)); each
+entry is within 2^-(F-2), and a part of m pairs is an exact integer sum off
+by at most m 2^-(F-2) before its one rounding to working precision.
 """
 
 from dataclasses import dataclass, field
@@ -207,27 +213,66 @@ def build_schedule(
 class CosineCache:
     """Direct values 2cos(2 pi k / n) for every pair, plus part sums.
 
-    The angle is reduced exactly as 2 pi k / n with the pi constant at working
-    precision, keeping the cross-check independent of the tower arithmetic.
+    Every pair value is held as an int at the fixed scale 2^F, where
+    F = precision + GUARD_BITS.  With theta = 2 pi / n and the block
+    B = 2^ceil(bits(npairs) / 2) (about sqrt(npairs): 16 at n = 257, 256 at
+    n = 65537), pair k = aB + b is assembled from two small tables,
+    cos/sin(b theta) for b < B and cos/sin(aB theta) for a <= npairs / B,
+    each computed with mp.cos/mp.sin at F + 16 bits and rounded to an int at
+    scale 2^F; the entry is (C_a C_b - S_a S_b) >> (F - 1), the angle-sum
+    formula doubled.  This is the Cooley-Tukey twiddle-factor split: about
+    2 sqrt(npairs) angles instead of one cosine per pair, and an entry's
+    error does not grow with k.
+
+    Error bound, in units of 2^-F: each table value is within 1/2 of its
+    cosine or sine, so C_a C_b - S_a S_b is within (|cos| + |sin| of both
+    angles) / 2 <= sqrt(2) of cos(k theta), up to a 2^-F-small square term;
+    doubling makes that 2 sqrt(2), and the floor of the shift adds less than
+    1: every entry is within 4 units, 2^-(F-2), of 2cos(2 pi k / n).  A part of
+    m pairs is summed exactly in integers, so it is off by at most
+    m 2^-(F-2) <= 2^-(precision+2) when the guard covers log2(npairs) + 4,
+    before its one rounding to `precision` bits.
+
+    The table depends only on n and pi: it uses no tower arithmetic and no
+    set structure, so it stays an independent referee of the evaluation.
     """
+
+    GUARD_BITS = 64
 
     def __init__(self, params: FermatParams, table: InvariantSetTable, precision: int):
         self.params = params
         self.table = table
         self.precision = precision
-        with mp.workprec(precision):
-            two_pi_over_n = 2 * mp.pi / params.n
-            self.pair_values = [None] + [
-                2 * mp.cos(k * two_pi_over_n) for k in range(1, params.npairs + 1)
-            ]
+        npairs = params.npairs
+        if self.GUARD_BITS < npairs.bit_length() + 4:
+            raise AssertionError(f"{self.GUARD_BITS} guard bits do not cover {npairs} pairs")
+        self.scale_bits = scale = precision + self.GUARD_BITS
+        self.block = block = 1 << ((npairs.bit_length() + 1) // 2)
+        with mp.workprec(scale + 16):
+            theta = 2 * mp.pi / params.n
+
+            def fixed_cos_sin(angle):
+                return (
+                    int(mp.nint(mp.ldexp(mp.cos(angle), scale))),
+                    int(mp.nint(mp.ldexp(mp.sin(angle), scale))),
+                )
+
+            low = [fixed_cos_sin(b * theta) for b in range(block)]
+            high = [fixed_cos_sin(a * block * theta) for a in range(npairs // block + 1)]
+        shift = scale - 1
+        # pair_fixed[k] ~ 2cos(k theta) 2^F for k = 0..npairs; k = aB + b.
+        self.pair_fixed = [
+            (ca * cb - sa * sb) >> shift for (ca, sa) in high for (cb, sb) in low
+        ][: npairs + 1]
         self._part: dict[PartRef, object] = {}
 
     def part_value(self, part: PartRef):
         cached = self._part.get(part)
         if cached is None:
+            pairs = part_pairs(part, self.table).tolist()
+            total = sum(map(self.pair_fixed.__getitem__, pairs))
             with mp.workprec(self.precision):
-                pairs = part_pairs(part, self.table).tolist()
-                cached = mp.fsum(self.pair_values[p] for p in pairs)
+                cached = mp.ldexp(mp.mpf(total), -self.scale_bits)
             self._part[part] = cached
         return cached
 
@@ -346,10 +391,9 @@ def build_tower(
     kind: str = "pruned",
     precision: int | None = None,
     factor: int = 3,
-    assume_prime: bool = False,
 ) -> Tower:
     """Convenience: schedule, signs, evaluation, verification in one call."""
-    params = FermatParams.from_n(n, assume_prime=assume_prime)
+    params = FermatParams.from_n(n)
     if precision is None:
         precision = 512 if n > 257 else 128
     table = build_invariant_sets(params, factor=factor)

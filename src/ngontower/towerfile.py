@@ -5,12 +5,13 @@ See docs/tower-format.md for the format description.
 
 import json
 from fractions import Fraction
+from operator import index
 
 import mpmath as mp
 
 from .invariant_sets import build_invariant_sets
 from .residues import FermatParams
-from .splitting import LinearCombo, PartRef
+from .splitting import LinearCombo, PartRef, check_part
 from .tower import QuadraticNode, Tower, VerificationReport, _per_step
 
 FORMAT_NAME = "ngontower-tower"
@@ -25,8 +26,12 @@ def _part_to_json(p: PartRef):
 
 
 def _part_from_json(d) -> PartRef:
+    # index() refuses a non-integral offset, stride or set with TypeError.
     return PartRef(
-        kind=d["kind"], offset=d["offset"], stride=d["stride"], set_index=d.get("set", 0)
+        kind=d["kind"],
+        offset=index(d["offset"]),
+        stride=index(d["stride"]),
+        set_index=index(d.get("set", 0)),
     )
 
 
@@ -96,8 +101,8 @@ def dump_tower(tower: Tower, path: str) -> None:
             )
 
 
-def _node_from_json(d) -> QuadraticNode:
-    return QuadraticNode(
+def _node_from_json(d, params: FermatParams) -> QuadraticNode:
+    node = QuadraticNode(
         id=d["id"],
         step=d["step"],
         splits=_part_from_json(d["splits"]),
@@ -110,14 +115,18 @@ def _node_from_json(d) -> QuadraticNode:
         value_left=_value_from_json(d["value_left"]),
         value_right=_value_from_json(d["value_right"]),
     )
+    for part in (node.splits, node.left, node.right, *node.product_expr.referenced_parts()):
+        check_part(part, params)
+    return node
 
 
 def load_tower(path: str) -> Tower:
     """Read a tower document.
 
     Any malformed line, including a header whose n is not a Fermat prime up
-    to 65537, raises ValueError naming the file and the line; the header is
-    checked before any table is built.
+    to 65537 and a node that names a part outside the table for that n (any
+    of its split, halves or product terms), raises ValueError naming the
+    file and the line; the header is checked before any table is built.
     """
     with open(path) as fh:
         lineno = 1
@@ -132,7 +141,7 @@ def load_tower(path: str) -> Tower:
             kind, precision = header["schedule"], header["precision"]
             nodes = []
             for lineno, line in enumerate(fh, start=2):
-                nodes.append(_node_from_json(json.loads(line)))
+                nodes.append(_node_from_json(json.loads(line), params))
         except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
             raise ValueError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     tower = Tower(params=params, table=table, kind=kind, nodes=nodes, precision=precision)

@@ -217,14 +217,14 @@ def test_tower_header_n_beyond_range(tmp_path, capsys):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
-def _tampered_17(tmp_path, capsys, change):
-    """An n = 17 tower file whose node 0 was edited by `change`."""
+def _tampered_17(tmp_path, capsys, change, node_id=0):
+    """An n = 17 tower file whose node `node_id` was edited by `change`."""
     tower_path = tmp_path / "t17.tower"
     run_cli(capsys, "build", "--n", "17", "--out", str(tower_path))
     lines = tower_path.read_text().splitlines()
-    node = json.loads(lines[1])
+    node = json.loads(lines[1 + node_id])
     change(node)
-    lines[1] = json.dumps(node)
+    lines[1 + node_id] = json.dumps(node)
     tower_path.write_text("\n".join(lines) + "\n")
     return tower_path
 
@@ -270,3 +270,45 @@ def test_unsigned_tower_is_a_usage_error(tmp_path, capsys):
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") and "unresolved signs" in result.stderr
+
+
+def _square_term_set_0(node):
+    node["product"]["squares"][0][2]["set"] = 0
+
+
+def _left_kind_h(node):
+    node["left"]["kind"] = "H"
+
+
+def _left_offset_float(node):
+    node["left"]["offset"] = 1.0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_square_term_set_0, _left_kind_h, _left_offset_float],
+    ids=["square-set-0", "left-kind-H", "left-offset-float"],
+)
+def test_part_outside_table_is_a_usage_error(change, tmp_path, capsys):
+    # Node 2 is on line 4 of the file; the loader refuses it before any
+    # command looks a part up.
+    tower_path = _tampered_17(tmp_path, capsys, change, node_id=2)
+    for argv in (
+        ["verify", "--tower", str(tower_path)],
+        ["compile", "--tower", str(tower_path), "--target", "geom", "--out", str(tmp_path / "p.geom")],
+        ["render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg")],
+    ):
+        result = run_console(*argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert f"{tower_path} line 4" in result.stderr
+    assert not (tmp_path / "p.geom").exists() and not (tmp_path / "p.svg").exists()
+
+
+def test_verify_accepts_tower_from_direct_cosine_table(capsys):
+    # Dumped by the code that computed every pair cosine with mp.cos; its
+    # sign margins differ from a fresh build in their last bits only.
+    code, out = run_cli(capsys, "verify", "--tower", str(GOLDEN / "tower_17_full.tower"))
+    assert code == 0
+    assert out.startswith("tower for n=17 verified: 7 nodes")

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ngontower.cli import main
 from ngontower.residues import (
     FermatParams,
     InvalidN,
@@ -113,8 +116,13 @@ def test_params_large_n_needs_assertion():
     f5 = (1 << 32) + 1  # composite Fermat number
     with pytest.raises(InvalidN):
         FermatParams.from_n(f5)
-    p = FermatParams.from_n(f5, assume_prime=True)
-    assert p.nu == 5 and p.ng == 1 << (32 - 6)
+    # There is no flag that asserts primality: argument parsing refuses it
+    # before any table for n is built.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--n", str(f5), "--assume-fermat-prime"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
 
 
 def test_factor_powers_chain_65537():

@@ -1,8 +1,15 @@
+import json
+from pathlib import Path
+
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ngontower.splitting import f_part, g_part
+from ngontower.residues import rho
+from ngontower.splitting import f_part, g_part, part_pairs
 from ngontower.tower import (
+    CosineCache,
     NonIntegralSolution,
     SignAmbiguous,
     build_schedule,
@@ -10,6 +17,8 @@ from ngontower.tower import (
     mu_via_linear_system,
     resolve_signs,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_pruned_17_schedule():
@@ -188,3 +197,134 @@ def test_mu_via_linear_system_17():
 def test_mu_via_linear_system_rejects_noise():
     with pytest.raises(NonIntegralSolution):
         mu_via_linear_system([1.0, 2.0], [2.6, 3.9])
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point cosine table against 2cos(k theta) at F + 64 bits
+
+
+def _reference_pair(n: int, k: int, bits: int):
+    with mp.workprec(bits):
+        return 2 * mp.cos(k * (2 * mp.pi / n))
+
+
+def _entry_error(cache: CosineCache, k: int):
+    bits = cache.scale_bits + 64
+    with mp.workprec(bits):
+        entry = mp.ldexp(cache.pair_fixed[k], -cache.scale_bits)
+        return abs(entry - _reference_pair(cache.params.n, k, bits))
+
+
+def _entry_bound(cache: CosineCache):
+    return mp.mpf(2) ** -(cache.scale_bits - 2)
+
+
+def _reference_part(cache: CosineCache, part):
+    bits = cache.scale_bits + 64
+    pairs = part_pairs(part, cache.table).tolist()
+    with mp.workprec(bits):
+        return mp.fsum(_reference_pair(cache.params.n, k, bits) for k in pairs), len(pairs)
+
+
+def _check_part_value(cache: CosineCache, part):
+    ref, m = _reference_part(cache, part)
+    with mp.workprec(cache.scale_bits + 64):
+        # m entry errors, then one rounding to `precision` bits.
+        tol = m * _entry_bound(cache) + abs(ref) * mp.mpf(2) ** -(cache.precision - 1)
+        assert abs(cache.part_value(part) - ref) <= tol, part
+
+
+@pytest.mark.parametrize("n, block", [(17, 4), (257, 16)])
+def test_cosine_table_every_entry(n, block, request):
+    params, table = request.getfixturevalue(f"params{n}"), request.getfixturevalue(f"table{n}")
+    cache = CosineCache(params, table, 128)
+    assert cache.block == block and cache.scale_bits == 128 + CosineCache.GUARD_BITS
+    assert len(cache.pair_fixed) == params.npairs + 1
+    for k in range(1, params.npairs + 1):
+        assert _entry_error(cache, k) <= _entry_bound(cache), k
+
+
+@pytest.fixture(scope="module")
+def cache65537(params65537, table65537):
+    return CosineCache(params65537, table65537, 512)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 32768)
+    | st.builds(lambda a, d: a * 256 + d, st.integers(1, 128), st.integers(-1, 1)).filter(
+        lambda k: k <= 32768
+    )
+)
+@example(k=1)
+@example(k=255)
+@example(k=256)
+@example(k=257)
+@example(k=32767)
+@example(k=32768)
+def test_cosine_table_entries_65537_sampled(cache65537, k):
+    assert cache65537.block == 256
+    assert _entry_error(cache65537, k) <= _entry_bound(cache65537)
+
+
+@pytest.mark.parametrize("n", [17, 257])
+def test_cosine_part_sums_and_margins(n):
+    # Every part of the full tower, and every stored sign margin against the
+    # margin of the reference sums.
+    tower = build_tower(n, kind="full")
+    cache = tower.cosines
+    for node in tower.nodes:
+        for part in (node.splits, node.left, node.right):
+            _check_part_value(cache, part)
+        (lv, _), (rv, _) = (_reference_part(cache, p) for p in (node.left, node.right))
+        with mp.workprec(cache.scale_bits + 64):
+            ref_margin = abs(lv - rv)
+            rel = abs(node.sign_margin - ref_margin) / ref_margin
+            assert rel <= mp.mpf(2) ** -(tower.precision - 20), node.id
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    part=st.builds(
+        lambda k, log_stride, j: g_part(k, rho(j, 1 << log_stride), 1 << log_stride),
+        st.integers(1, 2048),
+        st.integers(0, 4),
+        st.integers(1, 16),
+    )
+    | st.builds(
+        lambda log_stride, j: f_part(rho(j, 1 << log_stride), 1 << log_stride),
+        st.integers(9, 11),
+        st.integers(1, 2048),
+    )
+)
+def test_cosine_part_sums_65537_sampled(cache65537, part):
+    _check_part_value(cache65537, part)
+
+
+def test_tower_outputs_match_the_direct_cosine_table(tmp_path):
+    """A tower dumped before the fixed-point table differs from a fresh one
+    only in its sign margins, each within 2^-(precision-20) relative; the
+    build report moves only in its max |value - cosine sum| line."""
+    from ngontower.report import render_report
+    from ngontower.towerfile import dump_tower
+
+    tower = build_tower(17, kind="full")
+    path = tmp_path / "t17.tower"
+    dump_tower(tower, str(path))
+    old_lines = (GOLDEN / "tower_17_full.tower").read_text().splitlines()
+    new_lines = path.read_text().splitlines()
+    assert new_lines[0] == old_lines[0] and len(new_lines) == len(old_lines)
+    changed = 0
+    for old_line, new_line in zip(old_lines[1:], new_lines[1:]):
+        old, new = json.loads(old_line), json.loads(new_line)
+        old_margin, new_margin = old.pop("sign_margin"), new.pop("sign_margin")
+        assert old == new
+        if old_margin != new_margin:
+            changed += 1
+        sign, man, exp, bc = old_margin["mpf"]
+        with mp.workprec(256):
+            old_value = mp.mpf((sign, int(man, 16), exp, bc))
+            rel = abs(tower.nodes[old["id"]].sign_margin - old_value) / old_value
+            assert rel <= mp.mpf(2) ** -(tower.precision - 20)
+    assert changed == 3
+    assert "max |value - cosine sum| = 2.9387359e-38" in render_report(tower).splitlines()
