@@ -107,25 +107,25 @@ class _ArithBuilder:
         return self._const_cache[value]
 
     def combo(self, expr: LinearCombo, refs: dict) -> int:
-        acc = self.const(expr.constant)
-        for coeff, part in list(expr.linear) + [(c, ("sq", p)) for c, p in expr.squares]:
-            if isinstance(part, tuple):
-                base = refs[part[1]]
-                term = self.emit("MUL", base, base)
-            else:
-                term = refs[part]
-            acc = self._add_scaled(acc, coeff, term)
+        acc = self.const(Fraction(expr.constant, 2))
+        for halves, part in expr.linear:
+            acc = self._add_scaled(acc, halves, refs[part])
+        for halves, part in expr.squares:
+            base = refs[part]
+            acc = self._add_scaled(acc, halves, self.emit("MUL", base, base))
         return acc
 
-    def _add_scaled(self, acc: int, coeff: Fraction, term: int) -> int:
-        neg = coeff < 0
-        c = -coeff if neg else coeff
-        if c.denominator == 2:
+    def _add_scaled(self, acc: int, halves: int, term: int) -> int:
+        """acc + (halves / 2) * term: HALF for an odd count, else MUL by the
+        whole multiple (none for 1)."""
+        c = abs(halves)
+        if c % 2:
             term = self.emit("HALF", term)
-            c = Fraction(c.numerator)
+        else:
+            c //= 2
         if c != 1:
             term = self.emit("MUL", self.const(c), term)
-        return self.emit("SUB" if neg else "ADD", acc, term)
+        return self.emit("SUB" if halves < 0 else "ADD", acc, term)
 
 
 def compile_to_arith(tower: Tower) -> ArithProgram:

@@ -17,14 +17,18 @@ G_1(1, 2^m) product and the wrap twist -- depends on the level alone, so a
 schedule build passes one `SplitLevels` to every call and each level is
 derived once per build; a call without one derives its level afresh.
 
+Every coefficient of a product expression is an int counting halves: the
+identities only ever divide by 2, so a `LinearCombo` holds twice each
+coefficient and no other number type appears here.
+
 `part_pairs` reads the pair numbers of a part straight from the table's int64
 set array.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +37,11 @@ from .period_algebra import set_product, set_square
 from .residues import rho
 
 
-@dataclass(frozen=True, order=True)
-class PartRef:
+class PartRef(NamedTuple):
     """A part of S.  kind "F": offset = starting set index; kind "G": the
     set index plus the starting pair position.  A G part whose stride equals
-    the pair count of a set is a single pair."""
+    the pair count of a set is a single pair.  Order and hash are those of
+    the field tuple."""
 
     kind: str  # "F" or "G"
     offset: int
@@ -65,28 +69,15 @@ class PartRef:
 
 @dataclass(frozen=True)
 class LinearCombo:
-    """constant + sum coeff*part + sum coeff*part^2 with exact coefficients
-    (denominators never exceed 2; halves arise from the squares identities)."""
+    """(constant + sum c*part + sum c*part^2) / 2: every coefficient is an int
+    counting halves (half-integers arise from the squares identities)."""
 
-    constant: Fraction
-    linear: tuple[tuple[Fraction, PartRef], ...]
-    squares: tuple[tuple[Fraction, PartRef], ...]
+    constant: int
+    linear: tuple[tuple[int, PartRef], ...]
+    squares: tuple[tuple[int, PartRef], ...]
 
     def referenced_parts(self) -> list[PartRef]:
         return [p for _, p in self.linear] + [p for _, p in self.squares]
-
-    def render(self, table: InvariantSetTable | None = None) -> str:
-        def fmt(c: Fraction) -> str:
-            return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-        bits = []
-        if self.constant or not (self.linear or self.squares):
-            bits.append(fmt(self.constant))
-        for c, p in self.squares:
-            bits.append(f"{fmt(c)}*{p.label(table)}^2")
-        for c, p in self.linear:
-            bits.append(f"{fmt(c)}*{p.label(table)}")
-        return " + ".join(bits).replace("+ -", "- ")
 
 
 def f_part(j: int, stride: int) -> PartRef:
@@ -208,11 +199,11 @@ def f_split_product(
     mu, fold, parts = (levels or SplitLevels(table)).f_level(m)
     # parts[i] is F(i+1, 2^m), so F(rho(k+j-1, 2^m), 2^m) is parts[(k+j-2) % 2^m].
     linear = tuple(
-        (Fraction(v - fold), parts[(k + j - 2) % stride])
+        (2 * (v - fold), parts[(k + j - 2) % stride])
         for k, v in enumerate(mu, start=1)
         if v != fold
     )
-    return LinearCombo(constant=Fraction(-fold), linear=linear, squares=())
+    return LinearCombo(constant=-2 * fold, linear=linear, squares=())
 
 
 def f_split_product_squares(j: int, m: int, table: InvariantSetTable) -> LinearCombo:
@@ -229,7 +220,7 @@ def f_split_product_squares(j: int, m: int, table: InvariantSetTable) -> LinearC
         raise ValueError(f"offset {j} out of range [1, {stride}]")
     if 2 * stride > ng:
         raise ValueError(f"no F split below stride {stride} for ng={ng}")
-    gamma = [Fraction(0)] * stride
+    gamma = [0] * stride
 
     for l, c in set_square(1, table).terms():
         gamma[rho(l, stride) - 1] += c
@@ -246,16 +237,13 @@ def f_split_product_squares(j: int, m: int, table: InvariantSetTable) -> LinearC
             gamma[rho(l, stride) - 1] += weight * c
 
     linear = tuple(
-        (Fraction(-g, 2), f_part(rho(k + j - 1, stride), stride))
+        (-g, f_part(rho(k + j - 1, stride), stride))
         for k, g in enumerate(gamma, start=1)
         if g
     )
-    constant = Fraction(-(table.params.n - 1), 2 * stride)
-    return LinearCombo(
-        constant=constant,
-        linear=linear,
-        squares=((Fraction(1, 2), f_part(j, stride)),),
-    )
+    # -(n-1)/(2 stride) in halves; n - 1 = 2^(2^k) is a multiple of stride.
+    constant = -(table.params.n - 1) // stride
+    return LinearCombo(constant=constant, linear=linear, squares=((1, f_part(j, stride)),))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +268,8 @@ def pr_terms(m: int, table: InvariantSetTable) -> tuple[LinearCombo, LinearCombo
         s, pos = locate_pair(table, p)
         return g_part(s, rho(pos, stride), stride)
 
-    pr_m: list[tuple[Fraction, PartRef]] = []
-    pr_l: dict[PartRef, Fraction] = {}
+    pr_m: list[tuple[int, PartRef]] = []
+    pr_l: dict[PartRef, int] = {}
     for t in range(1, len(members)):
         if t > mid:
             break
@@ -293,15 +281,15 @@ def pr_terms(m: int, table: InvariantSetTable) -> tuple[LinearCombo, LinearCombo
             ref_d, ref_s = classify(d), classify(s)
             if ref_d != ref_s:
                 raise AssertionError("middle product pairs landed in different parts")
-            pr_m.append((Fraction(2), ref_d))
+            pr_m.append((4, ref_d))
         else:
             for p in (d, s):
                 ref = classify(p)
-                pr_l[ref] = pr_l.get(ref, Fraction(0)) + 1
+                pr_l[ref] = pr_l.get(ref, 0) + 2
 
-    pm = LinearCombo(Fraction(0), tuple(pr_m), ())
+    pm = LinearCombo(0, tuple(pr_m), ())
     pl_terms = tuple(sorted(((c, p) for p, c in pr_l.items()), key=lambda t: t[1]))
-    return pm, LinearCombo(Fraction(0), pl_terms, ())
+    return pm, LinearCombo(0, pl_terms, ())
 
 
 def g_split_product(
@@ -329,17 +317,13 @@ def _g_base_product(m: int, table: InvariantSetTable) -> LinearCombo:
     """The product of the halves of G_1(1, 2^m), before any shift."""
     pr_m, pr_l = pr_terms(m, table)
     stride = 1 << m
-    linear: list[tuple[Fraction, PartRef]] = [
-        (Fraction(-1, 2), g_part(1, rho(2, stride), stride))
-    ]
-    for c, p in pr_m.linear:
-        linear.append((-c / 2, p))
-    for c, p in pr_l.linear:
-        linear.append((-c, p))
+    linear = [(-1, g_part(1, rho(2, stride), stride))]
+    linear += [(-c // 2, p) for c, p in pr_m.linear]
+    linear += [(-c, p) for c, p in pr_l.linear]
     return LinearCombo(
-        constant=Fraction(-(1 << (table.params.nu + 1 - m)), 2),
+        constant=-(1 << (table.params.nu + 1 - m)),
         linear=tuple(linear),
-        squares=((Fraction(1, 2), g_part(1, 1, stride)),),
+        squares=((1, g_part(1, 1, stride)),),
     )
 
 
@@ -383,7 +367,7 @@ def shift_g_combo(
         return g_part(rho(raw, ng), rho(off, p.stride), p.stride)
 
     def merge(terms):
-        acc: dict[PartRef, Fraction] = {}
+        acc: dict[PartRef, int] = {}
         for c, p in terms:
             q = move(p)
             acc[q] = acc[q] + c if q in acc else c

@@ -115,6 +115,12 @@ def _canonical_child(child: PartRef, params: FermatParams) -> PartRef:
     return child
 
 
+def _halves(split: PartRef, table: InvariantSetTable) -> tuple[PartRef, PartRef]:
+    """The two halves of a split as its node names them."""
+    left, right = split_children(split, table)
+    return _canonical_child(left, table.params), _canonical_child(right, table.params)
+
+
 def _producer(part: PartRef, params: FermatParams) -> PartRef:
     """The split whose half `part` is (`part` is not the root)."""
     if part.kind == "G" and part.stride == 1:
@@ -189,7 +195,7 @@ def build_schedule(
         for part in (split, *expr.referenced_parts()):
             if part not in by_child and part != root:
                 raise AssertionError(f"part {part} has no earlier producer")
-        left, right = (_canonical_child(c, params) for c in split_children(split, table))
+        left, right = _halves(split, table)
         node_id = len(nodes)
         nodes.append(
             QuadraticNode(
@@ -310,11 +316,12 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
 
 
 def _combo_value(combo: LinearCombo, values: dict[PartRef, object]):
-    total = mp.mpf(combo.constant.numerator) / combo.constant.denominator
+    # Each coefficient counts halves; mpf(c) / 2 is exact.
+    total = mp.mpf(combo.constant) / 2
     for c, p in combo.linear:
-        total += mp.mpf(c.numerator) / c.denominator * values[p]
+        total += mp.mpf(c) / 2 * values[p]
     for c, p in combo.squares:
-        total += mp.mpf(c.numerator) / c.denominator * values[p] ** 2
+        total += mp.mpf(c) / 2 * values[p] ** 2
     return total
 
 

@@ -1,10 +1,12 @@
 """Tower persistence: one JSON object per line, bit-exact value round trips.
 
-See docs/tower-format.md for the format description.
+The one place where product coefficients change form: in memory they are
+ints counting halves; on disk they are `[numerator, denominator]` pairs,
+written in lowest terms and read with a denominator of 1 or 2.  See
+docs/tower-format.md for the format description.
 """
 
 import json
-from fractions import Fraction
 from operator import index
 
 import mpmath as mp
@@ -12,7 +14,7 @@ import mpmath as mp
 from .invariant_sets import build_invariant_sets
 from .residues import FermatParams
 from .splitting import LinearCombo, PartRef, check_part
-from .tower import QuadraticNode, Tower, VerificationReport, _per_step
+from .tower import QuadraticNode, Tower, VerificationReport, _halves, _per_step, _root_part, _step
 
 FORMAT_NAME = "ngontower-tower"
 FORMAT_VERSION = 1
@@ -35,23 +37,34 @@ def _part_from_json(d) -> PartRef:
     )
 
 
-def _frac_to_json(c: Fraction):
-    return [c.numerator, c.denominator]
+def _coeff_to_json(halves: int) -> list[int]:
+    return [halves, 2] if halves % 2 else [halves // 2, 1]
+
+
+def _coeff_from_json(num, den) -> int:
+    num, den = index(num), index(den)
+    if den not in (1, 2):
+        raise ValueError(f"coefficient [{num}, {den}] has a denominator other than 1 or 2")
+    return num * (2 // den)
 
 
 def _combo_to_json(combo: LinearCombo):
     return {
-        "constant": _frac_to_json(combo.constant),
-        "linear": [[*_frac_to_json(c), _part_to_json(p)] for c, p in combo.linear],
-        "squares": [[*_frac_to_json(c), _part_to_json(p)] for c, p in combo.squares],
+        "constant": _coeff_to_json(combo.constant),
+        "linear": [[*_coeff_to_json(c), _part_to_json(p)] for c, p in combo.linear],
+        "squares": [[*_coeff_to_json(c), _part_to_json(p)] for c, p in combo.squares],
     }
+
+
+def _terms_from_json(terms):
+    return tuple((_coeff_from_json(num, den), _part_from_json(p)) for num, den, p in terms)
 
 
 def _combo_from_json(d) -> LinearCombo:
     return LinearCombo(
-        constant=Fraction(*d["constant"]),
-        linear=tuple((Fraction(num, den), _part_from_json(p)) for num, den, p in d["linear"]),
-        squares=tuple((Fraction(num, den), _part_from_json(p)) for num, den, p in d["squares"]),
+        constant=_coeff_from_json(*d["constant"]),
+        linear=_terms_from_json(d["linear"]),
+        squares=_terms_from_json(d["squares"]),
     )
 
 
@@ -120,13 +133,38 @@ def _node_from_json(d, params: FermatParams) -> QuadraticNode:
     return node
 
 
+def _check_structure(node: QuadraticNode, expected_id: int, table, root, by_child: dict) -> None:
+    """Raise ValueError unless the node is the one the schedule would place
+    here: the next id, the split's step and canonical halves, its sum taken
+    from the earlier node that produced the split (null only for the root),
+    and a product over the root and halves of earlier nodes.  `by_child`
+    maps each half of the earlier nodes to its node id."""
+    split = node.splits
+    if node.id != expected_id:
+        raise ValueError(f"node id {node.id}, expected {expected_id}")
+    if node.step != _step(split, table.params):
+        raise ValueError(f"step {node.step}, expected {_step(split, table.params)}")
+    if (node.left, node.right) != _halves(split, table):
+        raise ValueError(f"left and right are not the halves of {split.label()}")
+    if split != root and split not in by_child:
+        raise ValueError(f"no earlier node produces {split.label()}")
+    if node.sum_source != by_child.get(split):
+        raise ValueError(f"sum_source {node.sum_source}, expected {by_child.get(split)}")
+    for part in node.product_expr.referenced_parts():
+        if part != root and part not in by_child:
+            raise ValueError(f"product names {part.label()}, which no earlier node produces")
+    by_child[node.left] = by_child[node.right] = node.id
+
+
 def load_tower(path: str) -> Tower:
     """Read a tower document.
 
-    Any malformed line, including a header whose n is not a Fermat prime up
-    to 65537 and a node that names a part outside the table for that n (any
-    of its split, halves or product terms), raises ValueError naming the
-    file and the line; the header is checked before any table is built.
+    Any malformed line raises ValueError naming the file and the line: a
+    header whose n is not a Fermat prime up to 65537 (checked before any
+    table is built), a node that names a part outside the table for that n
+    (any of its split, halves or product terms), a coefficient that is not an
+    integer or half-integer (denominator 1 or 2), and a node out of place in
+    the schedule's DAG (see `_check_structure`).
     """
     with open(path) as fh:
         lineno = 1
@@ -139,9 +177,12 @@ def load_tower(path: str) -> Tower:
             params = FermatParams.from_n(header["n"])
             table = build_invariant_sets(params, factor=header["factor"])
             kind, precision = header["schedule"], header["precision"]
+            root, by_child = _root_part(params), {}
             nodes = []
             for lineno, line in enumerate(fh, start=2):
-                nodes.append(_node_from_json(json.loads(line), params))
+                node = _node_from_json(json.loads(line), params)
+                _check_structure(node, len(nodes), table, root, by_child)
+                nodes.append(node)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
             raise ValueError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     tower = Tower(params=params, table=table, kind=kind, nodes=nodes, precision=precision)

@@ -3,7 +3,7 @@ numeric re-evaluation.
 
 The oracle check expands each node's two sides in the pair basis and multiplies
 them brute-force; the result must equal the product expression exactly as
-integers (expressions are doubled first so half-integer coefficients clear).
+integers, both sides doubled (an expression's coefficients count halves).
 """
 
 import numpy as np
@@ -27,26 +27,19 @@ def pv_of_part(part: PartRef, table: InvariantSetTable) -> PeriodVector:
 
 
 def combo_as_pv_doubled(combo: LinearCombo, table: InvariantSetTable) -> PeriodVector:
-    """2 * combo expanded over the pair basis (all coefficients integral).
+    """2 * combo expanded over the pair basis: its coefficients, which count
+    halves, as they stand.
 
     The linear terms are scattered in one pass over their concatenated pair
     numbers, accumulating in int64; each square goes through `pv_mul`.
     """
-    doubled = [2 * combo.constant] + [2 * c for c, _ in (*combo.linear, *combo.squares)]
-    if any(c.denominator != 1 for c in doubled):
-        raise ValueError("coefficient denominators exceed 2")
-    const, *coeffs = (int(c) for c in doubled)
-    linear, squares = coeffs[: len(combo.linear)], coeffs[len(combo.linear) :]
     pairs = [part_pairs(p, table) for _, p in combo.linear]
+    coeffs = np.asarray([c for c, _ in combo.linear], dtype=np.int64)
     acc = np.zeros(table.params.npairs + 1, dtype=np.int64)
     if pairs:
-        np.add.at(
-            acc,
-            np.concatenate([np.asarray(pp, dtype=np.int64) for pp in pairs]),
-            np.repeat(np.asarray(linear, dtype=np.int64), [len(pp) for pp in pairs]),
-        )
-    result = PeriodVector(table.params.n, const, acc)
-    for c, (_, p) in zip(squares, combo.squares):
+        np.add.at(acc, np.concatenate(pairs), np.repeat(coeffs, [len(pp) for pp in pairs]))
+    result = PeriodVector(table.params.n, combo.constant, acc)
+    for c, p in combo.squares:
         pvp = pv_of_part(p, table)
         result = result + pv_mul(pvp, pvp).scaled(c)
     return result

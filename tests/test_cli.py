@@ -217,16 +217,31 @@ def test_tower_header_n_beyond_range(tmp_path, capsys):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
-def _tampered_17(tmp_path, capsys, change, node_id=0):
-    """An n = 17 tower file whose node `node_id` was edited by `change`."""
+def _edited_17(tmp_path, capsys, edit):
+    """An n = 17 pruned tower file (header and nodes 0..2, one a line) whose
+    list of lines was edited in place by `edit`."""
     tower_path = tmp_path / "t17.tower"
     run_cli(capsys, "build", "--n", "17", "--out", str(tower_path))
     lines = tower_path.read_text().splitlines()
-    node = json.loads(lines[1 + node_id])
-    change(node)
-    lines[1 + node_id] = json.dumps(node)
+    edit(lines)
     tower_path.write_text("\n".join(lines) + "\n")
     return tower_path
+
+
+def _on_node(change, node_id):
+    """A line edit that applies `change` to the JSON object of node `node_id`."""
+
+    def edit(lines):
+        node = json.loads(lines[1 + node_id])
+        change(node)
+        lines[1 + node_id] = json.dumps(node)
+
+    return edit
+
+
+def _tampered_17(tmp_path, capsys, change, node_id=0):
+    """An n = 17 tower file whose node `node_id` was edited by `change`."""
+    return _edited_17(tmp_path, capsys, _on_node(change, node_id))
 
 
 def _flip_sign(node):
@@ -284,15 +299,66 @@ def _left_offset_float(node):
     node["left"]["offset"] = 1.0
 
 
+def _constant_quarter(node):
+    node["product"]["constant"] = [1, 4]
+
+
+def _linear_quarter(node):
+    node["product"]["linear"][0][:2] = [1, 4]
+
+
+def _square_quarter(node):
+    node["product"]["squares"][0][:2] = [1, 4]
+
+
+def _sum_source_99(node):
+    node["sum_source"] = 99
+
+
+def _id_7(node):
+    node["id"] = 7
+
+
+def _step_40(node):
+    node["step"] = 40
+
+
+def _halves_swapped(node):
+    node["left"], node["right"] = node["right"], node["left"]
+
+
+def _linear_term_unproduced(node):
+    # G2(1,2) is a part of the table, but no node of the pruned tower makes it.
+    node["product"]["linear"][0][2] = {"kind": "G", "offset": 1, "stride": 2, "set": 2}
+
+
+def _swap_nodes_1_and_2(lines):
+    lines[2], lines[3] = lines[3], lines[2]
+
+
 @pytest.mark.parametrize(
-    "change",
-    [_square_term_set_0, _left_kind_h, _left_offset_float],
-    ids=["square-set-0", "left-kind-H", "left-offset-float"],
+    "edit, bad_line",
+    [
+        pytest.param(_on_node(_square_term_set_0, 2), 4, id="square-set-0"),
+        pytest.param(_on_node(_left_kind_h, 2), 4, id="left-kind-H"),
+        pytest.param(_on_node(_left_offset_float, 2), 4, id="left-offset-float"),
+        pytest.param(_on_node(_constant_quarter, 2), 4, id="constant-quarter"),
+        pytest.param(_on_node(_linear_quarter, 2), 4, id="linear-quarter"),
+        pytest.param(_on_node(_square_quarter, 2), 4, id="square-quarter"),
+        pytest.param(_on_node(_sum_source_99, 2), 4, id="sum-source-99"),
+        pytest.param(_on_node(_id_7, 2), 4, id="id-7"),
+        pytest.param(_on_node(_step_40, 2), 4, id="step-40"),
+        pytest.param(_on_node(_halves_swapped, 2), 4, id="halves-swapped"),
+        pytest.param(_on_node(_linear_term_unproduced, 2), 4, id="linear-term-unproduced"),
+        # Node 2 now comes first, on line 3, before the node that produces its split.
+        pytest.param(_swap_nodes_1_and_2, 3, id="nodes-1-2-swapped"),
+    ],
 )
-def test_part_outside_table_is_a_usage_error(change, tmp_path, capsys):
-    # Node 2 is on line 4 of the file; the loader refuses it before any
-    # command looks a part up.
-    tower_path = _tampered_17(tmp_path, capsys, change, node_id=2)
+def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
+    # The loader refuses a malformed node line before any command looks a
+    # part up: a part outside the table, a coefficient denominator other
+    # than 1 or 2, or a node out of place in the schedule's DAG.
+    tower_path = _edited_17(tmp_path, capsys, edit)
     for argv in (
         ["verify", "--tower", str(tower_path)],
         ["compile", "--tower", str(tower_path), "--target", "geom", "--out", str(tmp_path / "p.geom")],
@@ -302,7 +368,7 @@ def test_part_outside_table_is_a_usage_error(change, tmp_path, capsys):
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-        assert f"{tower_path} line 4" in result.stderr
+        assert f"{tower_path} line {bad_line}:" in result.stderr
     assert not (tmp_path / "p.geom").exists() and not (tmp_path / "p.svg").exists()
 
 

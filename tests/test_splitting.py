@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,19 +92,20 @@ def test_k_groups_65537(table65537):
 
 
 def test_f_split_product_examples(table17, table257, table65537):
+    # Coefficients count halves: -8 is the constant -4.
     combo = f_split_product(1, 0, table17)
-    assert combo.constant == -4 and not combo.linear and not combo.squares
+    assert combo.constant == -8 and not combo.linear and not combo.squares
 
     combo = f_split_product(1, 0, table65537)
-    assert combo.constant == -16384 and not combo.linear
+    assert combo.constant == -32768 and not combo.linear
 
     combo = f_split_product(1, 2, table257)
-    assert combo.constant == -5
-    assert {(p.offset, int(c)) for c, p in combo.linear} == {(1, -3), (3, -1)}
+    assert combo.constant == -10
+    assert {(p.offset, c) for c, p in combo.linear} == {(1, -6), (3, -2)}
 
     combo = f_split_product(1, 2, table65537)
-    assert combo.constant == -1040
-    assert {(p.offset, int(c)) for c, p in combo.linear} == {(1, -48), (3, -16)}
+    assert combo.constant == -2080
+    assert {(p.offset, c) for c, p in combo.linear} == {(1, -96), (3, -32)}
 
 
 def test_f_split_closed_forms_via_oracle(table17, table257):
@@ -155,40 +154,43 @@ def test_f_split_squares_sampled_65537(table65537):
 
 
 def test_pr_terms_examples(table257, table65537):
+    # Coefficients count halves: 4 is the coefficient 2, 2 the coefficient 1.
     pm, pl = pr_terms(0, table257)
-    assert [(int(c), p.set_index, p.offset, p.stride) for c, p in pm.linear] == [(2, 9, 1, 1)]
-    assert sorted((p.set_index, int(c)) for c, p in pl.linear) == [(2, 1), (8, 1)]
+    assert [(c, p.set_index, p.offset, p.stride) for c, p in pm.linear] == [(4, 9, 1, 1)]
+    assert sorted((p.set_index, c) for c, p in pl.linear) == [(2, 2), (8, 2)]
 
     pm, pl = pr_terms(1, table65537)
-    assert [(int(c), p.set_index, p.offset, p.stride) for c, p in pm.linear] == [(2, 1025, 2, 2)]
+    assert [(c, p.set_index, p.offset, p.stride) for c, p in pm.linear] == [(4, 1025, 2, 2)]
     assert sorted((p.set_index, p.offset) for c, p in pl.linear) == [(1117, 2), (1957, 2)]
 
     pm, pl = pr_terms(0, table65537)
-    assert [(p.set_index, int(c)) for c, p in pm.linear] == [(1025, 2)]
+    assert [(p.set_index, c) for c, p in pm.linear] == [(1025, 4)]
     assert sorted(p.set_index for _, p in pl.linear) == [2, 1117, 1266, 1900, 1956, 1957]
 
 
 def test_g_split_examples_257(table257):
+    # Coefficients count halves: -16 is -8, 1 is 1/2, -1 is -1/2, -2 is -1.
     combo = g_split_product(1, 1, 0, table257)
-    assert combo.constant == -8
-    assert [(c, p.set_index, p.offset) for c, p in combo.squares] == [(Fraction(1, 2), 1, 1)]
+    assert combo.constant == -16
+    assert [(c, p.set_index, p.offset) for c, p in combo.squares] == [(1, 1, 1)]
     linear = {(p.set_index, p.offset, p.stride): c for c, p in combo.linear}
     assert linear == {
-        (1, 1, 1): Fraction(-1, 2),
-        (2, 1, 1): Fraction(-1),
-        (8, 1, 1): Fraction(-1),
-        (9, 1, 1): Fraction(-1),
+        (1, 1, 1): -1,
+        (2, 1, 1): -2,
+        (8, 1, 1): -2,
+        (9, 1, 1): -2,
     }
 
 
 def test_g_split_examples_65537(table65537):
+    # Coefficients count halves: -4 is the constant -2, -32 is -16.
     combo = g_split_product(1, 1, 3, table65537)
-    assert combo.constant == -2
+    assert combo.constant == -4
     assert [(p.set_index, p.offset, p.stride) for _, p in combo.linear] == [(1, 2, 8)]
 
     combo = g_split_product(1, 1, 0, table65537)
     linear = {p.set_index for _, p in combo.linear if p.set_index != 1}
-    assert combo.constant == -16
+    assert combo.constant == -32
     assert linear == {2, 1025, 1117, 1266, 1900, 1956, 1957}
 
 
@@ -245,13 +247,14 @@ def test_part_pairs_f_vs_g(table257):
 
 
 def _per_term_doubled(combo, table):
-    """2 * combo summed one full-length vector per term."""
-    acc = PeriodVector(table.params.n, int(2 * combo.constant), pv_zero(table.params).coeffs)
+    """2 * combo (its coefficients in halves) summed one full-length vector
+    per term."""
+    acc = PeriodVector(table.params.n, combo.constant, pv_zero(table.params).coeffs)
     for c, p in combo.linear:
-        acc = acc + pv_of_part(p, table).scaled(int(2 * c))
+        acc = acc + pv_of_part(p, table).scaled(c)
     for c, p in combo.squares:
         pvp = pv_of_part(p, table)
-        acc = acc + pv_mul(pvp, pvp).scaled(int(2 * c))
+        acc = acc + pv_mul(pvp, pvp).scaled(c)
     return acc
 
 
@@ -274,7 +277,8 @@ def _schedule_parts(table):
 @given(data=st.data())
 def test_combo_expansion_matches_per_term_sum(n, data, table17, table257):
     table = {17: table17, 257: table257}[n]
-    half = st.builds(Fraction, st.integers(-1000, 1000), st.sampled_from([1, 2]))
+    # Halves: -2000..2000 spans the coefficients -1000..1000 in steps of 1/2.
+    half = st.integers(-2000, 2000)
     term = st.tuples(half, st.sampled_from(_schedule_parts(table)))
     combo = LinearCombo(
         constant=data.draw(half),
@@ -282,17 +286,6 @@ def test_combo_expansion_matches_per_term_sum(n, data, table17, table257):
         squares=tuple(data.draw(st.lists(term, max_size=3))),
     )
     assert combo_as_pv_doubled(combo, table) == _per_term_doubled(combo, table)
-
-
-def test_combo_expansion_rejects_quarters(table17):
-    part = f_part(1, 2)
-    for combo in (
-        LinearCombo(Fraction(1, 4), (), ()),
-        LinearCombo(Fraction(0), ((Fraction(3, 4), part),), ()),
-        LinearCombo(Fraction(0), (), ((Fraction(1, 4), part),)),
-    ):
-        with pytest.raises(ValueError, match="denominators"):
-            combo_as_pv_doubled(combo, table17)
 
 
 @pytest.mark.parametrize("n", [17, 257])

@@ -148,10 +148,13 @@ def test_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_roundtrip(tmp_path):
+@pytest.mark.parametrize(
+    "n, kind", [(n, kind) for n in (5, 17, 257) for kind in ("full", "pruned")]
+)
+def test_roundtrip(n, kind, tmp_path):
     from ngontower.towerfile import dump_tower, load_tower
 
-    tower = build_tower(257)
+    tower = build_tower(n, kind)
     path = tmp_path / "t.tower"
     dump_tower(tower, str(path))
     loaded = load_tower(str(path))
@@ -159,6 +162,9 @@ def test_roundtrip(tmp_path):
     for a, b in zip(tower.nodes, loaded.nodes):
         assert a.splits == b.splits
         assert a.product_expr == b.product_expr
+        for expr in (a.product_expr, b.product_expr):
+            coeffs = [expr.constant, *(c for c, _ in (*expr.linear, *expr.squares))]
+            assert all(type(c) is int for c in coeffs)
         assert a.left_is_larger == b.left_is_larger
         assert mp.mpf(a.value_left) == mp.mpf(b.value_left)
         assert mp.mpf(a.value_right) == mp.mpf(b.value_right)

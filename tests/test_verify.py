@@ -20,7 +20,8 @@ def test_oracle_checks_full_257(tower257_full):
     assert oracle_check_tower(tower257_full) == 127
 
 
-def _perturb(node, delta=1):
+def _perturb(node, delta=2):
+    # delta counts halves: 2 moves the coefficient by one whole unit.
     lin = list(node.product_expr.linear)
     c, p = lin[0]
     lin[0] = (c + delta, p)
@@ -42,7 +43,7 @@ def test_perturbed_constant_detected_numerically():
     tower = build_tower(257)
     node = tower.nodes[2]
     node.product_expr = LinearCombo(
-        node.product_expr.constant + 1, node.product_expr.linear, node.product_expr.squares
+        node.product_expr.constant + 2, node.product_expr.linear, node.product_expr.squares
     )
     failures = verify_tower(tower, oracle=False)
     assert failures
