@@ -1,75 +1,53 @@
 """Command-line front end.
 
 Subcommands: build, verify, tables, compile, render, constructible.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  The commands
+raise `VerificationError` for a failed check and `UsageError` for bad input;
+`main` alone maps those, and an `OSError` from a path it could not read or
+write, to the exit code and its one stderr line.
 """
 
 import argparse
 import sys
 
-from .invariant_sets import InvalidFactor, build_invariant_sets
-from .residues import KNOWN_FERMAT_PRIMES, FermatParams, InvalidN
+from .errors import UsageError, VerificationError
+from .invariant_sets import build_invariant_sets
+from .residues import KNOWN_FERMAT_PRIMES, FermatParams
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _params_or_exit(args) -> FermatParams:
-    try:
-        return FermatParams.from_n(args.n)
-    except InvalidN as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+def _check_precision(args) -> None:
+    from .tower import MAX_PRECISION
 
-
-def _check_precision_or_exit(args) -> None:
     if args.precision is not None and args.precision < 1:
-        print(
-            f"error: --precision must be a positive number of bits, got {args.precision}",
-            file=sys.stderr,
-        )
-        raise SystemExit(USAGE_ERROR)
+        raise UsageError(f"--precision must be a positive number of bits, got {args.precision}")
+    if args.precision is not None and args.precision > MAX_PRECISION:
+        raise UsageError(f"--precision {args.precision} exceeds the limit of {MAX_PRECISION} bits")
 
 
-def _tower_or_exit(path: str):
+def _signed_tower(path: str):
+    """A loaded tower that records every node's sign, which picks its roots."""
     from .towerfile import load_tower
 
-    try:
-        return load_tower(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
-def _signed_tower_or_exit(path: str):
-    """A loaded tower that records every node's sign, which picks its roots."""
-    tower = _tower_or_exit(path)
+    tower = load_tower(path)
     if any(node.left_is_larger is None for node in tower.nodes):
-        print(f"error: {path}: tower has unresolved signs; rebuild it", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise UsageError(f"{path}: tower has unresolved signs; rebuild it")
     return tower
 
 
 def cmd_build(args) -> int:
     from .report import render_report
-    from .tower import SignAmbiguous, VerificationFailure, build_tower
+    from .tower import build_tower
     from .towerfile import dump_tower
-    from .verify import OracleMismatch, oracle_check_tower
+    from .verify import oracle_check_tower
 
-    _params_or_exit(args)
-    _check_precision_or_exit(args)
-    try:
-        tower = build_tower(
-            args.n, kind=args.schedule, precision=args.precision, factor=args.factor
-        )
-        if not args.no_oracle and tower.nodes:
-            oracle_check_tower(tower)
-    except (VerificationFailure, SignAmbiguous, OracleMismatch) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
-    except InvalidFactor as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    FermatParams.from_n(args.n)  # a bad n is reported before a bad precision
+    _check_precision(args)
+    tower = build_tower(args.n, kind=args.schedule, precision=args.precision, factor=args.factor)
+    if not args.no_oracle and tower.nodes:
+        oracle_check_tower(tower)
     if args.out:
         dump_tower(tower, args.out)
         print(f"tower written to {args.out}")
@@ -78,14 +56,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .towerfile import load_tower
     from .verify import verify_tower
 
-    _check_precision_or_exit(args)
-    tower = _tower_or_exit(args.tower)
-    failures = verify_tower(tower, precision=args.precision, oracle=not args.no_oracle)
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
+    _check_precision(args)
+    tower = load_tower(args.tower)
+    try:
+        verify_tower(tower, precision=args.precision, oracle=not args.no_oracle)
+    except VerificationError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     print(
         f"tower for n={tower.params.n} verified: {len(tower.nodes)} nodes, "
@@ -100,45 +79,34 @@ def _emit_combination(comb) -> str:
 
 
 def cmd_tables(args) -> int:
-    params = _params_or_exit(args)
-    _check_precision_or_exit(args)
-    try:
-        return _print_table(args, params, build_invariant_sets(params, factor=args.factor))
-    except ValueError as exc:  # a factor, set index or level out of range for this n
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-
-def _print_table(args, params, table) -> int:
     from .report import f_sign_sets
     from .period_algebra import set_product, set_square
     from .splitting import mu_groups, mu_table
     from .tower import CosineCache
 
+    params = FermatParams.from_n(args.n)
+    _check_precision(args)
+    table = build_invariant_sets(params, factor=args.factor)
     kind = args.kind
     if kind == "sets":
         for row in table.sets:
             print(" ".join(str(p) for p in row))
     elif kind == "product":
         if args.i is None or args.j is None:
-            print("error: --kind product needs --i and --j", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--kind product needs --i and --j")
         print(_emit_combination(set_product(args.i, args.j, table)))
     elif kind == "square":
         if args.i is None:
-            print("error: --kind square needs --i", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--kind square needs --i")
         print(_emit_combination(set_square(args.i, table)))
     elif kind == "mu":
         if args.m is None:
-            print("error: --kind mu needs --m", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--kind mu needs --m")
         for k, v in enumerate(mu_table(args.m, table), start=1):
             print(f"{k} {v}")
     elif kind == "ksets":
         if args.m is None:
-            print("error: --kind ksets needs --m", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--kind ksets needs --m")
         for mult, ks in mu_groups(args.m, table).items():
             print(f"K({mult},{1 << args.m}) = {' '.join(str(k) for k in ks)}")
     elif kind == "signs":
@@ -148,8 +116,7 @@ def _print_table(args, params, table) -> int:
                 continue
             print(f"step {step}: {' '.join(str(j) for j in sorted(greater))}")
     else:
-        print(f"error: unknown table kind {kind!r}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"unknown table kind {kind!r}")
     return 0
 
 
@@ -157,7 +124,6 @@ def cmd_compile(args) -> int:
     import mpmath as mp
 
     from .construction import (
-        NegativeRadicand,
         arith_values,
         compile_to_arith,
         dump_arith,
@@ -165,25 +131,18 @@ def cmd_compile(args) -> int:
         lower_to_geom,
     )
 
-    tower = _signed_tower_or_exit(args.tower)
+    tower = _signed_tower(args.tower)
     precision = tower.precision or 128
     prog = compile_to_arith(tower)
-    try:
-        values = arith_values(prog, precision)
-    except NegativeRadicand as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
+    values = arith_values(prog, precision)
     # The stored signs choose the roots, so a wrong one yields a wrong program.
     cos = values[prog.outputs["cos"]]
     with mp.workprec(precision):
         err = abs(cos - mp.cos(2 * mp.pi / tower.params.n))
         if err > mp.mpf(2) ** (-(precision // 2)):
-            print(
-                f"verification failure: program gives cos(2pi/n) = {mp.nstr(cos, 20)}, "
-                f"off by {mp.nstr(err, 5)}",
-                file=sys.stderr,
+            raise VerificationError(
+                f"program gives cos(2pi/n) = {mp.nstr(cos, 20)}, off by {mp.nstr(err, 5)}"
             )
-            return VERIFY_ERROR
     if args.target == "arith":
         dump_arith(prog, args.out)
     else:
@@ -194,18 +153,13 @@ def cmd_compile(args) -> int:
 
 def cmd_render(args) -> int:
     from .construction import emit_svg
-    from .tower import VerificationFailure, evaluate_tower
+    from .tower import evaluate_tower
 
-    tower = _signed_tower_or_exit(args.tower)
+    tower = _signed_tower(args.tower)
     if tower.nodes and tower.nodes[-1].value_left is None:
-        print("error: tower has no stored values; rebuild it", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("tower has no stored values; rebuild it")
     if tower.report is None or tower.report.p1 is None:
-        try:
-            evaluate_tower(tower, tower.precision)
-        except VerificationFailure as exc:
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return VERIFY_ERROR
+        evaluate_tower(tower, tower.precision or 128)
     svg = emit_svg(tower, max_vertices=args.max_vertices)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -216,8 +170,7 @@ def cmd_render(args) -> int:
 def cmd_constructible(args) -> int:
     n = args.n
     if n < 3:
-        print(f"error: need n >= 3, got {n}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"need n >= 3, got {n}")
     rest = n
     twos = 0
     while rest % 2 == 0:
@@ -290,7 +243,14 @@ def main(argv=None) -> int:
         "render": cmd_render,
         "constructible": cmd_constructible,
     }
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
+    except (UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

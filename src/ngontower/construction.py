@@ -18,17 +18,18 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .errors import VerificationError
 from .splitting import LinearCombo
 from .tower import Tower
 
 _INTERCEPT_THRESHOLD = 64
 
 
-class NegativeRadicand(RuntimeError):
+class NegativeRadicand(VerificationError):
     """A SQRT operand came out negative when the arithmetic program was evaluated."""
 
 
-class DegenerateIntersection(RuntimeError):
+class DegenerateIntersection(VerificationError):
     """Tangency or coincidence beyond tolerance during geometric execution."""
 
 

@@ -9,14 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UsageError, VerificationError
 from .residues import FermatParams, pair_of, pair_orbit
 
 
-class InvalidFactor(ValueError):
+class InvalidFactor(UsageError):
     """The generator factor cannot reach every invariant set."""
 
 
-class PartitionFailure(RuntimeError):
+class PartitionFailure(VerificationError):
     """Internal consistency check failed: some pair missed or duplicated."""
 
 
@@ -52,7 +53,7 @@ def validate_factor(q: int, params: FermatParams) -> bool:
     """
     n = params.n
     if not 1 <= q <= n - 1:
-        raise ValueError(f"factor {q} out of range [1, {n - 1}]")
+        raise InvalidFactor(f"factor {q} out of range [1, {n - 1}]")
     if params.ng == 1:
         return True
     g1_degrees = set()

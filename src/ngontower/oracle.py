@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import VerificationError
 from .invariant_sets import InvariantSetTable
 from .period_algebra import SetCombination
 from .residues import FermatParams, pair_of
@@ -53,7 +54,7 @@ _FFT_MAX_LENGTH = 1 << 24
 _FFT_PAIRS_PER_POINT = 4
 
 
-class NotSetUniform(ValueError):
+class NotSetUniform(VerificationError):
     """A vector claimed to be a sum of invariant sets has unequal coefficients
     inside some set."""
 

@@ -10,6 +10,7 @@ the rotation argument then lifts each classified pair to its full set.  Cost is
 from dataclasses import dataclass
 from itertools import compress
 
+from .errors import UsageError
 from .invariant_sets import InvariantSetTable
 from .residues import rho
 
@@ -63,7 +64,7 @@ def set_product(i: int, j: int, table: InvariantSetTable) -> SetCombination:
     """
     ng = table.params.ng
     if not (1 <= i <= ng and 1 <= j <= ng):
-        raise ValueError(f"set indices ({i}, {j}) out of range [1, {ng}]")
+        raise UsageError(f"set indices ({i}, {j}) out of range [1, {ng}]")
     a, b = min(i, j), max(i, j)
     tally, const = _classify_products(table.first_pair(a), table.pairs_of_set(b), table)
     if i == j:

@@ -7,10 +7,12 @@ the published derivations.
 
 from dataclasses import dataclass
 
+from .errors import UsageError
+
 KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 
-class InvalidN(ValueError):
+class InvalidN(UsageError):
     """n is not of the Fermat shape 2^(2^nu) + 1, or fails the primality check."""
 
 

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import UsageError
 from .invariant_sets import InvariantSetTable, locate_pair
 from .period_algebra import set_product, set_square
 from .residues import rho
@@ -151,7 +152,7 @@ def mu_table(m: int, table: InvariantSetTable) -> tuple[int, ...]:
     """
     ng = table.params.ng
     if not 0 <= m < ng.bit_length() - 1:
-        raise ValueError(f"no F split at level m={m} for ng={ng}")
+        raise UsageError(f"no F split at level m={m} for ng={ng}")
     stride = 1 << m
     mu = [0] * stride
     if 2 * stride == ng:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
+from .errors import VerificationError
 from .invariant_sets import InvariantSetTable, build_invariant_sets
 from .residues import FermatParams, rho
 from .splitting import (
@@ -33,20 +34,19 @@ from .splitting import (
 )
 
 
-class SignAmbiguous(RuntimeError):
+# The most mantissa bits a run may ask for, on the command line or in a tower
+# header: the cost grows faster than linearly in the bits.  Measured with
+# `build --no-oracle` on a 2-vCPU x86-64 host: n = 17 took 1.3 s at 32,768
+# bits and 13.8 s at 131,072; n = 257 took 4.4 s and n = 65537 (pruned)
+# 98 s with a 210 MB peak at 32,768.
+MAX_PRECISION = 1 << 15
+
+
+class SignAmbiguous(VerificationError):
     """Two sides of a split are numerically too close at the working precision."""
 
 
-class VerificationFailure(RuntimeError):
-    """A node value disagrees with its direct cosine sum (or a radicand went
-    negative), signalling a wrong coefficient or sign upstream."""
-
-    def __init__(self, node_id: int, message: str):
-        super().__init__(f"node {node_id}: {message}")
-        self.node_id = node_id
-
-
-class NonIntegralSolution(RuntimeError):
+class NonIntegralSolution(VerificationError):
     """The linear system for the multiplicities did not round cleanly."""
 
 
@@ -136,6 +136,39 @@ def _step(split: PartRef, params: FermatParams) -> int:
     return level if split.kind == "F" else params.ng.bit_length() - 1 + level
 
 
+def _place(
+    split: PartRef,
+    expr: LinearCombo,
+    node_id: int,
+    table: InvariantSetTable,
+    root: PartRef,
+    by_child: dict[PartRef, int],
+) -> QuadraticNode:
+    """The node numbered `node_id` that splits `split` with product `expr`:
+    its step, its canonical halves and the id of the earlier node that
+    produced `split` (None for the root).  `by_child` maps each half of the
+    earlier nodes to its node id, and gains this node's halves.  Raises
+    ValueError when `split` or a part of `expr` is neither the root nor one
+    of those halves."""
+    if split != root and split not in by_child:
+        raise ValueError(f"no earlier node produces {split.label()}")
+    for part in expr.referenced_parts():
+        if part != root and part not in by_child:
+            raise ValueError(f"product names {part.label()}, which no earlier node produces")
+    left, right = _halves(split, table)
+    node = QuadraticNode(
+        id=node_id,
+        step=_step(split, table.params),
+        splits=split,
+        left=left,
+        right=right,
+        sum_source=by_child.get(split),
+        product_expr=expr,
+    )
+    by_child[left] = by_child[right] = node_id
+    return node
+
+
 def build_schedule(
     params: FermatParams, table: InvariantSetTable, kind: str = "pruned"
 ) -> Tower:
@@ -188,27 +221,12 @@ def build_schedule(
                 needed.add(part)
                 stack.append(_producer(part, params))
 
-    nodes: list[QuadraticNode] = []
     by_child: dict[PartRef, int] = {}
-    for split in sorted(products, key=lambda p: (_step(p, params), p.set_index, p.offset)):
-        expr = products[split]
-        for part in (split, *expr.referenced_parts()):
-            if part not in by_child and part != root:
-                raise AssertionError(f"part {part} has no earlier producer")
-        left, right = _halves(split, table)
-        node_id = len(nodes)
-        nodes.append(
-            QuadraticNode(
-                id=node_id,
-                step=_step(split, params),
-                splits=split,
-                left=left,
-                right=right,
-                sum_source=by_child.get(split),
-                product_expr=expr,
-            )
-        )
-        by_child[left] = by_child[right] = node_id
+    order = sorted(products, key=lambda p: (_step(p, params), p.set_index, p.offset))
+    nodes = [
+        _place(split, products[split], node_id, table, root, by_child)
+        for node_id, split in enumerate(order)
+    ]
     return Tower(params=params, table=table, kind=kind, nodes=nodes)
 
 
@@ -287,7 +305,7 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
     """Decide which side of every split is larger, by direct cosine sums.
 
     A sign already stored on a node (a loaded tower) is checked, not
-    replaced: one that disagrees raises VerificationFailure.
+    replaced: one that disagrees raises VerificationError.
     """
     cache = CosineCache(tower.params, tower.table, precision)
     threshold = mp.mpf(2) ** (-(precision // 4))
@@ -303,10 +321,10 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
                 )
             larger = lv > rv
             if node.left_is_larger is not None and node.left_is_larger != larger:
-                raise VerificationFailure(
-                    node.id,
+                raise VerificationError(
                     f"stored left_is_larger={node.left_is_larger} but cosine sums give "
                     f"{larger} (margin {mp.nstr(margin)})",
+                    node.id,
                 )
             node.left_is_larger = larger
             node.sign_margin = margin
@@ -353,7 +371,7 @@ def evaluate_tower(tower: Tower, precision: int | None = None) -> Tower:
             half = sum_v / 2
             disc = half * half - prod_v
             if disc < 0:
-                raise VerificationFailure(node.id, f"negative discriminant {mp.nstr(disc)}")
+                raise VerificationError(f"negative discriminant {mp.nstr(disc)}", node.id)
             sq = mp.sqrt(disc)
             bigger, smaller = half + sq, half - sq
             if node.left_is_larger:
@@ -364,10 +382,10 @@ def evaluate_tower(tower: Tower, precision: int | None = None) -> Tower:
                 ref = cache.part_value(part)
                 err = abs(v - ref)
                 if err > tol:
-                    raise VerificationFailure(
-                        node.id,
+                    raise VerificationError(
                         f"{part.label(tower.table)} = {mp.nstr(v, 25)} but cosine sum "
                         f"gives {mp.nstr(ref, 25)} (err {mp.nstr(err)})",
+                        node.id,
                     )
                 report.max_value_err = max(report.max_value_err, err)
                 values[part] = v

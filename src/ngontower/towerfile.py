@@ -7,14 +7,24 @@ docs/tower-format.md for the format description.
 """
 
 import json
+import re
 from operator import index
 
 import mpmath as mp
 
+from .errors import UsageError
 from .invariant_sets import build_invariant_sets
 from .residues import FermatParams
 from .splitting import LinearCombo, PartRef, check_part
-from .tower import QuadraticNode, Tower, VerificationReport, _halves, _per_step, _root_part, _step
+from .tower import (
+    MAX_PRECISION,
+    QuadraticNode,
+    Tower,
+    VerificationReport,
+    _per_step,
+    _place,
+    _root_part,
+)
 
 FORMAT_NAME = "ngontower-tower"
 FORMAT_VERSION = 1
@@ -41,11 +51,21 @@ def _coeff_to_json(halves: int) -> list[int]:
     return [halves, 2] if halves % 2 else [halves // 2, 1]
 
 
+# Real towers reach 32,768 = npairs halves.  A pair gains at most one
+# coefficient per linear term, so below this bound the int64 sums in
+# `verify.combo_as_pv_doubled` stay under 2^47 for a product of fewer than
+# 2^16 terms (a real one has at most 78, at n = 65537).
+_MAX_HALVES = 1 << 31
+
+
 def _coeff_from_json(num, den) -> int:
     num, den = index(num), index(den)
     if den not in (1, 2):
         raise ValueError(f"coefficient [{num}, {den}] has a denominator other than 1 or 2")
-    return num * (2 // den)
+    halves = num * (2 // den)
+    if abs(halves) >= _MAX_HALVES:
+        raise ValueError(f"coefficient [{num}, {den}] is 2^30 or more in size")
+    return halves
 
 
 def _combo_to_json(combo: LinearCombo):
@@ -75,11 +95,27 @@ def _value_to_json(x):
     return {"dec": mp.nstr(x, 30), "mpf": [sign, hex(man), exp, bc]}
 
 
+_HEX = re.compile("0x[0-9a-f]+")
+
+
 def _value_from_json(d):
+    """The mpf a value field holds, refused unless it is the normal form that
+    mpmath writes: a sign of 0 or 1, a hex mantissa that is odd (or zero with
+    sign and exponent 0), an int exponent and the mantissa's bit length."""
     if d is None:
         return None
     sign, man_hex, exp, bc = d["mpf"]
-    return mp.mp.make_mpf((sign, int(man_hex, 16), exp, bc))
+    if not _HEX.fullmatch(man_hex):
+        raise ValueError(f"mantissa {man_hex!r} is not a lowercase hex string")
+    man = int(man_hex, 16)
+    if not (
+        type(sign) is type(exp) is type(bc) is int
+        and sign in (0, 1)
+        and bc == man.bit_length()
+        and (man % 2 == 1 or (sign, man, exp) == (0, 0, 0))
+    ):
+        raise ValueError(f"mpf {d['mpf']} is not in mpmath's normal form")
+    return mp.mp.make_mpf((sign, man, exp, bc))
 
 
 def dump_tower(tower: Tower, path: str) -> None:
@@ -115,6 +151,9 @@ def dump_tower(tower: Tower, path: str) -> None:
 
 
 def _node_from_json(d, params: FermatParams) -> QuadraticNode:
+    """The node a line holds; raises ValueError for a part outside the table,
+    a sign that is not a bool or null, a sign without its margin, and one
+    value without the other."""
     node = QuadraticNode(
         id=d["id"],
         step=d["step"],
@@ -128,6 +167,12 @@ def _node_from_json(d, params: FermatParams) -> QuadraticNode:
         value_left=_value_from_json(d["value_left"]),
         value_right=_value_from_json(d["value_right"]),
     )
+    if type(node.left_is_larger) not in (bool, type(None)):
+        raise ValueError(f"left_is_larger {node.left_is_larger!r} is neither a bool nor null")
+    if node.left_is_larger is not None and node.sign_margin is None:
+        raise ValueError("left_is_larger is set but sign_margin is null")
+    if (node.value_left is None) != (node.value_right is None):
+        raise ValueError("one of value_left and value_right is null")
     for part in (node.splits, node.left, node.right, *node.product_expr.referenced_parts()):
         check_part(part, params)
     return node
@@ -135,57 +180,71 @@ def _node_from_json(d, params: FermatParams) -> QuadraticNode:
 
 def _check_structure(node: QuadraticNode, expected_id: int, table, root, by_child: dict) -> None:
     """Raise ValueError unless the node is the one the schedule would place
-    here: the next id, the split's step and canonical halves, its sum taken
-    from the earlier node that produced the split (null only for the root),
-    and a product over the root and halves of earlier nodes.  `by_child`
-    maps each half of the earlier nodes to its node id."""
-    split = node.splits
+    here (`tower._place`): the next id, the split's step and canonical
+    halves, its sum taken from the earlier node that produced the split
+    (null only for the root), and a product over the root and halves of
+    earlier nodes.  `by_child` maps each half of the earlier nodes to its
+    node id."""
     if node.id != expected_id:
         raise ValueError(f"node id {node.id}, expected {expected_id}")
-    if node.step != _step(split, table.params):
-        raise ValueError(f"step {node.step}, expected {_step(split, table.params)}")
-    if (node.left, node.right) != _halves(split, table):
-        raise ValueError(f"left and right are not the halves of {split.label()}")
-    if split != root and split not in by_child:
-        raise ValueError(f"no earlier node produces {split.label()}")
-    if node.sum_source != by_child.get(split):
-        raise ValueError(f"sum_source {node.sum_source}, expected {by_child.get(split)}")
-    for part in node.product_expr.referenced_parts():
-        if part != root and part not in by_child:
-            raise ValueError(f"product names {part.label()}, which no earlier node produces")
-    by_child[node.left] = by_child[node.right] = node.id
+    placed = _place(node.splits, node.product_expr, expected_id, table, root, by_child)
+    if node.step != placed.step:
+        raise ValueError(f"step {node.step}, expected {placed.step}")
+    if (node.left, node.right) != (placed.left, placed.right):
+        raise ValueError(f"left and right are not the halves of {node.splits.label()}")
+    if node.sum_source != placed.sum_source:
+        raise ValueError(f"sum_source {node.sum_source}, expected {placed.sum_source}")
+
+
+def _check_header(header) -> None:
+    """Raise ValueError unless the header names this format and version, and
+    its n and factor are ints, its schedule full or pruned, and its precision
+    null or a number of bits in 1..MAX_PRECISION."""
+    if header.get("format") != FORMAT_NAME:
+        raise ValueError("not a tower document")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported tower format version {header.get('version')}")
+    for key in ("n", "factor"):
+        if type(header[key]) is not int:
+            raise ValueError(f"{key} {header[key]!r} is not an integer")
+    if header["schedule"] not in ("full", "pruned"):
+        raise ValueError(f"schedule {header['schedule']!r} is neither full nor pruned")
+    precision = header["precision"]
+    if precision is not None and not (type(precision) is int and 1 <= precision <= MAX_PRECISION):
+        raise ValueError(f"precision {precision!r} is not null or in 1..{MAX_PRECISION}")
 
 
 def load_tower(path: str) -> Tower:
     """Read a tower document.
 
-    Any malformed line raises ValueError naming the file and the line: a
-    header whose n is not a Fermat prime up to 65537 (checked before any
-    table is built), a node that names a part outside the table for that n
-    (any of its split, halves or product terms), a coefficient that is not an
-    integer or half-integer (denominator 1 or 2), and a node out of place in
-    the schedule's DAG (see `_check_structure`).
+    Any malformed line raises UsageError naming the file and the line: a
+    header out of range (`_check_header`; an n that is not a Fermat prime up
+    to 65537 is refused before any table is built), a node that names a part
+    outside the table for that n (any of its split, halves or product
+    terms), a coefficient that is not an integer or half-integer
+    (denominator 1 or 2) below 2^30, a malformed sign or value field
+    (`_node_from_json`), a node out of place in the schedule's DAG (see
+    `_check_structure`), and a file that ends before a node produces p1,
+    reported on its last line.  An unreadable path raises OSError.
     """
     with open(path) as fh:
         lineno = 1
         try:
             header = json.loads(fh.readline())
-            if header.get("format") != FORMAT_NAME:
-                raise ValueError("not a tower document")
-            if header.get("version") != FORMAT_VERSION:
-                raise ValueError(f"unsupported tower format version {header.get('version')}")
+            _check_header(header)
             params = FermatParams.from_n(header["n"])
             table = build_invariant_sets(params, factor=header["factor"])
-            kind, precision = header["schedule"], header["precision"]
             root, by_child = _root_part(params), {}
             nodes = []
             for lineno, line in enumerate(fh, start=2):
                 node = _node_from_json(json.loads(line), params)
                 _check_structure(node, len(nodes), table, root, by_child)
                 nodes.append(node)
+            tower = Tower(params, table, header["schedule"], nodes, header["precision"])
+            if params.npairs > 1 and tower.p1_part() not in by_child:
+                raise ValueError(f"no node produces p1 = {tower.p1_part().label()}")
         except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
-            raise ValueError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
-    tower = Tower(params=params, table=table, kind=kind, nodes=nodes, precision=precision)
+            raise UsageError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     if nodes and nodes[-1].value_left is not None:
         tower.report = VerificationReport(
             node_count=len(nodes), per_step=_per_step(nodes)

@@ -4,22 +4,21 @@ numeric re-evaluation.
 The oracle check expands each node's two sides in the pair basis and multiplies
 them brute-force; the result must equal the product expression exactly as
 integers, both sides doubled (an expression's coefficients count halves).
+Every failed check raises a `VerificationError` naming its node, and the
+first one ends the pass.
 """
 
 import numpy as np
 
+from .errors import VerificationError
 from .invariant_sets import InvariantSetTable
 from .oracle import PeriodVector, pv_from_pairs, pv_mul
 from .splitting import LinearCombo, PartRef, part_pairs
 from .tower import Tower, evaluate_tower, resolve_signs
 
 
-class OracleMismatch(RuntimeError):
+class OracleMismatch(VerificationError):
     """A product expression is not exactly equal to the brute-force product."""
-
-    def __init__(self, node_id, message):
-        super().__init__(f"node {node_id}: {message}")
-        self.node_id = node_id
 
 
 def pv_of_part(part: PartRef, table: InvariantSetTable) -> PeriodVector:
@@ -65,9 +64,9 @@ def oracle_check_node(node, table: InvariantSetTable) -> None:
         delta = lhs - rhs
         bad = delta.nonzero_pairs()
         raise OracleMismatch(
-            node.id,
             f"product of {node.left.label(table)} and {node.right.label(table)} differs "
             f"from its expression at {len(bad)} pairs (constant delta {delta.constant})",
+            node.id,
         )
 
 
@@ -81,30 +80,19 @@ def oracle_check_tower(tower: Tower, sample=None) -> int:
     return len(nodes)
 
 
-def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True) -> list[str]:
-    """Full verification pass; returns failure messages (empty means pass).
+def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True) -> None:
+    """Full verification pass; raises the first `VerificationError` it meets.
 
     Runs the exact oracle on every product expression, then re-derives the
     signs from direct cosine sums (a stored sign that disagrees fails) and
     re-evaluates numerically, cross-checking every node value against its
     direct cosine sum.
     """
-    failures: list[str] = []
     if oracle:
         for node in tower.nodes:
-            try:
-                oracle_check_node(node, tower.table)
-            except OracleMismatch as exc:
-                failures.append(str(exc))
-                break
-    if failures:
-        return failures
+            oracle_check_node(node, tower.table)
     precision = precision or tower.precision or 128
-    try:
-        resolve_signs(tower, precision)
-        evaluate_tower(tower, precision)
-        if tower.report is not None and oracle:
-            tower.report.oracle_checked = len(tower.nodes)
-    except Exception as exc:  # noqa: BLE001 - verification surfaces any failure
-        failures.append(str(exc))
-    return failures
+    resolve_signs(tower, precision)
+    evaluate_tower(tower, precision)
+    if oracle:
+        tower.report.oracle_checked = len(tower.nodes)

@@ -75,9 +75,10 @@ def test_tables_missing_selector(capsys):
         ["tables", "--n", "17", "--kind", "signs", "--precision", "-5"],
         ["build", "--n", "17", "--precision", "-5"],
         ["verify", "--tower", "{tower}", "--precision", "0"],
+        ["build", "--n", "17", "--precision", "10000000"],
     ],
     ids=["mu-level", "ksets-level", "product-set", "tables-precision", "build-precision",
-         "verify-precision"],
+         "verify-precision", "build-precision-over-cap"],
 )
 def test_argument_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
     if "{tower}" in argv:
@@ -94,10 +95,31 @@ def test_argument_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "17", "--out", "{missing}/t.tower"],
+        ["compile", "--tower", "{tower}", "--target", "arith", "--out", "{missing}/p.arith"],
+        ["render", "--tower", "{tower}", "--out", "{missing}/p.svg"],
+        ["verify", "--tower", "{missing}/t.tower"],
+    ],
+    ids=["build-out", "compile-out", "render-out", "verify-tower"],
+)
+def test_unusable_path_is_a_usage_error(argv, tmp_path, capsys):
+    tower_path = str(tmp_path / "t17.tower")
+    run_cli(capsys, "build", "--n", "17", "--out", tower_path)
+    missing = str(tmp_path / "missing")
+    argv = [a.format(tower=tower_path, missing=missing) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert missing in captured.err
+
+
 def test_build_invalid_n(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["build", "--n", "9"])
-    assert exc.value.code == 2
+    assert main(["build", "--n", "9"]) == 2
 
 
 def test_build_verify_roundtrip(tmp_path, capsys):
@@ -206,10 +228,8 @@ def test_tower_header_n_beyond_range(tmp_path, capsys):
               "schedule": "pruned", "precision": 128, "factor": 3}
     tower_path.write_text(json.dumps(header) + "\n")
     start = time.perf_counter()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--tower", str(tower_path)])
+    assert main(["verify", "--tower", str(tower_path)]) == 2
     assert time.perf_counter() - start < 1
-    assert exc.value.code == 2
     assert "4294967297" in capsys.readouterr().err
     result = run_console("verify", "--tower", str(tower_path))
     assert result.returncode == 2
@@ -336,6 +356,53 @@ def _swap_nodes_1_and_2(lines):
     lines[2], lines[3] = lines[3], lines[2]
 
 
+def _delete_last_node(lines):
+    del lines[-1]
+
+
+def _on_header(key, value):
+    """A line edit that sets `key` of the header to `value`."""
+
+    def edit(lines):
+        header = json.loads(lines[0])
+        header[key] = value
+        lines[0] = json.dumps(header)
+
+    return edit
+
+
+def _linear_10_30(node):
+    node["product"]["linear"][0][0] = 10**30
+
+
+def _sign_margin_null(node):
+    node["sign_margin"] = None
+
+
+def _sign_margin_exponent_x(node):
+    node["sign_margin"]["mpf"][2] = "x"
+
+
+def _left_is_larger_yes(node):
+    node["left_is_larger"] = "yes"
+
+
+def _value_right_null(node):
+    node["value_right"] = None
+
+
+def _value_left_sign_2(node):
+    node["value_left"]["mpf"][0] = 2
+
+
+def _value_left_mantissa_decimal(node):
+    node["value_left"]["mpf"][1] = str(int(node["value_left"]["mpf"][1], 16))
+
+
+def _value_left_bit_count_off(node):
+    node["value_left"]["mpf"][3] += 1
+
+
 @pytest.mark.parametrize(
     "edit, bad_line",
     [
@@ -352,12 +419,28 @@ def _swap_nodes_1_and_2(lines):
         pytest.param(_on_node(_linear_term_unproduced, 2), 4, id="linear-term-unproduced"),
         # Node 2 now comes first, on line 3, before the node that produces its split.
         pytest.param(_swap_nodes_1_and_2, 3, id="nodes-1-2-swapped"),
+        # The file now ends on line 3 before any node produces p1.
+        pytest.param(_delete_last_node, 3, id="last-node-deleted"),
+        pytest.param(_on_header("precision", "abc"), 1, id="header-precision-abc"),
+        pytest.param(_on_header("precision", -5), 1, id="header-precision-negative"),
+        pytest.param(_on_header("precision", 10**7), 1, id="header-precision-over-cap"),
+        pytest.param(_on_header("schedule", "bogus"), 1, id="header-schedule-bogus"),
+        pytest.param(_on_node(_linear_10_30, 2), 4, id="linear-10^30"),
+        pytest.param(_on_node(_sign_margin_null, 1), 3, id="sign-margin-null"),
+        pytest.param(_on_node(_sign_margin_exponent_x, 1), 3, id="sign-margin-exponent-x"),
+        pytest.param(_on_node(_left_is_larger_yes, 1), 3, id="left-is-larger-yes"),
+        pytest.param(_on_node(_value_right_null, 1), 3, id="value-right-null"),
+        pytest.param(_on_node(_value_left_sign_2, 1), 3, id="value-left-sign-2"),
+        pytest.param(_on_node(_value_left_mantissa_decimal, 1), 3, id="value-left-mantissa-decimal"),
+        pytest.param(_on_node(_value_left_bit_count_off, 1), 3, id="value-left-bit-count-off"),
     ],
 )
 def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
-    # The loader refuses a malformed node line before any command looks a
-    # part up: a part outside the table, a coefficient denominator other
-    # than 1 or 2, or a node out of place in the schedule's DAG.
+    # The loader refuses a malformed line before any command reads it: a
+    # header field out of range, a part outside the table, a coefficient
+    # denominator other than 1 or 2 or a coefficient of 2^30 or more, a
+    # malformed sign or value field, or a node out of place in the
+    # schedule's DAG.
     tower_path = _edited_17(tmp_path, capsys, edit)
     for argv in (
         ["verify", "--tower", str(tower_path)],
@@ -370,6 +453,13 @@ def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert f"{tower_path} line {bad_line}:" in result.stderr
     assert not (tmp_path / "p.geom").exists() and not (tmp_path / "p.svg").exists()
+
+
+def test_header_precision_null_reads_as_128(tmp_path, capsys):
+    tower_path = _edited_17(tmp_path, capsys, _on_header("precision", None))
+    code, _ = run_cli(capsys, "render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg"))
+    assert code == 0
+    assert (tmp_path / "p.svg").read_text() == (GOLDEN / "polygon_17.svg").read_text()
 
 
 def test_verify_accepts_tower_from_direct_cosine_table(capsys):

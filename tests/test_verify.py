@@ -1,5 +1,6 @@
 import pytest
 
+from ngontower.errors import VerificationError
 from ngontower.splitting import LinearCombo
 from ngontower.tower import build_tower
 from ngontower.verify import (
@@ -33,8 +34,8 @@ def test_perturbed_coefficient_detected():
     _perturb(tower.nodes[4])
     with pytest.raises(OracleMismatch):
         oracle_check_node(tower.nodes[4], tower.table)
-    failures = verify_tower(tower)
-    assert failures and "node 4" in failures[0]
+    with pytest.raises(OracleMismatch, match="^node 4: "):
+        verify_tower(tower)
 
 
 def test_perturbed_constant_detected_numerically():
@@ -45,15 +46,15 @@ def test_perturbed_constant_detected_numerically():
     node.product_expr = LinearCombo(
         node.product_expr.constant + 2, node.product_expr.linear, node.product_expr.squares
     )
-    failures = verify_tower(tower, oracle=False)
-    assert failures
+    with pytest.raises(VerificationError):
+        verify_tower(tower, oracle=False)
 
 
 def test_flipped_sign_detected():
     tower = build_tower(257)
     tower.nodes[6].left_is_larger = not tower.nodes[6].left_is_larger
-    failures = verify_tower(tower, oracle=False)
-    assert failures
+    with pytest.raises(VerificationError):
+        verify_tower(tower, oracle=False)
 
 
 def test_flipped_sign_detected_after_reload(tmp_path):
@@ -65,10 +66,10 @@ def test_flipped_sign_detected_after_reload(tmp_path):
     tower.nodes[6].left_is_larger = not tower.nodes[6].left_is_larger
     path = tmp_path / "t.tower"
     dump_tower(tower, str(path))
-    failures = verify_tower(load_tower(str(path)), oracle=False)
-    assert failures and "node 6" in failures[0]
+    with pytest.raises(VerificationError, match="^node 6: "):
+        verify_tower(load_tower(str(path)), oracle=False)
 
 
 def test_verify_at_lower_precision_still_passes():
     tower = build_tower(257, precision=192)
-    assert verify_tower(tower, precision=128) == []
+    verify_tower(tower, precision=128)
