@@ -18,13 +18,18 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _check_precision(args) -> None:
-    from .tower import MAX_PRECISION
+def _check_precision(args, n: int | None = None) -> int | None:
+    """--precision, checked; when it is not given, the default for n (None
+    when a tower header decides)."""
+    from .tower import MAX_PRECISION, default_precision
 
-    if args.precision is not None and args.precision < 1:
+    if args.precision is None:
+        return None if n is None else default_precision(n)
+    if args.precision < 1:
         raise UsageError(f"--precision must be a positive number of bits, got {args.precision}")
-    if args.precision is not None and args.precision > MAX_PRECISION:
+    if args.precision > MAX_PRECISION:
         raise UsageError(f"--precision {args.precision} exceeds the limit of {MAX_PRECISION} bits")
+    return args.precision
 
 
 def _signed_tower(path: str):
@@ -39,15 +44,15 @@ def _signed_tower(path: str):
 
 def cmd_build(args) -> int:
     from .report import render_report
-    from .tower import build_tower
+    from .tower import build_schedule
     from .towerfile import dump_tower
-    from .verify import oracle_check_tower
+    from .verify import verify_tower
 
-    FermatParams.from_n(args.n)  # a bad n is reported before a bad precision
-    _check_precision(args)
-    tower = build_tower(args.n, kind=args.schedule, precision=args.precision, factor=args.factor)
-    if not args.no_oracle and tower.nodes:
-        oracle_check_tower(tower)
+    params = FermatParams.from_n(args.n)  # a bad n is reported before a bad precision
+    precision = _check_precision(args, params.n)
+    table = build_invariant_sets(params, factor=args.factor)
+    tower = build_schedule(params, table, args.schedule)
+    verify_tower(tower, precision, oracle=not args.no_oracle)
     if args.out:
         dump_tower(tower, args.out)
         print(f"tower written to {args.out}")
@@ -62,13 +67,13 @@ def cmd_verify(args) -> int:
     _check_precision(args)
     tower = load_tower(args.tower)
     try:
-        verify_tower(tower, precision=args.precision, oracle=not args.no_oracle)
+        verify_tower(tower, args.precision, oracle=not args.no_oracle)
     except VerificationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     print(
         f"tower for n={tower.params.n} verified: {len(tower.nodes)} nodes, "
-        f"oracle-checked {tower.report.oracle_checked if tower.report else 0} product expressions"
+        f"oracle-checked {tower.report.oracle_checked} product expressions"
     )
     return 0
 
@@ -85,7 +90,7 @@ def cmd_tables(args) -> int:
     from .tower import CosineCache
 
     params = FermatParams.from_n(args.n)
-    _check_precision(args)
+    precision = _check_precision(args, params.n)
     table = build_invariant_sets(params, factor=args.factor)
     kind = args.kind
     if kind == "sets":
@@ -110,7 +115,10 @@ def cmd_tables(args) -> int:
         for mult, ks in mu_groups(args.m, table).items():
             print(f"K({mult},{1 << args.m}) = {' '.join(str(k) for k in ks)}")
     elif kind == "signs":
-        cache = CosineCache(params, table, args.precision or 128)
+        steps = params.ng.bit_length() - 1
+        if args.m is not None and not 1 <= args.m <= steps:
+            raise UsageError(f"no sign step {args.m} for n={params.n}, which has {steps}")
+        cache = CosineCache(params, table, precision)
         for step, greater in f_sign_sets(table, cache).items():
             if args.m is not None and step != args.m:
                 continue
@@ -130,16 +138,17 @@ def cmd_compile(args) -> int:
         dump_geom,
         lower_to_geom,
     )
+    from .tower import value_tolerance
 
     tower = _signed_tower(args.tower)
-    precision = tower.precision or 128
+    precision = tower.precision
     prog = compile_to_arith(tower)
     values = arith_values(prog, precision)
     # The stored signs choose the roots, so a wrong one yields a wrong program.
     cos = values[prog.outputs["cos"]]
     with mp.workprec(precision):
         err = abs(cos - mp.cos(2 * mp.pi / tower.params.n))
-        if err > mp.mpf(2) ** (-(precision // 2)):
+        if err > value_tolerance(precision):
             raise VerificationError(
                 f"program gives cos(2pi/n) = {mp.nstr(cos, 20)}, off by {mp.nstr(err, 5)}"
             )
@@ -153,13 +162,12 @@ def cmd_compile(args) -> int:
 
 def cmd_render(args) -> int:
     from .construction import emit_svg
-    from .tower import evaluate_tower
+    from .verify import verify_tower
 
     tower = _signed_tower(args.tower)
     if tower.nodes and tower.nodes[-1].value_left is None:
         raise UsageError("tower has no stored values; rebuild it")
-    if tower.report is None or tower.report.p1 is None:
-        evaluate_tower(tower, tower.precision or 128)
+    verify_tower(tower, oracle=False)
     svg = emit_svg(tower, max_vertices=args.max_vertices)
     with open(args.out, "w") as fh:
         fh.write(svg)

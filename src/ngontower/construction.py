@@ -417,9 +417,7 @@ class _GeomBuilder:
         return self._drop_to_axis(height, mp.sqrt(value))
 
 
-def lower_to_geom(
-    prog: ArithProgram, precision: int | None = None, values: list | None = None
-) -> GeomProgram:
+def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None) -> GeomProgram:
     """Semantically equivalent straightedge/compass program; axis points carry
     the arithmetic values.
 
@@ -427,7 +425,6 @@ def lower_to_geom(
     `arith_values(prog, precision)` computes; they are computed here when not
     given.
     """
-    precision = precision or 128
     if values is None:
         values = arith_values(prog, precision)
     b = _GeomBuilder()
@@ -563,7 +560,7 @@ def load_geom(path: str) -> GeomProgram:
 
 def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
     """First `count` vertices of the n-gon from the evaluated tower value."""
-    with mp.workprec(tower.precision or 128):
+    with mp.workprec(tower.precision):
         cos_t = tower.report.p1 / 2
         sin_t = mp.sqrt(1 - cos_t * cos_t)
         rot = mp.mpc(cos_t, sin_t)
@@ -575,7 +572,7 @@ def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
     return out
 
 
-def emit_svg(tower: Tower, max_vertices: int = 0, viewport: int = 800, zoom: float | None = None) -> str:
+def emit_svg(tower: Tower, max_vertices: int = 0, viewport: int = 800) -> str:
     """Deterministic SVG 1.1 document: the full polygon for small n, a zoomed
     arc sector showing the first max_vertices vertices for huge n."""
     n = tower.params.n
@@ -614,8 +611,7 @@ def emit_svg(tower: Tower, max_vertices: int = 0, viewport: int = 800, zoom: flo
     else:
         # Zoom onto the arc covered by the drawn vertices, around (1, 0).
         span = max(2 * mp.pi * count / n, mp.mpf(1e-6))
-        zoom_f = zoom if zoom else float(0.6 / span)
-        scale = half * 0.9 * zoom_f
+        scale = half * 0.9 * float(0.6 / span)
         cx, cy = half - scale + half * 0.45, half
 
         def txy(p):

@@ -28,10 +28,6 @@ from .residues import FermatParams, pair_of
 # pure-Python big-integer path is used so results stay exact.
 _INT64_SAFE = 1 << 52
 
-# Entries per scatter batch in the direct route; bounds each temporary array
-# to 32 MB.
-_CHUNK_ENTRIES = 1 << 22
-
 # Exactness guard of the FFT route.  Percival's bound for an FFT product of
 # length L = 2^k in float64 (eps = 2^-53, twiddle error taken as eps) is
 #     |error| < |x|_2 |y|_2 ((1+eps)^3k (1+eps*sqrt5)^(3k+1) (1+eps)^3k - 1),
@@ -163,6 +159,10 @@ def _l1(v: PeriodVector, idx) -> int:
 def _mul_direct(a, b, ai, bi):
     """Small products: scatter every pair product by the two-pair rule.
 
+    `pv_mul` sends a product here only when nnz(a) nnz(b) <= 4L, L the FFT
+    length: at most 2^20 pair products at n = 65537 (L = 2^18), so the
+    temporaries are at most 8 MB each and are built in one pass.
+
     Returns None when the float64 sums of bincount, and int64, might not hold
     the result exactly.
     """
@@ -171,18 +171,14 @@ def _mul_direct(a, b, ai, bi):
     n = a.n
     ac = a.coeffs.astype(np.int64, copy=False)
     bc = b.coeffs.astype(np.int64, copy=False)
-    b_val = bc[bi]
-    out = np.zeros(ac.shape[0])
-    rows_per_chunk = max(1, _CHUNK_ENTRIES // max(1, bi.size))
-    for lo in range(0, ai.size, rows_per_chunk):
-        k = ai[lo : lo + rows_per_chunk, None]
-        vals = (ac[k] * b_val).ravel()
-        s = k + bi
-        np.minimum(s, n - s, out=s)
-        # A squared pair has d = 0 and lands in the unused slot 0: it stands
-        # for z^0 + z^-0, that is 2 on the constant.
-        out += np.bincount(np.abs(k - bi).ravel(), weights=vals, minlength=out.shape[0])
-        out += np.bincount(s.ravel(), weights=vals, minlength=out.shape[0])
+    k = ai[:, None]
+    vals = (ac[k] * bc[bi]).ravel()
+    s = k + bi
+    np.minimum(s, n - s, out=s)
+    # A squared pair has d = 0 and lands in the unused slot 0: it stands for
+    # z^0 + z^-0, that is 2 on the constant.
+    out = np.bincount(np.abs(k - bi).ravel(), weights=vals, minlength=ac.shape[0])
+    out += np.bincount(s.ravel(), weights=vals, minlength=ac.shape[0])
     pairs = out.astype(np.int64)
     const = 2 * int(pairs[0])
     pairs[0] = 0

@@ -7,6 +7,12 @@ product is an integer (or half-integer) combination of earlier parts.  Signs
 published lists; evaluation cross-checks every node value against the same
 cosine sums, which are independent of the tower arithmetic.
 
+The checks run as one pipeline, `verify.verify_tower`: the optional exact
+oracle, then `resolve_signs`, which computes the cosine sums at the tower's
+precision and decides or checks every sign, then `evaluate_tower`, which
+reads those sums and writes the tower's one `VerificationReport`.  A
+precision that nobody gives is `default_precision(n)`.
+
 The cosine sums (`CosineCache`) hold every pair value 2cos(2 pi k / n) as an
 int at scale 2^F, F = precision + 64 guard bits, built from two tables of
 about sqrt(npairs) angles each (block B = 2^ceil(bits(npairs) / 2)); each
@@ -42,6 +48,16 @@ from .splitting import (
 MAX_PRECISION = 1 << 15
 
 
+def default_precision(n: int) -> int:
+    """Mantissa bits for n when no argument or tower header gives them."""
+    return 512 if n > 257 else 128
+
+
+def value_tolerance(precision: int):
+    """2^-(precision // 2): how far a value may sit from its direct cosine."""
+    return mp.mpf(2) ** (-(precision // 2))
+
+
 class SignAmbiguous(VerificationError):
     """Two sides of a split are numerically too close at the working precision."""
 
@@ -75,7 +91,6 @@ class VerificationReport:
     p1: object = None
     p1_err: object = None
     oracle_checked: int = 0
-    messages: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -149,13 +164,15 @@ def _place(
     produced `split` (None for the root).  `by_child` maps each half of the
     earlier nodes to its node id, and gains this node's halves.  Raises
     ValueError when `split` or a part of `expr` is neither the root nor one
-    of those halves."""
+    of those halves, and when an earlier node already split `split`."""
     if split != root and split not in by_child:
         raise ValueError(f"no earlier node produces {split.label()}")
     for part in expr.referenced_parts():
         if part != root and part not in by_child:
             raise ValueError(f"product names {part.label()}, which no earlier node produces")
     left, right = _halves(split, table)
+    if left in by_child:
+        raise ValueError(f"{split.label()} is split twice, first by node {by_child[left]}")
     node = QuadraticNode(
         id=node_id,
         step=_step(split, table.params),
@@ -343,19 +360,15 @@ def _combo_value(combo: LinearCombo, values: dict[PartRef, object]):
     return total
 
 
-def evaluate_tower(tower: Tower, precision: int | None = None) -> Tower:
-    """Top-down evaluation with the signs stored on the nodes; every node
-    value is cross-checked against its direct cosine sum within
-    2^(-precision/2)."""
-    if precision is None:
-        precision = tower.precision
-    if any(node.left_is_larger is None for node in tower.nodes):
-        raise ValueError("tower signs must be resolved before evaluating")
+def evaluate_tower(tower: Tower) -> Tower:
+    """Top-down evaluation with the signs, precision and cosine sums that
+    `resolve_signs` left; every node value must lie within `value_tolerance`
+    of its cosine sum, and p1 of 2cos(2 pi / n).  Writes the tower's report."""
     cache = tower.cosines
-    if cache is None or cache.precision != precision:
-        cache = tower.cosines = CosineCache(tower.params, tower.table, precision)
-    tower.precision = precision
-    tol = mp.mpf(2) ** (-(precision // 2))
+    if cache is None:
+        raise ValueError("tower signs must be resolved before evaluating")
+    precision = tower.precision
+    tol = value_tolerance(precision)
     report = VerificationReport(
         node_count=len(tower.nodes),
         per_step=_per_step(tower.nodes),
@@ -400,6 +413,8 @@ def evaluate_tower(tower: Tower, precision: int | None = None) -> Tower:
             p1 = values[tower.p1_part()]
         report.p1 = p1
         report.p1_err = abs(p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
+    if report.p1_err > tol:
+        raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
     tower.report = report
     return tower
 
@@ -417,22 +432,12 @@ def build_tower(
     precision: int | None = None,
     factor: int = 3,
 ) -> Tower:
-    """Convenience: schedule, signs, evaluation, verification in one call."""
+    """Convenience: schedule, signs and evaluation (`verify_tower` without the oracle)."""
     params = FermatParams.from_n(n)
-    if precision is None:
-        precision = 512 if n > 257 else 128
     table = build_invariant_sets(params, factor=factor)
     tower = build_schedule(params, table, kind)
-    if tower.nodes:
-        resolve_signs(tower, precision)
-    else:
-        tower.precision = precision
-        tower.report = VerificationReport(node_count=0, per_step={})
-        with mp.workprec(precision):
-            tower.report.p1 = mp.mpf(-1)
-            tower.report.p1_err = abs(mp.mpf(-1) - 2 * mp.cos(2 * mp.pi / n))
-        return tower
-    return evaluate_tower(tower, precision)
+    resolve_signs(tower, default_precision(n) if precision is None else precision)
+    return evaluate_tower(tower)
 
 
 # ---------------------------------------------------------------------------

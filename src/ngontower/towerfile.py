@@ -20,10 +20,9 @@ from .tower import (
     MAX_PRECISION,
     QuadraticNode,
     Tower,
-    VerificationReport,
-    _per_step,
     _place,
     _root_part,
+    default_precision,
 )
 
 FORMAT_NAME = "ngontower-tower"
@@ -196,6 +195,31 @@ def _check_structure(node: QuadraticNode, expected_id: int, table, root, by_chil
         raise ValueError(f"sum_source {node.sum_source}, expected {placed.sum_source}")
 
 
+def _check_schedule(tower: Tower, by_child: dict) -> None:
+    """Raise ValueError unless a node produces p1 (n > 3) and the nodes are
+    the header's schedule: a full tower splits every part, so it has
+    npairs - 1 nodes; in a pruned one every node is reached from the
+    producer of p1 through the producers of each node's split and of the
+    parts of its product.  `by_child` maps each half to its node id."""
+    nodes, npairs = tower.nodes, tower.params.npairs
+    if npairs > 1 and tower.p1_part() not in by_child:
+        raise ValueError(f"no node produces p1 = {tower.p1_part().label()}")
+    if tower.kind == "full" and len(nodes) != npairs - 1:
+        raise ValueError(f"a full tower has {npairs - 1} nodes, this one {len(nodes)}")
+    if tower.kind == "pruned" and npairs > 1:
+        reached = set()
+        stack = [by_child[tower.p1_part()]]
+        while stack:
+            node = nodes[stack.pop()]
+            if node.id not in reached:
+                reached.add(node.id)
+                parts = (node.splits, *node.product_expr.referenced_parts())
+                stack += [by_child[part] for part in parts if part in by_child]
+        if len(reached) < len(nodes):
+            unneeded = min(set(range(len(nodes))) - reached)
+            raise ValueError(f"node {unneeded} does not lead to p1, as every pruned node must")
+
+
 def _check_header(header) -> None:
     """Raise ValueError unless the header names this format and version, and
     its n and factor are ints, its schedule full or pruned, and its precision
@@ -224,8 +248,10 @@ def load_tower(path: str) -> Tower:
     terms), a coefficient that is not an integer or half-integer
     (denominator 1 or 2) below 2^30, a malformed sign or value field
     (`_node_from_json`), a node out of place in the schedule's DAG (see
-    `_check_structure`), and a file that ends before a node produces p1,
-    reported on its last line.  An unreadable path raises OSError.
+    `_check_structure`), and, reported on the last line, a file that ends
+    before a node produces p1 or whose nodes are not the header's schedule
+    (`_check_schedule`).  A null header precision reads as
+    `default_precision(n)`.  An unreadable path raises OSError.
     """
     with open(path) as fh:
         lineno = 1
@@ -240,13 +266,11 @@ def load_tower(path: str) -> Tower:
                 node = _node_from_json(json.loads(line), params)
                 _check_structure(node, len(nodes), table, root, by_child)
                 nodes.append(node)
-            tower = Tower(params, table, header["schedule"], nodes, header["precision"])
-            if params.npairs > 1 and tower.p1_part() not in by_child:
-                raise ValueError(f"no node produces p1 = {tower.p1_part().label()}")
+            precision = header["precision"]
+            if precision is None:
+                precision = default_precision(params.n)
+            tower = Tower(params, table, header["schedule"], nodes, precision)
+            _check_schedule(tower, by_child)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
             raise UsageError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
-    if nodes and nodes[-1].value_left is not None:
-        tower.report = VerificationReport(
-            node_count=len(nodes), per_step=_per_step(nodes)
-        )
     return tower

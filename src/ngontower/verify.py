@@ -1,11 +1,17 @@
-"""Tower verification: exact oracle checks of every product expression plus
-numeric re-evaluation.
+"""The one check pipeline, `verify_tower`, and its exact oracle.
 
-The oracle check expands each node's two sides in the pair basis and multiplies
-them brute-force; the result must equal the product expression exactly as
-integers, both sides doubled (an expression's coefficients count halves).
-Every failed check raises a `VerificationError` naming its node, and the
-first one ends the pass.
+`verify_tower` runs the checks that back a tower, in this order: the exact
+oracle on every product expression (optional), then `tower.resolve_signs`,
+which decides each sign from direct cosine sums or checks a stored one, then
+`tower.evaluate_tower`, which cross-checks every node value and p1 against
+the same sums and writes the tower's report.  `build`, `verify` and `render`
+all run it.
+
+The oracle check expands each node's two sides in the pair basis and
+multiplies them brute-force; the result must equal the product expression
+exactly as integers, both sides doubled (an expression's coefficients count
+halves).  Every failed check raises a `VerificationError` naming its node,
+and the first one ends the pass.
 """
 
 import numpy as np
@@ -70,29 +76,23 @@ def oracle_check_node(node, table: InvariantSetTable) -> None:
         )
 
 
-def oracle_check_tower(tower: Tower, sample=None) -> int:
-    """Exact check of all (or a sample of) nodes; returns how many were checked."""
-    nodes = tower.nodes if sample is None else [tower.nodes[i] for i in sample]
-    for node in nodes:
+def oracle_check_tower(tower: Tower) -> int:
+    """Exact check of every node; returns how many were checked."""
+    for node in tower.nodes:
         oracle_check_node(node, tower.table)
-    if tower.report is not None:
-        tower.report.oracle_checked = len(nodes)
-    return len(nodes)
+    return len(tower.nodes)
 
 
 def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True) -> None:
-    """Full verification pass; raises the first `VerificationError` it meets.
+    """The check pipeline; raises the first `VerificationError` it meets.
 
-    Runs the exact oracle on every product expression, then re-derives the
-    signs from direct cosine sums (a stored sign that disagrees fails) and
-    re-evaluates numerically, cross-checking every node value against its
-    direct cosine sum.
+    Runs the exact oracle on every product expression (when `oracle`), then
+    derives the signs from direct cosine sums at `precision` bits (the
+    tower's own when None; a stored sign that disagrees fails), then
+    evaluates numerically, cross-checking every node value and p1 against
+    those sums.  The tower's report records the result.
     """
-    if oracle:
-        for node in tower.nodes:
-            oracle_check_node(node, tower.table)
-    precision = precision or tower.precision or 128
-    resolve_signs(tower, precision)
-    evaluate_tower(tower, precision)
-    if oracle:
-        tower.report.oracle_checked = len(tower.nodes)
+    checked = oracle_check_tower(tower) if oracle else 0
+    resolve_signs(tower, tower.precision if precision is None else precision)
+    evaluate_tower(tower)
+    tower.report.oracle_checked = checked

@@ -76,9 +76,11 @@ def test_tables_missing_selector(capsys):
         ["build", "--n", "17", "--precision", "-5"],
         ["verify", "--tower", "{tower}", "--precision", "0"],
         ["build", "--n", "17", "--precision", "10000000"],
+        ["tables", "--n", "17", "--kind", "signs", "--m", "9"],
+        ["tables", "--n", "17", "--kind", "signs", "--m", "-1"],
     ],
     ids=["mu-level", "ksets-level", "product-set", "tables-precision", "build-precision",
-         "verify-precision", "build-precision-over-cap"],
+         "verify-precision", "build-precision-over-cap", "signs-step", "signs-step-negative"],
 )
 def test_argument_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
     if "{tower}" in argv:
@@ -360,6 +362,23 @@ def _delete_last_node(lines):
     del lines[-1]
 
 
+def _append_last_node_as_7(lines):
+    node = json.loads(lines[-1])
+    node["id"] = 7
+    lines.append(json.dumps(node))
+
+
+def _on_full_17(edit):
+    """A line edit that applies `edit` to the lines of a full n = 17 tower
+    (nodes 0..6) in place of the pruned one."""
+
+    def full_edit(lines):
+        lines[:] = (GOLDEN / "tower_17_full.tower").read_text().splitlines()
+        edit(lines)
+
+    return full_edit
+
+
 def _on_header(key, value):
     """A line edit that sets `key` of the header to `value`."""
 
@@ -433,25 +452,31 @@ def _value_left_bit_count_off(node):
         pytest.param(_on_node(_value_left_sign_2, 1), 3, id="value-left-sign-2"),
         pytest.param(_on_node(_value_left_mantissa_decimal, 1), 3, id="value-left-mantissa-decimal"),
         pytest.param(_on_node(_value_left_bit_count_off, 1), 3, id="value-left-bit-count-off"),
+        # A second split of the part node 6 splits, on line 9.
+        pytest.param(_on_full_17(_append_last_node_as_7), 9, id="full-node-6-twice"),
+        # p1 needs only nodes 0..2; the schedule is checked after the last line.
+        pytest.param(_on_full_17(_on_header("schedule", "pruned")), 8, id="full-says-pruned"),
+        pytest.param(_on_header("schedule", "full"), 4, id="pruned-says-full"),
     ],
 )
 def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
     # The loader refuses a malformed line before any command reads it: a
     # header field out of range, a part outside the table, a coefficient
     # denominator other than 1 or 2 or a coefficient of 2^30 or more, a
-    # malformed sign or value field, or a node out of place in the
-    # schedule's DAG.
+    # malformed sign or value field, a node out of place in the schedule's
+    # DAG, or nodes that are not the header's schedule.  Run in-process: an
+    # exception escaping `main` fails the test.
     tower_path = _edited_17(tmp_path, capsys, edit)
     for argv in (
         ["verify", "--tower", str(tower_path)],
         ["compile", "--tower", str(tower_path), "--target", "geom", "--out", str(tmp_path / "p.geom")],
         ["render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg")],
     ):
-        result = run_console(*argv)
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-        assert f"{tower_path} line {bad_line}:" in result.stderr
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{tower_path} line {bad_line}:" in err
     assert not (tmp_path / "p.geom").exists() and not (tmp_path / "p.svg").exists()
 
 
@@ -460,6 +485,18 @@ def test_header_precision_null_reads_as_128(tmp_path, capsys):
     code, _ = run_cli(capsys, "render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg"))
     assert code == 0
     assert (tmp_path / "p.svg").read_text() == (GOLDEN / "polygon_17.svg").read_text()
+
+
+def test_header_precision_null_reads_as_the_default(tower65537, tmp_path):
+    from ngontower.tower import default_precision
+    from ngontower.towerfile import dump_tower, load_tower
+
+    path = tmp_path / "t.tower"
+    dump_tower(tower65537, str(path))
+    lines = path.read_text().splitlines()
+    _on_header("precision", None)(lines)
+    path.write_text("\n".join(lines) + "\n")
+    assert load_tower(str(path)).precision == default_precision(65537) == 512
 
 
 def test_verify_accepts_tower_from_direct_cosine_table(capsys):
