@@ -1,32 +1,43 @@
-"""Compile an evaluated tower to an arithmetic program and lower that to a
+"""Compile a tower to an arithmetic program and lower that to a
 straightedge/compass instruction stream.
+
+`compile_to_arith` is the one definition of how a node is solved, and
+`arith_values` the one interpreter of the arithmetic IR: `evaluate_tower`
+runs the program to get every node value it checks, so the values a tower
+stores are the program's values, bit for bit.
 
 Signed lengths are represented as directed segments on the x axis through the
 circle center: the value v lives at the point (v, 0).  Square roots use the
 semicircle rule (perpendicular height over a diameter split into D and 1);
-products and quotients of two general lengths use the intercept construction;
-integer scalings up to 64 are lowered as repeated additions (binary doubling
-chains of compass transfers).
+products of two general lengths use the intercept construction; integer
+scalings up to 64 are lowered as repeated additions (binary doubling chains
+of compass transfers).
 
 Every intersection branch is recorded at lowering time from the instruction
-values that `arith_values`, the one interpreter of the arithmetic IR,
-computes, so geometric execution never re-decides a choice.
+values that `arith_values` computes, so geometric execution never re-decides
+a choice.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
 from .errors import VerificationError
 from .splitting import LinearCombo
-from .tower import Tower
+from .tower import Tower, _root_part
 
 _INTERCEPT_THRESHOLD = 64
 
 
 class NegativeRadicand(VerificationError):
-    """A SQRT operand came out negative when the arithmetic program was evaluated."""
+    """A SQRT operand came out negative when the arithmetic program was
+    evaluated; `values` holds the values of the instructions before it."""
+
+    def __init__(self, radicand, values: list):
+        super().__init__(f"sqrt of {mp.nstr(radicand)}")
+        self.values = values
 
 
 class DegenerateIntersection(VerificationError):
@@ -37,9 +48,8 @@ class DegenerateIntersection(VerificationError):
 # Arithmetic IR
 
 
-@dataclass(frozen=True)
-class ArithInstr:
-    op: str  # CONST NEG ADD SUB MUL DIV SQRT HALF
+class ArithInstr(NamedTuple):
+    op: str  # CONST ADD SUB MUL SQRT HALF
     args: tuple[int, ...] = ()
     value: Fraction | None = None  # CONST only
 
@@ -48,49 +58,42 @@ class ArithInstr:
 class ArithProgram:
     instrs: list[ArithInstr] = field(default_factory=list)
     outputs: dict[str, int] = field(default_factory=dict)
+    # (product, SQRT, left, right) instruction of each tower node, in node
+    # order; set by `compile_to_arith` and not dumped.
+    nodes: list[tuple[int, int, int, int]] = field(default_factory=list)
 
     def emit(self, op: str, *args: int, value: Fraction | None = None) -> int:
-        self.instrs.append(ArithInstr(op=op, args=args, value=value))
+        self.instrs.append(ArithInstr(op, args, value))
         return len(self.instrs) - 1
 
     def sqrt_count(self) -> int:
         return sum(1 for i in self.instrs if i.op == "SQRT")
 
 
-def arith_values(prog: ArithProgram, precision: int = 128) -> list:
+def arith_values(prog: ArithProgram, precision: int) -> list:
     """Value of every instruction, in order: the definition of the IR ops."""
     with mp.workprec(precision):
         vals: list[object] = []
-        for instr in prog.instrs:
-            a = [vals[i] for i in instr.args]
-            if instr.op == "CONST":
-                v = mp.mpf(instr.value.numerator) / instr.value.denominator
-            elif instr.op == "NEG":
-                v = -a[0]
-            elif instr.op == "ADD":
-                v = a[0] + a[1]
-            elif instr.op == "SUB":
-                v = a[0] - a[1]
-            elif instr.op == "MUL":
-                v = a[0] * a[1]
-            elif instr.op == "DIV":
-                v = a[0] / a[1]
-            elif instr.op == "HALF":
-                v = a[0] / 2
-            elif instr.op == "SQRT":
-                if a[0] < 0:
-                    raise NegativeRadicand(f"sqrt of {mp.nstr(a[0])}")
-                v = mp.sqrt(a[0])
+        for op, args, value in prog.instrs:
+            if op == "ADD":
+                v = vals[args[0]] + vals[args[1]]
+            elif op == "SUB":
+                v = vals[args[0]] - vals[args[1]]
+            elif op == "MUL":
+                v = vals[args[0]] * vals[args[1]]
+            elif op == "HALF":
+                v = vals[args[0]] / 2
+            elif op == "CONST":
+                v = mp.mpf(value.numerator) / value.denominator
+            elif op == "SQRT":
+                radicand = vals[args[0]]
+                if radicand < 0:
+                    raise NegativeRadicand(radicand, vals)
+                v = mp.sqrt(radicand)
             else:
-                raise ValueError(f"unknown op {instr.op}")
+                raise ValueError(f"unknown op {op}")
             vals.append(v)
     return vals
-
-
-def evaluate_arith(prog: ArithProgram, precision: int = 128) -> dict[str, object]:
-    """Named outputs of the program, from `arith_values`."""
-    vals = arith_values(prog, precision)
-    return {name: vals[idx] for name, idx in prog.outputs.items()}
 
 
 class _ArithBuilder:
@@ -99,16 +102,17 @@ class _ArithBuilder:
     def __init__(self):
         self.prog = ArithProgram()
         self.emit = self.prog.emit
-        self._const_cache: dict[Fraction, int] = {}
+        self._const_cache: dict[int, int] = {}
 
-    def const(self, value) -> int:
-        value = Fraction(value)
-        if value not in self._const_cache:
-            self._const_cache[value] = self.emit("CONST", value=value)
-        return self._const_cache[value]
+    def const(self, halves: int) -> int:
+        """The CONST instruction for halves / 2."""
+        idx = self._const_cache.get(halves)
+        if idx is None:
+            idx = self._const_cache[halves] = self.emit("CONST", value=Fraction(halves, 2))
+        return idx
 
     def combo(self, expr: LinearCombo, refs: dict) -> int:
-        acc = self.const(Fraction(expr.constant, 2))
+        acc = self.const(expr.constant)
         for halves, part in expr.linear:
             acc = self._add_scaled(acc, halves, refs[part])
         for halves, part in expr.squares:
@@ -125,39 +129,37 @@ class _ArithBuilder:
         else:
             c //= 2
         if c != 1:
-            term = self.emit("MUL", self.const(c), term)
+            term = self.emit("MUL", self.const(2 * c), term)
         return self.emit("SUB" if halves < 0 else "ADD", acc, term)
 
 
 def compile_to_arith(tower: Tower) -> ArithProgram:
-    """One SQRT per tower node plus one for sin(theta); constants come from the
-    product expressions.  The tower's signs must be resolved."""
-    b = _ArithBuilder()
-    refs: dict = {}
-    if tower.nodes:
-        from .tower import _root_part
+    """The tower's one solver: one SQRT per node plus one for sin(theta).
 
-        root = _root_part(tower.params)
-        refs[root] = b.const(-1)
-        for node in tower.nodes:
-            if node.left_is_larger is None:
-                raise ValueError("tower signs must be resolved before compiling")
-            sum_idx = refs[node.splits]
-            prod_idx = b.combo(node.product_expr, refs)
-            half = b.emit("HALF", sum_idx)
-            disc = b.emit("SUB", b.emit("MUL", half, half), prod_idx)
-            root_idx = b.emit("SQRT", disc)
-            bigger = b.emit("ADD", half, root_idx)
-            smaller = b.emit("SUB", sum_idx, bigger)
-            if node.left_is_larger:
-                refs[node.left], refs[node.right] = bigger, smaller
-            else:
-                refs[node.left], refs[node.right] = smaller, bigger
-        p1 = refs[tower.p1_part()]
-    else:
-        p1 = b.const(-1)  # n = 3: the single pair is S itself
+    A node with sum s and product q gets half = s/2, root = sqrt(half^2 - q)
+    and the roots half + root and half - root, assigned to its halves by its
+    sign, which must be resolved; constants come from the product
+    expressions.  `prog.nodes` records each node's instructions.
+    """
+    b = _ArithBuilder()
+    refs = {_root_part(tower.params): b.const(-2)}
+    for node in tower.nodes:
+        if node.left_is_larger is None:
+            raise ValueError("tower signs must be resolved before compiling")
+        sum_idx = refs[node.splits]
+        prod_idx = b.combo(node.product_expr, refs)
+        half = b.emit("HALF", sum_idx)
+        disc = b.emit("SUB", b.emit("MUL", half, half), prod_idx)
+        root_idx = b.emit("SQRT", disc)
+        bigger = b.emit("ADD", half, root_idx)
+        smaller = b.emit("SUB", half, root_idx)
+        left, right = (bigger, smaller) if node.left_is_larger else (smaller, bigger)
+        refs[node.left], refs[node.right] = left, right
+        b.prog.nodes.append((prod_idx, root_idx, left, right))
+    # n = 3 has no nodes: the single pair is S = -1 itself.
+    p1 = refs[tower.p1_part()] if tower.nodes else b.const(-2)
     cos_idx = b.emit("HALF", p1)
-    sin_sq = b.emit("SUB", b.const(1), b.emit("MUL", cos_idx, cos_idx))
+    sin_sq = b.emit("SUB", b.const(2), b.emit("MUL", cos_idx, cos_idx))
     sin_idx = b.emit("SQRT", sin_sq)
     b.prog.outputs = {"p1": p1, "cos": cos_idx, "sin": sin_idx}
     return b.prog
@@ -241,7 +243,7 @@ def _intersect_cc(c1, c2, branch, tol):
     return pts[branch]
 
 
-def execute_geom(prog: GeomProgram, precision: int = 128) -> dict:
+def execute_geom(prog: GeomProgram, precision: int) -> dict:
     """Analytic interpreter; returns named outputs (axis points give their
     x coordinate) plus the vertex list from any chord stepping."""
     with mp.workprec(precision):
@@ -396,17 +398,6 @@ class _GeomBuilder:
         prod_y = self.prog.emit("INTERSECT_LL", par, self.yaxis())
         return self._drop_to_axis(prod_y, pv * qv)
 
-    def div(self, p: int, q: int, pv, qv) -> int:
-        """Intercept: line (0,qv)-(pv,0); its parallel through (0,1) meets the
-        axis at (pv/qv, 0)."""
-        if pv == 0:
-            return self.O
-        yq = self._lift_to_yaxis(q, qv)
-        y1 = self._lift_to_yaxis(self.X, mp.mpf(1))
-        base = self.prog.emit("LINE", yq, p)
-        par = self._parallel_through(base, y1)
-        return self.prog.emit("INTERSECT_LL", par, self.AXIS)
-
     def sqrt(self, p: int, value) -> int:
         """Semicircle over the diameter from (-1,0) to (value,0); the
         perpendicular height at the origin is sqrt(value)."""
@@ -433,18 +424,14 @@ def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None
         for instr in prog.instrs:
             args = instr.args
             if instr.op == "CONST":
-                num, den = instr.value.numerator, instr.value.denominator
-                p = b.int_const(num)
-                pv = mp.mpf(num)
-                while den % 2 == 0 and den > 1:
+                p = b.int_const(instr.value.numerator)
+                den = instr.value.denominator
+                while den % 2 == 0:
                     p = b.half(p)
-                    pv /= 2
                     den //= 2
-                if den > 1:
-                    p = b.div(p, b.int_const(den), pv, mp.mpf(den))
+                if den != 1:
+                    raise ValueError(f"constant {instr.value} is not a dyadic fraction")
                 loc.append(p)
-            elif instr.op == "NEG":
-                loc.append(b.neg(loc[args[0]]))
             elif instr.op == "ADD":
                 loc.append(b.add(loc[args[0]], loc[args[1]]))
             elif instr.op == "SUB":
@@ -457,8 +444,6 @@ def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None
                     loc.append(b.scale_int(loc[args[1]], int(ka.value), values[args[1]]))
                 else:
                     loc.append(b.mul(loc[args[0]], loc[args[1]], values[args[0]], values[args[1]]))
-            elif instr.op == "DIV":
-                loc.append(b.div(loc[args[0]], loc[args[1]], values[args[0]], values[args[1]]))
             elif instr.op == "SQRT":
                 loc.append(b.sqrt(loc[args[0]], values[args[0]]))
             else:

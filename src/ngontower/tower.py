@@ -13,6 +13,12 @@ precision and decides or checks every sign, then `evaluate_tower`, which
 reads those sums and writes the tower's one `VerificationReport`.  A
 precision that nobody gives is `default_precision(n)`.
 
+`evaluate_tower` solves no quadratic itself: it runs the tower's arithmetic
+program (`construction.compile_to_arith`, interpreted by
+`construction.arith_values`), so the node values it checks and stores are
+the ones `compile` writes.  `check_p1` is the one check of p1 against
+2cos(2 pi / n), shared with `compile`.
+
 The cosine sums (`CosineCache`) hold every pair value 2cos(2 pi k / n) as an
 int at scale 2^F, F = precision + 64 guard bits, built from two tables of
 about sqrt(npairs) angles each (block B = 2^ceil(bits(npairs) / 2)); each
@@ -350,25 +356,35 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
     return tower
 
 
-def _combo_value(combo: LinearCombo, values: dict[PartRef, object]):
-    # Each coefficient counts halves; mpf(c) / 2 is exact.
-    total = mp.mpf(combo.constant) / 2
-    for c, p in combo.linear:
-        total += mp.mpf(c) / 2 * values[p]
-    for c, p in combo.squares:
-        total += mp.mpf(c) / 2 * values[p] ** 2
-    return total
+def check_p1(n: int, p1, precision: int):
+    """|p1 - 2cos(2 pi / n)|; fails when it exceeds `value_tolerance`."""
+    with mp.workprec(precision):
+        err = abs(p1 - 2 * mp.cos(2 * mp.pi / n))
+    if err > value_tolerance(precision):
+        raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(err)}")
+    return err
 
 
 def evaluate_tower(tower: Tower) -> Tower:
-    """Top-down evaluation with the signs, precision and cosine sums that
-    `resolve_signs` left; every node value must lie within `value_tolerance`
-    of its cosine sum, and p1 of 2cos(2 pi / n).  Writes the tower's report."""
+    """Run the tower's arithmetic program with the signs, precision and
+    cosine sums that `resolve_signs` left, and store its values on the nodes.
+    Every node value must lie within `value_tolerance` of its cosine sum, and
+    p1 of 2cos(2 pi / n).  Writes the tower's report."""
+    from .construction import NegativeRadicand, arith_values, compile_to_arith
+
     cache = tower.cosines
     if cache is None:
         raise ValueError("tower signs must be resolved before evaluating")
     precision = tower.precision
     tol = value_tolerance(precision)
+    prog = compile_to_arith(tower)
+    failed = None
+    try:
+        values = arith_values(prog, precision)
+    except NegativeRadicand as exc:
+        # Check the nodes before the failed SQRT first: the first node that
+        # goes wrong is the one reported.
+        values, failed = exc.values, exc
     report = VerificationReport(
         node_count=len(tower.nodes),
         per_step=_per_step(tower.nodes),
@@ -377,20 +393,11 @@ def evaluate_tower(tower: Tower) -> Tower:
         min_sign_margin=None,
     )
     with mp.workprec(precision):
-        values = {_root_part(tower.params): mp.mpf(-1)}
-        for node in tower.nodes:
-            sum_v = values[node.splits]
-            prod_v = _combo_value(node.product_expr, values)
-            half = sum_v / 2
-            disc = half * half - prod_v
-            if disc < 0:
+        for node, (prod, root, left, right) in zip(tower.nodes, prog.nodes):
+            if root == len(values):  # this node's SQRT failed
+                disc = values[prog.instrs[root].args[0]]
                 raise VerificationError(f"negative discriminant {mp.nstr(disc)}", node.id)
-            sq = mp.sqrt(disc)
-            bigger, smaller = half + sq, half - sq
-            if node.left_is_larger:
-                node.value_left, node.value_right = bigger, smaller
-            else:
-                node.value_left, node.value_right = smaller, bigger
+            node.value_left, node.value_right = values[left], values[right]
             for part, v in ((node.left, node.value_left), (node.right, node.value_right)):
                 ref = cache.part_value(part)
                 err = abs(v - ref)
@@ -401,20 +408,14 @@ def evaluate_tower(tower: Tower) -> Tower:
                         node.id,
                     )
                 report.max_value_err = max(report.max_value_err, err)
-                values[part] = v
-            vieta = abs(node.value_left * node.value_right - prod_v)
+            vieta = abs(node.value_left * node.value_right - values[prod])
             report.max_vieta_err = max(report.max_vieta_err, vieta)
             if report.min_sign_margin is None or node.sign_margin < report.min_sign_margin:
                 report.min_sign_margin = node.sign_margin
-
-        if tower.params.npairs == 1:
-            p1 = mp.mpf(-1)
-        else:
-            p1 = values[tower.p1_part()]
-        report.p1 = p1
-        report.p1_err = abs(p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
-    if report.p1_err > tol:
-        raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
+    report.p1 = values[prog.outputs["p1"]]
+    report.p1_err = check_p1(tower.params.n, report.p1, precision)
+    if failed is not None:  # the sin(theta) SQRT, after every node
+        raise failed
     tower.report = report
     return tower
 

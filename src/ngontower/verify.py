@@ -3,9 +3,10 @@
 `verify_tower` runs the checks that back a tower, in this order: the exact
 oracle on every product expression (optional), then `tower.resolve_signs`,
 which decides each sign from direct cosine sums or checks a stored one, then
-`tower.evaluate_tower`, which cross-checks every node value and p1 against
-the same sums and writes the tower's report.  `build`, `verify` and `render`
-all run it.
+`tower.evaluate_tower`, which runs the tower's arithmetic program (the one
+`compile` writes), cross-checks every node value and p1 against the same
+sums and writes the tower's report.  `build`, `verify` and `render` all run
+it.
 
 The oracle check expands each node's two sides in the pair basis and
 multiplies them brute-force; the result must equal the product expression
@@ -88,9 +89,9 @@ def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True
 
     Runs the exact oracle on every product expression (when `oracle`), then
     derives the signs from direct cosine sums at `precision` bits (the
-    tower's own when None; a stored sign that disagrees fails), then
-    evaluates numerically, cross-checking every node value and p1 against
-    those sums.  The tower's report records the result.
+    tower's own when None; a stored sign that disagrees fails), then runs
+    the tower's arithmetic program, cross-checking every node value and p1
+    against those sums.  The tower's report records the result.
     """
     checked = oracle_check_tower(tower) if oracle else 0
     resolve_signs(tower, tower.precision if precision is None else precision)

@@ -274,11 +274,21 @@ def _constant_40(node):
     node["product"]["constant"] = [40, 1]
 
 
+def _stderr_of(capsys, argv):
+    """Exit code and stderr of `main(argv)` run in-process: an exception
+    escaping `main` fails the test, and nothing may be printed to stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    return code, captured.err
+
+
 def test_verify_detects_flipped_stored_sign(tmp_path, capsys):
     tower_path = _tampered_17(tmp_path, capsys, _flip_sign)
-    result = run_console("verify", "--tower", str(tower_path))
-    assert result.returncode == 1
-    assert result.stderr.startswith("FAIL: node 0: ")
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(tower_path)])
+    assert code == 1
+    assert err.startswith("FAIL: node 0: ")
 
 
 @pytest.mark.parametrize("change", [_flip_sign, _constant_40], ids=["flipped-sign", "constant-40"])
@@ -289,11 +299,9 @@ def test_compile_and_render_fail_cleanly_on_tampered_tower(change, tmp_path, cap
         ["compile", "--tower", str(tower_path), "--target", "geom", "--out", str(tmp_path / "p.geom")],
         ["render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg")],
     ):
-        result = run_console(*argv)
-        assert result.returncode == 1
-        assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("verification failure: ")
-        assert result.stderr.count("\n") == 1
+        code, err = _stderr_of(capsys, argv)
+        assert code == 1
+        assert err.startswith("verification failure: ")
         assert not Path(argv[-1]).exists()
 
 
@@ -303,10 +311,59 @@ def test_unsigned_tower_is_a_usage_error(tmp_path, capsys):
         ["compile", "--tower", str(tower_path), "--target", "arith", "--out", str(tmp_path / "p.arith")],
         ["render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg")],
     ):
-        result = run_console(*argv)
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error: ") and "unresolved signs" in result.stderr
+        code, err = _stderr_of(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and "unresolved signs" in err
+        assert not Path(argv[-1]).exists()
+
+
+def _linear_term_repointed(node):
+    # G1(2,2) -> G1(1,2): node 2's product is wrong, and so is the p1 it gives.
+    node["product"]["linear"][0][2]["offset"] = 1
+
+
+@pytest.mark.parametrize(
+    "change, node_id, argvs, message",
+    [
+        pytest.param(
+            _linear_term_repointed, 2,
+            [["verify", "--no-oracle"], ["render", "--out", "p.svg"]],
+            "node 2: p1 = 2.429962035613623076867623 but cosine sum gives 1.864944458808711609146232",
+            id="p1-off-before-sin-radicand",
+        ),
+        pytest.param(
+            _constant_40, 0, [["render", "--out", "p.svg"]],
+            "node 0: negative discriminant -39.75",
+            id="negative-discriminant",
+        ),
+    ],
+)
+def test_first_failing_node_is_reported(change, node_id, argvs, message, tmp_path, capsys):
+    # The program is run to its end, or to its first negative radicand, before
+    # any node is checked; the nodes are then checked in order, so the first
+    # node that goes wrong is the one reported.
+    tower_path = _tampered_17(tmp_path, capsys, change, node_id)
+    for command, *rest in argvs:
+        rest = [str(tmp_path / a) if a.endswith(".svg") else a for a in rest]
+        code, err = _stderr_of(capsys, [command, "--tower", str(tower_path), *rest])
+        assert code == 1
+        assert message in err
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_render_needs_no_stored_values(tmp_path, capsys):
+    # render evaluates the tower itself, so it draws the same polygon from a
+    # file whose nodes store no values.
+    def drop_values(lines):
+        for i in range(1, len(lines)):
+            node = json.loads(lines[i])
+            node["value_left"] = node["value_right"] = None
+            lines[i] = json.dumps(node)
+
+    tower_path = _edited_17(tmp_path, capsys, drop_values)
+    code, _ = run_cli(capsys, "render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg"))
+    assert code == 0
+    assert (tmp_path / "p.svg").read_text() == (GOLDEN / "polygon_17.svg").read_text()
 
 
 def _square_term_set_0(node):
