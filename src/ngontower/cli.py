@@ -154,9 +154,10 @@ def cmd_compile(args) -> int:
 
 def cmd_render(args) -> int:
     from .construction import emit_svg
+    from .towerfile import load_tower
     from .verify import verify_tower
 
-    tower = _signed_tower(args.tower)
+    tower = load_tower(args.tower)
     verify_tower(tower, oracle=False)
     svg = emit_svg(tower, max_vertices=args.max_vertices)
     with open(args.out, "w") as fh:

@@ -6,12 +6,22 @@ straightedge/compass instruction stream.
 runs the program to get every node value it checks, so the values a tower
 stores are the program's values, bit for bit.
 
+A node's product expression is compiled with one scaling per distinct
+coefficient: its terms are grouped by |coefficient|, each group is summed and
+then scaled once.
+
 Signed lengths are represented as directed segments on the x axis through the
-circle center: the value v lives at the point (v, 0).  Square roots use the
-semicircle rule (perpendicular height over a diameter split into D and 1);
-products of two general lengths use the intercept construction; integer
-scalings up to 64 are lowered as repeated additions (binary doubling chains
-of compass transfers).
+circle center: the value v lives at the point (v, 0).  Each tower node, as
+`ArithProgram.nodes` marks it, is lowered to a Carlyle circle: the circle on
+the diameter from (0, 1) to (s, q) meets the axis at the two roots of
+x^2 - s x + q, in 9 steps against 17 for drawing the node's HALF, half^2,
+discriminant, SQRT and two roots one by one; those four are not drawn.
+Every other square root (sin, and every SQRT of a program without `nodes`)
+uses the semicircle rule (perpendicular height over a diameter split into D
+and 1); products of two general lengths use the intercept construction;
+integer scalings up to 64 are lowered as repeated additions (binary doubling
+chains of compass transfers).  At n = 65537 (pruned) the program has 43,745
+steps.
 
 Every intersection branch is recorded at lowering time from the instruction
 values that `arith_values` computes, so geometric execution never re-decides
@@ -112,25 +122,40 @@ class _ArithBuilder:
         return idx
 
     def combo(self, expr: LinearCombo, refs: dict) -> int:
-        acc = self.const(expr.constant)
+        """The expression with one scaling per distinct |coefficient|: the
+        terms (linear, then squares) are grouped by |halves| in order of
+        first appearance, each group is summed with its positive terms first
+        and scaled once, and the groups are added to the constant, or to the
+        first group when the constant is 0."""
+        groups: dict[int, list[tuple[bool, int]]] = {}
         for halves, part in expr.linear:
-            acc = self._add_scaled(acc, halves, refs[part])
+            groups.setdefault(abs(halves), []).append((halves < 0, refs[part]))
         for halves, part in expr.squares:
             base = refs[part]
-            acc = self._add_scaled(acc, halves, self.emit("MUL", base, base))
-        return acc
+            groups.setdefault(abs(halves), []).append((halves < 0, self.emit("MUL", base, base)))
+        acc = self.const(expr.constant) if expr.constant else None
+        for c, terms in groups.items():
+            terms.sort(key=lambda t: t[0])  # stable: positive terms first
+            negative = terms[0][0]  # every term is negative
+            total = terms[0][1]
+            for neg, term in terms[1:]:
+                total = self.emit("SUB" if neg != negative else "ADD", total, term)
+            total = self._scale(c, total)
+            if acc is None and negative:
+                acc = self.const(0)
+            acc = total if acc is None else self.emit("SUB" if negative else "ADD", acc, total)
+        return self.const(0) if acc is None else acc
 
-    def _add_scaled(self, acc: int, halves: int, term: int) -> int:
-        """acc + (halves / 2) * term: HALF for an odd count, else MUL by the
-        whole multiple (none for 1)."""
-        c = abs(halves)
+    def _scale(self, c: int, term: int) -> int:
+        """(c / 2) * term for c > 0 halves: HALF for an odd count, else MUL by
+        the whole multiple (none for 1)."""
         if c % 2:
             term = self.emit("HALF", term)
         else:
             c //= 2
         if c != 1:
             term = self.emit("MUL", self.const(2 * c), term)
-        return self.emit("SUB" if halves < 0 else "ADD", acc, term)
+        return term
 
 
 def compile_to_arith(tower: Tower) -> ArithProgram:
@@ -326,6 +351,7 @@ class _GeomBuilder:
         self.prog.emit("GIVEN_UNIT")
         self._int_cache: dict[int, int] = {1: self.X}
         self._yaxis = None
+        self._unit_y = None
 
     def yaxis(self) -> int:
         if self._yaxis is None:
@@ -407,10 +433,44 @@ class _GeomBuilder:
         height = self.prog.emit("INTERSECT_LC", self.yaxis(), circ, branch=1)
         return self._drop_to_axis(height, mp.sqrt(value))
 
+    def carlyle(self, s: int, q: int, sv, qv) -> tuple[int, int]:
+        """The larger and the smaller root of x^2 - sv x + qv: the circle on
+        the diameter from (0,1) to (sv,qv) meets the axis at both."""
+        if self._unit_y is None:
+            self._unit_y = self.prog.emit("INTERSECT_LC", self.yaxis(), self.CIRCLE, branch=1)
+        if qv == 0:
+            corner = s
+        else:
+            # (sv, qv): the perpendicular at s meets the parallel to the axis
+            # through (0, qv).
+            level = self.prog.emit("PERPENDICULAR_AT", self.yaxis(), self._lift_to_yaxis(q, qv))
+            above = self.prog.emit("PERPENDICULAR_AT", self.AXIS, s)
+            corner = self.prog.emit("INTERSECT_LL", level, above)
+        mid = self.prog.emit("MIDPOINT", self._unit_y, corner)
+        circ = self.prog.emit("CIRCLE", mid, self._unit_y)
+        larger = self.prog.emit("INTERSECT_LC", self.AXIS, circ, branch=1)
+        return larger, self.prog.emit("INTERSECT_LC", self.AXIS, circ, branch=0)
+
+
+def _node_interior(prog: ArithProgram, node: tuple) -> tuple[int, tuple[int, ...]]:
+    """The sum instruction of a node as `compile_to_arith` emits it, and the
+    four instructions that lead from it to the roots: HALF(sum),
+    MUL(half, half), SUB(square, product) and SQRT."""
+    root = node[1]
+    disc = prog.instrs[root].args[0]
+    square = prog.instrs[disc].args[0]
+    half = prog.instrs[square].args[0]
+    return prog.instrs[half].args[0], (half, square, disc, root)
+
 
 def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None) -> GeomProgram:
     """Semantically equivalent straightedge/compass program; axis points carry
     the arithmetic values.
+
+    Each node of `prog.nodes` gets its two roots from one Carlyle circle,
+    placed at its first root instruction; its HALF, half^2, discriminant and
+    SQRT are not drawn, and no other instruction may use them.  Every other
+    instruction is lowered on its own.
 
     Every branch is recorded from `values`, the instruction values that
     `arith_values(prog, precision)` computes; they are computed here when not
@@ -419,10 +479,27 @@ def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None
     if values is None:
         values = arith_values(prog, precision)
     b = _GeomBuilder()
-    loc: list[int] = []
+    loc: list[int | None] = [None] * len(prog.instrs)
+    skipped: set[int] = set()
+    circles: dict[int, tuple[int, int, int, int]] = {}  # first root -> (sum, product, left, right)
+    for node in prog.nodes:
+        sum_idx, interior = _node_interior(prog, node)
+        skipped.update(interior)
+        prod, _, left, right = node
+        circles[min(left, right)] = (sum_idx, prod, left, right)
     with mp.workprec(precision):
-        for instr in prog.instrs:
+        for i, instr in enumerate(prog.instrs):
+            if i in skipped or loc[i] is not None:  # a node's interior or second root
+                continue
+            if i in circles:
+                sum_idx, prod, left, right = circles[i]
+                larger, smaller = b.carlyle(loc[sum_idx], loc[prod], values[sum_idx], values[prod])
+                left_larger = prog.instrs[left].op == "ADD"
+                loc[left], loc[right] = (larger, smaller) if left_larger else (smaller, larger)
+                continue
             args = instr.args
+            if any(loc[a] is None for a in args):
+                raise ValueError(f"instruction {i} uses a node's interior, which is not drawn")
             if instr.op == "CONST":
                 p = b.int_const(instr.value.numerator)
                 den = instr.value.denominator
@@ -431,24 +508,26 @@ def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None
                     den //= 2
                 if den != 1:
                     raise ValueError(f"constant {instr.value} is not a dyadic fraction")
-                loc.append(p)
+                loc[i] = p
             elif instr.op == "ADD":
-                loc.append(b.add(loc[args[0]], loc[args[1]]))
+                loc[i] = b.add(loc[args[0]], loc[args[1]])
             elif instr.op == "SUB":
-                loc.append(b.sub(loc[args[0]], loc[args[1]]))
+                loc[i] = b.sub(loc[args[0]], loc[args[1]])
             elif instr.op == "HALF":
-                loc.append(b.half(loc[args[0]]))
+                loc[i] = b.half(loc[args[0]])
             elif instr.op == "MUL":
                 ka = prog.instrs[args[0]]
                 if ka.op == "CONST" and ka.value.denominator == 1 and abs(ka.value) <= _INTERCEPT_THRESHOLD:
-                    loc.append(b.scale_int(loc[args[1]], int(ka.value), values[args[1]]))
+                    loc[i] = b.scale_int(loc[args[1]], int(ka.value), values[args[1]])
                 else:
-                    loc.append(b.mul(loc[args[0]], loc[args[1]], values[args[0]], values[args[1]]))
+                    loc[i] = b.mul(loc[args[0]], loc[args[1]], values[args[0]], values[args[1]])
             elif instr.op == "SQRT":
-                loc.append(b.sqrt(loc[args[0]], values[args[0]]))
+                loc[i] = b.sqrt(loc[args[0]], values[args[0]])
             else:
                 raise ValueError(f"unknown op {instr.op}")
         for name, idx in prog.outputs.items():
+            if loc[idx] is None:
+                raise ValueError(f"output {name} is a node's interior, which is not drawn")
             b.prog.emit("POINT_ON_AXIS", loc[idx], name=name)
         b.prog.outputs = dict(prog.outputs)
     return b.prog

@@ -115,14 +115,6 @@ class Tower:
             raise ValueError("n=3 has no splits; p1 equals S")
         return g_part(1, 1, 1 << self.params.nu)
 
-    def part_values(self) -> dict[PartRef, object]:
-        """Part -> evaluated value, replayed from stored node values."""
-        values = {_root_part(self.params): mp.mpf(-1)}
-        for node in self.nodes:
-            values[node.left] = node.value_left
-            values[node.right] = node.value_right
-        return values
-
 
 def _root_part(params: FermatParams) -> PartRef:
     return f_part(1, 1) if params.ng > 1 else g_part(1, 1, 1)

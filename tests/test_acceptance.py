@@ -18,6 +18,8 @@ from ngontower.splitting import f_part, g_part, mu_groups, mu_table
 from ngontower.tower import build_tower, mu_via_linear_system
 from ngontower.verify import oracle_check_tower, pv_of_part
 
+from tower_values import part_values
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -181,7 +183,7 @@ def test_criterion_08_17gon_closed_forms():
     tower = build_tower(17, precision=128)
     tol = mp.mpf(2) ** -64
     with mp.workprec(128):
-        values = tower.part_values()
+        values = part_values(tower)
         g1 = values[g_part(1, 1, 1)]
         p_one = values[g_part(1, 1, 2)]
         p_two = values[g_part(1, 2, 2)]
@@ -293,7 +295,7 @@ def test_criterion_10_construction_pipeline(tower65537):
 
 def test_criterion_11_mu_recovery(tower257_full, tower65537, table257, table65537):
     def level_data(tower, m):
-        values = tower.part_values()
+        values = part_values(tower)
         stride = 1 << m
         by_split = {n.splits: n for n in tower.nodes}
         level = [values[f_part(j, stride)] for j in range(1, stride + 1)]

@@ -305,16 +305,29 @@ def test_compile_and_render_fail_cleanly_on_tampered_tower(change, tmp_path, cap
         assert not Path(argv[-1]).exists()
 
 
+def _unsign(node):
+    node["left_is_larger"] = None
+
+
 def test_unsigned_tower_is_a_usage_error(tmp_path, capsys):
-    tower_path = _tampered_17(tmp_path, capsys, lambda node: node.update(left_is_larger=None))
-    for argv in (
-        ["compile", "--tower", str(tower_path), "--target", "arith", "--out", str(tmp_path / "p.arith")],
-        ["render", "--tower", str(tower_path), "--out", str(tmp_path / "p.svg")],
-    ):
-        code, err = _stderr_of(capsys, argv)
-        assert code == 2
-        assert err.startswith("error: ") and "unresolved signs" in err
-        assert not Path(argv[-1]).exists()
+    # compile takes the roots in the order the stored signs give.
+    tower_path = _tampered_17(tmp_path, capsys, _unsign)
+    argv = ["compile", "--tower", str(tower_path), "--target", "arith", "--out", str(tmp_path / "p.arith")]
+    code, err = _stderr_of(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ") and "unresolved signs" in err
+    assert not Path(argv[-1]).exists()
+
+
+def test_unsigned_tower_renders_like_the_signed_one(tmp_path, capsys):
+    # render resolves the null sign from cosine sums, as verify --no-oracle does.
+    signed = tmp_path / "signed.tower"
+    run_cli(capsys, "build", "--n", "17", "--out", str(signed))
+    unsigned = _tampered_17(tmp_path, capsys, _unsign)
+    for tower_path, svg in ((signed, "signed.svg"), (unsigned, "unsigned.svg")):
+        code, _ = run_cli(capsys, "render", "--tower", str(tower_path), "--out", str(tmp_path / svg))
+        assert code == 0
+    assert (tmp_path / "unsigned.svg").read_bytes() == (tmp_path / "signed.svg").read_bytes()
 
 
 def _linear_term_repointed(node):

@@ -7,6 +7,8 @@ import pytest
 
 from ngontower.construction import (
     ArithProgram,
+    _GeomBuilder,
+    _node_interior,
     NegativeRadicand,
     append_polygon_steps,
     arith_values,
@@ -118,6 +120,87 @@ def test_lowering_simple_cases():
         assert abs(_run_simple([("CONST", 1), ("ADD", 0, 0)]) - 2) < mp.mpf(2) ** -100
         assert abs(_run_simple([("CONST", 2), ("SQRT", 0)]) - mp.sqrt(2)) < mp.mpf(2) ** -100
         assert abs(_run_simple([("CONST", 7), ("CONST", -3), ("MUL", 0, 1)]) + 21) < mp.mpf(2) ** -100
+
+
+def _node_program(s, q, left_is_larger=True) -> ArithProgram:
+    """One node as `compile_to_arith` emits it: the roots of x^2 - s x + q,
+    with the sum and the product as constants."""
+    prog = ArithProgram()
+    sum_idx = prog.emit("CONST", value=Fraction(s))
+    prod = prog.emit("CONST", value=Fraction(q))
+    half = prog.emit("HALF", sum_idx)
+    root = prog.emit("SQRT", prog.emit("SUB", prog.emit("MUL", half, half), prod))
+    bigger, smaller = prog.emit("ADD", half, root), prog.emit("SUB", half, root)
+    left, right = (bigger, smaller) if left_is_larger else (smaller, bigger)
+    prog.nodes.append((prod, root, left, right))
+    prog.outputs = {"left": left, "right": right}
+    return prog
+
+
+def _root_circles(geom) -> list[str]:
+    """The intersections with a circle centred at a MIDPOINT, by line:
+    "axis" for a Carlyle circle's roots, "other" for a semicircle's height."""
+    producer = []  # object id -> instruction
+    for instr in geom.instrs:
+        producer += [instr] * (4 if instr.op == "GIVEN_UNIT" else 1)
+    kinds = []
+    for instr in geom.instrs:
+        if instr.op == "INTERSECT_LC":
+            circle = producer[instr.args[1]]
+            if circle.op == "CIRCLE" and producer[circle.args[0]].op == "MIDPOINT":
+                kinds.append("axis" if instr.args[0] == _GeomBuilder.AXIS else "other")
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "s, q, left_is_larger, roots",
+    [(3, 0, True, (3, 0)), (1, -6, False, (-2, 3)), (0, -4, True, (2, -2)), (5, 6, True, (3, 2))],
+    ids=["q-zero", "q-negative", "s-zero", "general"],
+)
+def test_carlyle_circle_places_both_roots(s, q, left_is_larger, roots):
+    prog = _node_program(s, q, left_is_larger)
+    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    assert _root_circles(geom) == ["axis", "axis"]
+    assert not any(instr.op == "LINE" for instr in geom.instrs)  # no half^2 product
+    res = execute_geom(geom, 128)
+    with mp.workprec(128):
+        assert abs(res["left"] - roots[0]) < mp.mpf(2) ** -100
+        assert abs(res["right"] - roots[1]) < mp.mpf(2) ** -100
+
+
+def test_program_without_nodes_lowers_through_the_semicircle():
+    prog = _node_program(1, -6, left_is_larger=False)
+    prog.nodes = []
+    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    assert _root_circles(geom) == ["other"]
+    res = execute_geom(geom, 128)
+    with mp.workprec(128):
+        assert abs(res["left"] + 2) < mp.mpf(2) ** -100
+        assert abs(res["right"] - 3) < mp.mpf(2) ** -100
+
+
+def test_lowering_refuses_a_use_of_a_node_interior():
+    prog = _node_program(5, 6)
+    _, root, _, _ = prog.nodes[0]
+    prog.outputs["root"] = prog.emit("ADD", root, root)
+    with pytest.raises(ValueError, match="interior"):
+        lower_to_geom(prog, 128)
+
+
+@pytest.mark.parametrize("n, kind", [(17, "full"), (257, "full"), (65537, "pruned")])
+def test_skipped_instructions_stay_inside_their_node(n, kind, tower257_full, tower65537):
+    tower = {257: tower257_full, 65537: tower65537}.get(n) or build_tower(n, kind)
+    prog = compile_to_arith(tower)
+    owner = {}  # skipped instruction -> the instructions of its node
+    for node in prog.nodes:
+        _, interior = _node_interior(prog, node)
+        own = {*interior, node[2], node[3]}
+        owner.update((i, own) for i in interior)
+    assert len(owner) == 4 * len(tower.nodes)
+    for i, instr in enumerate(prog.instrs):
+        for arg in instr.args:
+            assert arg not in owner or i in owner[arg], (i, instr)
+    assert not owner.keys() & set(prog.outputs.values())
 
 
 def test_unit_circle_axis_intersections():
@@ -252,10 +335,24 @@ def test_svg_zoomed_sector(tower65537):
     assert svg.count("circle") >= 64
 
 
+@pytest.mark.parametrize("n", [3, 5, 17, 257])
+@pytest.mark.parametrize("kind", ["full", "pruned"])
+def test_geom_cos_point_within_tolerance(n, kind, tower257_full):
+    tower = tower257_full if (n, kind) == (257, "full") else build_tower(n, kind)
+    prog = compile_to_arith(tower)
+    geom = lower_to_geom(prog, tower.precision, arith_values(prog, tower.precision))
+    res = execute_geom(geom, tower.precision)
+    with mp.workprec(tower.precision):
+        err = abs(res["cos"] - mp.cos(2 * mp.pi / n))
+        assert err <= mp.mpf(2) ** -(tower.precision // 2)
+
+
 def test_geom_65537_matches_cosine(tower65537):
-    # The full geometric pipeline holds up at depth 15 and 512 bits.
+    # The full geometric pipeline holds up at depth 15 and 512 bits, and a
+    # Carlyle circle per node keeps the construction short.
     prog = compile_to_arith(tower65537)
     geom = lower_to_geom(prog, 512, arith_values(prog, 512))
+    assert len(geom.instrs) <= 46_000
     res = execute_geom(geom, 512)
     with mp.workprec(512):
         assert abs(res["cos"] - mp.cos(2 * mp.pi / 65537)) < mp.mpf(2) ** -256

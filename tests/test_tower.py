@@ -18,6 +18,8 @@ from ngontower.tower import (
     resolve_signs,
 )
 
+from tower_values import part_values
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -103,7 +105,7 @@ def test_signs_65537_step3(tower65537):
 
 def test_values_match_closed_forms(tower257_full):
     with mp.workprec(128):
-        values = tower257_full.part_values()
+        values = part_values(tower257_full)
         f12 = values[f_part(1, 2)]
         assert abs(f12 - (-1 + mp.sqrt(257)) / 2) < mp.mpf(2) ** -120
         # Digits frozen from the direct cosine sum over the 64 pairs of F(1,2).
@@ -114,7 +116,7 @@ def test_values_match_closed_forms(tower257_full):
 def test_17_closed_forms():
     tower = build_tower(17)
     with mp.workprec(128):
-        values = tower.part_values()
+        values = part_values(tower)
         g1 = values[g_part(1, 1, 1)]
         assert abs(g1 - (-1 + mp.sqrt(17)) / 2) < mp.mpf(2) ** -120
         p1, p2 = values[g_part(1, 1, 2)], values[g_part(1, 2, 2)]
@@ -175,7 +177,7 @@ def test_roundtrip(n, kind, tmp_path):
 
 
 def _level_values_and_products(tower, m):
-    values = tower.part_values()
+    values = part_values(tower)
     stride = 1 << m
     level = [values[f_part(j, stride)] for j in range(1, stride + 1)]
     by_split = {n.splits: n for n in tower.nodes}
