@@ -1,58 +1,58 @@
 """Exact integer arithmetic in the span of the pairs p_k = z^k + z^(n-k).
 
 This is the brute-force referee for every symbolic identity in the engine.
-A product is the exact cyclic convolution of the two vectors embedded in
-Z[z]/(z^n - 1), with p_k at z^k and z^(n-k) and the constant at z^0.  The
-convolution uses no invariant-set structure, so its results are independent
-of the fast symbolic path.  Small products scatter every pair product
-directly; large ones go through a floating-point FFT rounded to integers.
-Each route has an exactness guard, and a product either guard refuses is
-expanded over Python integers with the two-pair rule
+A product applies the two-pair rule
 
     p_k * p_m = p_|k-m| + p_min(k+m, n-(k+m))      (k != m)
     p_k * p_k = p_min(2k, n-2k) + 2
 
-which stays the reference definition (`pair_product`, `_pair_mul_bigint`).
+to every pair of nonzero coefficients, with the constants distributed
+exactly.  It uses no invariant-set structure, so its results are independent
+of the fast symbolic path.  Small products scatter every pair product
+directly; large ones compute the rule's correlation and convolution of the
+two pair vectors by a floating-point FFT rounded to integers.  Each route has
+an exactness guard, and a product either guard refuses is expanded over
+Python integers, which stays the reference definition (`pair_product`,
+`_pair_mul_bigint`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VerificationError
-from .invariant_sets import InvariantSetTable
-from .period_algebra import SetCombination
 from .residues import FermatParams, pair_of
 
 # Largest |coefficient| budget for the int64 path; beyond this the
 # pure-Python big-integer path is used so results stay exact.
 _INT64_SAFE = 1 << 52
 
-# Exactness guard of the FFT route.  Percival's bound for an FFT product of
-# length L = 2^k in float64 (eps = 2^-53, twiddle error taken as eps) is
+# Exactness guard of the FFT route.  Percival's bound for a cyclic
+# convolution of length L = 2^k by FFT in float64 (eps = 2^-53, twiddle
+# error taken as eps) is
 #     |error| < |x|_2 |y|_2 ((1+eps)^3k (1+eps*sqrt5)^(3k+1) (1+eps)^3k - 1),
-# below 3.5e-14 |x|_2 |y|_2 for k <= 24.  As |.|_2 <= |.|_1, a product with
-# |A|_1 |B|_1 <= 2^42 has each linear coefficient off by less than 0.16, and
-# each folded one, a sum of two, by less than 0.32, so rounding is exact.
-# numpy's transform is not the radix-2 one the bound is proved for, so the
-# rounding residual of every result is checked as well.
+# below 3.5e-14 |x|_2 |y|_2 for k <= 24.  The route transforms the pair
+# coefficients alone, whose |.|_1 is at most half the embedding's |A|_1, so
+# |A|_1 |B|_1 <= 2^42 gives |x|_2 |y|_2 <= |x|_1 |y|_1 <= 2^40.  The
+# correlation is the convolution with y reversed, of the same norm.  Each of
+# the four terms a pair coefficient collects (two of the convolution, two of
+# the correlation) is then off by less than 0.04, their sum by less than
+# 0.16, so rounding is exact.  numpy's transform is not the radix-2 one the
+# bound is proved for, so the rounding residual of every result is checked
+# as well.
 _FFT_SAFE = 1 << 42
 _FFT_MAX_LENGTH = 1 << 24
 
-# Size rule: a product with more than this many pair products per FFT point,
-# nnz(a) * nnz(b) > _FFT_PAIRS_PER_POINT * L, takes the FFT route.  Measured
-# on 0/1 vectors (2-vCPU x86-64, numpy 2.4): at n = 257 (L = 2^10) 4096 = 4L
-# pair products take 0.08 ms direct and 0.09 ms by FFT, 16L take 0.20 ms
-# and 0.10 ms; at n = 65537 (L = 2^18) 2L take 14 ms and 16 ms, 4L 29 ms and
-# 13 ms.  The whole 65537 oracle pass took 3.3-4.1 s with 4 and 2.7-4.0 s
-# with 1, 2 or 8, a difference the host's noise hides; 4 keeps every product
-# at n <= 257, where the routes are level, on the direct route.
-_FFT_PAIRS_PER_POINT = 4
-
-
-class NotSetUniform(VerificationError):
-    """A vector claimed to be a sum of invariant sets has unequal coefficients
-    inside some set."""
+# Size rule: a product with nnz(a) * nnz(b) > max(2L, 2^13) pair products,
+# L the FFT length, takes the FFT route.  Measured on 0/1 vectors (2-vCPU
+# x86-64, numpy 2.4, best of 5 or 20 runs): at n = 65537 (L = 2^16) 2^17
+# pair products take 3.8 ms direct and 5.0 ms by FFT, 2^18 take 7.5 and
+# 4.1 ms, 2^20 29 and 3.9 ms; at n = 257 (L = 2^8) 2^12 take 0.07 and
+# 0.09 ms, 2^13 0.12 and 0.09 ms.  2L caps the direct route's temporaries
+# at 2^17 entries (1 MB each); the floor keeps every product of a tower at
+# n <= 257 (at most 2^12 pair products) on the direct route, so small
+# builds never load numpy.fft.
+_FFT_PAIRS_PER_POINT = 2
+_DIRECT_FLOOR = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,8 @@ class PeriodVector:
             raise ValueError(f"mixed moduli {self.n} and {other.n}")
 
     def nonzero_pairs(self) -> np.ndarray:
-        return np.nonzero(self.coeffs)[0]
-
-
-def pv_zero(params: FermatParams) -> PeriodVector:
-    return PeriodVector(params.n, 0, np.zeros(params.npairs + 1, dtype=np.int64))
+        # numpy scans a bool mask about five times faster than int64 values.
+        return np.nonzero(self.coeffs != 0)[0]
 
 
 def pv_from_pairs(pairs, params: FermatParams, constant: int = 0) -> PeriodVector:
@@ -107,13 +104,6 @@ def pv_from_pairs(pairs, params: FermatParams, constant: int = 0) -> PeriodVecto
         raise ValueError(f"pair number {bad[0]} out of range [1, {params.npairs}]")
     coeffs = np.bincount(idx, minlength=params.npairs + 1).astype(np.int64, copy=False)
     return PeriodVector(params.n, constant, coeffs)
-
-
-def pv_s(params: FermatParams) -> PeriodVector:
-    """The full sum S = p_1 + ... + p_npairs (value -1)."""
-    coeffs = np.ones(params.npairs + 1, dtype=np.int64)
-    coeffs[0] = 0
-    return PeriodVector(params.n, 0, coeffs)
 
 
 def pair_product(k: int, m: int, n: int) -> PeriodVector:
@@ -135,7 +125,7 @@ def pv_mul(a: PeriodVector, b: PeriodVector) -> PeriodVector:
     a._check(b)
     ai = a.nonzero_pairs()
     bi = b.nonzero_pairs()
-    if ai.size * bi.size <= _FFT_PAIRS_PER_POINT * _fft_length(a.n):
+    if ai.size * bi.size <= max(_FFT_PAIRS_PER_POINT * _fft_length(a.n), _DIRECT_FLOOR):
         product = _mul_direct(a, b, ai, bi)
     else:
         product = _mul_fft(a, b, ai, bi)
@@ -143,25 +133,30 @@ def pv_mul(a: PeriodVector, b: PeriodVector) -> PeriodVector:
 
 
 def _fft_length(n: int) -> int:
-    """Smallest power of two that holds the linear convolution, >= 2n - 1."""
-    return 1 << (2 * n - 2).bit_length()
+    """Smallest power of two that holds the linear convolution of the pair
+    coefficients p_1 .. p_h (h = (n-1)/2): >= 2h - 1 = n - 2."""
+    return 1 << (n - 3).bit_length()
 
 
 def _l1(v: PeriodVector, idx) -> int:
     """|A|_1 of the embedding A of v, exactly: |constant| + 2 * sum |c_k|.
 
     Every coefficient of a product, and every partial sum either route
-    forms, is at most |A|_1 |B|_1 in magnitude.
+    forms, is at most |A|_1 |B|_1 in magnitude.  The sum is taken in int64
+    when max |c_k| * nnz < 2^61 bounds it, else over Python integers.
     """
-    return abs(int(v.constant)) + 2 * int(np.abs(v.coeffs[idx]).astype(object).sum())
+    c = v.coeffs[idx]
+    if c.dtype == object or (c.size and max(int(c.max()), -int(c.min())) * c.size >= 1 << 61):
+        c = c.astype(object, copy=False)
+    return abs(int(v.constant)) + 2 * int(np.abs(c).sum())
 
 
 def _mul_direct(a, b, ai, bi):
     """Small products: scatter every pair product by the two-pair rule.
 
-    `pv_mul` sends a product here only when nnz(a) nnz(b) <= 4L, L the FFT
-    length: at most 2^20 pair products at n = 65537 (L = 2^18), so the
-    temporaries are at most 8 MB each and are built in one pass.
+    `pv_mul` sends a product here only when nnz(a) nnz(b) <= max(2L, 2^13),
+    L the FFT length: at most 2^17 pair products at n = 65537 (L = 2^16), so
+    the temporaries are at most 1 MB each and are built in one pass.
 
     Returns None when the float64 sums of bincount, and int64, might not hold
     the result exactly.
@@ -169,54 +164,67 @@ def _mul_direct(a, b, ai, bi):
     if _l1(a, ai) * _l1(b, bi) >= 2 * _INT64_SAFE:
         return None
     n = a.n
-    ac = a.coeffs.astype(np.int64, copy=False)
-    bc = b.coeffs.astype(np.int64, copy=False)
+    size = a.coeffs.shape[0]
     k = ai[:, None]
-    vals = (ac[k] * bc[bi]).ravel()
+    d = k - bi
+    np.abs(d, out=d)
     s = k + bi
     np.minimum(s, n - s, out=s)
+    # Indicator vectors, the factors of every product a tower check makes,
+    # need no weights: bincount then counts in int64.
+    ca, cb = a.coeffs[ai], b.coeffs[bi]
+    unit = (ca == 1).all() and (cb == 1).all()
+    vals = None if unit else (ca[:, None] * cb).astype(np.int64, copy=False).ravel()
     # A squared pair has d = 0 and lands in the unused slot 0: it stands for
     # z^0 + z^-0, that is 2 on the constant.
-    out = np.bincount(np.abs(k - bi).ravel(), weights=vals, minlength=ac.shape[0])
-    out += np.bincount(s.ravel(), weights=vals, minlength=ac.shape[0])
-    pairs = out.astype(np.int64)
-    const = 2 * int(pairs[0])
-    pairs[0] = 0
-    coeffs = pairs + a.constant * bc + b.constant * ac
-    return PeriodVector(n, const + a.constant * b.constant, coeffs)
+    out = np.bincount(d.ravel(), weights=vals, minlength=size)
+    out += np.bincount(s.ravel(), weights=vals, minlength=size)
+    return _with_constants(a, b, out.astype(np.int64, copy=False))
 
 
 def _mul_fft(a, b, ai, bi):
-    """Large products: linear convolution by real FFT, folded mod z^n - 1.
+    """Large products: the two-pair rule by real FFT in the pair basis.
+
+    With x_i = a_(i+1) and y_i = b_(i+1) (i = 0 .. h-1), a pair product
+    a_k b_m lands at |k - m| through the correlation of x and y and at
+    k + m, folded to n - (k + m) above h, through their convolution; the
+    correlation at 0 counts the squared pairs.  Both are linear, of length
+    2h - 1, so a cyclic transform of length L >= n - 2 holds them unfolded.
 
     Returns None when the a-priori bound or the rounding residual cannot
     vouch for an exact result.
     """
     n = a.n
+    half = (n - 1) // 2
     length = _fft_length(n)
     if _l1(a, ai) * _l1(b, bi) > _FFT_SAFE or length > _FFT_MAX_LENGTH:
         return None
-    linear = np.fft.irfft(
-        np.fft.rfft(_embed(a, ai), length) * np.fft.rfft(_embed(b, bi), length), length
-    )
-    half = (n - 1) // 2
-    cyclic = linear[: half + 1] + linear[n : n + half + 1]
-    rounded = np.rint(cyclic)
-    if np.abs(cyclic - rounded).max() >= 0.25:
+    fa = np.fft.rfft(a.coeffs[1:].astype(np.float64), length)
+    fb = np.fft.rfft(b.coeffs[1:].astype(np.float64), length)
+    conv = np.fft.irfft(fa * fb, length)
+    corr = np.fft.irfft(fa * fb.conj(), length)
+    linear = np.zeros(half + 1)
+    linear[:half] = corr[:half]  # k - m = j >= 0
+    linear[1:half] += corr[: length - half : -1]  # k - m = -j, stored at L - j
+    linear[2:] += conv[: half - 1]  # k + m = j, stored at j - 2
+    linear[1:] += conv[half - 1 : 2 * half - 1][::-1]  # k + m = n - j
+    rounded = np.rint(linear)
+    if np.abs(linear - rounded).max() >= 0.25:
         return None
-    coeffs = rounded.astype(np.int64)
-    const = int(coeffs[0])
-    coeffs[0] = 0
-    return PeriodVector(n, const, coeffs)
+    return _with_constants(a, b, rounded.astype(np.int64))
 
 
-def _embed(v: PeriodVector, idx) -> np.ndarray:
-    """v as a float64 coefficient array of length n over z^0 .. z^(n-1)."""
-    x = np.zeros(v.n)
-    x[0] = v.constant
-    x[idx] = v.coeffs[idx]
-    x[v.n - idx] = v.coeffs[idx]
-    return x
+def _with_constants(a, b, pairs):
+    """a * b from the product of their pair parts, `pairs` (int64, slot 0
+    counting the squared pairs): the constants' terms are added exactly in
+    int64, which the callers' guards bound."""
+    const = 2 * int(pairs[0]) + a.constant * b.constant
+    pairs[0] = 0
+    if a.constant:
+        pairs += a.constant * b.coeffs.astype(np.int64, copy=False)
+    if b.constant:
+        pairs += b.constant * a.coeffs.astype(np.int64, copy=False)
+    return PeriodVector(a.n, const, pairs)
 
 
 def _mul_bigint(a, b, ai, bi):
@@ -261,29 +269,3 @@ def _pair_mul_bigint(a, b, ai, bi, n):
     return const, out
 
 
-def decompose_into_sets(v: PeriodVector, table: InvariantSetTable) -> SetCombination:
-    """Rewrite v as constant + sum of whole invariant sets.
-
-    Raises NotSetUniform when some set carries unequal pair coefficients,
-    which signals a violated decomposition claim.
-    """
-    params = table.params
-    if v.n != params.n:
-        raise ValueError("table and vector moduli differ")
-    coeffs = []
-    for k, row in enumerate(table.sets, start=1):
-        vals = {int(v.coeffs[p]) for p in row}
-        if len(vals) != 1:
-            raise NotSetUniform(f"set {k} has mixed pair coefficients {sorted(vals)}")
-        coeffs.append(vals.pop())
-    return SetCombination(ng=params.ng, constant=v.constant, coeffs=tuple(coeffs))
-
-
-def combination_to_pv(c: SetCombination, table: InvariantSetTable) -> PeriodVector:
-    """Expand a set combination back to the pair basis."""
-    coeffs = np.zeros(table.params.npairs + 1, dtype=np.int64)
-    for k, ck in enumerate(c.coeffs, start=1):
-        if ck:
-            for p in table.sets[k - 1]:
-                coeffs[p] += ck
-    return PeriodVector(table.params.n, c.constant, coeffs)

@@ -32,18 +32,34 @@ def pv_of_part(part: PartRef, table: InvariantSetTable) -> PeriodVector:
     return pv_from_pairs(part_pairs(part, table), table.params)
 
 
-def combo_as_pv_doubled(combo: LinearCombo, table: InvariantSetTable) -> PeriodVector:
+class _PartPairs(dict):
+    """Part -> its pair numbers (`part_pairs`), each part expanded once."""
+
+    def __init__(self, table: InvariantSetTable):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, part: PartRef) -> np.ndarray:
+        pairs = self[part] = part_pairs(part, self.table)
+        return pairs
+
+
+def combo_as_pv_doubled(
+    combo: LinearCombo, table: InvariantSetTable, pairs: _PartPairs | None = None
+) -> PeriodVector:
     """2 * combo expanded over the pair basis: its coefficients, which count
     halves, as they stand.
 
     The linear terms are scattered in one pass over their concatenated pair
-    numbers, accumulating in int64; each square goes through `pv_mul`.
+    numbers (read from `pairs`, the expansions of a pass, when given),
+    accumulating in int64; each square goes through `pv_mul`.
     """
-    pairs = [part_pairs(p, table) for _, p in combo.linear]
+    pairs = _PartPairs(table) if pairs is None else pairs
+    terms = [pairs[p] for _, p in combo.linear]
     coeffs = np.asarray([c for c, _ in combo.linear], dtype=np.int64)
     acc = np.zeros(table.params.npairs + 1, dtype=np.int64)
-    if pairs:
-        np.add.at(acc, np.concatenate(pairs), np.repeat(coeffs, [len(pp) for pp in pairs]))
+    if terms:
+        np.add.at(acc, np.concatenate(terms), np.repeat(coeffs, [len(t) for t in terms]))
     result = PeriodVector(table.params.n, combo.constant, acc)
     for c, p in combo.squares:
         pvp = pv_of_part(p, table)
@@ -62,9 +78,9 @@ def _normalize_mod_s(v: PeriodVector) -> PeriodVector:
     return PeriodVector(v.n, v.constant - t, coeffs)
 
 
-def oracle_check_node(node, table: InvariantSetTable) -> None:
+def oracle_check_node(node, table: InvariantSetTable, pairs: _PartPairs | None = None) -> None:
     lhs = pv_mul(pv_of_part(node.left, table), pv_of_part(node.right, table)).scaled(2)
-    rhs = combo_as_pv_doubled(node.product_expr, table)
+    rhs = combo_as_pv_doubled(node.product_expr, table, pairs)
     # Expressions may carry the uniform part of the product folded into the
     # constant via S = -1, so compare representatives modulo that relation.
     if _normalize_mod_s(lhs) != _normalize_mod_s(rhs):
@@ -78,9 +94,11 @@ def oracle_check_node(node, table: InvariantSetTable) -> None:
 
 
 def oracle_check_tower(tower: Tower) -> int:
-    """Exact check of every node; returns how many were checked."""
+    """Exact check of every node; returns how many were checked.  Each part
+    a product expression names is expanded once for the pass."""
+    pairs = _PartPairs(tower.table)
     for node in tower.nodes:
-        oracle_check_node(node, tower.table)
+        oracle_check_node(node, tower.table, pairs)
     return len(tower.nodes)
 
 

@@ -11,13 +11,14 @@ import mpmath as mp
 import pytest
 
 from ngontower import reference_tables as ref
-from ngontower.oracle import decompose_into_sets, pv_mul, pv_s
+from ngontower.oracle import pv_mul
 from ngontower.period_algebra import set_product, set_square, shift_combination
 from ngontower.residues import FermatParams, doubling_orbit, rho
 from ngontower.splitting import f_part, g_part, mu_groups, mu_table
 from ngontower.tower import build_tower, mu_via_linear_system
 from ngontower.verify import oracle_check_tower, pv_of_part
 
+from oracle_helpers import decompose_into_sets, pv_s
 from tower_values import part_values
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -4,19 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngontower import oracle
+from ngontower.invariant_sets import build_invariant_sets
 from ngontower.oracle import (
-    NotSetUniform,
     PeriodVector,
+    _l1,
     _mul_direct,
     _mul_fft,
     _pair_mul_bigint,
-    decompose_into_sets,
     pair_product,
     pv_from_pairs,
     pv_mul,
-    pv_s,
-    pv_zero,
 )
+from ngontower.residues import FermatParams
+from ngontower.tower import build_schedule
+from ngontower.verify import oracle_check_tower, pv_of_part
+
+from oracle_helpers import NotSetUniform, decompose_into_sets, pv_s, pv_zero
 
 
 def pv(pairs, params, constant=0):
@@ -241,3 +244,45 @@ def test_fft_residual_guard_falls_back(params257, monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
     assert _mul_fft(a, b, ai, bi) is None
     assert pv_mul(a, b) == expected
+
+
+@pytest.mark.parametrize("kind", ["full", "pruned"])
+@pytest.mark.parametrize("n", [3, 5, 17, 257])
+def test_small_oracle_passes_stay_direct(n, kind, monkeypatch):
+    # Small builds never pay for the FFT route (or for importing numpy.fft).
+    calls = []
+    fft = oracle._mul_fft
+    monkeypatch.setattr(oracle, "_mul_fft", lambda *args: calls.append(args) or fft(*args))
+    params = FermatParams.from_n(n)
+    tower = build_schedule(params, build_invariant_sets(params), kind)
+    assert oracle_check_tower(tower) == len(tower.nodes)
+    assert calls == []
+
+
+def test_routes_agree_on_a_65537_node(params65537, table65537):
+    nodes = build_schedule(params65537, table65537, "pruned").nodes
+    a, b = next(
+        (a, b)
+        for a, b in ((pv_of_part(x.left, table65537), pv_of_part(x.right, table65537)) for x in nodes)
+        if 1 << 17 < a.nonzero_pairs().size * b.nonzero_pairs().size <= 1 << 20
+    )
+    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
+    direct = _mul_direct(a, b, ai, bi)
+    assert direct is not None and direct == _mul_fft(a, b, ai, bi) == pv_mul(a, b)
+
+
+@pytest.mark.parametrize(
+    "terms, dtype",
+    [
+        ({k: (-1) ** k * (k << 36) for k in range(1, 9)}, np.int64),
+        ({k: (-1) ** k * (k << 36) for k in range(1, 9)}, object),
+        # max |c| * nnz >= 2^61: an int64 sum would wrap, so only the
+        # Python-integer fallback is exact.
+        ({1: 1 << 62, 2: -(1 << 62), 3: 1 << 62, 4: -(1 << 63)}, np.int64),
+    ],
+    ids=["int64", "object", "past-int64"],
+)
+def test_l1_is_the_exact_sum(terms, dtype):
+    v = vector(17, -7, terms)
+    v = PeriodVector(17, v.constant, v.coeffs.astype(dtype))
+    assert _l1(v, v.nonzero_pairs()) == 7 + 2 * sum(abs(c) for c in terms.values())

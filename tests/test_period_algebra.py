@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from ngontower.oracle import combination_to_pv, pv_from_pairs, pv_mul
+from ngontower.oracle import pv_from_pairs, pv_mul
 from ngontower.period_algebra import set_product, set_square, shift_combination
 from ngontower.residues import rho
+
+from oracle_helpers import combination_to_pv
 
 
 def oracle_product(i, j, table):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngontower.oracle import PeriodVector, pv_mul, pv_s, pv_zero
+from ngontower.oracle import PeriodVector, pv_mul
 from ngontower.splitting import (
     LinearCombo,
     f_part,
@@ -20,6 +20,8 @@ from ngontower.splitting import (
 )
 from ngontower.tower import build_schedule
 from ngontower.verify import combo_as_pv_doubled, pv_of_part
+
+from oracle_helpers import pv_s, pv_zero
 
 
 def test_part_members_examples(table257, table65537):
