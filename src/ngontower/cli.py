@@ -157,6 +157,10 @@ def cmd_render(args) -> int:
     from .towerfile import load_tower
     from .verify import verify_tower
 
+    if args.max_vertices < 0:
+        raise UsageError(
+            f"--max-vertices must be 0 (all) or a positive count, got {args.max_vertices}"
+        )
     tower = load_tower(args.tower)
     verify_tower(tower, oracle=False)
     svg = emit_svg(tower, max_vertices=args.max_vertices)

@@ -10,6 +10,15 @@ A node's product expression is compiled with one scaling per distinct
 coefficient: its terms are grouped by |coefficient|, each group is summed and
 then scaled once.
 
+Partial sums are shared across the nodes of a step.  A group's linear terms
+are written relative to the offset of the node's split, and `sharing.Lines`
+runs Paar's greedy once per distinct pattern: the two-term shapes that recur
+become derived terms.  Each concrete sum, an ADD or SUB of the terms at
+offsets p and p + d, is emitted once, at its first use, and every later node
+that needs it reuses it.  At n = 65537 (factor 3) this cuts the ADD and SUB
+instructions by a third, 35,146 to 23,860; no shape repeats at n <= 257,
+whose programs are as before.
+
 Signed lengths are represented as directed segments on the x axis through the
 circle center: the value v lives at the point (v, 0).  Each tower node, as
 `ArithProgram.nodes` marks it, is lowered to a Carlyle circle: the circle on
@@ -20,14 +29,15 @@ Every other square root (sin, and every SQRT of a program without `nodes`)
 uses the semicircle rule (perpendicular height over a diameter split into D
 and 1); products of two general lengths use the intercept construction;
 integer scalings up to 64 are lowered as repeated additions (binary doubling
-chains of compass transfers).  At n = 65537 (pruned) the program has 43,745
-steps.
+chains of compass transfers).  At n = 65537 (pruned, factor 3) the program
+has 32,459 steps.
 
 Every intersection branch is recorded at lowering time from the instruction
 values that `arith_values` computes, so geometric execution never re-decides
 a choice.
 """
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -35,7 +45,8 @@ from typing import NamedTuple
 import mpmath as mp
 
 from .errors import VerificationError
-from .splitting import LinearCombo
+from .sharing import Lines
+from .splitting import LinearCombo, PartRef
 from .tower import Tower, _root_part
 
 _INTERCEPT_THRESHOLD = 64
@@ -107,12 +118,15 @@ def arith_values(prog: ArithProgram, precision: int) -> list:
 
 
 class _ArithBuilder:
-    """Emits instructions, one CONST per distinct constant."""
+    """Emits instructions, one CONST per distinct constant and one ADD or SUB
+    per distinct shared sum (a derived line's term, see `sharing`)."""
 
     def __init__(self):
         self.prog = ArithProgram()
         self.emit = self.prog.emit
         self._const_cache: dict[int, int] = {}
+        self.lines = Lines()
+        self._sums: dict[tuple[int, int], int] = {}  # (derived line, offset) -> instruction
 
     def const(self, halves: int) -> int:
         """The CONST instruction for halves / 2."""
@@ -121,15 +135,37 @@ class _ArithBuilder:
             idx = self._const_cache[halves] = self.emit("CONST", value=Fraction(halves, 2))
         return idx
 
-    def combo(self, expr: LinearCombo, refs: dict) -> int:
-        """The expression with one scaling per distinct |coefficient|: the
-        terms (linear, then squares) are grouped by |halves| in order of
-        first appearance, each group is summed with its positive terms first
-        and scaled once, and the groups are added to the constant, or to the
-        first group when the constant is 0."""
+    def _term(self, line: int, offset: int, refs: dict) -> int:
+        """The instruction of a line's term at `offset` (mod the stride, in
+        1..stride); a derived sum is emitted at its first use."""
+        key = self.lines.keys[line]
+        offset = (offset - 1) % key[-1] + 1
+        if len(key) == 3:
+            return refs[PartRef(key[0], offset, key[2], key[1])]
+        idx = self._sums.get((line, offset))
+        if idx is None:
+            first, second, d, opposite, _ = key
+            a, b = self._term(first, offset, refs), self._term(second, offset + d, refs)
+            idx = self._sums[line, offset] = self.emit("SUB" if opposite else "ADD", a, b)
+        return idx
+
+    def combo(self, expr: LinearCombo, refs: dict, origin: int) -> int:
+        """The expression with shared sums and one scaling per distinct
+        |coefficient|: the terms (linear, then squares) are grouped by
+        |halves| in order of first appearance, a group's linear terms share
+        sums by `Lines.plan` (offsets taken relative to `origin`, the offset
+        of the node's split), each group is summed with its positive terms
+        first and scaled once, and the groups are added to the constant, or
+        to the first group when the constant is 0."""
+        linear, pattern = expr.linear, []
+        for h, p in linear:  # flat: a tuple per term would linger on the tuple free list
+            pattern += (h, p.kind, p.set_index, p.stride, (p.offset - origin) % p.stride)
         groups: dict[int, list[tuple[bool, int]]] = {}
-        for halves, part in expr.linear:
-            groups.setdefault(abs(halves), []).append((halves < 0, refs[part]))
+        for c, terms in self.lines.plan(tuple(pattern)):
+            groups[c] = [
+                (neg, refs[linear[src][1]] if src >= 0 else self._term(line, origin + r, refs))
+                for neg, src, line, r in terms
+            ]
         for halves, part in expr.squares:
             base = refs[part]
             groups.setdefault(abs(halves), []).append((halves < 0, self.emit("MUL", base, base)))
@@ -172,7 +208,7 @@ def compile_to_arith(tower: Tower) -> ArithProgram:
         if node.left_is_larger is None:
             raise ValueError("tower signs must be resolved before compiling")
         sum_idx = refs[node.splits]
-        prod_idx = b.combo(node.product_expr, refs)
+        prod_idx = b.combo(node.product_expr, refs, node.splits.offset)
         half = b.emit("HALF", sum_idx)
         disc = b.emit("SUB", b.emit("MUL", half, half), prod_idx)
         root_idx = b.emit("SQRT", disc)
@@ -554,8 +590,6 @@ def append_polygon_steps(geom: GeomProgram, count: int) -> None:
 
 
 def dump_arith(prog: ArithProgram, path: str) -> None:
-    import json
-
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "ngontower-arith", "version": 1, "outputs": prog.outputs}) + "\n")
         for instr in prog.instrs:
@@ -565,25 +599,7 @@ def dump_arith(prog: ArithProgram, path: str) -> None:
             fh.write(json.dumps(d) + "\n")
 
 
-def load_arith(path: str) -> ArithProgram:
-    import json
-
-    prog = ArithProgram()
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "ngontower-arith":
-            raise ValueError(f"{path} is not an arithmetic program")
-        prog.outputs = {k: int(v) for k, v in header["outputs"].items()}
-        for line in fh:
-            d = json.loads(line)
-            value = Fraction(*d["value"]) if "value" in d else None
-            prog.emit(d["op"], *d["args"], value=value)
-    return prog
-
-
 def dump_geom(prog: GeomProgram, path: str) -> None:
-    import json
-
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "ngontower-geom", "version": 1, "outputs": prog.outputs}) + "\n")
         for instr in prog.instrs:
@@ -598,8 +614,6 @@ def dump_geom(prog: GeomProgram, path: str) -> None:
 
 
 def load_geom(path: str) -> GeomProgram:
-    import json
-
     prog = GeomProgram()
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -657,39 +671,22 @@ def emit_svg(tower: Tower, max_vertices: int = 0, viewport: int = 800) -> str:
     if full:
         scale = half * 0.9
         cx = cy = half
-
-        def txy(p):
-            return f"{fmt(cx + scale * p[0])},{fmt(cy - scale * p[1])}"
-
-        lines.append(
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(scale)}" fill="none" '
-            'stroke="#bbbbbb" stroke-width="1"/>'
-        )
-        pts = " ".join(txy(p) for p in verts)
-        lines.append(
-            f'<polygon points="{pts}" fill="none" stroke="#003366" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<circle cx="{fmt(cx + scale)}" cy="{fmt(cy)}" r="3" fill="#cc0000"/>'
-        )
     else:
         # Zoom onto the arc covered by the drawn vertices, around (1, 0).
         span = max(2 * mp.pi * count / n, mp.mpf(1e-6))
         scale = half * 0.9 * float(0.6 / span)
         cx, cy = half - scale + half * 0.45, half
-
-        def txy(p):
-            return f"{fmt(cx + scale * p[0])},{fmt(cy - scale * p[1])}"
-
-        lines.append(
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(scale)}" fill="none" '
-            'stroke="#bbbbbb" stroke-width="1"/>'
-        )
-        pts = " ".join(txy(p) for p in verts)
-        lines.append(
-            f'<polyline points="{pts}" fill="none" stroke="#003366" stroke-width="1"/>'
-        )
-        for p in verts:
-            lines.append(f'<circle cx="{txy(p).split(",")[0]}" cy="{txy(p).split(",")[1]}" r="2" fill="#cc0000"/>')
+    xy = [(fmt(cx + scale * x), fmt(cy - scale * y)) for x, y in verts]
+    pts = " ".join(f"{x},{y}" for x, y in xy)
+    lines += [
+        f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(scale)}" fill="none" '
+        'stroke="#bbbbbb" stroke-width="1"/>',
+        f'<{"polygon" if full else "polyline"} points="{pts}" fill="none" stroke="#003366" '
+        'stroke-width="1"/>',
+    ]
+    if full:
+        lines.append(f'<circle cx="{fmt(cx + scale)}" cy="{fmt(cy)}" r="3" fill="#cc0000"/>')
+    else:
+        lines += [f'<circle cx="{x}" cy="{y}" r="2" fill="#cc0000"/>' for x, y in xy]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

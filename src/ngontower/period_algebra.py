@@ -12,7 +12,6 @@ from itertools import compress
 
 from .errors import UsageError
 from .invariant_sets import InvariantSetTable
-from .residues import rho
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,6 @@ class SetCombination:
         coeffs = self.coeffs
         return [(i + 1, coeffs[i]) for i in compress(range(self.ng), coeffs)]
 
-    def coeff_sum(self) -> int:
-        return sum(self.coeffs)
 
 
 def _classify_products(fixed_pair: int, other_pairs, table: InvariantSetTable):
@@ -76,15 +73,3 @@ def set_product(i: int, j: int, table: InvariantSetTable) -> SetCombination:
 
 def set_square(i: int, table: InvariantSetTable) -> SetCombination:
     return set_product(i, i, table)
-
-
-def shift_combination(c: SetCombination, s: int, table: InvariantSetTable) -> SetCombination:
-    """Renumber every set k to rho(k+s, ng); the constant is unchanged."""
-    if s < 0:
-        raise ValueError("shift height must be nonnegative")
-    ng = table.params.ng
-    out = [0] * ng
-    for k, ck in enumerate(c.coeffs, start=1):
-        if ck:
-            out[rho(k + s, ng) - 1] += ck
-    return SetCombination(ng=ng, constant=c.constant, coeffs=tuple(out))

@@ -31,22 +31,6 @@ def pair_of(e: int, n: int) -> int:
     return min(e, n - e)
 
 
-def doubling_orbit(start: int, n: int) -> tuple[int, ...]:
-    """Orbit of an element degree under doubling mod n, up to first repetition.
-
-    For Fermat-prime n the orbit always has length 2^(nu+1) and its m-th entry
-    is inverse (mod n) to the (2^nu + m)-th.
-    """
-    if not 1 <= start <= n - 1:
-        raise ValueError(f"start degree {start} out of range [1, {n - 1}]")
-    orbit = [start]
-    cur = (2 * start) % n
-    while cur != start:
-        orbit.append(cur)
-        cur = (2 * cur) % n
-    return tuple(orbit)
-
-
 def pair_orbit(start: int, n: int) -> tuple[int, ...]:
     """Orbit of a pair number under doubling: r -> pair_of(2r mod n).
 

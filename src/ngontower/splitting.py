@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import UsageError
 from .invariant_sets import InvariantSetTable, locate_pair
-from .period_algebra import set_product, set_square
+from .period_algebra import set_product
 from .residues import rho
 
 
@@ -205,46 +205,6 @@ def f_split_product(
         if v != fold
     )
     return LinearCombo(constant=-2 * fold, linear=linear, squares=())
-
-
-def f_split_product_squares(j: int, m: int, table: InvariantSetTable) -> LinearCombo:
-    """Same product via the squares identity:
-    (F^2(j,2^m) - Q1 - Pr1) / 2, expressed over level-m parts.
-
-    Q1 collects the squares of all sets in F(j,2^m) (classified from one set
-    square), Pr1 the doubled cross products inside each half (classified from
-    the half row with the middle product counted once).
-    """
-    ng = table.params.ng
-    stride = 1 << m
-    if not 1 <= j <= stride:
-        raise ValueError(f"offset {j} out of range [1, {stride}]")
-    if 2 * stride > ng:
-        raise ValueError(f"no F split below stride {stride} for ng={ng}")
-    gamma = [0] * stride
-
-    for l, c in set_square(1, table).terms():
-        gamma[rho(l, stride) - 1] += c
-
-    # Cross products G_1 * G_{1+t*2^(m+1)}: t below the middle counts twice.
-    row_len = ng // (2 * stride)  # sets per half
-    mid = row_len // 2
-    for t in range(1, row_len):
-        if t > mid:
-            break
-        comb = set_product(1, 1 + t * 2 * stride, table)
-        weight = 1 if t == mid else 2
-        for l, c in comb.terms():
-            gamma[rho(l, stride) - 1] += weight * c
-
-    linear = tuple(
-        (-g, f_part(rho(k + j - 1, stride), stride))
-        for k, g in enumerate(gamma, start=1)
-        if g
-    )
-    # -(n-1)/(2 stride) in halves; n - 1 = 2^(2^k) is a multiple of stride.
-    constant = -(table.params.n - 1) // stride
-    return LinearCombo(constant=constant, linear=linear, squares=((1, f_part(j, stride)),))
 
 
 # ---------------------------------------------------------------------------

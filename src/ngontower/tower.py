@@ -28,7 +28,6 @@ by at most m 2^-(F-2) before its one rounding to working precision.
 
 from dataclasses import dataclass, field
 import mpmath as mp
-import numpy as np
 
 from .errors import VerificationError
 from .invariant_sets import InvariantSetTable, build_invariant_sets
@@ -66,10 +65,6 @@ def value_tolerance(precision: int):
 
 class SignAmbiguous(VerificationError):
     """Two sides of a split are numerically too close at the working precision."""
-
-
-class NonIntegralSolution(VerificationError):
-    """The linear system for the multiplicities did not round cleanly."""
 
 
 @dataclass
@@ -431,34 +426,3 @@ def build_tower(
     tower = build_schedule(params, table, kind)
     resolve_signs(tower, default_precision(n) if precision is None else precision)
     return evaluate_tower(tower)
-
-
-# ---------------------------------------------------------------------------
-# Multiplicity recovery from numeric values (no symbolic products involved)
-
-
-def mu_via_linear_system(level_values, sibling_products) -> tuple[int, ...]:
-    """Solve the circulant system sum_k F(rho(k+j-1, L), L) * mu_k = product_j
-    for the multiplicities, and round to integers.
-
-    level_values are the L part values F(1, L)..F(L, L); sibling_products the
-    numeric products of the two halves of each F(j, L).  Raises
-    NonIntegralSolution when any component is further than 0.25 from an
-    integer, which signals insufficient precision.
-    """
-    size = len(level_values)
-    if len(sibling_products) != size:
-        raise ValueError("need one sibling product per part")
-    a = np.empty((size, size))
-    for j in range(1, size + 1):
-        for k in range(1, size + 1):
-            a[j - 1, k - 1] = float(level_values[rho(k + j - 1, size) - 1])
-    rhs = np.array([float(v) for v in sibling_products])
-    x = np.linalg.solve(a, rhs)
-    rounded = np.rint(x)
-    residual = np.abs(x - rounded)
-    if residual.max() >= 0.25:
-        raise NonIntegralSolution(
-            f"max rounding residual {residual.max():.3f}; raise the working precision"
-        )
-    return tuple(int(v) for v in rounded)

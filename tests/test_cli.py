@@ -176,6 +176,18 @@ def test_compile_and_render(tmp_path, capsys):
         assert written == (GOLDEN / f"program_17.{target}").read_bytes()
 
 
+def test_render_negative_max_vertices_is_a_usage_error(tmp_path, capsys):
+    tower_path = str(tmp_path / "t17.tower")
+    run_cli(capsys, "build", "--n", "17", "--out", tower_path)
+    svg = tmp_path / "p.svg"
+    code = main(["render", "--tower", tower_path, "--out", str(svg), "--max-vertices", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max-vertices") and captured.err.count("\n") == 1
+    assert not svg.exists()
+
+
 def test_constructible(capsys):
     code, out = run_cli(capsys, "constructible", "170")
     assert code == 0 and out.startswith("yes")

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -17,12 +21,17 @@ from ngontower.construction import (
     dump_geom,
     emit_svg,
     execute_geom,
-    load_arith,
     load_geom,
     lower_to_geom,
     polygon_vertices,
 )
-from ngontower.tower import build_tower
+from ngontower.sharing import Lines
+from ngontower.tower import _root_part, build_tower
+from ngontower.towerfile import dump_tower
+
+from arith_io import load_arith
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +92,96 @@ def test_program_values_are_the_tower_values(n, kind, request):
         assert prog.instrs[root].op == "SQRT"
         assert values[left]._mpf_ == node.value_left._mpf_
         assert values[right]._mpf_ == node.value_right._mpf_
+
+
+def _walked_product(prog, i, leaves, memo):
+    """Instruction i as {part term: halves} plus the constant under (),
+    followed through ADD, SUB, HALF, MUL by a CONST and CONST down to the
+    node roots in `leaves`; MUL(root, root) is the square of its part."""
+    if i in memo:
+        return memo[i]
+    op, args, value = prog.instrs[i]
+    if i in leaves:
+        form = {("linear", leaves[i]): Fraction(2)}
+    elif op == "CONST":
+        form = {(): 2 * value}
+    elif op in ("ADD", "SUB"):
+        form = dict(_walked_product(prog, args[0], leaves, memo))
+        sign = 1 if op == "ADD" else -1
+        for key, c in _walked_product(prog, args[1], leaves, memo).items():
+            form[key] = form.get(key, 0) + sign * c
+    elif op == "HALF":
+        form = {key: c / 2 for key, c in _walked_product(prog, args[0], leaves, memo).items()}
+    elif op == "MUL" and args[0] == args[1] and args[0] in leaves:
+        form = {("squares", leaves[args[0]]): Fraction(2)}
+    elif op == "MUL" and prog.instrs[args[0]].op == "CONST" and args[0] not in leaves:
+        scale = prog.instrs[args[0]].value
+        form = {key: scale * c for key, c in _walked_product(prog, args[1], leaves, memo).items()}
+    else:
+        raise AssertionError(f"instruction {i} ({op}) is not part of a product expression")
+    memo[i] = {key: c for key, c in form.items() if c}
+    return memo[i]
+
+
+@pytest.mark.parametrize("n, kind", [(5, "full"), (257, "full"), (65537, "pruned")])
+def test_compiled_products_are_the_product_expressions(n, kind, tower257_full, tower65537):
+    # Shared sums regroup the terms of a product; walked back to the parts,
+    # every product instruction is still exactly its node's expression.  The
+    # root part is the CONST -1, so it reads as a constant (n = 5 uses it).
+    tower = {257: tower257_full, 65537: tower65537}.get(n) or build_tower(n, kind)
+    prog = compile_to_arith(tower)
+    root = _root_part(tower.params)
+    leaves = {}
+    for node, (_, _, left, right) in zip(tower.nodes, prog.nodes):
+        leaves[left], leaves[right] = node.left, node.right
+    memo = {}
+    for node, (product, _, _, _) in zip(tower.nodes, prog.nodes):
+        expr = node.product_expr
+        want = {(): expr.constant}
+        for term_kind, terms, root_value in (("linear", expr.linear, -1), ("squares", expr.squares, 1)):
+            for halves, part in terms:
+                if part == root:
+                    want[()] += root_value * halves
+                else:
+                    want[term_kind, part] = halves
+        want = {key: c for key, c in want.items() if c}
+        assert _walked_product(prog, product, leaves, memo) == want, node.id
+
+
+def test_sums_are_shared_within_one_stride_only():
+    # Four F parts of stride 8 at offsets 0..3 from the split, one
+    # coefficient: the shapes d = 1 and d = 2 both occur twice, the smaller
+    # wins, and its two sums do not repeat.  With the parts at offsets 1 and
+    # 3 of stride 16, the shape (stride 8, stride 16, d = 1) would occur
+    # twice, but the group is left as it is.
+    same = tuple(x for r in range(4) for x in (2, "F", 0, 8, r))
+    [(c, terms)] = Lines().plan(same)
+    assert c == 2 and [(src, r) for _, src, _, r in terms] == [(-1, 0), (-1, 2)]
+    mixed = tuple(x for r in range(4) for x in (2, "F", 0, 16 if r % 2 else 8, r))
+    [(_, terms)] = Lines().plan(mixed)
+    assert [src for _, src, _, _ in terms] == [0, 1, 2, 3]
+
+
+def test_65537_arith_bytes_do_not_depend_on_the_hash_seed(tower65537, tmp_path):
+    # The shared sums are chosen with ties broken on numbered lines, never on
+    # the hash order of strings, so two hash seeds write the same program.
+    tower_path = tmp_path / "t.tower"
+    dump_tower(tower65537, str(tower_path))
+    dump_arith(compile_to_arith(tower65537), str(tmp_path / "here.arith"))
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "ngontower.cli", "compile", "--tower", str(tower_path),
+             "--target", "arith", "--out", str(tmp_path / f"seed{seed}.arith")],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.DEVNULL,
+        )
+        for seed in ("1", "2")
+    ]
+    assert [child.wait() for child in children] == [0, 0]
+    here = (tmp_path / "here.arith").read_bytes()
+    assert (tmp_path / "seed1.arith").read_bytes() == here
+    assert (tmp_path / "seed2.arith").read_bytes() == here
 
 
 def test_state_is_declared_fields_only(tower17):
@@ -352,7 +451,7 @@ def test_geom_65537_matches_cosine(tower65537):
     # Carlyle circle per node keeps the construction short.
     prog = compile_to_arith(tower65537)
     geom = lower_to_geom(prog, 512, arith_values(prog, 512))
-    assert len(geom.instrs) <= 46_000
+    assert len(geom.instrs) <= 34_000
     res = execute_geom(geom, 512)
     with mp.workprec(512):
         assert abs(res["cos"] - mp.cos(2 * mp.pi / 65537)) < mp.mpf(2) ** -256

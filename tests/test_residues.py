@@ -8,11 +8,12 @@ from ngontower.cli import main
 from ngontower.residues import (
     FermatParams,
     InvalidN,
-    doubling_orbit,
     pair_of,
     pair_orbit,
     rho,
 )
+
+from paper_checks import doubling_orbit
 
 
 def test_rho_examples():

@@ -8,7 +8,6 @@ from ngontower.splitting import (
     LinearCombo,
     f_part,
     f_split_product,
-    f_split_product_squares,
     g_part,
     g_split_product,
     mu_groups,
@@ -22,6 +21,7 @@ from ngontower.tower import build_schedule
 from ngontower.verify import combo_as_pv_doubled, pv_of_part
 
 from oracle_helpers import pv_s, pv_zero
+from paper_checks import f_split_product_squares
 
 
 def test_part_members_examples(table257, table65537):

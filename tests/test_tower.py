@@ -10,14 +10,13 @@ from ngontower.residues import rho
 from ngontower.splitting import f_part, g_part, part_pairs
 from ngontower.tower import (
     CosineCache,
-    NonIntegralSolution,
     SignAmbiguous,
     build_schedule,
     build_tower,
-    mu_via_linear_system,
     resolve_signs,
 )
 
+from paper_checks import NonIntegralSolution, mu_via_linear_system
 from tower_values import part_values
 
 GOLDEN = Path(__file__).parent / "golden"
