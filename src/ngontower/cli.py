@@ -32,16 +32,6 @@ def _check_precision(args, n: int | None = None) -> int | None:
     return args.precision
 
 
-def _signed_tower(path: str):
-    """A loaded tower that records every node's sign, which picks its roots."""
-    from .towerfile import load_tower
-
-    tower = load_tower(path)
-    if any(node.left_is_larger is None for node in tower.nodes):
-        raise UsageError(f"{path}: tower has unresolved signs; rebuild it")
-    return tower
-
-
 def cmd_build(args) -> int:
     from .report import render_report
     from .tower import build_schedule
@@ -66,11 +56,7 @@ def cmd_verify(args) -> int:
 
     _check_precision(args)
     tower = load_tower(args.tower)
-    try:
-        verify_tower(tower, args.precision, oracle=not args.no_oracle)
-    except VerificationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
+    verify_tower(tower, args.precision, oracle=not args.no_oracle)
     print(
         f"tower for n={tower.params.n} verified: {len(tower.nodes)} nodes, "
         f"oracle-checked {tower.report.oracle_checked} product expressions"
@@ -129,21 +115,14 @@ def cmd_tables(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from .construction import (
-        arith_values,
-        compile_to_arith,
-        dump_arith,
-        dump_geom,
-        lower_to_geom,
-    )
-    from .tower import check_p1
+    from .construction import dump_arith, dump_geom, lower_to_geom
+    from .towerfile import load_tower
+    from .verify import verify_tower
 
-    tower = _signed_tower(args.tower)
+    tower = load_tower(args.tower)
+    prog, values = verify_tower(tower, oracle=False)
     precision = tower.precision
-    prog = compile_to_arith(tower)
-    values = arith_values(prog, precision)
-    # The stored signs choose the roots, so a wrong one yields a wrong p1.
-    check_p1(tower.params.n, values[prog.outputs["p1"]], precision)
+    del tower  # lowering needs neither the nodes nor the cosine sums
     if args.target == "arith":
         dump_arith(prog, args.out)
     else:

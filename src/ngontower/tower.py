@@ -13,11 +13,12 @@ precision and decides or checks every sign, then `evaluate_tower`, which
 reads those sums and writes the tower's one `VerificationReport`.  A
 precision that nobody gives is `default_precision(n)`.
 
-`evaluate_tower` solves no quadratic itself: it runs the tower's arithmetic
-program (`construction.compile_to_arith`, interpreted by
-`construction.arith_values`), so the node values it checks and stores are
-the ones `compile` writes.  `check_p1` is the one check of p1 against
-2cos(2 pi / n), shared with `compile`.
+`resolve_signs` also checks what a loaded tower stores: its signs, and its
+margins and values to within `value_tolerance`.  `evaluate_tower` solves no
+quadratic itself: it runs the tower's arithmetic program
+(`construction.compile_to_arith`, interpreted by `construction.arith_values`)
+and returns it with its values, so the node values it checks and stores are
+the ones `compile` writes.
 
 The cosine sums (`CosineCache`) hold every pair value 2cos(2 pi k / n) as an
 int at scale 2^F, F = precision + 64 guard bits, built from two tables of
@@ -28,6 +29,7 @@ by at most m 2^-(F-2) before its one rounding to working precision.
 
 from dataclasses import dataclass, field
 import mpmath as mp
+import numpy as np
 
 from .errors import VerificationError
 from .invariant_sets import InvariantSetTable, build_invariant_sets
@@ -247,16 +249,17 @@ def build_schedule(
 class CosineCache:
     """Direct values 2cos(2 pi k / n) for every pair, plus part sums.
 
-    Every pair value is held as an int at the fixed scale 2^F, where
-    F = precision + GUARD_BITS.  With theta = 2 pi / n and the block
-    B = 2^ceil(bits(npairs) / 2) (about sqrt(npairs): 16 at n = 257, 256 at
-    n = 65537), pair k = aB + b is assembled from two small tables,
-    cos/sin(b theta) for b < B and cos/sin(aB theta) for a <= npairs / B,
-    each computed with mp.cos/mp.sin at F + 16 bits and rounded to an int at
-    scale 2^F; the entry is (C_a C_b - S_a S_b) >> (F - 1), the angle-sum
-    formula doubled.  This is the Cooley-Tukey twiddle-factor split: about
-    2 sqrt(npairs) angles instead of one cosine per pair, and an entry's
-    error does not grow with k.
+    Every pair value is held as a Python int at the fixed scale 2^F, in an
+    object array indexed by pair number, where F = precision + GUARD_BITS.
+    With theta = 2 pi / n and the block B = 2^ceil(bits(npairs) / 2) (about
+    sqrt(npairs): 16 at n = 257, 256 at n = 65537), pair k = aB + b is
+    assembled from two small tables, cos/sin(b theta) for b < B and
+    cos/sin(aB theta) for a <= npairs / B, each computed with mp.cos_sin at
+    F + 16 bits and rounded to an int at scale 2^F; the entry is
+    (C_a C_b - S_a S_b) >> (F - 1), the angle-sum formula doubled.  This is
+    the Cooley-Tukey twiddle-factor split: about 2 sqrt(npairs) angles
+    instead of one cosine per pair, and an entry's error does not grow
+    with k.
 
     Error bound, in units of 2^-F: each table value is within 1/2 of its
     cosine or sine, so C_a C_b - S_a S_b is within (|cos| + |sin| of both
@@ -286,25 +289,22 @@ class CosineCache:
             theta = 2 * mp.pi / params.n
 
             def fixed_cos_sin(angle):
-                return (
-                    int(mp.nint(mp.ldexp(mp.cos(angle), scale))),
-                    int(mp.nint(mp.ldexp(mp.sin(angle), scale))),
-                )
+                return tuple(int(mp.nint(mp.ldexp(x, scale))) for x in mp.cos_sin(angle))
 
             low = [fixed_cos_sin(b * theta) for b in range(block)]
             high = [fixed_cos_sin(a * block * theta) for a in range(npairs // block + 1)]
         shift = scale - 1
         # pair_fixed[k] ~ 2cos(k theta) 2^F for k = 0..npairs; k = aB + b.
-        self.pair_fixed = [
-            (ca * cb - sa * sb) >> shift for (ca, sa) in high for (cb, sb) in low
-        ][: npairs + 1]
+        self.pair_fixed = np.array(
+            [(ca * cb - sa * sb) >> shift for (ca, sa) in high for (cb, sb) in low][: npairs + 1],
+            dtype=object,
+        )
         self._part: dict[PartRef, object] = {}
 
     def part_value(self, part: PartRef):
         cached = self._part.get(part)
         if cached is None:
-            pairs = part_pairs(part, self.table).tolist()
-            total = sum(map(self.pair_fixed.__getitem__, pairs))
+            total = self.pair_fixed[part_pairs(part, self.table)].sum()
             with mp.workprec(self.precision):
                 cached = mp.ldexp(mp.mpf(total), -self.scale_bits)
             self._part[part] = cached
@@ -314,11 +314,15 @@ class CosineCache:
 def resolve_signs(tower: Tower, precision: int) -> Tower:
     """Decide which side of every split is larger, by direct cosine sums.
 
-    A sign already stored on a node (a loaded tower) is checked, not
-    replaced: one that disagrees raises VerificationError.
+    What a node already stores (a loaded tower) is checked, not trusted: a
+    sign that disagrees raises VerificationError, and so does a margin or a
+    value further than `value_tolerance` of the coarser of the tower's and
+    this run's precision from |left - right| and the sums.  A null value is
+    not compared.
     """
     cache = CosineCache(tower.params, tower.table, precision)
     threshold = mp.mpf(2) ** (-(precision // 4))
+    tol = value_tolerance(min(tower.precision or precision, precision))
     with mp.workprec(precision):
         for node in tower.nodes:
             lv = cache.part_value(node.left)
@@ -336,6 +340,17 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
                     f"{larger} (margin {mp.nstr(margin)})",
                     node.id,
                 )
+            for name, stored, ref in (
+                ("sign_margin", node.sign_margin, margin),
+                ("value_left", node.value_left, lv),
+                ("value_right", node.value_right, rv),
+            ):
+                if stored is not None and abs(stored - ref) > tol:
+                    raise VerificationError(
+                        f"stored {name} {mp.nstr(stored, 25)} but cosine sums give "
+                        f"{mp.nstr(ref, 25)}",
+                        node.id,
+                    )
             node.left_is_larger = larger
             node.sign_margin = margin
     tower.precision = precision
@@ -343,20 +358,12 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
     return tower
 
 
-def check_p1(n: int, p1, precision: int):
-    """|p1 - 2cos(2 pi / n)|; fails when it exceeds `value_tolerance`."""
-    with mp.workprec(precision):
-        err = abs(p1 - 2 * mp.cos(2 * mp.pi / n))
-    if err > value_tolerance(precision):
-        raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(err)}")
-    return err
-
-
-def evaluate_tower(tower: Tower) -> Tower:
+def evaluate_tower(tower: Tower) -> tuple:
     """Run the tower's arithmetic program with the signs, precision and
     cosine sums that `resolve_signs` left, and store its values on the nodes.
     Every node value must lie within `value_tolerance` of its cosine sum, and
-    p1 of 2cos(2 pi / n).  Writes the tower's report."""
+    p1 of 2cos(2 pi / n).  Writes the tower's report; returns the program
+    and the value of each of its instructions."""
     from .construction import NegativeRadicand, arith_values, compile_to_arith
 
     cache = tower.cosines
@@ -399,12 +406,14 @@ def evaluate_tower(tower: Tower) -> Tower:
             report.max_vieta_err = max(report.max_vieta_err, vieta)
             if report.min_sign_margin is None or node.sign_margin < report.min_sign_margin:
                 report.min_sign_margin = node.sign_margin
-    report.p1 = values[prog.outputs["p1"]]
-    report.p1_err = check_p1(tower.params.n, report.p1, precision)
+        report.p1 = values[prog.outputs["p1"]]
+        report.p1_err = abs(report.p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
+    if report.p1_err > tol:
+        raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
     if failed is not None:  # the sin(theta) SQRT, after every node
         raise failed
     tower.report = report
-    return tower
+    return prog, values
 
 
 def _per_step(nodes) -> dict[int, int]:
@@ -425,4 +434,5 @@ def build_tower(
     table = build_invariant_sets(params, factor=factor)
     tower = build_schedule(params, table, kind)
     resolve_signs(tower, default_precision(n) if precision is None else precision)
-    return evaluate_tower(tower)
+    evaluate_tower(tower)
+    return tower

@@ -5,8 +5,9 @@ oracle on every product expression (optional), then `tower.resolve_signs`,
 which decides each sign from direct cosine sums or checks a stored one, then
 `tower.evaluate_tower`, which runs the tower's arithmetic program (the one
 `compile` writes), cross-checks every node value and p1 against the same
-sums and writes the tower's report.  `build`, `verify` and `render` all run
-it.
+sums and writes the tower's report.  Every command that reads a tower runs
+it: `build`, `verify`, `render`, and `compile`, which writes the program
+the pipeline ran.
 
 The oracle check expands each node's two sides in the pair basis and
 multiplies them brute-force; the result must equal the product expression
@@ -102,16 +103,18 @@ def oracle_check_tower(tower: Tower) -> int:
     return len(tower.nodes)
 
 
-def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True) -> None:
+def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True) -> tuple:
     """The check pipeline; raises the first `VerificationError` it meets.
 
     Runs the exact oracle on every product expression (when `oracle`), then
     derives the signs from direct cosine sums at `precision` bits (the
-    tower's own when None; a stored sign that disagrees fails), then runs
-    the tower's arithmetic program, cross-checking every node value and p1
-    against those sums.  The tower's report records the result.
+    tower's own when None; a stored sign, margin or value that disagrees
+    fails), then runs the tower's arithmetic program, cross-checking every
+    node value and p1 against those sums.  The tower's report records the
+    result.  Returns the program that ran and its instruction values.
     """
     checked = oracle_check_tower(tower) if oracle else 0
     resolve_signs(tower, tower.precision if precision is None else precision)
-    evaluate_tower(tower)
+    run = evaluate_tower(tower)
     tower.report.oracle_checked = checked
+    return run

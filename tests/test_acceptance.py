@@ -260,6 +260,7 @@ def test_criterion_09_property_suites(table17, table257, table65537):
 def test_criterion_10_construction_pipeline(tower65537):
     from ngontower.construction import (
         append_polygon_steps,
+        arith_values,
         compile_to_arith,
         emit_svg,
         execute_geom,
@@ -269,7 +270,7 @@ def test_criterion_10_construction_pipeline(tower65537):
     ok = True
     tower17 = build_tower(17, precision=128)
     prog = compile_to_arith(tower17)
-    geom = lower_to_geom(prog, 128)
+    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
     append_polygon_steps(geom, 18)
     res = execute_geom(geom, 128)
     with mp.workprec(128):
@@ -282,7 +283,7 @@ def test_criterion_10_construction_pipeline(tower65537):
 
     tower257 = build_tower(257, precision=128)
     prog = compile_to_arith(tower257)
-    geom = lower_to_geom(prog, 128)
+    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
     append_polygon_steps(geom, 258)
     res = execute_geom(geom, 128)
     with mp.workprec(128):

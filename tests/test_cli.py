@@ -5,9 +5,11 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from ngontower.cli import main
+from ngontower.towerfile import _value_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -300,7 +302,7 @@ def test_verify_detects_flipped_stored_sign(tmp_path, capsys):
     tower_path = _tampered_17(tmp_path, capsys, _flip_sign)
     code, err = _stderr_of(capsys, ["verify", "--tower", str(tower_path)])
     assert code == 1
-    assert err.startswith("FAIL: node 0: ")
+    assert err.startswith("verification failure: node 0: ")
 
 
 @pytest.mark.parametrize("change", [_flip_sign, _constant_40], ids=["flipped-sign", "constant-40"])
@@ -321,25 +323,23 @@ def _unsign(node):
     node["left_is_larger"] = None
 
 
-def test_unsigned_tower_is_a_usage_error(tmp_path, capsys):
-    # compile takes the roots in the order the stored signs give.
-    tower_path = _tampered_17(tmp_path, capsys, _unsign)
-    argv = ["compile", "--tower", str(tower_path), "--target", "arith", "--out", str(tmp_path / "p.arith")]
-    code, err = _stderr_of(capsys, argv)
-    assert code == 2
-    assert err.startswith("error: ") and "unresolved signs" in err
-    assert not Path(argv[-1]).exists()
-
-
 def test_unsigned_tower_renders_like_the_signed_one(tmp_path, capsys):
-    # render resolves the null sign from cosine sums, as verify --no-oracle does.
+    # render and compile resolve the null sign from cosine sums, as
+    # verify --no-oracle does, and write what the signed tower gives.
     signed = tmp_path / "signed.tower"
     run_cli(capsys, "build", "--n", "17", "--out", str(signed))
     unsigned = _tampered_17(tmp_path, capsys, _unsign)
-    for tower_path, svg in ((signed, "signed.svg"), (unsigned, "unsigned.svg")):
-        code, _ = run_cli(capsys, "render", "--tower", str(tower_path), "--out", str(tmp_path / svg))
-        assert code == 0
-    assert (tmp_path / "unsigned.svg").read_bytes() == (tmp_path / "signed.svg").read_bytes()
+    for tower_path, prefix in ((signed, "signed"), (unsigned, "unsigned")):
+        for command, out in (
+            (["render"], "svg"),
+            (["compile", "--target", "arith"], "arith"),
+            (["compile", "--target", "geom"], "geom"),
+        ):
+            argv = [*command, "--tower", str(tower_path), "--out", str(tmp_path / f"{prefix}.{out}")]
+            code, _ = run_cli(capsys, *argv)
+            assert code == 0
+    for out in ("svg", "arith", "geom"):
+        assert (tmp_path / f"unsigned.{out}").read_bytes() == (tmp_path / f"signed.{out}").read_bytes()
 
 
 def _linear_term_repointed(node):
@@ -352,7 +352,11 @@ def _linear_term_repointed(node):
     [
         pytest.param(
             _linear_term_repointed, 2,
-            [["verify", "--no-oracle"], ["render", "--out", "p.svg"]],
+            [
+                ["verify", "--no-oracle"],
+                ["compile", "--target", "arith", "--out", "p.arith"],
+                ["render", "--out", "p.svg"],
+            ],
             "node 2: p1 = 2.429962035613623076867623 but cosine sum gives 1.864944458808711609146232",
             id="p1-off-before-sin-radicand",
         ),
@@ -369,11 +373,41 @@ def test_first_failing_node_is_reported(change, node_id, argvs, message, tmp_pat
     # node that goes wrong is the one reported.
     tower_path = _tampered_17(tmp_path, capsys, change, node_id)
     for command, *rest in argvs:
-        rest = [str(tmp_path / a) if a.endswith(".svg") else a for a in rest]
+        rest = [str(tmp_path / a) if a.startswith("p.") else a for a in rest]
         code, err = _stderr_of(capsys, [command, "--tower", str(tower_path), *rest])
         assert code == 1
         assert message in err
-    assert not (tmp_path / "p.svg").exists()
+    assert not (tmp_path / "p.svg").exists() and not (tmp_path / "p.arith").exists()
+
+
+def _value_left_12345(node):
+    node["value_left"] = _value_to_json(mp.mpf(12345))
+
+
+def _sign_margin_1(node):
+    node["sign_margin"] = _value_to_json(mp.mpf(1))
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [(_value_left_12345, "value_left"), (_sign_margin_1, "sign_margin")],
+    ids=["value-12345", "margin-1"],
+)
+def test_tampered_stored_field_fails_every_command(change, field, tmp_path, capsys):
+    # Every command checks the stored values and margins against the cosine
+    # sums before it trusts or overwrites them.
+    tower_path = _tampered_17(tmp_path, capsys, change)
+    for command, *rest in (
+        ["verify"],
+        ["verify", "--no-oracle"],
+        ["compile", "--target", "arith", "--out", str(tmp_path / "p.arith")],
+        ["compile", "--target", "geom", "--out", str(tmp_path / "p.geom")],
+        ["render", "--out", str(tmp_path / "p.svg")],
+    ):
+        code, err = _stderr_of(capsys, [command, "--tower", str(tower_path), *rest])
+        assert code == 1
+        assert err.startswith(f"verification failure: node 0: stored {field} ")
+    assert not any((tmp_path / f"p.{out}").exists() for out in ("arith", "geom", "svg"))
 
 
 def test_render_needs_no_stored_values(tmp_path, capsys):

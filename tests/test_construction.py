@@ -283,7 +283,7 @@ def test_lowering_refuses_a_use_of_a_node_interior():
     _, root, _, _ = prog.nodes[0]
     prog.outputs["root"] = prog.emit("ADD", root, root)
     with pytest.raises(ValueError, match="interior"):
-        lower_to_geom(prog, 128)
+        lower_to_geom(prog, 128, arith_values(prog, 128))
 
 
 @pytest.mark.parametrize("n, kind", [(17, "full"), (257, "full"), (65537, "pruned")])

@@ -234,6 +234,10 @@ def _reference_part(cache: CosineCache, part):
 
 
 def _check_part_value(cache: CosineCache, part):
+    # The table's part sum is the exact sum of its entries, rounded once.
+    entries = sum(int(cache.pair_fixed[k]) for k in part_pairs(part, cache.table).tolist())
+    with mp.workprec(cache.precision):
+        assert cache.part_value(part) == mp.ldexp(mp.mpf(entries), -cache.scale_bits), part
     ref, m = _reference_part(cache, part)
     with mp.workprec(cache.scale_bits + 64):
         # m entry errors, then one rounding to `precision` bits.
