@@ -4,7 +4,8 @@ straightedge/compass instruction stream.
 `compile_to_arith` is the one definition of how a node is solved, and
 `arith_values` the one interpreter of the arithmetic IR: `evaluate_tower`
 runs the program to get every node value it checks, so the values a tower
-stores are the program's values, bit for bit.
+stores are the program's values, bit for bit.  Its values are raw mpf
+tuples (`_mpf_`); each op is the same mpf operation, rounded to nearest.
 
 A node's product expression is compiled with one scaling per distinct
 coefficient: its terms are grouped by |coefficient|, each group is summed and
@@ -43,6 +44,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import (
+    from_rational, mpf_add, mpf_mul, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_nearest,
+)
 
 from .errors import VerificationError
 from .sharing import Lines
@@ -50,11 +54,12 @@ from .splitting import LinearCombo, PartRef
 from .tower import Tower, _root_part
 
 _INTERCEPT_THRESHOLD = 64
+_BINARY = {"ADD": mpf_add, "SUB": mpf_sub, "MUL": mpf_mul}
 
 
 class NegativeRadicand(VerificationError):
     """A SQRT operand came out negative when the arithmetic program was
-    evaluated; `values` holds the values of the instructions before it."""
+    evaluated; `values` holds the raw values of the instructions before it."""
 
     def __init__(self, radicand, values: list):
         super().__init__(f"sqrt of {mp.nstr(radicand)}")
@@ -92,28 +97,24 @@ class ArithProgram:
 
 
 def arith_values(prog: ArithProgram, precision: int) -> list:
-    """Value of every instruction, in order: the definition of the IR ops."""
-    with mp.workprec(precision):
-        vals: list[object] = []
-        for op, args, value in prog.instrs:
-            if op == "ADD":
-                v = vals[args[0]] + vals[args[1]]
-            elif op == "SUB":
-                v = vals[args[0]] - vals[args[1]]
-            elif op == "MUL":
-                v = vals[args[0]] * vals[args[1]]
-            elif op == "HALF":
-                v = vals[args[0]] / 2
-            elif op == "CONST":
-                v = mp.mpf(value.numerator) / value.denominator
-            elif op == "SQRT":
-                radicand = vals[args[0]]
-                if radicand < 0:
-                    raise NegativeRadicand(radicand, vals)
-                v = mp.sqrt(radicand)
-            else:
-                raise ValueError(f"unknown op {op}")
-            vals.append(v)
+    """Value of every instruction, in order, as a raw mpf tuple (`_mpf_`):
+    the definition of the IR ops, each the mpf operation rounded to nearest
+    at `precision` bits (HALF is exact).  `mp.mp.make_mpf` wraps a value."""
+    vals: list[tuple] = []
+    for op, args, value in prog.instrs:
+        if op in _BINARY:
+            v = _BINARY[op](vals[args[0]], vals[args[1]], precision, round_nearest)
+        elif op == "HALF":
+            v = mpf_shift(vals[args[0]], -1)
+        elif op == "CONST":
+            v = from_rational(value.numerator, value.denominator, precision, round_nearest)
+        elif op == "SQRT":
+            if mpf_sign(vals[args[0]]) < 0:
+                raise NegativeRadicand(mp.mp.make_mpf(vals[args[0]]), vals)
+            v = mpf_sqrt(vals[args[0]], precision, round_nearest)
+        else:
+            raise ValueError(f"unknown op {op}")
+        vals.append(v)
     return vals
 
 
@@ -316,10 +317,8 @@ def execute_geom(prog: GeomProgram, precision: int) -> dict:
             a = [objs[i] for i in instr.args]
             op = instr.op
             if op == "GIVEN_UNIT":
-                objs.append((mp.mpf(0), mp.mpf(0)))  # center
-                objs.append((mp.mpf(1), mp.mpf(0)))  # unit point
-                objs.append(((mp.mpf(0), mp.mpf(0)), (mp.mpf(1), mp.mpf(0))))  # axis
-                objs.append((((mp.mpf(0), mp.mpf(0))), mp.mpf(1)))  # unit circle
+                o, x = (mp.mpf(0), mp.mpf(0)), (mp.mpf(1), mp.mpf(0))
+                objs += [o, x, (o, x), (o, mp.mpf(1))]  # center, unit point, axis, unit circle
                 continue
             if op == "LINE":
                 v = (a[0], a[1])
@@ -421,7 +420,7 @@ class _GeomBuilder:
         self._int_cache[k] = idx
         return idx
 
-    def scale_int(self, p: int, k: int, pv) -> int:
+    def scale_int(self, p: int, k: int, pv: int) -> int:
         """k*p by repeated addition for small k, intercept otherwise."""
         if k == 0:
             return self.O
@@ -430,28 +429,28 @@ class _GeomBuilder:
         if k == 1:
             return p
         if k > _INTERCEPT_THRESHOLD:
-            return self.mul(self.int_const(k), p, mp.mpf(k), pv)
+            return self.mul(self.int_const(k), p, 1, pv)
         acc = self.scale_int(p, k // 2, pv)
         acc = self.add(acc, acc)
         return self.add(acc, p) if k % 2 else acc
 
-    def _lift_to_yaxis(self, p: int, value) -> int:
+    def _lift_to_yaxis(self, p: int, sign: int) -> int:
         circ = self.prog.emit("CIRCLE", self.O, p)
-        branch = 1 if value > 0 else 0
+        branch = 1 if sign > 0 else 0
         return self.prog.emit("INTERSECT_LC", self.yaxis(), circ, branch=branch)
 
-    def _drop_to_axis(self, p: int, value) -> int:
+    def _drop_to_axis(self, p: int, sign: int) -> int:
         circ = self.prog.emit("CIRCLE", self.O, p)
-        branch = 1 if value > 0 else 0
+        branch = 1 if sign > 0 else 0
         return self.prog.emit("INTERSECT_LC", self.AXIS, circ, branch=branch)
 
     def _parallel_through(self, line: int, p: int) -> int:
         perp = self.prog.emit("PERPENDICULAR_AT", line, p)
         return self.prog.emit("PERPENDICULAR_AT", perp, p)
 
-    def mul(self, p: int, q: int, pv, qv) -> int:
-        """Intercept: line (1,0)-(0,qv); its parallel through (pv,0) meets the
-        y axis at (0, pv*qv)."""
+    def mul(self, p: int, q: int, pv: int, qv: int) -> int:
+        """Intercept: line (1,0)-(0,q); its parallel through (p,0) meets the
+        y axis at (0, p*q).  pv and qv are the signs of p and q."""
         if pv == 0 or qv == 0:
             return self.O
         yq = self._lift_to_yaxis(q, qv)
@@ -460,25 +459,25 @@ class _GeomBuilder:
         prod_y = self.prog.emit("INTERSECT_LL", par, self.yaxis())
         return self._drop_to_axis(prod_y, pv * qv)
 
-    def sqrt(self, p: int, value) -> int:
-        """Semicircle over the diameter from (-1,0) to (value,0); the
-        perpendicular height at the origin is sqrt(value)."""
+    def sqrt(self, p: int, sign: int) -> int:
+        """Semicircle over the diameter from (-1,0) to (p,0), p >= 0 of this
+        sign; the perpendicular height at the origin is sqrt(p)."""
         minus_one = self.int_const(-1)
         mid = self.prog.emit("MIDPOINT", minus_one, p)
         circ = self.prog.emit("CIRCLE", mid, p)
         height = self.prog.emit("INTERSECT_LC", self.yaxis(), circ, branch=1)
-        return self._drop_to_axis(height, mp.sqrt(value))
+        return self._drop_to_axis(height, sign)
 
-    def carlyle(self, s: int, q: int, sv, qv) -> tuple[int, int]:
-        """The larger and the smaller root of x^2 - sv x + qv: the circle on
-        the diameter from (0,1) to (sv,qv) meets the axis at both."""
+    def carlyle(self, s: int, q: int, qv: int) -> tuple[int, int]:
+        """The larger and the smaller root of x^2 - s x + q, qv the sign of q:
+        the circle on the diameter from (0,1) to (s,q) meets the axis at both."""
         if self._unit_y is None:
             self._unit_y = self.prog.emit("INTERSECT_LC", self.yaxis(), self.CIRCLE, branch=1)
         if qv == 0:
             corner = s
         else:
-            # (sv, qv): the perpendicular at s meets the parallel to the axis
-            # through (0, qv).
+            # (s, q): the perpendicular at s meets the parallel to the axis
+            # through (0, q).
             level = self.prog.emit("PERPENDICULAR_AT", self.yaxis(), self._lift_to_yaxis(q, qv))
             above = self.prog.emit("PERPENDICULAR_AT", self.AXIS, s)
             corner = self.prog.emit("INTERSECT_LL", level, above)
@@ -508,12 +507,13 @@ def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None
     SQRT are not drawn, and no other instruction may use them.  Every other
     instruction is lowered on its own.
 
-    Every branch is recorded from `values`, the instruction values that
-    `arith_values(prog, precision)` computes; they are computed here when not
-    given.
+    Every branch is recorded from the signs of `values`, the instruction
+    values that `arith_values(prog, precision)` computes; they are computed
+    here when not given.
     """
     if values is None:
         values = arith_values(prog, precision)
+    sign = lambda i: mpf_sign(values[i])  # noqa: E731
     b = _GeomBuilder()
     loc: list[int | None] = [None] * len(prog.instrs)
     skipped: set[int] = set()
@@ -523,49 +523,48 @@ def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None
         skipped.update(interior)
         prod, _, left, right = node
         circles[min(left, right)] = (sum_idx, prod, left, right)
-    with mp.workprec(precision):
-        for i, instr in enumerate(prog.instrs):
-            if i in skipped or loc[i] is not None:  # a node's interior or second root
-                continue
-            if i in circles:
-                sum_idx, prod, left, right = circles[i]
-                larger, smaller = b.carlyle(loc[sum_idx], loc[prod], values[sum_idx], values[prod])
-                left_larger = prog.instrs[left].op == "ADD"
-                loc[left], loc[right] = (larger, smaller) if left_larger else (smaller, larger)
-                continue
-            args = instr.args
-            if any(loc[a] is None for a in args):
-                raise ValueError(f"instruction {i} uses a node's interior, which is not drawn")
-            if instr.op == "CONST":
-                p = b.int_const(instr.value.numerator)
-                den = instr.value.denominator
-                while den % 2 == 0:
-                    p = b.half(p)
-                    den //= 2
-                if den != 1:
-                    raise ValueError(f"constant {instr.value} is not a dyadic fraction")
-                loc[i] = p
-            elif instr.op == "ADD":
-                loc[i] = b.add(loc[args[0]], loc[args[1]])
-            elif instr.op == "SUB":
-                loc[i] = b.sub(loc[args[0]], loc[args[1]])
-            elif instr.op == "HALF":
-                loc[i] = b.half(loc[args[0]])
-            elif instr.op == "MUL":
-                ka = prog.instrs[args[0]]
-                if ka.op == "CONST" and ka.value.denominator == 1 and abs(ka.value) <= _INTERCEPT_THRESHOLD:
-                    loc[i] = b.scale_int(loc[args[1]], int(ka.value), values[args[1]])
-                else:
-                    loc[i] = b.mul(loc[args[0]], loc[args[1]], values[args[0]], values[args[1]])
-            elif instr.op == "SQRT":
-                loc[i] = b.sqrt(loc[args[0]], values[args[0]])
+    for i, instr in enumerate(prog.instrs):
+        if i in skipped or loc[i] is not None:  # a node's interior or second root
+            continue
+        if i in circles:
+            sum_idx, prod, left, right = circles[i]
+            larger, smaller = b.carlyle(loc[sum_idx], loc[prod], sign(prod))
+            left_larger = prog.instrs[left].op == "ADD"
+            loc[left], loc[right] = (larger, smaller) if left_larger else (smaller, larger)
+            continue
+        args = instr.args
+        if any(loc[a] is None for a in args):
+            raise ValueError(f"instruction {i} uses a node's interior, which is not drawn")
+        if instr.op == "CONST":
+            p = b.int_const(instr.value.numerator)
+            den = instr.value.denominator
+            while den % 2 == 0:
+                p = b.half(p)
+                den //= 2
+            if den != 1:
+                raise ValueError(f"constant {instr.value} is not a dyadic fraction")
+            loc[i] = p
+        elif instr.op == "ADD":
+            loc[i] = b.add(loc[args[0]], loc[args[1]])
+        elif instr.op == "SUB":
+            loc[i] = b.sub(loc[args[0]], loc[args[1]])
+        elif instr.op == "HALF":
+            loc[i] = b.half(loc[args[0]])
+        elif instr.op == "MUL":
+            ka = prog.instrs[args[0]]
+            if ka.op == "CONST" and ka.value.denominator == 1 and abs(ka.value) <= _INTERCEPT_THRESHOLD:
+                loc[i] = b.scale_int(loc[args[1]], int(ka.value), sign(args[1]))
             else:
-                raise ValueError(f"unknown op {instr.op}")
-        for name, idx in prog.outputs.items():
-            if loc[idx] is None:
-                raise ValueError(f"output {name} is a node's interior, which is not drawn")
-            b.prog.emit("POINT_ON_AXIS", loc[idx], name=name)
-        b.prog.outputs = dict(prog.outputs)
+                loc[i] = b.mul(loc[args[0]], loc[args[1]], sign(args[0]), sign(args[1]))
+        elif instr.op == "SQRT":
+            loc[i] = b.sqrt(loc[args[0]], sign(args[0]))
+        else:
+            raise ValueError(f"unknown op {instr.op}")
+    for name, idx in prog.outputs.items():
+        if loc[idx] is None:
+            raise ValueError(f"output {name} is a node's interior, which is not drawn")
+        b.prog.emit("POINT_ON_AXIS", loc[idx], name=name)
+    b.prog.outputs = dict(prog.outputs)
     return b.prog
 
 

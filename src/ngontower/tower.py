@@ -363,9 +363,11 @@ def evaluate_tower(tower: Tower) -> tuple:
     cosine sums that `resolve_signs` left, and store its values on the nodes.
     Every node value must lie within `value_tolerance` of its cosine sum, and
     p1 of 2cos(2 pi / n).  Writes the tower's report; returns the program
-    and the value of each of its instructions."""
+    and the value of each of its instructions, as `arith_values` gives them
+    (raw mpf tuples).  Only the node values, products and p1 become mpfs."""
     from .construction import NegativeRadicand, arith_values, compile_to_arith
 
+    mpf = mp.mp.make_mpf
     cache = tower.cosines
     if cache is None:
         raise ValueError("tower signs must be resolved before evaluating")
@@ -389,9 +391,9 @@ def evaluate_tower(tower: Tower) -> tuple:
     with mp.workprec(precision):
         for node, (prod, root, left, right) in zip(tower.nodes, prog.nodes):
             if root == len(values):  # this node's SQRT failed
-                disc = values[prog.instrs[root].args[0]]
+                disc = mpf(values[prog.instrs[root].args[0]])
                 raise VerificationError(f"negative discriminant {mp.nstr(disc)}", node.id)
-            node.value_left, node.value_right = values[left], values[right]
+            node.value_left, node.value_right = mpf(values[left]), mpf(values[right])
             for part, v in ((node.left, node.value_left), (node.right, node.value_right)):
                 ref = cache.part_value(part)
                 err = abs(v - ref)
@@ -402,11 +404,11 @@ def evaluate_tower(tower: Tower) -> tuple:
                         node.id,
                     )
                 report.max_value_err = max(report.max_value_err, err)
-            vieta = abs(node.value_left * node.value_right - values[prod])
+            vieta = abs(node.value_left * node.value_right - mpf(values[prod]))
             report.max_vieta_err = max(report.max_vieta_err, vieta)
             if report.min_sign_margin is None or node.sign_margin < report.min_sign_margin:
                 report.min_sign_margin = node.sign_margin
-        report.p1 = values[prog.outputs["p1"]]
+        report.p1 = mpf(values[prog.outputs["p1"]])
         report.p1_err = abs(report.p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
     if report.p1_err > tol:
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")

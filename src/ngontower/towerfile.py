@@ -8,7 +8,6 @@ docs/tower-format.md for the format description.
 
 import json
 import re
-from operator import index
 
 import mpmath as mp
 
@@ -36,16 +35,6 @@ def _part_to_json(p: PartRef):
     return d
 
 
-def _part_from_json(d) -> PartRef:
-    # index() refuses a non-integral offset, stride or set with TypeError.
-    return PartRef(
-        kind=d["kind"],
-        offset=index(d["offset"]),
-        stride=index(d["stride"]),
-        set_index=index(d.get("set", 0)),
-    )
-
-
 def _coeff_to_json(halves: int) -> list[int]:
     return [halves, 2] if halves % 2 else [halves // 2, 1]
 
@@ -58,7 +47,8 @@ _MAX_HALVES = 1 << 31
 
 
 def _coeff_from_json(num, den) -> int:
-    num, den = index(num), index(den)
+    if not type(num) is type(den) is int:  # type, not isinstance: a bool is refused
+        raise TypeError(f"coefficient [{num!r}, {den!r}] is not a pair of integers")
     if den not in (1, 2):
         raise ValueError(f"coefficient [{num}, {den}] has a denominator other than 1 or 2")
     halves = num * (2 // den)
@@ -73,18 +63,6 @@ def _combo_to_json(combo: LinearCombo):
         "linear": [[*_coeff_to_json(c), _part_to_json(p)] for c, p in combo.linear],
         "squares": [[*_coeff_to_json(c), _part_to_json(p)] for c, p in combo.squares],
     }
-
-
-def _terms_from_json(terms):
-    return tuple((_coeff_from_json(num, den), _part_from_json(p)) for num, den, p in terms)
-
-
-def _combo_from_json(d) -> LinearCombo:
-    return LinearCombo(
-        constant=_coeff_from_json(*d["constant"]),
-        linear=_terms_from_json(d["linear"]),
-        squares=_terms_from_json(d["squares"]),
-    )
 
 
 def _value_to_json(x):
@@ -149,32 +127,63 @@ def dump_tower(tower: Tower, path: str) -> None:
             )
 
 
-def _node_from_json(d, params: FermatParams) -> QuadraticNode:
-    """The node a line holds; raises ValueError for a part outside the table,
-    a sign that is not a bool or null, a sign without its margin, and one
-    value without the other."""
-    node = QuadraticNode(
-        id=d["id"],
-        step=d["step"],
-        splits=_part_from_json(d["splits"]),
-        left=_part_from_json(d["left"]),
-        right=_part_from_json(d["right"]),
-        sum_source=d["sum_source"],
-        product_expr=_combo_from_json(d["product"]),
-        left_is_larger=d["left_is_larger"],
-        sign_margin=_value_from_json(d["sign_margin"]),
-        value_left=_value_from_json(d["value_left"]),
-        value_right=_value_from_json(d["value_right"]),
-    )
-    if type(node.left_is_larger) not in (bool, type(None)):
-        raise ValueError(f"left_is_larger {node.left_is_larger!r} is neither a bool nor null")
-    if node.left_is_larger is not None and node.sign_margin is None:
-        raise ValueError("left_is_larger is set but sign_margin is null")
-    if (node.value_left is None) != (node.value_right is None):
-        raise ValueError("one of value_left and value_right is null")
-    for part in (node.splits, node.left, node.right, *node.product_expr.referenced_parts()):
-        check_part(part, params)
-    return node
+class _Reader:
+    """Reads the nodes of one tower file, with one `PartRef` per distinct
+    part, checked against the table once, and one (halves, part) tuple per
+    distinct term.  Both are keyed on fields whose type was checked first,
+    so a value that merely equals an int (1.0, true) is refused wherever it
+    appears."""
+
+    def __init__(self, params: FermatParams):
+        self.params = params
+        self.parts: dict[tuple, PartRef] = {}
+        self.terms: dict[tuple[int, PartRef], tuple[int, PartRef]] = {}
+
+    def part(self, d) -> PartRef:
+        """The part a JSON object names; raises ValueError for a part
+        outside the table."""
+        key = (d["kind"], d["offset"], d["stride"], d.get("set", 0))
+        if not type(key[1]) is type(key[2]) is type(key[3]) is int:
+            raise TypeError(f"part {d} has an offset, stride or set that is not an integer")
+        part = self.parts.get(key)
+        if part is None:
+            part = PartRef(*key)
+            check_part(part, self.params)
+            self.parts[key] = part
+        return part
+
+    def combo(self, d) -> LinearCombo:
+        constant, linear, squares = _coeff_from_json(*d["constant"]), [], []
+        for terms, out in ((d["linear"], linear), (d["squares"], squares)):
+            for num, den, p in terms:
+                term = (_coeff_from_json(num, den), self.part(p))
+                out.append(self.terms.setdefault(term, term))
+        return LinearCombo(constant, tuple(linear), tuple(squares))
+
+    def node(self, d) -> QuadraticNode:
+        """The node a line holds; raises ValueError for a part outside the
+        table, a sign that is not a bool or null, a sign without its margin,
+        and one value without the other."""
+        node = QuadraticNode(
+            id=d["id"],
+            step=d["step"],
+            splits=self.part(d["splits"]),
+            left=self.part(d["left"]),
+            right=self.part(d["right"]),
+            sum_source=d["sum_source"],
+            product_expr=self.combo(d["product"]),
+            left_is_larger=d["left_is_larger"],
+            sign_margin=_value_from_json(d["sign_margin"]),
+            value_left=_value_from_json(d["value_left"]),
+            value_right=_value_from_json(d["value_right"]),
+        )
+        if type(node.left_is_larger) not in (bool, type(None)):
+            raise ValueError(f"left_is_larger {node.left_is_larger!r} is neither a bool nor null")
+        if node.left_is_larger is not None and node.sign_margin is None:
+            raise ValueError("left_is_larger is set but sign_margin is null")
+        if (node.value_left is None) != (node.value_right is None):
+            raise ValueError("one of value_left and value_right is null")
+        return node
 
 
 def _check_structure(node: QuadraticNode, expected_id: int, table, root, by_child: dict) -> None:
@@ -183,16 +192,17 @@ def _check_structure(node: QuadraticNode, expected_id: int, table, root, by_chil
     halves, its sum taken from the earlier node that produced the split
     (null only for the root), and a product over the root and halves of
     earlier nodes.  `by_child` maps each half of the earlier nodes to its
-    node id."""
-    if node.id != expected_id:
-        raise ValueError(f"node id {node.id}, expected {expected_id}")
+    node id.  The id, step and sum_source must be ints: true and 1.0 equal 1
+    but are refused."""
+    if type(node.id) is not int or node.id != expected_id:
+        raise ValueError(f"node id {node.id!r}, expected {expected_id}")
     placed = _place(node.splits, node.product_expr, expected_id, table, root, by_child)
-    if node.step != placed.step:
-        raise ValueError(f"step {node.step}, expected {placed.step}")
+    if type(node.step) is not int or node.step != placed.step:
+        raise ValueError(f"step {node.step!r}, expected {placed.step}")
     if (node.left, node.right) != (placed.left, placed.right):
         raise ValueError(f"left and right are not the halves of {node.splits.label()}")
-    if node.sum_source != placed.sum_source:
-        raise ValueError(f"sum_source {node.sum_source}, expected {placed.sum_source}")
+    if type(node.sum_source) not in (int, type(None)) or node.sum_source != placed.sum_source:
+        raise ValueError(f"sum_source {node.sum_source!r}, expected {placed.sum_source}")
 
 
 def _check_schedule(tower: Tower, by_child: dict) -> None:
@@ -246,12 +256,14 @@ def load_tower(path: str) -> Tower:
     to 65537 is refused before any table is built), a node that names a part
     outside the table for that n (any of its split, halves or product
     terms), a coefficient that is not an integer or half-integer
-    (denominator 1 or 2) below 2^30, a malformed sign or value field
-    (`_node_from_json`), a node out of place in the schedule's DAG (see
-    `_check_structure`), and, reported on the last line, a file that ends
-    before a node produces p1 or whose nodes are not the header's schedule
-    (`_check_schedule`).  A null header precision reads as
-    `default_precision(n)`.  An unreadable path raises OSError.
+    (denominator 1 or 2) below 2^30, a part field, coefficient, id, step or
+    sum_source that is not a JSON integer (a bool is refused), a malformed
+    sign or value field (`_Reader.node`), a node out of place in the
+    schedule's DAG (see `_check_structure`), and, reported on the last line,
+    a file that ends before a node produces p1 or whose nodes are not the
+    header's schedule (`_check_schedule`).  A null header precision reads as
+    `default_precision(n)`.  An unreadable path raises OSError.  Each
+    distinct part and term is one object (`_Reader`).
     """
     with open(path) as fh:
         lineno = 1
@@ -261,9 +273,9 @@ def load_tower(path: str) -> Tower:
             params = FermatParams.from_n(header["n"])
             table = build_invariant_sets(params, factor=header["factor"])
             root, by_child = _root_part(params), {}
-            nodes = []
+            nodes, reader = [], _Reader(params)
             for lineno, line in enumerate(fh, start=2):
-                node = _node_from_json(json.loads(line), params)
+                node = reader.node(json.loads(line))
                 _check_structure(node, len(nodes), table, root, by_child)
                 nodes.append(node)
             precision = header["precision"]

@@ -111,7 +111,8 @@ def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True
     tower's own when None; a stored sign, margin or value that disagrees
     fails), then runs the tower's arithmetic program, cross-checking every
     node value and p1 against those sums.  The tower's report records the
-    result.  Returns the program that ran and its instruction values.
+    result.  Returns the program that ran and its instruction values (raw
+    mpf tuples).
     """
     checked = oracle_check_tower(tower) if oracle else 0
     resolve_signs(tower, tower.precision if precision is None else precision)

@@ -437,6 +437,28 @@ def _left_offset_float(node):
     node["left"]["offset"] = 1.0
 
 
+def _splits_offset_true(node):
+    node["splits"]["offset"] = True  # JSON true, which equals 1
+
+
+def _linear_denominator_true(node):
+    node["product"]["linear"][1][1] = True
+
+
+def _id_true(node):
+    node["id"] = True
+
+
+def _sum_source_true(node):
+    node["sum_source"] = True
+
+
+def _square_offset_float_repeated(node):
+    # G1(1,2) is node 1's left half and node 2's split: a loader that kept
+    # one part per distinct raw JSON value would find it under 1.0 == 1.
+    node["product"]["squares"][0][2]["offset"] = 1.0
+
+
 def _constant_quarter(node):
     node["product"]["constant"] = [1, 4]
 
@@ -544,6 +566,11 @@ def _value_left_bit_count_off(node):
         pytest.param(_on_node(_square_term_set_0, 2), 4, id="square-set-0"),
         pytest.param(_on_node(_left_kind_h, 2), 4, id="left-kind-H"),
         pytest.param(_on_node(_left_offset_float, 2), 4, id="left-offset-float"),
+        pytest.param(_on_node(_splits_offset_true, 0), 2, id="splits-offset-true"),
+        pytest.param(_on_node(_linear_denominator_true, 1), 3, id="linear-denominator-true"),
+        pytest.param(_on_node(_id_true, 1), 3, id="id-true"),
+        pytest.param(_on_node(_sum_source_true, 2), 4, id="sum-source-true"),
+        pytest.param(_on_node(_square_offset_float_repeated, 2), 4, id="square-offset-float-repeated"),
         pytest.param(_on_node(_constant_quarter, 2), 4, id="constant-quarter"),
         pytest.param(_on_node(_linear_quarter, 2), 4, id="linear-quarter"),
         pytest.param(_on_node(_square_quarter, 2), 4, id="square-quarter"),

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -30,8 +31,11 @@ from ngontower.tower import _root_part, build_tower
 from ngontower.towerfile import dump_tower
 
 from arith_io import load_arith
+from mpf_reference import mpf_arith_values
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).parent / "golden"
+mpf = mp.mp.make_mpf  # an `arith_values` value as an mpf, bit for bit
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +63,17 @@ def test_pruned_compiles_to_fewer_sqrts(tower257, tower257_full):
     assert pruned < full
 
 
+def _tower(n, kind, request):
+    """The tower for n and kind, from a session fixture where one exists."""
+    shared = {(257, "full"): "tower257_full", (65537, "pruned"): "tower65537"}
+    if (n, kind) in shared:
+        return request.getfixturevalue(shared[n, kind])
+    return build_tower(n, kind)
+
+
 def _outputs(prog, precision):
     values = arith_values(prog, precision)
-    return {name: values[idx] for name, idx in prog.outputs.items()}
+    return {name: mpf(values[idx]) for name, idx in prog.outputs.items()}
 
 
 def test_arith_outputs_match_cosine(tower17):
@@ -80,18 +92,50 @@ def test_arith_outputs_match_cosine(tower17):
 def test_program_values_are_the_tower_values(n, kind, request):
     # evaluate_tower runs the compiled program, so every node value a tower
     # stores is the program's value for that half, bit for bit.
-    shared = {(257, "full"): "tower257_full", (65537, "pruned"): "tower65537"}
-    if (n, kind) in shared:
-        tower = request.getfixturevalue(shared[n, kind])
-    else:
-        tower = build_tower(n, kind)
+    tower = _tower(n, kind, request)
     prog = compile_to_arith(tower)
     values = arith_values(prog, tower.precision)
     assert len(prog.nodes) == len(tower.nodes)
     for node, (_, root, left, right) in zip(tower.nodes, prog.nodes):
         assert prog.instrs[root].op == "SQRT"
-        assert values[left]._mpf_ == node.value_left._mpf_
-        assert values[right]._mpf_ == node.value_right._mpf_
+        assert mpf(values[left])._mpf_ == node.value_left._mpf_
+        assert mpf(values[right])._mpf_ == node.value_right._mpf_
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(n, kind) for n in (3, 5, 17, 257) for kind in ("full", "pruned")] + [(65537, "pruned")]
+)
+def test_raw_interpreter_matches_the_mpf_one_on_tower_programs(n, kind, request):
+    tower = _tower(n, kind, request)
+    prog = compile_to_arith(tower)
+    want = [v._mpf_ for v in mpf_arith_values(prog, tower.precision)]
+    assert arith_values(prog, tower.precision) == want
+
+
+def _run_until_negative_radicand(interpret, prog, precision):
+    """Every value as a raw tuple, and the message of the NegativeRadicand
+    that stopped the run (None if it ran to the end)."""
+    try:
+        values, message = interpret(prog, precision), None
+    except NegativeRadicand as exc:
+        values, message = exc.values, str(exc)
+    return [getattr(v, "_mpf_", v) for v in values], message
+
+
+def test_raw_interpreter_matches_the_mpf_one_on_fuzz_programs():
+    # The 1,000 programs of `test_lowering_fuzz`, each followed by the SQRT
+    # of -out, which stops the run whenever out > 0.
+    rng = random.Random(20260809)
+    stopped = 0
+    for _ in range(1000):
+        prog = _random_program(rng)
+        zero = prog.emit("CONST", value=Fraction(0))
+        prog.emit("SQRT", prog.emit("SUB", zero, prog.outputs["out"]))
+        want = _run_until_negative_radicand(mpf_arith_values, prog, 96)
+        got = _run_until_negative_radicand(arith_values, prog, 96)
+        assert got == want, prog.instrs
+        stopped += want[1] is not None
+    assert 200 <= stopped <= 800
 
 
 def _walked_product(prog, i, leaves, memo):
@@ -197,7 +241,7 @@ def test_negative_radicand_rejected():
     prog.outputs = {"x": s}
     with pytest.raises(NegativeRadicand) as exc:
         arith_values(prog, 128)
-    assert exc.value.values == [-2]
+    assert [mpf(v) for v in exc.value.values] == [-2]
 
 
 def _run_simple(ops):
@@ -364,7 +408,7 @@ def _random_program(rng: random.Random) -> ArithProgram:
             emit(op, pick(), pick())
         else:  # SQRT
             arg = pick()
-            if values[arg] < mp.mpf("0.05"):
+            if mpf(values[arg]) < mp.mpf("0.05"):
                 continue
             emit(op, arg)
         values = arith_values(prog, 96)
@@ -378,7 +422,7 @@ def test_lowering_fuzz():
     for _ in range(1000):
         prog = _random_program(rng)
         values = arith_values(prog, 96)
-        want = values[prog.outputs["out"]]
+        want = mpf(values[prog.outputs["out"]])
         if abs(want) > mp.mpf(10) ** 9:  # intercept slopes degenerate far out
             continue
         geom = lower_to_geom(prog, 96, values)
@@ -444,6 +488,22 @@ def test_geom_cos_point_within_tolerance(n, kind, tower257_full):
     with mp.workprec(tower.precision):
         err = abs(res["cos"] - mp.cos(2 * mp.pi / n))
         assert err <= mp.mpf(2) ** -(tower.precision // 2)
+
+
+def test_outputs_65537_match_golden(tower65537, tmp_path):
+    # The tower file of the 65537 fixture and the arith and geom programs
+    # `compile` writes from it, by SHA-256.
+    prog = compile_to_arith(tower65537)
+    writers = {
+        "tower_65537.tower": lambda path: dump_tower(tower65537, path),
+        "program_65537.arith": lambda path: dump_arith(prog, path),
+        "program_65537.geom": lambda path: dump_geom(lower_to_geom(prog, tower65537.precision), path),
+    }
+    got = []
+    for name, write in writers.items():
+        write(str(tmp_path / name))
+        got.append(f"{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}  {name}")
+    assert got == (GOLDEN / "outputs_65537.sha256").read_text().splitlines()
 
 
 def test_geom_65537_matches_cosine(tower65537):

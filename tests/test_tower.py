@@ -175,6 +175,21 @@ def test_roundtrip(n, kind, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("fixture", ["tower257_full", "tower65537"])
+def test_loaded_tower_holds_one_object_per_part_and_term(fixture, request, tmp_path):
+    from ngontower.towerfile import dump_tower, load_tower
+
+    path = tmp_path / "t.tower"
+    dump_tower(request.getfixturevalue(fixture), str(path))
+    nodes = load_tower(str(path)).nodes
+    terms = [t for node in nodes for t in (*node.product_expr.linear, *node.product_expr.squares)]
+    parts = [p for node in nodes for p in (node.splits, node.left, node.right)]
+    parts += [p for _, p in terms]
+    assert len(terms) > len(set(terms)) and len(parts) > len(set(parts))
+    assert len({id(t) for t in terms}) == len(set(terms))
+    assert len({id(p) for p in parts}) == len(set(parts))
+
+
 def _level_values_and_products(tower, m):
     values = part_values(tower)
     stride = 1 << m
