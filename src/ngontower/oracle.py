@@ -1,271 +1,212 @@
-"""Exact integer arithmetic in the span of the pairs p_k = z^k + z^(n-k).
+"""The exact oracle: each product identity checked at its conjugates modulo
+primes l = 1 (mod n).
 
-This is the brute-force referee for every symbolic identity in the engine.
-A product applies the two-pair rule
+Every part of S is a Gauss period.  Let g be a primitive root mod n and
+h = (n-1)/2, and number the pairs by their discrete log i mod h: pair i is
+p_(g^i).  A part of s pairs is a coset of the subgroup of index D = h/s, so
+its pairs share i mod D = r: it is the period (D, r), and the automorphism
+sigma_t: z -> z^(g^t) sends it to (D, r + t).  Modulo a prime l = 1 (mod n)
+with z_l of order n in F_l, pair i maps to ps[i] = z_l^(g^i) + z_l^-(g^i),
+and the conjugate t of the period (D', r) to eta_D'[(r + t) mod D'], where
+eta_D'[j] sums ps[i] over i = j (mod D').
 
-    p_k * p_m = p_|k-m| + p_min(k+m, n-(k+m))      (k != m)
-    p_k * p_k = p_min(2k, n-2k) + 2
+`Oracle.check` tests a node's identity 2*L*R = c0 + sum c*X + sum d*Y^2
+(its coefficients as they stand, counting halves) at the D conjugates
+t = 0 .. D-1, D the largest index among its parts: every index divides h,
+a power of two, so D is a multiple of them all.
 
-to every pair of nonzero coefficients, with the constants distributed
-exactly.  It uses no invariant-set structure, so its results are independent
-of the fast symbolic path.  Small products scatter every pair product
-directly; large ones compute the rule's correlation and convolution of the
-two pair vectors by a floating-point FFT rounded to integers.  Each route has
-an exactness guard, and a product either guard refuses is expanded over
-Python integers, which stays the reference definition (`pair_product`,
-`_pair_mul_bigint`).
+Why it is exact.  delta = 2LR - E lies in the field K_D of degree D that
+holds every part.  The n-1 maps Z[z] -> F_l, z -> z_l^j, are the sigma
+followed by z -> z_l, so on delta they take only the D values checked (l
+splits completely in Q(z); these are the D primes above l in K_D).  Write
+delta = sum_k a_k z^k over k = 1 .. n-1 (1 = -sum z^k).  If every value is
+0, so are the n-1 sums sum_k a_k z_l^(jk), whose matrix, a Vandermonde
+matrix in distinct nodes times a diagonal, is invertible over F_l: l
+divides every a_k.
+
+The bound.  In this basis a constant c is -c on every z^k, and c*X is c on
+the 2s distinct powers z^k of a part X of s pairs.  The coefficient of z^k
+in X*Y counts the exponent pairs (a, b) with a + b = k, less those with
+a + b = 0 (mod n); each a meets at most one b, so both counts lie in
+0 .. 2 min(|X|, |Y|).  So every |a_k| <= B = 4 min(|L|, |R|) + |c0| +
+sum |c| + 2 sum |d| |Y|, sizes in pairs.  The check runs modulo the largest
+primes l = 1 (mod n) below 2^31 until their product exceeds B, which then
+divides each a_k: all are 0.  Real towers have B below 10^5: one prime.
+
+The oracle reads only the table's parameters, `part_pairs`, the node's
+parts and its expression, and keeps its tables for one pass (`Oracle`).
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .residues import FermatParams, pair_of
-
-# Largest |coefficient| budget for the int64 path; beyond this the
-# pure-Python big-integer path is used so results stay exact.
-_INT64_SAFE = 1 << 52
-
-# Exactness guard of the FFT route.  Percival's bound for a cyclic
-# convolution of length L = 2^k by FFT in float64 (eps = 2^-53, twiddle
-# error taken as eps) is
-#     |error| < |x|_2 |y|_2 ((1+eps)^3k (1+eps*sqrt5)^(3k+1) (1+eps)^3k - 1),
-# below 3.5e-14 |x|_2 |y|_2 for k <= 24.  The route transforms the pair
-# coefficients alone, whose |.|_1 is at most half the embedding's |A|_1, so
-# |A|_1 |B|_1 <= 2^42 gives |x|_2 |y|_2 <= |x|_1 |y|_1 <= 2^40.  The
-# correlation is the convolution with y reversed, of the same norm.  Each of
-# the four terms a pair coefficient collects (two of the convolution, two of
-# the correlation) is then off by less than 0.04, their sum by less than
-# 0.16, so rounding is exact.  numpy's transform is not the radix-2 one the
-# bound is proved for, so the rounding residual of every result is checked
-# as well.
-_FFT_SAFE = 1 << 42
-_FFT_MAX_LENGTH = 1 << 24
-
-# Size rule: a product with nnz(a) * nnz(b) > max(2L, 2^13) pair products,
-# L the FFT length, takes the FFT route.  Measured on 0/1 vectors (2-vCPU
-# x86-64, numpy 2.4, best of 5 or 20 runs): at n = 65537 (L = 2^16) 2^17
-# pair products take 3.8 ms direct and 5.0 ms by FFT, 2^18 take 7.5 and
-# 4.1 ms, 2^20 29 and 3.9 ms; at n = 257 (L = 2^8) 2^12 take 0.07 and
-# 0.09 ms, 2^13 0.12 and 0.09 ms.  2L caps the direct route's temporaries
-# at 2^17 entries (1 MB each); the floor keeps every product of a tower at
-# n <= 257 (at most 2^12 pair products) on the direct route, so small
-# builds never load numpy.fft.
-_FFT_PAIRS_PER_POINT = 2
-_DIRECT_FLOOR = 1 << 13
+from .errors import VerificationError
+from .splitting import part_pairs
 
 
-@dataclass(frozen=True)
-class PeriodVector:
-    """constant + sum_k coeffs[k] * p_k, with 1-based coeffs (slot 0 unused)."""
-
-    n: int
-    constant: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        assert self.coeffs.shape == ((self.n - 1) // 2 + 1,)
-        self.coeffs.setflags(write=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodVector):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.constant == other.constant
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __add__(self, other: "PeriodVector") -> "PeriodVector":
-        self._check(other)
-        return PeriodVector(self.n, self.constant + other.constant, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "PeriodVector") -> "PeriodVector":
-        self._check(other)
-        return PeriodVector(self.n, self.constant - other.constant, self.coeffs - other.coeffs)
-
-    def scaled(self, c: int) -> "PeriodVector":
-        return PeriodVector(self.n, c * self.constant, c * self.coeffs)
-
-    def _check(self, other: "PeriodVector") -> None:
-        if self.n != other.n:
-            raise ValueError(f"mixed moduli {self.n} and {other.n}")
-
-    def nonzero_pairs(self) -> np.ndarray:
-        # numpy scans a bool mask about five times faster than int64 values.
-        return np.nonzero(self.coeffs != 0)[0]
+class OracleMismatch(VerificationError):
+    """A product expression is not exactly equal to the product it stands for."""
 
 
-def pv_from_pairs(pairs, params: FermatParams, constant: int = 0) -> PeriodVector:
-    """Indicator vector of the given pair numbers."""
-    idx = np.asarray(pairs, dtype=np.int64)
-    bad = idx[(idx < 1) | (idx > params.npairs)]
-    if bad.size:
-        raise ValueError(f"pair number {bad[0]} out of range [1, {params.npairs}]")
-    coeffs = np.bincount(idx, minlength=params.npairs + 1).astype(np.int64, copy=False)
-    return PeriodVector(params.n, constant, coeffs)
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, bases 2, 3, 5 and 7: exact below 3.2e9."""
+    bases = (2, 3, 5, 7)
+    if m < 2 or any(m % p == 0 for p in bases):
+        return m in bases
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x != 1 and all(pow(x, 1 << j, m) != m - 1 for j in range(s)):
+            return False
+    return True
 
 
-def pair_product(k: int, m: int, n: int) -> PeriodVector:
-    """Product of two single pairs as a PeriodVector."""
-    npairs = (n - 1) // 2
-    if not (1 <= k <= npairs and 1 <= m <= npairs):
-        raise ValueError(f"pair numbers ({k}, {m}) out of range [1, {npairs}]")
-    coeffs = np.zeros(npairs + 1, dtype=np.int64)
-    if k == m:
-        coeffs[pair_of((2 * k) % n, n)] += 1
-        return PeriodVector(n, 2, coeffs)
-    coeffs[abs(k - m)] += 1
-    coeffs[min(k + m, n - (k + m))] += 1
-    return PeriodVector(n, 0, coeffs)
+def _primes(n: int):
+    """The primes l = 1 (mod n) below 2^31, largest first."""
+    top = (2**31 - 2) // (2 * n) * (2 * n) + 1
+    return (ell for ell in range(top, 1, -2 * n) if _is_prime(ell))
 
 
-def pv_mul(a: PeriodVector, b: PeriodVector) -> PeriodVector:
-    """Exact product of a and b in Z[z]/(z^n - 1)."""
-    a._check(b)
-    ai = a.nonzero_pairs()
-    bi = b.nonzero_pairs()
-    if ai.size * bi.size <= max(_FFT_PAIRS_PER_POINT * _fft_length(a.n), _DIRECT_FLOOR):
-        product = _mul_direct(a, b, ai, bi)
-    else:
-        product = _mul_fft(a, b, ai, bi)
-    return product if product is not None else _mul_bigint(a, b, ai, bi)
+def _powers(base: int, count: int, mod: int) -> np.ndarray:
+    """base^0 .. base^(count-1) modulo mod, as int64."""
+    powers = [1] * count
+    for i in range(1, count):
+        powers[i] = powers[i - 1] * base % mod
+    return np.array(powers, dtype=np.int64)
 
 
-def _fft_length(n: int) -> int:
-    """Smallest power of two that holds the linear convolution of the pair
-    coefficients p_1 .. p_h (h = (n-1)/2): >= 2h - 1 = n - 2."""
-    return 1 << (n - 3).bit_length()
+class _Field:
+    """The images of every period modulo one prime: `eta[D]` holds eta_D
+    twice over, so eta[D][r : r + D] lists the period (D, r) at the
+    conjugates t = 0 .. D-1."""
+
+    def __init__(self, ell: int, n: int, elements: np.ndarray):
+        self.prime = ell
+        a = 2
+        while pow(a, (ell - 1) // n, ell) == 1:
+            a += 1
+        zpow = _powers(pow(a, (ell - 1) // n, ell), n, ell)
+        eta = (zpow[elements] + zpow[n - elements]) % ell
+        self.eta = {eta.size: np.concatenate((eta, eta))}
+        while eta.size > 1:
+            eta = (eta[: eta.size // 2] + eta[eta.size // 2 :]) % ell
+            self.eta[eta.size] = np.concatenate((eta, eta))
 
 
-def _l1(v: PeriodVector, idx) -> int:
-    """|A|_1 of the embedding A of v, exactly: |constant| + 2 * sum |c_k|.
+class PeriodValues(NamedTuple):
+    """A number modulo one prime as its values at conjugates, each in
+    0 .. prime-1: its coordinates in F_l^D, into which K_D splits."""
 
-    Every coefficient of a product, and every partial sum either route
-    forms, is at most |A|_1 |B|_1 in magnitude.  The sum is taken in int64
-    when max |c_k| * nnz < 2^61 bounds it, else over Python integers.
-    """
-    c = v.coeffs[idx]
-    if c.dtype == object or (c.size and max(int(c.max()), -int(c.min())) * c.size >= 1 << 61):
-        c = c.astype(object, copy=False)
-    return abs(int(v.constant)) + 2 * int(np.abs(c).sum())
+    coeffs: np.ndarray
+    prime: int
 
 
-def _mul_direct(a, b, ai, bi):
-    """Small products: scatter every pair product by the two-pair rule.
-
-    `pv_mul` sends a product here only when nnz(a) nnz(b) <= max(2L, 2^13),
-    L the FFT length: at most 2^17 pair products at n = 65537 (L = 2^16), so
-    the temporaries are at most 1 MB each and are built in one pass.
-
-    Returns None when the float64 sums of bincount, and int64, might not hold
-    the result exactly.
-    """
-    if _l1(a, ai) * _l1(b, bi) >= 2 * _INT64_SAFE:
-        return None
-    n = a.n
-    size = a.coeffs.shape[0]
-    k = ai[:, None]
-    d = k - bi
-    np.abs(d, out=d)
-    s = k + bi
-    np.minimum(s, n - s, out=s)
-    # Indicator vectors, the factors of every product a tower check makes,
-    # need no weights: bincount then counts in int64.
-    ca, cb = a.coeffs[ai], b.coeffs[bi]
-    unit = (ca == 1).all() and (cb == 1).all()
-    vals = None if unit else (ca[:, None] * cb).astype(np.int64, copy=False).ravel()
-    # A squared pair has d = 0 and lands in the unused slot 0: it stands for
-    # z^0 + z^-0, that is 2 on the constant.
-    out = np.bincount(d.ravel(), weights=vals, minlength=size)
-    out += np.bincount(s.ravel(), weights=vals, minlength=size)
-    return _with_constants(a, b, out.astype(np.int64, copy=False))
+def pv_of_part(oracle: "Oracle", part, field: _Field, index: int | None = None) -> PeriodValues:
+    """A part placed by `oracle` at the conjugates t = 0 .. index-1: of its
+    own index D when None, else of a multiple of D, over which they repeat."""
+    d, r = oracle.places[part]
+    values = field.eta[d][r : r + d]
+    return PeriodValues(values if index is None else np.tile(values, index // d), field.prime)
 
 
-def _mul_fft(a, b, ai, bi):
-    """Large products: the two-pair rule by real FFT in the pair basis.
-
-    With x_i = a_(i+1) and y_i = b_(i+1) (i = 0 .. h-1), a pair product
-    a_k b_m lands at |k - m| through the correlation of x and y and at
-    k + m, folded to n - (k + m) above h, through their convolution; the
-    correlation at 0 counts the squared pairs.  Both are linear, of length
-    2h - 1, so a cyclic transform of length L >= n - 2 holds them unfolded.
-
-    Returns None when the a-priori bound or the rounding residual cannot
-    vouch for an exact result.
-    """
-    n = a.n
-    half = (n - 1) // 2
-    length = _fft_length(n)
-    if _l1(a, ai) * _l1(b, bi) > _FFT_SAFE or length > _FFT_MAX_LENGTH:
-        return None
-    fa = np.fft.rfft(a.coeffs[1:].astype(np.float64), length)
-    fb = np.fft.rfft(b.coeffs[1:].astype(np.float64), length)
-    conv = np.fft.irfft(fa * fb, length)
-    corr = np.fft.irfft(fa * fb.conj(), length)
-    linear = np.zeros(half + 1)
-    linear[:half] = corr[:half]  # k - m = j >= 0
-    linear[1:half] += corr[: length - half : -1]  # k - m = -j, stored at L - j
-    linear[2:] += conv[: half - 1]  # k + m = j, stored at j - 2
-    linear[1:] += conv[half - 1 : 2 * half - 1][::-1]  # k + m = n - j
-    rounded = np.rint(linear)
-    if np.abs(linear - rounded).max() >= 0.25:
-        return None
-    return _with_constants(a, b, rounded.astype(np.int64))
+def pv_mul(a: PeriodValues, b: PeriodValues) -> PeriodValues:
+    """a * b, conjugate by conjugate."""
+    return PeriodValues(a.coeffs * b.coeffs % a.prime, a.prime)
 
 
-def _with_constants(a, b, pairs):
-    """a * b from the product of their pair parts, `pairs` (int64, slot 0
-    counting the squared pairs): the constants' terms are added exactly in
-    int64, which the callers' guards bound."""
-    const = 2 * int(pairs[0]) + a.constant * b.constant
-    pairs[0] = 0
-    if a.constant:
-        pairs += a.constant * b.coeffs.astype(np.int64, copy=False)
-    if b.constant:
-        pairs += b.constant * a.coeffs.astype(np.int64, copy=False)
-    return PeriodVector(a.n, const, pairs)
+class Oracle:
+    """One pass of exact checks over one table: the place (D, r) of each
+    part met, and the periods modulo each prime the pass has needed."""
 
+    def __init__(self, table):
+        self.table = table
+        n, h = table.params.n, table.params.npairs
+        # n - 1 is a power of two, so every non-residue is a primitive root.
+        g = next(g for g in range(2, n) if pow(g, h, n) == n - 1)
+        self.elements = _powers(g, h, n)  # element g^i of pair i
+        self.logs = np.empty(h + 1, dtype=np.int64)  # pair number -> i
+        self.logs[np.minimum(self.elements, n - self.elements)] = np.arange(h)
+        self.places: dict = {}
+        self.fields: list[_Field] = []
+        self._primes = _primes(n)
 
-def _mul_bigint(a, b, ai, bi):
-    """Fallback: the two-pair rule over Python integers, constants included."""
-    const, out = _pair_mul_bigint(a, b, ai, bi, a.n)
-    coeffs = (
-        out.astype(object)
-        + a.constant * b.coeffs.astype(object)
-        + b.constant * a.coeffs.astype(object)
-    )
-    if all(abs(c) < _INT64_SAFE for c in coeffs):
-        coeffs = coeffs.astype(np.int64)
-    return PeriodVector(a.n, const + a.constant * b.constant, coeffs)
+    def place(self, part) -> tuple[int, int] | None:
+        """(D, r) when the part's pairs are exactly the coset of index D
+        holding pair r, else None.  Checked once per part and pass."""
+        if part not in self.places:
+            h = self.table.params.npairs
+            logs = self.logs[part_pairs(part, self.table)]
+            index = h // logs.size if logs.size and h % logs.size == 0 else 0
+            coset = index and (logs % index == logs[0] % index).all()
+            exact = coset and np.bincount(logs // index).max() == 1  # no pair twice
+            self.places[part] = (index, int(logs[0]) % index) if exact else None
+        return self.places[part]
 
+    def fields_for(self, bound: int) -> list[_Field]:
+        """The fields of the largest primes l = 1 (mod n) whose product
+        exceeds `bound`."""
+        product, count = 1, 0
+        while product <= bound:
+            if count == len(self.fields):
+                self.fields.append(_Field(next(self._primes), self.table.params.n, self.elements))
+            product *= self.fields[count].prime
+            count += 1
+        return self.fields[:count]
 
-def _pair_mul_bigint(a, b, ai, bi, n):
-    # Arbitrary-width path for pathological coefficient sizes: plain Python
-    # integers, upgraded to an object-dtype array when int64 cannot hold the
-    # result (the fast routes must never wrap silently).
-    acc: dict[int, int] = {}
-    const = 0
-    half = (n - 1) // 2
-    for k in ai:
-        av = int(a.coeffs[k])
-        for m in bi:
-            v = av * int(b.coeffs[m])
-            if k == m:
-                s = 2 * k
-                s = s if s <= half else n - s
-                acc[s] = acc.get(s, 0) + v
-                const += 2 * v
-            else:
-                d = abs(int(k) - int(m))
-                acc[d] = acc.get(d, 0) + v
-                s = int(k) + int(m)
-                s = s if s <= half else n - s
-                acc[s] = acc.get(s, 0) + v
-    big = any(abs(v) >= _INT64_SAFE for v in acc.values())
-    out = np.zeros(half + 1, dtype=object if big else np.int64)
-    for p, v in acc.items():
-        out[p] += v
-    return const, out
+    def expression_bound(self, combo) -> int:
+        """|c0| + sum |c| + 2 sum |d| |Y|: no coefficient of c0 + sum c*X +
+        sum d*Y^2 in the basis z^1 .. z^(n-1) is larger."""
+        h = self.table.params.npairs
+        squares = sum(abs(d) * h // self.places[p][0] for d, p in combo.squares)
+        return abs(combo.constant) + sum(abs(c) for c, _ in combo.linear) + 2 * squares
 
+    def expression_image(self, combo, index: int, field: _Field) -> np.ndarray:
+        """c0 + sum c*X + sum d*Y^2 at the conjugates t = 0 .. index-1.
+        Terms of one index are summed at that length, reduced after each
+        product so every intermediate stays below 2^62; each sum then adds
+        to every block of the result, viewed as (index / D', D')."""
+        ell = field.prime
+        sums: dict[int, np.ndarray] = {}
+        for terms, squared in ((combo.linear, False), (combo.squares, True)):
+            for c, part in terms:
+                y = pv_of_part(self, part, field)
+                y = (pv_mul(y, y) if squared else y).coeffs
+                acc = sums.get(y.size)
+                if acc is None:
+                    acc = sums[y.size] = np.zeros(y.size, dtype=np.int64)
+                acc += c % ell * y
+                acc %= ell
+        out = np.full(index, combo.constant % ell, dtype=np.int64)
+        for d, acc in sums.items():
+            out.reshape(-1, d)[...] += acc
+        return out % ell
 
+    def check(self, node) -> None:
+        """Raise OracleMismatch unless 2 * left * right equals the node's
+        product expression exactly (see the module docstring)."""
+        combo, left, right = node.product_expr, node.left, node.right
+        parts = [left, right, *combo.referenced_parts()]
+        for part in parts:
+            if self.place(part) is None:
+                raise OracleMismatch(
+                    f"{part.label(self.table)} is not a Gauss period: its pairs are "
+                    "not one coset of the pair group", node.id
+                )
+        index = max(self.places[part][0] for part in parts)
+        smaller = self.table.params.npairs // max(self.places[left][0], self.places[right][0])
+        bound = 4 * smaller + self.expression_bound(combo)
+        for field in self.fields_for(bound):
+            ell = field.prime
+            sides = pv_of_part(self, left, field, index), pv_of_part(self, right, field, index)
+            lhs = 2 * pv_mul(*sides).coeffs % ell
+            rhs = self.expression_image(combo, index, field)
+            if not np.array_equal(lhs, rhs):
+                raise OracleMismatch(
+                    f"product of {left.label(self.table)} and {right.label(self.table)} "
+                    f"differs from its expression at {int((lhs != rhs).sum())} of {index} "
+                    f"conjugates modulo {ell}",
+                    node.id,
+                )

@@ -4,7 +4,8 @@ A product G_i * G_j decomposes into a sum of whole invariant sets (a square
 additionally yields the constant 2^(nu+1)).  The decomposition is found by
 classifying the products of one fixed pair against all pairs of the other set;
 the rotation argument then lifts each classified pair to its full set.  Cost is
-2^(nu+1) classifications instead of the oracle's 4^nu pair products.
+2^(nu+1) classifications instead of the 4^nu pair products of multiplying
+the two sets out by the two-pair rule.
 """
 
 from dataclasses import dataclass

@@ -39,10 +39,9 @@ def _coeff_to_json(halves: int) -> list[int]:
     return [halves, 2] if halves % 2 else [halves // 2, 1]
 
 
-# Real towers reach 32,768 = npairs halves.  A pair gains at most one
-# coefficient per linear term, so below this bound the int64 sums in
-# `verify.combo_as_pv_doubled` stay under 2^47 for a product of fewer than
-# 2^16 terms (a real one has at most 78, at n = 65537).
+# Real towers reach 32,768 = npairs halves.  The exact oracle is exact at
+# any size: this bound only sets how many primes it runs modulo, one for
+# every real tower (see `oracle`).
 _MAX_HALVES = 1 << 31
 
 
@@ -153,10 +152,17 @@ class _Reader:
         return part
 
     def combo(self, d) -> LinearCombo:
+        """The product expression a JSON object holds; raises ValueError for
+        a part named twice among its linear terms or twice among its
+        squares, which no schedule writes."""
         constant, linear, squares = _coeff_from_json(*d["constant"]), [], []
-        for terms, out in ((d["linear"], linear), (d["squares"], squares)):
-            for num, den, p in terms:
+        for kind, out in (("linear", linear), ("squares", squares)):
+            named = set()
+            for num, den, p in d[kind]:
                 term = (_coeff_from_json(num, den), self.part(p))
+                if term[1] in named:
+                    raise ValueError(f"{term[1].label()} is named twice among the {kind} terms")
+                named.add(term[1])
                 out.append(self.terms.setdefault(term, term))
         return LinearCombo(constant, tuple(linear), tuple(squares))
 
@@ -255,15 +261,17 @@ def load_tower(path: str) -> Tower:
     header out of range (`_check_header`; an n that is not a Fermat prime up
     to 65537 is refused before any table is built), a node that names a part
     outside the table for that n (any of its split, halves or product
-    terms), a coefficient that is not an integer or half-integer
-    (denominator 1 or 2) below 2^30, a part field, coefficient, id, step or
-    sum_source that is not a JSON integer (a bool is refused), a malformed
-    sign or value field (`_Reader.node`), a node out of place in the
-    schedule's DAG (see `_check_structure`), and, reported on the last line,
-    a file that ends before a node produces p1 or whose nodes are not the
-    header's schedule (`_check_schedule`).  A null header precision reads as
-    `default_precision(n)`.  An unreadable path raises OSError.  Each
-    distinct part and term is one object (`_Reader`).
+    terms), a product expression that names a part twice among its linear
+    terms or twice among its squares, a coefficient that is not an integer
+    or half-integer (denominator 1 or 2) below 2^30, a part field,
+    coefficient, id, step or sum_source that is not a JSON integer (a bool
+    is refused), a malformed sign or value field (`_Reader.node`), a node
+    out of place in the schedule's DAG (see `_check_structure`), and,
+    reported on the last line, a file that ends before a node produces p1
+    or whose nodes are not the header's schedule (`_check_schedule`).  A
+    null header precision reads as `default_precision(n)`.  An unreadable
+    path raises OSError.  Each distinct part and term is one object
+    (`_Reader`).
     """
     with open(path) as fh:
         lineno = 1

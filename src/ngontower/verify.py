@@ -9,97 +9,34 @@ sums and writes the tower's report.  Every command that reads a tower runs
 it: `build`, `verify`, `render`, and `compile`, which writes the program
 the pipeline ran.
 
-The oracle check expands each node's two sides in the pair basis and
-multiplies them brute-force; the result must equal the product expression
-exactly as integers, both sides doubled (an expression's coefficients count
-halves).  Every failed check raises a `VerificationError` naming its node,
-and the first one ends the pass.
+The oracle check (`oracle.Oracle`) maps each node's two sides, 2 * left *
+right and its product expression, to the conjugates of the field that holds
+them modulo primes l = 1 (mod n), enough of them to make equal images prove
+the identity exactly (`pv_of_part`, `pv_mul`).  Every failed check raises
+a `VerificationError` naming its node, and the first one ends the pass.
 """
 
-import numpy as np
-
-from .errors import VerificationError
 from .invariant_sets import InvariantSetTable
-from .oracle import PeriodVector, pv_from_pairs, pv_mul
-from .splitting import LinearCombo, PartRef, part_pairs
+from .oracle import Oracle, OracleMismatch, PeriodValues, pv_mul, pv_of_part
 from .tower import Tower, evaluate_tower, resolve_signs
 
-
-class OracleMismatch(VerificationError):
-    """A product expression is not exactly equal to the brute-force product."""
-
-
-def pv_of_part(part: PartRef, table: InvariantSetTable) -> PeriodVector:
-    return pv_from_pairs(part_pairs(part, table), table.params)
+__all__ = [
+    "OracleMismatch", "PeriodValues", "pv_of_part", "pv_mul",
+    "oracle_check_node", "oracle_check_tower", "verify_tower",
+]
 
 
-class _PartPairs(dict):
-    """Part -> its pair numbers (`part_pairs`), each part expanded once."""
-
-    def __init__(self, table: InvariantSetTable):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, part: PartRef) -> np.ndarray:
-        pairs = self[part] = part_pairs(part, self.table)
-        return pairs
-
-
-def combo_as_pv_doubled(
-    combo: LinearCombo, table: InvariantSetTable, pairs: _PartPairs | None = None
-) -> PeriodVector:
-    """2 * combo expanded over the pair basis: its coefficients, which count
-    halves, as they stand.
-
-    The linear terms are scattered in one pass over their concatenated pair
-    numbers (read from `pairs`, the expansions of a pass, when given),
-    accumulating in int64; each square goes through `pv_mul`.
-    """
-    pairs = _PartPairs(table) if pairs is None else pairs
-    terms = [pairs[p] for _, p in combo.linear]
-    coeffs = np.asarray([c for c, _ in combo.linear], dtype=np.int64)
-    acc = np.zeros(table.params.npairs + 1, dtype=np.int64)
-    if terms:
-        np.add.at(acc, np.concatenate(terms), np.repeat(coeffs, [len(t) for t in terms]))
-    result = PeriodVector(table.params.n, combo.constant, acc)
-    for c, p in combo.squares:
-        pvp = pv_of_part(p, table)
-        result = result + pv_mul(pvp, pvp).scaled(c)
-    return result
-
-
-def _normalize_mod_s(v: PeriodVector) -> PeriodVector:
-    """Canonical representative modulo the relation S = -1 (i.e. modulo integer
-    multiples of the all-ones vector with constant 1)."""
-    t = int(v.coeffs[-1])
-    if t == 0:
-        return v
-    coeffs = v.coeffs.copy()
-    coeffs[1:] -= t
-    return PeriodVector(v.n, v.constant - t, coeffs)
-
-
-def oracle_check_node(node, table: InvariantSetTable, pairs: _PartPairs | None = None) -> None:
-    lhs = pv_mul(pv_of_part(node.left, table), pv_of_part(node.right, table)).scaled(2)
-    rhs = combo_as_pv_doubled(node.product_expr, table, pairs)
-    # Expressions may carry the uniform part of the product folded into the
-    # constant via S = -1, so compare representatives modulo that relation.
-    if _normalize_mod_s(lhs) != _normalize_mod_s(rhs):
-        delta = lhs - rhs
-        bad = delta.nonzero_pairs()
-        raise OracleMismatch(
-            f"product of {node.left.label(table)} and {node.right.label(table)} differs "
-            f"from its expression at {len(bad)} pairs (constant delta {delta.constant})",
-            node.id,
-        )
+def oracle_check_node(node, table: InvariantSetTable, oracle: Oracle | None = None) -> None:
+    """Exact check of one node's product expression; `oracle` carries the
+    tables of a pass (a fresh one when None)."""
+    (Oracle(table) if oracle is None else oracle).check(node)
 
 
 def oracle_check_tower(tower: Tower) -> int:
-    """Exact check of every node; returns how many were checked.  Each part
-    a product expression names is expanded once for the pass."""
-    pairs = _PartPairs(tower.table)
+    """Exact check of every node, in one pass; returns how many were checked."""
+    oracle = Oracle(tower.table)
     for node in tower.nodes:
-        oracle_check_node(node, tower.table, pairs)
+        oracle_check_node(node, tower.table, oracle)
     return len(tower.nodes)
 
 

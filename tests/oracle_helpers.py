@@ -1,13 +1,17 @@
-"""Test helpers around the exact oracle: the zero and all-ones vectors, and
-conversions between period vectors and invariant-set combinations."""
+"""Test helpers around the exact oracle: the zero and all-ones vectors,
+conversions between period vectors and invariant-set combinations, and
+images of period vectors and expressions at the oracle's conjugates."""
 
 import numpy as np
 
 from ngontower.errors import VerificationError
 from ngontower.invariant_sets import InvariantSetTable
-from ngontower.oracle import PeriodVector
+from ngontower.oracle import Oracle
 from ngontower.period_algebra import SetCombination
 from ngontower.residues import FermatParams
+from ngontower.splitting import LinearCombo
+
+from pair_reference import PeriodVector
 
 
 class NotSetUniform(VerificationError):
@@ -52,3 +56,31 @@ def combination_to_pv(c: SetCombination, table: InvariantSetTable) -> PeriodVect
             for p in table.sets[k - 1]:
                 coeffs[p] += ck
     return PeriodVector(table.params.n, c.constant, coeffs)
+
+
+def pv_image(v: PeriodVector, oracle: Oracle, index: int, field) -> np.ndarray:
+    """v at the conjugates t = 0 .. index-1 modulo field.prime: pair k, of
+    discrete log i, maps to ps[(i + t) mod h] (`field.eta[h]` holds ps
+    twice over)."""
+    ell, h = field.prime, oracle.table.params.npairs
+    pairs = v.nonzero_pairs()
+    coeffs = np.array([int(c) % ell for c in v.coeffs[pairs]], dtype=np.int64)
+    logs, ps = oracle.logs[pairs], field.eta[h]
+    return np.array(
+        [(int(v.constant) + int((ps[logs + t] * coeffs % ell).sum())) % ell for t in range(index)],
+        dtype=np.int64,
+    )
+
+
+def same_expression(oracle: Oracle, a: LinearCombo, b: LinearCombo) -> bool:
+    """a == b as numbers, decided at the conjugates of their parts modulo
+    enough primes: no coefficient of a - b in the basis z^1 .. z^(n-1)
+    exceeds the sum of their bounds."""
+    parts = a.referenced_parts() + b.referenced_parts()
+    assert all(oracle.place(p) for p in parts)
+    index = max(oracle.places[p][0] for p in parts)
+    bound = oracle.expression_bound(a) + oracle.expression_bound(b)
+    return all(
+        np.array_equal(oracle.expression_image(a, index, f), oracle.expression_image(b, index, f))
+        for f in oracle.fields_for(bound)
+    )

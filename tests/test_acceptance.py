@@ -11,14 +11,15 @@ import mpmath as mp
 import pytest
 
 from ngontower import reference_tables as ref
-from ngontower.oracle import pv_mul
+from ngontower.oracle import Oracle, OracleMismatch
 from ngontower.period_algebra import set_product, set_square
 from ngontower.residues import FermatParams, rho
-from ngontower.splitting import f_part, g_part, mu_groups, mu_table
-from ngontower.tower import build_tower
-from ngontower.verify import oracle_check_tower, pv_of_part
+from ngontower.splitting import LinearCombo, f_part, g_part, mu_groups, mu_table
+from ngontower.tower import QuadraticNode, build_tower
+from ngontower.verify import oracle_check_tower
 
-from oracle_helpers import decompose_into_sets, pv_s
+from oracle_helpers import decompose_into_sets
+from pair_reference import pv_mul, pv_of_part
 from paper_checks import coeff_sum, doubling_orbit, mu_via_linear_system, shift_combination
 from tower_values import part_values
 
@@ -37,14 +38,20 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_exact_oracle_identities(table17, table257, table65537):
     t0 = time.monotonic()
     ok = True
-    for table in (table17, table257, table65537):
-        params = table.params
-        prod = pv_mul(pv_of_part(f_part(1, 2), table), pv_of_part(f_part(2, 2), table))
-        ok &= prod == pv_s(params).scaled((params.n - 1) // 4)
-    for table in (table257, table65537):
-        params = table.params
-        prod = pv_mul(pv_of_part(f_part(1, 4), table), pv_of_part(f_part(3, 4), table))
-        ok &= prod == pv_s(params).scaled((params.n - 1) // 16)
+    # 2 * F(1,2) * F(2,2) = (n-1)/2 * S and 2 * F(1,4) * F(3,4) = (n-1)/8 * S,
+    # checked by the exact oracle; a multiplier off by one half is refused.
+    identities = [(table, 2, 1, 2, 2) for table in (table17, table257, table65537)]
+    identities += [(table, 4, 1, 3, 8) for table in (table257, table65537)]
+    for table, stride, j, k, div in identities:
+        oracle = Oracle(table)
+        for delta in (0, 1):
+            expr = LinearCombo(0, (((table.params.n - 1) // div + delta, f_part(1, 1)),), ())
+            node = QuadraticNode(0, 0, f_part(1, 1), f_part(j, stride), f_part(k, stride), None, expr)
+            try:
+                oracle.check(node)
+                ok &= delta == 0
+            except OracleMismatch:
+                ok &= delta == 1
     elapsed = time.monotonic() - t0
     _report(1, "exact product identities", ok and elapsed <= 60, f"{elapsed:.1f}s")
 

@@ -150,6 +150,27 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert code == 1
 
 
+def test_coefficient_moved_by_the_prime_is_refused(tmp_path, capsys):
+    # Moved by l halves, l the oracle's first prime (l = 1 mod 17), node 2's
+    # coefficient has the image it had modulo l; its bound then exceeds l,
+    # and the check modulo a second prime refuses it.
+    from ngontower.oracle import _primes
+
+    ell = next(_primes(17))
+
+    def move(node):
+        term = node["product"]["linear"][0]
+        halves = term[0] * (2 // term[1])
+        halves += -ell if halves > 0 else ell
+        term[:2] = [halves, 2] if halves % 2 else [halves // 2, 1]
+
+    tower_path = _tampered_17(tmp_path, capsys, move, node_id=2)
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(tower_path)])
+    assert code == 1
+    assert err.startswith("verification failure: node 2: product of ")
+    assert f"modulo {ell}" not in err
+
+
 def test_build_257_report(tmp_path, capsys):
     code, out = run_cli(capsys, "build", "--n", "257")
     assert code == 0
@@ -471,6 +492,17 @@ def _square_quarter(node):
     node["product"]["squares"][0][:2] = [1, 4]
 
 
+def _linear_part_twice(node):
+    # Two more terms on the first linear part that cancel: the identity holds.
+    num, den, part = node["product"]["linear"][0]
+    node["product"]["linear"] += [[num, den, part], [-num, den, part]]
+
+
+def _square_part_twice(node):
+    num, den, part = node["product"]["squares"][0]
+    node["product"]["squares"] += [[num, den, part], [-num, den, part]]
+
+
 def _sum_source_99(node):
     node["sum_source"] = 99
 
@@ -574,6 +606,8 @@ def _value_left_bit_count_off(node):
         pytest.param(_on_node(_constant_quarter, 2), 4, id="constant-quarter"),
         pytest.param(_on_node(_linear_quarter, 2), 4, id="linear-quarter"),
         pytest.param(_on_node(_square_quarter, 2), 4, id="square-quarter"),
+        pytest.param(_on_node(_linear_part_twice, 2), 4, id="linear-part-twice"),
+        pytest.param(_on_node(_square_part_twice, 2), 4, id="square-part-twice"),
         pytest.param(_on_node(_sum_source_99, 2), 4, id="sum-source-99"),
         pytest.param(_on_node(_id_7, 2), 4, id="id-7"),
         pytest.param(_on_node(_step_40, 2), 4, id="step-40"),
@@ -605,8 +639,8 @@ def _value_left_bit_count_off(node):
 def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
     # The loader refuses a malformed line before any command reads it: a
     # header field out of range, a part outside the table, a coefficient
-    # denominator other than 1 or 2 or a coefficient of 2^30 or more, a
-    # malformed sign or value field, a node out of place in the schedule's
+    # denominator other than 1 or 2 or a coefficient of 2^30 or more, a part
+    # named twice among a product's linear terms or its squares, a malformed sign or value field, a node out of place in the schedule's
     # DAG, or nodes that are not the header's schedule.  Run in-process: an
     # exception escaping `main` fails the test.
     tower_path = _edited_17(tmp_path, capsys, edit)
@@ -621,6 +655,28 @@ def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{tower_path} line {bad_line}:" in err
     assert not (tmp_path / "p.geom").exists() and not (tmp_path / "p.svg").exists()
+
+
+def test_repeated_part_in_a_65537_tower_is_refused(tower65537, tmp_path, capsys):
+    # 2,000 cancelling terms +-F(1,2) in node 1: a valid identity, but each
+    # command would plan shared sums over all O(T^2) pairs of its terms.
+    from ngontower.towerfile import dump_tower
+
+    path = tmp_path / "t.tower"
+    dump_tower(tower65537, str(path))
+    lines = path.read_text().splitlines()
+    node = json.loads(lines[2])
+    node["product"]["linear"] += [[c, 1, {"kind": "F", "offset": 1, "stride": 2}] for c in (1, -1) * 1000]
+    lines[2] = json.dumps(node)
+    path.write_text("\n".join(lines) + "\n")
+    for argv in (
+        ["verify", "--tower", str(path)],
+        ["compile", "--tower", str(path), "--target", "arith", "--out", str(tmp_path / "p.arith")],
+        ["render", "--tower", str(path), "--out", str(tmp_path / "p.svg")],
+    ):
+        code, err = _stderr_of(capsys, argv)
+        assert code == 2
+        assert err.startswith(f"error: {path} line 3: ValueError: F(1,2) is named twice among the linear")
 
 
 def test_header_precision_null_reads_as_128(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import re
+from dataclasses import replace
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,21 +9,22 @@ from hypothesis import strategies as st
 
 from ngontower import oracle
 from ngontower.invariant_sets import build_invariant_sets
-from ngontower.oracle import (
+from ngontower.oracle import Oracle, OracleMismatch, _is_prime, _primes
+from ngontower.residues import FermatParams
+from ngontower.splitting import LinearCombo, f_part
+from ngontower.tower import build_schedule
+from ngontower.verify import oracle_check_node, oracle_check_tower
+
+from oracle_helpers import NotSetUniform, decompose_into_sets, pv_image, pv_s, pv_zero
+from pair_reference import (
     PeriodVector,
-    _l1,
-    _mul_direct,
-    _mul_fft,
-    _pair_mul_bigint,
+    equal_as_numbers,
+    expand_doubled,
     pair_product,
     pv_from_pairs,
     pv_mul,
+    pv_of_part,
 )
-from ngontower.residues import FermatParams
-from ngontower.tower import build_schedule
-from ngontower.verify import oracle_check_tower, pv_of_part
-
-from oracle_helpers import NotSetUniform, decompose_into_sets, pv_s, pv_zero
 
 
 def pv(pairs, params, constant=0):
@@ -135,7 +140,7 @@ def test_decompose_g1g5_257(params257, table257):
 
 
 def test_big_coefficients_stay_exact(params17):
-    # Coefficients beyond 2^32 leave the int64 kernels for exact big integers.
+    # The reference multiplies over Python integers: 2^80 stays exact.
     big = 1 << 40
     scaled = pv_s(params17).scaled(big)
     prod = pv_mul(scaled, scaled)
@@ -154,7 +159,7 @@ def vector(n, constant, terms):
 @st.composite
 def vector_pairs(draw):
     """Two vectors mod 17 or 257, each sparse or dense, with signed
-    coefficients and constants small enough for both fast routes."""
+    coefficients and constants."""
     n = draw(st.sampled_from([17, 257]))
     half = (n - 1) // 2
     coeff = st.integers(-1000, 1000)
@@ -176,113 +181,151 @@ def two_pair_reference(a, b):
     return acc
 
 
-def bigint_reference(a, b):
-    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
-    const, out = _pair_mul_bigint(a, b, ai, bi, a.n)
-    return PeriodVector(
-        a.n, const + a.constant * b.constant, out + a.constant * b.coeffs + b.constant * a.coeffs
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(ab=vector_pairs())
-def test_product_routes_agree(ab):
+def test_reference_product_is_the_two_pair_sum(ab):
     a, b = ab
-    expected = two_pair_reference(a, b)
-    assert bigint_reference(a, b) == expected
-    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
-    assert _mul_direct(a, b, ai, bi) == expected
-    assert _mul_fft(a, b, ai, bi) == expected
-    assert pv_mul(a, b) == expected
+    assert pv_mul(a, b) == two_pair_reference(a, b)
 
 
-def test_size_rule_reaches_both_routes(params257, monkeypatch):
-    taken = []
-    for name in ("_mul_direct", "_mul_fft"):
-        route = getattr(oracle, name)
-        monkeypatch.setattr(
-            oracle, name, lambda *args, route=route, name=name: taken.append(name) or route(*args)
-        )
-    sparse = pv(range(1, 65), params257)
-    dense = pv(range(1, 129), params257, constant=3)
-    assert pv_mul(sparse, sparse) == two_pair_reference(sparse, sparse)
-    assert pv_mul(dense, dense) == two_pair_reference(dense, dense)
-    assert taken == ["_mul_direct", "_mul_fft"]
+def _trial_prime(m: int) -> bool:
+    return m >= 2 and not (m % np.arange(2, isqrt(m) + 1) == 0).any()
 
 
-def test_fft_guard_falls_back_to_bigint(params257):
-    # Dense coefficients near 2^40 put |A|_1 |B|_1 far past both guards.
-    rng = np.random.default_rng(11)
-    big = 1 << 40
-    u = vector(257, 5, dict(enumerate(rng.integers(-9, 10, size=128), start=1)))
-    v = vector(257, -7, dict(enumerate(rng.integers(-9, 10, size=128), start=1)))
-    s = pv_s(params257)
-    a, b = s.scaled(big) + u, s.scaled(-big) + v
-    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
-    assert _mul_fft(a, b, ai, bi) is None and _mul_direct(a, b, ai, bi) is None
-
-    def wide(x):
-        return PeriodVector(x.n, x.constant, x.coeffs.astype(object))
-
-    # Bilinearity gives the exact product from small ones.
-    expected = (
-        wide(pv_mul(s, s)).scaled(-big * big)
-        + wide(pv_mul(s, v)).scaled(big)
-        + wide(pv_mul(u, s)).scaled(-big)
-        + pv_mul(u, v)
-    )
-    assert pv_mul(a, b) == expected
-    assert pv_mul(a, b) == bigint_reference(a, b)
+def test_is_prime_matches_trial_division():
+    assert [m for m in range(3000) if _is_prime(m)] == [m for m in range(3000) if _trial_prime(m)]
+    # Strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5.
+    assert not any(_is_prime(m) for m in (2047, 1373653, 25326001))
+    top = range(2**31 - 601, 2**31, 2)
+    assert [m for m in top if _is_prime(m)] == [m for m in top if _trial_prime(m)]
 
 
-def test_fft_residual_guard_falls_back(params257, monkeypatch):
-    a = pv(range(1, 129), params257, constant=1)
-    b = pv(range(2, 129, 3), params257)
-    expected = two_pair_reference(a, b)
-    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
-    assert _mul_fft(a, b, ai, bi) is None
-    assert pv_mul(a, b) == expected
+@pytest.mark.parametrize("n", [3, 5, 17, 257, 65537])
+def test_first_prime_is_the_largest_below_2_31(n):
+    ell = next(_primes(n))
+    assert ell % n == 1 and ell < 2**31 and _trial_prime(ell)
+    assert not any(_trial_prime(m) for m in range(ell + n, 2**31, n))
+
+
+@pytest.mark.parametrize("n", [5, 17, 257])
+def test_halves_of_a_period_are_its_two_cosets(n):
+    params = FermatParams.from_n(n)
+    table = build_invariant_sets(params)
+    o = Oracle(table)
+    for node in build_schedule(params, table, "full").nodes:
+        d, r = o.place(node.splits)
+        assert {o.place(node.left), o.place(node.right)} == {(2 * d, r), (2 * d, r + d)}
 
 
 @pytest.mark.parametrize("kind", ["full", "pruned"])
 @pytest.mark.parametrize("n", [3, 5, 17, 257])
-def test_small_oracle_passes_stay_direct(n, kind, monkeypatch):
-    # Small builds never pay for the FFT route (or for importing numpy.fft).
-    calls = []
-    fft = oracle._mul_fft
-    monkeypatch.setattr(oracle, "_mul_fft", lambda *args: calls.append(args) or fft(*args))
+def test_small_oracle_passes_need_one_prime(n, kind, monkeypatch):
+    # A real tower's bound is far below 2^30, so a pass builds one field.
+    primes = []
+    field = oracle._Field
+    monkeypatch.setattr(oracle, "_Field", lambda *args: primes.append(args[0]) or field(*args))
     params = FermatParams.from_n(n)
     tower = build_schedule(params, build_invariant_sets(params), kind)
     assert oracle_check_tower(tower) == len(tower.nodes)
-    assert calls == []
+    assert primes == ([next(_primes(n))] if tower.nodes else [])
 
 
-def test_routes_agree_on_a_65537_node(params65537, table65537):
+_FULL_SCHEDULES = {}
+
+
+def _full_schedule(n):
+    if n not in _FULL_SCHEDULES:
+        params = FermatParams.from_n(n)
+        table = build_invariant_sets(params)
+        _FULL_SCHEDULES[n] = table, build_schedule(params, table, "full").nodes
+    return _FULL_SCHEDULES[n]
+
+
+@st.composite
+def identities(draw):
+    """A node of a full schedule (n <= 257) whose expression gains terms
+    that sum to zero -- c*(X + Y - P) for the halves X, Y of P, and
+    c*(S + 1) -- and, half the time, one term that need not."""
+    table, nodes = _full_schedule(draw(st.sampled_from([5, 17, 257])))
+    node = draw(st.sampled_from(nodes))
+    coeff = st.integers(-50, 50)
+    linear, squares = list(node.product_expr.linear), list(node.product_expr.squares)
+    for split in draw(st.lists(st.sampled_from(nodes), max_size=3)):
+        c = draw(coeff)
+        linear += [(c, split.left), (c, split.right), (-c, split.splits)]
+    c = draw(coeff)
+    linear.append((c, f_part(1, 1)))
+    constant = node.product_expr.constant + c
+    if draw(st.booleans()):
+        term = (draw(coeff), draw(st.sampled_from(nodes)).left)
+        (squares if draw(st.booleans()) else linear).append(term)
+    expr = LinearCombo(constant, tuple(linear), tuple(squares))
+    return table, replace(node, product_expr=expr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=identities())
+def test_oracle_accepts_iff_the_reference_expansion_is_equal(case):
+    table, node = case
+    lhs = pv_mul(pv_of_part(node.left, table), pv_of_part(node.right, table)).scaled(2)
+    equal = equal_as_numbers(lhs, expand_doubled(node.product_expr, table))
+    try:
+        oracle_check_node(node, table)
+    except OracleMismatch:
+        assert not equal
+    else:
+        assert equal
+
+
+def test_oracle_matches_the_reference_on_a_65537_node(params65537, table65537):
     nodes = build_schedule(params65537, table65537, "pruned").nodes
-    a, b = next(
-        (a, b)
-        for a, b in ((pv_of_part(x.left, table65537), pv_of_part(x.right, table65537)) for x in nodes)
-        if 1 << 17 < a.nonzero_pairs().size * b.nonzero_pairs().size <= 1 << 20
+    o = Oracle(table65537)
+    node = next(x for x in nodes if o.place(x.left)[0] == 256)  # 128 pairs a half
+    o.check(node)
+    lhs = pv_mul(pv_of_part(node.left, table65537), pv_of_part(node.right, table65537)).scaled(2)
+    rhs = expand_doubled(node.product_expr, table65537)
+    assert equal_as_numbers(lhs, rhs)
+    index = max(o.places[p][0] for p in [node.left, *node.product_expr.referenced_parts()])
+    field = o.fields[0]
+    ell = field.prime
+    product = oracle.pv_mul(oracle.pv_of_part(o, node.left, field), oracle.pv_of_part(o, node.right, field))
+    product = product.coeffs
+    product = np.tile(2 * product % ell, index // product.size)
+    assert np.array_equal(pv_image(lhs, o, index, field), product)
+    assert np.array_equal(pv_image(rhs, o, index, field), o.expression_image(node.product_expr, index, field))
+
+
+def test_a_term_swapped_with_its_sibling_is_refused(table257):
+    # The sibling of the period (D, r) is (D, r + D/2): equal in trace, so
+    # only the conjugates taken one by one tell them apart.  Every linear
+    # term at the expression's finest level is swapped in turn.
+    _, nodes = _full_schedule(257)
+    sibling = {x.left: x.right for x in nodes} | {x.right: x.left for x in nodes}
+    o = Oracle(table257)
+    swapped = 0
+    for node in nodes:
+        expr = node.product_expr
+        finest = max((o.place(p)[0] for p in expr.referenced_parts()), default=0)
+        for k, (c, part) in enumerate(expr.linear):
+            if o.place(part)[0] == finest and part in sibling:
+                linear = list(expr.linear)
+                linear[k] = (c, sibling[part])
+                bad = replace(node, product_expr=replace(expr, linear=tuple(linear)))
+                with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of "):
+                    oracle_check_node(bad, table257, o)
+                swapped += 1
+    assert swapped > 50
+
+
+@pytest.mark.parametrize("fault", ["mixed-cosets", "repeated-pair"])
+def test_a_part_that_is_not_a_period_is_refused(fault, table257, monkeypatch):
+    node = build_schedule(table257.params, table257, "pruned").nodes[3]
+    own = oracle.part_pairs(node.left, table257)
+    other = oracle.part_pairs(node.right, table257)
+    bad = np.concatenate((own[:-1], other[:1] if fault == "mixed-cosets" else own[:1]))
+    part_pairs = oracle.part_pairs
+    monkeypatch.setattr(
+        oracle, "part_pairs", lambda p, table: bad if p == node.left else part_pairs(p, table)
     )
-    ai, bi = a.nonzero_pairs(), b.nonzero_pairs()
-    direct = _mul_direct(a, b, ai, bi)
-    assert direct is not None and direct == _mul_fft(a, b, ai, bi) == pv_mul(a, b)
-
-
-@pytest.mark.parametrize(
-    "terms, dtype",
-    [
-        ({k: (-1) ** k * (k << 36) for k in range(1, 9)}, np.int64),
-        ({k: (-1) ** k * (k << 36) for k in range(1, 9)}, object),
-        # max |c| * nnz >= 2^61: an int64 sum would wrap, so only the
-        # Python-integer fallback is exact.
-        ({1: 1 << 62, 2: -(1 << 62), 3: 1 << 62, 4: -(1 << 63)}, np.int64),
-    ],
-    ids=["int64", "object", "past-int64"],
-)
-def test_l1_is_the_exact_sum(terms, dtype):
-    v = vector(17, -7, terms)
-    v = PeriodVector(17, v.constant, v.coeffs.astype(dtype))
-    assert _l1(v, v.nonzero_pairs()) == 7 + 2 * sum(abs(c) for c in terms.values())
+    with pytest.raises(OracleMismatch, match=re.escape(f"node 3: {node.left.label(table257)} is not a Gauss")):
+        oracle_check_node(node, table257)

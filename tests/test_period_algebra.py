@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from ngontower.oracle import pv_from_pairs, pv_mul
 from ngontower.period_algebra import set_product, set_square
 from ngontower.residues import rho
 
 from oracle_helpers import combination_to_pv
+from pair_reference import pv_from_pairs, pv_mul
 from paper_checks import coeff_sum, shift_combination
 
 

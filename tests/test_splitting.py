@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngontower.oracle import PeriodVector, pv_mul
+from ngontower.oracle import Oracle
 from ngontower.splitting import (
     LinearCombo,
     f_part,
@@ -17,10 +17,11 @@ from ngontower.splitting import (
     pr_terms,
     split_children,
 )
-from ngontower.tower import build_schedule
-from ngontower.verify import combo_as_pv_doubled, pv_of_part
+from ngontower.tower import QuadraticNode, build_schedule
+from ngontower.verify import oracle_check_node
 
-from oracle_helpers import pv_s, pv_zero
+from oracle_helpers import pv_image, pv_s, same_expression
+from pair_reference import equal_as_numbers, expand_doubled, pv_mul, pv_of_part
 from paper_checks import f_split_product_squares
 
 
@@ -125,12 +126,9 @@ def test_f_split_oracle_equality_all_levels_257(table257):
             parent = f_part(j, 1 << m)
             left, right = split_children(parent, table257)
             lhs = pv_mul(pv_of_part(left, table257), pv_of_part(right, table257)).scaled(2)
-            rhs = combo_as_pv_doubled(f_split_product(j, m, table257), table257)
-            # Folding uses S = -1, so compare after eliminating the S direction.
-            diff = lhs - rhs
-            vals = set(diff.coeffs[1:].tolist())
-            assert len(vals) == 1
-            assert diff.constant == vals.pop()
+            rhs = expand_doubled(f_split_product(j, m, table257), table257)
+            # Folding uses S = -1, so compare as numbers, not as vectors.
+            assert equal_as_numbers(lhs, rhs)
 
 
 def test_f_split_squares_method_matches_exactly(table17, table257):
@@ -138,21 +136,22 @@ def test_f_split_squares_method_matches_exactly(table17, table257):
     for table, levels in ((table17, 1), (table257, 4)):
         for m in range(levels):
             for j in range(1, (1 << m) + 1):
-                a = combo_as_pv_doubled(f_split_product(j, m, table), table)
-                b = combo_as_pv_doubled(f_split_product_squares(j, m, table), table)
-                diff = a - b
-                vals = set(diff.coeffs[1:].tolist())
-                assert len(vals) == 1
-                assert diff.constant == vals.pop()
+                a = expand_doubled(f_split_product(j, m, table), table)
+                b = expand_doubled(f_split_product_squares(j, m, table), table)
+                assert equal_as_numbers(a, b)
 
 
 def test_f_split_squares_sampled_65537(table65537):
+    # Both derivations agree at the conjugates of their parts, modulo
+    # enough primes to make that exact.
+    oracle = Oracle(table65537)
     for j, m in ((1, 0), (1, 2), (3, 3)):
-        a = combo_as_pv_doubled(f_split_product(j, m, table65537), table65537)
-        b = combo_as_pv_doubled(f_split_product_squares(j, m, table65537), table65537)
-        diff = a - b
-        vals = set(diff.coeffs[1:].tolist())
-        assert len(vals) == 1 and diff.constant == vals.pop()
+        a = f_split_product(j, m, table65537)
+        assert same_expression(oracle, a, f_split_product_squares(j, m, table65537))
+        # A coefficient moved by one is told apart.
+        c, p = a.linear[0] if a.linear else (0, f_part(1, 1))
+        moved = LinearCombo(a.constant, ((c + 2, p),) + a.linear[1:], a.squares)
+        assert not same_expression(oracle, moved, f_split_product_squares(j, m, table65537))
 
 
 def test_pr_terms_examples(table257, table65537):
@@ -203,7 +202,7 @@ def test_g_split_oracle_equality_all_257(table257):
                 parent = g_part(k, s, 1 << m)
                 left, right = split_children(parent, table257)
                 lhs = pv_mul(pv_of_part(left, table257), pv_of_part(right, table257)).scaled(2)
-                rhs = combo_as_pv_doubled(g_split_product(k, s, m, table257), table257)
+                rhs = expand_doubled(g_split_product(k, s, m, table257), table257)
                 assert lhs == rhs
 
 
@@ -211,15 +210,18 @@ def test_g_split_oracle_equality_sampled_65537(table65537):
     import random
 
     rng = random.Random(12)
+    oracle = Oracle(table65537)
     for _ in range(50):
         m = rng.randint(0, 3)
         k = rng.randint(1, 2048)
         s = rng.randint(1, 1 << m)
         parent = g_part(k, s, 1 << m)
         left, right = split_children(parent, table65537)
+        combo = g_split_product(k, s, m, table65537)
+        oracle_check_node(QuadraticNode(0, 0, parent, left, right, None, combo), table65537, oracle)
+        # Equal as vectors too: no uniform part folded into the constant.
         lhs = pv_mul(pv_of_part(left, table65537), pv_of_part(right, table65537)).scaled(2)
-        rhs = combo_as_pv_doubled(g_split_product(k, s, m, table65537), table65537)
-        assert lhs == rhs
+        assert lhs == expand_doubled(combo, table65537)
 
 
 @pytest.mark.parametrize("table_name,m", [("table257", 1), ("table257", 2), ("table65537", 2)])
@@ -246,18 +248,6 @@ def test_part_pairs_f_vs_g(table257):
     f = part_pairs(f_part(1, 16), table257)
     g = part_pairs(g_part(1, 1, 1), table257)
     assert set(f) == set(g) == set(table257.sets[0])
-
-
-def _per_term_doubled(combo, table):
-    """2 * combo (its coefficients in halves) summed one full-length vector
-    per term."""
-    acc = PeriodVector(table.params.n, combo.constant, pv_zero(table.params).coeffs)
-    for c, p in combo.linear:
-        acc = acc + pv_of_part(p, table).scaled(c)
-    for c, p in combo.squares:
-        pvp = pv_of_part(p, table)
-        acc = acc + pv_mul(pvp, pvp).scaled(c)
-    return acc
 
 
 _SCHEDULE_PARTS = {}
@@ -287,7 +277,13 @@ def test_combo_expansion_matches_per_term_sum(n, data, table17, table257):
         linear=tuple(data.draw(st.lists(term, max_size=8))),
         squares=tuple(data.draw(st.lists(term, max_size=3))),
     )
-    assert combo_as_pv_doubled(combo, table) == _per_term_doubled(combo, table)
+    # The oracle's expansion at the conjugates of the combo's parts, modulo
+    # its first prime, is the image of the per-term reference sum.
+    oracle = Oracle(table)
+    index = max((oracle.place(p)[0] for p in combo.referenced_parts()), default=1)
+    field = oracle.fields_for(1)[0]
+    expected = pv_image(expand_doubled(combo, table), oracle, index, field)
+    assert np.array_equal(oracle.expression_image(combo, index, field), expected)
 
 
 @pytest.mark.parametrize("n", [17, 257])
