@@ -120,13 +120,13 @@ def cmd_compile(args) -> int:
     from .verify import verify_tower
 
     tower = load_tower(args.tower)
-    prog, values = verify_tower(tower, oracle=False)
+    prog, signs = verify_tower(tower, oracle=False)
     precision = tower.precision
     del tower  # lowering needs neither the nodes nor the cosine sums
     if args.target == "arith":
         dump_arith(prog, args.out)
     else:
-        dump_geom(lower_to_geom(prog, precision, values), args.out)
+        dump_geom(lower_to_geom(prog, precision, signs), args.out)
     print(f"{args.target} program written to {args.out} ({prog.sqrt_count()} square roots)")
     return 0
 

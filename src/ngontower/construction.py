@@ -1,11 +1,13 @@
 """Compile a tower to an arithmetic program and lower that to a
 straightedge/compass instruction stream.
 
-`compile_to_arith` is the one definition of how a node is solved, and
-`arith_values` the one interpreter of the arithmetic IR: `evaluate_tower`
-runs the program to get every node value it checks, so the values a tower
-stores are the program's values, bit for bit.  Its values are raw mpf
-tuples (`_mpf_`); each op is the same mpf operation, rounded to nearest.
+`compile_to_arith` is the one definition of how a node is solved, and `_run`
+the one interpreter of the arithmetic IR.  `evaluate_tower` runs the program
+as an `EvaluatingBuilder` emits it: each node is checked when its roots
+land, and only the values a later instruction reads stay alive, plus one
+sign byte per instruction.  The values a tower stores are the program's
+values bit for bit, as `arith_values` gives them: raw mpf tuples (`_mpf_`),
+each op the mpf operation rounded to nearest.
 
 A node's product expression is compiled with one scaling per distinct
 coefficient: its terms are grouped by |coefficient|, each group is summed and
@@ -33,14 +35,15 @@ integer scalings up to 64 are lowered as repeated additions (binary doubling
 chains of compass transfers).  At n = 65537 (pruned, factor 3) the program
 has 32,459 steps.
 
-Every intersection branch is recorded at lowering time from the instruction
-values that `arith_values` computes, so geometric execution never re-decides
-a choice.
+Every intersection branch is recorded at lowering time from the signs of
+the instruction values, so geometric execution never re-decides a choice.
 """
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import mpmath as mp
@@ -58,11 +61,13 @@ _BINARY = {"ADD": mpf_add, "SUB": mpf_sub, "MUL": mpf_mul}
 
 
 class NegativeRadicand(VerificationError):
-    """A SQRT operand came out negative when the arithmetic program was
-    evaluated; `values` holds the raw values of the instructions before it."""
+    """A SQRT operand, the mpf `radicand`, came out negative when the
+    arithmetic program was evaluated; `values` holds the raw values of the
+    instructions before it (None where a run no longer held one)."""
 
     def __init__(self, radicand, values: list):
         super().__init__(f"sqrt of {mp.nstr(radicand)}")
+        self.radicand = radicand
         self.values = values
 
 
@@ -89,19 +94,20 @@ class ArithProgram:
     nodes: list[tuple[int, int, int, int]] = field(default_factory=list)
 
     def emit(self, op: str, *args: int, value: Fraction | None = None) -> int:
-        self.instrs.append(ArithInstr(op, args, value))
+        # ArithInstr(op, args, value), without its Python-level __new__.
+        self.instrs.append(tuple.__new__(ArithInstr, (op, args, value)))
         return len(self.instrs) - 1
 
     def sqrt_count(self) -> int:
         return sum(1 for i in self.instrs if i.op == "SQRT")
 
 
-def arith_values(prog: ArithProgram, precision: int) -> list:
-    """Value of every instruction, in order, as a raw mpf tuple (`_mpf_`):
-    the definition of the IR ops, each the mpf operation rounded to nearest
-    at `precision` bits (HALF is exact).  `mp.mp.make_mpf` wraps a value."""
-    vals: list[tuple] = []
-    for op, args, value in prog.instrs:
+def _run(instrs, vals: list, precision: int) -> None:
+    """Append the raw value (`_mpf_`) of each of `instrs` to `vals`, which
+    holds the value of every instruction before them (None for one that no
+    later instruction reads): the definition of the IR ops, each the mpf
+    operation rounded to nearest at `precision` bits (HALF is exact)."""
+    for op, args, value in instrs:
         if op in _BINARY:
             v = _BINARY[op](vals[args[0]], vals[args[1]], precision, round_nearest)
         elif op == "HALF":
@@ -115,6 +121,13 @@ def arith_values(prog: ArithProgram, precision: int) -> list:
         else:
             raise ValueError(f"unknown op {op}")
         vals.append(v)
+
+
+def arith_values(prog: ArithProgram, precision: int) -> list:
+    """Value of every instruction, in order, as a raw mpf tuple, by `_run`.
+    `mp.mp.make_mpf` wraps a value."""
+    vals: list[tuple] = []
+    _run(prog.instrs, vals, precision)
     return vals
 
 
@@ -128,6 +141,10 @@ class _ArithBuilder:
         self._const_cache: dict[int, int] = {}
         self.lines = Lines()
         self._sums: dict[tuple[int, int], int] = {}  # (derived line, offset) -> instruction
+
+    def node(self, prod: int, root: int, left: int, right: int) -> None:
+        """Record a tower node's instructions, once its roots are emitted."""
+        self.prog.nodes.append((prod, root, left, right))
 
     def const(self, halves: int) -> int:
         """The CONST instruction for halves / 2."""
@@ -195,15 +212,56 @@ class _ArithBuilder:
         return term
 
 
-def compile_to_arith(tower: Tower) -> ArithProgram:
+class EvaluatingBuilder(_ArithBuilder):
+    """Runs the program at `precision` bits as it is emitted.  When a node's
+    roots land, its instructions run and `check(k, left, right, product)`
+    gets node k's raw values; then each value emitted for the node is
+    dropped (None in `values`) but its CONSTs, shared sums and two halves,
+    all that later instructions read.  `signs` holds `mpf_sign` of every
+    value, one signed byte each."""
+
+    def __init__(self, precision: int, check):
+        super().__init__()
+        self.precision = precision
+        self.check = check
+        self.values: list = []
+        self.signs = array("b")
+        self._old_sums = 0  # shared sums emitted before the current node
+
+    def flush(self) -> int:
+        """Run the instructions not yet run (after the last node: cos and
+        sin); returns the first."""
+        vals = self.values
+        first = len(vals)
+        _run(self.prog.instrs[first:], vals, self.precision)
+        self.signs.extend(map(mpf_sign, vals[first:]))
+        return first
+
+    def node(self, prod: int, root: int, left: int, right: int) -> None:
+        first = self.flush()
+        super().node(prod, root, left, right)
+        vals, sums = self.values, self._sums
+        self.check(len(self.prog.nodes) - 1, vals[left], vals[right], vals[prod])
+        new_sums = islice(reversed(sums.values()), len(sums) - self._old_sums)
+        live = {left, right, *new_sums, *self._const_cache.values()}
+        kept = [(i, vals[i]) for i in live if i >= first]
+        vals[first:] = [None] * (len(vals) - first)
+        for i, v in kept:
+            vals[i] = v
+        self._old_sums = len(sums)
+
+
+def compile_to_arith(tower: Tower, builder: _ArithBuilder | None = None) -> ArithProgram:
     """The tower's one solver: one SQRT per node plus one for sin(theta).
 
     A node with sum s and product q gets half = s/2, root = sqrt(half^2 - q)
     and the roots half + root and half - root, assigned to its halves by its
     sign, which must be resolved; constants come from the product
-    expressions.  `prog.nodes` records each node's instructions.
+    expressions.  `prog.nodes` records each node's instructions.  `builder`
+    emits the program: a fresh `_ArithBuilder` when None, or an
+    `EvaluatingBuilder`, which also runs it.
     """
-    b = _ArithBuilder()
+    b = _ArithBuilder() if builder is None else builder
     refs = {_root_part(tower.params): b.const(-2)}
     for node in tower.nodes:
         if node.left_is_larger is None:
@@ -217,7 +275,7 @@ def compile_to_arith(tower: Tower) -> ArithProgram:
         smaller = b.emit("SUB", half, root_idx)
         left, right = (bigger, smaller) if node.left_is_larger else (smaller, bigger)
         refs[node.left], refs[node.right] = left, right
-        b.prog.nodes.append((prod_idx, root_idx, left, right))
+        b.node(prod_idx, root_idx, left, right)
     # n = 3 has no nodes: the single pair is S = -1 itself.
     p1 = refs[tower.p1_part()] if tower.nodes else b.const(-2)
     cos_idx = b.emit("HALF", p1)
@@ -498,7 +556,7 @@ def _node_interior(prog: ArithProgram, node: tuple) -> tuple[int, tuple[int, ...
     return prog.instrs[half].args[0], (half, square, disc, root)
 
 
-def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None) -> GeomProgram:
+def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram:
     """Semantically equivalent straightedge/compass program; axis points carry
     the arithmetic values.
 
@@ -507,13 +565,13 @@ def lower_to_geom(prog: ArithProgram, precision: int, values: list | None = None
     SQRT are not drawn, and no other instruction may use them.  Every other
     instruction is lowered on its own.
 
-    Every branch is recorded from the signs of `values`, the instruction
-    values that `arith_values(prog, precision)` computes; they are computed
-    here when not given.
+    Every branch is recorded from `signs`, the sign (-1, 0 or 1) of each
+    instruction's value at `precision` bits, as `evaluate_tower` returns
+    them; they are derived from `arith_values` when not given.
     """
-    if values is None:
-        values = arith_values(prog, precision)
-    sign = lambda i: mpf_sign(values[i])  # noqa: E731
+    if signs is None:
+        signs = [mpf_sign(v) for v in arith_values(prog, precision)]
+    sign = signs.__getitem__
     b = _GeomBuilder()
     loc: list[int | None] = [None] * len(prog.instrs)
     skipped: set[int] = set()

@@ -16,9 +16,10 @@ precision that nobody gives is `default_precision(n)`.
 `resolve_signs` also checks what a loaded tower stores: its signs, and its
 margins and values to within `value_tolerance`.  `evaluate_tower` solves no
 quadratic itself: it runs the tower's arithmetic program
-(`construction.compile_to_arith`, interpreted by `construction.arith_values`)
-and returns it with its values, so the node values it checks and stores are
-the ones `compile` writes.
+(`construction.compile_to_arith`) as it is emitted, checks each node when
+its roots land and keeps only the values later instructions read, and
+returns the program with one sign per instruction, so the node values it
+checks and stores are the ones `compile` writes.
 
 The cosine sums (`CosineCache`) hold every pair value 2cos(2 pi k / n) as an
 int at scale 2^F, F = precision + 64 guard bits, built from two tables of
@@ -359,13 +360,16 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
 
 
 def evaluate_tower(tower: Tower) -> tuple:
-    """Run the tower's arithmetic program with the signs, precision and
-    cosine sums that `resolve_signs` left, and store its values on the nodes.
-    Every node value must lie within `value_tolerance` of its cosine sum, and
-    p1 of 2cos(2 pi / n).  Writes the tower's report; returns the program
-    and the value of each of its instructions, as `arith_values` gives them
-    (raw mpf tuples).  Only the node values, products and p1 become mpfs."""
-    from .construction import NegativeRadicand, arith_values, compile_to_arith
+    """Run the tower's arithmetic program as `construction.compile_to_arith`
+    emits it, with the signs, precision and cosine sums that
+    `resolve_signs` left, and store its values on the nodes.  Each node is
+    checked when its roots land, in node order: both values must lie within
+    `value_tolerance` of their cosine sums, and the Vieta residual and the
+    margin go to the report; then p1 must lie within it of 2cos(2 pi / n).
+    Writes the tower's report; returns the program and the sign (-1, 0 or
+    1) of each of its instruction values.  Only the node values, products
+    and p1 become mpfs, and no value outlives the run."""
+    from .construction import EvaluatingBuilder, NegativeRadicand, compile_to_arith
 
     mpf = mp.mp.make_mpf
     cache = tower.cosines
@@ -373,14 +377,6 @@ def evaluate_tower(tower: Tower) -> tuple:
         raise ValueError("tower signs must be resolved before evaluating")
     precision = tower.precision
     tol = value_tolerance(precision)
-    prog = compile_to_arith(tower)
-    failed = None
-    try:
-        values = arith_values(prog, precision)
-    except NegativeRadicand as exc:
-        # Check the nodes before the failed SQRT first: the first node that
-        # goes wrong is the one reported.
-        values, failed = exc.values, exc
     report = VerificationReport(
         node_count=len(tower.nodes),
         per_step=_per_step(tower.nodes),
@@ -388,34 +384,43 @@ def evaluate_tower(tower: Tower) -> tuple:
         max_vieta_err=mp.mpf(0),
         min_sign_margin=None,
     )
+
+    def check(k, left, right, prod):
+        node = tower.nodes[k]
+        node.value_left, node.value_right = mpf(left), mpf(right)
+        for part, v in ((node.left, node.value_left), (node.right, node.value_right)):
+            ref = cache.part_value(part)
+            err = abs(v - ref)
+            if err > tol:
+                raise VerificationError(
+                    f"{part.label(tower.table)} = {mp.nstr(v, 25)} but cosine sum "
+                    f"gives {mp.nstr(ref, 25)} (err {mp.nstr(err)})",
+                    node.id,
+                )
+            report.max_value_err = max(report.max_value_err, err)
+        vieta = abs(node.value_left * node.value_right - mpf(prod))
+        report.max_vieta_err = max(report.max_vieta_err, vieta)
+        if report.min_sign_margin is None or node.sign_margin < report.min_sign_margin:
+            report.min_sign_margin = node.sign_margin
+
+    run = EvaluatingBuilder(precision, check)
     with mp.workprec(precision):
-        for node, (prod, root, left, right) in zip(tower.nodes, prog.nodes):
-            if root == len(values):  # this node's SQRT failed
-                disc = mpf(values[prog.instrs[root].args[0]])
-                raise VerificationError(f"negative discriminant {mp.nstr(disc)}", node.id)
-            node.value_left, node.value_right = mpf(values[left]), mpf(values[right])
-            for part, v in ((node.left, node.value_left), (node.right, node.value_right)):
-                ref = cache.part_value(part)
-                err = abs(v - ref)
-                if err > tol:
-                    raise VerificationError(
-                        f"{part.label(tower.table)} = {mp.nstr(v, 25)} but cosine sum "
-                        f"gives {mp.nstr(ref, 25)} (err {mp.nstr(err)})",
-                        node.id,
-                    )
-                report.max_value_err = max(report.max_value_err, err)
-            vieta = abs(node.value_left * node.value_right - mpf(values[prod]))
-            report.max_vieta_err = max(report.max_vieta_err, vieta)
-            if report.min_sign_margin is None or node.sign_margin < report.min_sign_margin:
-                report.min_sign_margin = node.sign_margin
-        report.p1 = mpf(values[prog.outputs["p1"]])
+        try:
+            prog = compile_to_arith(tower, run)
+            run.flush()  # cos and the sin(theta) SQRT, after every node
+        except NegativeRadicand as exc:
+            k = len(run.prog.nodes)  # the node whose SQRT failed
+            if k == len(tower.nodes):
+                raise
+            raise VerificationError(
+                f"negative discriminant {mp.nstr(exc.radicand)}", tower.nodes[k].id
+            ) from None
+        report.p1 = mpf(run.values[prog.outputs["p1"]])
         report.p1_err = abs(report.p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
     if report.p1_err > tol:
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
-    if failed is not None:  # the sin(theta) SQRT, after every node
-        raise failed
     tower.report = report
-    return prog, values
+    return prog, run.signs
 
 
 def _per_step(nodes) -> dict[int, int]:

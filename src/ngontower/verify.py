@@ -4,10 +4,10 @@
 oracle on every product expression (optional), then `tower.resolve_signs`,
 which decides each sign from direct cosine sums or checks a stored one, then
 `tower.evaluate_tower`, which runs the tower's arithmetic program (the one
-`compile` writes), cross-checks every node value and p1 against the same
-sums and writes the tower's report.  Every command that reads a tower runs
-it: `build`, `verify`, `render`, and `compile`, which writes the program
-the pipeline ran.
+`compile` writes) as it is emitted, cross-checks each node value when it
+lands and then p1 against the same sums, and writes the tower's report.
+Every command that reads a tower runs it: `build`, `verify`, `render`, and
+`compile`, which writes the program the pipeline ran.
 
 The oracle check (`oracle.Oracle`) maps each node's two sides, 2 * left *
 right and its product expression, to the conjugates of the field that holds
@@ -46,10 +46,10 @@ def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True
     Runs the exact oracle on every product expression (when `oracle`), then
     derives the signs from direct cosine sums at `precision` bits (the
     tower's own when None; a stored sign, margin or value that disagrees
-    fails), then runs the tower's arithmetic program, cross-checking every
-    node value and p1 against those sums.  The tower's report records the
-    result.  Returns the program that ran and its instruction values (raw
-    mpf tuples).
+    fails), then runs the tower's arithmetic program, cross-checking each
+    node value as it lands and then p1 against those sums.  The tower's
+    report records the result.  Returns the program that ran and the sign
+    (-1, 0 or 1) of each of its instruction values; no value is kept.
     """
     checked = oracle_check_tower(tower) if oracle else 0
     resolve_signs(tower, tower.precision if precision is None else precision)

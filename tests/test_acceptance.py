@@ -15,7 +15,7 @@ from ngontower.oracle import Oracle, OracleMismatch
 from ngontower.period_algebra import set_product, set_square
 from ngontower.residues import FermatParams, rho
 from ngontower.splitting import LinearCombo, f_part, g_part, mu_groups, mu_table
-from ngontower.tower import QuadraticNode, build_tower
+from ngontower.tower import QuadraticNode, build_tower, evaluate_tower
 from ngontower.verify import oracle_check_tower
 
 from oracle_helpers import decompose_into_sets
@@ -267,8 +267,6 @@ def test_criterion_09_property_suites(table17, table257, table65537):
 def test_criterion_10_construction_pipeline(tower65537):
     from ngontower.construction import (
         append_polygon_steps,
-        arith_values,
-        compile_to_arith,
         emit_svg,
         execute_geom,
         lower_to_geom,
@@ -276,8 +274,8 @@ def test_criterion_10_construction_pipeline(tower65537):
 
     ok = True
     tower17 = build_tower(17, precision=128)
-    prog = compile_to_arith(tower17)
-    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    prog, signs = evaluate_tower(tower17)
+    geom = lower_to_geom(prog, 128, signs)
     append_polygon_steps(geom, 18)
     res = execute_geom(geom, 128)
     with mp.workprec(128):
@@ -289,8 +287,8 @@ def test_criterion_10_construction_pipeline(tower65537):
         ok &= mp.sqrt((v0[0] - vn[0]) ** 2 + (v0[1] - vn[1]) ** 2) < mp.mpf(2) ** -32
 
     tower257 = build_tower(257, precision=128)
-    prog = compile_to_arith(tower257)
-    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    prog, signs = evaluate_tower(tower257)
+    geom = lower_to_geom(prog, 128, signs)
     append_polygon_steps(geom, 258)
     res = execute_geom(geom, 128)
     with mp.workprec(128):

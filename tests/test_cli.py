@@ -368,11 +368,22 @@ def _linear_term_repointed(node):
     node["product"]["linear"][0][2]["offset"] = 1
 
 
+def _node_0_off_and_node_2_negative(lines):
+    # Node 0 solves x^2 + x - 3 instead of x^2 + x - 4, so its values miss
+    # their cosine sums, and node 2's radicand comes out about -41.4.
+    _on_node(_constant_minus_3, 0)(lines)
+    _on_node(_constant_40, 2)(lines)
+
+
+def _constant_minus_3(node):
+    node["product"]["constant"] = [-3, 1]
+
+
 @pytest.mark.parametrize(
-    "change, node_id, argvs, message",
+    "edit, argvs, message",
     [
         pytest.param(
-            _linear_term_repointed, 2,
+            _on_node(_linear_term_repointed, 2),
             [
                 ["verify", "--no-oracle"],
                 ["compile", "--target", "arith", "--out", "p.arith"],
@@ -382,17 +393,27 @@ def _linear_term_repointed(node):
             id="p1-off-before-sin-radicand",
         ),
         pytest.param(
-            _constant_40, 0, [["render", "--out", "p.svg"]],
+            _on_node(_constant_40, 0), [["render", "--out", "p.svg"]],
             "node 0: negative discriminant -39.75",
             id="negative-discriminant",
         ),
+        pytest.param(
+            _node_0_off_and_node_2_negative,
+            [
+                ["verify", "--no-oracle"],
+                ["compile", "--target", "arith", "--out", "p.arith"],
+                ["render", "--out", "p.svg"],
+            ],
+            "node 0: G1 = 1.302775637731994646559611 but cosine sum gives 1.561552812808830274910705",
+            id="value-off-before-later-radicand",
+        ),
     ],
 )
-def test_first_failing_node_is_reported(change, node_id, argvs, message, tmp_path, capsys):
-    # The program is run to its end, or to its first negative radicand, before
-    # any node is checked; the nodes are then checked in order, so the first
-    # node that goes wrong is the one reported.
-    tower_path = _tampered_17(tmp_path, capsys, change, node_id)
+def test_first_failing_node_is_reported(edit, argvs, message, tmp_path, capsys):
+    # Nodes are checked as they land: each node's values are checked when its
+    # roots are computed, before any later node runs, so the first node that
+    # goes wrong is the one reported, even when a later radicand is negative.
+    tower_path = _edited_17(tmp_path, capsys, edit)
     for command, *rest in argvs:
         rest = [str(tmp_path / a) if a.startswith("p.") else a for a in rest]
         code, err = _stderr_of(capsys, [command, "--tower", str(tower_path), *rest])

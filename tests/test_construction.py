@@ -3,15 +3,18 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import mpf_sign
 
 from ngontower.construction import (
     ArithProgram,
+    EvaluatingBuilder,
     _GeomBuilder,
     _node_interior,
     NegativeRadicand,
@@ -27,7 +30,7 @@ from ngontower.construction import (
     polygon_vertices,
 )
 from ngontower.sharing import Lines
-from ngontower.tower import _root_part, build_tower
+from ngontower.tower import _root_part, build_tower, evaluate_tower
 from ngontower.towerfile import dump_tower
 
 from arith_io import load_arith
@@ -71,6 +74,11 @@ def _tower(n, kind, request):
     return build_tower(n, kind)
 
 
+def _signs(prog, precision):
+    """The sign of every instruction value, as `lower_to_geom` reads them."""
+    return [mpf_sign(v) for v in arith_values(prog, precision)]
+
+
 def _outputs(prog, precision):
     values = arith_values(prog, precision)
     return {name: mpf(values[idx]) for name, idx in prog.outputs.items()}
@@ -100,6 +108,44 @@ def test_program_values_are_the_tower_values(n, kind, request):
         assert prog.instrs[root].op == "SQRT"
         assert mpf(values[left])._mpf_ == node.value_left._mpf_
         assert mpf(values[right])._mpf_ == node.value_right._mpf_
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(n, kind) for n in (3, 5, 17, 257) for kind in ("full", "pruned")] + [(65537, "pruned")]
+)
+def test_streamed_evaluation_gives_the_program_values(n, kind, request):
+    # evaluate_tower runs the program as it is emitted and drops what no
+    # later instruction reads; what it checks, stores and returns are the
+    # values of the whole program run at once, bit for bit.
+    tower = _tower(n, kind, request)
+    prog, signs = evaluate_tower(tower)
+    values = arith_values(compile_to_arith(tower), tower.precision)
+    assert list(signs) == [mpf_sign(v) for v in values]
+    for node, (_, _, left, right) in zip(tower.nodes, prog.nodes):
+        assert (node.value_left._mpf_, node.value_right._mpf_) == (values[left], values[right])
+    assert tower.report.p1._mpf_ == values[prog.outputs["p1"]]
+    checked = []  # what the check of each node is given: its halves and product
+    compile_to_arith(tower, EvaluatingBuilder(tower.precision, lambda *node: checked.append(node)))
+    assert checked == [
+        (k, values[left], values[right], values[prod])
+        for k, (prod, _, left, right) in enumerate(prog.nodes)
+    ]
+
+
+def test_streamed_evaluation_holds_only_live_values(tower65537):
+    # Above the signed tower, the evaluation holds the program (4.9 MB) and,
+    # at most, the CONSTs, shared sums and node halves (about 5,800 of 28,008
+    # values) plus one sign byte per instruction: all 28,008 values took
+    # 6.2 MB more.
+    evaluate_tower(tower65537)  # every cosine sum it reads is cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_tower(tower65537)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize(
@@ -253,7 +299,7 @@ def _run_simple(ops):
         else:
             idx = prog.emit(op, *rest)
     prog.outputs = {"out": idx}
-    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    geom = lower_to_geom(prog, 128, _signs(prog, 128))
     return execute_geom(geom, 128)["out"]
 
 
@@ -302,7 +348,7 @@ def _root_circles(geom) -> list[str]:
 )
 def test_carlyle_circle_places_both_roots(s, q, left_is_larger, roots):
     prog = _node_program(s, q, left_is_larger)
-    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    geom = lower_to_geom(prog, 128, _signs(prog, 128))
     assert _root_circles(geom) == ["axis", "axis"]
     assert not any(instr.op == "LINE" for instr in geom.instrs)  # no half^2 product
     res = execute_geom(geom, 128)
@@ -314,7 +360,7 @@ def test_carlyle_circle_places_both_roots(s, q, left_is_larger, roots):
 def test_program_without_nodes_lowers_through_the_semicircle():
     prog = _node_program(1, -6, left_is_larger=False)
     prog.nodes = []
-    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    geom = lower_to_geom(prog, 128, _signs(prog, 128))
     assert _root_circles(geom) == ["other"]
     res = execute_geom(geom, 128)
     with mp.workprec(128):
@@ -327,7 +373,7 @@ def test_lowering_refuses_a_use_of_a_node_interior():
     _, root, _, _ = prog.nodes[0]
     prog.outputs["root"] = prog.emit("ADD", root, root)
     with pytest.raises(ValueError, match="interior"):
-        lower_to_geom(prog, 128, arith_values(prog, 128))
+        lower_to_geom(prog, 128, _signs(prog, 128))
 
 
 @pytest.mark.parametrize("n, kind", [(17, "full"), (257, "full"), (65537, "pruned")])
@@ -361,8 +407,8 @@ def test_unit_circle_axis_intersections():
 
 
 def test_geom_17_matches_tower(tower17):
-    prog = compile_to_arith(tower17)
-    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    prog, signs = evaluate_tower(tower17)
+    geom = lower_to_geom(prog, 128, signs)
     res = execute_geom(geom, 128)
     with mp.workprec(128):
         assert abs(res["cos"] - mp.cos(2 * mp.pi / 17)) < mp.mpf(2) ** -64
@@ -372,8 +418,8 @@ def test_geom_17_matches_tower(tower17):
 @pytest.mark.parametrize("n", [17, 257])
 def test_step_chord_closure(n, tower17, tower257):
     tower = {17: tower17, 257: tower257}[n]
-    prog = compile_to_arith(tower)
-    geom = lower_to_geom(prog, tower.precision, arith_values(prog, tower.precision))
+    prog, signs = evaluate_tower(tower)
+    geom = lower_to_geom(prog, tower.precision, signs)
     append_polygon_steps(geom, n + 1)
     res = execute_geom(geom, tower.precision)
     with mp.workprec(tower.precision):
@@ -425,7 +471,7 @@ def test_lowering_fuzz():
         want = mpf(values[prog.outputs["out"]])
         if abs(want) > mp.mpf(10) ** 9:  # intercept slopes degenerate far out
             continue
-        geom = lower_to_geom(prog, 96, values)
+        geom = lower_to_geom(prog, 96, [mpf_sign(v) for v in values])
         got = execute_geom(geom, 96)["out"]
         with mp.workprec(96):
             scale = max(mp.mpf(1), abs(want))
@@ -446,8 +492,8 @@ def test_arith_roundtrip(tmp_path, tower17):
 
 
 def test_geom_roundtrip(tmp_path, tower17):
-    prog = compile_to_arith(tower17)
-    geom = lower_to_geom(prog, 128, arith_values(prog, 128))
+    prog, signs = evaluate_tower(tower17)
+    geom = lower_to_geom(prog, 128, signs)
     path = tmp_path / "prog.geom"
     dump_geom(geom, str(path))
     loaded = load_geom(str(path))
@@ -482,8 +528,8 @@ def test_svg_zoomed_sector(tower65537):
 @pytest.mark.parametrize("kind", ["full", "pruned"])
 def test_geom_cos_point_within_tolerance(n, kind, tower257_full):
     tower = tower257_full if (n, kind) == (257, "full") else build_tower(n, kind)
-    prog = compile_to_arith(tower)
-    geom = lower_to_geom(prog, tower.precision, arith_values(prog, tower.precision))
+    prog, signs = evaluate_tower(tower)
+    geom = lower_to_geom(prog, tower.precision, signs)
     res = execute_geom(geom, tower.precision)
     with mp.workprec(tower.precision):
         err = abs(res["cos"] - mp.cos(2 * mp.pi / n))
@@ -509,8 +555,8 @@ def test_outputs_65537_match_golden(tower65537, tmp_path):
 def test_geom_65537_matches_cosine(tower65537):
     # The full geometric pipeline holds up at depth 15 and 512 bits, and a
     # Carlyle circle per node keeps the construction short.
-    prog = compile_to_arith(tower65537)
-    geom = lower_to_geom(prog, 512, arith_values(prog, 512))
+    prog, signs = evaluate_tower(tower65537)
+    geom = lower_to_geom(prog, 512, signs)
     assert len(geom.instrs) <= 34_000
     res = execute_geom(geom, 512)
     with mp.workprec(512):
