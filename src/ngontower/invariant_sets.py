@@ -5,9 +5,8 @@ q^(k-1) mod n (default factor q = 3) and is completed by doubling.  This
 ordering is what makes product decompositions shift-equivariant.
 """
 
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import UsageError, VerificationError
 from .residues import FermatParams, pair_of, pair_orbit
@@ -26,17 +25,15 @@ class InvariantSetTable:
     """Ordered invariant sets plus the pair -> (set, position) lookup.
 
     sets[k-1] holds the pair numbers of set k in natural order (each entry the
-    doubled predecessor); set_array is the same as a read-only int64
-    (ng, 2^nu) array.  set_of / pos_of are 1-based lookup arrays indexed by
-    pair number (slot 0 unused).
+    doubled predecessor).  set_of / pos_of are 1-based lookup arrays of C
+    ints indexed by pair number (slot 0 unused).
     """
 
     params: FermatParams
     factor: int
     sets: tuple[tuple[int, ...], ...]
-    set_array: np.ndarray = field(repr=False, compare=False)
-    set_of: np.ndarray = field(repr=False, compare=False)
-    pos_of: np.ndarray = field(repr=False, compare=False)
+    set_of: array = field(repr=False, compare=False)
+    pos_of: array = field(repr=False, compare=False)
 
     def first_pair(self, k: int) -> int:
         return self.sets[k - 1][0]
@@ -76,29 +73,25 @@ def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetT
         sets.append(pair_orbit(pair_of(start_degree, n), n))
         start_degree = (start_degree * factor) % n
 
-    set_of = np.zeros(params.npairs + 1, dtype=np.int32)
-    pos_of = np.zeros(params.npairs + 1, dtype=np.int32)
+    set_of = array("i", [0]) * (params.npairs + 1)
+    pos_of = array("i", [0]) * (params.npairs + 1)
     for k, row in enumerate(sets, start=1):
         for pos, p in enumerate(row, start=1):
             if set_of[p]:
                 raise PartitionFailure(f"pair {p} appears in sets {set_of[p]} and {k}")
             set_of[p] = k
             pos_of[p] = pos
-    if np.count_nonzero(set_of[1:]) != params.npairs:
+    if set_of.count(0) != 1:
         missing = [p for p in range(1, params.npairs + 1) if not set_of[p]]
         raise PartitionFailure(f"pairs not covered: {missing[:10]}...")
     # Circularity: one more factor step from the last start must re-enter set 1.
     if params.ng > 1 and set_of[pair_of(start_degree, n)] != 1:
         raise PartitionFailure("factor rule does not wrap back to set 1")
 
-    set_array = np.array(sets, dtype=np.int64)
-    for arr in (set_array, set_of, pos_of):
-        arr.setflags(write=False)
     return InvariantSetTable(
         params=params,
         factor=factor,
         sets=tuple(sets),
-        set_array=set_array,
         set_of=set_of,
         pos_of=pos_of,
     )
@@ -108,4 +101,4 @@ def locate_pair(table: InvariantSetTable, p: int) -> tuple[int, int]:
     """(set index, position) of pair p; total by the partition property."""
     if not 1 <= p <= table.params.npairs:
         raise ValueError(f"pair number {p} out of range [1, {table.params.npairs}]")
-    return int(table.set_of[p]), int(table.pos_of[p])
+    return table.set_of[p], table.pos_of[p]

@@ -21,16 +21,14 @@ Every coefficient of a product expression is an int counting halves: the
 identities only ever divide by 2, so a `LinearCombo` holds twice each
 coefficient and no other number type appears here.
 
-`part_pairs` reads the pair numbers of a part straight from the table's int64
-set array.
+`part_pairs` reads the pair numbers of a part straight from the table's sets.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import UsageError
 from .invariant_sets import InvariantSetTable, locate_pair
@@ -115,13 +113,13 @@ def part_members(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
     return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
 
 
-def part_pairs(p: PartRef, table: InvariantSetTable) -> np.ndarray:
-    """All pair numbers covered by the part, in member order, as an int64
-    array read from `table.set_array` (a read-only view where possible)."""
+def part_pairs(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
+    """All pair numbers covered by the part, in member order: its sets
+    one after another for an F part."""
     check_part(p, table.params)
     if p.kind == "F":
-        return table.set_array[p.offset - 1 :: p.stride].ravel()
-    return table.set_array[p.set_index - 1, p.offset - 1 :: p.stride]
+        return tuple(chain.from_iterable(table.sets[p.offset - 1 :: p.stride]))
+    return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
 
 
 def split_children(p: PartRef, table: InvariantSetTable) -> tuple[PartRef, PartRef]:

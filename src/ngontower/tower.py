@@ -30,7 +30,6 @@ by at most m 2^-(F-2) before its one rounding to working precision.
 
 from dataclasses import dataclass, field
 import mpmath as mp
-import numpy as np
 
 from .errors import VerificationError
 from .invariant_sets import InvariantSetTable, build_invariant_sets
@@ -250,8 +249,8 @@ def build_schedule(
 class CosineCache:
     """Direct values 2cos(2 pi k / n) for every pair, plus part sums.
 
-    Every pair value is held as a Python int at the fixed scale 2^F, in an
-    object array indexed by pair number, where F = precision + GUARD_BITS.
+    Every pair value is held as a Python int at the fixed scale 2^F, in a
+    list indexed by pair number, where F = precision + GUARD_BITS.
     With theta = 2 pi / n and the block B = 2^ceil(bits(npairs) / 2) (about
     sqrt(npairs): 16 at n = 257, 256 at n = 65537), pair k = aB + b is
     assembled from two small tables, cos/sin(b theta) for b < B and
@@ -296,16 +295,14 @@ class CosineCache:
             high = [fixed_cos_sin(a * block * theta) for a in range(npairs // block + 1)]
         shift = scale - 1
         # pair_fixed[k] ~ 2cos(k theta) 2^F for k = 0..npairs; k = aB + b.
-        self.pair_fixed = np.array(
-            [(ca * cb - sa * sb) >> shift for (ca, sa) in high for (cb, sb) in low][: npairs + 1],
-            dtype=object,
-        )
+        entries = [(ca * cb - sa * sb) >> shift for (ca, sa) in high for (cb, sb) in low]
+        self.pair_fixed = entries[: npairs + 1]
         self._part: dict[PartRef, object] = {}
 
     def part_value(self, part: PartRef):
         cached = self._part.get(part)
         if cached is None:
-            total = self.pair_fixed[part_pairs(part, self.table)].sum()
+            total = sum(map(self.pair_fixed.__getitem__, part_pairs(part, self.table)))
             with mp.workprec(self.precision):
                 cached = mp.ldexp(mp.mpf(total), -self.scale_bits)
             self._part[part] = cached

@@ -2,6 +2,10 @@
 conversions between period vectors and invariant-set combinations, and
 images of period vectors and expressions at the oracle's conjugates."""
 
+import sys
+from array import array
+from operator import mul
+
 import numpy as np
 
 from ngontower.errors import VerificationError
@@ -58,18 +62,16 @@ def combination_to_pv(c: SetCombination, table: InvariantSetTable) -> PeriodVect
     return PeriodVector(table.params.n, c.constant, coeffs)
 
 
-def pv_image(v: PeriodVector, oracle: Oracle, index: int, field) -> np.ndarray:
+def pv_image(v: PeriodVector, oracle: Oracle, index: int, field) -> list[int]:
     """v at the conjugates t = 0 .. index-1 modulo field.prime: pair k, of
-    discrete log i, maps to ps[(i + t) mod h] (`field.eta[h]` holds ps
-    twice over)."""
+    discrete log i, maps to ps[(i + t) mod h] (`field.eta[h]` packs ps twice
+    over, one 64-bit field a value)."""
     ell, h = field.prime, oracle.table.params.npairs
-    pairs = v.nonzero_pairs()
-    coeffs = np.array([int(c) % ell for c in v.coeffs[pairs]], dtype=np.int64)
-    logs, ps = oracle.logs[pairs], field.eta[h]
-    return np.array(
-        [(int(v.constant) + int((ps[logs + t] * coeffs % ell).sum())) % ell for t in range(index)],
-        dtype=np.int64,
-    )
+    ps = array("Q", field.eta[h].to_bytes(16 * h, sys.byteorder)).tolist()
+    by_log = [0] * h
+    for k in range(1, h + 1):
+        by_log[oracle.logs[k]] = int(v.coeffs[k])
+    return [(int(v.constant) + sum(map(mul, by_log, ps[t : t + h]))) % ell for t in range(index)]
 
 
 def same_expression(oracle: Oracle, a: LinearCombo, b: LinearCombo) -> bool:
@@ -81,6 +83,6 @@ def same_expression(oracle: Oracle, a: LinearCombo, b: LinearCombo) -> bool:
     index = max(oracle.places[p][0] for p in parts)
     bound = oracle.expression_bound(a) + oracle.expression_bound(b)
     return all(
-        np.array_equal(oracle.expression_image(a, index, f), oracle.expression_image(b, index, f))
+        oracle.expression_image(a, index, f) == oracle.expression_image(b, index, f)
         for f in oracle.fields_for(bound)
     )

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from ngontower import reference_tables as ref
@@ -41,14 +40,24 @@ def test_65537_shape(table65537):
     assert all(len(row) == 16 for row in table65537.sets)
 
 
-def test_set_array_is_read_only_sets(table257, table65537):
+def test_sets_are_read_only_rows(table257, table65537):
     for table in (table257, table65537):
-        arr = table.set_array
-        assert arr.dtype == np.int64
-        assert arr.shape == (table.params.ng, 1 << table.params.nu)
-        assert arr.tolist() == [list(row) for row in table.sets]
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0
+        sets = table.sets
+        assert type(sets) is tuple and all(type(row) is tuple for row in sets)
+        assert (len(sets), {len(row) for row in sets}) == (table.params.ng, {1 << table.params.nu})
+        assert all(type(p) is int for row in sets for p in row)
+        with pytest.raises(TypeError):
+            sets[0] = ()
+        with pytest.raises(TypeError):
+            sets[0][0] = 0
+        # The lookups are C-int arrays that invert the rows.
+        assert table.set_of.typecode == table.pos_of.typecode == "i"
+        assert len(table.set_of) == table.params.npairs + 1
+        assert all(
+            (table.set_of[p], table.pos_of[p]) == (k, pos)
+            for k, row in enumerate(sets, start=1)
+            for pos, p in enumerate(row, start=1)
+        )
 
 
 def test_natural_order_doubling(table257):

@@ -1,0 +1,78 @@
+"""The program runs without numpy, which only the tests use.
+
+Each command runs once in this process and once in a child interpreter in
+which `import numpy` fails (`sys.modules["numpy"] = None` before `ngontower`
+is imported); both must exit 0 and write the same bytes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ngontower.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _commands(n: int) -> list[list[str]]:
+    return [
+        ["build", "--n", str(n), "--out", "t.tower"],
+        ["verify", "--tower", "t.tower"],
+        ["compile", "--tower", "t.tower", "--target", "arith", "--out", "p.arith"],
+        ["compile", "--tower", "t.tower", "--target", "geom", "--out", "p.geom"],
+        ["render", "--tower", "t.tower", "--out", "p.svg"],
+        ["tables", "--n", str(n), "--kind", "sets"],
+    ]
+
+
+def _child(script: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def _written(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("n", [17, 257])
+def test_every_command_runs_without_numpy(n, tmp_path, monkeypatch, capsys):
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    monkeypatch.chdir(here)
+    codes = [main(argv) for argv in _commands(n)]
+    out = capsys.readouterr().out
+    assert codes == [0] * len(codes)
+
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ngontower.cli import main\n"
+        f"print(*[main(argv) for argv in {_commands(n)!r}], file=sys.stderr)\n"
+    )
+    result = _child(script, there)
+    assert result.stderr.split() == ["0"] * len(codes), result.stderr
+    assert result.stdout == out
+    assert _written(there) == _written(here)
+    assert set(_written(here)) == {"t.tower", "p.arith", "p.geom", "p.svg"}
+
+
+def test_a_build_leaves_numpy_unimported(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from ngontower.cli import main\n"
+        "code = main(['build', '--n', '257', '--out', 't.tower'])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    result = _child(script, tmp_path)
+    assert json.loads(result.stderr.splitlines()[-1]) == [0, False], result.stderr

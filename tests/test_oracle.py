@@ -13,7 +13,7 @@ from ngontower.oracle import Oracle, OracleMismatch, _is_prime, _primes
 from ngontower.residues import FermatParams
 from ngontower.splitting import LinearCombo, f_part
 from ngontower.tower import build_schedule
-from ngontower.verify import oracle_check_node, oracle_check_tower
+from ngontower.verify import oracle_check_node
 
 from oracle_helpers import NotSetUniform, decompose_into_sets, pv_image, pv_s, pv_zero
 from pair_reference import (
@@ -219,15 +219,14 @@ def test_halves_of_a_period_are_its_two_cosets(n):
 
 @pytest.mark.parametrize("kind", ["full", "pruned"])
 @pytest.mark.parametrize("n", [3, 5, 17, 257])
-def test_small_oracle_passes_need_one_prime(n, kind, monkeypatch):
+def test_small_oracle_passes_need_one_prime(n, kind):
     # A real tower's bound is far below 2^30, so a pass builds one field.
-    primes = []
-    field = oracle._Field
-    monkeypatch.setattr(oracle, "_Field", lambda *args: primes.append(args[0]) or field(*args))
     params = FermatParams.from_n(n)
     tower = build_schedule(params, build_invariant_sets(params), kind)
-    assert oracle_check_tower(tower) == len(tower.nodes)
-    assert primes == ([next(_primes(n))] if tower.nodes else [])
+    o = Oracle(tower.table)
+    for node in tower.nodes:
+        oracle_check_node(node, tower.table, o)
+    assert [f.prime for f in o.fields] == ([next(_primes(n))] if tower.nodes else [])
 
 
 _FULL_SCHEDULES = {}
@@ -289,10 +288,10 @@ def test_oracle_matches_the_reference_on_a_65537_node(params65537, table65537):
     field = o.fields[0]
     ell = field.prime
     product = oracle.pv_mul(oracle.pv_of_part(o, node.left, field), oracle.pv_of_part(o, node.right, field))
-    product = product.coeffs
-    product = np.tile(2 * product % ell, index // product.size)
-    assert np.array_equal(pv_image(lhs, o, index, field), product)
-    assert np.array_equal(pv_image(rhs, o, index, field), o.expression_image(node.product_expr, index, field))
+    product = [2 * x % ell for x in product.coeffs] * (index // len(product.coeffs))
+    assert pv_image(lhs, o, index, field) == product
+    assert pv_image(rhs, o, index, field) == o.expression_image(node.product_expr, index, field)
+    assert o.packed_check(node, index, field)
 
 
 def test_a_term_swapped_with_its_sibling_is_refused(table257):
@@ -322,10 +321,157 @@ def test_a_part_that_is_not_a_period_is_refused(fault, table257, monkeypatch):
     node = build_schedule(table257.params, table257, "pruned").nodes[3]
     own = oracle.part_pairs(node.left, table257)
     other = oracle.part_pairs(node.right, table257)
-    bad = np.concatenate((own[:-1], other[:1] if fault == "mixed-cosets" else own[:1]))
+    bad = own[:-1] + (other[:1] if fault == "mixed-cosets" else own[:1])
     part_pairs = oracle.part_pairs
     monkeypatch.setattr(
         oracle, "part_pairs", lambda p, table: bad if p == node.left else part_pairs(p, table)
     )
     with pytest.raises(OracleMismatch, match=re.escape(f"node 3: {node.left.label(table257)} is not a Gauss")):
         oracle_check_node(node, table257)
+
+
+# The two routes of `Oracle.check`: every field is checked packed when the
+# node's halves are placed (D, r), (D, r + D/2) and its expression is inside
+# the carry guard, else (and to count a packed refusal) one conjugate at a
+# time.  Each route accepts a true identity and refuses a false one, as the
+# two-pair reference decides them.
+
+
+def _routes(monkeypatch):
+    """The checks `Oracle.check` runs, in order, with what each returned."""
+    calls = []
+    for name in ("packed_check", "conjugate_check"):
+        original = getattr(Oracle, name)
+
+        def spy(self, *args, original=original, name=name):
+            result = original(self, *args)
+            calls.append((name, result))
+            return result
+
+        monkeypatch.setattr(Oracle, name, spy)
+    return calls
+
+
+def _reference_equal(node, table):
+    lhs = pv_mul(pv_of_part(node.left, table), pv_of_part(node.right, table)).scaled(2)
+    return equal_as_numbers(lhs, expand_doubled(node.product_expr, table))
+
+
+def _with(node, constant=0, linear=(), squares=()):
+    """The node with terms added to its expression."""
+    expr = node.product_expr
+    return replace(node, product_expr=LinearCombo(
+        expr.constant + constant, expr.linear + tuple(linear), expr.squares + tuple(squares)
+    ))
+
+
+def _zero_terms(node, c):
+    """c * (left + right - parent): terms that sum to zero."""
+    return ((c, node.left), (c, node.right), (-c, node.splits))
+
+
+def _node257():
+    table, nodes = _full_schedule(257)
+    return table, next(x for x in nodes if x.product_expr.squares)
+
+
+def test_the_packed_route_accepts_and_refuses(monkeypatch):
+    table, node = _node257()
+    routes = _routes(monkeypatch)
+    oracle_check_node(node, table)
+    assert routes == [("packed_check", True)] and _reference_equal(node, table)
+
+    routes.clear()
+    bad = _with(node, constant=1)
+    with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
+        oracle_check_node(bad, table)
+    assert [name for name, _ in routes] == ["packed_check", "conjugate_check"]
+    assert routes[0][1] is False and routes[1][1] > 0 and not _reference_equal(bad, table)
+
+
+def test_coefficients_past_the_carry_guard_go_one_conjugate_at_a_time(monkeypatch):
+    # (C + 2) l >= 2^62 for every prime the bound needs, C the expression's
+    # bound: the fields could carry, so no field is packed.
+    table, node = _node257()
+    big = _with(node, linear=_zero_terms(node, 1 << 31))
+    o = Oracle(table)
+    for part in big.product_expr.referenced_parts():
+        o.place(part)
+    primes = [f.prime for f in o.fields_for(o.expression_bound(big.product_expr))]
+    assert len(primes) == 2 and all((o.expression_bound(big.product_expr) + 2) * ell >= 2**62 for ell in primes)
+    routes = _routes(monkeypatch)
+    oracle_check_node(big, table)
+    assert routes == [("conjugate_check", 0)] * 2 and _reference_equal(big, table)
+
+    routes.clear()
+    bad = _with(big, constant=1)
+    with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
+        oracle_check_node(bad, table)
+    assert routes[0][0] == "conjugate_check" and routes[0][1] > 0
+    assert {name for name, _ in routes} == {"conjugate_check"} and not _reference_equal(bad, table)
+
+
+@pytest.mark.parametrize("halves", ["square", "parent-and-half"])
+def test_halves_placed_otherwise_go_one_conjugate_at_a_time(halves, monkeypatch):
+    # 2 * P * P = 2 P^2, and 2 * S * X = -2 X (S = -1): true identities whose
+    # halves are not two sibling periods.
+    table, node = _node257()
+    part = node.left
+    if halves == "square":
+        true = replace(node, right=part, product_expr=LinearCombo(0, (), ((2, part),)))
+    else:
+        true = replace(node, left=f_part(1, 1), right=part, product_expr=LinearCombo(0, ((-2, part),), ()))
+    routes = _routes(monkeypatch)
+    oracle_check_node(true, table)
+    assert routes == [("conjugate_check", 0)] and _reference_equal(true, table)
+
+    routes.clear()
+    bad = _with(true, constant=1)
+    with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
+        oracle_check_node(bad, table)
+    assert routes == [("conjugate_check", routes[0][1])] and routes[0][1] > 0
+    assert not _reference_equal(bad, table)
+
+
+def test_a_bound_past_the_first_prime_is_checked_packed_modulo_two(monkeypatch):
+    # c * (S + 1) = 0 lifts the bound B past the first prime l, while the
+    # expression stays inside the carry guard: both primes are checked
+    # packed.  The constant moved by l (c - l in place of c) is equal modulo
+    # l, so only the second prime refuses it.
+    table, node = _node257()
+    o = Oracle(table)
+    ell = o.fields_for(1)[0].prime
+    for part in [node.left, node.right, *node.product_expr.referenced_parts()]:
+        o.place(part)
+    # With c > |c0|, the bound is C = C0 - |c0| + c0 + 2c: l - 2 or l - 3.
+    c0 = node.product_expr.constant
+    c = (ell - (o.expression_bound(node.product_expr) - abs(c0) + c0)) // 2 - 1
+    true = _with(node, constant=c, linear=[(c, f_part(1, 1))])
+    bad = _with(node, constant=c - ell, linear=[(c, f_part(1, 1))])
+    smaller = table.params.npairs // o.places[node.left][0]
+    for combo in (true.product_expr, bad.product_expr):
+        bound = o.expression_bound(combo)
+        assert len(o.fields_for(4 * smaller + bound)) == 2
+        assert all((bound + 2) * f.prime < 2**62 for f in o.fields)
+    routes = _routes(monkeypatch)
+    oracle_check_node(true, table)
+    assert routes == [("packed_check", True)] * 2 and _reference_equal(true, table)
+
+    routes.clear()
+    with pytest.raises(OracleMismatch, match=f"modulo {o.fields[1].prime}$"):
+        oracle_check_node(bad, table)
+    assert [r for r in routes if r[0] == "packed_check"] == [("packed_check", True), ("packed_check", False)]
+    assert not _reference_equal(bad, table)
+
+
+def test_a_residue_is_read_field_by_field(table17):
+    # low + 2^64 is a multiple of l, but neither of its two fields, low and
+    # 1, is: l divides the number, not every field.
+    field = Oracle(table17).fields_for(1)[0]
+    ell = field.prime
+    low = -(1 << 64) % ell
+    assert (low + (1 << 64)) % ell == 0 and low % ell != 0
+    assert not field.divides(low + (1 << 64), 2)
+    assert field.divides(ell * 5 + (ell * 7 << 64), 2)
+    assert field.divides(ell * ((1 << 32) - 1) + (ell << 64), 2)
+    assert not field.divides(ell * 5 + 1 + (ell * 7 << 64), 2)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,7 +282,7 @@ def test_combo_expansion_matches_per_term_sum(n, data, table17, table257):
     index = max((oracle.place(p)[0] for p in combo.referenced_parts()), default=1)
     field = oracle.fields_for(1)[0]
     expected = pv_image(expand_doubled(combo, table), oracle, index, field)
-    assert np.array_equal(oracle.expression_image(combo, index, field), expected)
+    assert oracle.expression_image(combo, index, field) == expected
 
 
 @pytest.mark.parametrize("n", [17, 257])
@@ -297,5 +296,5 @@ def test_part_pairs_match_members_of_sets(n, table17, table257):
         else:
             expected = [p for k in range(part.offset, ng + 1, part.stride) for p in table.sets[k - 1]]
         pairs = part_pairs(part, table)
-        assert pairs.dtype == np.int64
-        assert pairs.tolist() == expected, part
+        assert type(pairs) is tuple and all(type(p) is int for p in pairs)
+        assert list(pairs) == expected, part

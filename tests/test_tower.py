@@ -243,14 +243,14 @@ def _entry_bound(cache: CosineCache):
 
 def _reference_part(cache: CosineCache, part):
     bits = cache.scale_bits + 64
-    pairs = part_pairs(part, cache.table).tolist()
+    pairs = part_pairs(part, cache.table)
     with mp.workprec(bits):
         return mp.fsum(_reference_pair(cache.params.n, k, bits) for k in pairs), len(pairs)
 
 
 def _check_part_value(cache: CosineCache, part):
     # The table's part sum is the exact sum of its entries, rounded once.
-    entries = sum(int(cache.pair_fixed[k]) for k in part_pairs(part, cache.table).tolist())
+    entries = sum(cache.pair_fixed[k] for k in part_pairs(part, cache.table))
     with mp.workprec(cache.precision):
         assert cache.part_value(part) == mp.ldexp(mp.mpf(entries), -cache.scale_bits), part
     ref, m = _reference_part(cache, part)
