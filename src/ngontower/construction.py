@@ -37,10 +37,21 @@ has 32,459 steps.
 
 Every intersection branch is recorded at lowering time from the signs of
 the instruction values, so geometric execution never re-decides a choice.
+
+Both programs are held as flat columns, not one object per instruction: an
+op-code `bytearray` and `array('i')` operands, with the rare CONST values,
+branches, counts and names beside them.  That is a few bytes an
+instruction: at n = 65537 pruned the programs hold 0.37 MB (28,008
+instructions) and 0.59 MB (32,459 steps), where an object apiece took 4.8
+and 6.8 MB.  The interpreter, lowering and dumps read the columns; `instrs`
+is a read-only view that builds an `ArithInstr` or `GeomInstr` only when
+one is read.  The program files are JSON lines (docs/program-format.md),
+each line written straight from the columns.
 """
 
 import json
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -57,7 +68,6 @@ from .splitting import LinearCombo, PartRef
 from .tower import Tower, _root_part
 
 _INTERCEPT_THRESHOLD = 64
-_BINARY = {"ADD": mpf_add, "SUB": mpf_sub, "MUL": mpf_mul}
 
 
 class NegativeRadicand(VerificationError):
@@ -85,41 +95,89 @@ class ArithInstr(NamedTuple):
     value: Fraction | None = None  # CONST only
 
 
+_ARITH_OPS = ("ADD", "SUB", "MUL", "HALF", "CONST", "SQRT")  # op code -> op
+_ADD, _SUB, _MUL, _HALF, _CONST, _SQRT = range(6)  # in `_ARITH_OPS` order
+_ARITH_CODE = {op: code for code, op in enumerate(_ARITH_OPS)}
+_BINARY = (mpf_add, mpf_sub, mpf_mul)  # by op code
+
+
+class _Instrs(Sequence):
+    """A program's instructions as a read-only sequence, each built from the
+    program's columns (`prog.instr(i)`) when it is read."""
+
+    def __init__(self, prog):
+        self._prog = prog
+
+    def __len__(self) -> int:
+        return len(self._prog.ops)
+
+    def __getitem__(self, i):
+        k = range(len(self._prog.ops))[i]
+        return [self._prog.instr(j) for j in k] if isinstance(i, slice) else self._prog.instr(k)
+
+    def __iter__(self):
+        return map(self._prog.instr, range(len(self._prog.ops)))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class ArithProgram:
-    instrs: list[ArithInstr] = field(default_factory=list)
+    """Instruction i is op code `ops[i]` (an index into `_ARITH_OPS`) on the
+    instructions `a[i]` and `b[i]` (-1 where it has fewer operands), with
+    value `consts[i]` if it is a CONST.  `instrs` reads them as `ArithInstr`s."""
+
+    ops: bytearray = field(default_factory=bytearray)
+    a: array = field(default_factory=lambda: array("i"))
+    b: array = field(default_factory=lambda: array("i"))
+    consts: dict[int, Fraction] = field(default_factory=dict)
     outputs: dict[str, int] = field(default_factory=dict)
     # (product, SQRT, left, right) instruction of each tower node, in node
     # order; set by `compile_to_arith` and not dumped.
     nodes: list[tuple[int, int, int, int]] = field(default_factory=list)
 
-    def emit(self, op: str, *args: int, value: Fraction | None = None) -> int:
-        # ArithInstr(op, args, value), without its Python-level __new__.
-        self.instrs.append(tuple.__new__(ArithInstr, (op, args, value)))
-        return len(self.instrs) - 1
+    def emit(self, op: str, x: int = -1, y: int = -1, value: Fraction | None = None) -> int:
+        i = len(self.ops)
+        self.ops.append(_ARITH_CODE[op])
+        self.a.append(x)
+        self.b.append(y)
+        if value is not None:
+            self.consts[i] = value
+        return i
+
+    def instr(self, i: int) -> ArithInstr:
+        x, y = self.a[i], self.b[i]
+        args = (x, y) if y >= 0 else (x,) if x >= 0 else ()
+        return ArithInstr(_ARITH_OPS[self.ops[i]], args, self.consts.get(i))
+
+    @property
+    def instrs(self) -> _Instrs:
+        return _Instrs(self)
 
     def sqrt_count(self) -> int:
-        return sum(1 for i in self.instrs if i.op == "SQRT")
+        return self.ops.count(_SQRT)
 
 
-def _run(instrs, vals: list, precision: int) -> None:
-    """Append the raw value (`_mpf_`) of each of `instrs` to `vals`, which
-    holds the value of every instruction before them (None for one that no
-    later instruction reads): the definition of the IR ops, each the mpf
-    operation rounded to nearest at `precision` bits (HALF is exact)."""
-    for op, args, value in instrs:
-        if op in _BINARY:
-            v = _BINARY[op](vals[args[0]], vals[args[1]], precision, round_nearest)
-        elif op == "HALF":
-            v = mpf_shift(vals[args[0]], -1)
-        elif op == "CONST":
-            v = from_rational(value.numerator, value.denominator, precision, round_nearest)
-        elif op == "SQRT":
-            if mpf_sign(vals[args[0]]) < 0:
-                raise NegativeRadicand(mp.mp.make_mpf(vals[args[0]]), vals)
-            v = mpf_sqrt(vals[args[0]], precision, round_nearest)
-        else:
-            raise ValueError(f"unknown op {op}")
+def _run(prog: ArithProgram, first: int, vals: list, precision: int) -> None:
+    """Append to `vals` the raw value (`_mpf_`) of each instruction from
+    `first` on; `vals` holds the value of every instruction before it (None
+    for one that no later instruction reads): the definition of the IR ops,
+    each the mpf operation rounded to nearest at `precision` bits (HALF is
+    exact)."""
+    consts = prog.consts
+    for i, op, x, y in zip(range(first, len(prog.ops)), prog.ops[first:], prog.a[first:], prog.b[first:]):
+        if op < _HALF:
+            v = _BINARY[op](vals[x], vals[y], precision, round_nearest)
+        elif op == _HALF:
+            v = mpf_shift(vals[x], -1)
+        elif op == _CONST:
+            c = consts[i]
+            v = from_rational(c.numerator, c.denominator, precision, round_nearest)
+        else:  # SQRT
+            if mpf_sign(vals[x]) < 0:
+                raise NegativeRadicand(mp.mp.make_mpf(vals[x]), vals)
+            v = mpf_sqrt(vals[x], precision, round_nearest)
         vals.append(v)
 
 
@@ -127,7 +185,7 @@ def arith_values(prog: ArithProgram, precision: int) -> list:
     """Value of every instruction, in order, as a raw mpf tuple, by `_run`.
     `mp.mp.make_mpf` wraps a value."""
     vals: list[tuple] = []
-    _run(prog.instrs, vals, precision)
+    _run(prog, 0, vals, precision)
     return vals
 
 
@@ -233,7 +291,7 @@ class EvaluatingBuilder(_ArithBuilder):
         sin); returns the first."""
         vals = self.values
         first = len(vals)
-        _run(self.prog.instrs[first:], vals, self.precision)
+        _run(self.prog, first, vals, self.precision)
         self.signs.extend(map(mpf_sign, vals[first:]))
         return first
 
@@ -289,30 +347,61 @@ def compile_to_arith(tower: Tower, builder: _ArithBuilder | None = None) -> Arit
 # Geometric programs
 
 
-@dataclass(frozen=True)
-class GeomInstr:
+class GeomInstr(NamedTuple):
     op: str
-    args: tuple = ()
+    args: tuple[int, ...] = ()
     branch: int | None = None
     count: int | None = None
     name: str | None = None
+
+
+_GEOM_OPS = (
+    "GIVEN_UNIT", "LINE", "CIRCLE", "MIDPOINT", "PERPENDICULAR_AT", "TRANSFER_LENGTH",
+    "INTERSECT_LL", "INTERSECT_LC", "INTERSECT_CC", "POINT_ON_AXIS", "STEP_CHORD",
+)
+_GEOM_CODE = {op: code for code, op in enumerate(_GEOM_OPS)}
 
 
 @dataclass
 class GeomProgram:
     """Instruction stream over points/lines/circles.  Each instruction yields
     one object id, except GIVEN_UNIT which yields four: the circle center, the
-    unit point (1,0), the axis through them, and the unit circle."""
+    unit point (1,0), the axis through them, and the unit circle.
 
-    instrs: list[GeomInstr] = field(default_factory=list)
+    Instruction i is op code `ops[i]` (an index into `_GEOM_OPS`) on the
+    objects `args[starts[i]:starts[i + 1]]`, with intersection branch
+    `branch[i]` (-1 for none) and `extra[i]` = (count, name) where either is
+    set.  `instrs` reads them as `GeomInstr`s."""
+
+    ops: bytearray = field(default_factory=bytearray)
+    args: array = field(default_factory=lambda: array("i"))
+    starts: array = field(default_factory=lambda: array("i", [0]))
+    branch: array = field(default_factory=lambda: array("b"))
+    extra: dict[int, tuple[int | None, str | None]] = field(default_factory=dict)
     outputs: dict[str, int] = field(default_factory=dict)
     next_obj: int = 0
 
     def emit(self, op, *args, branch=None, count=None, name=None) -> int:
-        self.instrs.append(GeomInstr(op=op, args=tuple(args), branch=branch, count=count, name=name))
+        if count is not None or name is not None:
+            self.extra[len(self.ops)] = (count, name)
+        self.ops.append(_GEOM_CODE[op])
+        self.args.extend(args)
+        self.starts.append(len(self.args))
+        self.branch.append(-1 if branch is None else branch)
         first = self.next_obj
         self.next_obj += 4 if op == "GIVEN_UNIT" else 1
         return first
+
+    def instr(self, i: int) -> GeomInstr:
+        branch = self.branch[i]
+        return GeomInstr(
+            _GEOM_OPS[self.ops[i]], tuple(self.args[self.starts[i]:self.starts[i + 1]]),
+            None if branch < 0 else branch, *self.extra.get(i, (None, None)),
+        )
+
+    @property
+    def instrs(self) -> _Instrs:
+        return _Instrs(self)
 
 
 def _line_point_dir(p1, p2):
@@ -549,11 +638,11 @@ def _node_interior(prog: ArithProgram, node: tuple) -> tuple[int, tuple[int, ...
     """The sum instruction of a node as `compile_to_arith` emits it, and the
     four instructions that lead from it to the roots: HALF(sum),
     MUL(half, half), SUB(square, product) and SQRT."""
-    root = node[1]
-    disc = prog.instrs[root].args[0]
-    square = prog.instrs[disc].args[0]
-    half = prog.instrs[square].args[0]
-    return prog.instrs[half].args[0], (half, square, disc, root)
+    operand, root = prog.a, node[1]
+    disc = operand[root]
+    square = operand[disc]
+    half = operand[square]
+    return operand[half], (half, square, disc, root)
 
 
 def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram:
@@ -573,7 +662,8 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
         signs = [mpf_sign(v) for v in arith_values(prog, precision)]
     sign = signs.__getitem__
     b = _GeomBuilder()
-    loc: list[int | None] = [None] * len(prog.instrs)
+    ops, consts = prog.ops, prog.consts
+    loc: list[int | None] = [None] * len(ops)
     skipped: set[int] = set()
     circles: dict[int, tuple[int, int, int, int]] = {}  # first root -> (sum, product, left, right)
     for node in prog.nodes:
@@ -581,43 +671,39 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
         skipped.update(interior)
         prod, _, left, right = node
         circles[min(left, right)] = (sum_idx, prod, left, right)
-    for i, instr in enumerate(prog.instrs):
+    for i, op, x, y in zip(range(len(ops)), ops, prog.a, prog.b):
         if i in skipped or loc[i] is not None:  # a node's interior or second root
             continue
         if i in circles:
             sum_idx, prod, left, right = circles[i]
             larger, smaller = b.carlyle(loc[sum_idx], loc[prod], sign(prod))
-            left_larger = prog.instrs[left].op == "ADD"
-            loc[left], loc[right] = (larger, smaller) if left_larger else (smaller, larger)
-            continue
-        args = instr.args
-        if any(loc[a] is None for a in args):
-            raise ValueError(f"instruction {i} uses a node's interior, which is not drawn")
-        if instr.op == "CONST":
-            p = b.int_const(instr.value.numerator)
-            den = instr.value.denominator
+            loc[left], loc[right] = (larger, smaller) if ops[left] == _ADD else (smaller, larger)
+        elif op == _CONST:
+            value = consts[i]
+            p = b.int_const(value.numerator)
+            den = value.denominator
             while den % 2 == 0:
                 p = b.half(p)
                 den //= 2
             if den != 1:
-                raise ValueError(f"constant {instr.value} is not a dyadic fraction")
+                raise ValueError(f"constant {value} is not a dyadic fraction")
             loc[i] = p
-        elif instr.op == "ADD":
-            loc[i] = b.add(loc[args[0]], loc[args[1]])
-        elif instr.op == "SUB":
-            loc[i] = b.sub(loc[args[0]], loc[args[1]])
-        elif instr.op == "HALF":
-            loc[i] = b.half(loc[args[0]])
-        elif instr.op == "MUL":
-            ka = prog.instrs[args[0]]
-            if ka.op == "CONST" and ka.value.denominator == 1 and abs(ka.value) <= _INTERCEPT_THRESHOLD:
-                loc[i] = b.scale_int(loc[args[1]], int(ka.value), sign(args[1]))
+        elif loc[x] is None or (y >= 0 and loc[y] is None):
+            raise ValueError(f"instruction {i} uses a node's interior, which is not drawn")
+        elif op == _ADD:
+            loc[i] = b.add(loc[x], loc[y])
+        elif op == _SUB:
+            loc[i] = b.sub(loc[x], loc[y])
+        elif op == _HALF:
+            loc[i] = b.half(loc[x])
+        elif op == _MUL:
+            k = consts.get(x)
+            if k is not None and k.denominator == 1 and abs(k) <= _INTERCEPT_THRESHOLD:
+                loc[i] = b.scale_int(loc[y], int(k), sign(y))
             else:
-                loc[i] = b.mul(loc[args[0]], loc[args[1]], sign(args[0]), sign(args[1]))
-        elif instr.op == "SQRT":
-            loc[i] = b.sqrt(loc[args[0]], sign(args[0]))
-        else:
-            raise ValueError(f"unknown op {instr.op}")
+                loc[i] = b.mul(loc[x], loc[y], sign(x), sign(y))
+        else:  # SQRT
+            loc[i] = b.sqrt(loc[x], sign(x))
     for name, idx in prog.outputs.items():
         if loc[idx] is None:
             raise ValueError(f"output {name} is a node's interior, which is not drawn")
@@ -630,9 +716,9 @@ def append_polygon_steps(geom: GeomProgram, count: int) -> None:
     """Construct the first vertex from the cos output and step the chord
     `count` times around the unit circle."""
     cos_point = None
-    for i, instr in enumerate(geom.instrs):
-        if instr.op == "POINT_ON_AXIS" and instr.name == "cos":
-            cos_point = instr.args[0]
+    for i, (_, name) in geom.extra.items():
+        if name == "cos" and _GEOM_OPS[geom.ops[i]] == "POINT_ON_AXIS":
+            cos_point = geom.args[geom.starts[i]]
     if cos_point is None:
         raise ValueError("program has no cos output")
     perp = geom.emit("PERPENDICULAR_AT", _GeomBuilder.AXIS, cos_point)
@@ -643,31 +729,39 @@ def append_polygon_steps(geom: GeomProgram, count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Program persistence (same JSON-lines container as tower documents)
+# Program persistence (same JSON-lines container as tower documents; see
+# docs/program-format.md).  Each line is written from the columns, and is
+# what `json.dumps` gives for the instruction's dict form.
 
 
 def dump_arith(prog: ArithProgram, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "ngontower-arith", "version": 1, "outputs": prog.outputs}) + "\n")
-        for instr in prog.instrs:
-            d = {"op": instr.op, "args": list(instr.args)}
-            if instr.value is not None:
-                d["value"] = [instr.value.numerator, instr.value.denominator]
-            fh.write(json.dumps(d) + "\n")
+        consts = prog.consts
+        for i, op, x, y in zip(range(len(prog.ops)), prog.ops, prog.a, prog.b):
+            args = f"{x}, {y}" if y >= 0 else f"{x}" if x >= 0 else ""
+            line = f'{{"op": "{_ARITH_OPS[op]}", "args": [{args}]'
+            if i in consts:
+                line += f', "value": [{consts[i].numerator}, {consts[i].denominator}]'
+            fh.write(line + "}\n")
 
 
 def dump_geom(prog: GeomProgram, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "ngontower-geom", "version": 1, "outputs": prog.outputs}) + "\n")
-        for instr in prog.instrs:
-            d = {"op": instr.op, "args": list(instr.args)}
-            if instr.branch is not None:
-                d["branch"] = instr.branch
-            if instr.count is not None:
-                d["count"] = instr.count
-            if instr.name is not None:
-                d["name"] = instr.name
-            fh.write(json.dumps(d) + "\n")
+        args, starts, extra = prog.args, prog.starts, prog.extra
+        for i, (op, branch) in enumerate(zip(prog.ops, prog.branch)):
+            objs = ", ".join(map(str, args[starts[i]:starts[i + 1]]))
+            line = f'{{"op": "{_GEOM_OPS[op]}", "args": [{objs}]'
+            if branch >= 0:
+                line += f', "branch": {branch}'
+            if i in extra:
+                count, name = extra[i]
+                if count is not None:
+                    line += f', "count": {json.dumps(count)}'
+                if name is not None:
+                    line += f', "name": {json.dumps(name)}'
+            fh.write(line + "}\n")
 
 
 def load_geom(path: str) -> GeomProgram:
@@ -676,8 +770,12 @@ def load_geom(path: str) -> GeomProgram:
         header = json.loads(fh.readline())
         if header.get("format") != "ngontower-geom":
             raise ValueError(f"{path} is not a geometric program")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             d = json.loads(line)
+            if d.get("op") not in _GEOM_CODE:
+                raise ValueError(f"{path} line {lineno}: unknown geometric op {d.get('op')!r}")
+            if d.get("branch") not in (None, 0, 1):  # -1 marks "no branch" in the column
+                raise ValueError(f"{path} line {lineno}: branch {d.get('branch')!r} is not 0 or 1")
             prog.emit(
                 d["op"],
                 *d["args"],

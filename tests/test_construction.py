@@ -133,10 +133,10 @@ def test_streamed_evaluation_gives_the_program_values(n, kind, request):
 
 
 def test_streamed_evaluation_holds_only_live_values(tower65537):
-    # Above the signed tower, the evaluation holds the program (4.9 MB) and,
-    # at most, the CONSTs, shared sums and node halves (about 5,800 of 28,008
-    # values) plus one sign byte per instruction: all 28,008 values took
-    # 6.2 MB more.
+    # Above the signed tower, the evaluation holds the program (0.4 MB of
+    # columns) and, at most, the CONSTs, shared sums and node halves (about
+    # 5,800 of 28,008 values) plus one sign byte per instruction: all 28,008
+    # values took 6.2 MB more.
     evaluate_tower(tower65537)  # every cosine sum it reads is cached
     tracemalloc.start()
     try:
