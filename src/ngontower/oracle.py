@@ -34,28 +34,21 @@ The check runs modulo the largest primes l = 1 (mod n) below 2^31 until
 their product exceeds B, which then divides each a_k: all are 0.  Real
 towers have B below 10^5: one prime.
 
-The packed check.  Each prime's tables hold 64-bit fields, one per
-conjugate, so a part's values at its conjugates read as one Python int.
-A node whose halves are placed (D, r) and (D, r + D/2), as every node a
-schedule writes is, has 2LR = pi_D[(r + t) mod D/2] at conjugate t, where
-pi_D[j] = 2 eta_D[j] eta_D[j + D/2].  Split the expression's terms by the
-sign of their coefficients into P and N, whose fields lie in 0 .. C l.
-With K the least multiple of l from 2^62, every field of
-Delta = P + (K + c0) (1, .., 1) - N - 2LR lies within (C + 1) l of 2^62;
-so while (C + 2) l < 2^62, the carry guard, each lies in 0 .. 2^63, and
-Delta, in whatever order its terms are summed, is its fields side by side:
-none borrows from or carries into its neighbour.  Every field is then
-0 mod l exactly when l divides Delta and every field of Delta / l is below
-2^(64 - bits(l)): l times such a field still fits in 64 bits, and a field
-below 2^63 divided by l is always below it.  A node outside the guard, or
-whose halves are placed otherwise, is checked one conjugate at a time
-modulo the same primes.
+Classes.  A node N is checked in full only when no node M already proved
+has its key: with its left half placed (D, r), that is D, the right half
+as (D_R, (r_R - r) mod D_R), the constant, and the linear and the squared
+terms each as the sorted (c, D', (r' - r) mod D').  Equal keys with
+t = r_N - r_M say, term by term, that N's halves and expression are the
+images under sigma_t of M's, for sigma_t sends the period (D', r') to
+(D', r' + t) and is a field automorphism: applied to M's identity
+2LR = c0 + sum c*X + sum d*Y^2 it gives N's exactly.  The key is read from
+the stored expression, never assumed, and is kept only once every prime
+has passed; a full 65537 tower of 32,767 nodes has 15 keys.
 
 The oracle reads only the table's parameters, `part_pairs`, the node's
 parts and its expression, and keeps its tables for one pass (`Oracle`).
 """
 
-import sys
 from array import array
 from operator import ne
 from typing import NamedTuple, Sequence
@@ -97,19 +90,6 @@ def _powers(base: int, count: int, mod: int) -> array:
     return powers
 
 
-def _packed(fields) -> int:
-    """64-bit fields as one int, the first field lowest."""
-    return int.from_bytes(fields, sys.byteorder)
-
-
-def _tiled(value: int, size: int, count: int) -> int:
-    """`value`, of `size` fields, repeated `count` (a power of two) times."""
-    while count > 1:
-        value |= value << (64 * size)
-        size, count = 2 * size, count // 2
-    return value
-
-
 class PeriodValues(NamedTuple):
     """A number modulo one prime as its values at conjugates, each in
     0 .. prime-1: its coordinates in F_l^D, into which K_D splits."""
@@ -125,59 +105,36 @@ def pv_mul(a: PeriodValues, b: PeriodValues) -> PeriodValues:
 
 
 class _Field:
-    """The images of every period modulo one prime, each table packed
-    twice over (`_packed`) so that a run of fields starts anywhere:
-    `eta[D]` holds eta_D, whose fields r .. r + D-1 are the period (D, r)
-    at the conjugates t = 0 .. D-1, and `halves[D]` (D >= 2) holds the D/2
-    values pi_D[j] = 2 eta_D[j] eta_D[j + D/2].  `masks[D]` is 2^(64 D) - 1,
-    which cuts D fields out of a table shifted down to their first."""
+    """The images of every period modulo one prime: `eta[D]` holds eta_D,
+    whose entries r, r + 1, .. (mod D) are the period (D, r) at the
+    conjugates t = 0 .. D-1."""
 
     def __init__(self, ell: int, n: int, elements: array):
         self.prime = ell
-        # The least multiple of l from 2^62: the offset that keeps the
-        # packed check's fields from borrowing.
-        self.offset = -(-(1 << 62) // ell) * ell
         a = 2
         while pow(a, (ell - 1) // n, ell) == 1:
             a += 1
         zpow = _powers(pow(a, (ell - 1) // n, ell), n, ell)
         eta = array("Q", [(zpow[e] + zpow[n - e]) % ell for e in elements])
-        self.eta, self.halves = {}, {}
-        while True:
-            self.eta[len(eta)] = _packed(eta * 2)
-            if len(eta) == 1:
-                break
-            low, high = eta[: len(eta) // 2], eta[len(eta) // 2 :]
-            self.halves[len(eta)] = _packed(array("Q", [2 * x * y % ell for x, y in zip(low, high)]) * 2)
-            eta = array("Q", [(x + y) % ell for x, y in zip(low, high)])
-        self.masks = {size: (1 << (64 * size)) - 1 for size in self.eta}
-        self._tiles: dict[int, tuple[int, int]] = {}
-
-    def tiles(self, index: int) -> tuple[int, int]:
-        """1, and the bits from 64 - bits(l) up, in each of `index` fields."""
-        if index not in self._tiles:
-            high = (1 << 64) - (1 << (64 - self.prime.bit_length()))
-            self._tiles[index] = _tiled(1, 1, index), _tiled(high, 1, index)
-        return self._tiles[index]
-
-    def divides(self, delta: int, index: int) -> bool:
-        """True when l divides every field of `delta`, whose `index` fields
-        are each below 2^63 (see the module docstring)."""
-        quotient, rest = divmod(delta, self.prime)
-        return rest == 0 and not quotient & self.tiles(index)[1]
+        self.eta = {len(eta): eta}
+        while len(eta) > 1:
+            half = len(eta) // 2
+            eta = array("Q", [(x + y) % ell for x, y in zip(eta[:half], eta[half:])])
+            self.eta[half] = eta
 
 
 def pv_of_part(oracle: "Oracle", part, field: _Field, index: int | None = None) -> PeriodValues:
     """A part placed by `oracle` at the conjugates t = 0 .. index-1: of its
     own index D when None, else of a multiple of D, over which they repeat."""
     d, r = oracle.places[part]
-    values = ((field.eta[d] >> (64 * r)) & field.masks[d]).to_bytes(8 * d, sys.byteorder)
-    return PeriodValues(array("Q", values * (1 if index is None else index // d)), field.prime)
+    eta = field.eta[d]
+    return PeriodValues((eta[r:] + eta[:r]) * (1 if index is None else index // d), field.prime)
 
 
 class Oracle:
     """One pass of exact checks over one table: the place (D, r) of each
-    part met, and the periods modulo each prime the pass has needed."""
+    part met, the periods modulo each prime the pass has needed, and the
+    keys of the nodes it has proved."""
 
     def __init__(self, table):
         self.table = table
@@ -190,6 +147,7 @@ class Oracle:
             self.logs[min(e, n - e)] = i
         self.places: dict = {}
         self.fields: list[_Field] = []
+        self.proved: set = set()
         self._primes = _primes(n)
 
     def place(self, part) -> tuple[int, int] | None:
@@ -235,30 +193,6 @@ class Oracle:
                 image = [(s + c * v) % ell for s, v in zip(image, y.coeffs)]
         return image
 
-    def packed_check(self, node, index: int, field: _Field) -> bool:
-        """2 * left * right == the node's expression at every conjugate, all
-        at once; for halves placed (D, r) and (D, r + D/2) and an expression
-        inside the carry guard (see the module docstring)."""
-        combo = node.product_expr
-        # The terms of one index and coefficient are summed before they are
-        # scaled and repeated over the `index` fields.
-        sums: dict[tuple[int, int], int] = {}
-        places, eta, masks = self.places, field.eta, field.masks
-        for c, part in combo.linear:
-            d, r = places[part]
-            sums[d, c] = sums.get((d, c), 0) + ((eta[d] >> (64 * r)) & masks[d])
-        for c, part in combo.squares:
-            y = pv_of_part(self, part, field)
-            sums[len(y.coeffs), c] = sums.get((len(y.coeffs), c), 0) + _packed(pv_mul(y, y).coeffs)
-        d, r = self.places[node.left]
-        half = d // 2
-        delta = (field.offset + combo.constant) * field.tiles(index)[0]
-        delta -= _tiled((field.halves[d] >> (64 * (r % half))) & masks[half], half, index // half)
-        for (size, c), total in sums.items():
-            term = _tiled(abs(c) * total, size, index // size)
-            delta += term if c > 0 else -term
-        return field.divides(delta, index)
-
     def conjugate_check(self, node, index: int, field: _Field) -> int:
         """How many of the conjugates t = 0 .. index-1 tell 2 * left * right
         from the node's expression, one conjugate at a time."""
@@ -266,6 +200,21 @@ class Oracle:
         sides = pv_of_part(self, node.left, field, index), pv_of_part(self, node.right, field, index)
         lhs = [2 * x % ell for x in pv_mul(*sides).coeffs]
         return sum(map(ne, lhs, self.expression_image(node.product_expr, index, field)))
+
+    def key(self, node) -> tuple:
+        """The node's halves and expression relative to its left half's
+        place (D, r): two nodes of equal keys are sigma_t of each other
+        (see the module docstring).  Its parts must be placed."""
+        combo, (d, r) = node.product_expr, self.places[node.left]
+
+        def relative(part):
+            e, s = self.places[part]
+            return e, (s - r) % e
+
+        def terms(pairs):
+            return tuple(sorted((c, *relative(part)) for c, part in pairs))
+
+        return d, relative(node.right), combo.constant, terms(combo.linear), terms(combo.squares)
 
     def check(self, node) -> None:
         """Raise OracleMismatch unless 2 * left * right equals the node's
@@ -278,21 +227,18 @@ class Oracle:
                     f"{part.label(self.table)} is not a Gauss period: its pairs are "
                     "not one coset of the pair group", node.id
                 )
+        key = self.key(node)
+        if key in self.proved:
+            return
         index = max(self.places[part][0] for part in parts)
-        (d, r), (d_right, r_right) = self.places[left], self.places[right]
-        siblings = d == d_right > 1 and abs(r - r_right) == d // 2
-        expression = self.expression_bound(combo)
-        bound = 4 * (self.table.params.npairs // max(d, d_right)) + expression
-        for field in self.fields_for(bound):
-            ell = field.prime
-            packed = siblings and (expression + 2) * ell < 2**62
-            if packed and self.packed_check(node, index, field):
-                continue
+        smaller = self.table.params.npairs // max(self.places[left][0], self.places[right][0])
+        for field in self.fields_for(4 * smaller + self.expression_bound(combo)):
             wrong = self.conjugate_check(node, index, field)
             if wrong:
                 raise OracleMismatch(
                     f"product of {left.label(self.table)} and {right.label(self.table)} "
                     f"differs from its expression at {wrong} of {index} "
-                    f"conjugates modulo {ell}",
+                    f"conjugates modulo {field.prime}",
                     node.id,
                 )
+        self.proved.add(key)

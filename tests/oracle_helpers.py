@@ -2,8 +2,6 @@
 conversions between period vectors and invariant-set combinations, and
 images of period vectors and expressions at the oracle's conjugates."""
 
-import sys
-from array import array
 from operator import mul
 
 import numpy as np
@@ -64,10 +62,9 @@ def combination_to_pv(c: SetCombination, table: InvariantSetTable) -> PeriodVect
 
 def pv_image(v: PeriodVector, oracle: Oracle, index: int, field) -> list[int]:
     """v at the conjugates t = 0 .. index-1 modulo field.prime: pair k, of
-    discrete log i, maps to ps[(i + t) mod h] (`field.eta[h]` packs ps twice
-    over, one 64-bit field a value)."""
+    discrete log i, maps to ps[(i + t) mod h] (`field.eta[h]` holds ps)."""
     ell, h = field.prime, oracle.table.params.npairs
-    ps = array("Q", field.eta[h].to_bytes(16 * h, sys.byteorder)).tolist()
+    ps = field.eta[h].tolist() * 2
     by_log = [0] * h
     for k in range(1, h + 1):
         by_log[oracle.logs[k]] = int(v.coeffs[k])

@@ -291,7 +291,6 @@ def test_oracle_matches_the_reference_on_a_65537_node(params65537, table65537):
     product = [2 * x % ell for x in product.coeffs] * (index // len(product.coeffs))
     assert pv_image(lhs, o, index, field) == product
     assert pv_image(rhs, o, index, field) == o.expression_image(node.product_expr, index, field)
-    assert o.packed_check(node, index, field)
 
 
 def test_a_term_swapped_with_its_sibling_is_refused(table257):
@@ -330,25 +329,23 @@ def test_a_part_that_is_not_a_period_is_refused(fault, table257, monkeypatch):
         oracle_check_node(node, table257)
 
 
-# The two routes of `Oracle.check`: every field is checked packed when the
-# node's halves are placed (D, r), (D, r + D/2) and its expression is inside
-# the carry guard, else (and to count a packed refusal) one conjugate at a
-# time.  Each route accepts a true identity and refuses a false one, as the
-# two-pair reference decides them.
+# The one route of `Oracle.check`: a node whose key no proved node shares
+# is checked one conjugate at a time modulo every prime its bound needs;
+# it accepts a true identity and refuses a false one, as the two-pair
+# reference decides them.  A node whose key was proved is sigma_t of a
+# node checked so, and is accepted at once.
 
 
-def _routes(monkeypatch):
-    """The checks `Oracle.check` runs, in order, with what each returned."""
+def _full_checks(monkeypatch):
+    """The results of the full checks `Oracle.check` runs, in order."""
     calls = []
-    for name in ("packed_check", "conjugate_check"):
-        original = getattr(Oracle, name)
+    original = Oracle.conjugate_check
 
-        def spy(self, *args, original=original, name=name):
-            result = original(self, *args)
-            calls.append((name, result))
-            return result
+    def spy(self, *args):
+        calls.append(original(self, *args))
+        return calls[-1]
 
-        monkeypatch.setattr(Oracle, name, spy)
+    monkeypatch.setattr(Oracle, "conjugate_check", spy)
     return calls
 
 
@@ -365,50 +362,64 @@ def _with(node, constant=0, linear=(), squares=()):
     ))
 
 
-def _zero_terms(node, c):
-    """c * (left + right - parent): terms that sum to zero."""
-    return ((c, node.left), (c, node.right), (-c, node.splits))
-
-
 def _node257():
     table, nodes = _full_schedule(257)
     return table, next(x for x in nodes if x.product_expr.squares)
 
 
-def test_the_packed_route_accepts_and_refuses(monkeypatch):
-    table, node = _node257()
-    routes = _routes(monkeypatch)
-    oracle_check_node(node, table)
-    assert routes == [("packed_check", True)] and _reference_equal(node, table)
+# 65537 full is the paper's whole 65537-gon: every split of every level.
+@pytest.mark.parametrize("n, kind, nodes, classes", [
+    (5, "full", 1, 1), (17, "full", 7, 3), (257, "full", 127, 7),
+    (65537, "pruned", 712, 15), (65537, "full", 32767, 15),
+])
+def test_one_full_check_per_class(n, kind, nodes, classes, monkeypatch):
+    params = FermatParams.from_n(n)
+    tower = build_schedule(params, build_invariant_sets(params), kind)
+    checks = _full_checks(monkeypatch)
+    o = Oracle(tower.table)
+    for node in tower.nodes:
+        oracle_check_node(node, tower.table, o)
+    assert len(tower.nodes) == nodes
+    assert checks == [0] * classes and len(o.proved) == classes
 
-    routes.clear()
-    bad = _with(node, constant=1)
-    with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
-        oracle_check_node(bad, table)
-    assert [name for name, _ in routes] == ["packed_check", "conjugate_check"]
-    assert routes[0][1] is False and routes[1][1] > 0 and not _reference_equal(bad, table)
 
-
-def test_coefficients_past_the_carry_guard_go_one_conjugate_at_a_time(monkeypatch):
-    # (C + 2) l >= 2^62 for every prime the bound needs, C the expression's
-    # bound: the fields could carry, so no field is packed.
-    table, node = _node257()
-    big = _with(node, linear=_zero_terms(node, 1 << 31))
+def test_a_perturbed_class_mate_is_refused(monkeypatch):
+    # Once a class's representative has passed, a class-mate changed in its
+    # constant, in one coefficient or in one term's offset relative to its
+    # left half (the term swapped for its sibling period) has a key of its
+    # own: it is checked in full, and refused.
+    table, nodes = _full_schedule(257)
+    sibling = {x.left: x.right for x in nodes} | {x.right: x.left for x in nodes}
     o = Oracle(table)
-    for part in big.product_expr.referenced_parts():
-        o.place(part)
-    primes = [f.prime for f in o.fields_for(o.expression_bound(big.product_expr))]
-    assert len(primes) == 2 and all((o.expression_bound(big.product_expr) + 2) * ell >= 2**62 for ell in primes)
-    routes = _routes(monkeypatch)
-    oracle_check_node(big, table)
-    assert routes == [("conjugate_check", 0)] * 2 and _reference_equal(big, table)
-
-    routes.clear()
-    bad = _with(big, constant=1)
-    with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
-        oracle_check_node(bad, table)
-    assert routes[0][0] == "conjugate_check" and routes[0][1] > 0
-    assert {name for name, _ in routes} == {"conjugate_check"} and not _reference_equal(bad, table)
+    checks = _full_checks(monkeypatch)
+    for node in nodes:
+        before = len(checks)
+        o.check(node)
+        mate = len(checks) == before and any(p in sibling for _, p in node.product_expr.linear)
+        if mate:
+            break
+    assert mate and _reference_equal(node, table)
+    expr = node.product_expr
+    k, (c, part) = next((k, t) for k, t in enumerate(expr.linear) if t[1] in sibling)
+    linear = list(expr.linear)
+    linear[k] = (c, sibling[part])
+    scaled = list(expr.linear)
+    scaled[k] = (c + 1, part)
+    for bad in (
+        _with(node, constant=1),
+        replace(node, product_expr=replace(expr, linear=tuple(scaled))),
+        replace(node, product_expr=replace(expr, linear=tuple(linear))),
+    ):
+        # A refused key is not kept: the same node is refused again.
+        for _ in range(2):
+            before = len(checks)
+            with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
+                o.check(bad)
+            assert len(checks) == before + 1 and checks[-1] > 0
+        assert not _reference_equal(bad, table)
+    before = len(checks)
+    o.check(node)
+    assert len(checks) == before
 
 
 @pytest.mark.parametrize("halves", ["square", "parent-and-half"])
@@ -421,23 +432,22 @@ def test_halves_placed_otherwise_go_one_conjugate_at_a_time(halves, monkeypatch)
         true = replace(node, right=part, product_expr=LinearCombo(0, (), ((2, part),)))
     else:
         true = replace(node, left=f_part(1, 1), right=part, product_expr=LinearCombo(0, ((-2, part),), ()))
-    routes = _routes(monkeypatch)
+    checks = _full_checks(monkeypatch)
     oracle_check_node(true, table)
-    assert routes == [("conjugate_check", 0)] and _reference_equal(true, table)
+    assert checks == [0] and _reference_equal(true, table)
 
-    routes.clear()
+    checks.clear()
     bad = _with(true, constant=1)
     with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
         oracle_check_node(bad, table)
-    assert routes == [("conjugate_check", routes[0][1])] and routes[0][1] > 0
+    assert len(checks) == 1 and checks[0] > 0
     assert not _reference_equal(bad, table)
 
 
-def test_a_bound_past_the_first_prime_is_checked_packed_modulo_two(monkeypatch):
-    # c * (S + 1) = 0 lifts the bound B past the first prime l, while the
-    # expression stays inside the carry guard: both primes are checked
-    # packed.  The constant moved by l (c - l in place of c) is equal modulo
-    # l, so only the second prime refuses it.
+def test_a_bound_past_the_first_prime_is_checked_modulo_two(monkeypatch):
+    # c * (S + 1) = 0 lifts the bound B past the first prime l: both primes
+    # are checked.  The constant moved by l (c - l in place of c) is equal
+    # modulo l, so only the second prime refuses it.
     table, node = _node257()
     o = Oracle(table)
     ell = o.fields_for(1)[0].prime
@@ -450,28 +460,13 @@ def test_a_bound_past_the_first_prime_is_checked_packed_modulo_two(monkeypatch):
     bad = _with(node, constant=c - ell, linear=[(c, f_part(1, 1))])
     smaller = table.params.npairs // o.places[node.left][0]
     for combo in (true.product_expr, bad.product_expr):
-        bound = o.expression_bound(combo)
-        assert len(o.fields_for(4 * smaller + bound)) == 2
-        assert all((bound + 2) * f.prime < 2**62 for f in o.fields)
-    routes = _routes(monkeypatch)
+        assert len(o.fields_for(4 * smaller + o.expression_bound(combo))) == 2
+    checks = _full_checks(monkeypatch)
     oracle_check_node(true, table)
-    assert routes == [("packed_check", True)] * 2 and _reference_equal(true, table)
+    assert checks == [0, 0] and _reference_equal(true, table)
 
-    routes.clear()
+    checks.clear()
     with pytest.raises(OracleMismatch, match=f"modulo {o.fields[1].prime}$"):
         oracle_check_node(bad, table)
-    assert [r for r in routes if r[0] == "packed_check"] == [("packed_check", True), ("packed_check", False)]
+    assert len(checks) == 2 and checks[0] == 0 and checks[1] > 0
     assert not _reference_equal(bad, table)
-
-
-def test_a_residue_is_read_field_by_field(table17):
-    # low + 2^64 is a multiple of l, but neither of its two fields, low and
-    # 1, is: l divides the number, not every field.
-    field = Oracle(table17).fields_for(1)[0]
-    ell = field.prime
-    low = -(1 << 64) % ell
-    assert (low + (1 << 64)) % ell == 0 and low % ell != 0
-    assert not field.divides(low + (1 << 64), 2)
-    assert field.divides(ell * 5 + (ell * 7 << 64), 2)
-    assert field.divides(ell * ((1 << 32) - 1) + (ell << 64), 2)
-    assert not field.divides(ell * 5 + 1 + (ell * 7 << 64), 2)
