@@ -40,13 +40,13 @@ the instruction values, so geometric execution never re-decides a choice.
 
 Both programs are held as flat columns, not one object per instruction: an
 op-code `bytearray` and `array('i')` operands, with the rare CONST values,
-branches, counts and names beside them.  That is a few bytes an
-instruction: at n = 65537 pruned the programs hold 0.37 MB (28,008
-instructions) and 0.59 MB (32,459 steps), where an object apiece took 4.8
-and 6.8 MB.  The interpreter, lowering and dumps read the columns; `instrs`
-is a read-only view that builds an `ArithInstr` or `GeomInstr` only when
-one is read.  The program files are JSON lines (docs/program-format.md),
-each line written straight from the columns.
+branches and names beside them.  That is a few bytes an instruction: at
+n = 65537 pruned the programs hold 0.37 MB (28,008 instructions) and 0.59 MB
+(32,459 steps), where an object apiece took 4.8 and 6.8 MB.  The
+interpreter, lowering and dumps read the columns; `instrs` is a read-only
+view that builds an `ArithInstr` or `GeomInstr` only when one is read.  The
+program files are JSON lines (docs/program-format.md), each line written
+straight from the columns.
 """
 
 import json
@@ -351,52 +351,66 @@ class GeomInstr(NamedTuple):
     op: str
     args: tuple[int, ...] = ()
     branch: int | None = None
-    count: int | None = None
     name: str | None = None
 
 
-_GEOM_OPS = (
-    "GIVEN_UNIT", "LINE", "CIRCLE", "MIDPOINT", "PERPENDICULAR_AT", "TRANSFER_LENGTH",
-    "INTERSECT_LL", "INTERSECT_LC", "INTERSECT_CC", "POINT_ON_AXIS", "STEP_CHORD",
-)
+# op -> (the kinds of the objects it takes, the kinds of those it yields): P
+# point, L line, C circle.
+_GEOM_KINDS = {
+    "GIVEN_UNIT": ("", "PPLC"),
+    "LINE": ("PP", "L"),
+    "CIRCLE": ("PP", "C"),
+    "MIDPOINT": ("PP", "P"),
+    "PERPENDICULAR_AT": ("LP", "L"),
+    "TRANSFER_LENGTH": ("PPP", "P"),
+    "INTERSECT_LL": ("LL", "P"),
+    "INTERSECT_LC": ("LC", "P"),
+    "INTERSECT_CC": ("CC", "P"),
+    "POINT_ON_AXIS": ("P", "P"),
+}
+_GEOM_OPS = tuple(_GEOM_KINDS)
 _GEOM_CODE = {op: code for code, op in enumerate(_GEOM_OPS)}
+_BRANCHED = ("INTERSECT_LC", "INTERSECT_CC")  # the ops whose `branch` picks one of two points
 
 
 @dataclass
 class GeomProgram:
     """Instruction stream over points/lines/circles.  Each instruction yields
-    one object id, except GIVEN_UNIT which yields four: the circle center, the
-    unit point (1,0), the axis through them, and the unit circle.
+    the objects `_GEOM_KINDS` gives it: one, except GIVEN_UNIT, which yields
+    four: the circle center, the unit point (1,0), the axis through them, and
+    the unit circle.
 
     Instruction i is op code `ops[i]` (an index into `_GEOM_OPS`) on the
     objects `args[starts[i]:starts[i + 1]]`, with intersection branch
-    `branch[i]` (-1 for none) and `extra[i]` = (count, name) where either is
-    set.  `instrs` reads them as `GeomInstr`s."""
+    `branch[i]` (-1 for none) and name `names[i]` where it has one.  A named
+    step makes an output: `outputs` maps its name to the object it yields.
+    `instrs` reads the steps as `GeomInstr`s."""
 
     ops: bytearray = field(default_factory=bytearray)
     args: array = field(default_factory=lambda: array("i"))
     starts: array = field(default_factory=lambda: array("i", [0]))
     branch: array = field(default_factory=lambda: array("b"))
-    extra: dict[int, tuple[int | None, str | None]] = field(default_factory=dict)
+    names: dict[int, str] = field(default_factory=dict)
     outputs: dict[str, int] = field(default_factory=dict)
     next_obj: int = 0
 
-    def emit(self, op, *args, branch=None, count=None, name=None) -> int:
-        if count is not None or name is not None:
-            self.extra[len(self.ops)] = (count, name)
+    def emit(self, op, *args, branch=None, name=None) -> int:
+        first = self.next_obj
+        if name is not None:
+            self.names[len(self.ops)] = name
+            self.outputs[name] = first
         self.ops.append(_GEOM_CODE[op])
         self.args.extend(args)
         self.starts.append(len(self.args))
         self.branch.append(-1 if branch is None else branch)
-        first = self.next_obj
-        self.next_obj += 4 if op == "GIVEN_UNIT" else 1
+        self.next_obj += len(_GEOM_KINDS[op][1])
         return first
 
     def instr(self, i: int) -> GeomInstr:
         branch = self.branch[i]
         return GeomInstr(
             _GEOM_OPS[self.ops[i]], tuple(self.args[self.starts[i]:self.starts[i + 1]]),
-            None if branch < 0 else branch, *self.extra.get(i, (None, None)),
+            None if branch < 0 else branch, self.names.get(i),
         )
 
     @property
@@ -453,12 +467,11 @@ def _intersect_cc(c1, c2, branch, tol):
 
 
 def execute_geom(prog: GeomProgram, precision: int) -> dict:
-    """Analytic interpreter; returns named outputs (axis points give their
-    x coordinate) plus the vertex list from any chord stepping."""
+    """Analytic interpreter; returns the named outputs, each an axis point's
+    x coordinate."""
     with mp.workprec(precision):
         tol = mp.mpf(2) ** (-precision + 8)
         objs: list = []
-        vertices: list = []
         outputs: dict = {}
         for instr in prog.instrs:
             a = [objs[i] for i in instr.args]
@@ -488,33 +501,10 @@ def execute_geom(prog: GeomProgram, precision: int) -> dict:
                 v = _intersect_lc(a[0], a[1], instr.branch, tol)
             elif op == "INTERSECT_CC":
                 v = _intersect_cc(a[0], a[1], instr.branch, tol)
-            elif op == "POINT_ON_AXIS":
+            else:  # POINT_ON_AXIS
                 v = a[0]
                 outputs[instr.name] = v[0]
-            elif op == "STEP_CHORD":
-                start, chord_a, chord_b, circle = a
-                chord_sq = (chord_a[0] - chord_b[0]) ** 2 + (chord_a[1] - chord_b[1]) ** 2
-                prev, cur = None, start
-                vertices = [start]
-                for _ in range(instr.count - 1):
-                    cand = [
-                        _intersect_cc(circle, (cur, chord_sq), br, tol) for br in (0, 1)
-                    ]
-                    if prev is None:
-                        # First step: walk counterclockwise (positive cross product).
-                        nxt = max(cand, key=lambda p: cur[0] * p[1] - cur[1] * p[0])
-                    else:
-                        nxt = max(
-                            cand,
-                            key=lambda p: (p[0] - prev[0]) ** 2 + (p[1] - prev[1]) ** 2,
-                        )
-                    vertices.append(nxt)
-                    prev, cur = cur, nxt
-                v = tuple(vertices)
-            else:
-                raise ValueError(f"unknown geometric op {op}")
             objs.append(v)
-        outputs["vertices"] = vertices
         return outputs
 
 
@@ -708,24 +698,7 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
         if loc[idx] is None:
             raise ValueError(f"output {name} is a node's interior, which is not drawn")
         b.prog.emit("POINT_ON_AXIS", loc[idx], name=name)
-    b.prog.outputs = dict(prog.outputs)
     return b.prog
-
-
-def append_polygon_steps(geom: GeomProgram, count: int) -> None:
-    """Construct the first vertex from the cos output and step the chord
-    `count` times around the unit circle."""
-    cos_point = None
-    for i, (_, name) in geom.extra.items():
-        if name == "cos" and _GEOM_OPS[geom.ops[i]] == "POINT_ON_AXIS":
-            cos_point = geom.args[geom.starts[i]]
-    if cos_point is None:
-        raise ValueError("program has no cos output")
-    perp = geom.emit("PERPENDICULAR_AT", _GeomBuilder.AXIS, cos_point)
-    v1 = geom.emit("INTERSECT_LC", perp, _GeomBuilder.CIRCLE, branch=1)
-    geom.emit(
-        "STEP_CHORD", _GeomBuilder.X, _GeomBuilder.X, v1, _GeomBuilder.CIRCLE, count=count
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -749,41 +722,52 @@ def dump_arith(prog: ArithProgram, path: str) -> None:
 def dump_geom(prog: GeomProgram, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "ngontower-geom", "version": 1, "outputs": prog.outputs}) + "\n")
-        args, starts, extra = prog.args, prog.starts, prog.extra
+        args, starts, names = prog.args, prog.starts, prog.names
         for i, (op, branch) in enumerate(zip(prog.ops, prog.branch)):
             objs = ", ".join(map(str, args[starts[i]:starts[i + 1]]))
             line = f'{{"op": "{_GEOM_OPS[op]}", "args": [{objs}]'
             if branch >= 0:
                 line += f', "branch": {branch}'
-            if i in extra:
-                count, name = extra[i]
-                if count is not None:
-                    line += f', "count": {json.dumps(count)}'
-                if name is not None:
-                    line += f', "name": {json.dumps(name)}'
+            if i in names:
+                line += f', "name": {json.dumps(names[i])}'
             fh.write(line + "}\n")
 
 
 def load_geom(path: str) -> GeomProgram:
+    """The program in the file.  A step `execute_geom` could not run is a
+    ValueError that names its line: args that are not earlier objects of the
+    kinds `_GEOM_KINDS` gives, a branch other than 0 or 1 on INTERSECT_LC or
+    INTERSECT_CC, a name that is not a string on POINT_ON_AXIS, or a branch
+    or name on any other step.  So is a header whose `outputs` are not the
+    named steps' objects."""
     prog = GeomProgram()
+    kinds: list[str] = []  # the kind of each object so far
     with open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("format") != "ngontower-geom":
             raise ValueError(f"{path} is not a geometric program")
         for lineno, line in enumerate(fh, 2):
-            d = json.loads(line)
-            if d.get("op") not in _GEOM_CODE:
-                raise ValueError(f"{path} line {lineno}: unknown geometric op {d.get('op')!r}")
-            if d.get("branch") not in (None, 0, 1):  # -1 marks "no branch" in the column
-                raise ValueError(f"{path} line {lineno}: branch {d.get('branch')!r} is not 0 or 1")
-            prog.emit(
-                d["op"],
-                *d["args"],
-                branch=d.get("branch"),
-                count=d.get("count"),
-                name=d.get("name"),
-            )
-        prog.outputs = {k: int(v) for k, v in header["outputs"].items()}
+            step, where = json.loads(line), f"{path} line {lineno}"
+            op, args, branch, name = map(step.get, ("op", "args", "branch", "name"))
+            if op not in _GEOM_KINDS:
+                raise ValueError(f"{where}: unknown geometric op {op!r}")
+            takes = _GEOM_KINDS[op][0]
+            if not isinstance(args, list) or len(args) != len(takes) or not all(
+                type(a) is int and 0 <= a < len(kinds) and kinds[a] == k for a, k in zip(args, takes)
+            ):
+                raise ValueError(f"{where}: {op} args {args} are not earlier {takes} objects")
+            if op in _BRANCHED and (type(branch) is not int or branch not in (0, 1)):
+                raise ValueError(f"{where}: branch {branch!r} is not 0 or 1")
+            if op == "POINT_ON_AXIS" and not isinstance(name, str):
+                raise ValueError(f"{where}: name {name!r} is not a string")
+            for key, ops in (("branch", _BRANCHED), ("name", ("POINT_ON_AXIS",))):
+                if key in step and op not in ops:
+                    raise ValueError(f"{where}: {op} takes no {key}")
+            prog.emit(op, *args, branch=branch, name=name)
+            kinds += _GEOM_KINDS[op][1]
+        if header.get("outputs") != prog.outputs:
+            outputs = header.get("outputs")
+            raise ValueError(f"{path} line 1: outputs {outputs} do not match the named steps")
     return prog
 
 

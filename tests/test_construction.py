@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -18,7 +19,6 @@ from ngontower.construction import (
     _GeomBuilder,
     _node_interior,
     NegativeRadicand,
-    append_polygon_steps,
     arith_values,
     compile_to_arith,
     dump_arith,
@@ -252,6 +252,19 @@ def test_sums_are_shared_within_one_stride_only():
     assert [src for _, src, _, _ in terms] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("terms", [256, 4096])
+def test_a_group_past_the_cap_is_left_unshared(terms):
+    # One coefficient on distinct G parts of stride 2, two per set: the
+    # greedy would take about terms/2 rounds of every pair (0.8 s at 256
+    # terms, about an hour at 4,096), so a group past 128 terms is planned
+    # as it is.
+    pattern = tuple(x for k in range(terms) for x in (2, "G", k // 2, 2, k % 2))
+    start = time.perf_counter()
+    [(c, planned)] = Lines().plan(pattern)
+    assert time.perf_counter() - start < 1
+    assert c == 2 and [src for _, src, _, _ in planned] == list(range(terms))
+
+
 def test_65537_arith_bytes_do_not_depend_on_the_hash_seed(tower65537, tmp_path):
     # The shared sums are chosen with ties broken on numbered lines, never on
     # the hash order of strings, so two hash seeds write the same program.
@@ -416,19 +429,16 @@ def test_geom_17_matches_tower(tower17):
 
 
 @pytest.mark.parametrize("n", [17, 257])
-def test_step_chord_closure(n, tower17, tower257):
+def test_geom_point_closes_the_polygon(n, tower17, tower257):
+    # z = cos + i sin, as the program constructs them, lies on the unit
+    # circle and is an n-th root of unity.
     tower = {17: tower17, 257: tower257}[n]
     prog, signs = evaluate_tower(tower)
-    geom = lower_to_geom(prog, tower.precision, signs)
-    append_polygon_steps(geom, n + 1)
-    res = execute_geom(geom, tower.precision)
+    res = execute_geom(lower_to_geom(prog, tower.precision, signs), tower.precision)
     with mp.workprec(tower.precision):
-        v0, vn = res["vertices"][0], res["vertices"][n]
-        gap = mp.sqrt((v0[0] - vn[0]) ** 2 + (v0[1] - vn[1]) ** 2)
-        assert gap < mp.mpf(2) ** (-tower.precision // 4)
-        # All vertices stay on the unit circle.
-        for x, y in res["vertices"]:
-            assert abs(x * x + y * y - 1) < mp.mpf(2) ** (-tower.precision // 2)
+        z = mp.mpc(res["cos"], res["sin"])
+        assert abs(abs(z) - 1) < mp.mpf(2) ** (-tower.precision // 2)
+        assert abs(z**n - 1) < mp.mpf(2) ** (-tower.precision // 4)
 
 
 def _random_program(rng: random.Random) -> ArithProgram:
@@ -539,11 +549,11 @@ def test_geom_cos_point_within_tolerance(n, kind, tower257_full):
 def test_outputs_65537_match_golden(tower65537, tmp_path):
     # The tower file of the 65537 fixture and the arith and geom programs
     # `compile` writes from it, by SHA-256.
-    prog = compile_to_arith(tower65537)
+    prog, signs = evaluate_tower(tower65537)
     writers = {
         "tower_65537.tower": lambda path: dump_tower(tower65537, path),
         "program_65537.arith": lambda path: dump_arith(prog, path),
-        "program_65537.geom": lambda path: dump_geom(lower_to_geom(prog, tower65537.precision), path),
+        "program_65537.geom": lambda path: dump_geom(lower_to_geom(prog, tower65537.precision, signs), path),
     }
     got = []
     for name, write in writers.items():

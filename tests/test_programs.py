@@ -4,6 +4,7 @@ read from them, the JSON-lines files written from them, and their size."""
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from ngontower.construction import (
     _GEOM_OPS,
     ArithProgram,
     GeomProgram,
-    append_polygon_steps,
     compile_to_arith,
     dump_arith,
     dump_geom,
@@ -29,7 +29,7 @@ def _arith_columns(prog):
 
 
 def _geom_columns(prog):
-    return prog.ops, prog.args, prog.starts, prog.branch, prog.extra, prog.outputs, prog.next_obj
+    return prog.ops, prog.args, prog.starts, prog.branch, prog.names, prog.outputs, prog.next_obj
 
 
 @pytest.fixture(
@@ -37,15 +37,13 @@ def _geom_columns(prog):
     ids=["17-full", "257-full", "65537-pruned"],
 )
 def programs(request):
-    """The tower's arithmetic program and its geometric program, with the
-    polygon's chord steps (a STEP_CHORD and its count) appended."""
+    """The tower's arithmetic program and its geometric program, as
+    `compile` writes them."""
     n, kind = request.param
     shared = {(257, "full"): "tower257_full", (65537, "pruned"): "tower65537"}
     tower = request.getfixturevalue(shared[n, kind]) if (n, kind) in shared else build_tower(n, kind)
     prog, signs = evaluate_tower(tower)
-    geom = lower_to_geom(prog, tower.precision, signs)
-    append_polygon_steps(geom, n + 1)
-    return prog, geom
+    return prog, lower_to_geom(prog, tower.precision, signs)
 
 
 def test_reemitting_the_view_reproduces_the_columns(programs):
@@ -55,10 +53,10 @@ def test_reemitting_the_view_reproduces_the_columns(programs):
         instr = prog.instrs[i]
         arith.emit(instr.op, *instr.args, value=instr.value)
     assert _arith_columns(arith) == _arith_columns(prog)
-    again = GeomProgram(outputs=geom.outputs)
+    again = GeomProgram()
     for i in range(len(geom.instrs)):
         instr = geom.instrs[i]
-        again.emit(instr.op, *instr.args, branch=instr.branch, count=instr.count, name=instr.name)
+        again.emit(instr.op, *instr.args, branch=instr.branch, name=instr.name)
     assert _geom_columns(again) == _geom_columns(geom)
 
 
@@ -70,7 +68,7 @@ def test_views_agree_with_the_columns(programs):
     ]
     geom_rows = [
         (_GEOM_OPS[op], tuple(geom.args[geom.starts[i]:geom.starts[i + 1]]),
-         None if geom.branch[i] < 0 else geom.branch[i], *geom.extra.get(i, (None, None)))
+         None if geom.branch[i] < 0 else geom.branch[i], geom.names.get(i))
         for i, op in enumerate(geom.ops)
     ]
     for view, rows in ((prog.instrs, arith_rows), (geom.instrs, geom_rows)):
@@ -91,6 +89,10 @@ def test_dumped_programs_load_back_to_equal_columns(programs, tmp_path):
     assert _arith_columns(load_arith(str(tmp_path / "p.arith"))) == _arith_columns(prog)
     dump_geom(geom, str(tmp_path / "p.geom"))
     assert _geom_columns(load_geom(str(tmp_path / "p.geom"))) == _geom_columns(geom)
+    # Each output is the object its named step yields: GIVEN_UNIT, step 0,
+    # yields objects 0-3 and every later step one, so step i yields i + 3.
+    assert list(geom.outputs) == ["p1", "cos", "sin"]
+    assert geom.outputs == {name: i + 3 for i, name in geom.names.items()}
 
 
 def test_programs_hold_a_few_bytes_an_instruction(tower65537):
@@ -123,7 +125,7 @@ def _arith_line(instr) -> str:
 
 def _geom_line(instr) -> str:
     d = {"op": instr.op, "args": list(instr.args)}
-    for key in ("branch", "count", "name"):
+    for key in ("branch", "name"):
         if getattr(instr, key) is not None:
             d[key] = getattr(instr, key)
     return json.dumps(d)
@@ -131,8 +133,8 @@ def _geom_line(instr) -> str:
 
 def test_dump_lines_are_the_json_of_the_dict_form(tmp_path):
     # Negative and half CONSTs and every other arithmetic op; lowered, steps
-    # with 0 to 4 objects, branches 0 and 1, names (one that JSON escapes)
-    # and a STEP_CHORD count.
+    # with 0 to 3 objects, branches 0 and 1 and names (one that JSON
+    # escapes).
     prog = ArithProgram()
     neg = prog.emit("CONST", value=Fraction(-3, 2))
     half = prog.emit("CONST", value=Fraction(1, 2))
@@ -140,12 +142,10 @@ def test_dump_lines_are_the_json_of_the_dict_form(tmp_path):
     square = prog.emit("MUL", prog.emit("SUB", total, half), prog.emit("HALF", total))
     prog.outputs = {"cos": prog.emit("SQRT", square), 'sin "θ"': square}
     geom = lower_to_geom(prog, 64)
-    append_polygon_steps(geom, 5)
-    shapes = {(i.op, len(i.args), i.branch, i.count is not None, i.name is not None) for i in geom.instrs}
-    assert {s[1] for s in shapes} == {0, 1, 2, 3, 4}
+    shapes = {(i.op, len(i.args), i.branch, i.name is not None) for i in geom.instrs}
+    assert {s[1] for s in shapes} == {0, 1, 2, 3}
     assert {s[2] for s in shapes} == {None, 0, 1}
-    assert ("STEP_CHORD", 4, None, True, False) in shapes
-    assert ("POINT_ON_AXIS", 1, None, False, True) in shapes
+    assert ("POINT_ON_AXIS", 1, None, True) in shapes
     for dump, line, kind, program in ((dump_arith, _arith_line, "arith", prog),
                                       (dump_geom, _geom_line, "geom", geom)):
         path = tmp_path / f"p.{kind}"
@@ -154,18 +154,37 @@ def test_dump_lines_are_the_json_of_the_dict_form(tmp_path):
         assert path.read_text().splitlines() == [header] + [line(instr) for instr in program.instrs]
 
 
+GOLDEN_17 = Path(__file__).parent / "golden" / "program_17.geom"
+
+
 @pytest.mark.parametrize(
-    "step, message",
-    [({"op": "FOLD", "args": [0, 1]}, "line 3: unknown geometric op 'FOLD'"),
-     ({"op": "INTERSECT_LC", "args": [2, 3], "branch": -1}, "line 3: branch -1 is not 0 or 1"),
-     ({"op": "INTERSECT_LC", "args": [2, 3], "branch": 2}, "line 3: branch 2 is not 0 or 1")],
-    ids=["unknown-op", "branch-minus-one", "branch-two"],
+    "lineno, edit, message",
+    [(8, {"op": "FOLD"}, "line 8: unknown geometric op 'FOLD'"),
+     (8, {"branch": -1}, "line 8: branch -1 is not 0 or 1"),
+     (8, {"branch": 2}, "line 8: branch 2 is not 0 or 1"),
+     (8, {"args": [8, 500]}, r"line 8: INTERSECT_LC args \[8, 500\] are not earlier LC objects"),
+     (8, {"args": [8, -1]}, r"line 8: INTERSECT_LC args \[8, -1\] are not earlier LC objects"),
+     (8, {"args": [8]}, r"line 8: INTERSECT_LC args \[8\] are not earlier LC objects"),
+     (8, {"args": [3, 8]}, r"line 8: INTERSECT_LC args \[3, 8\] are not earlier LC objects"),
+     (8, {"args": [8, True]}, r"line 8: INTERSECT_LC args \[8, True\]"),
+     (8, {"branch": None}, "line 8: branch None is not 0 or 1"),
+     (7, {"branch": 0}, "line 7: PERPENDICULAR_AT takes no branch"),
+     (8, {"name": "cos"}, "line 8: INTERSECT_LC takes no name"),
+     (77, {"name": 5}, "line 77: name 5 is not a string"),
+     (1, {"outputs": {"p1": 28, "cos": 30, "sin": 34}}, "line 1: outputs .* do not match the named steps")],
+    ids=["unknown-op", "branch-minus-one", "branch-two", "arg-past-the-end", "arg-negative", "one-arg",
+         "swapped-kinds", "boolean-arg", "missing-branch", "stray-branch", "stray-name", "name-not-a-string",
+         "wrong-header"],
 )
-def test_load_geom_refuses_a_step_it_cannot_hold(step, message, tmp_path):
-    # An unknown op has no code; -1 is the branch column's "none", and a
-    # branch other than 0 or 1 picks no intersection.
+def test_load_geom_refuses_a_step_it_cannot_hold(lineno, edit, message, tmp_path):
+    # One line of the n = 17 program, as `compile` writes it, edited so that
+    # `execute_geom` could not run it (or, for the header, its outputs name
+    # objects no named step yields); None deletes a key.
+    lines = [json.loads(line) for line in GOLDEN_17.read_text().splitlines()]
+    lines[lineno - 1].update(edit)
+    lines[lineno - 1] = {k: v for k, v in lines[lineno - 1].items() if v is not None}
     path = tmp_path / "bad.geom"
-    lines = [{"format": "ngontower-geom", "version": 1, "outputs": {}}, {"op": "GIVEN_UNIT", "args": []}, step]
     path.write_text("".join(json.dumps(d) + "\n" for d in lines))
     with pytest.raises(ValueError, match=message):
         load_geom(str(path))
+
