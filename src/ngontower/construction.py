@@ -733,21 +733,29 @@ def dump_geom(prog: GeomProgram, path: str) -> None:
             fh.write(line + "}\n")
 
 
+def _json_object(line: str, where: str) -> dict:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: {obj!r:.40} is not a JSON object")
+    return obj
+
+
 def load_geom(path: str) -> GeomProgram:
     """The program in the file.  A step `execute_geom` could not run is a
     ValueError that names its line: args that are not earlier objects of the
     kinds `_GEOM_KINDS` gives, a branch other than 0 or 1 on INTERSECT_LC or
     INTERSECT_CC, a name that is not a string on POINT_ON_AXIS, or a branch
-    or name on any other step.  So is a header whose `outputs` are not the
-    named steps' objects."""
+    or name on any other step.  So is a line that is not a JSON object, and a
+    header whose `outputs` are not the named steps' objects."""
     prog = GeomProgram()
     kinds: list[str] = []  # the kind of each object so far
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        header = _json_object(fh.readline(), f"{path} line 1")
         if header.get("format") != "ngontower-geom":
             raise ValueError(f"{path} is not a geometric program")
         for lineno, line in enumerate(fh, 2):
-            step, where = json.loads(line), f"{path} line {lineno}"
+            where = f"{path} line {lineno}"
+            step = _json_object(line, where)
             op, args, branch, name = map(step.get, ("op", "args", "branch", "name"))
             if op not in _GEOM_KINDS:
                 raise ValueError(f"{where}: unknown geometric op {op!r}")

@@ -21,13 +21,12 @@ its roots land and keeps only the values later instructions read, and
 returns the program with one sign per instruction, so the node values it
 checks and stores are the ones `compile` writes.
 
-The cosine sums (`CosineCache`) hold every pair value 2cos(2 pi k / n) as an
-int at scale 2^F, F = precision + 64 guard bits, built from two tables of
-about sqrt(npairs) angles each (block B = 2^ceil(bits(npairs) / 2)); each
-entry is within 2^-(F-2), and a part of m pairs is an exact integer sum off
-by at most m 2^-(F-2) before its one rounding to working precision.
+`CosineCache` holds two tables of about sqrt(npairs) angles and one exact
+integer sum of fixed-point pair values per invariant set; a part of m pairs
+is the exact sum of its entries, off by m 2^-(F-2) at most before rounding.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 import mpmath as mp
 
@@ -38,6 +37,7 @@ from .splitting import (
     LinearCombo,
     PartRef,
     SplitLevels,
+    check_part,
     f_part,
     f_split_product,
     g_part,
@@ -247,31 +247,29 @@ def build_schedule(
 
 
 class CosineCache:
-    """Direct values 2cos(2 pi k / n) for every pair, plus part sums.
+    """Direct part sums of 2cos(2 pi k / n), held as one sum per invariant set.
 
-    Every pair value is held as a Python int at the fixed scale 2^F, in a
-    list indexed by pair number, where F = precision + GUARD_BITS.
-    With theta = 2 pi / n and the block B = 2^ceil(bits(npairs) / 2) (about
-    sqrt(npairs): 16 at n = 257, 256 at n = 65537), pair k = aB + b is
-    assembled from two small tables, cos/sin(b theta) for b < B and
-    cos/sin(aB theta) for a <= npairs / B, each computed with mp.cos_sin at
-    F + 16 bits and rounded to an int at scale 2^F; the entry is
-    (C_a C_b - S_a S_b) >> (F - 1), the angle-sum formula doubled.  This is
-    the Cooley-Tukey twiddle-factor split: about 2 sqrt(npairs) angles
-    instead of one cosine per pair, and an entry's error does not grow
-    with k.
+    Pair k = aB + b has the entry `pair_fixed(k)`, 2cos(k theta) as an int at
+    scale 2^F, theta = 2 pi / n, F = precision + GUARD_BITS, block
+    B = 2^ceil(bits(npairs) / 2) (16 at n = 257, 256 at n = 65537): from
+    `low` = cos/sin(b theta), b < B, and `high` = cos/sin(aB theta),
+    a <= npairs / B, each from mp.cos_sin at F + 16 bits rounded to scale 2^F,
+    it is (C_a C_b - S_a S_b) >> (F - 1), the angle-sum formula doubled (the
+    Cooley-Tukey twiddle split: about 2 sqrt(npairs) angles, and an entry's
+    error does not grow with k).  Only the two tables and `set_fixed[k]`, the
+    exact sum of set k's entries, are held: an F part sums its sets' sums,
+    G_k reads its own, and a G part inside a set sums its entries.
 
     Error bound, in units of 2^-F: each table value is within 1/2 of its
     cosine or sine, so C_a C_b - S_a S_b is within (|cos| + |sin| of both
     angles) / 2 <= sqrt(2) of cos(k theta), up to a 2^-F-small square term;
     doubling makes that 2 sqrt(2), and the floor of the shift adds less than
-    1: every entry is within 4 units, 2^-(F-2), of 2cos(2 pi k / n).  A part of
-    m pairs is summed exactly in integers, so it is off by at most
-    m 2^-(F-2) <= 2^-(precision+2) when the guard covers log2(npairs) + 4,
-    before its one rounding to `precision` bits.
-
-    The table depends only on n and pi: it uses no tower arithmetic and no
-    set structure, so it stays an independent referee of the evaluation.
+    1: every entry is within 4 units, 2^-(F-2), of 2cos(2 pi k / n).  A part
+    of m pairs is the exact integer sum of its m entries, however grouped, so
+    it is off by at most m 2^-(F-2) <= 2^-(precision+2) when the guard covers
+    log2(npairs) + 4, before its one rounding to `precision` bits.  The sets
+    only group exact sums and no tower arithmetic enters, so the sums stay an
+    independent referee of the evaluation.
     """
 
     GUARD_BITS = 64
@@ -291,18 +289,27 @@ class CosineCache:
             def fixed_cos_sin(angle):
                 return tuple(int(mp.nint(mp.ldexp(x, scale))) for x in mp.cos_sin(angle))
 
-            low = [fixed_cos_sin(b * theta) for b in range(block)]
-            high = [fixed_cos_sin(a * block * theta) for a in range(npairs // block + 1)]
-        shift = scale - 1
-        # pair_fixed[k] ~ 2cos(k theta) 2^F for k = 0..npairs; k = aB + b.
-        entries = [(ca * cb - sa * sb) >> shift for (ca, sa) in high for (cb, sb) in low]
-        self.pair_fixed = entries[: npairs + 1]
+            self.low = [fixed_cos_sin(b * theta) for b in range(block)]
+            self.high = [fixed_cos_sin(a * block * theta) for a in range(npairs // block + 1)]
+        self.set_fixed = [0] + [sum(map(self.pair_fixed, pairs)) for pairs in table.sets]
         self._part: dict[PartRef, object] = {}
+
+    def pair_fixed(self, k: int) -> int:
+        """Pair k's entry, 0 <= k <= npairs (k = 0 for 2 itself)."""
+        a, b = divmod(k, self.block)
+        (ca, sa), (cb, sb) = self.high[a], self.low[b]
+        return (ca * cb - sa * sb) >> (self.scale_bits - 1)
 
     def part_value(self, part: PartRef):
         cached = self._part.get(part)
         if cached is None:
-            total = sum(map(self.pair_fixed.__getitem__, part_pairs(part, self.table)))
+            check_part(part, self.params)
+            if part.kind == "F":
+                total = sum(self.set_fixed[part.offset :: part.stride])
+            elif part.stride == 1:
+                total = self.set_fixed[part.set_index]
+            else:
+                total = sum(map(self.pair_fixed, part_pairs(part, self.table)))
             with mp.workprec(self.precision):
                 cached = mp.ldexp(mp.mpf(total), -self.scale_bits)
             self._part[part] = cached
@@ -376,7 +383,7 @@ def evaluate_tower(tower: Tower) -> tuple:
     tol = value_tolerance(precision)
     report = VerificationReport(
         node_count=len(tower.nodes),
-        per_step=_per_step(tower.nodes),
+        per_step=dict(sorted(Counter(node.step for node in tower.nodes).items())),
         max_value_err=mp.mpf(0),
         max_vieta_err=mp.mpf(0),
         min_sign_margin=None,
@@ -418,13 +425,6 @@ def evaluate_tower(tower: Tower) -> tuple:
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
     tower.report = report
     return prog, run.signs
-
-
-def _per_step(nodes) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for node in nodes:
-        counts[node.step] = counts.get(node.step, 0) + 1
-    return dict(sorted(counts.items()))
 
 
 def build_tower(

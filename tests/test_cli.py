@@ -46,6 +46,13 @@ def test_tables_ksets_golden(capsys):
     assert "K(10,64) = 26" in out
 
 
+def test_tables_signs_golden(capsys):
+    # All eleven F-level sign lists, from the cosine sums of whole sets.
+    code, out = run_cli(capsys, "tables", "--n", "65537", "--kind", "signs")
+    assert code == 0
+    assert out == (GOLDEN / "signs_65537.txt").read_text()
+
+
 def test_tables_product_square(capsys):
     code, out = run_cli(capsys, "tables", "--n", "257", "--kind", "product", "--i", "1", "--j", "9")
     assert code == 0

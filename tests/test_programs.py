@@ -171,18 +171,23 @@ GOLDEN_17 = Path(__file__).parent / "golden" / "program_17.geom"
      (7, {"branch": 0}, "line 7: PERPENDICULAR_AT takes no branch"),
      (8, {"name": "cos"}, "line 8: INTERSECT_LC takes no name"),
      (77, {"name": 5}, "line 77: name 5 is not a string"),
-     (1, {"outputs": {"p1": 28, "cos": 30, "sin": 34}}, "line 1: outputs .* do not match the named steps")],
+     (1, {"outputs": {"p1": 28, "cos": 30, "sin": 34}}, "line 1: outputs .* do not match the named steps"),
+     (1, [1], r"line 1: \[1\] is not a JSON object"),
+     (8, [1], r"line 8: \[1\] is not a JSON object"),
+     (8, "x", "line 8: 'x' is not a JSON object")],
     ids=["unknown-op", "branch-minus-one", "branch-two", "arg-past-the-end", "arg-negative", "one-arg",
          "swapped-kinds", "boolean-arg", "missing-branch", "stray-branch", "stray-name", "name-not-a-string",
-         "wrong-header"],
+         "wrong-header", "header-a-list", "step-a-list", "step-a-string"],
 )
 def test_load_geom_refuses_a_step_it_cannot_hold(lineno, edit, message, tmp_path):
     # One line of the n = 17 program, as `compile` writes it, edited so that
     # `execute_geom` could not run it (or, for the header, its outputs name
-    # objects no named step yields); None deletes a key.
+    # objects no named step yields); None deletes a key, and an edit that is
+    # not a dict replaces the whole line.
     lines = [json.loads(line) for line in GOLDEN_17.read_text().splitlines()]
-    lines[lineno - 1].update(edit)
-    lines[lineno - 1] = {k: v for k, v in lines[lineno - 1].items() if v is not None}
+    if isinstance(edit, dict):
+        edit = {k: v for k, v in {**lines[lineno - 1], **edit}.items() if v is not None}
+    lines[lineno - 1] = edit
     path = tmp_path / "bad.geom"
     path.write_text("".join(json.dumps(d) + "\n" for d in lines))
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -233,7 +234,7 @@ def _reference_pair(n: int, k: int, bits: int):
 def _entry_error(cache: CosineCache, k: int):
     bits = cache.scale_bits + 64
     with mp.workprec(bits):
-        entry = mp.ldexp(cache.pair_fixed[k], -cache.scale_bits)
+        entry = mp.ldexp(cache.pair_fixed(k), -cache.scale_bits)
         return abs(entry - _reference_pair(cache.params.n, k, bits))
 
 
@@ -250,7 +251,7 @@ def _reference_part(cache: CosineCache, part):
 
 def _check_part_value(cache: CosineCache, part):
     # The table's part sum is the exact sum of its entries, rounded once.
-    entries = sum(cache.pair_fixed[k] for k in part_pairs(part, cache.table))
+    entries = sum(cache.pair_fixed(k) for k in part_pairs(part, cache.table))
     with mp.workprec(cache.precision):
         assert cache.part_value(part) == mp.ldexp(mp.mpf(entries), -cache.scale_bits), part
     ref, m = _reference_part(cache, part)
@@ -265,7 +266,7 @@ def test_cosine_table_every_entry(n, block, request):
     params, table = request.getfixturevalue(f"params{n}"), request.getfixturevalue(f"table{n}")
     cache = CosineCache(params, table, 128)
     assert cache.block == block and cache.scale_bits == 128 + CosineCache.GUARD_BITS
-    assert len(cache.pair_fixed) == params.npairs + 1
+    assert len(cache.set_fixed) == params.ng + 1
     for k in range(1, params.npairs + 1):
         assert _entry_error(cache, k) <= _entry_bound(cache), k
 
@@ -273,6 +274,37 @@ def test_cosine_table_every_entry(n, block, request):
 @pytest.fixture(scope="module")
 def cache65537(params65537, table65537):
     return CosineCache(params65537, table65537, 512)
+
+
+def _check_set_sums(cache: CosineCache, sets):
+    for k in sets:
+        assert cache.set_fixed[k] == sum(map(cache.pair_fixed, cache.table.pairs_of_set(k))), k
+
+
+@pytest.mark.parametrize("n", [17, 257])
+def test_set_sums_are_their_entries(n, request):
+    params, table = request.getfixturevalue(f"params{n}"), request.getfixturevalue(f"table{n}")
+    cache = CosineCache(params, table, 128)
+    _check_set_sums(cache, range(1, params.ng + 1))
+
+
+def test_set_sums_are_their_entries_65537_sampled(cache65537):
+    _check_set_sums(cache65537, [1, 2, 3, 255, 256, 1024, 1025, 2047, 2048])
+
+
+def test_cosine_cache_holds_no_pair_table(params65537, table65537):
+    # Two tables of 256 and 129 angles plus 2,048 set sums: a list of all
+    # 32,769 pair entries held 3.5 MB here.
+    CosineCache(params65537, table65537, 512)  # mpmath's constants at this precision
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = CosineCache(params65537, table65537, 512)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000 and peak < 1_000_000, (held, peak)
+    assert len(cache.set_fixed) == params65537.ng + 1
 
 
 @settings(max_examples=60, deadline=None)
