@@ -734,7 +734,10 @@ def dump_geom(prog: GeomProgram, path: str) -> None:
 
 
 def _json_object(line: str, where: str) -> dict:
-    obj = json.loads(line)
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: {obj!r:.40} is not a JSON object")
     return obj

@@ -45,6 +45,13 @@ images under sigma_t of M's, for sigma_t sends the period (D', r') to
 the stored expression, never assumed, and is kept only once every prime
 has passed; a full 65537 tower of 32,767 nodes has 15 keys.
 
+Blocks.  The two sides are compared BLOCK conjugates at a time, and a
+mismatch count is the sum of its blocks' counts.  A part's values are held
+at its own index as 64-bit fields (`array('Q')`, 8 bytes a conjugate); only
+the block's products, expression and comparison are Python ints.  So a
+pass holds its fields (about 16 bytes a pair for one prime), its places and
+keys, and at most a few blocks of ints, whatever the index.
+
 The oracle reads only the table's parameters, `part_pairs`, the node's
 parts and its expression, and keeps its tables for one pass (`Oracle`).
 """
@@ -55,6 +62,9 @@ from typing import NamedTuple, Sequence
 
 from .errors import VerificationError
 from .splitting import part_pairs
+
+
+BLOCK = 4096  # conjugates compared at a time
 
 
 class OracleMismatch(VerificationError):
@@ -104,6 +114,15 @@ def pv_mul(a: PeriodValues, b: PeriodValues) -> PeriodValues:
     return PeriodValues(array("Q", [x * y % ell for x, y in zip(a.coeffs, b.coeffs)]), ell)
 
 
+def _at(values: PeriodValues, block: range) -> PeriodValues:
+    """`values`, which repeat with period len(values.coeffs), at the
+    conjugates in `block`."""
+    coeffs, d = values.coeffs, len(values.coeffs)
+    start = block.start % d
+    stop = start + len(block)
+    return PeriodValues((coeffs if stop <= d else coeffs * -(-stop // d))[start:stop], values.prime)
+
+
 class _Field:
     """The images of every period modulo one prime: `eta[D]` holds eta_D,
     whose entries r, r + 1, .. (mod D) are the period (D, r) at the
@@ -115,20 +134,20 @@ class _Field:
         while pow(a, (ell - 1) // n, ell) == 1:
             a += 1
         zpow = _powers(pow(a, (ell - 1) // n, ell), n, ell)
-        eta = array("Q", [(zpow[e] + zpow[n - e]) % ell for e in elements])
+        eta = array("Q", ((zpow[e] + zpow[n - e]) % ell for e in elements))
         self.eta = {len(eta): eta}
         while len(eta) > 1:
             half = len(eta) // 2
-            eta = array("Q", [(x + y) % ell for x, y in zip(eta[:half], eta[half:])])
+            eta = array("Q", ((x + y) % ell for x, y in zip(eta[:half], eta[half:])))
             self.eta[half] = eta
 
 
-def pv_of_part(oracle: "Oracle", part, field: _Field, index: int | None = None) -> PeriodValues:
-    """A part placed by `oracle` at the conjugates t = 0 .. index-1: of its
-    own index D when None, else of a multiple of D, over which they repeat."""
+def pv_of_part(oracle: "Oracle", part, field: _Field) -> PeriodValues:
+    """A part placed by `oracle` at the conjugates t = 0 .. D-1 of its own
+    index D; over a multiple of D they repeat."""
     d, r = oracle.places[part]
     eta = field.eta[d]
-    return PeriodValues((eta[r:] + eta[:r]) * (1 if index is None else index // d), field.prime)
+    return PeriodValues(eta[r:] + eta[:r], field.prime)
 
 
 class Oracle:
@@ -181,25 +200,34 @@ class Oracle:
         squares = sum(abs(d) * h // self.places[p][0] for d, p in combo.squares)
         return abs(combo.constant) + sum(abs(c) for c, _ in combo.linear) + 2 * squares
 
-    def expression_image(self, combo, index: int, field: _Field) -> list[int]:
-        """c0 + sum c*X + sum d*Y^2 at the conjugates t = 0 .. index-1,
-        one conjugate at a time."""
+    def expression_image(
+        self, combo, index: int, field: _Field, block: range | None = None
+    ) -> list[int]:
+        """c0 + sum c*X + sum d*Y^2 at the conjugates in `block`, a range
+        inside 0 .. index-1 (all of them when None), one conjugate at a
+        time."""
         ell = field.prime
-        image = [combo.constant % ell] * index
+        block = range(index) if block is None else block
+        image = [combo.constant % ell] * len(block)
         for terms, squared in ((combo.linear, False), (combo.squares, True)):
             for c, part in terms:
-                y = pv_of_part(self, part, field, index)
+                y = _at(pv_of_part(self, part, field), block)
                 y = pv_mul(y, y) if squared else y
                 image = [(s + c * v) % ell for s, v in zip(image, y.coeffs)]
         return image
 
     def conjugate_check(self, node, index: int, field: _Field) -> int:
         """How many of the conjugates t = 0 .. index-1 tell 2 * left * right
-        from the node's expression, one conjugate at a time."""
+        from the node's expression: each block of BLOCK conjugates is
+        compared one conjugate at a time, and the counts are summed."""
         ell = field.prime
-        sides = pv_of_part(self, node.left, field, index), pv_of_part(self, node.right, field, index)
-        lhs = [2 * x % ell for x in pv_mul(*sides).coeffs]
-        return sum(map(ne, lhs, self.expression_image(node.product_expr, index, field)))
+        left, right = pv_of_part(self, node.left, field), pv_of_part(self, node.right, field)
+        wrong = 0
+        for start in range(0, index, BLOCK):
+            block = range(start, min(start + BLOCK, index))
+            lhs = [2 * x % ell for x in pv_mul(_at(left, block), _at(right, block)).coeffs]
+            wrong += sum(map(ne, lhs, self.expression_image(node.product_expr, index, field, block)))
+        return wrong
 
     def key(self, node) -> tuple:
         """The node's halves and expression relative to its left half's

@@ -197,6 +197,8 @@ def build_schedule(
     `SplitLevels` shared by the build.  The nodes are then ordered by (step,
     set, offset) and numbered, and each gets the id of its sum's producer.
     The published pruning lists are only compared against, never trusted.
+    Each distinct (halves, part) term is one tuple, shared by every node
+    whose expression holds it, as in a tower read back from its file.
     """
     if kind not in ("full", "pruned"):
         raise ValueError(f"unknown schedule kind {kind!r}")
@@ -217,6 +219,7 @@ def build_schedule(
 
     root = _root_part(params)
     products: dict[PartRef, LinearCombo] = {}
+    terms: dict[tuple[int, PartRef], tuple[int, PartRef]] = {}  # each distinct term once
     needed = {root}  # parts whose producer is built or on the stack; the root has none
     while stack:
         split = stack.pop()
@@ -227,7 +230,11 @@ def build_schedule(
             expr = f_split_product(split.offset, m, table, levels)
         else:
             expr = g_split_product(split.set_index, split.offset, m, table, levels)
-        products[split] = expr
+        expr = products[split] = LinearCombo(
+            expr.constant,
+            tuple(terms.setdefault(t, t) for t in expr.linear),
+            tuple(terms.setdefault(t, t) for t in expr.squares),
+        )
         for part in (split, *expr.referenced_parts()):
             if part not in needed:
                 needed.add(part)

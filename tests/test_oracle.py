@@ -1,6 +1,8 @@
 import re
+import tracemalloc
 from dataclasses import replace
 from math import isqrt
+from operator import ne
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from ngontower import oracle
 from ngontower.invariant_sets import build_invariant_sets
 from ngontower.oracle import Oracle, OracleMismatch, _is_prime, _primes
 from ngontower.residues import FermatParams
-from ngontower.splitting import LinearCombo, f_part
+from ngontower.splitting import LinearCombo, f_part, g_part
 from ngontower.tower import build_schedule
-from ngontower.verify import oracle_check_node
+from ngontower.verify import oracle_check_node, oracle_check_tower
 
 from oracle_helpers import NotSetUniform, decompose_into_sets, pv_image, pv_s, pv_zero
 from pair_reference import (
@@ -470,3 +472,57 @@ def test_a_bound_past_the_first_prime_is_checked_modulo_two(monkeypatch):
         oracle_check_node(bad, table)
     assert len(checks) == 2 and checks[0] == 0 and checks[1] > 0
     assert not _reference_equal(bad, table)
+
+
+def _whole_range_count(o, node, index, field):
+    """`Oracle.conjugate_check`'s count, taken over all the conjugates at once."""
+    ell = field.prime
+    sides = (oracle.pv_of_part(o, part, field) for part in (node.left, node.right))
+    sides = (oracle.PeriodValues(v.coeffs * (index // len(v.coeffs)), ell) for v in sides)
+    lhs = [2 * x % ell for x in oracle.pv_mul(*sides).coeffs]
+    return sum(map(ne, lhs, o.expression_image(node.product_expr, index, field)))
+
+
+@pytest.mark.parametrize("block", [4096, 3000])
+def test_a_blocked_count_is_the_whole_range_count(block, monkeypatch, params65537, table65537):
+    # The 65537 class representatives of index 4,096 and up, the splits of
+    # G1, G1(1,2), G1(1,4) and G1(1,8), and copies moved in the constant or
+    # in one coefficient.  The count is exact: a false copy differs at
+    # (nearly) every conjugate, so a block skipped or counted twice shows.
+    # 3,000 conjugates a block cut the parts' periods off their ends.
+    monkeypatch.setattr(oracle, "BLOCK", block)
+    splits = {g_part(1, 1, 1 << m) for m in range(4)}
+    nodes = [x for x in build_schedule(params65537, table65537, "pruned").nodes if x.splits in splits]
+    o = Oracle(table65537)
+    indexes = []
+    for node in nodes:
+        o.check(node)
+        parts = [node.left, node.right, *node.product_expr.referenced_parts()]
+        index = max(o.places[part][0] for part in parts)
+        indexes.append(index)
+        expr, field = node.product_expr, o.fields[0]
+        (c, part), (d, square) = expr.linear[0], expr.squares[0]
+        copies = [
+            _with(node, constant=1),
+            replace(node, product_expr=replace(expr, linear=((c + 1, part), *expr.linear[1:]))),
+            replace(node, product_expr=replace(expr, squares=((d - 1, square),))),
+        ]
+        assert o.conjugate_check(node, index, field) == _whole_range_count(o, node, index, field) == 0
+        for bad in copies:
+            wrong = o.conjugate_check(bad, index, field)
+            assert wrong == _whole_range_count(o, bad, index, field) > index // 2
+    assert sorted(indexes) == [4096, 8192, 16384, 32768]
+
+
+def test_the_oracle_pass_holds_blocks_not_whole_vectors(params65537, table65537):
+    # Above the pruned 65537 schedule the pass holds its field and at most a
+    # few blocks of ints; lists of 32,768 ints took it to 5.8 MB.
+    tower = build_schedule(params65537, table65537, "pruned")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert oracle_check_tower(tower) == 712
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_800_000, peak

@@ -157,6 +157,10 @@ def test_dump_lines_are_the_json_of_the_dict_form(tmp_path):
 GOLDEN_17 = Path(__file__).parent / "golden" / "program_17.geom"
 
 
+class _Raw(str):
+    """A line written as it stands, not as JSON."""
+
+
 @pytest.mark.parametrize(
     "lineno, edit, message",
     [(8, {"op": "FOLD"}, "line 8: unknown geometric op 'FOLD'"),
@@ -174,22 +178,25 @@ GOLDEN_17 = Path(__file__).parent / "golden" / "program_17.geom"
      (1, {"outputs": {"p1": 28, "cos": 30, "sin": 34}}, "line 1: outputs .* do not match the named steps"),
      (1, [1], r"line 1: \[1\] is not a JSON object"),
      (8, [1], r"line 8: \[1\] is not a JSON object"),
-     (8, "x", "line 8: 'x' is not a JSON object")],
+     (8, "x", "line 8: 'x' is not a JSON object"),
+     (8, _Raw("{"), r"line 8: not JSON \(Expecting property name"),
+     (1, _Raw("ngontower-geom"), r"line 1: not JSON \(Expecting value\)")],
     ids=["unknown-op", "branch-minus-one", "branch-two", "arg-past-the-end", "arg-negative", "one-arg",
          "swapped-kinds", "boolean-arg", "missing-branch", "stray-branch", "stray-name", "name-not-a-string",
-         "wrong-header", "header-a-list", "step-a-list", "step-a-string"],
+         "wrong-header", "header-a-list", "step-a-list", "step-a-string", "step-not-json",
+         "header-not-json"],
 )
 def test_load_geom_refuses_a_step_it_cannot_hold(lineno, edit, message, tmp_path):
     # One line of the n = 17 program, as `compile` writes it, edited so that
     # `execute_geom` could not run it (or, for the header, its outputs name
-    # objects no named step yields); None deletes a key, and an edit that is
-    # not a dict replaces the whole line.
+    # objects no named step yields); None deletes a key, an edit that is not
+    # a dict replaces the whole line, and a `_Raw` one is written unencoded.
     lines = [json.loads(line) for line in GOLDEN_17.read_text().splitlines()]
     if isinstance(edit, dict):
         edit = {k: v for k, v in {**lines[lineno - 1], **edit}.items() if v is not None}
     lines[lineno - 1] = edit
     path = tmp_path / "bad.geom"
-    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    path.write_text("".join((d if isinstance(d, _Raw) else json.dumps(d)) + "\n" for d in lines))
     with pytest.raises(ValueError, match=message):
         load_geom(str(path))
 

@@ -4,6 +4,7 @@ build that derives only what the pruned closure needs."""
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -120,3 +121,29 @@ def test_pruned_65537_derives_only_what_it_keeps(monkeypatch, params65537, table
     assert levels and max(levels.values()) == 1
     assert {m for name, m in levels if name == "mu_table"} == set(range(11))
     assert {m for name, m in levels if name == "pr_terms"} == set(range(4))
+
+
+def _terms(nodes):
+    return [t for node in nodes for t in (*node.product_expr.linear, *node.product_expr.squares)]
+
+
+@pytest.mark.parametrize("n, kind", [(65537, "pruned"), (257, "full")])
+def test_equal_terms_are_one_object(n, kind):
+    # As in a tower read back from its file: the pruned 65537 schedule's
+    # 33,581 terms are 3,837 distinct (halves, part) tuples.
+    terms = _terms(_schedule(n, kind).nodes)
+    assert len({id(t) for t in terms}) == len(set(terms)) < len(terms)
+
+
+def test_pruned_65537_schedule_holds_each_term_once(params65537, table65537):
+    # One tuple per term, 33,581 of them, held 2.67 MB with the nodes.
+    build_schedule(params65537, table65537, "pruned")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tower = build_schedule(params65537, table65537, "pruned")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tower.nodes) == 712
+    assert held < 1_600_000, held
