@@ -50,7 +50,10 @@ mismatch count is the sum of its blocks' counts.  A part's values are held
 at its own index as 64-bit fields (`array('Q')`, 8 bytes a conjugate); only
 the block's products, expression and comparison are Python ints.  So a
 pass holds its fields (about 16 bytes a pair for one prime), its places and
-keys, and at most a few blocks of ints, whatever the index.
+keys, and at most a few blocks of ints, whatever the index.  In the
+expression, the terms that share a period below the block's length are
+summed once over that period and the sum is tiled across the block once; a
+term of a longer period is read over the block.
 
 The oracle reads only the table's parameters, `part_pairs`, the node's
 parts and its expression, and keeps its tables for one pass (`Oracle`).
@@ -94,9 +97,9 @@ def _primes(n: int):
 
 def _powers(base: int, count: int, mod: int) -> array:
     """base^0 .. base^(count-1) modulo mod, as 64-bit fields."""
-    powers = array("Q", [1]) * count
-    for i in range(1, count):
-        powers[i] = powers[i - 1] * base % mod
+    x = 1
+    powers = array("Q", [1])
+    powers.extend(x := x * base % mod for _ in range(count - 1))
     return powers
 
 
@@ -204,17 +207,27 @@ class Oracle:
         self, combo, index: int, field: _Field, block: range | None = None
     ) -> list[int]:
         """c0 + sum c*X + sum d*Y^2 at the conjugates in `block`, a range
-        inside 0 .. index-1 (all of them when None), one conjugate at a
-        time."""
+        inside 0 .. index-1 (all of them when None): the terms of each
+        period below the block's length are summed over that period and
+        tiled across the block once, every other term is read over the
+        block, and each sum is reduced modulo the prime once."""
         ell = field.prime
         block = range(index) if block is None else block
-        image = [combo.constant % ell] * len(block)
+        size = len(block)
+        sums = {size: [combo.constant] * size}  # the sum of the terms of each period
         for terms, squared in ((combo.linear, False), (combo.squares, True)):
             for c, part in terms:
-                y = _at(pv_of_part(self, part, field), block)
+                y = pv_of_part(self, part, field)
+                y = _at(y, block) if len(y.coeffs) >= size else y
                 y = pv_mul(y, y) if squared else y
-                image = [(s + c * v) % ell for s, v in zip(image, y.coeffs)]
-        return image
+                period = len(y.coeffs)
+                acc = sums[period] if period in sums else [0] * period
+                sums[period] = [s + c * v for s, v in zip(acc, y.coeffs)]
+        image = sums.pop(size)
+        for values in sums.values():
+            tiled = _at(PeriodValues([v % ell for v in values], ell), block).coeffs
+            image = [s + v for s, v in zip(image, tiled)]
+        return [s % ell for s in image]
 
     def conjugate_check(self, node, index: int, field: _Field) -> int:
         """How many of the conjugates t = 0 .. index-1 tell 2 * left * right

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import UsageError
 from .invariant_sets import InvariantSetTable, locate_pair
-from .period_algebra import set_product
+from .period_algebra import product_sets, set_product
 from .residues import rho
 
 
@@ -144,27 +144,25 @@ def mu_table(m: int, table: InvariantSetTable) -> tuple[int, ...]:
     """Multiplicities mu(k, 2^m): how often F(k, 2^m) is covered by the product
     of the two halves of any F(j, 2^m).
 
-    For 2^(m+2) <= ng this tallies the half row of products
-    G_1 * G_{1+2^m+t*2^(m+1)}; at the bottom level (2^(m+1) == ng) the single
-    product G_1 * G_{1+2^m} already carries uniform coefficients on each part.
+    For 2^(m+2) <= ng each classified pair product (`product_sets`) of the half
+    row G_1 * G_{1+2^m+t*2^(m+1)} in set k adds 1 at mu(rho(k, 2^m)), with no
+    set-wide vector; at the bottom level (2^(m+1) == ng) the single product
+    G_1 * G_{1+2^m} already carries uniform coefficients on each part.
     """
     ng = table.params.ng
     if not 0 <= m < ng.bit_length() - 1:
         raise UsageError(f"no F split at level m={m} for ng={ng}")
     stride = 1 << m
-    mu = [0] * stride
     if 2 * stride == ng:
-        comb = set_product(1, 1 + stride, table)
-        for k in range(1, stride + 1):
-            vals = {comb.coeffs[l - 1] for l in range(k, ng + 1, stride)}
-            if len(vals) != 1:
-                raise AssertionError(f"product of F halves not part-uniform at k={k}")
-            mu[k - 1] = vals.pop()
-        return tuple(mu)
+        # Part k holds the sets k and k + 2^m.
+        coeffs = set_product(1, 1 + stride, table).coeffs
+        if coeffs[:stride] != coeffs[stride:]:
+            raise AssertionError("product of F halves not part-uniform")
+        return coeffs[:stride]
+    mu = [0] * stride
     for t in range(ng // (4 * stride)):
-        comb = set_product(1, 1 + stride + t * 2 * stride, table)
-        for l, c in comb.terms():
-            mu[rho(l, stride) - 1] += c
+        for k in product_sets(1, 1 + stride + t * 2 * stride, table):
+            mu[(k - 1) % stride] += 1
     return tuple(mu)
 
 

@@ -3,7 +3,9 @@
 The one place where product coefficients change form: in memory they are
 ints counting halves; on disk they are `[numerator, denominator]` pairs,
 written in lowest terms and read with a denominator of 1 or 2.  See
-docs/tower-format.md for the format description.
+docs/tower-format.md for the format description.  `dump_tower` encodes
+each distinct part and term once and writes each line directly, as
+`json.dumps` would.
 """
 
 import json
@@ -28,15 +30,8 @@ FORMAT_NAME = "ngontower-tower"
 FORMAT_VERSION = 1
 
 
-def _part_to_json(p: PartRef):
-    d = {"kind": p.kind, "offset": p.offset, "stride": p.stride}
-    if p.kind == "G":
-        d["set"] = p.set_index
-    return d
-
-
-def _coeff_to_json(halves: int) -> list[int]:
-    return [halves, 2] if halves % 2 else [halves // 2, 1]
+def _coeff_text(halves: int) -> str:
+    return f"{halves}, 2" if halves % 2 else f"{halves // 2}, 1"
 
 
 # Real towers reach 32,768 = npairs halves.  The exact oracle is exact at
@@ -54,14 +49,6 @@ def _coeff_from_json(num, den) -> int:
     if abs(halves) >= _MAX_HALVES:
         raise ValueError(f"coefficient [{num}, {den}] is 2^30 or more in size")
     return halves
-
-
-def _combo_to_json(combo: LinearCombo):
-    return {
-        "constant": _coeff_to_json(combo.constant),
-        "linear": [[*_coeff_to_json(c), _part_to_json(p)] for c, p in combo.linear],
-        "squares": [[*_coeff_to_json(c), _part_to_json(p)] for c, p in combo.squares],
-    }
 
 
 def _value_to_json(x):
@@ -94,6 +81,20 @@ def _value_from_json(d):
     return mp.mp.make_mpf((sign, man, exp, bc))
 
 
+class _Texts(dict):
+    """The JSON text of each part and each (halves, part) term, made on
+    first use."""
+
+    def __missing__(self, key) -> str:
+        if isinstance(key, PartRef):
+            d = {"kind": key.kind, "offset": key.offset, "stride": key.stride}
+            text = json.dumps(d | {"set": key.set_index} if key.kind == "G" else d)
+        else:
+            text = f"[{_coeff_text(key[0])}, {self[key[1]]}]"
+        self[key] = text
+        return text
+
+
 def dump_tower(tower: Tower, path: str) -> None:
     header = {
         "format": FORMAT_NAME,
@@ -103,26 +104,23 @@ def dump_tower(tower: Tower, path: str) -> None:
         "precision": tower.precision,
         "factor": tower.table.factor,
     }
+    texts = _Texts()
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for node in tower.nodes:
+            combo = node.product_expr
+            linear = ", ".join(map(texts.__getitem__, combo.linear))
+            squares = ", ".join(map(texts.__getitem__, combo.squares))
             fh.write(
-                json.dumps(
-                    {
-                        "id": node.id,
-                        "step": node.step,
-                        "splits": _part_to_json(node.splits),
-                        "left": _part_to_json(node.left),
-                        "right": _part_to_json(node.right),
-                        "sum_source": node.sum_source,
-                        "product": _combo_to_json(node.product_expr),
-                        "left_is_larger": node.left_is_larger,
-                        "sign_margin": _value_to_json(node.sign_margin),
-                        "value_left": _value_to_json(node.value_left),
-                        "value_right": _value_to_json(node.value_right),
-                    }
-                )
-                + "\n"
+                f'{{"id": {node.id}, "step": {node.step}, "splits": {texts[node.splits]}, '
+                f'"left": {texts[node.left]}, "right": {texts[node.right]}, '
+                f'"sum_source": {json.dumps(node.sum_source)}, '
+                f'"product": {{"constant": [{_coeff_text(combo.constant)}], '
+                f'"linear": [{linear}], "squares": [{squares}]}}, '
+                f'"left_is_larger": {json.dumps(node.left_is_larger)}, '
+                f'"sign_margin": {json.dumps(_value_to_json(node.sign_margin))}, '
+                f'"value_left": {json.dumps(_value_to_json(node.value_left))}, '
+                f'"value_right": {json.dumps(_value_to_json(node.value_right))}}}\n'
             )
 
 

@@ -1,6 +1,7 @@
 """Test helpers around the exact oracle: the zero and all-ones vectors,
-conversions between period vectors and invariant-set combinations, and
-images of period vectors and expressions at the oracle's conjugates."""
+conversions between period vectors and invariant-set combinations, images
+of period vectors and expressions at the oracle's conjugates, and an
+expression's image taken term by term."""
 
 from operator import mul
 
@@ -69,6 +70,23 @@ def pv_image(v: PeriodVector, oracle: Oracle, index: int, field) -> list[int]:
     for k in range(1, h + 1):
         by_log[oracle.logs[k]] = int(v.coeffs[k])
     return [(int(v.constant) + sum(map(mul, by_log, ps[t : t + h]))) % ell for t in range(index)]
+
+
+def expression_image_by_terms(oracle: Oracle, combo: LinearCombo, index: int, field, block=None):
+    """`Oracle.expression_image` the plain way: each term tiled to the whole
+    block from the field's periods, raised to its power and added in, one
+    term at a time.  The period (D, r) is eta_D[(r + t) mod D] at conjugate
+    t.  The parts must be placed."""
+    ell = field.prime
+    block = range(index) if block is None else block
+    image = [combo.constant % ell] * len(block)
+    for terms, power in ((combo.linear, 1), (combo.squares, 2)):
+        for c, part in terms:
+            d, r = oracle.places[part]
+            eta = field.eta[d]
+            tiled = [eta[(r + t) % d] for t in block]
+            image = [(s + c * pow(v, power, ell)) % ell for s, v in zip(image, tiled)]
+    return image
 
 
 def same_expression(oracle: Oracle, a: LinearCombo, b: LinearCombo) -> bool:

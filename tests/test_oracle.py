@@ -13,11 +13,18 @@ from ngontower import oracle
 from ngontower.invariant_sets import build_invariant_sets
 from ngontower.oracle import Oracle, OracleMismatch, _is_prime, _primes
 from ngontower.residues import FermatParams
-from ngontower.splitting import LinearCombo, f_part, g_part
+from ngontower.splitting import LinearCombo, f_part
 from ngontower.tower import build_schedule
 from ngontower.verify import oracle_check_node, oracle_check_tower
 
-from oracle_helpers import NotSetUniform, decompose_into_sets, pv_image, pv_s, pv_zero
+from oracle_helpers import (
+    NotSetUniform,
+    decompose_into_sets,
+    expression_image_by_terms,
+    pv_image,
+    pv_s,
+    pv_zero,
+)
 from pair_reference import (
     PeriodVector,
     equal_as_numbers,
@@ -475,43 +482,75 @@ def test_a_bound_past_the_first_prime_is_checked_modulo_two(monkeypatch):
 
 
 def _whole_range_count(o, node, index, field):
-    """`Oracle.conjugate_check`'s count, taken over all the conjugates at once."""
+    """`Oracle.conjugate_check`'s count, taken over all the conjugates at
+    once, with the expression's image taken term by term."""
     ell = field.prime
     sides = (oracle.pv_of_part(o, part, field) for part in (node.left, node.right))
     sides = (oracle.PeriodValues(v.coeffs * (index // len(v.coeffs)), ell) for v in sides)
     lhs = [2 * x % ell for x in oracle.pv_mul(*sides).coeffs]
-    return sum(map(ne, lhs, o.expression_image(node.product_expr, index, field)))
+    return sum(map(ne, lhs, expression_image_by_terms(o, node.product_expr, index, field)))
+
+
+def _moved(node, kind, k, by):
+    """The node with the coefficient of its k-th linear or squared term moved."""
+    expr = node.product_expr
+    terms = list(getattr(expr, kind))
+    terms[k] = (terms[k][0] + by, terms[k][1])
+    return replace(node, product_expr=replace(expr, **{kind: tuple(terms)}))
 
 
 @pytest.mark.parametrize("block", [4096, 3000])
 def test_a_blocked_count_is_the_whole_range_count(block, monkeypatch, params65537, table65537):
-    # The 65537 class representatives of index 4,096 and up, the splits of
-    # G1, G1(1,2), G1(1,4) and G1(1,8), and copies moved in the constant or
-    # in one coefficient.  The count is exact: a false copy differs at
-    # (nearly) every conjugate, so a block skipped or counted twice shows.
-    # 3,000 conjugates a block cut the parts' periods off their ends.
+    # The 15 class representatives of the pruned 65537 schedule, index 2 to
+    # 32,768, and copies moved in the constant, in the first linear and the
+    # first squared coefficient, and in the coefficient of the last term
+    # whose period is below the block's length: the image sums those terms
+    # once per period.  The count is exact: a false copy differs at
+    # (nearly) every conjugate, so a block or a period skipped or counted
+    # twice shows.  3,000 conjugates a block cut the parts' periods off
+    # their ends.  One more copy adds F(1,16), whose sum of period 16 is
+    # tiled across every block (from its conjugate 8 at 3,000): its image,
+    # and the node's, must be the term-by-term image block by block.
     monkeypatch.setattr(oracle, "BLOCK", block)
-    splits = {g_part(1, 1, 1 << m) for m in range(4)}
-    nodes = [x for x in build_schedule(params65537, table65537, "pruned").nodes if x.splits in splits]
     o = Oracle(table65537)
-    indexes = []
-    for node in nodes:
+    representatives = []
+    for node in build_schedule(params65537, table65537, "pruned").nodes:
+        proved = len(o.proved)
         o.check(node)
+        if len(o.proved) > proved:
+            representatives.append(node)
+    field = o.fields[0]
+    indexes, summed = [], 0
+    for node in representatives:
         parts = [node.left, node.right, *node.product_expr.referenced_parts()]
         index = max(o.places[part][0] for part in parts)
         indexes.append(index)
-        expr, field = node.product_expr, o.fields[0]
-        (c, part), (d, square) = expr.linear[0], expr.squares[0]
-        copies = [
-            _with(node, constant=1),
-            replace(node, product_expr=replace(expr, linear=((c + 1, part), *expr.linear[1:]))),
-            replace(node, product_expr=replace(expr, squares=((d - 1, square),))),
+        expr = node.product_expr
+        spread = _with(node, linear=[(1, f_part(1, 16))])
+        o.place(f_part(1, 16))
+        for start in range(0, index, block):
+            within = range(start, min(start + block, index))
+            for combo in (expr, spread.product_expr):
+                image = o.expression_image(combo, index, field, within)
+                assert image == expression_image_by_terms(o, combo, index, field, within)
+        copies = [_with(node, constant=1), spread]
+        copies += [_moved(node, "linear", 0, 1)] if expr.linear else []
+        copies += [_moved(node, "squares", 0, -1)] if expr.squares else []
+        below = [
+            (kind, k)
+            for kind in ("linear", "squares")
+            for k, (_, part) in enumerate(getattr(expr, kind))
+            if o.places[part][0] < min(block, index)
         ]
+        if below:
+            copies.append(_moved(node, *below[-1], 1))
+            summed += 1
         assert o.conjugate_check(node, index, field) == _whole_range_count(o, node, index, field) == 0
         for bad in copies:
             wrong = o.conjugate_check(bad, index, field)
             assert wrong == _whole_range_count(o, bad, index, field) > index // 2
-    assert sorted(indexes) == [4096, 8192, 16384, 32768]
+    assert sorted(indexes) == [1 << k for k in range(1, 16)]
+    assert summed == 10
 
 
 def test_the_oracle_pass_holds_blocks_not_whole_vectors(params65537, table65537):

@@ -15,7 +15,8 @@ from ngontower.invariant_sets import build_invariant_sets
 from ngontower.residues import FermatParams
 from ngontower.splitting import g_part
 from ngontower.tower import _root_part, build_schedule
-from ngontower.towerfile import _combo_to_json, _part_to_json
+
+from towerfile_reference import combo_json, part_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,11 +32,11 @@ def _structure(node) -> str:
         {
             "id": node.id,
             "step": node.step,
-            "splits": _part_to_json(node.splits),
-            "left": _part_to_json(node.left),
-            "right": _part_to_json(node.right),
+            "splits": part_json(node.splits),
+            "left": part_json(node.left),
+            "right": part_json(node.right),
             "sum_source": node.sum_source,
-            "product": _combo_to_json(node.product_expr),
+            "product": combo_json(node.product_expr),
         }
     )
 
@@ -121,6 +122,18 @@ def test_pruned_65537_derives_only_what_it_keeps(monkeypatch, params65537, table
     assert levels and max(levels.values()) == 1
     assert {m for name, m in levels if name == "mu_table"} == set(range(11))
     assert {m for name, m in levels if name == "pr_terms"} == set(range(4))
+
+
+def test_pruned_65537_folds_mu_rows_without_set_products(monkeypatch, params65537, table65537):
+    # Above the bottom level mu is tallied from the classified pair products;
+    # only the bottom level's one product is a whole set product.
+    calls = Counter()
+    _count_calls(monkeypatch, splitting, "set_product", calls, lambda args: args[:2])
+
+    build_schedule(params65537, table65537, "pruned")
+
+    assert sum(calls.values()) <= 1
+    assert set(calls) <= {(1, 1 + 1024)}
 
 
 def _terms(nodes):

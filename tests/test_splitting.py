@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngontower.oracle import Oracle
+from ngontower.period_algebra import set_product
+from ngontower.residues import rho
 from ngontower.splitting import (
     LinearCombo,
     f_part,
@@ -82,6 +84,30 @@ def test_mu_conservation(table_name, levels, request):
     n = table.params.n
     for m in range(levels):
         assert sum(mu_table(m, table)) == (n - 1) >> (m + 2)
+
+
+def _mu_from_set_products(m, table):
+    """mu(., 2^m) tallied from whole set products, each classified set
+    weighted by its coefficient: the row of products G_1 * G_{1+2^m+t*2^(m+1)},
+    or at the bottom level the one product G_1 * G_{1+2^m}, uniform on each
+    part."""
+    ng, stride = table.params.ng, 1 << m
+    if 2 * stride == ng:
+        return set_product(1, 1 + stride, table).coeffs[:stride]
+    mu = [0] * stride
+    for t in range(ng // (4 * stride)):
+        for l, c in set_product(1, 1 + stride + t * 2 * stride, table).terms():
+            mu[rho(l, stride) - 1] += c
+    return tuple(mu)
+
+
+@pytest.mark.parametrize("table_name", ["table17", "table257", "table65537"])
+def test_mu_rows_fold_the_set_products(table_name, request):
+    table = request.getfixturevalue(table_name)
+    levels = table.params.ng.bit_length() - 1
+    assert levels >= 1
+    for m in range(levels):
+        assert mu_table(m, table) == _mu_from_set_products(m, table), m
 
 
 def test_k_groups_65537(table65537):
@@ -227,8 +253,6 @@ def test_g_split_oracle_equality_sampled_65537(table65537):
 def test_full_row_is_twice_half_row(table_name, m, request):
     # Classifying the whole row of sibling products tallies exactly twice the
     # half row (the summands symmetric to the middle classify identically).
-    from ngontower.period_algebra import set_product
-
     table = request.getfixturevalue(table_name)
     ng = table.params.ng
     stride = 1 << m
@@ -236,8 +260,6 @@ def test_full_row_is_twice_half_row(table_name, m, request):
     for t in range(ng // (2 * stride)):
         comb = set_product(1, 1 + stride + t * 2 * stride, table)
         for l, c in comb.terms():
-            from ngontower.residues import rho
-
             full[rho(l, stride) - 1] += c
     assert tuple(v // 2 for v in full) == mu_table(m, table)
     assert all(v % 2 == 0 for v in full)
