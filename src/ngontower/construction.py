@@ -2,51 +2,37 @@
 straightedge/compass instruction stream.
 
 `compile_to_arith` is the one definition of how a node is solved, and `_run`
-the one interpreter of the arithmetic IR.  `evaluate_tower` runs the program
-as an `EvaluatingBuilder` emits it: each node is checked when its roots
-land, and only the values a later instruction reads stay alive, plus one
-sign byte per instruction.  The values a tower stores are the program's
-values bit for bit, as `arith_values` gives them: raw mpf tuples (`_mpf_`),
-each op the mpf operation rounded to nearest.
+the one interpreter of the arithmetic IR: each value is an int at scale
+2^F, F = precision + 32, with an int radius that bounds its distance from
+the exact value (running error analysis, Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., 3.3, in the midpoint-radius form of van der
+Hoeven, "Ball arithmetic", 2009), and a sign is read only where the radius
+proves it.  `evaluate_tower` runs the program as an `EvaluatingBuilder`
+emits it, checks each node when its roots land and keeps alive only the
+values a later instruction reads, plus one sign byte per instruction.
 
-A node's product expression is compiled with one scaling per distinct
-coefficient: its terms are grouped by |coefficient|, each group is summed and
-then scaled once.
+A node's product expression is scaled once per distinct |coefficient|, and
+each partial sum that `sharing.Lines` finds shared by the nodes of a step is
+emitted once (`_ArithBuilder.combo`): at n = 65537 (factor 3) this cuts the
+ADD and SUB instructions by a third, 35,146 to 23,860.
 
-Partial sums are shared across the nodes of a step.  A group's linear terms
-are written relative to the offset of the node's split, and `sharing.Lines`
-runs Paar's greedy once per distinct pattern: the two-term shapes that recur
-become derived terms.  Each concrete sum, an ADD or SUB of the terms at
-offsets p and p + d, is emitted once, at its first use, and every later node
-that needs it reuses it.  At n = 65537 (factor 3) this cuts the ADD and SUB
-instructions by a third, 35,146 to 23,860; no shape repeats at n <= 257,
-whose programs are as before.
-
-Signed lengths are represented as directed segments on the x axis through the
-circle center: the value v lives at the point (v, 0).  Each tower node, as
+The value v lives at the axis point (v, 0).  Each tower node, as
 `ArithProgram.nodes` marks it, is lowered to a Carlyle circle: the circle on
 the diameter from (0, 1) to (s, q) meets the axis at the two roots of
 x^2 - s x + q, in 9 steps against 17 for drawing the node's HALF, half^2,
 discriminant, SQRT and two roots one by one; those four are not drawn.
-Every other square root (sin, and every SQRT of a program without `nodes`)
-uses the semicircle rule (perpendicular height over a diameter split into D
-and 1); products of two general lengths use the intercept construction;
-integer scalings up to 64 are lowered as repeated additions (binary doubling
-chains of compass transfers).  At n = 65537 (pruned, factor 3) the program
-has 32,459 steps.
+Every other square root uses the semicircle rule (perpendicular height over
+a diameter split into D and 1), products of two general lengths the
+intercept construction, and integer scalings up to 64 binary doubling chains
+of compass transfers.  At n = 65537 (pruned, factor 3) the program has
+32,459 steps.  Every intersection branch is recorded at lowering time from
+the signs of the instruction values, so geometric execution never
+re-decides a choice.
 
-Every intersection branch is recorded at lowering time from the signs of
-the instruction values, so geometric execution never re-decides a choice.
-
-Both programs are held as flat columns, not one object per instruction: an
-op-code `bytearray` and `array('i')` operands, with the rare CONST values,
-branches and names beside them.  That is a few bytes an instruction: at
-n = 65537 pruned the programs hold 0.37 MB (28,008 instructions) and 0.59 MB
-(32,459 steps), where an object apiece took 4.8 and 6.8 MB.  The
-interpreter, lowering and dumps read the columns; `instrs` is a read-only
-view that builds an `ArithInstr` or `GeomInstr` only when one is read.  The
-program files are JSON lines (docs/program-format.md), each line written
-straight from the columns.
+Both programs are held as flat columns (`ArithProgram`, `GeomProgram`): at
+n = 65537 pruned they hold 0.37 and 0.59 MB, where an object per instruction
+took 4.8 and 6.8 MB.  The program files are JSON lines
+(docs/program-format.md).
 """
 
 import json
@@ -55,12 +41,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (
-    from_rational, mpf_add, mpf_mul, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_nearest,
-)
 
 from .errors import VerificationError
 from .sharing import Lines
@@ -68,17 +52,17 @@ from .splitting import LinearCombo, PartRef
 from .tower import Tower, _root_part
 
 _INTERCEPT_THRESHOLD = 64
+RUN_GUARD_BITS = 32  # a program runs at scale 2^-(precision + RUN_GUARD_BITS)
 
 
 class NegativeRadicand(VerificationError):
-    """A SQRT operand, the mpf `radicand`, came out negative when the
-    arithmetic program was evaluated; `values` holds the raw values of the
+    """A SQRT operand, the mpf `radicand`, was not proven positive when the
+    arithmetic program was evaluated; `values` and `radii` hold those of the
     instructions before it (None where a run no longer held one)."""
 
-    def __init__(self, radicand, values: list):
+    def __init__(self, radicand, values: list, radii: list):
         super().__init__(f"sqrt of {mp.nstr(radicand)}")
-        self.radicand = radicand
-        self.values = values
+        self.radicand, self.values, self.radii = radicand, values, radii
 
 
 class DegenerateIntersection(VerificationError):
@@ -98,7 +82,6 @@ class ArithInstr(NamedTuple):
 _ARITH_OPS = ("ADD", "SUB", "MUL", "HALF", "CONST", "SQRT")  # op code -> op
 _ADD, _SUB, _MUL, _HALF, _CONST, _SQRT = range(6)  # in `_ARITH_OPS` order
 _ARITH_CODE = {op: code for code, op in enumerate(_ARITH_OPS)}
-_BINARY = (mpf_add, mpf_sub, mpf_mul)  # by op code
 
 
 class _Instrs(Sequence):
@@ -159,34 +142,55 @@ class ArithProgram:
         return self.ops.count(_SQRT)
 
 
-def _run(prog: ArithProgram, first: int, vals: list, precision: int) -> None:
-    """Append to `vals` the raw value (`_mpf_`) of each instruction from
-    `first` on; `vals` holds the value of every instruction before it (None
-    for one that no later instruction reads): the definition of the IR ops,
-    each the mpf operation rounded to nearest at `precision` bits (HALF is
-    exact)."""
-    consts = prog.consts
+def _run(prog: ArithProgram, first: int, vals: list, rads: list, scale: int) -> None:
+    """Append to `vals` and `rads` the value of each instruction from `first`
+    on and its radius, a bound on its distance from the exact value, both
+    ints in units of 2^-scale; they hold those of every earlier instruction
+    (None for one that no later one reads).  The definition of the IR ops:
+    ADD, SUB and a dyadic CONST are exact; HALF, MUL and SQRT round down and
+    add their operands' radii, carried through, and a unit when they round;
+    a SQRT of an operand not proven positive raises NegativeRadicand."""
+    consts, below = prog.consts, (1 << scale) - 1
     for i, op, x, y in zip(range(first, len(prog.ops)), prog.ops[first:], prog.a[first:], prog.b[first:]):
-        if op < _HALF:
-            v = _BINARY[op](vals[x], vals[y], precision, round_nearest)
+        if op < _MUL:
+            v = vals[x] + vals[y] if op == _ADD else vals[x] - vals[y]
+            r = rads[x] + rads[y]
+        elif op == _MUL:  # |x| r(y) + |y| r(x) + r(x) r(y) + the bits shifted out, rounded up
+            vx, vy, rx, ry = vals[x], vals[y], rads[x], rads[y]
+            v = vx * vy
+            r = -(-(abs(vx) * ry + abs(vy) * rx + rx * ry + (v & below)) >> scale)
+            v >>= scale
         elif op == _HALF:
-            v = mpf_shift(vals[x], -1)
+            v, r = vals[x] >> 1, (rads[x] + 1 >> 1) + (vals[x] & 1)
         elif op == _CONST:
-            c = consts[i]
-            v = from_rational(c.numerator, c.denominator, precision, round_nearest)
-        else:  # SQRT
-            if mpf_sign(vals[x]) < 0:
-                raise NegativeRadicand(mp.mp.make_mpf(vals[x]), vals)
-            v = mpf_sqrt(vals[x], precision, round_nearest)
+            v, rest = divmod(consts[i].numerator << scale, consts[i].denominator)
+            r = int(rest > 0)
+        else:  # SQRT: r(x) / (2 sqrt(x - r(x))), rounded up, + 1 if it rounds
+            vx, rx = vals[x], rads[x]
+            if vx <= rx:
+                raise NegativeRadicand(mp.ldexp(vx, -scale), vals, rads)
+            v = isqrt(vx << scale)
+            r = (v * v != vx << scale) - (-(rx << scale) // (2 * isqrt(vx - rx << scale)))
         vals.append(v)
+        rads.append(r)
 
 
-def arith_values(prog: ArithProgram, precision: int) -> list:
-    """Value of every instruction, in order, as a raw mpf tuple, by `_run`.
-    `mp.mp.make_mpf` wraps a value."""
-    vals: list[tuple] = []
-    _run(prog, 0, vals, precision)
-    return vals
+def arith_values(prog: ArithProgram, precision: int) -> tuple[list[int], list[int]]:
+    """The value and the radius of every instruction, in order, by `_run` at
+    scale 2^-(precision + RUN_GUARD_BITS)."""
+    vals, rads = [], []
+    _run(prog, 0, vals, rads, precision + RUN_GUARD_BITS)
+    return vals, rads
+
+
+def proven_signs(vals: list, rads: list, first: int = 0) -> list[int]:
+    """The sign (-1, 0 or 1) of each value from `first` on; a sign is proven
+    when |v| > r or v = r = 0, and one that is not raises VerificationError."""
+    signs = [(v > r) - (-v > r) for v, r in zip(vals[first:], rads[first:])]
+    for i, s in enumerate(signs, first):
+        if not s and (vals[i] or rads[i]):
+            raise VerificationError(f"the sign of instruction {i} is not proven")
+    return signs
 
 
 class _ArithBuilder:
@@ -273,39 +277,39 @@ class _ArithBuilder:
 class EvaluatingBuilder(_ArithBuilder):
     """Runs the program at `precision` bits as it is emitted.  When a node's
     roots land, its instructions run and `check(k, left, right, product)`
-    gets node k's raw values; then each value emitted for the node is
-    dropped (None in `values`) but its CONSTs, shared sums and two halves,
-    all that later instructions read.  `signs` holds `mpf_sign` of every
-    value, one signed byte each."""
+    gets node k's (value, radius) pairs; then each value emitted for the
+    node is dropped (None in `values` and `radii`) but its CONSTs, shared
+    sums and two halves, all that later instructions read.  `signs` holds
+    the proven sign of every value, one signed byte each."""
 
     def __init__(self, precision: int, check):
         super().__init__()
-        self.precision = precision
+        self.scale = precision + RUN_GUARD_BITS
         self.check = check
-        self.values: list = []
+        self.values, self.radii = [], []
         self.signs = array("b")
         self._old_sums = 0  # shared sums emitted before the current node
 
     def flush(self) -> int:
         """Run the instructions not yet run (after the last node: cos and
         sin); returns the first."""
-        vals = self.values
+        vals, rads = self.values, self.radii
         first = len(vals)
-        _run(self.prog, first, vals, self.precision)
-        self.signs.extend(map(mpf_sign, vals[first:]))
+        _run(self.prog, first, vals, rads, self.scale)
+        self.signs.extend(proven_signs(vals, rads, first))
         return first
 
     def node(self, prod: int, root: int, left: int, right: int) -> None:
         first = self.flush()
         super().node(prod, root, left, right)
-        vals, sums = self.values, self._sums
-        self.check(len(self.prog.nodes) - 1, vals[left], vals[right], vals[prod])
+        vals, rads, sums = self.values, self.radii, self._sums
+        self.check(len(self.prog.nodes) - 1, *((vals[i], rads[i]) for i in (left, right, prod)))
         new_sums = islice(reversed(sums.values()), len(sums) - self._old_sums)
         live = {left, right, *new_sums, *self._const_cache.values()}
-        kept = [(i, vals[i]) for i in live if i >= first]
-        vals[first:] = [None] * (len(vals) - first)
-        for i, v in kept:
-            vals[i] = v
+        kept = [(i, vals[i], rads[i]) for i in live if i >= first]
+        vals[first:] = rads[first:] = [None] * (len(vals) - first)
+        for i, v, r in kept:
+            vals[i], rads[i] = v, r
         self._old_sums = len(sums)
 
 
@@ -644,12 +648,12 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
     SQRT are not drawn, and no other instruction may use them.  Every other
     instruction is lowered on its own.
 
-    Every branch is recorded from `signs`, the sign (-1, 0 or 1) of each
-    instruction's value at `precision` bits, as `evaluate_tower` returns
+    Every branch is recorded from `signs`, the proven sign (-1, 0 or 1) of
+    each instruction's value at `precision` bits, as `evaluate_tower` returns
     them; they are derived from `arith_values` when not given.
     """
     if signs is None:
-        signs = [mpf_sign(v) for v in arith_values(prog, precision)]
+        signs = proven_signs(*arith_values(prog, precision))
     sign = signs.__getitem__
     b = _GeomBuilder()
     ops, consts = prog.ops, prog.consts

@@ -24,7 +24,7 @@ def f_sign_sets(table: InvariantSetTable, cache: CosineCache) -> dict[int, froze
         greater = set()
         for j in range(1, (1 << m) + 1):
             left, right = split_children(f_part(j, 1 << m), table)
-            if cache.part_value(left) > cache.part_value(right):
+            if cache.part_fixed(left) > cache.part_fixed(right):
                 greater.add(j)
         out[m + 1] = frozenset(greater)
         m += 1
@@ -33,7 +33,7 @@ def f_sign_sets(table: InvariantSetTable, cache: CosineCache) -> dict[int, froze
 
 def g_left_is_larger(table, cache, k: int, s: int, stride: int) -> bool:
     left, right = split_children(g_part(k, s, stride), table)
-    return cache.part_value(left) > cache.part_value(right)
+    return cache.part_fixed(left) > cache.part_fixed(right)
 
 
 def _compare_combo(computed, published) -> str | None:
@@ -129,7 +129,7 @@ def sign_diffs(table: InvariantSetTable, cache: CosineCache) -> list[str]:
             mine = set()
             for j in offsets:
                 left, right = split_children(f_part(j, stride), table)
-                if cache.part_value(left) > cache.part_value(right):
+                if cache.part_fixed(left) > cache.part_fixed(right):
                     mine.add(j)
             if mine != set(published):
                 out.append(
@@ -218,6 +218,7 @@ def render_report(tower: Tower) -> str:
         lines.append(f"min sign margin = {mp.nstr(rep.min_sign_margin, 8)}")
         lines.append(f"max |value - cosine sum| = {mp.nstr(rep.max_value_err, 8)}")
         lines.append(f"max Vieta residual = {mp.nstr(rep.max_vieta_err, 8)}")
+        lines.append(f"max value radius = {mp.nstr(rep.max_value_radius, 8)}")
     if rep.oracle_checked:
         lines.append(f"oracle-verified product expressions = {rep.oracle_checked}")
     lines.append(f"p1 = {mp.nstr(rep.p1, 40)}")

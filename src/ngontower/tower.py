@@ -8,27 +8,20 @@ published lists; evaluation cross-checks every node value against the same
 cosine sums, which are independent of the tower arithmetic.
 
 The checks run as one pipeline, `verify.verify_tower`: the optional exact
-oracle, then `resolve_signs`, which computes the cosine sums at the tower's
-precision and decides or checks every sign, then `evaluate_tower`, which
-reads those sums and writes the tower's one `VerificationReport`.  A
-precision that nobody gives is `default_precision(n)`.
-
-`resolve_signs` also checks what a loaded tower stores: its signs, and its
-margins and values to within `value_tolerance`.  `evaluate_tower` solves no
-quadratic itself: it runs the tower's arithmetic program
-(`construction.compile_to_arith`) as it is emitted, checks each node when
-its roots land and keeps only the values later instructions read, and
-returns the program with one sign per instruction, so the node values it
-checks and stores are the ones `compile` writes.
-
-`CosineCache` holds two tables of about sqrt(npairs) angles and one exact
-integer sum of fixed-point pair values per invariant set; a part of m pairs
-is the exact sum of its entries, off by m 2^-(F-2) at most before rounding.
+oracle, then `resolve_signs`, which decides every sign from the cosine sums
+at the tower's precision and checks what a loaded tower stores (its signs,
+and its margins and values to within `value_tolerance`), then
+`evaluate_tower`.  That runs the tower's arithmetic program, the one
+`compile` writes, on scaled ints with an error radius as it is emitted, and
+proves each node's values from their radius and the cosine sums' bound when
+its roots land; it writes the tower's one `VerificationReport`.  A precision
+that nobody gives is `default_precision(n)`.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import VerificationError
 from .invariant_sets import InvariantSetTable, build_invariant_sets
@@ -90,6 +83,7 @@ class VerificationReport:
     per_step: dict[int, int]
     max_value_err: object = None
     max_vieta_err: object = None
+    max_value_radius: object = None
     min_sign_margin: object = None
     p1: object = None
     p1_err: object = None
@@ -263,9 +257,8 @@ class CosineCache:
     a <= npairs / B, each from mp.cos_sin at F + 16 bits rounded to scale 2^F,
     it is (C_a C_b - S_a S_b) >> (F - 1), the angle-sum formula doubled (the
     Cooley-Tukey twiddle split: about 2 sqrt(npairs) angles, and an entry's
-    error does not grow with k).  Only the two tables and `set_fixed[k]`, the
-    exact sum of set k's entries, are held: an F part sums its sets' sums,
-    G_k reads its own, and a G part inside a set sums its entries.
+    error does not grow with k).  Only the two tables, `set_fixed[k]`, the
+    exact sum of set k's entries, and one int per part read are held.
 
     Error bound, in units of 2^-F: each table value is within 1/2 of its
     cosine or sine, so C_a C_b - S_a S_b is within (|cos| + |sin| of both
@@ -274,9 +267,9 @@ class CosineCache:
     1: every entry is within 4 units, 2^-(F-2), of 2cos(2 pi k / n).  A part
     of m pairs is the exact integer sum of its m entries, however grouped, so
     it is off by at most m 2^-(F-2) <= 2^-(precision+2) when the guard covers
-    log2(npairs) + 4, before its one rounding to `precision` bits.  The sets
-    only group exact sums and no tower arithmetic enters, so the sums stay an
-    independent referee of the evaluation.
+    log2(npairs) + 4; `part_value` rounds it once to `precision` bits.  The
+    sets only group exact sums and no tower arithmetic enters, so the sums
+    stay an independent referee of the evaluation.
     """
 
     GUARD_BITS = 64
@@ -299,7 +292,7 @@ class CosineCache:
             self.low = [fixed_cos_sin(b * theta) for b in range(block)]
             self.high = [fixed_cos_sin(a * block * theta) for a in range(npairs // block + 1)]
         self.set_fixed = [0] + [sum(map(self.pair_fixed, pairs)) for pairs in table.sets]
-        self._part: dict[PartRef, object] = {}
+        self._part: dict[PartRef, int] = {}
 
     def pair_fixed(self, k: int) -> int:
         """Pair k's entry, 0 <= k <= npairs (k = 0 for 2 itself)."""
@@ -307,9 +300,10 @@ class CosineCache:
         (ca, sa), (cb, sb) = self.high[a], self.low[b]
         return (ca * cb - sa * sb) >> (self.scale_bits - 1)
 
-    def part_value(self, part: PartRef):
-        cached = self._part.get(part)
-        if cached is None:
+    def part_fixed(self, part: PartRef) -> int:
+        """The exact sum of the part's entries, at scale 2^scale_bits."""
+        total = self._part.get(part)
+        if total is None:
             check_part(part, self.params)
             if part.kind == "F":
                 total = sum(self.set_fixed[part.offset :: part.stride])
@@ -317,10 +311,21 @@ class CosineCache:
                 total = self.set_fixed[part.set_index]
             else:
                 total = sum(map(self.pair_fixed, part_pairs(part, self.table)))
-            with mp.workprec(self.precision):
-                cached = mp.ldexp(mp.mpf(total), -self.scale_bits)
-            self._part[part] = cached
-        return cached
+            self._part[part] = total
+        return total
+
+    def part_bound(self, part: PartRef) -> int:
+        """4 m, the bound on `part_fixed`'s error for a part of m pairs."""
+        return 4 * (self.params.npairs if part.kind == "F" else 1 << self.params.nu) // part.stride
+
+    def part_value(self, part: PartRef):
+        """`part_fixed` as an mpf, rounded once to `precision` bits."""
+        return _rounded(self.part_fixed(part), self.scale_bits, self.precision)
+
+
+def _rounded(v: int, scale: int, precision: int):
+    """v 2^-scale as an mpf, rounded once to `precision` bits."""
+    return mp.mp.make_mpf(from_man_exp(v, -scale, precision, round_nearest))
 
 
 def resolve_signs(tower: Tower, precision: int) -> Tower:
@@ -372,63 +377,66 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
 
 def evaluate_tower(tower: Tower) -> tuple:
     """Run the tower's arithmetic program as `construction.compile_to_arith`
-    emits it, with the signs, precision and cosine sums that
-    `resolve_signs` left, and store its values on the nodes.  Each node is
-    checked when its roots land, in node order: both values must lie within
-    `value_tolerance` of their cosine sums, and the Vieta residual and the
-    margin go to the report; then p1 must lie within it of 2cos(2 pi / n).
-    Writes the tower's report; returns the program and the sign (-1, 0 or
-    1) of each of its instruction values.  Only the node values, products
-    and p1 become mpfs, and no value outlives the run."""
+    emits it, with the signs, precision and cosine sums that `resolve_signs`
+    left, and store its values on the nodes, each rounded once to
+    `precision` bits.  Each node is checked in ints when its roots land: a
+    value v with radius r at scale 2^F and its part's sum T of m entries at
+    scale 2^S must meet |v 2^(S-F) - T| <= r 2^(S-F) + 4m.  Then p1 must lie
+    within `value_tolerance` of 2cos(2 pi / n).  Writes the tower's report;
+    returns the program and the proven sign (-1, 0 or 1) of each of its
+    instruction values; no value outlives the run."""
     from .construction import EvaluatingBuilder, NegativeRadicand, compile_to_arith
 
-    mpf = mp.mp.make_mpf
     cache = tower.cosines
     if cache is None:
         raise ValueError("tower signs must be resolved before evaluating")
     precision = tower.precision
-    tol = value_tolerance(precision)
-    report = VerificationReport(
-        node_count=len(tower.nodes),
-        per_step=dict(sorted(Counter(node.step for node in tower.nodes).items())),
-        max_value_err=mp.mpf(0),
-        max_vieta_err=mp.mpf(0),
-        min_sign_margin=None,
-    )
+    worst = [0, 0, 0]  # |v 2^(S-F) - T| (2^-S), Vieta residual (2^-2F), radius (2^-F)
 
     def check(k, left, right, prod):
         node = tower.nodes[k]
-        node.value_left, node.value_right = mpf(left), mpf(right)
-        for part, v in ((node.left, node.value_left), (node.right, node.value_right)):
-            ref = cache.part_value(part)
-            err = abs(v - ref)
-            if err > tol:
+        node.value_left, node.value_right = (_rounded(v, scale, precision) for v, _ in (left, right))
+        for part, (v, r) in ((node.left, left), (node.right, right)):
+            err = abs((v << shift) - cache.part_fixed(part))
+            if err > (r << shift) + cache.part_bound(part):
+                value, ref = _rounded(v, scale, precision), cache.part_value(part)
                 raise VerificationError(
-                    f"{part.label(tower.table)} = {mp.nstr(v, 25)} but cosine sum "
-                    f"gives {mp.nstr(ref, 25)} (err {mp.nstr(err)})",
+                    f"{part.label(tower.table)} = {mp.nstr(value, 25)} but cosine sum "
+                    f"gives {mp.nstr(ref, 25)} (err {mp.nstr(abs(value - ref))})",
                     node.id,
                 )
-            report.max_value_err = max(report.max_value_err, err)
-        vieta = abs(node.value_left * node.value_right - mpf(prod))
-        report.max_vieta_err = max(report.max_vieta_err, vieta)
-        if report.min_sign_margin is None or node.sign_margin < report.min_sign_margin:
-            report.min_sign_margin = node.sign_margin
+            worst[0], worst[2] = max(worst[0], err), max(worst[2], r)
+        worst[1] = max(worst[1], abs(left[0] * right[0] - (prod[0] << scale)))
 
     run = EvaluatingBuilder(precision, check)
+    scale = run.scale  # F, which `check` reads
+    shift = cache.scale_bits - scale  # S - F
     with mp.workprec(precision):
         try:
             prog = compile_to_arith(tower, run)
             run.flush()  # cos and the sin(theta) SQRT, after every node
-        except NegativeRadicand as exc:
-            k = len(run.prog.nodes)  # the node whose SQRT failed
-            if k == len(tower.nodes):
+        except VerificationError as exc:  # a radicand or a sign, or a node check
+            k = len(run.prog.nodes)  # the node whose instructions failed
+            if exc.node_id is not None or k == len(tower.nodes):
                 raise
-            raise VerificationError(
-                f"negative discriminant {mp.nstr(exc.radicand)}", tower.nodes[k].id
-            ) from None
-        report.p1 = mpf(run.values[prog.outputs["p1"]])
+            message = str(exc)
+            if isinstance(exc, NegativeRadicand):
+                x = exc.radicand
+                message = f"negative discriminant {mp.nstr(x)}" if x < 0 else (
+                    f"discriminant {mp.nstr(x)} not proven positive"
+                )
+            raise VerificationError(message, tower.nodes[k].id) from None
+        report = VerificationReport(
+            node_count=len(tower.nodes),
+            per_step=dict(sorted(Counter(node.step for node in tower.nodes).items())),
+            max_value_err=_rounded(worst[0], cache.scale_bits, precision),
+            max_vieta_err=_rounded(worst[1], 2 * scale, precision),
+            max_value_radius=_rounded(worst[2], scale, precision),
+            min_sign_margin=min((node.sign_margin for node in tower.nodes), default=None),
+            p1=_rounded(run.values[prog.outputs["p1"]], scale, precision),
+        )
         report.p1_err = abs(report.p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
-    if report.p1_err > tol:
+    if report.p1_err > value_tolerance(precision):
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
     tower.report = report
     return prog, run.signs

@@ -1,15 +1,16 @@
-"""Test helper: the arithmetic IR interpreter on mpf objects, as
-`construction.arith_values` was written before it worked on raw mpf tuples.
-The raw interpreter must give each instruction this one's `_mpf_`, bit for
-bit, and stop at the same SQRT."""
+"""Test helper: the arithmetic IR on mpf objects, each op the mpf operation
+rounded to nearest.  Run at 64 bits more than the program's precision, it
+is the reference that every value `construction._run` gives must lie within
+its radius of."""
 
 import mpmath as mp
 
-from ngontower.construction import ArithProgram, NegativeRadicand
+from ngontower.construction import ArithProgram
 
 
 def mpf_arith_values(prog: ArithProgram, precision: int) -> list:
-    """Value of every instruction, in order: the definition of the IR ops."""
+    """Value of every instruction, in order, up to the first SQRT of a
+    negative value: a list shorter than the program stopped there."""
     with mp.workprec(precision):
         vals: list[object] = []
         for op, args, value in prog.instrs:
@@ -24,10 +25,9 @@ def mpf_arith_values(prog: ArithProgram, precision: int) -> list:
             elif op == "CONST":
                 v = mp.mpf(value.numerator) / value.denominator
             elif op == "SQRT":
-                radicand = vals[args[0]]
-                if radicand < 0:
-                    raise NegativeRadicand(radicand, vals)
-                v = mp.sqrt(radicand)
+                if vals[args[0]] < 0:
+                    break
+                v = mp.sqrt(vals[args[0]])
             else:
                 raise ValueError(f"unknown op {op}")
             vals.append(v)

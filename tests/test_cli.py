@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -427,6 +428,53 @@ def test_first_failing_node_is_reported(edit, argvs, message, tmp_path, capsys):
         assert code == 1
         assert message in err
     assert not (tmp_path / "p.svg").exists() and not (tmp_path / "p.arith").exists()
+
+
+def test_a_sqrt_off_by_2_to_the_minus_300_fails_verify(tower65537, tmp_path, capsys, monkeypatch):
+    # Every SQRT adds 2^-300: node 0's values move by far less than
+    # 2^-(precision // 2) = 2^-256, the rule a node value was once checked
+    # by, but by far more than their radius and the cosine sums' bound.
+    from ngontower import construction
+    from ngontower.towerfile import dump_tower
+
+    path = tmp_path / "t.tower"
+    dump_tower(tower65537, str(path))
+    offset = 1 << (tower65537.precision + construction.RUN_GUARD_BITS - 300)
+    monkeypatch.setattr(construction, "isqrt", lambda x: math.isqrt(x) + offset)
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--no-oracle"])
+    assert code == 1
+    assert err.startswith("verification failure: node 0: ") and "but cosine sum gives" in err
+    missed_by = mp.mpf(err.rsplit("(err ", 1)[1].rstrip(")\n"))
+    assert mp.mpf(2) ** -301 < missed_by < mp.mpf(2) ** -256
+
+
+@pytest.mark.parametrize(
+    "share, message",
+    [
+        (lambda v: abs(v), "node 0: the sign of instruction 0 is not proven"),
+        (lambda v: abs(v) // 2, "node 1: discriminant 1.60961 not proven positive"),
+    ],
+    ids=["sign", "discriminant"],
+)
+def test_a_radius_that_proves_nothing_fails_verify(share, message, tmp_path, capsys, monkeypatch):
+    # Each radius a run leaves is raised to `share` of its value's magnitude.
+    # With all of it no sign is proven, from node 0's first CONST on.  With
+    # half, node 0 still passes its check, but node 1's discriminant, though
+    # positive, carries a larger radius, so its SQRT is refused.
+    from ngontower import construction
+
+    path = tmp_path / "t17.tower"
+    run_cli(capsys, "build", "--n", "17", "--out", str(path))
+    run = construction._run
+
+    def inflated(prog, first, vals, rads, scale):
+        run(prog, first, vals, rads, scale)
+        rads[first:] = [max(r, share(v)) for v, r in zip(vals[first:], rads[first:])]
+
+    monkeypatch.setattr(construction, "_run", inflated)
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--no-oracle"])
+    assert code == 1
+    assert err.startswith("verification failure: ") and message in err
 
 
 def _value_left_12345(node):

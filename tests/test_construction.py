@@ -11,9 +11,9 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import mpf_sign
 
 from ngontower.construction import (
+    RUN_GUARD_BITS,
     ArithProgram,
     EvaluatingBuilder,
     _GeomBuilder,
@@ -28,7 +28,9 @@ from ngontower.construction import (
     load_geom,
     lower_to_geom,
     polygon_vertices,
+    proven_signs,
 )
+from ngontower.errors import VerificationError
 from ngontower.sharing import Lines
 from ngontower.tower import _root_part, build_tower, evaluate_tower
 from ngontower.towerfile import dump_tower
@@ -38,7 +40,17 @@ from mpf_reference import mpf_arith_values
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).parent / "golden"
-mpf = mp.mp.make_mpf  # an `arith_values` value as an mpf, bit for bit
+
+
+def _real(v: int, precision: int):
+    """A value of a run at `precision` as an mpf, exactly."""
+    return mp.ldexp(v, -(precision + RUN_GUARD_BITS))
+
+
+def _stored(v: int, precision: int):
+    """A value of a run at `precision` as a tower stores it: rounded once."""
+    with mp.workprec(precision):
+        return mp.ldexp(mp.mpf(v), -(precision + RUN_GUARD_BITS))
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +88,12 @@ def _tower(n, kind, request):
 
 def _signs(prog, precision):
     """The sign of every instruction value, as `lower_to_geom` reads them."""
-    return [mpf_sign(v) for v in arith_values(prog, precision)]
+    return proven_signs(*arith_values(prog, precision))
 
 
 def _outputs(prog, precision):
-    values = arith_values(prog, precision)
-    return {name: mpf(values[idx]) for name, idx in prog.outputs.items()}
+    values, _ = arith_values(prog, precision)
+    return {name: _real(values[idx], precision) for name, idx in prog.outputs.items()}
 
 
 def test_arith_outputs_match_cosine(tower17):
@@ -99,15 +111,15 @@ def test_arith_outputs_match_cosine(tower17):
 )
 def test_program_values_are_the_tower_values(n, kind, request):
     # evaluate_tower runs the compiled program, so every node value a tower
-    # stores is the program's value for that half, bit for bit.
+    # stores is the program's value for that half, rounded once, bit for bit.
     tower = _tower(n, kind, request)
     prog = compile_to_arith(tower)
-    values = arith_values(prog, tower.precision)
+    values, _ = arith_values(prog, tower.precision)
     assert len(prog.nodes) == len(tower.nodes)
     for node, (_, root, left, right) in zip(tower.nodes, prog.nodes):
         assert prog.instrs[root].op == "SQRT"
-        assert mpf(values[left])._mpf_ == node.value_left._mpf_
-        assert mpf(values[right])._mpf_ == node.value_right._mpf_
+        assert _stored(values[left], tower.precision)._mpf_ == node.value_left._mpf_
+        assert _stored(values[right], tower.precision)._mpf_ == node.value_right._mpf_
 
 
 @pytest.mark.parametrize(
@@ -116,18 +128,20 @@ def test_program_values_are_the_tower_values(n, kind, request):
 def test_streamed_evaluation_gives_the_program_values(n, kind, request):
     # evaluate_tower runs the program as it is emitted and drops what no
     # later instruction reads; what it checks, stores and returns are the
-    # values of the whole program run at once, bit for bit.
+    # values and radii of the whole program run at once, bit for bit.
     tower = _tower(n, kind, request)
     prog, signs = evaluate_tower(tower)
-    values = arith_values(compile_to_arith(tower), tower.precision)
-    assert list(signs) == [mpf_sign(v) for v in values]
+    values, radii = arith_values(compile_to_arith(tower), tower.precision)
+    assert list(signs) == proven_signs(values, radii)
     for node, (_, _, left, right) in zip(tower.nodes, prog.nodes):
-        assert (node.value_left._mpf_, node.value_right._mpf_) == (values[left], values[right])
-    assert tower.report.p1._mpf_ == values[prog.outputs["p1"]]
+        assert (node.value_left._mpf_, node.value_right._mpf_) == tuple(
+            _stored(values[i], tower.precision)._mpf_ for i in (left, right)
+        )
+    assert tower.report.p1._mpf_ == _stored(values[prog.outputs["p1"]], tower.precision)._mpf_
     checked = []  # what the check of each node is given: its halves and product
     compile_to_arith(tower, EvaluatingBuilder(tower.precision, lambda *node: checked.append(node)))
     assert checked == [
-        (k, values[left], values[right], values[prod])
+        (k, *((values[i], radii[i]) for i in (left, right, prod)))
         for k, (prod, _, left, right) in enumerate(prog.nodes)
     ]
 
@@ -135,8 +149,9 @@ def test_streamed_evaluation_gives_the_program_values(n, kind, request):
 def test_streamed_evaluation_holds_only_live_values(tower65537):
     # Above the signed tower, the evaluation holds the program (0.4 MB of
     # columns) and, at most, the CONSTs, shared sums and node halves (about
-    # 5,800 of 28,008 values) plus one sign byte per instruction: all 28,008
-    # values took 6.2 MB more.
+    # 5,800 of 28,008 values) with their radii, plus one sign byte per
+    # instruction: 2.5 MB at its peak, where all 28,008 values and radii
+    # take 4.3 MB.
     evaluate_tower(tower65537)  # every cosine sum it reads is cached
     tracemalloc.start()
     try:
@@ -148,24 +163,44 @@ def test_streamed_evaluation_holds_only_live_values(tower65537):
     assert peak < 8_000_000
 
 
+def _in_units(x, scale: int) -> Fraction:
+    """The mpf x in units of 2^-scale, exactly."""
+    sign, man, exp, _ = x._mpf_
+    units = Fraction(man << max(exp + scale, 0), 1 << max(-exp - scale, 0))
+    return -units if sign else units
+
+
+def _check_against_reference(prog, precision) -> bool:
+    """Every value of the run at `precision` lies within its radius of the
+    mpf reference at precision + 64 bits, and the run stops only at a SQRT
+    whose reference operand lies within its radius of a value <= 0, or where
+    the reference stops.  Returns whether the run stopped."""
+    scale = precision + RUN_GUARD_BITS
+    try:
+        (values, radii), stopped = arith_values(prog, precision), False
+    except NegativeRadicand as exc:
+        values, radii, stopped = exc.values, exc.radii, True
+    want = mpf_arith_values(prog, precision + 64)
+    assert len(want) >= len(values) and (stopped or len(want) == len(values))
+    for i, (v, r) in enumerate(zip(values, radii)):
+        assert abs(v - _in_units(want[i], scale)) <= r, (i, prog.instrs[i])
+    if stopped and len(want) > len(values):
+        x = prog.a[len(values)]
+        assert _in_units(want[x], scale) <= radii[x], prog.instrs
+    return stopped
+
+
 @pytest.mark.parametrize(
     "n, kind", [(n, kind) for n in (3, 5, 17, 257) for kind in ("full", "pruned")] + [(65537, "pruned")]
 )
 def test_raw_interpreter_matches_the_mpf_one_on_tower_programs(n, kind, request):
+    # The int run is within its radius of the mpf reference, and every sign
+    # and every node value is proven.
     tower = _tower(n, kind, request)
     prog = compile_to_arith(tower)
-    want = [v._mpf_ for v in mpf_arith_values(prog, tower.precision)]
-    assert arith_values(prog, tower.precision) == want
-
-
-def _run_until_negative_radicand(interpret, prog, precision):
-    """Every value as a raw tuple, and the message of the NegativeRadicand
-    that stopped the run (None if it ran to the end)."""
-    try:
-        values, message = interpret(prog, precision), None
-    except NegativeRadicand as exc:
-        values, message = exc.values, str(exc)
-    return [getattr(v, "_mpf_", v) for v in values], message
+    assert not _check_against_reference(prog, tower.precision)
+    values, radii = arith_values(prog, tower.precision)
+    assert all(abs(v) > r or v == r == 0 for v, r in zip(values, radii))
 
 
 def test_raw_interpreter_matches_the_mpf_one_on_fuzz_programs():
@@ -177,13 +212,33 @@ def test_raw_interpreter_matches_the_mpf_one_on_fuzz_programs():
         prog = _random_program(rng)
         zero = prog.emit("CONST", value=Fraction(0))
         prog.emit("SQRT", prog.emit("SUB", zero, prog.outputs["out"]))
-        want = _run_until_negative_radicand(mpf_arith_values, prog, 96)
-        got = _run_until_negative_radicand(arith_values, prog, 96)
-        assert got == want, prog.instrs
-        stopped += want[1] is not None
+        stopped += _check_against_reference(prog, 96)
     assert 200 <= stopped <= 800
 
 
+def _edge_program(kind: str) -> ArithProgram:
+    """A program at 96 bits whose last value is off by nearly its radius, so
+    that a looser radius fails: x = u - (1 - u)(1 + u) + 1, u = 2^-F, is
+    u + u^2, but its MUL rounds down by almost a unit, so x comes out 2u
+    with radius u.  kind "mul": MUL(x, 4), off by 4u; "half": HALF(x), off
+    by u/2; "sqrt": SQRT(x), off by (sqrt(2) - 1) sqrt(u), where
+    r(x) / (2 sqrt(x)) would allow 0.35 sqrt(u)."""
+    unit = Fraction(1, 1 << (96 + RUN_GUARD_BITS))
+    prog = ArithProgram()
+    const = lambda c: prog.emit("CONST", value=c)  # noqa: E731
+    product = prog.emit("MUL", const(1 - unit), const(1 + unit))
+    x = prog.emit("ADD", prog.emit("SUB", const(unit), product), const(Fraction(1)))
+    if kind == "mul":
+        out = prog.emit("MUL", x, const(Fraction(4)))
+    else:
+        out = prog.emit("HALF" if kind == "half" else "SQRT", x)
+    prog.outputs = {"out": out}
+    return prog
+
+
+@pytest.mark.parametrize("kind", ["mul", "half", "sqrt"])
+def test_radius_holds_where_the_error_nearly_reaches_it(kind):
+    assert not _check_against_reference(_edge_program(kind), 96)
 def _walked_product(prog, i, leaves, memo):
     """Instruction i as {part term: halves} plus the constant under (),
     followed through ADD, SUB, HALF, MUL by a CONST and CONST down to the
@@ -300,7 +355,20 @@ def test_negative_radicand_rejected():
     prog.outputs = {"x": s}
     with pytest.raises(NegativeRadicand) as exc:
         arith_values(prog, 128)
-    assert [mpf(v) for v in exc.value.values] == [-2]
+    assert exc.value.values == [-2 << (128 + RUN_GUARD_BITS)] and exc.value.radii == [0]
+
+
+def test_radicand_not_proven_positive_rejected():
+    # sqrt(2)^2 - 2 comes out within its radius of 0: its sign is not proven.
+    prog = ArithProgram()
+    two = prog.emit("CONST", value=Fraction(2))
+    root = prog.emit("SQRT", two)
+    prog.emit("SQRT", prog.emit("SUB", prog.emit("MUL", root, root), two))
+    with pytest.raises(NegativeRadicand) as exc:
+        arith_values(prog, 128)
+    assert abs(exc.value.values[-1]) <= exc.value.radii[-1] > 0
+    with pytest.raises(VerificationError, match="sign of instruction 3 is not proven"):
+        proven_signs(exc.value.values, exc.value.radii)
 
 
 def _run_simple(ops):
@@ -451,7 +519,7 @@ def _random_program(rng: random.Random) -> ArithProgram:
         return len(vals) - 1
 
     idx = emit("CONST", value=Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4))))
-    values = arith_values(prog, 96)
+    values, _ = arith_values(prog, 96)
     for _ in range(rng.randint(2, 8)):
         op = rng.choice(("CONST", "ADD", "SUB", "MUL", "HALF", "SQRT"))
         n = len(prog.instrs)
@@ -464,10 +532,10 @@ def _random_program(rng: random.Random) -> ArithProgram:
             emit(op, pick(), pick())
         else:  # SQRT
             arg = pick()
-            if mpf(values[arg]) < mp.mpf("0.05"):
+            if values[arg] * 20 < 1 << (96 + RUN_GUARD_BITS):  # below 0.05
                 continue
             emit(op, arg)
-        values = arith_values(prog, 96)
+        values, _ = arith_values(prog, 96)
     prog.outputs = {"out": len(prog.instrs) - 1}
     return prog
 
@@ -477,11 +545,12 @@ def test_lowering_fuzz():
     checked = 0
     for _ in range(1000):
         prog = _random_program(rng)
-        values = arith_values(prog, 96)
-        want = mpf(values[prog.outputs["out"]])
+        values, _ = arith_values(prog, 96)
+        want = _real(values[prog.outputs["out"]], 96)
         if abs(want) > mp.mpf(10) ** 9:  # intercept slopes degenerate far out
             continue
-        geom = lower_to_geom(prog, 96, [mpf_sign(v) for v in values])
+        signs = [(v > 0) - (v < 0) for v in values]  # x - x is exactly 0 in ints
+        geom = lower_to_geom(prog, 96, signs)
         got = execute_geom(geom, 96)["out"]
         with mp.workprec(96):
             scale = max(mp.mpf(1), abs(want))

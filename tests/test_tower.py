@@ -360,11 +360,19 @@ def test_cosine_part_sums_65537_sampled(cache65537, part):
 
 
 def test_tower_outputs_match_the_direct_cosine_table(tmp_path):
-    """A tower dumped before the fixed-point table differs from a fresh one
-    only in its sign margins, each within 2^-(precision-20) relative; the
-    build report moves only in its max |value - cosine sum| line."""
+    """A tower dumped before the fixed-point table and the integer program
+    run differs from a fresh one only in its sign margins, each within
+    2^-(precision-20) relative, and its values: each old value was within
+    2.9387359e-38 of its cosine sum, as that tower's report said, so each
+    new one lies within that plus one ulp at 128 bits of the old, and within
+    one ulp of its part's exact cosine sum.  The report gives the new,
+    smaller distance."""
     from ngontower.report import render_report
     from ngontower.towerfile import dump_tower
+
+    def stored(field):
+        sign, man, exp, bc = field["mpf"]
+        return mp.mpf((sign, int(man, 16), exp, bc)), exp + bc
 
     tower = build_tower(17, kind="full")
     path = tmp_path / "t17.tower"
@@ -376,13 +384,34 @@ def test_tower_outputs_match_the_direct_cosine_table(tmp_path):
     for old_line, new_line in zip(old_lines[1:], new_lines[1:]):
         old, new = json.loads(old_line), json.loads(new_line)
         old_margin, new_margin = old.pop("sign_margin"), new.pop("sign_margin")
+        values = [(old.pop(name), new.pop(name)) for name in ("value_left", "value_right")]
         assert old == new
         if old_margin != new_margin:
             changed += 1
-        sign, man, exp, bc = old_margin["mpf"]
         with mp.workprec(256):
-            old_value = mp.mpf((sign, int(man, 16), exp, bc))
-            rel = abs(tower.nodes[old["id"]].sign_margin - old_value) / old_value
+            old_value, _ = stored(old_margin)
+            node = tower.nodes[old["id"]]
+            rel = abs(node.sign_margin - old_value) / old_value
             assert rel <= mp.mpf(2) ** -(tower.precision - 20)
+            for part, (old_field, new_field) in zip((node.left, node.right), values):
+                (old_value, top), (new_value, new_top) = stored(old_field), stored(new_field)
+                bound = mp.mpf("2.9387359e-38") + mp.mpf(2) ** (top - 128)
+                assert abs(new_value - old_value) <= bound, old["id"]
+                exact = mp.ldexp(tower.cosines.part_fixed(part), -tower.cosines.scale_bits)
+                assert abs(new_value - exact) <= mp.mpf(2) ** (new_top - 128), old["id"]
     assert changed == 3
-    assert "max |value - cosine sum| = 2.9387359e-38" in render_report(tower).splitlines()
+    assert "max |value - cosine sum| = 2.2958525e-48" in render_report(tower).splitlines()
+
+
+def test_report_gives_the_largest_value_radius(tower65537):
+    # The line after the Vieta residual: the largest radius of a node value,
+    # how far the integer run may be from the exact value.  At 512 bits it
+    # leaves more than 200 bits below the 2^-256 of the old value rule.
+    from ngontower.report import render_report
+
+    lines = render_report(build_tower(17)).splitlines()
+    vieta = next(i for i, line in enumerate(lines) if line.startswith("max Vieta residual = "))
+    assert lines[vieta + 1] == "max value radius = 1.3000328e-47"
+    radius = tower65537.report.max_value_radius
+    assert f"max value radius = {mp.nstr(radius, 8)}" in render_report(tower65537).splitlines()
+    assert radius <= mp.mpf(2) ** -460
