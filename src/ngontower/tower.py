@@ -24,7 +24,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import VerificationError
-from .invariant_sets import InvariantSetTable, build_invariant_sets
+from .invariant_sets import InvariantSetTable, build_invariant_sets, locate_pair
 from .residues import FermatParams, rho
 from .splitting import (
     LinearCombo,
@@ -35,7 +35,6 @@ from .splitting import (
     f_split_product,
     g_part,
     g_split_product,
-    part_pairs,
     split_children,
 )
 
@@ -250,29 +249,39 @@ def build_schedule(
 class CosineCache:
     """Direct part sums of 2cos(2 pi k / n), held as one sum per invariant set.
 
-    Pair k = aB + b has the entry `pair_fixed(k)`, 2cos(k theta) as an int at
-    scale 2^F, theta = 2 pi / n, F = precision + GUARD_BITS, block
-    B = 2^ceil(bits(npairs) / 2) (16 at n = 257, 256 at n = 65537): from
-    `low` = cos/sin(b theta), b < B, and `high` = cos/sin(aB theta),
-    a <= npairs / B, each from mp.cos_sin at F + 16 bits rounded to scale 2^F,
-    it is (C_a C_b - S_a S_b) >> (F - 1), the angle-sum formula doubled (the
-    Cooley-Tukey twiddle split: about 2 sqrt(npairs) angles, and an entry's
-    error does not grow with k).  Only the two tables, `set_fixed[k]`, the
-    exact sum of set k's entries, and one int per part read are held.
+    Pair k's entry `pair_fixed(k)` is 2cos(k theta) as an int at scale 2^F,
+    theta = 2 pi / n, F = precision + GUARD_BITS.  A set is the orbit of its
+    first pair under doubling and 2cos 2a = (2cos a)^2 - 2, so its entries
+    are walked at scale 2^W, W = F + ORBIT_BITS: the first from two tables,
+    each next by one squaring x <- (x^2 >> W) - 2 2^W; an entry is
+    x >> ORBIT_BITS.  With block B = 2^ceil(bits(npairs) / 2) (256 at
+    n = 65537), `low[b]` = cos/sin(b theta), b < B, and `high[a]` =
+    cos/sin(aB theta), a <= npairs / B, are ints at scale 2^W, each row the
+    one before rotated by row 1, the table's one mp.cos_sin (at W + 16 bits);
+    set k starts at (C_a C_b - S_a S_b) >> (W - 1) for its first pair aB + b.
+    Held: the tables, `set_fixed[k]` (the exact sum of set k's entries), the
+    entries of each set a strided G part reads (walked on first use), and
+    one int per part read.
 
-    Error bound, in units of 2^-F: each table value is within 1/2 of its
-    cosine or sine, so C_a C_b - S_a S_b is within (|cos| + |sin| of both
-    angles) / 2 <= sqrt(2) of cos(k theta), up to a 2^-F-small square term;
-    doubling makes that 2 sqrt(2), and the floor of the shift adds less than
-    1: every entry is within 4 units, 2^-(F-2), of 2cos(2 pi k / n).  A part
-    of m pairs is the exact integer sum of its m entries, however grouped, so
-    it is off by at most m 2^-(F-2) <= 2^-(precision+2) when the guard covers
-    log2(npairs) + 4; `part_value` rounds it once to `precision` bits.  The
-    sets only group exact sums and no tower arithmetic enters, so the sums
-    stay an independent referee of the evaluation.
+    Error bound, in units of 2^-W: row 1 of a table is within 1/2 a
+    component, so a rotation's matrix is off by at most sqrt(2)/2, and with
+    the floors' sqrt(2) each step adds less than 2.2 to the (cos, sin)
+    error: row j is within 2.2 j.  A set's first entry is then within
+    4.4 (B + npairs / B) + 1 <= 5 (B + npairs / B), about 2^11 at n = 65537.
+    A squaring of an x off by d from 2cos a, |2cos a| <= 2, is off by
+    d' <= 4d + d^2 / 2^W + 1, so a 65537 set's 15 squarings end within
+    4^15 (2^11 + 1) < 2^42.  ORBIT_BITS must cover 2 (set length - 1) +
+    bits(table error) + 2 (43 at n = 65537); then, its floor included, every
+    entry is within 2 units of 2^-F.  A part of m pairs is the exact integer
+    sum of its m entries, however grouped, so it is within `part_bound`'s
+    4m units, 2^-(precision+2) when the guard covers log2(npairs) + 4;
+    `part_value` rounds it once to `precision` bits.  The sets only group
+    exact sums and no tower arithmetic enters, so the sums stay an
+    independent referee of the evaluation.
     """
 
     GUARD_BITS = 64
+    ORBIT_BITS = 64
 
     def __init__(self, params: FermatParams, table: InvariantSetTable, precision: int):
         self.params = params
@@ -281,24 +290,44 @@ class CosineCache:
         npairs = params.npairs
         if self.GUARD_BITS < npairs.bit_length() + 4:
             raise AssertionError(f"{self.GUARD_BITS} guard bits do not cover {npairs} pairs")
-        self.scale_bits = scale = precision + self.GUARD_BITS
         self.block = block = 1 << ((npairs.bit_length() + 1) // 2)
-        with mp.workprec(scale + 16):
+        table_bits = (5 * (block + npairs // block)).bit_length()
+        if self.ORBIT_BITS < 2 * ((1 << params.nu) - 1) + table_bits + 2:
+            raise AssertionError(
+                f"{self.ORBIT_BITS} orbit bits do not cover sets of {1 << params.nu} pairs"
+            )
+        self.scale_bits = precision + self.GUARD_BITS
+        self.wide_bits = wide = self.scale_bits + self.ORBIT_BITS
+        with mp.workprec(wide + 16):
             theta = 2 * mp.pi / params.n
-
-            def fixed_cos_sin(angle):
-                return tuple(int(mp.nint(mp.ldexp(x, scale))) for x in mp.cos_sin(angle))
-
-            self.low = [fixed_cos_sin(b * theta) for b in range(block)]
-            self.high = [fixed_cos_sin(a * block * theta) for a in range(npairs // block + 1)]
-        self.set_fixed = [0] + [sum(map(self.pair_fixed, pairs)) for pairs in table.sets]
+            self.low = _rotations(theta, block, wide)
+            self.high = _rotations(block * theta, npairs // block + 1, wide)
+        self.set_fixed = [0] + [sum(self._orbit(k)) for k in range(1, params.ng + 1)]
+        self._entries: dict[int, list[int]] = {}  # set index -> its entries
         self._part: dict[PartRef, int] = {}
 
-    def pair_fixed(self, k: int) -> int:
-        """Pair k's entry, 0 <= k <= npairs (k = 0 for 2 itself)."""
-        a, b = divmod(k, self.block)
+    def _orbit(self, k: int) -> list[int]:
+        """Set k's entries in set order, walked from its first pair."""
+        wide, two = self.wide_bits, 2 << self.wide_bits
+        a, b = divmod(self.table.first_pair(k), self.block)
         (ca, sa), (cb, sb) = self.high[a], self.low[b]
-        return (ca * cb - sa * sb) >> (self.scale_bits - 1)
+        x = (ca * cb - sa * sb) >> (wide - 1)
+        entries = [x >> self.ORBIT_BITS]
+        for _ in range((1 << self.params.nu) - 1):
+            x = (x * x >> wide) - two
+            entries.append(x >> self.ORBIT_BITS)
+        return entries
+
+    def _set_entries(self, k: int) -> list[int]:
+        entries = self._entries.get(k)
+        if entries is None:
+            entries = self._entries[k] = self._orbit(k)
+        return entries
+
+    def pair_fixed(self, k: int) -> int:
+        """Pair k's entry, 1 <= k <= npairs; ValueError for any other k."""
+        set_index, pos = locate_pair(self.table, k)
+        return self._set_entries(set_index)[pos - 1]
 
     def part_fixed(self, part: PartRef) -> int:
         """The exact sum of the part's entries, at scale 2^scale_bits."""
@@ -310,7 +339,7 @@ class CosineCache:
             elif part.stride == 1:
                 total = self.set_fixed[part.set_index]
             else:
-                total = sum(map(self.pair_fixed, part_pairs(part, self.table)))
+                total = sum(self._set_entries(part.set_index)[part.offset - 1 :: part.stride])
             self._part[part] = total
         return total
 
@@ -321,6 +350,18 @@ class CosineCache:
     def part_value(self, part: PartRef):
         """`part_fixed` as an mpf, rounded once to `precision` bits."""
         return _rounded(self.part_fixed(part), self.scale_bits, self.precision)
+
+
+def _rotations(angle, count: int, scale: int) -> list[tuple[int, int]]:
+    """cos/sin(j angle), j < count, as ints at scale 2^scale: one mp.cos_sin
+    of `angle` rounded, and each next the one before rotated by it."""
+    c1, s1 = (int(mp.nint(mp.ldexp(x, scale))) for x in mp.cos_sin(angle))
+    c, s = 1 << scale, 0
+    rows = []
+    for _ in range(count):
+        rows.append((c, s))
+        c, s = (c * c1 - s * s1) >> scale, (s * c1 + c * s1) >> scale
+    return rows
 
 
 def _rounded(v: int, scale: int, precision: int):

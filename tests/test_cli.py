@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -52,6 +53,16 @@ def test_tables_signs_golden(capsys):
     code, out = run_cli(capsys, "tables", "--n", "65537", "--kind", "signs")
     assert code == 0
     assert out == (GOLDEN / "signs_65537.txt").read_text()
+
+
+def test_build_257_full_matches_golden(capsys, tmp_path):
+    # The full 257 tower's bytes, as `build` wrote them before the cosine
+    # sums walked each set's doubling orbit.
+    path = tmp_path / "tower_257_full.tower"
+    code, _ = run_cli(capsys, "build", "--n", "257", "--schedule", "full", "--out", str(path))
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert f"{digest}  {path.name}\n" == (GOLDEN / "tower_257_full.sha256").read_text()
 
 
 def test_tables_product_square(capsys):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 import tracemalloc
 from pathlib import Path
 
@@ -239,7 +240,8 @@ def _entry_error(cache: CosineCache, k: int):
 
 
 def _entry_bound(cache: CosineCache):
-    return mp.mpf(2) ** -(cache.scale_bits - 2)
+    # Two units of 2^-F: the orbit walk's bound, half the 4 of `part_bound`.
+    return mp.mpf(2) ** -(cache.scale_bits - 1)
 
 
 def _reference_part(cache: CosineCache, part):
@@ -293,8 +295,9 @@ def test_set_sums_are_their_entries_65537_sampled(cache65537):
 
 
 def test_cosine_cache_holds_no_pair_table(params65537, table65537):
-    # Two tables of 256 and 129 angles plus 2,048 set sums: a list of all
-    # 32,769 pair entries held 3.5 MB here.
+    # Two tables of 256 and 129 rotations plus 2,048 set sums, each set's
+    # orbit walked without keeping its entries: a list of all 32,769 pair
+    # entries held 3.5 MB here.
     CosineCache(params65537, table65537, 512)  # mpmath's constants at this precision
     tracemalloc.start()
     try:
@@ -305,6 +308,61 @@ def test_cosine_cache_holds_no_pair_table(params65537, table65537):
         tracemalloc.stop()
     assert held < 1_000_000 and peak < 1_000_000, (held, peak)
     assert len(cache.set_fixed) == params65537.ng + 1
+
+
+@pytest.mark.parametrize("k", [0, -1, 17])
+def test_pair_fixed_refuses_a_pair_out_of_range(k, params17, table17):
+    cache = CosineCache(params17, table17, 128)
+    with pytest.raises(ValueError, match="out of range"):
+        cache.pair_fixed(k)
+
+
+def test_orbit_bits_must_cover_the_orbit_error(params65537, table65537, monkeypatch):
+    # 15 squarings of an entry within 2^11 units need 2 * 15 + 11 + 2 = 43 bits.
+    monkeypatch.setattr(CosineCache, "ORBIT_BITS", 42)
+    with pytest.raises(AssertionError, match="orbit bits"):
+        CosineCache(params65537, table65537, 512)
+
+
+def test_rotation_tables_within_their_bound(cache65537):
+    # low[b] and high[a] are within 2.2 b and 2.2 a units of 2^-W, as the
+    # length of their (cos, sin) error.
+    wide = cache65537.wide_bits
+    assert wide == cache65537.scale_bits + CosineCache.ORBIT_BITS
+    with mp.workprec(wide + 64):
+        theta = 2 * mp.pi / cache65537.params.n
+        for rows, step in ((cache65537.low, 1), (cache65537.high, cache65537.block)):
+            for j, (c, s) in enumerate(rows):
+                ref_c, ref_s = (mp.ldexp(x, wide) for x in mp.cos_sin(j * step * theta))
+                assert mp.hypot(c - ref_c, s - ref_s) <= mp.mpf("2.2") * j, (step, j)
+
+
+def test_cosine_sums_walk_each_orbit(params65537, table65537, params257, table257, monkeypatch):
+    # Two mp.cos_sin calls for the whole cache, one walk per set to sum it,
+    # and at most one more per set for the strided G parts a full tower reads.
+    calls = Counter()
+    cos_sin, orbit = mp.cos_sin, CosineCache._orbit
+
+    def counted_cos_sin(angle):
+        calls["cos_sin"] += 1
+        return cos_sin(angle)
+
+    def counted_orbit(self, k):
+        calls[k] += 1
+        return orbit(self, k)
+
+    monkeypatch.setattr(mp, "cos_sin", counted_cos_sin)
+    CosineCache(params65537, table65537, 512)
+    assert calls == Counter(cos_sin=2)
+    calls.clear()
+    monkeypatch.setattr(CosineCache, "_orbit", counted_orbit)
+    CosineCache(params65537, table65537, 512)
+    assert calls.pop("cos_sin") == 2
+    assert calls == Counter(range(1, params65537.ng + 1))
+    calls.clear()
+    resolve_signs(build_schedule(params257, table257, "full"), 128)
+    assert calls.pop("cos_sin") == 2
+    assert set(calls) == set(range(1, params257.ng + 1)) and max(calls.values()) <= 2
 
 
 @settings(max_examples=60, deadline=None)
