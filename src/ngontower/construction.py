@@ -369,12 +369,10 @@ _GEOM_KINDS = {
     "TRANSFER_LENGTH": ("PPP", "P"),
     "INTERSECT_LL": ("LL", "P"),
     "INTERSECT_LC": ("LC", "P"),
-    "INTERSECT_CC": ("CC", "P"),
     "POINT_ON_AXIS": ("P", "P"),
 }
 _GEOM_OPS = tuple(_GEOM_KINDS)
 _GEOM_CODE = {op: code for code, op in enumerate(_GEOM_OPS)}
-_BRANCHED = ("INTERSECT_LC", "INTERSECT_CC")  # the ops whose `branch` picks one of two points
 
 
 @dataclass
@@ -452,24 +450,6 @@ def _intersect_lc(line, circle, branch, tol):
     return (px + t * dx, py + t * dy)
 
 
-def _intersect_cc(c1, c2, branch, tol):
-    (x1, y1), r1sq = c1
-    (x2, y2), r2sq = c2
-    dx, dy = x2 - x1, y2 - y1
-    d2 = dx * dx + dy * dy
-    if d2 <= tol:
-        raise DegenerateIntersection("concentric circles")
-    # Radical line: points at distance a along (dx,dy), offset h perpendicular.
-    a = (d2 + r1sq - r2sq) / 2
-    h2 = r1sq - a * a / d2
-    if h2 <= tol:
-        raise DegenerateIntersection("circles miss or are tangent")
-    h = mp.sqrt(h2 / d2)
-    mx, my = x1 + a * dx / d2, y1 + a * dy / d2
-    pts = [(mx - h * dy, my + h * dx), (mx + h * dy, my - h * dx)]
-    return pts[branch]
-
-
 def execute_geom(prog: GeomProgram, precision: int) -> dict:
     """Analytic interpreter; returns the named outputs, each an axis point's
     x coordinate."""
@@ -503,8 +483,6 @@ def execute_geom(prog: GeomProgram, precision: int) -> dict:
                 v = _intersect_ll(a[0], a[1])
             elif op == "INTERSECT_LC":
                 v = _intersect_lc(a[0], a[1], instr.branch, tol)
-            elif op == "INTERSECT_CC":
-                v = _intersect_cc(a[0], a[1], instr.branch, tol)
             else:  # POINT_ON_AXIS
                 v = a[0]
                 outputs[instr.name] = v[0]
@@ -561,17 +539,15 @@ class _GeomBuilder:
         self._int_cache[k] = idx
         return idx
 
-    def scale_int(self, p: int, k: int, pv: int) -> int:
-        """k*p by repeated addition for small k, intercept otherwise."""
+    def scale_int(self, p: int, k: int) -> int:
+        """k*p by a binary doubling chain of compass transfers."""
         if k == 0:
             return self.O
         if k < 0:
-            return self.neg(self.scale_int(p, -k, pv))
+            return self.neg(self.scale_int(p, -k))
         if k == 1:
             return p
-        if k > _INTERCEPT_THRESHOLD:
-            return self.mul(self.int_const(k), p, 1, pv)
-        acc = self.scale_int(p, k // 2, pv)
+        acc = self.scale_int(p, k // 2)
         acc = self.add(acc, acc)
         return self.add(acc, p) if k % 2 else acc
 
@@ -693,7 +669,7 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
         elif op == _MUL:
             k = consts.get(x)
             if k is not None and k.denominator == 1 and abs(k) <= _INTERCEPT_THRESHOLD:
-                loc[i] = b.scale_int(loc[y], int(k), sign(y))
+                loc[i] = b.scale_int(loc[y], int(k))
             else:
                 loc[i] = b.mul(loc[x], loc[y], sign(x), sign(y))
         else:  # SQRT
@@ -750,10 +726,10 @@ def _json_object(line: str, where: str) -> dict:
 def load_geom(path: str) -> GeomProgram:
     """The program in the file.  A step `execute_geom` could not run is a
     ValueError that names its line: args that are not earlier objects of the
-    kinds `_GEOM_KINDS` gives, a branch other than 0 or 1 on INTERSECT_LC or
-    INTERSECT_CC, a name that is not a string on POINT_ON_AXIS, or a branch
-    or name on any other step.  So is a line that is not a JSON object, and a
-    header whose `outputs` are not the named steps' objects."""
+    kinds `_GEOM_KINDS` gives, a branch other than 0 or 1 on INTERSECT_LC, a
+    name that is not a string on POINT_ON_AXIS, or a branch or name on any
+    other step.  So is a line that is not a JSON object, and a header whose
+    `outputs` are not the named steps' objects."""
     prog = GeomProgram()
     kinds: list[str] = []  # the kind of each object so far
     with open(path) as fh:
@@ -771,12 +747,12 @@ def load_geom(path: str) -> GeomProgram:
                 type(a) is int and 0 <= a < len(kinds) and kinds[a] == k for a, k in zip(args, takes)
             ):
                 raise ValueError(f"{where}: {op} args {args} are not earlier {takes} objects")
-            if op in _BRANCHED and (type(branch) is not int or branch not in (0, 1)):
+            if op == "INTERSECT_LC" and (type(branch) is not int or branch not in (0, 1)):
                 raise ValueError(f"{where}: branch {branch!r} is not 0 or 1")
             if op == "POINT_ON_AXIS" and not isinstance(name, str):
                 raise ValueError(f"{where}: name {name!r} is not a string")
-            for key, ops in (("branch", _BRANCHED), ("name", ("POINT_ON_AXIS",))):
-                if key in step and op not in ops:
+            for key, only in (("branch", "INTERSECT_LC"), ("name", "POINT_ON_AXIS")):
+                if key in step and op != only:
                     raise ValueError(f"{where}: {op} takes no {key}")
             prog.emit(op, *args, branch=branch, name=name)
             kinds += _GEOM_KINDS[op][1]

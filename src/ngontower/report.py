@@ -102,13 +102,6 @@ def sign_diffs(table: InvariantSetTable, cache: CosineCache) -> list[str]:
             f"step 4 sign list: computed G_j>G_(8+j) for j in {mine4}; published "
             f"relations read {ref.SIGNS_257_STEP4_PUBLISHED} [{ref.ERRATA['257-step4-signs']}]"
         )
-        for step, k, s, stride, expected in ref.SIGNS_G_257:
-            mine = g_left_is_larger(table, cache, k, s, stride)
-            if mine != expected:
-                out.append(
-                    f"step {step}: split of G{k}({s},{stride}) computed "
-                    f"left_is_larger={mine} vs published {expected}"
-                )
     elif n == 65537:
         for step, published in ref.SIGNS_F_65537.items():
             if computed[step] != published:
@@ -136,13 +129,13 @@ def sign_diffs(table: InvariantSetTable, cache: CosineCache) -> list[str]:
                     f"{name} sign list (over the published offsets): computed "
                     f"{sorted(mine)} vs published {sorted(published)}"
                 )
-        for step, k, s, stride, expected in ref.SIGNS_G_65537:
-            mine = g_left_is_larger(table, cache, k, s, stride)
-            if mine != expected:
-                out.append(
-                    f"step {step}: split of G{k}({s},{stride}) computed "
-                    f"left_is_larger={mine} vs published {expected}"
-                )
+    for step, k, s, stride, expected in {257: ref.SIGNS_G_257, 65537: ref.SIGNS_G_65537}.get(n, ()):
+        mine = g_left_is_larger(table, cache, k, s, stride)
+        if mine != expected:
+            out.append(
+                f"step {step}: split of G{k}({s},{stride}) computed "
+                f"left_is_larger={mine} vs published {expected}"
+            )
     return out
 
 

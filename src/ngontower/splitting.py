@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .errors import UsageError
 from .invariant_sets import InvariantSetTable, locate_pair
 from .period_algebra import product_sets, set_product
-from .residues import rho
+from .residues import pair_of, rho
 
 
 class PartRef(NamedTuple):
@@ -294,31 +294,21 @@ def wrap_twist(table: InvariantSetTable) -> int:
     params = table.params
     if params.ng == 1:
         return 0
-    q = pow(table.factor, params.ng, params.n)
-    d = 1
-    for t in range(1 << params.nu):
-        if q == d or q == params.n - d:
-            return t
-        d = (2 * d) % params.n
-    raise AssertionError("factor^ng not in the degree orbit of 1")
+    # Set 1 is the doubling orbit of pair 1, in order: 2^t sits at t + 1.
+    k, pos = locate_pair(table, pair_of(pow(table.factor, params.ng, params.n), params.n))
+    if k != 1:
+        raise AssertionError("factor^ng not in the degree orbit of 1")
+    return pos - 1
 
 
 def shift_g_combo(
-    combo: LinearCombo,
-    set_shift: int,
-    offset_shift: int,
-    table: InvariantSetTable,
-    twist: int | None = None,
+    combo: LinearCombo, set_shift: int, offset_shift: int, table: InvariantSetTable, twist: int
 ) -> LinearCombo:
-    """Apply the two shift rules to every G part of a combo; `twist` is
-    `wrap_twist(table)`, derived here when not given."""
+    """Apply the two shift rules to every part of a combo over G parts;
+    `twist` is `wrap_twist(table)`."""
     ng = table.params.ng
-    if twist is None:
-        twist = wrap_twist(table)
 
     def move(p: PartRef) -> PartRef:
-        if p.kind != "G":
-            return p
         raw = p.set_index + set_shift
         off = p.offset + offset_shift + twist * ((raw - 1) // ng)
         return g_part(rho(raw, ng), rho(off, p.stride), p.stride)

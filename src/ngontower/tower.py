@@ -21,7 +21,7 @@ that nobody gives is `default_precision(n)`.
 from collections import Counter
 from dataclasses import dataclass, field
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_gt, mpf_sub, round_nearest
 
 from .errors import VerificationError
 from .invariant_sets import InvariantSetTable, build_invariant_sets, locate_pair
@@ -375,16 +375,16 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
     What a node already stores (a loaded tower) is checked, not trusted: a
     sign that disagrees raises VerificationError, and so does a margin or a
     value further than `value_tolerance` of the coarser of the tower's and
-    this run's precision from |left - right| and the sums.  A null value is
-    not compared.
+    this run's precision from the exact |left - right| and sums.  A null
+    value is not compared.
     """
     cache = CosineCache(tower.params, tower.table, precision)
     threshold = mp.mpf(2) ** (-(precision // 4))
-    tol = value_tolerance(min(tower.precision or precision, precision))
+    tol = value_tolerance(min(tower.precision or precision, precision))._mpf_
     with mp.workprec(precision):
         for node in tower.nodes:
-            lv = cache.part_value(node.left)
-            rv = cache.part_value(node.right)
+            lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
+            lv, rv = cache.part_value(node.left), cache.part_value(node.right)
             margin = abs(lv - rv)
             if margin < threshold:
                 raise SignAmbiguous(
@@ -399,14 +399,18 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
                     node.id,
                 )
             for name, stored, ref in (
-                ("sign_margin", node.sign_margin, margin),
-                ("value_left", node.value_left, lv),
-                ("value_right", node.value_right, rv),
+                ("sign_margin", node.sign_margin, abs(lf - rf)),
+                ("value_left", node.value_left, lf),
+                ("value_right", node.value_right, rf),
             ):
-                if stored is not None and abs(stored - ref) > tol:
+                if stored is None:
+                    continue
+                # ref is exact; the difference is rounded, so any stored exponent is cheap
+                ref = from_man_exp(ref, -cache.scale_bits)
+                if mpf_gt(mpf_abs(mpf_sub(stored._mpf_, ref, cache.scale_bits)), tol):
                     raise VerificationError(
                         f"stored {name} {mp.nstr(stored, 25)} but cosine sums give "
-                        f"{mp.nstr(ref, 25)}",
+                        f"{mp.nstr(mp.mp.make_mpf(ref), 25)}",
                         node.id,
                     )
             node.left_is_larger = larger
@@ -457,16 +461,17 @@ def evaluate_tower(tower: Tower) -> tuple:
             prog = compile_to_arith(tower, run)
             run.flush()  # cos and the sin(theta) SQRT, after every node
         except VerificationError as exc:  # a radicand or a sign, or a node check
-            k = len(run.prog.nodes)  # the node whose instructions failed
-            if exc.node_id is not None or k == len(tower.nodes):
+            if exc.node_id is not None:
                 raise
+            k = len(run.prog.nodes)  # the node whose instructions failed, or none after the last
+            node_id = tower.nodes[k].id if k < len(tower.nodes) else None
             message = str(exc)
             if isinstance(exc, NegativeRadicand):
-                x = exc.radicand
-                message = f"negative discriminant {mp.nstr(x)}" if x < 0 else (
-                    f"discriminant {mp.nstr(x)} not proven positive"
+                x, what = exc.radicand, "sin(2pi/n)^2 =" if node_id is None else "discriminant"
+                message = f"negative {what} {mp.nstr(x)}" if x < 0 else (
+                    f"{what} {mp.nstr(x)} not proven positive"
                 )
-            raise VerificationError(message, tower.nodes[k].id) from None
+            raise VerificationError(message, node_id) from None
         report = VerificationReport(
             node_count=len(tower.nodes),
             per_step=dict(sorted(Counter(node.step for node in tower.nodes).items())),

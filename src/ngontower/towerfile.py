@@ -164,49 +164,40 @@ class _Reader:
                 out.append(self.terms.setdefault(term, term))
         return LinearCombo(constant, tuple(linear), tuple(squares))
 
-    def node(self, d) -> QuadraticNode:
-        """The node a line holds; raises ValueError for a part outside the
-        table, a sign that is not a bool or null, a sign without its margin,
-        and one value without the other."""
-        node = QuadraticNode(
-            id=d["id"],
-            step=d["step"],
-            splits=self.part(d["splits"]),
-            left=self.part(d["left"]),
-            right=self.part(d["right"]),
-            sum_source=d["sum_source"],
-            product_expr=self.combo(d["product"]),
-            left_is_larger=d["left_is_larger"],
-            sign_margin=_value_from_json(d["sign_margin"]),
-            value_left=_value_from_json(d["value_left"]),
-            value_right=_value_from_json(d["value_right"]),
-        )
-        if type(node.left_is_larger) not in (bool, type(None)):
-            raise ValueError(f"left_is_larger {node.left_is_larger!r} is neither a bool nor null")
-        if node.left_is_larger is not None and node.sign_margin is None:
+    def node(self, d, node_id: int, table, root, by_child: dict) -> QuadraticNode:
+        """The node a line holds, placed once as node `node_id` by
+        `tower._place` (`by_child` maps each half of the earlier nodes to its
+        node id, and gains this node's).  Raises ValueError for a part outside
+        the table, a sign that is not a bool or null, a sign without its
+        margin, one value without the other, and a node other than the one
+        the schedule would place here: the next id, the split's step and
+        canonical halves, its sum taken from the earlier node that produced
+        the split (null only for the root), and a product over the root and
+        halves of earlier nodes.  The id, step and sum_source must be ints:
+        true and 1.0 equal 1 but are refused."""
+        splits, left, right = (self.part(d[key]) for key in ("splits", "left", "right"))
+        expr = self.combo(d["product"])
+        larger, margin = d["left_is_larger"], _value_from_json(d["sign_margin"])
+        value_left, value_right = _value_from_json(d["value_left"]), _value_from_json(d["value_right"])
+        if type(larger) not in (bool, type(None)):
+            raise ValueError(f"left_is_larger {larger!r} is neither a bool nor null")
+        if larger is not None and margin is None:
             raise ValueError("left_is_larger is set but sign_margin is null")
-        if (node.value_left is None) != (node.value_right is None):
+        if (value_left is None) != (value_right is None):
             raise ValueError("one of value_left and value_right is null")
+        if type(d["id"]) is not int or d["id"] != node_id:
+            raise ValueError(f"node id {d['id']!r}, expected {node_id}")
+        node = _place(splits, expr, node_id, table, root, by_child)
+        if type(d["step"]) is not int or d["step"] != node.step:
+            raise ValueError(f"step {d['step']!r}, expected {node.step}")
+        if (left, right) != (node.left, node.right):
+            raise ValueError(f"left and right are not the halves of {splits.label()}")
+        if type(d["sum_source"]) not in (int, type(None)) or d["sum_source"] != node.sum_source:
+            raise ValueError(f"sum_source {d['sum_source']!r}, expected {node.sum_source}")
+        node.left, node.right = left, right  # the reader's one object per part
+        node.left_is_larger, node.sign_margin = larger, margin
+        node.value_left, node.value_right = value_left, value_right
         return node
-
-
-def _check_structure(node: QuadraticNode, expected_id: int, table, root, by_child: dict) -> None:
-    """Raise ValueError unless the node is the one the schedule would place
-    here (`tower._place`): the next id, the split's step and canonical
-    halves, its sum taken from the earlier node that produced the split
-    (null only for the root), and a product over the root and halves of
-    earlier nodes.  `by_child` maps each half of the earlier nodes to its
-    node id.  The id, step and sum_source must be ints: true and 1.0 equal 1
-    but are refused."""
-    if type(node.id) is not int or node.id != expected_id:
-        raise ValueError(f"node id {node.id!r}, expected {expected_id}")
-    placed = _place(node.splits, node.product_expr, expected_id, table, root, by_child)
-    if type(node.step) is not int or node.step != placed.step:
-        raise ValueError(f"step {node.step!r}, expected {placed.step}")
-    if (node.left, node.right) != (placed.left, placed.right):
-        raise ValueError(f"left and right are not the halves of {node.splits.label()}")
-    if type(node.sum_source) not in (int, type(None)) or node.sum_source != placed.sum_source:
-        raise ValueError(f"sum_source {node.sum_source!r}, expected {placed.sum_source}")
 
 
 def _check_schedule(tower: Tower, by_child: dict) -> None:
@@ -263,8 +254,8 @@ def load_tower(path: str) -> Tower:
     terms or twice among its squares, a coefficient that is not an integer
     or half-integer (denominator 1 or 2) below 2^30, a part field,
     coefficient, id, step or sum_source that is not a JSON integer (a bool
-    is refused), a malformed sign or value field (`_Reader.node`), a node
-    out of place in the schedule's DAG (see `_check_structure`), and,
+    is refused), a malformed sign or value field, a node out of place in
+    the schedule's DAG (both `_Reader.node`), and,
     reported on the last line, a file that ends before a node produces p1
     or whose nodes are not the header's schedule (`_check_schedule`).  A
     null header precision reads as `default_precision(n)`.  An unreadable
@@ -281,9 +272,7 @@ def load_tower(path: str) -> Tower:
             root, by_child = _root_part(params), {}
             nodes, reader = [], _Reader(params)
             for lineno, line in enumerate(fh, start=2):
-                node = reader.node(json.loads(line))
-                _check_structure(node, len(nodes), table, root, by_child)
-                nodes.append(node)
+                nodes.append(reader.node(json.loads(line), len(nodes), table, root, by_child))
             precision = header["precision"]
             if precision is None:
                 precision = default_precision(params.n)

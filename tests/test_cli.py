@@ -488,6 +488,40 @@ def test_a_radius_that_proves_nothing_fails_verify(share, message, tmp_path, cap
     assert err.startswith("verification failure: ") and message in err
 
 
+@pytest.mark.parametrize("n, precision", [(65537, 12), (257, 4)])
+def test_verify_below_the_header_precision_blames_no_stored_field(
+    n, precision, tower65537, tmp_path, capsys
+):
+    # The stored margins and values are right to the coarser tolerance; a
+    # p-bit rounding of the cosine sums is not, so they are compared with the
+    # exact sums and only a margin too small for p bits fails.
+    path = tmp_path / "t.tower"
+    if n == 65537:
+        from ngontower.towerfile import dump_tower
+
+        dump_tower(tower65537, str(path))
+    else:
+        run_cli(capsys, "build", "--n", str(n), "--no-oracle", "--out", str(path))
+    argv = ["verify", "--tower", str(path), "--precision", str(precision), "--no-oracle"]
+    code, err = _stderr_of(capsys, argv)
+    assert code == 1
+    assert err.startswith("verification failure: node ") and err.endswith("raise the precision\n")
+
+
+def test_an_unproven_sin_radicand_is_named(tower65537, tmp_path, capsys):
+    # At 50 bits every node passes, but sin(2pi/n)^2, about 9.2e-9, is not
+    # proven positive: the message names it as the node path names a
+    # discriminant.
+    from ngontower.towerfile import dump_tower
+
+    path = tmp_path / "t.tower"
+    dump_tower(tower65537, str(path))
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--precision", "50", "--no-oracle"])
+    assert code == 1
+    assert err.startswith("verification failure: sin(2pi/n)^2 = 9.19")
+    assert err.endswith(" not proven positive\n")
+
+
 def _value_left_12345(node):
     node["value_left"] = _value_to_json(mp.mpf(12345))
 
@@ -496,14 +530,23 @@ def _sign_margin_1(node):
     node["sign_margin"] = _value_to_json(mp.mpf(1))
 
 
+def _value_left_2_to_the(exponent):
+    def change(node):
+        node["value_left"]["mpf"] = [0, "0x1", exponent, 1]
+
+    return change
+
+
 @pytest.mark.parametrize(
     "change, field",
-    [(_value_left_12345, "value_left"), (_sign_margin_1, "sign_margin")],
-    ids=["value-12345", "margin-1"],
+    [(_value_left_12345, "value_left"), (_sign_margin_1, "sign_margin"),
+     (_value_left_2_to_the(-10**12), "value_left"), (_value_left_2_to_the(10**12), "value_left")],
+    ids=["value-12345", "margin-1", "value-2^-10^12", "value-2^10^12"],
 )
 def test_tampered_stored_field_fails_every_command(change, field, tmp_path, capsys):
     # Every command checks the stored values and margins against the cosine
-    # sums before it trusts or overwrites them.
+    # sums before it trusts or overwrites them; the difference is rounded at
+    # the run's scale, so a stored 2^(+-10^12) costs no 10^12-bit integer.
     tower_path = _tampered_17(tmp_path, capsys, change)
     for command, *rest in (
         ["verify"],

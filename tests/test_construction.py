@@ -14,8 +14,10 @@ import pytest
 
 from ngontower.construction import (
     RUN_GUARD_BITS,
+    ArithInstr,
     ArithProgram,
     EvaluatingBuilder,
+    _ArithBuilder,
     _GeomBuilder,
     _node_interior,
     NegativeRadicand,
@@ -29,9 +31,11 @@ from ngontower.construction import (
     lower_to_geom,
     polygon_vertices,
     proven_signs,
+    _run,
 )
 from ngontower.errors import VerificationError
 from ngontower.sharing import Lines
+from ngontower.splitting import LinearCombo, g_part
 from ngontower.tower import _root_part, build_tower, evaluate_tower
 from ngontower.towerfile import dump_tower
 
@@ -305,6 +309,24 @@ def test_sums_are_shared_within_one_stride_only():
     mixed = tuple(x for r in range(4) for x in (2, "F", 0, 16 if r % 2 else 8, r))
     [(_, terms)] = Lines().plan(mixed)
     assert [src for _, src, _, _ in terms] == [0, 1, 2, 3]
+
+
+def test_a_negative_first_group_is_subtracted_from_const_0():
+    # No derived tower reaches it, but a tower file can: with a constant of
+    # 0 and every term of the first coefficient group negative, that group is
+    # subtracted from CONST 0, and the result is still the exact product.
+    b = _ArithBuilder()
+    a, c, d = g_part(1, 1, 2), g_part(1, 2, 2), g_part(2, 1, 2)
+    values = {a: Fraction(3, 2), c: Fraction(5, 2), d: Fraction(-7, 4)}
+    refs = {part: b.emit("CONST", value=v) for part, v in values.items()}
+    expr = LinearCombo(0, ((-2, a), (-2, d), (3, c)), ((-1, a),))
+    out = b.combo(expr, refs, 1)
+    assert ArithInstr("CONST", (), Fraction(0)) in b.prog.instrs
+    vals, rads = [], []
+    _run(b.prog, 0, vals, rads, 64)
+    want = sum(Fraction(h, 2) * values[p] for h, p in expr.linear)
+    want += sum(Fraction(h, 2) * values[p] ** 2 for h, p in expr.squares)
+    assert abs(vals[out] - want * 2**64) <= rads[out]
 
 
 @pytest.mark.parametrize("terms", [256, 4096])

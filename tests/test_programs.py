@@ -10,6 +10,7 @@ import pytest
 
 from ngontower.construction import (
     _ARITH_OPS,
+    _GEOM_KINDS,
     _GEOM_OPS,
     ArithProgram,
     GeomProgram,
@@ -154,6 +155,16 @@ def test_dump_lines_are_the_json_of_the_dict_form(tmp_path):
         assert path.read_text().splitlines() == [header] + [line(instr) for instr in program.instrs]
 
 
+def test_the_geometric_ops_are_those_the_lowering_emits(tower257_full, tower65537):
+    # Between them the programs lowered from n = 3 to 65537 use every op a
+    # geometric program may hold, so no op is kept that nothing emits.
+    used = set()
+    for tower in (*(build_tower(n) for n in (3, 5, 17)), tower257_full, tower65537):
+        prog, signs = evaluate_tower(tower)
+        used.update(lower_to_geom(prog, tower.precision, signs).ops)
+    assert {_GEOM_OPS[code] for code in used} == set(_GEOM_KINDS)
+
+
 GOLDEN_17 = Path(__file__).parent / "golden" / "program_17.geom"
 
 
@@ -164,6 +175,7 @@ class _Raw(str):
 @pytest.mark.parametrize(
     "lineno, edit, message",
     [(8, {"op": "FOLD"}, "line 8: unknown geometric op 'FOLD'"),
+     (8, {"op": "INTERSECT_CC"}, "line 8: unknown geometric op 'INTERSECT_CC'"),
      (8, {"branch": -1}, "line 8: branch -1 is not 0 or 1"),
      (8, {"branch": 2}, "line 8: branch 2 is not 0 or 1"),
      (8, {"args": [8, 500]}, r"line 8: INTERSECT_LC args \[8, 500\] are not earlier LC objects"),
@@ -181,7 +193,7 @@ class _Raw(str):
      (8, "x", "line 8: 'x' is not a JSON object"),
      (8, _Raw("{"), r"line 8: not JSON \(Expecting property name"),
      (1, _Raw("ngontower-geom"), r"line 1: not JSON \(Expecting value\)")],
-    ids=["unknown-op", "branch-minus-one", "branch-two", "arg-past-the-end", "arg-negative", "one-arg",
+    ids=["unknown-op", "intersect-cc", "branch-minus-one", "branch-two", "arg-past-the-end", "arg-negative", "one-arg",
          "swapped-kinds", "boolean-arg", "missing-branch", "stray-branch", "stray-name", "name-not-a-string",
          "wrong-header", "header-a-list", "step-a-list", "step-a-string", "step-not-json",
          "header-not-json"],
