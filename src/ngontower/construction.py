@@ -187,9 +187,10 @@ def proven_signs(vals: list, rads: list, first: int = 0) -> list[int]:
     """The sign (-1, 0 or 1) of each value from `first` on; a sign is proven
     when |v| > r or v = r = 0, and one that is not raises VerificationError."""
     signs = [(v > r) - (-v > r) for v, r in zip(vals[first:], rads[first:])]
-    for i, s in enumerate(signs, first):
-        if not s and (vals[i] or rads[i]):
-            raise VerificationError(f"the sign of instruction {i} is not proven")
+    if 0 in signs:
+        for i, s in enumerate(signs, first):
+            if not s and (vals[i] or rads[i]):
+                raise VerificationError(f"the sign of instruction {i} is not proven")
     return signs
 
 
@@ -702,10 +703,14 @@ def dump_arith(prog: ArithProgram, path: str) -> None:
 def dump_geom(prog: GeomProgram, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "ngontower-geom", "version": 1, "outputs": prog.outputs}) + "\n")
+        # Each op's line up to its args, with one %d per object it takes.
+        lines = [
+            f'{{"op": "{op}", "args": [{", ".join(["%d"] * len(takes))}]'
+            for op, (takes, _) in _GEOM_KINDS.items()
+        ]
         args, starts, names = prog.args, prog.starts, prog.names
         for i, (op, branch) in enumerate(zip(prog.ops, prog.branch)):
-            objs = ", ".join(map(str, args[starts[i]:starts[i + 1]]))
-            line = f'{{"op": "{_GEOM_OPS[op]}", "args": [{objs}]'
+            line = lines[op] % tuple(args[starts[i]:starts[i + 1]])
             if branch >= 0:
                 line += f', "branch": {branch}'
             if i in names:

@@ -9,7 +9,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from .errors import UsageError, VerificationError
-from .residues import FermatParams, pair_of, pair_orbit
+from .residues import FermatParams
 
 
 class InvalidFactor(UsageError):
@@ -62,30 +62,36 @@ def validate_factor(q: int, params: FermatParams) -> bool:
 
 
 def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetTable:
-    """Build the ordered family of invariant sets for the given factor."""
+    """Build the ordered family of invariant sets for the given factor: set k
+    is the orbit of the pair of q^(k-1) mod n under p -> min(2p, n - 2p),
+    each pair entered in the lookup arrays as it is walked.  Raises
+    InvalidFactor for a factor that does not generate the family, and
+    PartitionFailure for a pair met twice or never, or a factor rule that
+    does not wrap back to set 1."""
     # With a single invariant set the factor is never used to seed a start.
     if params.ng > 1 and not validate_factor(factor, params):
         raise InvalidFactor(f"factor {factor} does not generate the set family for n={params.n}")
-    n, ng = params.n, params.ng
+    n, ng, npairs = params.n, params.ng, params.npairs
+    set_of = array("i", [0]) * (npairs + 1)
+    pos_of = array("i", [0]) * (npairs + 1)
     sets = []
     start_degree = 1
-    for _ in range(ng):
-        sets.append(pair_orbit(pair_of(start_degree, n), n))
-        start_degree = (start_degree * factor) % n
-
-    set_of = array("i", [0]) * (params.npairs + 1)
-    pos_of = array("i", [0]) * (params.npairs + 1)
-    for k, row in enumerate(sets, start=1):
-        for pos, p in enumerate(row, start=1):
+    for k in range(1, ng + 1):
+        start = p = min(start_degree, n - start_degree)
+        row = []
+        while not row or p != start:
             if set_of[p]:
                 raise PartitionFailure(f"pair {p} appears in sets {set_of[p]} and {k}")
-            set_of[p] = k
-            pos_of[p] = pos
+            row.append(p)
+            set_of[p], pos_of[p] = k, len(row)
+            p = 2 * p if 2 * p <= npairs else n - 2 * p  # 2p mod n folded, as p < n/2
+        sets.append(tuple(row))
+        start_degree = (start_degree * factor) % n
     if set_of.count(0) != 1:
-        missing = [p for p in range(1, params.npairs + 1) if not set_of[p]]
+        missing = [p for p in range(1, npairs + 1) if not set_of[p]]
         raise PartitionFailure(f"pairs not covered: {missing[:10]}...")
     # Circularity: one more factor step from the last start must re-enter set 1.
-    if params.ng > 1 and set_of[pair_of(start_degree, n)] != 1:
+    if ng > 1 and set_of[min(start_degree, n - start_degree)] != 1:
         raise PartitionFailure("factor rule does not wrap back to set 1")
 
     return InvariantSetTable(

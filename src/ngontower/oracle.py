@@ -43,7 +43,11 @@ images under sigma_t of M's, for sigma_t sends the period (D', r') to
 (D', r' + t) and is a field automorphism: applied to M's identity
 2LR = c0 + sum c*X + sum d*Y^2 it gives N's exactly.  The key is read from
 the stored expression, never assumed, and is kept only once every prime
-has passed; a full 65537 tower of 32,767 nodes has 15 keys.
+has passed; a full 65537 tower of 32,767 nodes has 15 keys.  Each part is
+placed once per pass: a G part by the logs of its pairs, an F part set by
+set.  Its pairs must be whole sets of the table, each set's logs are
+checked once, as a coset of index ng, and the part is placed by its sets'
+residues mod ng (`Oracle.place`).
 
 Blocks.  The two sides are compared BLOCK conjugates at a time, and a
 mismatch count is the sum of its blocks' counts.  A part's values are held
@@ -60,6 +64,7 @@ parts and its expression, and keeps its tables for one pass (`Oracle`).
 """
 
 from array import array
+from itertools import chain
 from operator import ne
 from typing import NamedTuple, Sequence
 
@@ -101,6 +106,14 @@ def _powers(base: int, count: int, mod: int) -> array:
     powers = array("Q", [1])
     powers.extend(x := x * base % mod for _ in range(count - 1))
     return powers
+
+
+def _coset(members, order: int) -> tuple[int, int] | None:
+    """(D, r) when the members, below `order`, are exactly r, r + D, r + 2D,
+    .. with r < D, D = order / their count; else None."""
+    members = sorted(members)
+    index = order // len(members) if members and order % len(members) == 0 else 0
+    return (index, members[0]) if index and members == list(range(members[0], order, index)) else None
 
 
 class PeriodValues(NamedTuple):
@@ -155,8 +168,8 @@ def pv_of_part(oracle: "Oracle", part, field: _Field) -> PeriodValues:
 
 class Oracle:
     """One pass of exact checks over one table: the place (D, r) of each
-    part met, the periods modulo each prime the pass has needed, and the
-    keys of the nodes it has proved."""
+    set and of each part met, the periods modulo each prime the pass has
+    needed, and the keys of the nodes it has proved."""
 
     def __init__(self, table):
         self.table = table
@@ -167,6 +180,12 @@ class Oracle:
         self.logs = array("i", [0]) * (h + 1)  # pair number -> i
         for i, e in enumerate(self.elements):
             self.logs[min(e, n - e)] = i
+        # Set k's place (ng, r_k), or None when its logs are not a coset of index ng.
+        ng = table.params.ng
+        self.set_places = [None] + [
+            place if (place := _coset(map(self.logs.__getitem__, row), h)) and place[0] == ng else None
+            for row in table.sets
+        ]
         self.places: dict = {}
         self.fields: list[_Field] = []
         self.proved: set = set()
@@ -174,15 +193,21 @@ class Oracle:
 
     def place(self, part) -> tuple[int, int] | None:
         """(D, r) when the part's pairs are exactly the coset of index D
-        holding pair r, else None: the logs of its pairs, sorted, run
-        r, r + D, r + 2D, .. below h with r < D.  Checked once per part and
-        pass."""
+        holding pair r, else None.  A G part is placed by `_coset` of its
+        pairs' logs; an F part's pairs must be whole sets of the table, one
+        after another, and their residues r_k (`set_places`) a coset of
+        index D in Z/ng."""
         if part not in self.places:
-            h = self.table.params.npairs
-            logs = sorted(map(self.logs.__getitem__, part_pairs(part, self.table)))
-            index = h // len(logs) if logs and h % len(logs) == 0 else 0
-            exact = index and logs == list(range(logs[0], h, index))
-            self.places[part] = (index, logs[0]) if exact else None
+            table = self.table
+            pairs = part_pairs(part, table)
+            if part.kind != "F":
+                place = _coset(map(self.logs.__getitem__, pairs), table.params.npairs)
+            else:
+                ks = [table.set_of[p] for p in pairs[:: 1 << table.params.nu]]
+                sets = [self.set_places[k] for k in ks]
+                whole = pairs == tuple(chain.from_iterable(table.sets[k - 1] for k in ks))
+                place = _coset([r for _, r in sets], table.params.ng) if whole and None not in sets else None
+            self.places[part] = place
         return self.places[part]
 
     def fields_for(self, bound: int) -> list[_Field]:

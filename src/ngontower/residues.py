@@ -1,4 +1,4 @@
-"""Modular arithmetic kernel: doubling orbits, wrap-around indexing, pair numbering.
+"""Modular arithmetic kernel: wrap-around indexing, pair numbering, Fermat parameters.
 
 Everything downstream works with element degrees k (the exponent of z^k on the
 unit circle) and pair numbers min(k, n-k).  All indices are 1-based to mirror
@@ -29,22 +29,6 @@ def pair_of(e: int, n: int) -> int:
     if not 1 <= e <= n - 1:
         raise ValueError(f"element degree {e} out of range [1, {n - 1}]")
     return min(e, n - e)
-
-
-def pair_orbit(start: int, n: int) -> tuple[int, ...]:
-    """Orbit of a pair number under doubling: r -> pair_of(2r mod n).
-
-    Equals pair_of applied to the first half of the corresponding doubling
-    orbit; length 2^nu.
-    """
-    if not 1 <= start <= (n - 1) // 2:
-        raise ValueError(f"pair number {start} out of range [1, {(n - 1) // 2}]")
-    orbit = [start]
-    cur = pair_of((2 * start) % n, n)
-    while cur != start:
-        orbit.append(cur)
-        cur = pair_of((2 * cur) % n, n)
-    return tuple(orbit)
 
 
 @dataclass(frozen=True)

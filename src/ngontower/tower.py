@@ -155,9 +155,11 @@ def _place(
     of those halves, and when an earlier node already split `split`."""
     if split != root and split not in by_child:
         raise ValueError(f"no earlier node produces {split.label()}")
-    for part in expr.referenced_parts():
-        if part != root and part not in by_child:
-            raise ValueError(f"product names {part.label()}, which no earlier node produces")
+    unproduced = set(expr.referenced_parts()).difference(by_child)
+    unproduced.discard(root)
+    if unproduced:
+        part = next(p for p in expr.referenced_parts() if p in unproduced)
+        raise ValueError(f"product names {part.label()}, which no earlier node produces")
     left, right = _halves(split, table)
     if left in by_child:
         raise ValueError(f"{split.label()} is split twice, first by node {by_child[left]}")

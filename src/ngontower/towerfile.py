@@ -127,14 +127,17 @@ def dump_tower(tower: Tower, path: str) -> None:
 class _Reader:
     """Reads the nodes of one tower file, with one `PartRef` per distinct
     part, checked against the table once, and one (halves, part) tuple per
-    distinct term.  Both are keyed on fields whose type was checked first,
-    so a value that merely equals an int (1.0, true) is refused wherever it
-    appears."""
+    distinct term.  A product term is looked up by its raw fields (num, den,
+    kind, offset, stride, set), and only a term not met before has its
+    coefficient read and its part checked.  Every lookup is keyed on fields
+    whose type was checked first, on each occurrence, so a value that merely
+    equals an int (1.0, true) is refused wherever it appears."""
 
     def __init__(self, params: FermatParams):
         self.params = params
         self.parts: dict[tuple, PartRef] = {}
         self.terms: dict[tuple[int, PartRef], tuple[int, PartRef]] = {}
+        self.raw_terms: dict[tuple, tuple[int, PartRef]] = {}  # raw fields -> term
 
     def part(self, d) -> PartRef:
         """The part a JSON object names; raises ValueError for a part
@@ -153,16 +156,25 @@ class _Reader:
         """The product expression a JSON object holds; raises ValueError for
         a part named twice among its linear terms or twice among its
         squares, which no schedule writes."""
-        constant, linear, squares = _coeff_from_json(*d["constant"]), [], []
-        for kind, out in (("linear", linear), ("squares", squares)):
-            named = set()
+        constant, memo, groups = _coeff_from_json(*d["constant"]), self.raw_terms, []
+        for kind in ("linear", "squares"):
+            out = []
             for num, den, p in d[kind]:
-                term = (_coeff_from_json(num, den), self.part(p))
-                if term[1] in named:
-                    raise ValueError(f"{term[1].label()} is named twice among the {kind} terms")
-                named.add(term[1])
-                out.append(self.terms.setdefault(term, term))
-        return LinearCombo(constant, tuple(linear), tuple(squares))
+                key = (num, den, p["kind"], p["offset"], p["stride"], p.get("set", 0))
+                ints = type(num) is type(den) is type(key[3]) is type(key[4]) is type(key[5]) is int
+                term = memo.get(key) if ints else None
+                if term is None:  # a new term, or a field that is not an int: refused here
+                    term = (_coeff_from_json(num, den), self.part(p))
+                    term = memo[key] = self.terms.setdefault(term, term)
+                out.append(term)
+            if len({part for _, part in out}) < len(out):
+                named = set()
+                for _, part in out:
+                    if part in named:
+                        raise ValueError(f"{part.label()} is named twice among the {kind} terms")
+                    named.add(part)
+            groups.append(tuple(out))
+        return LinearCombo(constant, *groups)
 
     def node(self, d, node_id: int, table, root, by_child: dict) -> QuadraticNode:
         """The node a line holds, placed once as node `node_id` by
@@ -219,7 +231,7 @@ def _check_schedule(tower: Tower, by_child: dict) -> None:
             if node.id not in reached:
                 reached.add(node.id)
                 parts = (node.splits, *node.product_expr.referenced_parts())
-                stack += [by_child[part] for part in parts if part in by_child]
+                stack += set(map(by_child.get, parts)).difference(reached, (None,))  # None: the root
         if len(reached) < len(nodes):
             unneeded = min(set(range(len(nodes))) - reached)
             raise ValueError(f"node {unneeded} does not lead to p1, as every pruned node must")
@@ -259,8 +271,9 @@ def load_tower(path: str) -> Tower:
     reported on the last line, a file that ends before a node produces p1
     or whose nodes are not the header's schedule (`_check_schedule`).  A
     null header precision reads as `default_precision(n)`.  An unreadable
-    path raises OSError.  Each distinct part and term is one object
-    (`_Reader`).
+    path raises OSError.  Each distinct part and term is one object, and
+    each distinct term is read and checked once, though the type of its
+    fields is checked wherever it appears (`_Reader`).
     """
     with open(path) as fh:
         lineno = 1

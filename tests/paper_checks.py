@@ -1,14 +1,14 @@
 """Test helpers: cross-checks of the paper's claims that no command runs --
-the doubling orbit, a second derivation of the F products by the squares
-identity, the set shift of a combination, and the multiplicities recovered
-from numeric values by a linear system."""
+the doubling orbit and the pair orbit, a second derivation of the F
+products by the squares identity, the set shift of a combination, and the
+multiplicities recovered from numeric values by a linear system."""
 
 import numpy as np
 
 from ngontower.errors import VerificationError
 from ngontower.invariant_sets import InvariantSetTable
 from ngontower.period_algebra import SetCombination, set_product, set_square
-from ngontower.residues import rho
+from ngontower.residues import pair_of, rho
 from ngontower.splitting import LinearCombo, f_part
 
 
@@ -25,6 +25,22 @@ def doubling_orbit(start: int, n: int) -> tuple[int, ...]:
     while cur != start:
         orbit.append(cur)
         cur = (2 * cur) % n
+    return tuple(orbit)
+
+
+def pair_orbit(start: int, n: int) -> tuple[int, ...]:
+    """Orbit of a pair number under doubling: r -> pair_of(2r mod n).
+
+    Equals pair_of applied to the first half of the corresponding doubling
+    orbit; length 2^nu.
+    """
+    if not 1 <= start <= (n - 1) // 2:
+        raise ValueError(f"pair number {start} out of range [1, {(n - 1) // 2}]")
+    orbit = [start]
+    cur = pair_of((2 * start) % n, n)
+    while cur != start:
+        orbit.append(cur)
+        cur = pair_of((2 * cur) % n, n)
     return tuple(orbit)
 
 

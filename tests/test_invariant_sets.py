@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from ngontower import reference_tables as ref
@@ -7,6 +9,9 @@ from ngontower.invariant_sets import (
     locate_pair,
     validate_factor,
 )
+from ngontower.residues import FermatParams, pair_of
+
+from paper_checks import pair_orbit
 
 
 def test_17_sets(table17):
@@ -118,3 +123,32 @@ def test_valid_factors_are_even_indexed_sets(params257, table257):
     for q in range(1, n):
         k, _ = locate_pair(table257, min(q, n - q))
         assert validate_factor(q, params257) == (k % 2 == 0)
+
+
+def _reference_sets(params, factor):
+    """The family pair by pair: set k is `pair_orbit` of the pair of
+    factor^(k-1), and the lookup arrays are filled row by row."""
+    n, sets, degree = params.n, [], 1
+    for _ in range(params.ng):
+        sets.append(pair_orbit(pair_of(degree, n), n))
+        degree = degree * factor % n
+    set_of, pos_of = [0] * (params.npairs + 1), [0] * (params.npairs + 1)
+    for k, row in enumerate(sets, start=1):
+        for pos, p in enumerate(row, start=1):
+            set_of[p], pos_of[p] = k, pos
+    return tuple(sets), set_of, pos_of
+
+
+@pytest.mark.parametrize("n", [3, 5, 17, 257, 65537])
+def test_inline_orbit_walk_matches_the_per_pair_reference(n):
+    params = FermatParams.from_n(n)
+    factors = list(islice((q for q in range(1, n) if validate_factor(q, params)), 3))
+    assert len(factors) == min(3, n - 1)
+    for q in factors:
+        table = build_invariant_sets(params, factor=q)
+        assert (table.sets, list(table.set_of), list(table.pos_of)) == _reference_sets(params, q)
+    if params.ng > 1:
+        invalid = next(q for q in range(1, n) if not validate_factor(q, params))
+        for q in (invalid, 0, n):
+            with pytest.raises(InvalidFactor):
+                build_invariant_sets(params, factor=q)

@@ -226,6 +226,26 @@ def test_halves_of_a_period_are_its_two_cosets(n):
         assert {o.place(node.left), o.place(node.right)} == {(2 * d, r), (2 * d, r + d)}
 
 
+def _place_by_pairs(o, part):
+    """The per-pair reference: the logs of all the part's pairs, sorted,
+    must run r, r + D, r + 2D, .. below h with r < D."""
+    h = o.table.params.npairs
+    logs = sorted(o.logs[p] for p in oracle.part_pairs(part, o.table))
+    index = h // len(logs)
+    return (index, logs[0]) if h % len(logs) == 0 and logs == list(range(logs[0], h, index)) else None
+
+
+@pytest.mark.parametrize("n, kind", [(17, "full"), (257, "full"), (65537, "pruned")])
+def test_set_by_set_places_are_the_per_pair_places(n, kind):
+    params = FermatParams.from_n(n)
+    table = build_invariant_sets(params)
+    o = Oracle(table)
+    parts = {p for node in build_schedule(params, table, kind).nodes
+             for p in (node.splits, node.left, *node.product_expr.referenced_parts())}
+    assert any(p.kind == "F" for p in parts)
+    assert {p: o.place(p) for p in parts} == {p: _place_by_pairs(o, p) for p in parts}
+
+
 @pytest.mark.parametrize("kind", ["full", "pruned"])
 @pytest.mark.parametrize("n", [3, 5, 17, 257])
 def test_small_oracle_passes_need_one_prime(n, kind):
@@ -324,12 +344,19 @@ def test_a_term_swapped_with_its_sibling_is_refused(table257):
     assert swapped > 50
 
 
-@pytest.mark.parametrize("fault", ["mixed-cosets", "repeated-pair"])
+@pytest.mark.parametrize("fault", ["mixed-cosets", "repeated-pair", "whole-sets-not-a-coset"])
 def test_a_part_that_is_not_a_period_is_refused(fault, table257, monkeypatch):
+    # Node 3's left half is F(1,8), the sets 1 and 9.  Sets 1 and 5 are
+    # whole sets, but their residues mod ng differ by 4 log(3), not by ng/2.
     node = build_schedule(table257.params, table257, "pruned").nodes[3]
     own = oracle.part_pairs(node.left, table257)
     other = oracle.part_pairs(node.right, table257)
-    bad = own[:-1] + (other[:1] if fault == "mixed-cosets" else own[:1])
+    size = 1 << table257.params.nu
+    bad = {
+        "mixed-cosets": own[:-1] + other[:1],
+        "repeated-pair": own[:-1] + own[:1],
+        "whole-sets-not-a-coset": own[:size] + other[:size],
+    }[fault]
     part_pairs = oracle.part_pairs
     monkeypatch.setattr(
         oracle, "part_pairs", lambda p, table: bad if p == node.left else part_pairs(p, table)

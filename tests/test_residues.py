@@ -9,11 +9,10 @@ from ngontower.residues import (
     FermatParams,
     InvalidN,
     pair_of,
-    pair_orbit,
     rho,
 )
 
-from paper_checks import doubling_orbit
+from paper_checks import doubling_orbit, pair_orbit
 
 
 def test_rho_examples():

@@ -1,11 +1,15 @@
 """`dump_tower` writes its lines directly, encoding each distinct part once:
 its bytes must be those of the `json.dumps` encoder it replaced, for signed
-and unsigned towers alike."""
+and unsigned towers alike.  `load_tower` reads each distinct term once, yet
+checks the type of every occurrence."""
 
+import json
 from pathlib import Path
 
 import pytest
 
+from ngontower import towerfile
+from ngontower.cli import main
 from ngontower.invariant_sets import build_invariant_sets
 from ngontower.residues import FermatParams
 from ngontower.tower import build_schedule, build_tower
@@ -48,3 +52,74 @@ def test_unsigned_tower_matches_the_reference(kind, tmp_path):
 def test_signed_tower_matches_the_reference(fixture, request, tmp_path):
     tower = request.getfixturevalue(fixture)
     assert _dumped(tower, tmp_path) == reference_dump(tower)
+
+
+def _raw_terms(lines):
+    """(line index, group, position, raw fields) of every product term."""
+    for i, line in enumerate(lines[1:], start=1):
+        product = json.loads(line)["product"]
+        for group in ("linear", "squares"):
+            for j, (num, den, p) in enumerate(product[group]):
+                yield i, group, j, (num, den, p["kind"], p["offset"], p["stride"], p.get("set", 0))
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+@pytest.mark.parametrize("field", ["den", "offset", "stride", "set"])
+def test_a_later_occurrence_of_a_term_is_type_checked(field, value, tower257_full, tmp_path, capsys):
+    # The full 257 tower names -G1 as [-1, 1, G1] in several nodes: its
+    # denominator, offset, stride and set all equal 1, and so do true and
+    # 1.0.  The first occurrence is read and kept; a later one holding true
+    # or 1.0 must not be taken for it.
+    path = tmp_path / "t.tower"
+    dump_tower(tower257_full, str(path))
+    lines = path.read_text().splitlines()
+    seen = {}
+    for i, group, j, raw in _raw_terms(lines):
+        if raw[1] == raw[3] == raw[4] == raw[5] == 1 and raw in seen and seen[raw] < i:
+            break
+        seen.setdefault(raw, i)
+    else:
+        raise AssertionError("no term with fields of 1 is named in two nodes")
+    node = json.loads(lines[i])
+    term = node["product"][group][j]
+    if field == "den":
+        term[1] = value
+    else:
+        term[2][field] = value
+    lines[i] = json.dumps(node)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--tower", str(path), "--no-oracle"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path} line {i + 1}: TypeError: ") and err.count("\n") == 1
+
+
+def test_each_distinct_term_and_part_is_read_once(tower65537, tmp_path, monkeypatch):
+    # The pruned 65537 tower names 34,293 terms, 3,837 of them distinct.
+    path = tmp_path / "t.tower"
+    dump_tower(tower65537, str(path))
+    lines = path.read_text().splitlines()
+    terms = [raw for *_, raw in _raw_terms(lines)]
+    parts = {raw[2:] for raw in terms}
+    for line in lines[1:]:
+        for key in ("splits", "left", "right"):
+            p = json.loads(line)[key]
+            parts.add((p["kind"], p["offset"], p["stride"], p.get("set", 0)))
+    calls = {"_coeff_from_json": 0, "check_part": 0}
+
+    def counted(name):
+        original = getattr(towerfile, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(towerfile, name, counted(name))
+    loaded = load_tower(str(path))
+    assert len(terms) > 5 * len(set(terms))
+    # One coefficient read per distinct term, and one per node for its constant.
+    assert calls["_coeff_from_json"] <= len(set(terms)) + len(loaded.nodes)
+    assert calls["check_part"] <= len(parts)
