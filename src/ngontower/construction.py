@@ -339,8 +339,7 @@ def compile_to_arith(tower: Tower, builder: _ArithBuilder | None = None) -> Arit
         left, right = (bigger, smaller) if node.left_is_larger else (smaller, bigger)
         refs[node.left], refs[node.right] = left, right
         b.node(prod_idx, root_idx, left, right)
-    # n = 3 has no nodes: the single pair is S = -1 itself.
-    p1 = refs[tower.p1_part()] if tower.nodes else b.const(-2)
+    p1 = refs[tower.p1_part()]  # at n = 3, S = -1 itself
     cos_idx = b.emit("HALF", p1)
     sin_sq = b.emit("SUB", b.const(2), b.emit("MUL", cos_idx, cos_idx))
     sin_idx = b.emit("SQRT", sin_sq)

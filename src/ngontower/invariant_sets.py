@@ -65,11 +65,15 @@ def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetT
     """Build the ordered family of invariant sets for the given factor: set k
     is the orbit of the pair of q^(k-1) mod n under p -> min(2p, n - 2p),
     each pair entered in the lookup arrays as it is walked.  Raises
-    InvalidFactor for a factor that does not generate the family, and
-    PartitionFailure for a pair met twice or never, or a factor rule that
-    does not wrap back to set 1."""
-    # With a single invariant set the factor is never used to seed a start.
-    if params.ng > 1 and not validate_factor(factor, params):
+    InvalidFactor for a factor below 1 or, with more than one set, one that
+    does not generate the family, and PartitionFailure for a pair met twice
+    or never, or a factor rule that does not wrap back to set 1."""
+    # With a single invariant set the factor is never used to seed a start,
+    # so any positive one is accepted (n = 3 takes the default 3 > n - 1).
+    if params.ng == 1:
+        if factor < 1:
+            raise InvalidFactor(f"factor {factor} is not positive")
+    elif not validate_factor(factor, params):
         raise InvalidFactor(f"factor {factor} does not generate the set family for n={params.n}")
     n, ng, npairs = params.n, params.ng, params.npairs
     set_of = array("i", [0]) * (npairs + 1)

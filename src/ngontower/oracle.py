@@ -179,7 +179,7 @@ class Oracle:
         self.elements = _powers(g, h, n)  # element g^i of pair i
         self.logs = array("i", [0]) * (h + 1)  # pair number -> i
         for i, e in enumerate(self.elements):
-            self.logs[min(e, n - e)] = i
+            self.logs[e if e <= h else n - e] = i
         # Set k's place (ng, r_k), or None when its logs are not a coset of index ng.
         ng = table.params.ng
         self.set_places = [None] + [

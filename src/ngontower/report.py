@@ -11,29 +11,26 @@ import mpmath as mp
 from . import reference_tables as ref
 from .invariant_sets import InvariantSetTable
 from .period_algebra import set_product, set_square
-from .splitting import f_part, g_part, mu_groups, mu_table, split_children
+from .splitting import PartRef, f_part, g_part, mu_groups, mu_table, split_children
 from .tower import CosineCache, Tower
 
 
-def f_sign_sets(table: InvariantSetTable, cache: CosineCache) -> dict[int, frozenset]:
-    """step -> offsets j with the left child of F(j, 2^m) larger than the right."""
-    ng = table.params.ng
-    out = {}
-    m = 0
-    while (1 << (m + 1)) <= ng:
-        greater = set()
-        for j in range(1, (1 << m) + 1):
-            left, right = split_children(f_part(j, 1 << m), table)
-            if cache.part_fixed(left) > cache.part_fixed(right):
-                greater.add(j)
-        out[m + 1] = frozenset(greater)
-        m += 1
-    return out
-
-
-def g_left_is_larger(table, cache, k: int, s: int, stride: int) -> bool:
-    left, right = split_children(g_part(k, s, stride), table)
+def left_is_larger(split: PartRef, table: InvariantSetTable, cache: CosineCache) -> bool:
+    """Whether the left half of `split` (`split_children`) has the larger
+    exact cosine sum."""
+    left, right = split_children(split, table)
     return cache.part_fixed(left) > cache.part_fixed(right)
+
+
+def f_sign_sets(table: InvariantSetTable, cache: CosineCache) -> dict[int, frozenset]:
+    """Step m + 1 -> the offsets j whose F(j, 2^m) split has the larger left
+    half, for every F level 2^(m+1) <= ng."""
+    return {
+        m + 1: frozenset(
+            j for j in range(1, (1 << m) + 1) if left_is_larger(f_part(j, 1 << m), table, cache)
+        )
+        for m in range(table.params.ng.bit_length() - 1)
+    }
 
 
 def _compare_combo(computed, published) -> str | None:
@@ -114,23 +111,18 @@ def sign_diffs(table: InvariantSetTable, cache: CosineCache) -> list[str]:
                 out.append(
                     f"step {step} sign list: computed adds {extra}, drops {missing}{note}"
                 )
-        for name, offsets, published in (
-            ("step 10", ref.LIST181_65537, ref.SIGNS_65537_STEP10),
-            ("step 11", ref.LIST18_65537, ref.SIGNS_65537_STEP11),
+        for step, offsets, published in (
+            (10, ref.LIST181_65537, ref.SIGNS_65537_STEP10),
+            (11, ref.LIST18_65537, ref.SIGNS_65537_STEP11),
         ):
-            stride = 512 if name == "step 10" else 1024
-            mine = set()
-            for j in offsets:
-                left, right = split_children(f_part(j, stride), table)
-                if cache.part_fixed(left) > cache.part_fixed(right):
-                    mine.add(j)
+            mine = computed[step] & set(offsets)
             if mine != set(published):
                 out.append(
-                    f"{name} sign list (over the published offsets): computed "
+                    f"step {step} sign list (over the published offsets): computed "
                     f"{sorted(mine)} vs published {sorted(published)}"
                 )
     for step, k, s, stride, expected in {257: ref.SIGNS_G_257, 65537: ref.SIGNS_G_65537}.get(n, ()):
-        mine = g_left_is_larger(table, cache, k, s, stride)
+        mine = left_is_larger(g_part(k, s, stride), table, cache)
         if mine != expected:
             out.append(
                 f"step {step}: split of G{k}({s},{stride}) computed "

@@ -123,13 +123,17 @@ def part_pairs(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
 
 
 def split_children(p: PartRef, table: InvariantSetTable) -> tuple[PartRef, PartRef]:
-    """The two halves of a part: same kind, doubled stride."""
+    """The two halves of a part, of doubled stride and the same kind, except
+    at the bottom F level (2 stride = ng): there they are the whole sets
+    G_j and G_(j+ng/2), the one place that names a single-set half."""
     if p.kind == "F":
         if 2 * p.stride > table.params.ng:
-            raise ValueError(f"{p} has no further F split")
+            raise ValueError(f"{p.label()} has no further F split")
+        if 2 * p.stride == table.params.ng:
+            return g_part(p.offset, 1, 1), g_part(p.offset + p.stride, 1, 1)
         return f_part(p.offset, 2 * p.stride), f_part(p.offset + p.stride, 2 * p.stride)
     if 2 * p.stride > (1 << table.params.nu):
-        raise ValueError(f"{p} is a single pair")
+        raise ValueError(f"{p.label()} is a single pair")
     return (
         g_part(p.set_index, p.offset, 2 * p.stride),
         g_part(p.set_index, p.offset + p.stride, 2 * p.stride),

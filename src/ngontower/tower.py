@@ -101,27 +101,12 @@ class Tower:
     cosines: "CosineCache | None" = field(default=None, repr=False, compare=False)
 
     def p1_part(self) -> PartRef:
-        if self.params.npairs == 1:
-            raise ValueError("n=3 has no splits; p1 equals S")
+        """p1 = G_1(1, 2^nu), the single pair 1; at n = 3 that is S itself."""
         return g_part(1, 1, 1 << self.params.nu)
 
 
 def _root_part(params: FermatParams) -> PartRef:
     return f_part(1, 1) if params.ng > 1 else g_part(1, 1, 1)
-
-
-def _canonical_child(child: PartRef, params: FermatParams) -> PartRef:
-    # A single-set F part and the whole-set G part are the same object; the
-    # expressions emitted by the G splits use the G form.
-    if child.kind == "F" and child.stride == params.ng:
-        return g_part(child.offset, 1, 1)
-    return child
-
-
-def _halves(split: PartRef, table: InvariantSetTable) -> tuple[PartRef, PartRef]:
-    """The two halves of a split as its node names them."""
-    left, right = split_children(split, table)
-    return _canonical_child(left, table.params), _canonical_child(right, table.params)
 
 
 def _producer(part: PartRef, params: FermatParams) -> PartRef:
@@ -148,9 +133,9 @@ def _place(
     by_child: dict[PartRef, int],
 ) -> QuadraticNode:
     """The node numbered `node_id` that splits `split` with product `expr`:
-    its step, its canonical halves and the id of the earlier node that
-    produced `split` (None for the root).  `by_child` maps each half of the
-    earlier nodes to its node id, and gains this node's halves.  Raises
+    its step, its halves and the id of the earlier node that produced
+    `split` (None for the root).  `by_child` maps each half of the earlier
+    nodes to its node id, and gains this node's halves.  Raises
     ValueError when `split` or a part of `expr` is neither the root nor one
     of those halves, and when an earlier node already split `split`."""
     if split != root and split not in by_child:
@@ -160,7 +145,7 @@ def _place(
     if unproduced:
         part = next(p for p in expr.referenced_parts() if p in unproduced)
         raise ValueError(f"product names {part.label()}, which no earlier node produces")
-    left, right = _halves(split, table)
+    left, right = split_children(split, table)
     if left in by_child:
         raise ValueError(f"{split.label()} is split twice, first by node {by_child[left]}")
     node = QuadraticNode(
@@ -181,13 +166,14 @@ def build_schedule(
 ) -> Tower:
     """Assemble the (unevaluated) node DAG by one demand-driven walk.
 
-    The walk starts from its seeds -- full: every split of every F level and
-    every G level; pruned: the split that produces p_1 -- and builds a node
-    for each split it reaches.  A node pushes the producer of the part it
-    splits and of every part its product expression references (the producer
-    of a part is the split whose half it is; a whole set G_k comes from
-    F(rho(k, ng/2), ng/2)), so pruned is the backward dependency closure of
-    p_1 and nothing outside it is derived.  The per-level tables the products
+    The walk starts from its seeds -- full: every bottom G split
+    G_k(s, 2^(nu-1)); pruned: G_1(1, 2^(nu-1)), which produces p_1 -- and
+    builds a node for each split it reaches.  A node pushes the producer of
+    the part it splits and of every part its product expression references
+    (the producer of a part is the split whose half it is; a whole set G_k
+    comes from F(rho(k, ng/2), ng/2)), so each kind is the backward
+    dependency closure of its seeds: every split for full, and nothing
+    outside what p_1 needs for pruned.  The per-level tables the products
     need (mu with its fold, the base G product, the wrap twist) come from one
     `SplitLevels` shared by the build.  The nodes are then ordered by (step,
     set, offset) and numbered, and each gets the id of its sum's producer.
@@ -200,17 +186,11 @@ def build_schedule(
     if params.npairs == 1:
         return Tower(params=params, table=table, kind=kind, nodes=[])
     levels = SplitLevels(table)
+    bottom = 1 << (params.nu - 1)
     if kind == "full":
-        f_levels = params.ng.bit_length() - 1
-        stack = [f_part(j, 1 << m) for m in range(f_levels) for j in range(1, (1 << m) + 1)]
-        stack += [
-            g_part(k, s, 1 << m)
-            for m in range(params.nu)
-            for k in range(1, params.ng + 1)
-            for s in range(1, (1 << m) + 1)
-        ]
+        stack = [g_part(k, s, bottom) for k in range(1, params.ng + 1) for s in range(1, bottom + 1)]
     else:
-        stack = [g_part(1, 1, 1 << (params.nu - 1))]
+        stack = [g_part(1, 1, bottom)]
 
     root = _root_part(params)
     products: dict[PartRef, LinearCombo] = {}
@@ -393,7 +373,7 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
                     f"node {node.id} ({node.splits.label()}): margin {mp.nstr(margin)} "
                     f"below 2^-{precision // 4}; raise the precision"
                 )
-            larger = lv > rv
+            larger = lf > rf
             if node.left_is_larger is not None and node.left_is_larger != larger:
                 raise VerificationError(
                     f"stored left_is_larger={node.left_is_larger} but cosine sums give "

@@ -183,10 +183,10 @@ class _Reader:
         the table, a sign that is not a bool or null, a sign without its
         margin, one value without the other, and a node other than the one
         the schedule would place here: the next id, the split's step and
-        canonical halves, its sum taken from the earlier node that produced
-        the split (null only for the root), and a product over the root and
-        halves of earlier nodes.  The id, step and sum_source must be ints:
-        true and 1.0 equal 1 but are refused."""
+        halves (`split_children`), its sum taken from the earlier node that
+        produced the split (null only for the root), and a product over the
+        root and halves of earlier nodes.  The id, step and sum_source must
+        be ints: true and 1.0 equal 1 but are refused."""
         splits, left, right = (self.part(d[key]) for key in ("splits", "left", "right"))
         expr = self.combo(d["product"])
         larger, margin = d["left_is_larger"], _value_from_json(d["sign_margin"])

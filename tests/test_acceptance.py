@@ -109,7 +109,7 @@ def test_criterion_04_k_set_tables(table65537):
 
 
 def test_criterion_05_sign_reproduction(tower65537, tower257_full):
-    from ngontower.report import f_sign_sets, g_left_is_larger, reference_diffs
+    from ngontower.report import f_sign_sets, left_is_larger, reference_diffs
 
     ok = True
     # n=257, steps 1-3 and 5-7 strict; the step-4 anomaly goes to the diff.
@@ -118,7 +118,7 @@ def test_criterion_05_sign_reproduction(tower65537, tower257_full):
     for step, published in ref.SIGNS_F_257.items():
         ok &= signs257[step] == published
     for step, k, s, stride, expected in ref.SIGNS_G_257:
-        ok &= g_left_is_larger(tower257_full.table, cache257, k, s, stride) == expected
+        ok &= left_is_larger(g_part(k, s, stride), tower257_full.table, cache257) == expected
     diffs257 = reference_diffs(tower257_full)
     ok &= any("step 4 sign list" in d for d in diffs257)
 

@@ -65,6 +65,21 @@ def test_build_257_full_matches_golden(capsys, tmp_path):
     assert f"{digest}  {path.name}\n" == (GOLDEN / "tower_257_full.sha256").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--n", "257", "--schedule", "full"], "report_257_full.txt"),
+        (["--n", "65537"], "report_65537.txt"),
+    ],
+    ids=["257-full", "65537-pruned"],
+)
+def test_build_report_matches_golden(argv, golden, capsys):
+    # The whole report byte for byte, its reference diff included.
+    code, out = run_cli(capsys, "build", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_tables_product_square(capsys):
     code, out = run_cli(capsys, "tables", "--n", "257", "--kind", "product", "--i", "1", "--j", "9")
     assert code == 0
@@ -88,6 +103,30 @@ def test_tables_missing_selector(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "product", "--i", "1"], "--kind product needs --i and --j"),
+        (["--kind", "product", "--j", "1"], "--kind product needs --i and --j"),
+        (["--kind", "square"], "--kind square needs --i"),
+        (["--kind", "ksets"], "--kind ksets needs --m"),
+    ],
+    ids=["product-no-j", "product-no-i", "square-no-i", "ksets-no-m"],
+)
+def test_tables_selector_missing_is_named(argv, message, capsys):
+    code = main(["tables", "--n", "17", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_tables_signs_one_step(capsys):
+    code, out = run_cli(capsys, "tables", "--n", "257", "--kind", "signs", "--m", "2")
+    assert code == 0
+    assert out == "step 2: 1 2\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["tables", "--n", "17", "--kind", "mu", "--m", "9"],
@@ -99,9 +138,14 @@ def test_tables_missing_selector(capsys):
         ["build", "--n", "17", "--precision", "10000000"],
         ["tables", "--n", "17", "--kind", "signs", "--m", "9"],
         ["tables", "--n", "17", "--kind", "signs", "--m", "-1"],
+        # n = 5 has one invariant set, so no factor seeds a start, but one below 1 is refused.
+        ["build", "--n", "5", "--factor", "0"],
+        ["build", "--n", "5", "--factor", "-7"],
+        ["constructible", "2"],
     ],
     ids=["mu-level", "ksets-level", "product-set", "tables-precision", "build-precision",
-         "verify-precision", "build-precision-over-cap", "signs-step", "signs-step-negative"],
+         "verify-precision", "build-precision-over-cap", "signs-step", "signs-step-negative",
+         "build-factor-0", "build-factor-negative", "constructible-2"],
 )
 def test_argument_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
     if "{tower}" in argv:
@@ -143,6 +187,26 @@ def test_unusable_path_is_a_usage_error(argv, tmp_path, capsys):
 
 def test_build_invalid_n(capsys):
     assert main(["build", "--n", "9"]) == 2
+
+
+def test_build_3_keeps_its_default_factor(capsys):
+    # n = 3's default factor 3 lies outside [1, n - 1]; with one set it is unused.
+    code, out = run_cli(capsys, "build", "--n", "3")
+    assert code == 0
+    assert out.endswith("p1 verified\n")
+
+
+def test_tower_header_factor_0_is_refused(tmp_path, capsys):
+    tower_path = tmp_path / "t5.tower"
+    run_cli(capsys, "build", "--n", "5", "--out", str(tower_path))
+    lines = tower_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["factor"] = 0
+    lines[0] = json.dumps(header)
+    tower_path.write_text("\n".join(lines) + "\n")
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(tower_path)])
+    assert code == 2
+    assert err == f"error: {tower_path} line 1: InvalidFactor: factor 0 is not positive\n"
 
 
 def test_build_verify_roundtrip(tmp_path, capsys):
@@ -785,6 +849,20 @@ def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{tower_path} line {bad_line}:" in err
     assert not (tmp_path / "p.geom").exists() and not (tmp_path / "p.svg").exists()
+
+
+def test_split_of_a_single_pair_is_refused_by_its_label(tmp_path, capsys):
+    # A fourth line that splits p1 = G1(1,4), which node 2 produced.
+    def split_p1(lines):
+        node = json.loads(lines[-1])
+        node["id"] = 3
+        node["splits"] = node["left"]
+        lines.append(json.dumps(node))
+
+    tower_path = _edited_17(tmp_path, capsys, split_p1)
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(tower_path)])
+    assert code == 2
+    assert err == f"error: {tower_path} line 5: ValueError: G1(1,4) is a single pair\n"
 
 
 def test_repeated_part_in_a_65537_tower_is_refused(tower65537, tmp_path, capsys):
