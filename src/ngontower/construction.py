@@ -65,10 +65,6 @@ class NegativeRadicand(VerificationError):
         self.radicand, self.values, self.radii = radicand, values, radii
 
 
-class DegenerateIntersection(VerificationError):
-    """Tangency or coincidence beyond tolerance during geometric execution."""
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic IR
 
@@ -429,7 +425,7 @@ def _intersect_ll(l1, l2):
     (x2, y2), (dx2, dy2) = _line_point_dir(*l2)
     det = dx1 * dy2 - dy1 * dx2
     if det == 0:
-        raise DegenerateIntersection("parallel lines")
+        raise VerificationError("parallel lines")
     t = ((x2 - x1) * dy2 - (y2 - y1) * dx2) / det
     return (x1 + t * dx1, y1 + t * dy1)
 
@@ -443,7 +439,7 @@ def _intersect_lc(line, circle, branch, tol):
     c = fx * fx + fy * fy - r2
     disc = b * b - 4 * a * c
     if disc <= tol * a:
-        raise DegenerateIntersection("line misses or is tangent to circle")
+        raise VerificationError("line misses or is tangent to circle")
     s = mp.sqrt(disc)
     ts = sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])
     t = ts[branch]

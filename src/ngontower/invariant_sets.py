@@ -16,10 +16,6 @@ class InvalidFactor(UsageError):
     """The generator factor cannot reach every invariant set."""
 
 
-class PartitionFailure(VerificationError):
-    """Internal consistency check failed: some pair missed or duplicated."""
-
-
 @dataclass(frozen=True)
 class InvariantSetTable:
     """Ordered invariant sets plus the pair -> (set, position) lookup.
@@ -66,8 +62,8 @@ def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetT
     is the orbit of the pair of q^(k-1) mod n under p -> min(2p, n - 2p),
     each pair entered in the lookup arrays as it is walked.  Raises
     InvalidFactor for a factor below 1 or, with more than one set, one that
-    does not generate the family, and PartitionFailure for a pair met twice
-    or never, or a factor rule that does not wrap back to set 1."""
+    does not generate the family, and VerificationError for a pair met
+    twice or never, or a factor rule that does not wrap back to set 1."""
     # With a single invariant set the factor is never used to seed a start,
     # so any positive one is accepted (n = 3 takes the default 3 > n - 1).
     if params.ng == 1:
@@ -85,7 +81,7 @@ def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetT
         row = []
         while not row or p != start:
             if set_of[p]:
-                raise PartitionFailure(f"pair {p} appears in sets {set_of[p]} and {k}")
+                raise VerificationError(f"pair {p} appears in sets {set_of[p]} and {k}")
             row.append(p)
             set_of[p], pos_of[p] = k, len(row)
             p = 2 * p if 2 * p <= npairs else n - 2 * p  # 2p mod n folded, as p < n/2
@@ -93,10 +89,10 @@ def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetT
         start_degree = (start_degree * factor) % n
     if set_of.count(0) != 1:
         missing = [p for p in range(1, npairs + 1) if not set_of[p]]
-        raise PartitionFailure(f"pairs not covered: {missing[:10]}...")
+        raise VerificationError(f"pairs not covered: {missing[:10]}...")
     # Circularity: one more factor step from the last start must re-enter set 1.
     if ng > 1 and set_of[min(start_degree, n - start_degree)] != 1:
-        raise PartitionFailure("factor rule does not wrap back to set 1")
+        raise VerificationError("factor rule does not wrap back to set 1")
 
     return InvariantSetTable(
         params=params,

@@ -19,6 +19,7 @@ that nobody gives is `default_precision(n)`.
 """
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_abs, mpf_gt, mpf_sub, round_nearest
@@ -129,19 +130,17 @@ def _place(
     expr: LinearCombo,
     node_id: int,
     table: InvariantSetTable,
-    root: PartRef,
-    by_child: dict[PartRef, int],
+    by_child: dict[PartRef, int | None],
 ) -> QuadraticNode:
     """The node numbered `node_id` that splits `split` with product `expr`:
     its step, its halves and the id of the earlier node that produced
-    `split` (None for the root).  `by_child` maps each half of the earlier
-    nodes to its node id, and gains this node's halves.  Raises
-    ValueError when `split` or a part of `expr` is neither the root nor one
-    of those halves, and when an earlier node already split `split`."""
-    if split != root and split not in by_child:
+    `split` (None for the root).  `by_child` maps the root to None and each
+    half of the earlier nodes to its node id, and gains this node's halves.
+    Raises ValueError when `split` or a part of `expr` is not in `by_child`,
+    and when an earlier node already split `split`."""
+    if split not in by_child:
         raise ValueError(f"no earlier node produces {split.label()}")
     unproduced = set(expr.referenced_parts()).difference(by_child)
-    unproduced.discard(root)
     if unproduced:
         part = next(p for p in expr.referenced_parts() if p in unproduced)
         raise ValueError(f"product names {part.label()}, which no earlier node produces")
@@ -154,71 +153,78 @@ def _place(
         splits=split,
         left=left,
         right=right,
-        sum_source=by_child.get(split),
+        sum_source=by_child[split],
         product_expr=expr,
     )
     by_child[left] = by_child[right] = node_id
     return node
 
 
-def build_schedule(
-    params: FermatParams, table: InvariantSetTable, kind: str = "pruned"
-) -> Tower:
-    """Assemble the (unevaluated) node DAG by one demand-driven walk.
+def schedule_closure(
+    params: FermatParams, kind: str, product: Callable[[PartRef], LinearCombo]
+) -> dict[PartRef, LinearCombo]:
+    """The splits of a `kind` schedule, each with its product expression.
 
-    The walk starts from its seeds -- full: every bottom G split
-    G_k(s, 2^(nu-1)); pruned: G_1(1, 2^(nu-1)), which produces p_1 -- and
-    builds a node for each split it reaches.  A node pushes the producer of
-    the part it splits and of every part its product expression references
-    (the producer of a part is the split whose half it is; a whole set G_k
-    comes from F(rho(k, ng/2), ng/2)), so each kind is the backward
-    dependency closure of its seeds: every split for full, and nothing
-    outside what p_1 needs for pruned.  The per-level tables the products
-    need (mu with its fold, the base G product, the wrap twist) come from one
-    `SplitLevels` shared by the build.  The nodes are then ordered by (step,
-    set, offset) and numbered, and each gets the id of its sum's producer.
-    The published pruning lists are only compared against, never trusted.
-    Each distinct (halves, part) term is one tuple, shared by every node
-    whose expression holds it, as in a tower read back from its file.
+    One demand-driven walk: it starts from the seeds -- full: every bottom G
+    split G_k(s, 2^(nu-1)); pruned: G_1(1, 2^(nu-1)), which produces p_1;
+    none when there is one pair (n = 3) -- and asks `product` for each split
+    it reaches.  A split pushes the producer of the part it splits and of
+    every part its product references (the producer of a part is the split
+    whose half it is; a whole set G_k comes from F(rho(k, ng/2), ng/2)), so
+    the result is the backward dependency closure of the seeds: every split
+    for full, and nothing outside what p_1 needs for pruned.  `product` may
+    raise to refuse a split.
     """
     if kind not in ("full", "pruned"):
         raise ValueError(f"unknown schedule kind {kind!r}")
-    if params.npairs == 1:
-        return Tower(params=params, table=table, kind=kind, nodes=[])
-    levels = SplitLevels(table)
-    bottom = 1 << (params.nu - 1)
+    bottom = (1 << params.nu) // 2  # 0 at n = 3, where S is the one pair
     if kind == "full":
         stack = [g_part(k, s, bottom) for k in range(1, params.ng + 1) for s in range(1, bottom + 1)]
     else:
-        stack = [g_part(1, 1, bottom)]
-
-    root = _root_part(params)
+        stack = [g_part(1, 1, bottom)] if bottom else []
     products: dict[PartRef, LinearCombo] = {}
-    terms: dict[tuple[int, PartRef], tuple[int, PartRef]] = {}  # each distinct term once
-    needed = {root}  # parts whose producer is built or on the stack; the root has none
+    needed = {_root_part(params)}  # parts whose producer is reached; the root has none
     while stack:
         split = stack.pop()
         if split in products:
             continue
+        expr = products[split] = product(split)
+        for part in (split, *expr.referenced_parts()):
+            if part not in needed:
+                needed.add(part)
+                stack.append(_producer(part, params))
+    return products
+
+
+def build_schedule(
+    params: FermatParams, table: InvariantSetTable, kind: str = "pruned"
+) -> Tower:
+    """The (unevaluated) node DAG of a `kind` schedule: the splits that
+    `schedule_closure` reaches, their products derived with one
+    `SplitLevels` (mu with its fold, the base G product, the wrap twist),
+    ordered by (step, set, offset) and numbered by `_place`.  The published
+    pruning lists are only compared against, never trusted.  Each distinct
+    (halves, part) term is one tuple, as in a tower read back from its file."""
+    levels = SplitLevels(table)
+    terms: dict[tuple[int, PartRef], tuple[int, PartRef]] = {}  # each distinct term once
+
+    def product(split: PartRef) -> LinearCombo:
         m = split.stride.bit_length() - 1
         if split.kind == "F":
             expr = f_split_product(split.offset, m, table, levels)
         else:
             expr = g_split_product(split.set_index, split.offset, m, table, levels)
-        expr = products[split] = LinearCombo(
+        return LinearCombo(
             expr.constant,
             tuple(terms.setdefault(t, t) for t in expr.linear),
             tuple(terms.setdefault(t, t) for t in expr.squares),
         )
-        for part in (split, *expr.referenced_parts()):
-            if part not in needed:
-                needed.add(part)
-                stack.append(_producer(part, params))
 
-    by_child: dict[PartRef, int] = {}
+    products = schedule_closure(params, kind, product)
+    by_child: dict[PartRef, int | None] = {_root_part(params): None}
     order = sorted(products, key=lambda p: (_step(p, params), p.set_index, p.offset))
     nodes = [
-        _place(split, products[split], node_id, table, root, by_child)
+        _place(split, products[split], node_id, table, by_child)
         for node_id, split in enumerate(order)
     ]
     return Tower(params=params, table=table, kind=kind, nodes=nodes)

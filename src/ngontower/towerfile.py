@@ -24,6 +24,7 @@ from .tower import (
     _place,
     _root_part,
     default_precision,
+    schedule_closure,
 )
 
 FORMAT_NAME = "ngontower-tower"
@@ -176,17 +177,19 @@ class _Reader:
             groups.append(tuple(out))
         return LinearCombo(constant, *groups)
 
-    def node(self, d, node_id: int, table, root, by_child: dict) -> QuadraticNode:
+    def node(self, d, node_id: int, table, by_child: dict) -> QuadraticNode:
         """The node a line holds, placed once as node `node_id` by
-        `tower._place` (`by_child` maps each half of the earlier nodes to its
-        node id, and gains this node's).  Raises ValueError for a part outside
-        the table, a sign that is not a bool or null, a sign without its
-        margin, one value without the other, and a node other than the one
-        the schedule would place here: the next id, the split's step and
-        halves (`split_children`), its sum taken from the earlier node that
-        produced the split (null only for the root), and a product over the
-        root and halves of earlier nodes.  The id, step and sum_source must
-        be ints: true and 1.0 equal 1 but are refused."""
+        `tower._place` (`by_child` maps the root to None and each half of the
+        earlier nodes to its node id, and gains this node's).  Raises
+        ValueError for a part outside the table, a sign that is not a bool or
+        null, a sign without its margin, one value without the other, and a
+        node other than the one the schedule would place here: the next id,
+        the split's step and halves (`split_children`), its sum taken from
+        the earlier node that produced the split (null only for the root),
+        and a product over the root and halves of earlier nodes.  Whether
+        the nodes are the header's schedule is checked after the last line
+        (`_check_schedule`).  The id, step and sum_source must be ints: true
+        and 1.0 equal 1 but are refused."""
         splits, left, right = (self.part(d[key]) for key in ("splits", "left", "right"))
         expr = self.combo(d["product"])
         larger, margin = d["left_is_larger"], _value_from_json(d["sign_margin"])
@@ -199,7 +202,7 @@ class _Reader:
             raise ValueError("one of value_left and value_right is null")
         if type(d["id"]) is not int or d["id"] != node_id:
             raise ValueError(f"node id {d['id']!r}, expected {node_id}")
-        node = _place(splits, expr, node_id, table, root, by_child)
+        node = _place(splits, expr, node_id, table, by_child)
         if type(d["step"]) is not int or d["step"] != node.step:
             raise ValueError(f"step {d['step']!r}, expected {node.step}")
         if (left, right) != (node.left, node.right):
@@ -212,29 +215,21 @@ class _Reader:
         return node
 
 
-def _check_schedule(tower: Tower, by_child: dict) -> None:
-    """Raise ValueError unless a node produces p1 (n > 3) and the nodes are
-    the header's schedule: a full tower splits every part, so it has
-    npairs - 1 nodes; in a pruned one every node is reached from the
-    producer of p1 through the producers of each node's split and of the
-    parts of its product.  `by_child` maps each half to its node id."""
-    nodes, npairs = tower.nodes, tower.params.npairs
-    if npairs > 1 and tower.p1_part() not in by_child:
-        raise ValueError(f"no node produces p1 = {tower.p1_part().label()}")
-    if tower.kind == "full" and len(nodes) != npairs - 1:
-        raise ValueError(f"a full tower has {npairs - 1} nodes, this one {len(nodes)}")
-    if tower.kind == "pruned" and npairs > 1:
-        reached = set()
-        stack = [by_child[tower.p1_part()]]
-        while stack:
-            node = nodes[stack.pop()]
-            if node.id not in reached:
-                reached.add(node.id)
-                parts = (node.splits, *node.product_expr.referenced_parts())
-                stack += set(map(by_child.get, parts)).difference(reached, (None,))  # None: the root
-        if len(reached) < len(nodes):
-            unneeded = min(set(range(len(nodes))) - reached)
-            raise ValueError(f"node {unneeded} does not lead to p1, as every pruned node must")
+def _check_schedule(tower: Tower) -> None:
+    """Raise ValueError unless the nodes are exactly the splits of the
+    header's schedule, as `tower.schedule_closure` walks it over the nodes'
+    own products."""
+    stored = {node.splits: node.product_expr for node in tower.nodes}
+
+    def product(split):
+        if split not in stored:
+            raise ValueError(f"no node splits {split.label()}, which the {tower.kind} schedule needs")
+        return stored[split]
+
+    reached = schedule_closure(tower.params, tower.kind, product)
+    if len(reached) < len(tower.nodes):
+        node = next(node for node in tower.nodes if node.splits not in reached)
+        raise ValueError(f"node {node.id} ({node.splits.label()}) is not in the {tower.kind} schedule")
 
 
 def _check_header(header) -> None:
@@ -267,13 +262,13 @@ def load_tower(path: str) -> Tower:
     or half-integer (denominator 1 or 2) below 2^30, a part field,
     coefficient, id, step or sum_source that is not a JSON integer (a bool
     is refused), a malformed sign or value field, a node out of place in
-    the schedule's DAG (both `_Reader.node`), and,
-    reported on the last line, a file that ends before a node produces p1
-    or whose nodes are not the header's schedule (`_check_schedule`).  A
-    null header precision reads as `default_precision(n)`.  An unreadable
-    path raises OSError.  Each distinct part and term is one object, and
-    each distinct term is read and checked once, though the type of its
-    fields is checked wherever it appears (`_Reader`).
+    the schedule's DAG (both `_Reader.node`), and, reported on the last
+    line, nodes that are not exactly the header's schedule
+    (`_check_schedule`).  A null header precision reads as
+    `default_precision(n)`.  An unreadable path raises OSError.  Each
+    distinct part and term is one object, and each distinct term is read
+    and checked once, though the type of its fields is checked wherever it
+    appears (`_Reader`).
     """
     with open(path) as fh:
         lineno = 1
@@ -282,15 +277,15 @@ def load_tower(path: str) -> Tower:
             _check_header(header)
             params = FermatParams.from_n(header["n"])
             table = build_invariant_sets(params, factor=header["factor"])
-            root, by_child = _root_part(params), {}
+            by_child = {_root_part(params): None}
             nodes, reader = [], _Reader(params)
             for lineno, line in enumerate(fh, start=2):
-                nodes.append(reader.node(json.loads(line), len(nodes), table, root, by_child))
+                nodes.append(reader.node(json.loads(line), len(nodes), table, by_child))
             precision = header["precision"]
             if precision is None:
                 precision = default_precision(params.n)
             tower = Tower(params, table, header["schedule"], nodes, precision)
-            _check_schedule(tower, by_child)
+            _check_schedule(tower)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
             raise UsageError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     return tower

@@ -152,7 +152,7 @@ def test_determinism(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n, kind", [(n, kind) for n in (5, 17, 257) for kind in ("full", "pruned")]
+    "n, kind", [(n, kind) for n in (3, 5, 17, 257) for kind in ("full", "pruned")]
 )
 def test_roundtrip(n, kind, tmp_path):
     from ngontower.towerfile import dump_tower, load_tower
