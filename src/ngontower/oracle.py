@@ -1,5 +1,5 @@
 """The exact oracle: each product identity checked at its conjugates modulo
-primes l = 1 (mod n).
+primes l = 1 (mod n), or expanded over Z in the pair basis.
 
 Every part of S is a Gauss period.  Let g be a primitive root mod n and
 h = (n-1)/2, and number the pairs by their discrete log i mod h: pair i is
@@ -10,13 +10,28 @@ with z_l of order n in F_l, pair i maps to ps[i] = z_l^(g^i) + z_l^-(g^i),
 and the conjugate t of the period (D', r) to eta_D'[(r + t) mod D'], where
 eta_D'[j] sums ps[i] over i = j (mod D').
 
-`Oracle.check` tests a node's identity 2*L*R = c0 + sum c*X + sum d*Y^2
-(its coefficients as they stand, counting halves) at the D conjugates
-t = 0 .. D-1, D the largest index among its parts: every index divides h,
-a power of two, so D is a multiple of them all.
+`Oracle.check` proves a node's identity 2*L*R = c0 + sum c*X + sum d*Y^2
+(its coefficients as they stand, counting halves) by one of two exact
+methods, chosen before any work from the sizes of its class (`expands`):
 
-Why it is exact.  delta = 2LR - (c0 + sum c*X + sum d*Y^2) lies in the field K_D of degree D that
-holds every part.  The n-1 maps Z[z] -> F_l, z -> z_l^j, are the sigma
+- by expansion over Z, which costs about s_L s_R + sum s_X + sum s_Y^2
+  steps, sizes in pairs, when 8 times that is at most the conjugates' cost;
+- else at the D conjugates t = 0 .. D-1, D the largest index among its
+  parts (every index divides h, a power of two, so D is a multiple of them
+  all), at a cost of about D (terms + 3) per prime.
+
+At n = 65537 the classes of index 2 to 512 go by conjugates, where the
+halves hold 16,384 to 64 pairs, and those of index 1,024 to 32,768 by
+expansion, where they hold 32 to 1 pairs.
+
+Why the expansion is exact.  p_a p_b = p_(a+b) + p_|a-b|, with p_0 = 2 and
+index k read as min(k, n-k), turns delta = 2LR - (c0 + sum c*X + sum
+d*Y^2) into integers c + sum_k a_k p_k over k = 1 .. h.  As p_1 .. p_h are
+a basis of the real subfield and sum_k p_k = -1, delta = sum_k (a_k - c)
+p_k is 0 iff every a_k equals c.  No prime, bound or field is needed.
+
+Why the conjugates are exact.  delta lies in the field K_D of degree D
+that holds every part.  The n-1 maps Z[z] -> F_l, z -> z_l^j, are the sigma
 followed by z -> z_l, so on delta they take only the D values checked (l
 splits completely in Q(z); these are the D primes above l in K_D).  Write
 delta = sum_k a_k z^k over k = 1 .. n-1 (1 = -sum z^k).  If every value is
@@ -24,15 +39,15 @@ delta = sum_k a_k z^k over k = 1 .. n-1 (1 = -sum z^k).  If every value is
 matrix in distinct nodes times a diagonal, is invertible over F_l: l
 divides every a_k.
 
-The bound.  In this basis a constant c is -c on every z^k, and c*X is c on
-the 2s distinct powers z^k of a part X of s pairs.  The coefficient of z^k
-in X*Y counts the exponent pairs (a, b) with a + b = k, less those with
-a + b = 0 (mod n); each a meets at most one b, so both counts lie in
-0 .. 2 min(|X|, |Y|).  So every |a_k| <= B = 4 min(|L|, |R|) + C, where
-C = |c0| + sum |c| + 2 sum |d| |Y| bounds the expression, sizes in pairs.
-The check runs modulo the largest primes l = 1 (mod n) below 2^31 until
-their product exceeds B, which then divides each a_k: all are 0.  Real
-towers have B below 10^5: one prime.
+The bound (conjugates only).  In this basis a constant c is -c on every
+z^k, and c*X is c on the 2s distinct powers z^k of a part X of s pairs.
+The coefficient of z^k in X*Y counts the exponent pairs (a, b) with
+a + b = k, less those with a + b = 0 (mod n); each a meets at most one b,
+so both counts lie in 0 .. 2 min(|X|, |Y|).  So every |a_k| <= B =
+4 min(|L|, |R|) + C, where C = |c0| + sum |c| + 2 sum |d| |Y| bounds the
+expression, sizes in pairs.  The check runs modulo the largest primes
+l = 1 (mod n) below 2^31 until their product exceeds B, which then divides
+each a_k: all are 0.  Real towers have B below 10^5: one prime.
 
 Classes.  A node N is checked in full only when no node M already proved
 has its key: with its left half placed (D, r), that is D, the right half
@@ -42,28 +57,29 @@ t = r_N - r_M say, term by term, that N's halves and expression are the
 images under sigma_t of M's, for sigma_t sends the period (D', r') to
 (D', r' + t) and is a field automorphism: applied to M's identity
 2LR = c0 + sum c*X + sum d*Y^2 it gives N's exactly.  The key is read from
-the stored expression, never assumed, and is kept only once every prime
+the stored expression, never assumed, and is kept only once its method
 has passed; a full 65537 tower of 32,767 nodes has 15 keys.  Each part is
 placed once per pass: a G part by the logs of its pairs, an F part set by
 set.  Its pairs must be whole sets of the table, each set's logs are
 checked once, as a coset of index ng, and the part is placed by its sets'
 residues mod ng (`Oracle.place`).
 
-Blocks.  The two sides are compared BLOCK conjugates at a time, and a
-mismatch count is the sum of its blocks' counts.  A part's values are held
-at its own index as 64-bit fields (`array('Q')`, 8 bytes a conjugate); only
-the block's products, expression and comparison are Python ints.  So a
-pass holds its fields (about 16 bytes a pair for one prime), its places and
-keys, and at most a few blocks of ints, whatever the index.  In the
-expression, the terms that share a period below the block's length are
-summed once over that period and the sum is tiled across the block once; a
-term of a longer period is read over the block.
+Blocks (conjugates only).  The two sides are compared BLOCK conjugates at
+a time, and a mismatch count is the sum of its blocks' counts.  A part's
+values are held at its own index as 64-bit fields (`array('Q')`, 8 bytes a
+conjugate); only the block's products, expression and comparison are
+Python ints.  So a pass holds its fields (about 16 bytes a pair for one
+prime), its places and keys, and at most a few blocks of ints, whatever the
+index.  In the expression, the terms that share a period below the block's
+length are summed once over that period and the sum is tiled across the
+block once; a term of a longer period is read over the block.
 
 The oracle reads only the table's parameters, `part_pairs`, the node's
 parts and its expression, and keeps its tables for one pass (`Oracle`).
 """
 
 from array import array
+from collections import defaultdict
 from itertools import chain
 from operator import ne
 from typing import NamedTuple, Sequence
@@ -267,44 +283,89 @@ class Oracle:
             wrong += sum(map(ne, lhs, self.expression_image(node.product_expr, index, field, block)))
         return wrong
 
-    def key(self, node) -> tuple:
-        """The node's halves and expression relative to its left half's
-        place (D, r): two nodes of equal keys are sigma_t of each other
-        (see the module docstring).  Its parts must be placed."""
-        combo, (d, r) = node.product_expr, self.places[node.left]
+    def expansion_check(self, node) -> int:
+        """How many pair coefficients of 2 * left * right - expression,
+        expanded over Z by p_a * p_b = p_(a+b) + p_|a-b| (p_0 = 2, index k
+        read as min(k, n-k)), differ from its constant: 0 iff the two sides
+        are equal.  Its parts must be placed."""
+        n, h = self.table.params.n, self.table.params.npairs
+        combo = node.product_expr
+        coeffs = defaultdict(int)
 
-        def relative(part):
-            e, s = self.places[part]
-            return e, (s - r) % e
+        def pairs(part):
+            d, r = self.places[part]
+            return [e if e <= h else n - e for e in self.elements[r::d]]
 
-        def terms(pairs):
-            return tuple(sorted((c, *relative(part)) for c, part in pairs))
+        def product(c, xs, ys):
+            for a in xs:
+                for b in ys:
+                    coeffs[a + b if a + b <= h else n - a - b] += c
+                    coeffs[abs(a - b)] += c
 
-        return d, relative(node.right), combo.constant, terms(combo.linear), terms(combo.squares)
+        product(2, pairs(node.left), pairs(node.right))
+        for c, part in combo.linear:
+            for k in pairs(part):
+                coeffs[k] -= c
+        for d, part in combo.squares:
+            ys = pairs(part)
+            product(-d, ys, ys)
+        constant = 2 * coeffs.pop(0, 0) - combo.constant
+        return sum(v != constant for v in coeffs.values()) + (h - len(coeffs)) * (constant != 0)
+
+    def expands(self, key: tuple, index: int) -> bool:
+        """Whether the class of `key` (see `check`), of index `index`, is
+        proved by expansion over Z: when 8 times its cost, s_L s_R + sum s_X
+        + sum s_Y^2 in parts' pairs, is at most the conjugates' cost,
+        index * (terms + 3)."""
+        h, (d, (e, _), _, linear, squares) = self.table.params.npairs, key
+        cost = (h // d) * (h // e) + sum(h // f for _, f, _ in linear)
+        cost += sum((h // f) ** 2 for _, f, _ in squares)
+        return 8 * cost <= index * (len(linear) + len(squares) + 3)
 
     def check(self, node) -> None:
         """Raise OracleMismatch unless 2 * left * right equals the node's
-        product expression exactly (see the module docstring)."""
-        combo, left, right = node.product_expr, node.left, node.right
-        parts = [left, right, *combo.referenced_parts()]
-        for part in parts:
-            if self.place(part) is None:
+        product expression exactly (see the module docstring).  One pass
+        over the node's terms places each part and builds its key; a new
+        key is proved by the cheaper method its sizes choose."""
+        combo, left, right, places = node.product_expr, node.left, node.right, self.places
+
+        def at(part):
+            place = places.get(part) or self.place(part)
+            if place is None:
                 raise OracleMismatch(
                     f"{part.label(self.table)} is not a Gauss period: its pairs are "
                     "not one coset of the pair group", node.id
                 )
-        key = self.key(node)
+            return place
+
+        (d, r), (d_right, s) = at(left), at(right)
+        key = [d, (d_right, (s - r) % d_right), combo.constant]
+        for terms in (combo.linear, combo.squares):
+            relative = []
+            for c, part in terms:
+                e, s = at(part)
+                relative.append((c, e, (s - r) % e))
+            relative.sort()
+            key.append(tuple(relative))
+        key = tuple(key)
         if key in self.proved:
             return
-        index = max(self.places[part][0] for part in parts)
-        smaller = self.table.params.npairs // max(self.places[left][0], self.places[right][0])
-        for field in self.fields_for(4 * smaller + self.expression_bound(combo)):
-            wrong = self.conjugate_check(node, index, field)
+
+        def refuse(where):
+            raise OracleMismatch(
+                f"product of {left.label(self.table)} and {right.label(self.table)} "
+                f"differs from its expression {where}", node.id
+            )
+
+        h = self.table.params.npairs
+        index = max(d, d_right, *(e for _, e, _ in key[3] + key[4]))
+        if self.expands(key, index):
+            wrong = self.expansion_check(node)
             if wrong:
-                raise OracleMismatch(
-                    f"product of {left.label(self.table)} and {right.label(self.table)} "
-                    f"differs from its expression at {wrong} of {index} "
-                    f"conjugates modulo {field.prime}",
-                    node.id,
-                )
+                refuse(f"in {wrong} of {h} pair coefficients")
+        else:
+            for field in self.fields_for(4 * (h // max(d, d_right)) + self.expression_bound(combo)):
+                wrong = self.conjugate_check(node, index, field)
+                if wrong:
+                    refuse(f"at {wrong} of {index} conjugates modulo {field.prime}")
         self.proved.add(key)

@@ -192,18 +192,15 @@ def f_split_product(
 ) -> LinearCombo:
     """Product of the two halves of F(j, 2^m) over the level-m parts:
     sum_k mu(k,2^m) F(rho(k+j-1, 2^m), 2^m), with the uniform part of mu
-    rewritten into the constant.  `levels` shares mu and its fold across the
-    splits of one build; without it they are derived for this call."""
+    rewritten into the constant.  `levels` shares the level's nonzero terms,
+    folded once, across the splits of one build, and each split rotates
+    them by j; without it they are derived for this call."""
     stride = 1 << m
     if not 1 <= j <= stride:
         raise ValueError(f"offset {j} out of range [1, {stride}]")
-    mu, fold, parts = (levels or SplitLevels(table)).f_level(m)
+    fold, terms, parts = (levels or SplitLevels(table)).f_level(m)
     # parts[i] is F(i+1, 2^m), so F(rho(k+j-1, 2^m), 2^m) is parts[(k+j-2) % 2^m].
-    linear = tuple(
-        (2 * (v - fold), parts[(k + j - 2) % stride])
-        for k, v in enumerate(mu, start=1)
-        if v != fold
-    )
+    linear = tuple((c, parts[(k + j - 2) % stride]) for c, k in terms)
     return LinearCombo(constant=-2 * fold, linear=linear, squares=())
 
 
@@ -333,10 +330,10 @@ def shift_g_combo(
 
 class SplitLevels:
     """The per-level data that the splits of one schedule build share, each
-    item derived on first use and then kept for the build: mu(., 2^m) with
-    its fold and the level's parts for each F level, the unshifted product of
-    G_1(1, 2^m)'s halves (from `pr_terms(m)`) for each G level, and the wrap
-    twist.
+    item derived on first use and then kept for the build: the fold of
+    mu(., 2^m), its nonzero terms once folded and the level's parts for
+    each F level, the unshifted product of G_1(1, 2^m)'s halves (from
+    `pr_terms(m)`) for each G level, and the wrap twist.
 
     Keyed on the level alone: hashing the table itself would cost more than
     the derivations it saves."""
@@ -346,12 +343,15 @@ class SplitLevels:
         self._f: dict[int, tuple] = {}
         self._g: dict[int, LinearCombo] = {}
 
-    def f_level(self, m: int) -> tuple[tuple[int, ...], int, tuple[PartRef, ...]]:
-        """(mu(., 2^m), its fold, the parts F(1, 2^m) .. F(2^m, 2^m))."""
+    def f_level(self, m: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[PartRef, ...]]:
+        """(the fold of mu(., 2^m), its terms (2 (mu(k, 2^m) - fold), k) for
+        each k where that is not 0, the parts F(1, 2^m) .. F(2^m, 2^m))."""
         if m not in self._f:
             mu = mu_table(m, self.table)
+            fold = _fold_level(mu)
+            terms = tuple((2 * (v - fold), k) for k, v in enumerate(mu, start=1) if v != fold)
             parts = tuple(f_part(i, 1 << m) for i in range(1, (1 << m) + 1))
-            self._f[m] = (mu, _fold_level(mu), parts)
+            self._f[m] = (fold, terms, parts)
         return self._f[m]
 
     def g_level(self, m: int) -> LinearCombo:

@@ -12,8 +12,9 @@ Every command that reads a tower runs it: `build`, `verify`, `render`, and
 The oracle check (`oracle.Oracle`) maps each node's two sides, 2 * left *
 right and its product expression, to the conjugates of the field that holds
 them modulo primes l = 1 (mod n), enough of them to make equal images prove
-the identity exactly (`pv_of_part`, `pv_mul`); a node may instead be
-proved as sigma_t of a node the pass already proved.  Every failed check
+the identity exactly (`pv_of_part`, `pv_mul`), or expands both over Z in
+the pair basis, whichever the node's sizes make cheaper; a node may instead
+be proved as sigma_t of a node the pass already proved.  Every failed check
 raises a `VerificationError` naming its node, and the first one ends the pass.
 """
 

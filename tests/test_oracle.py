@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import replace
 from math import isqrt
 from operator import ne
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ngontower import oracle
 from ngontower.invariant_sets import build_invariant_sets
 from ngontower.oracle import Oracle, OracleMismatch, _is_prime, _primes
 from ngontower.residues import FermatParams
-from ngontower.splitting import LinearCombo, f_part
+from ngontower.splitting import LinearCombo, f_part, g_part, split_children
 from ngontower.tower import build_schedule
 from ngontower.verify import oracle_check_node, oracle_check_tower
 
@@ -248,14 +249,19 @@ def test_set_by_set_places_are_the_per_pair_places(n, kind):
 
 @pytest.mark.parametrize("kind", ["full", "pruned"])
 @pytest.mark.parametrize("n", [3, 5, 17, 257])
-def test_small_oracle_passes_need_one_prime(n, kind):
-    # A real tower's bound is far below 2^30, so a pass builds one field.
+def test_small_oracle_passes_need_one_prime(n, kind, monkeypatch):
+    # A real tower's bound is far below 2^30, so a pass builds one field,
+    # and builds it for its conjugate checks alone.  The root's class
+    # (index 2, halves of h/2 pairs) always goes by conjugates.
     params = FermatParams.from_n(n)
     tower = build_schedule(params, build_invariant_sets(params), kind)
+    checks = _full_checks(monkeypatch)
     o = Oracle(tower.table)
     for node in tower.nodes:
         oracle_check_node(node, tower.table, o)
-    assert [f.prime for f in o.fields] == ([next(_primes(n))] if tower.nodes else [])
+    conjugates = [m for m, _ in checks].count("conjugates")
+    assert conjugates == {5: 1, 17: 3, 257: 5}.get(n, 0)
+    assert [f.prime for f in o.fields] == ([next(_primes(n))] if conjugates else [])
 
 
 _FULL_SCHEDULES = {}
@@ -373,15 +379,17 @@ def test_a_part_that_is_not_a_period_is_refused(fault, table257, monkeypatch):
 
 
 def _full_checks(monkeypatch):
-    """The results of the full checks `Oracle.check` runs, in order."""
+    """The full checks `Oracle.check` runs, in order, as (method, count):
+    ("conjugates", wrong conjugates) for each prime, or ("expansion",
+    wrong pair coefficients)."""
     calls = []
-    original = Oracle.conjugate_check
+    for method, name in (("conjugates", "conjugate_check"), ("expansion", "expansion_check")):
 
-    def spy(self, *args):
-        calls.append(original(self, *args))
-        return calls[-1]
+        def spy(self, *args, method=method, original=getattr(Oracle, name)):
+            calls.append((method, original(self, *args)))
+            return calls[-1][1]
 
-    monkeypatch.setattr(Oracle, "conjugate_check", spy)
+        monkeypatch.setattr(Oracle, name, spy)
     return calls
 
 
@@ -409,6 +417,9 @@ def _node257():
     (65537, "pruned", 712, 15), (65537, "full", 32767, 15),
 ])
 def test_one_full_check_per_class(n, kind, nodes, classes, monkeypatch):
+    # The classes of index 1,024 and above at 65537, and of 64 and above at
+    # 257, go by expansion; the others by conjugates.
+    expanded = {257: 2, 65537: 6}.get(n, 0)
     params = FermatParams.from_n(n)
     tower = build_schedule(params, build_invariant_sets(params), kind)
     checks = _full_checks(monkeypatch)
@@ -416,7 +427,8 @@ def test_one_full_check_per_class(n, kind, nodes, classes, monkeypatch):
     for node in tower.nodes:
         oracle_check_node(node, tower.table, o)
     assert len(tower.nodes) == nodes
-    assert checks == [0] * classes and len(o.proved) == classes
+    assert [wrong for _, wrong in checks] == [0] * classes and len(o.proved) == classes
+    assert [m for m, _ in checks] == ["conjugates"] * (classes - expanded) + ["expansion"] * expanded
 
 
 def test_a_perturbed_class_mate_is_refused(monkeypatch):
@@ -451,7 +463,7 @@ def test_a_perturbed_class_mate_is_refused(monkeypatch):
             before = len(checks)
             with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
                 o.check(bad)
-            assert len(checks) == before + 1 and checks[-1] > 0
+            assert len(checks) == before + 1 and checks[-1][1] > 0
         assert not _reference_equal(bad, table)
     before = len(checks)
     o.check(node)
@@ -470,13 +482,13 @@ def test_halves_placed_otherwise_go_one_conjugate_at_a_time(halves, monkeypatch)
         true = replace(node, left=f_part(1, 1), right=part, product_expr=LinearCombo(0, ((-2, part),), ()))
     checks = _full_checks(monkeypatch)
     oracle_check_node(true, table)
-    assert checks == [0] and _reference_equal(true, table)
+    assert checks == [("conjugates", 0)] and _reference_equal(true, table)
 
     checks.clear()
     bad = _with(true, constant=1)
     with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
         oracle_check_node(bad, table)
-    assert len(checks) == 1 and checks[0] > 0
+    assert len(checks) == 1 and checks[0][0] == "conjugates" and checks[0][1] > 0
     assert not _reference_equal(bad, table)
 
 
@@ -499,12 +511,12 @@ def test_a_bound_past_the_first_prime_is_checked_modulo_two(monkeypatch):
         assert len(o.fields_for(4 * smaller + o.expression_bound(combo))) == 2
     checks = _full_checks(monkeypatch)
     oracle_check_node(true, table)
-    assert checks == [0, 0] and _reference_equal(true, table)
+    assert checks == [("conjugates", 0)] * 2 and _reference_equal(true, table)
 
     checks.clear()
     with pytest.raises(OracleMismatch, match=f"modulo {o.fields[1].prime}$"):
         oracle_check_node(bad, table)
-    assert len(checks) == 2 and checks[0] == 0 and checks[1] > 0
+    assert [m for m, _ in checks] == ["conjugates"] * 2 and checks[0][1] == 0 and checks[1][1] > 0
     assert not _reference_equal(bad, table)
 
 
@@ -578,6 +590,121 @@ def test_a_blocked_count_is_the_whole_range_count(block, monkeypatch, params6553
             assert wrong == _whole_range_count(o, bad, index, field) > index // 2
     assert sorted(indexes) == [1 << k for k in range(1, 16)]
     assert summed == 10
+
+
+def _classes(table, nodes):
+    """The first node of each class, in schedule order."""
+    o, firsts = Oracle(table), []
+    for node in nodes:
+        proved = len(o.proved)
+        o.check(node)
+        if len(o.proved) > proved:
+            firsts.append(node)
+    return o, firsts
+
+
+@pytest.mark.parametrize("n, kind", [(5, "full"), (17, "full"), (257, "full"), (65537, "pruned")])
+def test_both_methods_decide_every_class_alike(n, kind, monkeypatch):
+    # Every class representative, forced through each method, is accepted,
+    # as the two-pair reference says; copies with the constant +1, the first
+    # linear or squared coefficient moved, or the first term that has a
+    # sibling swapped for it are refused by both methods and the reference.
+    # At 65537 the expansion and the reference leave out the classes of
+    # index below 64, whose halves' products take 1.1e6 to 2.7e8 pair
+    # products; the rule sends them to the conjugates.
+    if kind == "full":
+        table, nodes = _full_schedule(n)
+    else:
+        params = FermatParams.from_n(n)
+        table = build_invariant_sets(params)
+        nodes = build_schedule(params, table, kind).nodes
+    sibling = {x.left: x.right for x in nodes} | {x.right: x.left for x in nodes}
+    o, representatives = _classes(table, nodes)
+    checks = _full_checks(monkeypatch)
+    forced = {"expansion": Oracle(table), "conjugates": Oracle(table)}
+    swapped = 0
+    for node in representatives:
+        expr = node.product_expr
+        copies = [_with(node, constant=1)]
+        copies += [_moved(node, "linear", 0, 1)] if expr.linear else []
+        copies += [_moved(node, "squares", 0, -1)] if expr.squares else []
+        k = next((k for k, (_, part) in enumerate(expr.linear) if part in sibling), None)
+        if k is not None:
+            linear = list(expr.linear)
+            linear[k] = (linear[k][0], sibling[linear[k][1]])
+            copies.append(replace(node, product_expr=replace(expr, linear=tuple(linear))))
+            swapped += 1
+        large = n == 65537 and o.places[node.left][0] < 64
+        for method, forced_oracle in forced.items():
+            if method == "expansion" and large:
+                continue
+            monkeypatch.setattr(Oracle, "expands", lambda self, key, index, m=method: m == "expansion")
+            checks.clear()
+            forced_oracle.check(node)
+            assert checks == [(method, 0)]
+            for bad in copies:
+                checks.clear()
+                with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
+                    forced_oracle.check(bad)
+                assert [m for m, _ in checks] == [method] and checks[0][1] > 0
+        if not large:
+            assert _reference_equal(node, table)
+            assert not any(_reference_equal(bad, table) for bad in copies)
+    assert (len(representatives), swapped) == {5: (1, 0), 17: (3, 2), 257: (7, 5), 65537: (15, 13)}[n]
+
+
+@pytest.mark.parametrize("n", [17, 65537])
+def test_a_difference_on_few_pairs_is_refused(n, monkeypatch):
+    # 2 * p_a * p_a = 2 p_2a + 4, claimed as 2: the difference 2 (p_2a + 1)
+    # is not 0, yet the one pair coefficient it touches equals its constant.
+    # Only the h - 1 pairs it never touches, 0 against 2, tell it from 0.
+    params = FermatParams.from_n(n)
+    table = build_invariant_sets(params)
+    node = build_schedule(params, table, "pruned").nodes[0]
+    pair = g_part(1, 1, 1 << params.nu)
+    bad = replace(node, left=pair, right=pair, product_expr=LinearCombo(2, (), ()))
+    checks = _full_checks(monkeypatch)
+    for method in ("expansion", "conjugates"):
+        monkeypatch.setattr(Oracle, "expands", lambda self, key, index, m=method: m == "expansion")
+        checks.clear()
+        with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
+            oracle_check_node(bad, table)
+        assert [m for m, _ in checks] == [method] and checks[0][1] > 0
+        assert method == "conjugates" or checks[0][1] == params.npairs - 1
+
+
+def test_hostile_shapes_are_decided_in_bounded_time(params65537, table65537, monkeypatch):
+    # Two true identities at n = 65537 whose methods differ in cost by
+    # orders of magnitude.  2 * P * P = 2 P^2 with P = F(1, 2): expanded,
+    # its halves alone take 2.7e8 pair products; at its 2 conjugates it is
+    # 8 steps.  The class of single-pair halves (index 32,768) padded with
+    # 6,144 terms c * (X + Y - P), X and Y the halves of each G_k(1, 8):
+    # at its conjugates 32,768 * 6,150 steps, expanded 8,192 pairs.  Each,
+    # and each with its constant moved, is decided within 2 s by the method
+    # the rule chooses.
+    nodes = build_schedule(params65537, table65537, "pruned").nodes
+    node = next(x for x in nodes if x.left.is_single_pair(params65537))
+    big = f_part(1, 2)
+    square = replace(node, left=big, right=big, product_expr=LinearCombo(0, (), ((2, big),)))
+    padding = []
+    for k in range(1, params65537.ng + 1):
+        part = g_part(k, 1, 8)
+        x, y = split_children(part, table65537)
+        c = k % 7 - 3 or 5
+        padding += [(c, x), (c, y), (-c, part)]
+    padded = _with(node, linear=padding)
+    checks = _full_checks(monkeypatch)
+    for shape, method in ((square, "conjugates"), (padded, "expansion")):
+        for bad in (False, True):
+            checks.clear()
+            start = perf_counter()
+            if bad:
+                with pytest.raises(OracleMismatch, match=f"^node {node.id}: product of .* differs"):
+                    oracle_check_node(_with(shape, constant=1), table65537)
+            else:
+                oracle_check_node(shape, table65537)
+            assert perf_counter() - start < 2.0
+            assert [m for m, _ in checks] == [method] and (checks[0][1] > 0) == bad
 
 
 def test_the_oracle_pass_holds_blocks_not_whole_vectors(params65537, table65537):
