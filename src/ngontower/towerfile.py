@@ -35,9 +35,9 @@ def _coeff_text(halves: int) -> str:
     return f"{halves}, 2" if halves % 2 else f"{halves // 2}, 1"
 
 
-# Real towers reach 32,768 = npairs halves.  The exact oracle is exact at
-# any size: this bound only sets how many primes it runs modulo, one for
-# every real tower (see `oracle`).
+# Real towers reach 32,768 = npairs halves.  The exact oracle expands over
+# Z and is exact at any size: this bound only refuses input no real tower
+# comes near.
 _MAX_HALVES = 1 << 31
 
 

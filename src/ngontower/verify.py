@@ -9,13 +9,13 @@ lands and then p1 against the same sums, and writes the tower's report.
 Every command that reads a tower runs it: `build`, `verify`, `render`, and
 `compile`, which writes the program the pipeline ran.
 
-The oracle check (`oracle.Oracle`) maps each node's two sides, 2 * left *
-right and its product expression, to the conjugates of the field that holds
-them modulo primes l = 1 (mod n), enough of them to make equal images prove
-the identity exactly (`pv_of_part`, `pv_mul`), or expands both over Z in
-the pair basis, whichever the node's sizes make cheaper; a node may instead
-be proved as sigma_t of a node the pass already proved.  Every failed check
-raises a `VerificationError` naming its node, and the first one ends the pass.
+The oracle check (`oracle.Oracle`) expands each node's two sides, 2 * left
+* right and its product expression, over Z in the basis of the Gauss
+periods of its finest part: each part is a period (`pv_of_part`), and each
+product of two periods a sum of periods (`pv_mul`), so equal coefficients
+prove the identity exactly.  A node may instead be proved as sigma_t of a
+node the pass already proved.  Every failed check raises a
+`VerificationError` naming its node, and the first one ends the pass.
 """
 
 from .invariant_sets import InvariantSetTable

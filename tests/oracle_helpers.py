@@ -1,9 +1,9 @@
 """Test helpers around the exact oracle: the zero and all-ones vectors,
-conversions between period vectors and invariant-set combinations, images
-of period vectors and expressions at the oracle's conjugates, and an
-expression's image taken term by term."""
+conversions between period vectors and invariant-set combinations, the
+oracle's expansions read back in the pair basis, and two expressions
+compared by the oracle's expansion."""
 
-from operator import mul
+from math import isqrt
 
 import numpy as np
 
@@ -61,43 +61,40 @@ def combination_to_pv(c: SetCombination, table: InvariantSetTable) -> PeriodVect
     return PeriodVector(table.params.n, c.constant, coeffs)
 
 
-def pv_image(v: PeriodVector, oracle: Oracle, index: int, field) -> list[int]:
-    """v at the conjugates t = 0 .. index-1 modulo field.prime: pair k, of
-    discrete log i, maps to ps[(i + t) mod h] (`field.eta[h]` holds ps)."""
-    ell, h = field.prime, oracle.table.params.npairs
-    ps = field.eta[h].tolist() * 2
-    by_log = [0] * h
-    for k in range(1, h + 1):
-        by_log[oracle.logs[k]] = int(v.coeffs[k])
-    return [(int(v.constant) + sum(map(mul, by_log, ps[t : t + h]))) % ell for t in range(index)]
+def in_pairs(oracle: Oracle, expanded: tuple, index: int) -> PeriodVector:
+    """(c, a) from `Oracle.expand` or the oracle's `pv_mul`, c + sum_j a[j]
+    eta_index(j), in the pair basis: pair k, of discrete log i, has the
+    coefficient a[i mod index]."""
+    constant, coeffs = expanded
+    h = oracle.table.params.npairs
+    folded = [0] + [coeffs.get(oracle.logs[k] % index, 0) for k in range(1, h + 1)]
+    return PeriodVector(oracle.table.params.n, constant, np.array(folded, dtype=object))
 
 
-def expression_image_by_terms(oracle: Oracle, combo: LinearCombo, index: int, field, block=None):
-    """`Oracle.expression_image` the plain way: each term tiled to the whole
-    block from the field's periods, raised to its power and added in, one
-    term at a time.  The period (D, r) is eta_D[(r + t) mod D] at conjugate
-    t.  The parts must be placed."""
-    ell = field.prime
-    block = range(index) if block is None else block
-    image = [combo.constant % ell] * len(block)
-    for terms, power in ((combo.linear, 1), (combo.squares, 2)):
-        for c, part in terms:
-            d, r = oracle.places[part]
-            eta = field.eta[d]
-            tiled = [eta[(r + t) % d] for t in block]
-            image = [(s + c * pow(v, power, ell)) % ell for s, v in zip(image, tiled)]
-    return image
+def terms_of(combo: LinearCombo, sign: int = 1) -> tuple[list, list]:
+    """The combo's linear terms, and its squares as products, times `sign`:
+    the arguments `Oracle.expand` takes after the constant."""
+    return [(sign * c, p) for c, p in combo.linear], [(sign * c, p, p) for c, p in combo.squares]
 
 
 def same_expression(oracle: Oracle, a: LinearCombo, b: LinearCombo) -> bool:
-    """a == b as numbers, decided at the conjugates of their parts modulo
-    enough primes: no coefficient of a - b in the basis z^1 .. z^(n-1)
-    exceeds the sum of their bounds."""
+    """a == b as numbers: a - b, expanded by the oracle in the basis of the
+    periods of the largest index among their parts, has every coefficient
+    equal to its constant."""
     parts = a.referenced_parts() + b.referenced_parts()
     assert all(oracle.place(p) for p in parts)
     index = max(oracle.places[p][0] for p in parts)
-    bound = oracle.expression_bound(a) + oracle.expression_bound(b)
-    return all(
-        oracle.expression_image(a, index, f) == oracle.expression_image(b, index, f)
-        for f in oracle.fields_for(bound)
+    (linear_a, squares_a), (linear_b, squares_b) = terms_of(a), terms_of(b, -1)
+    constant, coeffs = oracle.expand(
+        a.constant - b.constant, linear_a + linear_b, squares_a + squares_b, index
     )
+    return all(coeffs.get(j, 0) == constant for j in range(index))
+
+
+def prime_below_2_31(n: int) -> int:
+    """The largest prime l = 1 (mod n) below 2^31, by trial division: a
+    modulus that a check by conjugates modulo l would take first."""
+    ell = (2**31 - 2) // (2 * n) * (2 * n) + 1
+    while any(ell % p == 0 for p in range(3, isqrt(ell) + 1, 2)):
+        ell -= 2 * n
+    return ell
