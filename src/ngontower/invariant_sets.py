@@ -39,37 +39,33 @@ class InvariantSetTable:
 
 
 def validate_factor(q: int, params: FermatParams) -> bool:
-    """True iff q generates all ng set starts: q^ng lands in the degree orbit
-    of 1 while q^(ng/2) does not.
+    """True iff q generates all ng set starts; raises InvalidFactor for a
+    q below 1 or, with more than one set, above n - 1.
 
-    With ng = 1 there is nothing to generate and every q is accepted.
+    With ng = 1 there is nothing to generate and every q >= 1 is accepted.
+    Otherwise the starts q^(k-1) must meet all ng cosets of the doubling
+    orbit, a proper subgroup of the cyclic 2-group (Z/n)* and so inside its
+    squares: that holds iff q is not a square, which Euler's criterion
+    decides.
     """
     n = params.n
+    if params.ng == 1:
+        if q < 1:
+            raise InvalidFactor(f"factor {q} is not positive")
+        return True
     if not 1 <= q <= n - 1:
         raise InvalidFactor(f"factor {q} out of range [1, {n - 1}]")
-    if params.ng == 1:
-        return True
-    g1_degrees = set()
-    d = 1
-    for _ in range(params.orbit_len):
-        g1_degrees.add(d)
-        d = (2 * d) % n
-    return pow(q, params.ng, n) in g1_degrees and pow(q, params.ng // 2, n) not in g1_degrees
+    return pow(q, (n - 1) // 2, n) == n - 1
 
 
 def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetTable:
     """Build the ordered family of invariant sets for the given factor: set k
     is the orbit of the pair of q^(k-1) mod n under p -> min(2p, n - 2p),
     each pair entered in the lookup arrays as it is walked.  Raises
-    InvalidFactor for a factor below 1 or, with more than one set, one that
-    does not generate the family, and VerificationError for a pair met
-    twice or never, or a factor rule that does not wrap back to set 1."""
-    # With a single invariant set the factor is never used to seed a start,
-    # so any positive one is accepted (n = 3 takes the default 3 > n - 1).
-    if params.ng == 1:
-        if factor < 1:
-            raise InvalidFactor(f"factor {factor} is not positive")
-    elif not validate_factor(factor, params):
+    InvalidFactor for a factor `validate_factor` refuses, and
+    VerificationError for a pair met twice or never, or a factor rule that
+    does not wrap back to set 1."""
+    if not validate_factor(factor, params):
         raise InvalidFactor(f"factor {factor} does not generate the set family for n={params.n}")
     n, ng, npairs = params.n, params.ng, params.npairs
     set_of = array("i", [0]) * (npairs + 1)

@@ -46,22 +46,23 @@ images under sigma_t of M's, for sigma_t sends the period (D', r') to
 2LR = c0 + sum c*X + sum d*Y^2 it gives N's exactly.  The key is read from
 the stored expression, never assumed, and is kept only once its expansion
 has passed; a full 65537 tower of 32,767 nodes has 15 keys.  Each part is
-placed once per pass: a G part by the logs of its pairs, an F part set by
-set.  Its pairs must be whole sets of the table, each set's logs are
-checked once, as a coset of index ng, and the part is placed by its sets'
-residues mod ng (`Oracle.place`).
+placed once per pass (`Oracle.place`): a G part by the logs of its pairs,
+an F part by its sets alone.  Each set's logs are checked once per pass, as
+a coset of index ng, so a set is exactly 2^nu distinct pairs of one coset;
+an F part is by definition whole sets, and it is the period (D, r) iff its
+sets' residues mod ng are r, r + D, .. .
 
-The oracle reads only the table's parameters, `part_pairs`, the node's
-parts and its expression, and keeps its tables for one pass (`Oracle`).
+The oracle reads only the table's parameters and sets, `part_members`, the
+node's parts and its expression, and keeps its tables for one pass
+(`Oracle`).
 """
 
 from array import array
 from collections import defaultdict
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import VerificationError
-from .splitting import part_pairs
+from .splitting import part_members
 
 
 class OracleMismatch(VerificationError):
@@ -136,19 +137,17 @@ class Oracle:
     def place(self, part) -> tuple[int, int] | None:
         """(D, r) when the part's pairs are exactly the coset of index D
         holding pair r, else None.  A G part is placed by `_coset` of its
-        pairs' logs; an F part's pairs must be whole sets of the table, one
-        after another, and their residues r_k (`set_places`) a coset of
-        index D in Z/ng."""
+        pairs' logs.  An F part is its sets (`part_members`), each a coset
+        of index ng (`set_places`), so it is placed by `_coset` of their
+        residues r_k in Z/ng, and not at all if a set has no place."""
         if part not in self.places:
-            table = self.table
-            pairs = part_pairs(part, table)
+            params = self.table.params
+            members = part_members(part, self.table)
             if part.kind != "F":
-                place = _coset(map(self.logs.__getitem__, pairs), table.params.npairs)
+                place = _coset(map(self.logs.__getitem__, members), params.npairs)
             else:
-                ks = [table.set_of[p] for p in pairs[:: 1 << table.params.nu]]
-                sets = [self.set_places[k] for k in ks]
-                whole = pairs == tuple(chain.from_iterable(table.sets[k - 1] for k in ks))
-                place = _coset([r for _, r in sets], table.params.ng) if whole and None not in sets else None
+                sets = [self.set_places[k] for k in members]
+                place = None if None in sets else _coset([r for _, r in sets], params.ng)
             self.places[part] = place
         return self.places[part]
 

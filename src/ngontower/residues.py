@@ -13,7 +13,7 @@ KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 
 class InvalidN(UsageError):
-    """n is not of the Fermat shape 2^(2^nu) + 1, or fails the primality check."""
+    """n is not one of the Fermat primes 3, 5, 17, 257 and 65537."""
 
 
 def rho(k: int, m: int) -> int:
@@ -49,9 +49,10 @@ class FermatParams:
     def from_n(cls, n: int) -> "FermatParams":
         """Validate n and derive the constants.
 
-        n must be one of the Fermat primes up to 65537: the shape is checked,
-        and primality by trial division.  Every larger Fermat number that has
-        been tested is composite, so larger n are refused.
+        n must be one of the Fermat primes up to 65537.  Only the shape
+        2^(2^nu) + 1 is checked: the five numbers of that shape up to 65537
+        are all prime, and every larger Fermat number that has been tested is
+        composite, so larger n are refused.
         """
         if n < 3:
             raise InvalidN(f"n={n} is too small")
@@ -62,8 +63,6 @@ class FermatParams:
             raise InvalidN(f"n={n} is not of the form 2^(2^nu) + 1")
         if n > KNOWN_FERMAT_PRIMES[-1]:
             raise InvalidN(f"n={n} exceeds the tested range (Fermat primes up to 65537)")
-        if any(n % d == 0 for d in range(2, int(n**0.5) + 1)):
-            raise InvalidN(f"n={n} is not prime")
         orbit_len = 1 << (nu + 1)
         ng = (n - 1) // orbit_len
         return cls(nu=nu, n=n, ng=ng, npairs=(n - 1) // 2, orbit_len=orbit_len)

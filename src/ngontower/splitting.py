@@ -21,7 +21,10 @@ Every coefficient of a product expression is an int counting halves: the
 identities only ever divide by 2, so a `LinearCombo` holds twice each
 coefficient and no other number type appears here.
 
-`part_pairs` reads the pair numbers of a part straight from the table's sets.
+`part_members` reads a part's members straight from the table: its sets for
+an F part, its pairs for a G part.  `part_pairs` spells out every pair of a
+part; the program places parts through `part_members`, and the tests keep
+`part_pairs` as their per-pair reference.
 """
 
 from collections import Counter
@@ -272,15 +275,18 @@ def g_split_product(
 
 
 def _g_base_product(m: int, table: InvariantSetTable) -> LinearCombo:
-    """The product of the halves of G_1(1, 2^m), before any shift."""
+    """The product of the halves of G_1(1, 2^m), before any shift, with
+    repeated parts merged and zero coefficients dropped."""
     pr_m, pr_l = pr_terms(m, table)
     stride = 1 << m
-    linear = [(-1, g_part(1, rho(2, stride), stride))]
-    linear += [(-c // 2, p) for c, p in pr_m.linear]
-    linear += [(-c, p) for c, p in pr_l.linear]
+    linear = Counter({g_part(1, rho(2, stride), stride): -1})
+    for c, p in pr_m.linear:
+        linear[p] -= c // 2
+    for c, p in pr_l.linear:
+        linear[p] -= c
     return LinearCombo(
         constant=-(1 << (table.params.nu + 1 - m)),
-        linear=tuple(linear),
+        linear=tuple((c, p) for p, c in linear.items() if c),
         squares=((1, g_part(1, 1, stride)),),
     )
 
@@ -305,23 +311,21 @@ def wrap_twist(table: InvariantSetTable) -> int:
 def shift_g_combo(
     combo: LinearCombo, set_shift: int, offset_shift: int, table: InvariantSetTable, twist: int
 ) -> LinearCombo:
-    """Apply the two shift rules to every part of a combo over G parts;
-    `twist` is `wrap_twist(table)`."""
+    """Apply the two shift rules to every part of a combo over G parts,
+    sorted by part; `twist` is `wrap_twist(table)`.  The shift is a
+    bijection on the parts of one stride, so a combo without repeated parts
+    (`_g_base_product`) stays without them."""
     ng = table.params.ng
 
-    def move(p: PartRef) -> PartRef:
-        raw = p.set_index + set_shift
-        off = p.offset + offset_shift + twist * ((raw - 1) // ng)
-        return g_part(rho(raw, ng), rho(off, p.stride), p.stride)
-
-    def merge(terms):
-        acc: dict[PartRef, int] = {}
+    def move(terms):
+        moved = []
         for c, p in terms:
-            q = move(p)
-            acc[q] = acc[q] + c if q in acc else c
-        return tuple(sorted(((c, p) for p, c in acc.items() if c), key=lambda t: t[1]))
+            raw = p.set_index + set_shift
+            off = p.offset + offset_shift + twist * ((raw - 1) // ng)
+            moved.append((c, g_part(rho(raw, ng), rho(off, p.stride), p.stride)))
+        return tuple(sorted(moved, key=lambda t: t[1]))
 
-    return LinearCombo(combo.constant, merge(combo.linear), merge(combo.squares))
+    return LinearCombo(combo.constant, move(combo.linear), move(combo.squares))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,8 @@ lands and then p1 against the same sums, and writes the tower's report.
 Every command that reads a tower runs it: `build`, `verify`, `render`, and
 `compile`, which writes the program the pipeline ran.
 
-The oracle check (`oracle.Oracle`) expands each node's two sides, 2 * left
-* right and its product expression, over Z in the basis of the Gauss
-periods of its finest part: each part is a period (`pv_of_part`), and each
-product of two periods a sum of periods (`pv_mul`), so equal coefficients
-prove the identity exactly.  A node may instead be proved as sigma_t of a
-node the pass already proved.  Every failed check raises a
+The oracle check is `oracle.Oracle`, whose module docstring says what it
+proves and why that is exact.  Every failed check raises a
 `VerificationError` naming its node, and the first one ends the pass.
 """
 

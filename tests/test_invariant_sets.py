@@ -102,6 +102,36 @@ def test_validate_factor(params257):
         validate_factor(257, params257)
 
 
+def _generates_by_the_doubling_orbit(q, params):
+    """The reference rule: q generates all ng set starts iff q^ng lands in
+    the degree orbit of 1 while q^(ng/2) does not."""
+    n, d, orbit = params.n, 1, set()
+    for _ in range(params.orbit_len):
+        orbit.add(d)
+        d = 2 * d % n
+    return pow(q, params.ng, n) in orbit and pow(q, params.ng // 2, n) not in orbit
+
+
+@pytest.mark.parametrize("n, step", [(17, 1), (257, 1), (65537, 97)])
+def test_validate_factor_is_the_doubling_orbit_rule(n, step):
+    params = FermatParams.from_n(n)
+    qs = sorted({*range(1, n, step), *range(max(1, n - 100), n)})
+    assert [validate_factor(q, params) for q in qs] == [_generates_by_the_doubling_orbit(q, params) for q in qs]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_one_set_accepts_every_positive_factor(n):
+    # With one invariant set no factor seeds a start: n = 3 builds at its
+    # default factor 3, past n - 1, so the rule must accept it.
+    params = FermatParams.from_n(n)
+    for q in [*range(1, 3 * n), 1 << 70]:
+        assert validate_factor(q, params) is True
+        assert build_invariant_sets(params, q).factor == q
+    for q in (0, -1):
+        with pytest.raises(InvalidFactor, match=f"^factor {q} is not positive$"):
+            validate_factor(q, params)
+
+
 def test_invalid_factor_rejected(params257):
     with pytest.raises(InvalidFactor):
         build_invariant_sets(params257, factor=2)

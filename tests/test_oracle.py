@@ -12,7 +12,7 @@ from ngontower import oracle
 from ngontower.invariant_sets import build_invariant_sets
 from ngontower.oracle import Oracle, OracleMismatch
 from ngontower.residues import FermatParams
-from ngontower.splitting import LinearCombo, f_part, g_part, split_children
+from ngontower.splitting import LinearCombo, f_part, g_part, part_members, part_pairs, split_children
 from ngontower.tower import build_schedule
 from ngontower.verify import oracle_check_node, oracle_check_tower
 
@@ -211,15 +211,19 @@ def _place_by_pairs(o, part):
     """The per-pair reference: the logs of all the part's pairs, sorted,
     must run r, r + D, r + 2D, .. below h with r < D."""
     h = o.table.params.npairs
-    logs = sorted(o.logs[p] for p in oracle.part_pairs(part, o.table))
+    logs = sorted(o.logs[p] for p in part_pairs(part, o.table))
     index = h // len(logs)
     return (index, logs[0]) if h % len(logs) == 0 and logs == list(range(logs[0], h, index)) else None
 
 
-@pytest.mark.parametrize("n, kind", [(17, "full"), (257, "full"), (65537, "pruned")])
-def test_set_by_set_places_are_the_per_pair_places(n, kind):
+@pytest.mark.parametrize(
+    "n, kind, factor",
+    [(17, "full", 3), (257, "full", 3), (65537, "pruned", 3), (65537, "pruned", 5)],
+    ids=["17-full", "257-full", "65537-pruned", "65537-pruned-factor-5"],
+)
+def test_set_by_set_places_are_the_per_pair_places(n, kind, factor):
     params = FermatParams.from_n(n)
-    table = build_invariant_sets(params)
+    table = build_invariant_sets(params, factor)
     o = Oracle(table)
     parts = {p for node in build_schedule(params, table, kind).nodes
              for p in (node.splits, node.left, *node.product_expr.referenced_parts())}
@@ -352,24 +356,35 @@ def test_a_term_swapped_with_its_sibling_is_refused(table257):
     assert swapped > 50
 
 
-@pytest.mark.parametrize("fault", ["mixed-cosets", "repeated-pair", "whole-sets-not-a-coset"])
+@pytest.mark.parametrize("fault", [
+    "repeated-set", "sets-from-two-cosets", "whole-sets-not-a-coset", "repeated-pair", "mixed-cosets",
+])
 def test_a_part_that_is_not_a_period_is_refused(fault, table257, monkeypatch):
-    # Node 3's left half is F(1,8), the sets 1 and 9.  Sets 1 and 5 are
-    # whole sets, but their residues mod ng differ by 4 log(3), not by ng/2.
-    node = build_schedule(table257.params, table257, "pruned").nodes[3]
-    own = oracle.part_pairs(node.left, table257)
-    other = oracle.part_pairs(node.right, table257)
-    size = 1 << table257.params.nu
+    # The faults reach the oracle through `part_members`.  Node 3's left
+    # half is F(1,8), the sets 1 and 9, whose residues mod ng are 0 and 8;
+    # its right half is F(5,8).  Sets 1 and 5 are whole sets, but their
+    # residues differ by 4, not by ng/2; F(1,8) and F(2,8) together, the
+    # residues 0, 1, 8 and 9, are two cosets of index 8 but no coset of
+    # index 4.  Node 10's left half is G1(1,2), four pairs of set 1, and
+    # its right half the other four.
+    nodes = build_schedule(table257.params, table257, "pruned").nodes
+    in_a_set = fault in ("repeated-pair", "mixed-cosets")
+    node = nodes[10 if in_a_set else 3]
+    assert node.left.kind == ("G" if in_a_set else "F")
+    own = part_members(node.left, table257)
+    other = part_members(node.right, table257)
     bad = {
-        "mixed-cosets": own[:-1] + other[:1],
+        "repeated-set": own[:-1] + own[:1],
+        "sets-from-two-cosets": own + tuple(k + 1 for k in own),
+        "whole-sets-not-a-coset": own[:-1] + other[:1],
         "repeated-pair": own[:-1] + own[:1],
-        "whole-sets-not-a-coset": own[:size] + other[:size],
+        "mixed-cosets": own[:-1] + other[:1],
     }[fault]
-    part_pairs = oracle.part_pairs
     monkeypatch.setattr(
-        oracle, "part_pairs", lambda p, table: bad if p == node.left else part_pairs(p, table)
+        oracle, "part_members", lambda p, table: bad if p == node.left else part_members(p, table)
     )
-    with pytest.raises(OracleMismatch, match=re.escape(f"node 3: {node.left.label(table257)} is not a Gauss")):
+    label = re.escape(f"node {node.id}: {node.left.label(table257)} is not a Gauss period")
+    with pytest.raises(OracleMismatch, match=label):
         oracle_check_node(node, table257)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ngontower.cli import main
 from ngontower.residues import (
+    KNOWN_FERMAT_PRIMES,
     FermatParams,
     InvalidN,
     pair_of,
@@ -110,6 +111,17 @@ def test_params_rejects_bad_n():
     for bad in (4, 9, 15, 16, 100, 65536):
         with pytest.raises(InvalidN):
             FermatParams.from_n(bad)
+
+
+def test_only_the_known_fermat_primes_are_accepted():
+    accepted = []
+    for n in range(1 << 17):
+        try:
+            FermatParams.from_n(n)
+        except InvalidN:
+            continue
+        accepted.append(n)
+    assert tuple(accepted) == KNOWN_FERMAT_PRIMES
 
 
 def test_params_large_n_needs_assertion():
