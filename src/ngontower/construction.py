@@ -47,8 +47,8 @@ from typing import NamedTuple
 import mpmath as mp
 
 from .errors import VerificationError
+from .invariant_sets import LinearCombo, PartRef
 from .sharing import Lines
-from .splitting import LinearCombo, PartRef
 from .tower import Tower, _root_part
 
 _INTERCEPT_THRESHOLD = 64

@@ -1,12 +1,23 @@
-"""Invariant sets: the partition of all pairs into doubling orbits.
+"""Invariant sets: the partition of all pairs into doubling orbits, and the
+parts of S read from it.
 
 The family is ordered by the factor rule: set k starts at the pair of
 q^(k-1) mod n (default factor q = 3) and is completed by doubling.  This
 ordering is what makes product decompositions shift-equivariant.
+
+Two families of parts are split on the way from S down to p_1:
+
+  F(j, 2^m)      every 2^m-th invariant set starting at G_j;
+  G_k(j, 2^m)    every 2^m-th pair of set k starting at natural position j.
+
+A `PartRef` names a part, `part_members` reads its sets or pairs and
+`split_children` its halves; a `LinearCombo` is a product over parts.  A
+tower, its file and its checks share these; `splitting` derives products.
 """
 
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import UsageError, VerificationError
 from .residues import FermatParams
@@ -104,3 +115,98 @@ def locate_pair(table: InvariantSetTable, p: int) -> tuple[int, int]:
     if not 1 <= p <= table.params.npairs:
         raise ValueError(f"pair number {p} out of range [1, {table.params.npairs}]")
     return table.set_of[p], table.pos_of[p]
+
+
+class PartRef(NamedTuple):
+    """A part of S.  kind "F": offset = starting set index; kind "G": the
+    set index plus the starting pair position.  A G part whose stride equals
+    the pair count of a set is a single pair.  Order and hash are those of
+    the field tuple."""
+
+    kind: str  # "F" or "G"
+    offset: int
+    stride: int
+    set_index: int = 0
+
+    def label(self, table: InvariantSetTable | None = None) -> str:
+        if self.kind == "F":
+            if self.stride == 1:
+                return "S"
+            return f"F({self.offset},{self.stride})"
+        if self.stride == 1:
+            return f"G{self.set_index}"
+        if table is not None and self.is_single_pair(table.params):
+            return f"p{self.pair_number(table)}"
+        return f"G{self.set_index}({self.offset},{self.stride})"
+
+    def is_single_pair(self, params) -> bool:
+        return self.kind == "G" and self.stride == (1 << params.nu)
+
+    def pair_number(self, table: InvariantSetTable) -> int:
+        assert self.is_single_pair(table.params)
+        return table.sets[self.set_index - 1][self.offset - 1]
+
+
+@dataclass(frozen=True)
+class LinearCombo:
+    """(constant + sum c*part + sum c*part^2) / 2: every coefficient is an int
+    counting halves (half-integers arise from the squares identities)."""
+
+    constant: int
+    linear: tuple[tuple[int, PartRef], ...]
+    squares: tuple[tuple[int, PartRef], ...]
+
+    def referenced_parts(self) -> list[PartRef]:
+        return [p for _, p in self.linear] + [p for _, p in self.squares]
+
+
+def f_part(j: int, stride: int) -> PartRef:
+    return PartRef(kind="F", offset=j, stride=stride)
+
+
+def g_part(k: int, j: int, stride: int) -> PartRef:
+    return PartRef(kind="G", offset=j, stride=stride, set_index=k)
+
+
+def check_part(p: PartRef, params) -> None:
+    """Raise ValueError unless `p` names a part of S for these params: kind F
+    (no set) or G with a set in 1..ng, an offset in 1..stride, and a stride
+    dividing the set count (F) or the pairs per set (G)."""
+    if p.kind == "F":
+        if not (p.set_index == 0 and 1 <= p.offset <= p.stride and params.ng % p.stride == 0):
+            raise ValueError(f"invalid F part {p}")
+        return
+    per_set = 1 << params.nu
+    if not (
+        p.kind == "G"
+        and 1 <= p.set_index <= params.ng
+        and 1 <= p.offset <= p.stride
+        and per_set % p.stride == 0
+    ):
+        raise ValueError(f"invalid part {p}")
+
+
+def part_members(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
+    """Set indices of an F part / pair numbers of a G part."""
+    check_part(p, table.params)
+    if p.kind == "F":
+        return tuple(range(p.offset, table.params.ng + 1, p.stride))
+    return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
+
+
+def split_children(p: PartRef, table: InvariantSetTable) -> tuple[PartRef, PartRef]:
+    """The two halves of a part, of doubled stride and the same kind, except
+    at the bottom F level (2 stride = ng): there they are the whole sets
+    G_j and G_(j+ng/2), the one place that names a single-set half."""
+    if p.kind == "F":
+        if 2 * p.stride > table.params.ng:
+            raise ValueError(f"{p.label()} has no further F split")
+        if 2 * p.stride == table.params.ng:
+            return g_part(p.offset, 1, 1), g_part(p.offset + p.stride, 1, 1)
+        return f_part(p.offset, 2 * p.stride), f_part(p.offset + p.stride, 2 * p.stride)
+    if 2 * p.stride > (1 << table.params.nu):
+        raise ValueError(f"{p.label()} is a single pair")
+    return (
+        g_part(p.set_index, p.offset, 2 * p.stride),
+        g_part(p.set_index, p.offset + p.stride, 2 * p.stride),
+    )

@@ -52,9 +52,10 @@ a coset of index ng, so a set is exactly 2^nu distinct pairs of one coset;
 an F part is by definition whole sets, and it is the period (D, r) iff its
 sets' residues mod ng are r, r + D, .. .
 
-The oracle reads only the table's parameters and sets, `part_members`, the
-node's parts and its expression, and keeps its tables for one pass
-(`Oracle`).
+The oracle reads only the table's parameters and sets, the node's parts
+(through `invariant_sets.part_members`) and its expression, and keeps its
+tables for one pass (`Oracle`); it imports nothing that derives the
+expressions it checks (`splitting`, `period_algebra`).
 """
 
 from array import array
@@ -62,7 +63,7 @@ from collections import defaultdict
 from typing import NamedTuple, Sequence
 
 from .errors import VerificationError
-from .splitting import part_members
+from .invariant_sets import part_members
 
 
 class OracleMismatch(VerificationError):

@@ -9,9 +9,9 @@ depend on pruning decisions.
 import mpmath as mp
 
 from . import reference_tables as ref
-from .invariant_sets import InvariantSetTable
+from .invariant_sets import InvariantSetTable, PartRef, f_part, g_part, split_children
 from .period_algebra import set_product, set_square
-from .splitting import PartRef, f_part, g_part, mu_groups, mu_table, split_children
+from .splitting import mu_groups, mu_table
 from .tower import CosineCache, Tower
 
 

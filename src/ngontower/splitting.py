@@ -1,146 +1,35 @@
-"""Parts of S and their split products.
+"""The split products: the derivation of each node's product expression.
 
-Two families of parts are split on the way from S down to p_1:
-
-  F(j, 2^m)      every 2^m-th invariant set starting at G_j;
-  G_k(j, 2^m)    every 2^m-th pair of set k starting at natural position j.
-
-For every split the sum of the two children is the parent, so only the product
-needs an expression over already-computed parts.  F-split products come from
-the multiplicity table mu(k, 2^m); G-split products come from the squares
-identity with the correction term Pr = Pr_M + 2*Pr_L, derived for G_1(1, 2^m)
-and shifted to every other set and offset.
+The parts F(j, 2^m) and G_k(j, 2^m) and their halves are defined over the set
+table (`invariant_sets`).  For every split the sum of the two children is the
+parent, so only the product needs an expression over already-computed parts.
+F-split products come from the multiplicity table mu(k, 2^m); G-split
+products come from the squares identity with the correction term
+Pr = Pr_M + 2*Pr_L, derived for G_1(1, 2^m) and shifted to every other set
+and offset.
 
 `f_split_product` and `g_split_product` are the only definitions of the
 products.  What they need per level -- mu(., 2^m) with its fold, the unshifted
 G_1(1, 2^m) product and the wrap twist -- depends on the level alone, so a
 schedule build passes one `SplitLevels` to every call and each level is
 derived once per build; a call without one derives its level afresh.
+`SplitLevels.product` is the product of any split, as a schedule build asks
+for it.
 
 Every coefficient of a product expression is an int counting halves: the
 identities only ever divide by 2, so a `LinearCombo` holds twice each
 coefficient and no other number type appears here.
-
-`part_members` reads a part's members straight from the table: its sets for
-an F part, its pairs for a G part.  `part_pairs` spells out every pair of a
-part; the program places parts through `part_members`, and the tests keep
-`part_pairs` as their per-pair reference.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import NamedTuple
 
 from .errors import UsageError
-from .invariant_sets import InvariantSetTable, locate_pair
+from .invariant_sets import (
+    InvariantSetTable, LinearCombo, PartRef, f_part, g_part, locate_pair, part_members,
+)
 from .period_algebra import product_sets, set_product
 from .residues import pair_of, rho
-
-
-class PartRef(NamedTuple):
-    """A part of S.  kind "F": offset = starting set index; kind "G": the
-    set index plus the starting pair position.  A G part whose stride equals
-    the pair count of a set is a single pair.  Order and hash are those of
-    the field tuple."""
-
-    kind: str  # "F" or "G"
-    offset: int
-    stride: int
-    set_index: int = 0
-
-    def label(self, table: InvariantSetTable | None = None) -> str:
-        if self.kind == "F":
-            if self.stride == 1:
-                return "S"
-            return f"F({self.offset},{self.stride})"
-        if self.stride == 1:
-            return f"G{self.set_index}"
-        if table is not None and self.is_single_pair(table.params):
-            return f"p{self.pair_number(table)}"
-        return f"G{self.set_index}({self.offset},{self.stride})"
-
-    def is_single_pair(self, params) -> bool:
-        return self.kind == "G" and self.stride == (1 << params.nu)
-
-    def pair_number(self, table: InvariantSetTable) -> int:
-        assert self.is_single_pair(table.params)
-        return table.sets[self.set_index - 1][self.offset - 1]
-
-
-@dataclass(frozen=True)
-class LinearCombo:
-    """(constant + sum c*part + sum c*part^2) / 2: every coefficient is an int
-    counting halves (half-integers arise from the squares identities)."""
-
-    constant: int
-    linear: tuple[tuple[int, PartRef], ...]
-    squares: tuple[tuple[int, PartRef], ...]
-
-    def referenced_parts(self) -> list[PartRef]:
-        return [p for _, p in self.linear] + [p for _, p in self.squares]
-
-
-def f_part(j: int, stride: int) -> PartRef:
-    return PartRef(kind="F", offset=j, stride=stride)
-
-
-def g_part(k: int, j: int, stride: int) -> PartRef:
-    return PartRef(kind="G", offset=j, stride=stride, set_index=k)
-
-
-def check_part(p: PartRef, params) -> None:
-    """Raise ValueError unless `p` names a part of S for these params: kind F
-    (no set) or G with a set in 1..ng, an offset in 1..stride, and a stride
-    dividing the set count (F) or the pairs per set (G)."""
-    if p.kind == "F":
-        if not (p.set_index == 0 and 1 <= p.offset <= p.stride and params.ng % p.stride == 0):
-            raise ValueError(f"invalid F part {p}")
-        return
-    per_set = 1 << params.nu
-    if not (
-        p.kind == "G"
-        and 1 <= p.set_index <= params.ng
-        and 1 <= p.offset <= p.stride
-        and per_set % p.stride == 0
-    ):
-        raise ValueError(f"invalid part {p}")
-
-
-def part_members(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
-    """Set indices of an F part / pair numbers of a G part."""
-    check_part(p, table.params)
-    if p.kind == "F":
-        return tuple(range(p.offset, table.params.ng + 1, p.stride))
-    return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
-
-
-def part_pairs(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
-    """All pair numbers covered by the part, in member order: its sets
-    one after another for an F part."""
-    check_part(p, table.params)
-    if p.kind == "F":
-        return tuple(chain.from_iterable(table.sets[p.offset - 1 :: p.stride]))
-    return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
-
-
-def split_children(p: PartRef, table: InvariantSetTable) -> tuple[PartRef, PartRef]:
-    """The two halves of a part, of doubled stride and the same kind, except
-    at the bottom F level (2 stride = ng): there they are the whole sets
-    G_j and G_(j+ng/2), the one place that names a single-set half."""
-    if p.kind == "F":
-        if 2 * p.stride > table.params.ng:
-            raise ValueError(f"{p.label()} has no further F split")
-        if 2 * p.stride == table.params.ng:
-            return g_part(p.offset, 1, 1), g_part(p.offset + p.stride, 1, 1)
-        return f_part(p.offset, 2 * p.stride), f_part(p.offset + p.stride, 2 * p.stride)
-    if 2 * p.stride > (1 << table.params.nu):
-        raise ValueError(f"{p.label()} is a single pair")
-    return (
-        g_part(p.set_index, p.offset, 2 * p.stride),
-        g_part(p.set_index, p.offset + p.stride, 2 * p.stride),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +226,8 @@ class SplitLevels:
     item derived on first use and then kept for the build: the fold of
     mu(., 2^m), its nonzero terms once folded and the level's parts for
     each F level, the unshifted product of G_1(1, 2^m)'s halves (from
-    `pr_terms(m)`) for each G level, and the wrap twist.
+    `pr_terms(m)`) for each G level, the wrap twist, and each distinct
+    product term.
 
     Keyed on the level alone: hashing the table itself would cost more than
     the derivations it saves."""
@@ -346,6 +236,23 @@ class SplitLevels:
         self.table = table
         self._f: dict[int, tuple] = {}
         self._g: dict[int, LinearCombo] = {}
+        self._terms: dict[tuple[int, PartRef], tuple[int, PartRef]] = {}  # each distinct term once
+
+    def product(self, split: PartRef) -> LinearCombo:
+        """The product of the halves of `split`, F or G, at its level.  Each
+        distinct (halves, part) term is one tuple across the build, as in a
+        tower read back from its file."""
+        m = split.stride.bit_length() - 1
+        if split.kind == "F":
+            expr = f_split_product(split.offset, m, self.table, self)
+        else:
+            expr = g_split_product(split.set_index, split.offset, m, self.table, self)
+        terms = self._terms
+        return LinearCombo(
+            expr.constant,
+            tuple(terms.setdefault(t, t) for t in expr.linear),
+            tuple(terms.setdefault(t, t) for t in expr.squares),
+        )
 
     def f_level(self, m: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[PartRef, ...]]:
         """(the fold of mu(., 2^m), its terms (2 (mu(k, 2^m) - fold), k) for

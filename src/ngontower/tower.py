@@ -16,6 +16,10 @@ and its margins and values to within `value_tolerance`), then
 proves each node's values from their radius and the cosine sums' bound when
 its roots land; it writes the tower's one `VerificationReport`.  A precision
 that nobody gives is `default_precision(n)`.
+
+Parts and products are `invariant_sets`' vocabulary.  Only `build_schedule`
+derives products, importing `splitting` when it runs, so reading and
+checking a stored tower loads no derivation.
 """
 
 from collections import Counter
@@ -25,19 +29,11 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_abs, mpf_gt, mpf_sub, round_nearest
 
 from .errors import VerificationError
-from .invariant_sets import InvariantSetTable, build_invariant_sets, locate_pair
-from .residues import FermatParams, rho
-from .splitting import (
-    LinearCombo,
-    PartRef,
-    SplitLevels,
-    check_part,
-    f_part,
-    f_split_product,
-    g_part,
-    g_split_product,
-    split_children,
+from .invariant_sets import (
+    InvariantSetTable, LinearCombo, PartRef, build_invariant_sets, check_part, f_part, g_part,
+    locate_pair, split_children,
 )
+from .residues import FermatParams, rho
 
 
 # The most mantissa bits a run may ask for, on the command line or in a tower
@@ -200,27 +196,14 @@ def build_schedule(
     params: FermatParams, table: InvariantSetTable, kind: str = "pruned"
 ) -> Tower:
     """The (unevaluated) node DAG of a `kind` schedule: the splits that
-    `schedule_closure` reaches, their products derived with one
-    `SplitLevels` (mu with its fold, the base G product, the wrap twist),
-    ordered by (step, set, offset) and numbered by `_place`.  The published
-    pruning lists are only compared against, never trusted.  Each distinct
-    (halves, part) term is one tuple, as in a tower read back from its file."""
-    levels = SplitLevels(table)
-    terms: dict[tuple[int, PartRef], tuple[int, PartRef]] = {}  # each distinct term once
+    `schedule_closure` reaches, their products derived by one
+    `splitting.SplitLevels` (mu with its fold, the base G product, the wrap
+    twist, each distinct term once), ordered by (step, set, offset) and
+    numbered by `_place`.  The published pruning lists are only compared
+    against, never trusted."""
+    from .splitting import SplitLevels
 
-    def product(split: PartRef) -> LinearCombo:
-        m = split.stride.bit_length() - 1
-        if split.kind == "F":
-            expr = f_split_product(split.offset, m, table, levels)
-        else:
-            expr = g_split_product(split.set_index, split.offset, m, table, levels)
-        return LinearCombo(
-            expr.constant,
-            tuple(terms.setdefault(t, t) for t in expr.linear),
-            tuple(terms.setdefault(t, t) for t in expr.squares),
-        )
-
-    products = schedule_closure(params, kind, product)
+    products = schedule_closure(params, kind, SplitLevels(table).product)
     by_child: dict[PartRef, int | None] = {_root_part(params): None}
     order = sorted(products, key=lambda p: (_step(p, params), p.set_index, p.offset))
     nodes = [

@@ -14,9 +14,8 @@ import re
 import mpmath as mp
 
 from .errors import UsageError
-from .invariant_sets import build_invariant_sets
+from .invariant_sets import LinearCombo, PartRef, build_invariant_sets, check_part
 from .residues import FermatParams
-from .splitting import LinearCombo, PartRef, check_part
 from .tower import (
     MAX_PRECISION,
     QuadraticNode,
@@ -253,22 +252,22 @@ def _check_header(header) -> None:
 def load_tower(path: str) -> Tower:
     """Read a tower document.
 
-    Any malformed line raises UsageError naming the file and the line: a
-    header out of range (`_check_header`; an n that is not a Fermat prime up
-    to 65537 is refused before any table is built), a node that names a part
-    outside the table for that n (any of its split, halves or product
-    terms), a product expression that names a part twice among its linear
-    terms or twice among its squares, a coefficient that is not an integer
-    or half-integer (denominator 1 or 2) below 2^30, a part field,
-    coefficient, id, step or sum_source that is not a JSON integer (a bool
-    is refused), a malformed sign or value field, a node out of place in
-    the schedule's DAG (both `_Reader.node`), and, reported on the last
-    line, nodes that are not exactly the header's schedule
-    (`_check_schedule`).  A null header precision reads as
-    `default_precision(n)`.  An unreadable path raises OSError.  Each
-    distinct part and term is one object, and each distinct term is read
-    and checked once, though the type of its fields is checked wherever it
-    appears (`_Reader`).
+    Any malformed line raises UsageError naming the file and the line: one
+    that is not JSON or is nested too deeply to parse, a header out of range
+    (`_check_header`; an n that is not a Fermat prime up to 65537 is refused
+    before any table is built), a node that names a part outside the table
+    for that n (any of its split, halves or product terms), a product
+    expression that names a part twice among its linear terms or twice among
+    its squares, a coefficient that is not an integer or half-integer
+    (denominator 1 or 2) below 2^30, a part field, coefficient, id, step or
+    sum_source that is not a JSON integer (a bool is refused), a malformed
+    sign or value field, a node out of place in the schedule's DAG (both
+    `_Reader.node`), and, reported on the last line, nodes that are not
+    exactly the header's schedule (`_check_schedule`).  A null header
+    precision reads as `default_precision(n)`.  An unreadable path raises
+    OSError.  Each distinct part and term is one object, and each distinct
+    term is read and checked once, though the type of its fields is checked
+    wherever it appears (`_Reader`).
     """
     with open(path) as fh:
         lineno = 1
@@ -286,6 +285,7 @@ def load_tower(path: str) -> Tower:
                 precision = default_precision(params.n)
             tower = Tower(params, table, header["schedule"], nodes, precision)
             _check_schedule(tower)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError,
+                RecursionError) as exc:
             raise UsageError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     return tower

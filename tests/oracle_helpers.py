@@ -8,11 +8,10 @@ from math import isqrt
 import numpy as np
 
 from ngontower.errors import VerificationError
-from ngontower.invariant_sets import InvariantSetTable
+from ngontower.invariant_sets import InvariantSetTable, LinearCombo
 from ngontower.oracle import Oracle
 from ngontower.period_algebra import SetCombination
 from ngontower.residues import FermatParams
-from ngontower.splitting import LinearCombo
 
 from pair_reference import PeriodVector
 

@@ -14,12 +14,12 @@ parts at n = 65537.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from ngontower.invariant_sets import InvariantSetTable
+from ngontower.invariant_sets import InvariantSetTable, LinearCombo, PartRef, check_part
 from ngontower.residues import FermatParams, pair_of
-from ngontower.splitting import LinearCombo, PartRef, part_pairs
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,16 @@ def pv_from_pairs(pairs, params: FermatParams, constant: int = 0) -> PeriodVecto
         raise ValueError(f"pair number {bad[0]} out of range [1, {params.npairs}]")
     coeffs = np.bincount(idx, minlength=params.npairs + 1).astype(np.int64, copy=False)
     return PeriodVector(params.n, constant, coeffs)
+
+
+def part_pairs(p: PartRef, table: InvariantSetTable) -> tuple[int, ...]:
+    """All pair numbers covered by the part, in member order: its sets
+    one after another for an F part.  The program places a part through
+    `invariant_sets.part_members`; this spells out every pair."""
+    check_part(p, table.params)
+    if p.kind == "F":
+        return tuple(chain.from_iterable(table.sets[p.offset - 1 :: p.stride]))
+    return table.sets[p.set_index - 1][p.offset - 1 :: p.stride]
 
 
 def pv_of_part(part: PartRef, table: InvariantSetTable) -> PeriodVector:

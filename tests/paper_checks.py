@@ -6,10 +6,9 @@ multiplicities recovered from numeric values by a linear system."""
 import numpy as np
 
 from ngontower.errors import VerificationError
-from ngontower.invariant_sets import InvariantSetTable
+from ngontower.invariant_sets import InvariantSetTable, LinearCombo, f_part
 from ngontower.period_algebra import SetCombination, set_product, set_square
 from ngontower.residues import pair_of, rho
-from ngontower.splitting import LinearCombo, f_part
 
 
 def doubling_orbit(start: int, n: int) -> tuple[int, ...]:

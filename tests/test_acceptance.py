@@ -11,10 +11,11 @@ import mpmath as mp
 import pytest
 
 from ngontower import reference_tables as ref
+from ngontower.invariant_sets import LinearCombo, f_part, g_part
 from ngontower.oracle import Oracle, OracleMismatch
 from ngontower.period_algebra import set_product, set_square
 from ngontower.residues import FermatParams, rho
-from ngontower.splitting import LinearCombo, f_part, g_part, mu_groups, mu_table
+from ngontower.splitting import mu_groups, mu_table
 from ngontower.tower import QuadraticNode, build_tower, evaluate_tower
 from ngontower.verify import oracle_check_tower
 

@@ -754,6 +754,16 @@ def _on_header(key, value):
     return edit
 
 
+def _nested(index):
+    """A line edit that replaces line `index` + 1 with 10,000 nested arrays,
+    deeper than the JSON parser recurses."""
+
+    def edit(lines):
+        lines[index] = "[" * 10_000
+
+    return edit
+
+
 def _linear_10_30(node):
     node["product"]["linear"][0][0] = 10**30
 
@@ -815,6 +825,8 @@ def _value_left_bit_count_off(node):
         pytest.param(_on_header("precision", -5), 1, id="header-precision-negative"),
         pytest.param(_on_header("precision", 10**7), 1, id="header-precision-over-cap"),
         pytest.param(_on_header("schedule", "bogus"), 1, id="header-schedule-bogus"),
+        pytest.param(_nested(0), 1, id="header-nested-10000"),
+        pytest.param(_nested(2), 3, id="node-nested-10000"),
         pytest.param(_on_node(_linear_10_30, 2), 4, id="linear-10^30"),
         pytest.param(_on_node(_sign_margin_null, 1), 3, id="sign-margin-null"),
         pytest.param(_on_node(_sign_margin_exponent_x, 1), 3, id="sign-margin-exponent-x"),
@@ -834,8 +846,9 @@ def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
     # The loader refuses a malformed line before any command reads it: a
     # header field out of range, a part outside the table, a coefficient
     # denominator other than 1 or 2 or a coefficient of 2^30 or more, a part
-    # named twice among a product's linear terms or its squares, a malformed sign or value field, a node out of place in the schedule's
-    # DAG, or nodes that are not the header's schedule.  Run in-process: an
+    # named twice among a product's linear terms or its squares, a malformed
+    # sign or value field, a line nested too deeply to parse, a node out of
+    # place in the schedule's DAG, or nodes that are not the header's schedule.  Run in-process: an
     # exception escaping `main` fails the test.
     tower_path = _edited_17(tmp_path, capsys, edit)
     for argv in (

@@ -34,8 +34,8 @@ from ngontower.construction import (
     _run,
 )
 from ngontower.errors import VerificationError
+from ngontower.invariant_sets import LinearCombo, g_part
 from ngontower.sharing import Lines
-from ngontower.splitting import LinearCombo, g_part
 from ngontower.tower import _root_part, build_tower, evaluate_tower
 from ngontower.towerfile import dump_tower
 

@@ -1,8 +1,11 @@
-"""The program runs without numpy, which only the tests use.
+"""The program runs without numpy, which only the tests use, and checks a
+stored tower without the code that derives one.
 
 Each command runs once in this process and once in a child interpreter in
 which `import numpy` fails (`sys.modules["numpy"] = None` before `ngontower`
-is imported); both must exit 0 and write the same bytes.
+is imported); both must exit 0 and write the same bytes.  The commands that
+read a stored tower run the same way with the derivation's modules blocked
+instead: the checker shares no code with what it checks.
 """
 
 import json
@@ -14,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from ngontower.cli import main
+from ngontower.tower import build_tower
+from ngontower.towerfile import dump_tower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,3 +81,41 @@ def test_a_build_leaves_numpy_unimported(tmp_path):
     )
     result = _child(script, tmp_path)
     assert json.loads(result.stderr.splitlines()[-1]) == [0, False], result.stderr
+
+
+# What derives a tower's products and writes its build report.
+DERIVATION = ("period_algebra", "splitting", "report", "reference_tables")
+STORED_COMMANDS = [
+    ["verify", "--tower", "t.tower"],
+    ["compile", "--tower", "t.tower", "--target", "arith", "--out", "p.arith"],
+    ["compile", "--tower", "t.tower", "--target", "geom", "--out", "p.geom"],
+    ["render", "--tower", "t.tower", "--max-vertices", "64", "--out", "p.svg"],
+]
+
+
+@pytest.mark.parametrize("n", [17, 257, 65537])
+def test_stored_towers_are_checked_without_the_derivation(n, request, tmp_path, monkeypatch, capsys):
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    tower = request.getfixturevalue("tower65537") if n == 65537 else build_tower(n)
+    dump_tower(tower, str(here / "t.tower"))
+    (there / "t.tower").write_bytes((here / "t.tower").read_bytes())
+    monkeypatch.chdir(here)
+    codes = [main(argv) for argv in STORED_COMMANDS]
+    out = capsys.readouterr().out
+    assert codes == [0] * len(codes)
+    assert "oracle-checked 0 " not in out
+
+    script = (
+        "import sys\n"
+        f"for name in {DERIVATION!r}:\n"
+        "    sys.modules['ngontower.' + name] = None\n"
+        "from ngontower.cli import main\n"
+        f"print(*[main(argv) for argv in {STORED_COMMANDS!r}], file=sys.stderr)\n"
+    )
+    result = _child(script, there)
+    assert result.stderr.split() == ["0"] * len(codes), result.stderr
+    assert result.stdout == out
+    assert _written(there) == _written(here)
+    assert set(_written(here)) == {"t.tower", "p.arith", "p.geom", "p.svg"}

@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngontower import oracle
-from ngontower.invariant_sets import build_invariant_sets
+from ngontower.invariant_sets import (
+    LinearCombo,
+    build_invariant_sets,
+    f_part,
+    g_part,
+    part_members,
+    split_children,
+)
 from ngontower.oracle import Oracle, OracleMismatch
 from ngontower.residues import FermatParams
-from ngontower.splitting import LinearCombo, f_part, g_part, part_members, part_pairs, split_children
 from ngontower.tower import build_schedule
 from ngontower.verify import oracle_check_node, oracle_check_tower
 
@@ -30,6 +36,7 @@ from pair_reference import (
     equal_as_numbers,
     expand_doubled,
     pair_product,
+    part_pairs,
     pv_from_pairs,
     pv_mul,
     pv_of_part,

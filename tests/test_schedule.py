@@ -10,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from ngontower import splitting, tower as tower_mod
-from ngontower.invariant_sets import build_invariant_sets
+from ngontower import splitting
+from ngontower.invariant_sets import build_invariant_sets, g_part
 from ngontower.residues import FermatParams
-from ngontower.splitting import g_part
 from ngontower.tower import _root_part, build_schedule
 
 from towerfile_reference import combo_json, part_json
@@ -106,10 +105,8 @@ def _count_calls(monkeypatch, module, name, counts, key):
 
 def test_pruned_65537_derives_only_what_it_keeps(monkeypatch, params65537, table65537):
     products, levels = Counter(), Counter()
-    for module in (splitting, tower_mod):
-        for name in ("f_split_product", "g_split_product"):
-            if hasattr(module, name):
-                _count_calls(monkeypatch, module, name, products, lambda args, name=name: name)
+    for name in ("f_split_product", "g_split_product"):
+        _count_calls(monkeypatch, splitting, name, products, lambda args, name=name: name)
     for name in ("mu_table", "pr_terms"):
         # Both take the level m first.
         _count_calls(monkeypatch, splitting, name, levels, lambda args, name=name: (name, args[0]))

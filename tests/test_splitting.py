@@ -2,27 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngontower.invariant_sets import LinearCombo, f_part, g_part, part_members, split_children
 from ngontower.oracle import Oracle
 from ngontower.period_algebra import set_product
 from ngontower.residues import rho
-from ngontower.splitting import (
-    LinearCombo,
-    f_part,
-    f_split_product,
-    g_part,
-    g_split_product,
-    mu_groups,
-    mu_table,
-    part_members,
-    part_pairs,
-    pr_terms,
-    split_children,
-)
+from ngontower.splitting import f_split_product, g_split_product, mu_groups, mu_table, pr_terms
 from ngontower.tower import QuadraticNode, build_schedule
 from ngontower.verify import oracle_check_node
 
 from oracle_helpers import in_pairs, pv_s, same_expression, terms_of
-from pair_reference import equal_as_numbers, expand_doubled, pv_mul, pv_of_part
+from pair_reference import equal_as_numbers, expand_doubled, part_pairs, pv_mul, pv_of_part
 from paper_checks import f_split_product_squares
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ngontower.invariant_sets import f_part, g_part
 from ngontower.residues import rho
-from ngontower.splitting import f_part, g_part, part_pairs
 from ngontower.tower import (
     CosineCache,
     SignAmbiguous,
@@ -18,6 +18,7 @@ from ngontower.tower import (
     resolve_signs,
 )
 
+from pair_reference import part_pairs
 from paper_checks import NonIntegralSolution, mu_via_linear_system
 from tower_values import part_values
 

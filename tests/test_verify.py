@@ -1,7 +1,7 @@
 import pytest
 
 from ngontower.errors import VerificationError
-from ngontower.splitting import LinearCombo
+from ngontower.invariant_sets import LinearCombo
 from ngontower.tower import build_tower
 from ngontower.verify import (
     OracleMismatch,
