@@ -7,9 +7,9 @@ the one interpreter of the arithmetic IR: each value is an int at scale
 the exact value (running error analysis, Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., 3.3, in the midpoint-radius form of van der
 Hoeven, "Ball arithmetic", 2009), and a sign is read only where the radius
-proves it.  `evaluate_tower` runs the program as an `EvaluatingBuilder`
-emits it, checks each node when its roots land and keeps alive only the
-values a later instruction reads, plus one sign byte per instruction.
+proves it.  `evaluate_tower` runs the finished program one node at a
+time, checks each node when its roots land and keeps alive only the values
+a later instruction reads, plus one sign byte per instruction.
 
 A node's product expression is scaled once per distinct |coefficient|, and
 each partial sum that `sharing.Lines` finds shared by the nodes of a step is
@@ -40,7 +40,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import isqrt
 from typing import NamedTuple
 
@@ -138,16 +137,17 @@ class ArithProgram:
         return self.ops.count(_SQRT)
 
 
-def _run(prog: ArithProgram, first: int, vals: list, rads: list, scale: int) -> None:
+def _run(prog: ArithProgram, first: int, end: int, vals: list, rads: list, scale: int) -> None:
     """Append to `vals` and `rads` the value of each instruction from `first`
-    on and its radius, a bound on its distance from the exact value, both
-    ints in units of 2^-scale; they hold those of every earlier instruction
-    (None for one that no later one reads).  The definition of the IR ops:
-    ADD, SUB and a dyadic CONST are exact; HALF, MUL and SQRT round down and
-    add their operands' radii, carried through, and a unit when they round;
-    a SQRT of an operand not proven positive raises NegativeRadicand."""
+    to `end` - 1 and its radius, a bound on its distance from the exact
+    value, both ints in units of 2^-scale; they hold those of every earlier
+    instruction (None for one that no later one reads).  The definition of
+    the IR ops: ADD, SUB and a dyadic CONST are exact; HALF, MUL and SQRT
+    round down and add their operands' radii, carried through, and a unit
+    when they round; a SQRT of an operand not proven positive raises
+    NegativeRadicand."""
     consts, below = prog.consts, (1 << scale) - 1
-    for i, op, x, y in zip(range(first, len(prog.ops)), prog.ops[first:], prog.a[first:], prog.b[first:]):
+    for i, op, x, y in zip(range(first, end), prog.ops[first:end], prog.a[first:end], prog.b[first:end]):
         if op < _MUL:
             v = vals[x] + vals[y] if op == _ADD else vals[x] - vals[y]
             r = rads[x] + rads[y]
@@ -175,7 +175,7 @@ def arith_values(prog: ArithProgram, precision: int) -> tuple[list[int], list[in
     """The value and the radius of every instruction, in order, by `_run` at
     scale 2^-(precision + RUN_GUARD_BITS)."""
     vals, rads = [], []
-    _run(prog, 0, vals, rads, precision + RUN_GUARD_BITS)
+    _run(prog, 0, len(prog.ops), vals, rads, precision + RUN_GUARD_BITS)
     return vals, rads
 
 
@@ -200,10 +200,6 @@ class _ArithBuilder:
         self._const_cache: dict[int, int] = {}
         self.lines = Lines()
         self._sums: dict[tuple[int, int], int] = {}  # (derived line, offset) -> instruction
-
-    def node(self, prod: int, root: int, left: int, right: int) -> None:
-        """Record a tower node's instructions, once its roots are emitted."""
-        self.prog.nodes.append((prod, root, left, right))
 
     def const(self, halves: int) -> int:
         """The CONST instruction for halves / 2."""
@@ -271,56 +267,17 @@ class _ArithBuilder:
         return term
 
 
-class EvaluatingBuilder(_ArithBuilder):
-    """Runs the program at `precision` bits as it is emitted.  When a node's
-    roots land, its instructions run and `check(k, left, right, product)`
-    gets node k's (value, radius) pairs; then each value emitted for the
-    node is dropped (None in `values` and `radii`) but its CONSTs, shared
-    sums and two halves, all that later instructions read.  `signs` holds
-    the proven sign of every value, one signed byte each."""
-
-    def __init__(self, precision: int, check):
-        super().__init__()
-        self.scale = precision + RUN_GUARD_BITS
-        self.check = check
-        self.values, self.radii = [], []
-        self.signs = array("b")
-        self._old_sums = 0  # shared sums emitted before the current node
-
-    def flush(self) -> int:
-        """Run the instructions not yet run (after the last node: cos and
-        sin); returns the first."""
-        vals, rads = self.values, self.radii
-        first = len(vals)
-        _run(self.prog, first, vals, rads, self.scale)
-        self.signs.extend(proven_signs(vals, rads, first))
-        return first
-
-    def node(self, prod: int, root: int, left: int, right: int) -> None:
-        first = self.flush()
-        super().node(prod, root, left, right)
-        vals, rads, sums = self.values, self.radii, self._sums
-        self.check(len(self.prog.nodes) - 1, *((vals[i], rads[i]) for i in (left, right, prod)))
-        new_sums = islice(reversed(sums.values()), len(sums) - self._old_sums)
-        live = {left, right, *new_sums, *self._const_cache.values()}
-        kept = [(i, vals[i], rads[i]) for i in live if i >= first]
-        vals[first:] = rads[first:] = [None] * (len(vals) - first)
-        for i, v, r in kept:
-            vals[i], rads[i] = v, r
-        self._old_sums = len(sums)
-
-
-def compile_to_arith(tower: Tower, builder: _ArithBuilder | None = None) -> ArithProgram:
+def compile_to_arith(tower: Tower) -> ArithProgram:
     """The tower's one solver: one SQRT per node plus one for sin(theta).
 
     A node with sum s and product q gets half = s/2, root = sqrt(half^2 - q)
     and the roots half + root and half - root, assigned to its halves by its
     sign, which must be resolved; constants come from the product
-    expressions.  `prog.nodes` records each node's instructions.  `builder`
-    emits the program: a fresh `_ArithBuilder` when None, or an
-    `EvaluatingBuilder`, which also runs it.
+    expressions.  `prog.nodes` records each node's instructions; those
+    emitted for a node follow the node before it and end with its second
+    root.
     """
-    b = _ArithBuilder() if builder is None else builder
+    b = _ArithBuilder()
     refs = {_root_part(tower.params): b.const(-2)}
     for node in tower.nodes:
         if node.left_is_larger is None:
@@ -334,7 +291,7 @@ def compile_to_arith(tower: Tower, builder: _ArithBuilder | None = None) -> Arit
         smaller = b.emit("SUB", half, root_idx)
         left, right = (bigger, smaller) if node.left_is_larger else (smaller, bigger)
         refs[node.left], refs[node.right] = left, right
-        b.node(prod_idx, root_idx, left, right)
+        b.prog.nodes.append((prod_idx, root_idx, left, right))
     p1 = refs[tower.p1_part()]  # at n = 3, S = -1 itself
     cos_idx = b.emit("HALF", p1)
     sin_sq = b.emit("SUB", b.const(2), b.emit("MUL", cos_idx, cos_idx))
@@ -508,9 +465,6 @@ class _GeomBuilder:
             self._yaxis = self.prog.emit("PERPENDICULAR_AT", self.AXIS, self.O)
         return self._yaxis
 
-    def neg(self, p: int) -> int:
-        return self.prog.emit("TRANSFER_LENGTH", self.O, p, self.O)
-
     def add(self, p: int, q: int) -> int:
         return self.prog.emit("TRANSFER_LENGTH", p, self.O, q)
 
@@ -526,7 +480,7 @@ class _GeomBuilder:
         if k == 0:
             idx = self.O
         elif k < 0:
-            idx = self.neg(self.int_const(-k))
+            idx = self.sub(self.O, self.int_const(-k))
         else:
             idx = self.int_const(k // 2)
             idx = self.add(idx, idx)
@@ -540,7 +494,7 @@ class _GeomBuilder:
         if k == 0:
             return self.O
         if k < 0:
-            return self.neg(self.scale_int(p, -k))
+            return self.sub(self.O, self.scale_int(p, -k))
         if k == 1:
             return p
         acc = self.scale_int(p, k // 2)
@@ -766,6 +720,9 @@ def load_geom(path: str) -> GeomProgram:
 # SVG output
 
 
+_VIEWPORT = 800  # an SVG's width and height, in pixels
+
+
 def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
     """First `count` vertices of the n-gon from the evaluated tower value."""
     with mp.workprec(tower.precision):
@@ -780,22 +737,22 @@ def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
     return out
 
 
-def emit_svg(tower: Tower, max_vertices: int = 0, viewport: int = 800) -> str:
+def emit_svg(tower: Tower, max_vertices: int = 0) -> str:
     """Deterministic SVG 1.1 document: the full polygon for small n, a zoomed
     arc sector showing the first max_vertices vertices for huge n."""
     n = tower.params.n
     count = n if not max_vertices else min(n, max_vertices)
     full = count == n
     verts = polygon_vertices(tower, count)
-    half = viewport / 2
+    half = _VIEWPORT / 2
 
     def fmt(x: float) -> str:
         return f"{x:.6f}"
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{viewport}" '
-        f'height="{viewport}" viewBox="0 0 {viewport} {viewport}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_VIEWPORT}" '
+        f'height="{_VIEWPORT}" viewBox="0 0 {_VIEWPORT} {_VIEWPORT}">',
         f'<!-- regular {n}-gon; {count} vertices drawn -->',
     ]
     if full:

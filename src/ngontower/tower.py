@@ -11,17 +11,18 @@ The checks run as one pipeline, `verify.verify_tower`: the optional exact
 oracle, then `resolve_signs`, which decides every sign from the cosine sums
 at the tower's precision and checks what a loaded tower stores (its signs,
 and its margins and values to within `value_tolerance`), then
-`evaluate_tower`.  That runs the tower's arithmetic program, the one
-`compile` writes, on scaled ints with an error radius as it is emitted, and
-proves each node's values from their radius and the cosine sums' bound when
-its roots land; it writes the tower's one `VerificationReport`.  A precision
-that nobody gives is `default_precision(n)`.
+`evaluate_tower`.  That compiles the tower's arithmetic program, the one
+`compile` writes, runs it node by node on scaled ints with an error radius,
+and proves each node's values from their radius and the cosine sums' bound
+when its roots land; it writes the tower's one `VerificationReport`.  A
+precision that nobody gives is `default_precision(n)`.
 
 Parts and products are `invariant_sets`' vocabulary.  Only `build_schedule`
 derives products, importing `splitting` when it runs, so reading and
 checking a stored tower loads no derivation.
 """
 
+from array import array
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -392,49 +393,61 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
 
 
 def evaluate_tower(tower: Tower) -> tuple:
-    """Run the tower's arithmetic program as `construction.compile_to_arith`
-    emits it, with the signs, precision and cosine sums that `resolve_signs`
-    left, and store its values on the nodes, each rounded once to
-    `precision` bits.  Each node is checked in ints when its roots land: a
-    value v with radius r at scale 2^F and its part's sum T of m entries at
-    scale 2^S must meet |v 2^(S-F) - T| <= r 2^(S-F) + 4m.  Then p1 must lie
-    within `value_tolerance` of 2cos(2 pi / n).  Writes the tower's report;
-    returns the program and the proven sign (-1, 0 or 1) of each of its
-    instruction values; no value outlives the run."""
-    from .construction import EvaluatingBuilder, NegativeRadicand, compile_to_arith
+    """Compile the tower's arithmetic program (`construction.compile_to_arith`)
+    and run it one node at a time, with the signs, precision and cosine sums
+    that `resolve_signs` left, and store its values on the nodes, each
+    rounded once to `precision` bits.  Each node is checked in ints when its
+    roots land: a value v with radius r at scale 2^F and its part's sum T of
+    m entries at scale 2^S must meet |v 2^(S-F) - T| <= r 2^(S-F) + 4m.
+    Then each value of the node's instructions that no later instruction
+    reads is dropped, and last p1, cos and sin run: p1 must lie within
+    `value_tolerance` of 2cos(2 pi / n).  Writes the tower's report; returns
+    the program and the proven sign (-1, 0 or 1) of each of its instruction
+    values; no value outlives the run."""
+    from .construction import RUN_GUARD_BITS, NegativeRadicand, _run, compile_to_arith, proven_signs
 
     cache = tower.cosines
     if cache is None:
         raise ValueError("tower signs must be resolved before evaluating")
     precision = tower.precision
-    worst = [0, 0, 0]  # |v 2^(S-F) - T| (2^-S), Vieta residual (2^-2F), radius (2^-F)
-
-    def check(k, left, right, prod):
-        node = tower.nodes[k]
-        node.value_left, node.value_right = (_rounded(v, scale, precision) for v, _ in (left, right))
-        for part, (v, r) in ((node.left, left), (node.right, right)):
-            err = abs((v << shift) - cache.part_fixed(part))
-            if err > (r << shift) + cache.part_bound(part):
-                value, ref = _rounded(v, scale, precision), cache.part_value(part)
-                raise VerificationError(
-                    f"{part.label(tower.table)} = {mp.nstr(value, 25)} but cosine sum "
-                    f"gives {mp.nstr(ref, 25)} (err {mp.nstr(abs(value - ref))})",
-                    node.id,
-                )
-            worst[0], worst[2] = max(worst[0], err), max(worst[2], r)
-        worst[1] = max(worst[1], abs(left[0] * right[0] - (prod[0] << scale)))
-
-    run = EvaluatingBuilder(precision, check)
-    scale = run.scale  # F, which `check` reads
+    scale = precision + RUN_GUARD_BITS  # F
     shift = cache.scale_bits - scale  # S - F
+    prog = compile_to_arith(tower)
+    # The last instruction that reads each one, 0 for none; an absent
+    # operand, -1, writes the extra slot.
+    last = array("i", bytes(4 * len(prog.ops) + 4))
+    for i, x, y in zip(range(len(prog.ops)), prog.a, prog.b):
+        last[x] = last[y] = i
+    vals, rads, signs = [], [], array("b")
+    worst = [0, 0, 0]  # |v 2^(S-F) - T| (2^-S), Vieta residual (2^-2F), radius (2^-F)
+    k = first = 0
     with mp.workprec(precision):
         try:
-            prog = compile_to_arith(tower, run)
-            run.flush()  # cos and the sin(theta) SQRT, after every node
-        except VerificationError as exc:  # a radicand or a sign, or a node check
-            if exc.node_id is not None:
-                raise
-            k = len(run.prog.nodes)  # the node whose instructions failed, or none after the last
+            for k, (prod, _, left, right) in enumerate(prog.nodes):
+                end = max(left, right) + 1  # one past the node's second root
+                _run(prog, first, end, vals, rads, scale)
+                signs.extend(proven_signs(vals, rads, first))
+                node = tower.nodes[k]
+                node.value_left = _rounded(vals[left], scale, precision)
+                node.value_right = _rounded(vals[right], scale, precision)
+                for part, i in ((node.left, left), (node.right, right)):
+                    err = abs((vals[i] << shift) - cache.part_fixed(part))
+                    if err > (rads[i] << shift) + cache.part_bound(part):
+                        value, ref = _rounded(vals[i], scale, precision), cache.part_value(part)
+                        raise VerificationError(
+                            f"{part.label(tower.table)} = {mp.nstr(value, 25)} but cosine sum "
+                            f"gives {mp.nstr(ref, 25)} (err {mp.nstr(abs(value - ref))})"
+                        )
+                    worst[0], worst[2] = max(worst[0], err), max(worst[2], rads[i])
+                worst[1] = max(worst[1], abs(vals[left] * vals[right] - (vals[prod] << scale)))
+                for i in range(first, end):
+                    if last[i] < end:
+                        vals[i] = rads[i] = None
+                first = end
+            k = len(prog.nodes)
+            _run(prog, first, len(prog.ops), vals, rads, scale)  # p1, cos and the sin(theta) SQRT
+            signs.extend(proven_signs(vals, rads, first))
+        except VerificationError as exc:  # a radicand, a sign or a check, of node k or the outputs
             node_id = tower.nodes[k].id if k < len(tower.nodes) else None
             message = str(exc)
             if isinstance(exc, NegativeRadicand):
@@ -450,13 +463,13 @@ def evaluate_tower(tower: Tower) -> tuple:
             max_vieta_err=_rounded(worst[1], 2 * scale, precision),
             max_value_radius=_rounded(worst[2], scale, precision),
             min_sign_margin=min((node.sign_margin for node in tower.nodes), default=None),
-            p1=_rounded(run.values[prog.outputs["p1"]], scale, precision),
+            p1=_rounded(vals[prog.outputs["p1"]], scale, precision),
         )
         report.p1_err = abs(report.p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
     if report.p1_err > value_tolerance(precision):
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
     tower.report = report
-    return prog, run.signs
+    return prog, signs
 
 
 def build_tower(

@@ -3,9 +3,10 @@
 `verify_tower` runs the checks that back a tower, in this order: the exact
 oracle on every product expression (optional), then `tower.resolve_signs`,
 which decides each sign from direct cosine sums or checks a stored one, then
-`tower.evaluate_tower`, which runs the tower's arithmetic program (the one
-`compile` writes) as it is emitted, cross-checks each node value when it
-lands and then p1 against the same sums, and writes the tower's report.
+`tower.evaluate_tower`, which compiles the tower's arithmetic program (the
+one `compile` writes), runs it node by node, cross-checks each node value
+when it lands and then p1 against the same sums, and writes the tower's
+report.
 Every command that reads a tower runs it: `build`, `verify`, `render`, and
 `compile`, which writes the program the pipeline ran.
 

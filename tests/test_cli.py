@@ -542,8 +542,8 @@ def test_a_radius_that_proves_nothing_fails_verify(share, message, tmp_path, cap
     run_cli(capsys, "build", "--n", "17", "--out", str(path))
     run = construction._run
 
-    def inflated(prog, first, vals, rads, scale):
-        run(prog, first, vals, rads, scale)
+    def inflated(prog, first, end, vals, rads, scale):
+        run(prog, first, end, vals, rads, scale)
         rads[first:] = [max(r, share(v)) for v, r in zip(vals[first:], rads[first:])]
 
     monkeypatch.setattr(construction, "_run", inflated)

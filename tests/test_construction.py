@@ -16,7 +16,6 @@ from ngontower.construction import (
     RUN_GUARD_BITS,
     ArithInstr,
     ArithProgram,
-    EvaluatingBuilder,
     _ArithBuilder,
     _GeomBuilder,
     _node_interior,
@@ -130,9 +129,9 @@ def test_program_values_are_the_tower_values(n, kind, request):
     "n, kind", [(n, kind) for n in (3, 5, 17, 257) for kind in ("full", "pruned")] + [(65537, "pruned")]
 )
 def test_streamed_evaluation_gives_the_program_values(n, kind, request):
-    # evaluate_tower runs the program as it is emitted and drops what no
-    # later instruction reads; what it checks, stores and returns are the
-    # values and radii of the whole program run at once, bit for bit.
+    # evaluate_tower runs the program node by node and drops what no later
+    # instruction reads; what it stores and returns are the values and
+    # signs of the whole program run at once, bit for bit.
     tower = _tower(n, kind, request)
     prog, signs = evaluate_tower(tower)
     values, radii = arith_values(compile_to_arith(tower), tower.precision)
@@ -142,20 +141,33 @@ def test_streamed_evaluation_gives_the_program_values(n, kind, request):
             _stored(values[i], tower.precision)._mpf_ for i in (left, right)
         )
     assert tower.report.p1._mpf_ == _stored(values[prog.outputs["p1"]], tower.precision)._mpf_
-    checked = []  # what the check of each node is given: its halves and product
-    compile_to_arith(tower, EvaluatingBuilder(tower.precision, lambda *node: checked.append(node)))
-    assert checked == [
-        (k, *((values[i], radii[i]) for i in (left, right, prod)))
-        for k, (prod, _, left, right) in enumerate(prog.nodes)
-    ]
+
+
+@pytest.mark.parametrize("n, kind", [(17, "full"), (257, "pruned"), (65537, "pruned")])
+def test_evaluation_runs_the_program_node_by_node(n, kind, request, monkeypatch):
+    # The runs tile the finished program: one per node, from the end of the
+    # node before it to just past its second root, then one for p1, cos and
+    # sin.
+    from ngontower import construction
+
+    tower, run, runs = _tower(n, kind, request), construction._run, []
+
+    def recorded(prog, first, end, vals, rads, scale):
+        runs.append((first, end))
+        run(prog, first, end, vals, rads, scale)
+
+    monkeypatch.setattr(construction, "_run", recorded)
+    prog, _ = evaluate_tower(tower)
+    ends = [max(left, right) + 1 for _, _, left, right in prog.nodes] + [len(prog.ops)]
+    assert runs == list(zip([0] + ends[:-1], ends))
 
 
 def test_streamed_evaluation_holds_only_live_values(tower65537):
     # Above the signed tower, the evaluation holds the program (0.4 MB of
-    # columns) and, at most, the CONSTs, shared sums and node halves (about
-    # 5,800 of 28,008 values) with their radii, plus one sign byte per
-    # instruction: 2.5 MB at its peak, where all 28,008 values and radii
-    # take 4.3 MB.
+    # columns), the last reader of each instruction (0.1 MB) and, at most,
+    # the values that a later instruction reads (about 5,100 of 28,008)
+    # with their radii, plus one sign byte per instruction: 2.0 MB at its
+    # peak, where all 28,008 values and radii take 4.3 MB.
     evaluate_tower(tower65537)  # every cosine sum it reads is cached
     tracemalloc.start()
     try:
@@ -323,7 +335,7 @@ def test_a_negative_first_group_is_subtracted_from_const_0():
     out = b.combo(expr, refs, 1)
     assert ArithInstr("CONST", (), Fraction(0)) in b.prog.instrs
     vals, rads = [], []
-    _run(b.prog, 0, vals, rads, 64)
+    _run(b.prog, 0, len(b.prog.ops), vals, rads, 64)
     want = sum(Fraction(h, 2) * values[p] for h, p in expr.linear)
     want += sum(Fraction(h, 2) * values[p] ** 2 for h, p in expr.squares)
     assert abs(vals[out] - want * 2**64) <= rads[out]
@@ -612,8 +624,8 @@ def test_polygon_vertices(tower17):
 
 
 def test_svg_deterministic(tower17):
-    a = emit_svg(tower17, viewport=800)
-    b = emit_svg(tower17, viewport=800)
+    a = emit_svg(tower17)
+    b = emit_svg(tower17)
     assert a == b
     assert a.startswith('<?xml version="1.0"')
     assert "polygon" in a
