@@ -48,7 +48,7 @@ import mpmath as mp
 from .errors import VerificationError
 from .invariant_sets import LinearCombo, PartRef
 from .sharing import Lines
-from .tower import Tower, _root_part
+from .tower import Tower, _root_part, _rotations
 
 _INTERCEPT_THRESHOLD = 64
 RUN_GUARD_BITS = 32  # a program runs at scale 2^-(precision + RUN_GUARD_BITS)
@@ -723,18 +723,21 @@ def load_geom(path: str) -> GeomProgram:
 _VIEWPORT = 800  # an SVG's width and height, in pixels
 
 
+# Bits of the ints the vertices are rotated in: a step adds under 2.2 units
+# of 2^-128 (see `tower.CosineCache`), so 65537 steps stay within 2^-110, far
+# below a float's 2^-53.
+_VERTEX_BITS = 128
+
+
 def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
-    """First `count` vertices of the n-gon from the evaluated tower value."""
+    """First `count` vertices of the n-gon from the evaluated tower value:
+    cos/sin(2 pi / n) from p1 at the tower's precision, then each vertex
+    the one before rotated by it in ints at scale 2^_VERTEX_BITS."""
     with mp.workprec(tower.precision):
         cos_t = tower.report.p1 / 2
-        sin_t = mp.sqrt(1 - cos_t * cos_t)
-        rot = mp.mpc(cos_t, sin_t)
-        z = mp.mpc(1, 0)
-        out = []
-        for _ in range(count):
-            out.append((float(z.real), float(z.imag)))
-            z *= rot
-    return out
+        rows = _rotations((cos_t, mp.sqrt(1 - cos_t * cos_t)), count, _VERTEX_BITS)
+    one = 1 << _VERTEX_BITS
+    return [(c / one, s / one) for c, s in rows]
 
 
 def emit_svg(tower: Tower, max_vertices: int = 0) -> str:

@@ -10,7 +10,8 @@ cosine sums, which are independent of the tower arithmetic.
 The checks run as one pipeline, `verify.verify_tower`: the optional exact
 oracle, then `resolve_signs`, which decides every sign from the cosine sums
 at the tower's precision and checks what a loaded tower stores (its signs,
-and its margins and values to within `value_tolerance`), then
+and its margins and values to within `value_tolerance`, compared exactly
+and at a bounded cost whatever a stored exponent is), then
 `evaluate_tower`.  That compiles the tower's arithmetic program, the one
 `compile` writes, runs it node by node on scaled ints with an error radius,
 and proves each node's values from their radius and the cosine sums' bound
@@ -27,7 +28,9 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_gt, mpf_sub, round_nearest
+from mpmath.libmp import (
+    from_man_exp, mpf_abs, mpf_gt, mpf_lt, mpf_sub, round_nearest, round_up, to_str,
+)
 
 from .errors import VerificationError
 from .invariant_sets import (
@@ -272,8 +275,8 @@ class CosineCache:
         self.wide_bits = wide = self.scale_bits + self.ORBIT_BITS
         with mp.workprec(wide + 16):
             theta = 2 * mp.pi / params.n
-            self.low = _rotations(theta, block, wide)
-            self.high = _rotations(block * theta, npairs // block + 1, wide)
+            self.low = _rotations(mp.cos_sin(theta), block, wide)
+            self.high = _rotations(mp.cos_sin(block * theta), npairs // block + 1, wide)
         self.set_fixed = [0] + [sum(self._orbit(k)) for k in range(1, params.ng + 1)]
         self._entries: dict[int, list[int]] = {}  # set index -> its entries
         self._part: dict[PartRef, int] = {}
@@ -324,10 +327,11 @@ class CosineCache:
         return _rounded(self.part_fixed(part), self.scale_bits, self.precision)
 
 
-def _rotations(angle, count: int, scale: int) -> list[tuple[int, int]]:
-    """cos/sin(j angle), j < count, as ints at scale 2^scale: one mp.cos_sin
-    of `angle` rounded, and each next the one before rotated by it."""
-    c1, s1 = (int(mp.nint(mp.ldexp(x, scale))) for x in mp.cos_sin(angle))
+def _rotations(cos_sin, count: int, scale: int) -> list[tuple[int, int]]:
+    """cos/sin(j a), j < count, as ints at scale 2^scale, from the mpf pair
+    `cos_sin` of a: row 1 is that pair rounded, and each next row the one
+    before rotated by it."""
+    c1, s1 = (int(mp.nint(mp.ldexp(x, scale))) for x in cos_sin)
     c, s = 1 << scale, 0
     rows = []
     for _ in range(count):
@@ -341,52 +345,70 @@ def _rounded(v: int, scale: int, precision: int):
     return mp.mp.make_mpf(from_man_exp(v, -scale, precision, round_nearest))
 
 
+def _farther_than(stored, ref: int, scale: int, tol_bits: int) -> bool:
+    """Whether the raw mpf `stored` lies further than 2^(tol_bits - scale)
+    from ref 2^-scale, exactly.  When stored 2^scale is an int of at most
+    `scale` bits more than its mantissa, ints decide; at any other exponent
+    the difference is rounded away from zero to `scale` bits, which cannot
+    move it across the power-of-two tolerance and which libmp computes at a
+    bounded cost however far apart the exponents are."""
+    sign, man, exp, _ = stored
+    shift = exp + scale
+    if 0 <= shift <= scale:
+        return abs(((-man if sign else man) << shift) - ref) > 1 << tol_bits
+    diff = mpf_sub(stored, from_man_exp(ref, -scale), scale, round_up)
+    return mpf_gt(mpf_abs(diff), from_man_exp(1, tol_bits - scale))
+
+
 def resolve_signs(tower: Tower, precision: int) -> Tower:
     """Decide which side of every split is larger, by direct cosine sums.
 
-    What a node already stores (a loaded tower) is checked, not trusted: a
-    sign that disagrees raises VerificationError, and so does a margin or a
-    value further than `value_tolerance` of the coarser of the tower's and
-    this run's precision from the exact |left - right| and sums.  A null
-    value is not compared.
+    Each margin |left - right| is the difference of the two sums, each
+    rounded once to `precision` bits, rounded once more; it is computed on
+    raw libmp values and kept on the node as an mpf.  What a node already
+    stores (a loaded tower) is checked, not trusted: a sign that disagrees
+    raises VerificationError, and so does a margin or a value further than
+    `value_tolerance` of the coarser of the tower's and this run's precision
+    from the exact |left - right| and sums.  That comparison is exact (a
+    difference of exactly the tolerance passes) and costs a bounded amount
+    at any stored exponent (`_farther_than`).  A null value is not compared.
     """
     cache = CosineCache(tower.params, tower.table, precision)
-    threshold = mp.mpf(2) ** (-(precision // 4))
-    tol = value_tolerance(min(tower.precision or precision, precision))._mpf_
-    with mp.workprec(precision):
-        for node in tower.nodes:
-            lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
-            lv, rv = cache.part_value(node.left), cache.part_value(node.right)
-            margin = abs(lv - rv)
-            if margin < threshold:
-                raise SignAmbiguous(
-                    f"node {node.id} ({node.splits.label()}): margin {mp.nstr(margin)} "
-                    f"below 2^-{precision // 4}; raise the precision"
-                )
-            larger = lf > rf
-            if node.left_is_larger is not None and node.left_is_larger != larger:
+    scale = cache.scale_bits
+    threshold = from_man_exp(1, -(precision // 4))
+    tol_bits = scale - min(tower.precision or precision, precision) // 2  # tol 2^scale = 2^tol_bits
+    for node in tower.nodes:
+        lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
+        margin = mpf_abs(mpf_sub(
+            from_man_exp(lf, -scale, precision, round_nearest),
+            from_man_exp(rf, -scale, precision, round_nearest),
+            precision, round_nearest,
+        ))
+        if mpf_lt(margin, threshold):
+            raise SignAmbiguous(
+                f"node {node.id} ({node.splits.label()}): margin {to_str(margin, 6)} "
+                f"below 2^-{precision // 4}; raise the precision"
+            )
+        larger = lf > rf
+        if node.left_is_larger is not None and node.left_is_larger != larger:
+            raise VerificationError(
+                f"stored left_is_larger={node.left_is_larger} but cosine sums give "
+                f"{larger} (margin {to_str(margin, 6)})",
+                node.id,
+            )
+        for name, stored, ref in (
+            ("sign_margin", node.sign_margin, abs(lf - rf)),
+            ("value_left", node.value_left, lf),
+            ("value_right", node.value_right, rf),
+        ):
+            if stored is not None and _farther_than(stored._mpf_, ref, scale, tol_bits):
                 raise VerificationError(
-                    f"stored left_is_larger={node.left_is_larger} but cosine sums give "
-                    f"{larger} (margin {mp.nstr(margin)})",
+                    f"stored {name} {mp.nstr(stored, 25)} but cosine sums give "
+                    f"{to_str(from_man_exp(ref, -scale), 25)}",
                     node.id,
                 )
-            for name, stored, ref in (
-                ("sign_margin", node.sign_margin, abs(lf - rf)),
-                ("value_left", node.value_left, lf),
-                ("value_right", node.value_right, rf),
-            ):
-                if stored is None:
-                    continue
-                # ref is exact; the difference is rounded, so any stored exponent is cheap
-                ref = from_man_exp(ref, -cache.scale_bits)
-                if mpf_gt(mpf_abs(mpf_sub(stored._mpf_, ref, cache.scale_bits)), tol):
-                    raise VerificationError(
-                        f"stored {name} {mp.nstr(stored, 25)} but cosine sums give "
-                        f"{mp.nstr(mp.mp.make_mpf(ref), 25)}",
-                        node.id,
-                    )
-            node.left_is_larger = larger
-            node.sign_margin = margin
+        node.left_is_larger = larger
+        node.sign_margin = mp.mp.make_mpf(margin)
     tower.precision = precision
     tower.cosines = cache
     return tower

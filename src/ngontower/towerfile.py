@@ -4,14 +4,15 @@ The one place where product coefficients change form: in memory they are
 ints counting halves; on disk they are `[numerator, denominator]` pairs,
 written in lowest terms and read with a denominator of 1 or 2.  See
 docs/tower-format.md for the format description.  `dump_tower` encodes
-each distinct part and term once and writes each line directly, as
-`json.dumps` would.
+each distinct part and term once and writes each line directly, values
+and all, as `json.dumps` would.
 """
 
 import json
 import re
 
 import mpmath as mp
+from mpmath.libmp import to_str
 
 from .errors import UsageError
 from .invariant_sets import LinearCombo, PartRef, build_invariant_sets, check_part
@@ -51,11 +52,13 @@ def _coeff_from_json(num, den) -> int:
     return halves
 
 
-def _value_to_json(x):
+def _value_text(x) -> str:
+    """The JSON text of a value field: null, or its 30-digit decimal preview
+    (`mp.nstr(x, 30)`) and its raw mpf."""
     if x is None:
-        return None
+        return "null"
     sign, man, exp, bc = x._mpf_
-    return {"dec": mp.nstr(x, 30), "mpf": [sign, hex(man), exp, bc]}
+    return f'{{"dec": "{to_str(x._mpf_, 30)}", "mpf": [{sign}, "{man:#x}", {exp}, {bc}]}}'
 
 
 _HEX = re.compile("0x[0-9a-f]+")
@@ -79,6 +82,9 @@ def _value_from_json(d):
     ):
         raise ValueError(f"mpf {d['mpf']} is not in mpmath's normal form")
     return mp.mp.make_mpf((sign, man, exp, bc))
+
+
+_SIGN_TEXT = {True: "true", False: "false", None: "null"}
 
 
 class _Texts(dict):
@@ -114,13 +120,13 @@ def dump_tower(tower: Tower, path: str) -> None:
             fh.write(
                 f'{{"id": {node.id}, "step": {node.step}, "splits": {texts[node.splits]}, '
                 f'"left": {texts[node.left]}, "right": {texts[node.right]}, '
-                f'"sum_source": {json.dumps(node.sum_source)}, '
+                f'"sum_source": {"null" if node.sum_source is None else node.sum_source}, '
                 f'"product": {{"constant": [{_coeff_text(combo.constant)}], '
                 f'"linear": [{linear}], "squares": [{squares}]}}, '
-                f'"left_is_larger": {json.dumps(node.left_is_larger)}, '
-                f'"sign_margin": {json.dumps(_value_to_json(node.sign_margin))}, '
-                f'"value_left": {json.dumps(_value_to_json(node.value_left))}, '
-                f'"value_right": {json.dumps(_value_to_json(node.value_right))}}}\n'
+                f'"left_is_larger": {_SIGN_TEXT[node.left_is_larger]}, '
+                f'"sign_margin": {_value_text(node.sign_margin)}, '
+                f'"value_left": {_value_text(node.value_left)}, '
+                f'"value_right": {_value_text(node.value_right)}}}\n'
             )
 
 

@@ -9,11 +9,15 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 
 from ngontower.cli import main
-from ngontower.towerfile import _value_to_json
+from ngontower.invariant_sets import PartRef, build_invariant_sets
+from ngontower.residues import FermatParams
+from ngontower.tower import CosineCache
 
 from oracle_helpers import prime_below_2_31
+from towerfile_reference import value_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -587,42 +591,81 @@ def test_an_unproven_sin_radicand_is_named(tower65537, tmp_path, capsys):
 
 
 def _value_left_12345(node):
-    node["value_left"] = _value_to_json(mp.mpf(12345))
+    node["value_left"] = value_json(mp.mpf(12345))
 
 
 def _sign_margin_1(node):
-    node["sign_margin"] = _value_to_json(mp.mpf(1))
+    node["sign_margin"] = value_json(mp.mpf(1))
 
 
-def _value_left_2_to_the(exponent):
+def _2_to_the(field, exponent):
     def change(node):
-        node["value_left"]["mpf"] = [0, "0x1", exponent, 1]
+        node[field]["mpf"] = [0, "0x1", exponent, 1]
 
     return change
+
+
+def _value_left_beyond_tol(unit=None):
+    """A change that stores value_left exactly tol = 2^-64 above its half's
+    exact cosine sum, and 2^-unit more unless `unit` is None: n = 17 runs
+    at 128 bits, whose sums are ints at scale 2^192."""
+
+    def change(node):
+        params = FermatParams.from_n(17)
+        cache = CosineCache(params, build_invariant_sets(params, factor=3), 128)
+        left = node["left"]
+        part = PartRef(left["kind"], left["offset"], left["stride"], left.get("set", 0))
+        bits = max(192, unit or 0)
+        man = (cache.part_fixed(part) + (1 << 128)) << (bits - 192)
+        stored = from_man_exp(man + (0 if unit is None else 1 << (bits - unit)), -bits)
+        node["value_left"] = value_json(mp.mp.make_mpf(stored))
+
+    return change
+
+
+def _commands_on(tower_path, tmp_path):
+    return [
+        [command, "--tower", str(tower_path), *rest]
+        for command, *rest in (
+            ["verify"],
+            ["verify", "--no-oracle"],
+            ["compile", "--target", "arith", "--out", str(tmp_path / "p.arith")],
+            ["compile", "--target", "geom", "--out", str(tmp_path / "p.geom")],
+            ["render", "--out", str(tmp_path / "p.svg")],
+        )
+    ]
 
 
 @pytest.mark.parametrize(
     "change, field",
     [(_value_left_12345, "value_left"), (_sign_margin_1, "sign_margin"),
-     (_value_left_2_to_the(-10**12), "value_left"), (_value_left_2_to_the(10**12), "value_left")],
-    ids=["value-12345", "margin-1", "value-2^-10^12", "value-2^10^12"],
+     (_2_to_the("value_left", -10**12), "value_left"), (_2_to_the("value_left", 10**12), "value_left"),
+     (_value_left_beyond_tol(192), "value_left"), (_value_left_beyond_tol(300), "value_left"),
+     (_2_to_the("sign_margin", -700), "sign_margin")],
+    ids=["value-12345", "margin-1", "value-2^-10^12", "value-2^10^12", "value-tol-and-2^-192",
+         "value-tol-and-2^-300", "margin-2^-700"],
 )
 def test_tampered_stored_field_fails_every_command(change, field, tmp_path, capsys):
     # Every command checks the stored values and margins against the cosine
-    # sums before it trusts or overwrites them; the difference is rounded at
-    # the run's scale, so a stored 2^(+-10^12) costs no 10^12-bit integer.
+    # sums before it trusts or overwrites them.  The comparison is exact: one
+    # unit of the sums' scale past the tolerance fails.  A stored exponent
+    # outside the ints' bounded shift (2^(+-10^12), and 2^-300 and 2^-700,
+    # below the 2^-192 of the sums) decides by a difference rounded away
+    # from zero at that scale: it costs no 10^12-bit integer, and a value
+    # past the tolerance by less than the scale's unit still fails.
     tower_path = _tampered_17(tmp_path, capsys, change)
-    for command, *rest in (
-        ["verify"],
-        ["verify", "--no-oracle"],
-        ["compile", "--target", "arith", "--out", str(tmp_path / "p.arith")],
-        ["compile", "--target", "geom", "--out", str(tmp_path / "p.geom")],
-        ["render", "--out", str(tmp_path / "p.svg")],
-    ):
-        code, err = _stderr_of(capsys, [command, "--tower", str(tower_path), *rest])
+    for argv in _commands_on(tower_path, tmp_path):
+        code, err = _stderr_of(capsys, argv)
         assert code == 1
         assert err.startswith(f"verification failure: node 0: stored {field} ")
     assert not any((tmp_path / f"p.{out}").exists() for out in ("arith", "geom", "svg"))
+
+
+def test_a_stored_value_exactly_tol_from_its_sum_passes_every_command(tmp_path, capsys):
+    tower_path = _tampered_17(tmp_path, capsys, _value_left_beyond_tol())
+    for argv in _commands_on(tower_path, tmp_path):
+        assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_render_needs_no_stored_values(tmp_path, capsys):

@@ -621,6 +621,14 @@ def test_polygon_vertices(tower17):
     assert abs(verts[0][0] - 1) < 1e-12 and abs(verts[0][1]) < 1e-12
     for x, y in verts:
         assert abs(x * x + y * y - 1) < 1e-12
+    # The same floats as complex rotations rounded at the tower's precision.
+    with mp.workprec(tower17.precision):
+        cos_t = tower17.report.p1 / 2
+        rot, z, ref = mp.mpc(cos_t, mp.sqrt(1 - cos_t * cos_t)), mp.mpc(1, 0), []
+        for _ in range(17):
+            ref.append((float(z.real), float(z.imag)))
+            z *= rot
+    assert verts == ref
 
 
 def test_svg_deterministic(tower17):
@@ -650,13 +658,15 @@ def test_geom_cos_point_within_tolerance(n, kind, tower257_full):
 
 
 def test_outputs_65537_match_golden(tower65537, tmp_path):
-    # The tower file of the 65537 fixture and the arith and geom programs
-    # `compile` writes from it, by SHA-256.
+    # The tower file of the 65537 fixture, the arith and geom programs
+    # `compile` writes from it and the whole polygon `render` draws, by
+    # SHA-256.
     prog, signs = evaluate_tower(tower65537)
     writers = {
         "tower_65537.tower": lambda path: dump_tower(tower65537, path),
         "program_65537.arith": lambda path: dump_arith(prog, path),
         "program_65537.geom": lambda path: dump_geom(lower_to_geom(prog, tower65537.precision, signs), path),
+        "polygon_65537.svg": lambda path: Path(path).write_text(emit_svg(tower65537)),
     }
     got = []
     for name, write in writers.items():

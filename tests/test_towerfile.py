@@ -54,6 +54,26 @@ def test_signed_tower_matches_the_reference(fixture, request, tmp_path):
     assert _dumped(tower, tmp_path) == reference_dump(tower)
 
 
+def test_loaded_zero_negative_and_null_fields_match_the_reference(tmp_path):
+    # The writer prints values as text itself: a zero, a negative value, a
+    # false sign and null fields read from a file must come out as
+    # `json.dumps` writes them.
+    lines = (GOLDEN / "tower_17_full.tower").read_text().splitlines()
+    zero, minus = {"dec": "0", "mpf": [0, "0x0", 0, 0]}, {"dec": "-", "mpf": [1, "0x3", -700, 2]}
+    for i, fields in enumerate([
+        {"sign_margin": zero, "value_left": zero, "value_right": minus},
+        {"left_is_larger": False, "value_left": minus, "value_right": zero},
+        {"left_is_larger": None, "sign_margin": None, "value_left": None, "value_right": None},
+    ], start=1):
+        lines[i] = json.dumps(json.loads(lines[i]) | fields)
+    path = tmp_path / "edited.tower"
+    path.write_text("\n".join(lines) + "\n")
+    tower = load_tower(str(path))
+    assert tower.nodes[0].value_left == 0 and tower.nodes[0].value_right < 0
+    assert tower.nodes[1].left_is_larger is False and tower.nodes[2].sign_margin is None
+    assert _dumped(tower, tmp_path) == reference_dump(tower)
+
+
 def _raw_terms(lines):
     """(line index, group, position, raw fields) of every product term."""
     for i, line in enumerate(lines[1:], start=1):

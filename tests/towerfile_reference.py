@@ -4,7 +4,18 @@ once and writes its lines directly, must match it byte for byte."""
 
 import json
 
-from ngontower.towerfile import FORMAT_NAME, FORMAT_VERSION, _value_to_json
+import mpmath as mp
+
+from ngontower.towerfile import FORMAT_NAME, FORMAT_VERSION
+
+
+def value_json(x):
+    """A value field as a JSON object: its 30-digit decimal preview and its
+    raw mpf, or None."""
+    if x is None:
+        return None
+    sign, man, exp, bc = x._mpf_
+    return {"dec": mp.nstr(x, 30), "mpf": [sign, hex(man), exp, bc]}
 
 
 def part_json(p) -> dict:
@@ -49,9 +60,9 @@ def reference_dump(tower) -> str:
                     "sum_source": node.sum_source,
                     "product": combo_json(node.product_expr),
                     "left_is_larger": node.left_is_larger,
-                    "sign_margin": _value_to_json(node.sign_margin),
-                    "value_left": _value_to_json(node.value_left),
-                    "value_right": _value_to_json(node.value_right),
+                    "sign_margin": value_json(node.sign_margin),
+                    "value_left": value_json(node.value_left),
+                    "value_right": value_json(node.value_right),
                 }
             )
         )
