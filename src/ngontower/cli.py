@@ -5,10 +5,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  The commands
 raise `VerificationError` for a failed check and `UsageError` for bad input;
 `main` alone maps those, and an `OSError` from a path it could not read or
 write, to the exit code and its one stderr line.
+
+The arguments are parsed from one table, `_OPTIONS`, which also writes the
+help.  A bad argument is a `UsageError` like any other.  argparse is not
+used: building its parsers imported `gettext` and `locale` in every command,
+which cost more than the work for a small n, and its errors took several
+lines.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import UsageError, VerificationError
 from .invariant_sets import build_invariant_sets
@@ -169,62 +175,135 @@ def cmd_constructible(args) -> int:
     return 0
 
 
+# Each command: its function, what it does, and its options in the order
+# that help lists them.  An option is (kind, default, help): kind is int,
+# str (a path), None (a flag, which takes no value) or a tuple of choices;
+# default is _REQUIRED when the option must be given.  A name without
+# dashes is positional.
+_REQUIRED = "required"
+_OPTIONS = {
+    "build": (cmd_build, "derive, verify and store a tower", {
+        "--n": (int, _REQUIRED, "the Fermat prime: 3, 5, 17, 257 or 65537"),
+        "--schedule": (("full", "pruned"), "pruned", "every split, or those p1 needs"),
+        "--precision": (int, None, "mantissa bits; none: 128 up to n = 257, 512 above"),
+        "--factor": (int, 3, "the factor that orders the invariant sets"),
+        "--no-oracle": (None, False, "skip exact product checks"),
+        "--out": (str, None, "where to write the tower"),
+    }),
+    "verify": (cmd_verify, "re-check a stored tower", {
+        "--tower": (str, _REQUIRED, "the tower file"),
+        "--precision": (int, None, "mantissa bits; none: the tower header's"),
+        "--no-oracle": (None, False, "skip exact product checks"),
+    }),
+    "tables": (cmd_tables, "print derivation tables", {
+        "--n": (int, _REQUIRED, "the Fermat prime"),
+        "--kind": (("sets", "product", "square", "mu", "ksets", "signs"), _REQUIRED, "which table"),
+        "--i": (int, None, "the set of a square, the first of a product"),
+        "--j": (int, None, "the second set of a product"),
+        "--m": (int, None, "the level of mu and ksets, the one step of signs"),
+        "--factor": (int, 3, "the factor that orders the invariant sets"),
+        "--precision": (int, None, "mantissa bits of the signs' cosine sums; none: as build"),
+    }),
+    "compile": (cmd_compile, "lower a tower to a program", {
+        "--tower": (str, _REQUIRED, "the tower file"),
+        "--target": (("arith", "geom"), _REQUIRED, "arithmetic or straightedge/compass program"),
+        "--out": (str, _REQUIRED, "where to write the program"),
+    }),
+    "render": (cmd_render, "emit an SVG drawing", {
+        "--tower": (str, _REQUIRED, "the tower file"),
+        "--out": (str, _REQUIRED, "where to write the SVG"),
+        "--max-vertices": (int, 0, "vertices drawn, 0 for all"),
+    }),
+    "constructible": (cmd_constructible, "Gauss-Wantzel check for any n", {
+        "n": (int, _REQUIRED, "any integer n >= 3"),
+    }),
+}
+_HELP = ("-h", "--help")
+_METAVAR = {int: " INT", str: " PATH", None: ""}
+
+
+def _usage(commands) -> str:
+    """Help for `commands`, from `_OPTIONS`."""
+    lines = [
+        "usage: ngontower COMMAND [--name VALUE | --name=VALUE ...]",
+        "       ngontower [COMMAND] -h | --help",
+        "Quadratic towers and straightedge/compass programs for regular n-gons",
+        "with Fermat-prime n.",
+        "Exit codes: 0 success, 1 verification failure, 2 usage error.",
+    ]
+    for command in commands:
+        _, what, options = _OPTIONS[command]
+        lines += ["", f"{command}: {what}"]
+        for name, (kind, default, text) in options.items():
+            value = f" {'|'.join(kind)}" if isinstance(kind, tuple) else _METAVAR[kind]
+            if default is _REQUIRED:
+                shown = _REQUIRED
+            elif kind is None:
+                shown = "default: off"
+            else:
+                shown = f"default: {'none' if default is None else default}"
+            lines.append(f"  {name + value:<29} {text} ({shown})")
+    return "\n".join(lines)
+
+
+def _parse(argv: list[str]):
+    """(command, args) from argv by `_OPTIONS`.  args is None when help was
+    asked for, and then command is None for help on every command.  Raises
+    UsageError for anything `_OPTIONS` does not allow."""
+    if not argv:
+        raise UsageError(f"no command; choose one of {', '.join(_OPTIONS)}")
+    command, rest = argv[0], argv[1:]
+    if command in _HELP:
+        return None, None
+    if command not in _OPTIONS:
+        raise UsageError(f"unknown command {command!r}; choose one of {', '.join(_OPTIONS)}")
+    if any(token in _HELP for token in rest):
+        return command, None
+    options = _OPTIONS[command][2]
+    positional = [name for name in options if not name.startswith("-")]
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("--"):
+            if not positional:
+                raise UsageError(f"{command}: unexpected argument {token!r}")
+            name, value = positional.pop(0), token
+        else:
+            name, eq, value = token.partition("=")
+            if name not in options:
+                raise UsageError(f"{command}: unknown option {name}")
+            if options[name][0] is None:
+                if eq:
+                    raise UsageError(f"{command}: {name} takes no value")
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    raise UsageError(f"{command}: {name} needs a value")
+        kind = options[name][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{command}: {name} needs an integer, got {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"{command}: {name} must be one of {', '.join(kind)}, got {value!r}")
+        given[name] = value
+    args = SimpleNamespace()
+    for name, (_, default, _) in options.items():
+        if name not in given and default is _REQUIRED:
+            raise UsageError(f"{command}: {name} is required")
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, default))
+    return command, args
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ngontower",
-        description="Quadratic towers and straightedge/compass programs for regular "
-        "n-gons with Fermat-prime n.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="derive, verify and store a tower")
-    p_build.add_argument("--n", type=int, required=True)
-    p_build.add_argument("--schedule", choices=("full", "pruned"), default="pruned")
-    p_build.add_argument("--precision", type=int, default=None, help="mantissa bits")
-    p_build.add_argument("--factor", type=int, default=3)
-    p_build.add_argument("--no-oracle", action="store_true", help="skip exact product checks")
-    p_build.add_argument("--out", default=None)
-
-    p_verify = sub.add_parser("verify", help="re-check a stored tower")
-    p_verify.add_argument("--tower", required=True)
-    p_verify.add_argument("--precision", type=int, default=None)
-    p_verify.add_argument("--no-oracle", action="store_true")
-
-    p_tables = sub.add_parser("tables", help="print derivation tables")
-    p_tables.add_argument("--n", type=int, required=True)
-    p_tables.add_argument(
-        "--kind", required=True, choices=("sets", "product", "square", "mu", "ksets", "signs")
-    )
-    p_tables.add_argument("--i", type=int, default=None)
-    p_tables.add_argument("--j", type=int, default=None)
-    p_tables.add_argument("--m", type=int, default=None)
-    p_tables.add_argument("--factor", type=int, default=3)
-    p_tables.add_argument("--precision", type=int, default=None)
-
-    p_compile = sub.add_parser("compile", help="lower a tower to a program")
-    p_compile.add_argument("--tower", required=True)
-    p_compile.add_argument("--target", choices=("arith", "geom"), required=True)
-    p_compile.add_argument("--out", required=True)
-
-    p_render = sub.add_parser("render", help="emit an SVG drawing")
-    p_render.add_argument("--tower", required=True)
-    p_render.add_argument("--out", required=True)
-    p_render.add_argument("--max-vertices", type=int, default=0)
-
-    p_constr = sub.add_parser("constructible", help="Gauss-Wantzel check for any n")
-    p_constr.add_argument("n", type=int)
-
-    args = parser.parse_args(argv)
-    commands = {
-        "build": cmd_build,
-        "verify": cmd_verify,
-        "tables": cmd_tables,
-        "compile": cmd_compile,
-        "render": cmd_render,
-        "constructible": cmd_constructible,
-    }
     try:
-        return commands[args.command](args)
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            print(_usage([command] if command else _OPTIONS))
+            return 0
+        return _OPTIONS[command][0](args)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFY_ERROR

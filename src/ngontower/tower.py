@@ -29,7 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 import mpmath as mp
 from mpmath.libmp import (
-    from_man_exp, mpf_abs, mpf_gt, mpf_lt, mpf_sub, round_nearest, round_up, to_str,
+    from_man_exp, mpf_abs, mpf_gt, mpf_lt, mpf_sub, normalize, round_nearest, round_up, to_str,
 )
 
 from .errors import VerificationError
@@ -340,9 +340,17 @@ def _rotations(cos_sin, count: int, scale: int) -> list[tuple[int, int]]:
     return rows
 
 
+def _round_raw(v: int, scale: int, precision: int) -> tuple:
+    """v 2^-scale as a raw mpf, rounded once to nearest at `precision` bits:
+    `from_man_exp`'s result, with the mantissa's length from `bit_length`
+    rather than the bit count that mpmath's pure-Python backend computes."""
+    man = abs(v)
+    return normalize(int(v < 0), man, -scale, man.bit_length(), precision, round_nearest)
+
+
 def _rounded(v: int, scale: int, precision: int):
     """v 2^-scale as an mpf, rounded once to `precision` bits."""
-    return mp.mp.make_mpf(from_man_exp(v, -scale, precision, round_nearest))
+    return mp.mp.make_mpf(_round_raw(v, scale, precision))
 
 
 def _farther_than(stored, ref: int, scale: int, tol_bits: int) -> bool:
@@ -380,8 +388,7 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
     for node in tower.nodes:
         lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
         margin = mpf_abs(mpf_sub(
-            from_man_exp(lf, -scale, precision, round_nearest),
-            from_man_exp(rf, -scale, precision, round_nearest),
+            _round_raw(lf, scale, precision), _round_raw(rf, scale, precision),
             precision, round_nearest,
         ))
         if mpf_lt(margin, threshold):

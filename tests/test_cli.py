@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import from_man_exp
 
+from ngontower import cli
 from ngontower.cli import main
 from ngontower.invariant_sets import PartRef, build_invariant_sets
 from ngontower.residues import FermatParams
@@ -39,6 +40,7 @@ def test_tables_sets_17(capsys):
     code, out = run_cli(capsys, "tables", "--n", "17", "--kind", "sets")
     assert code == 0
     assert out == "1 2 4 8\n3 6 5 7\n"
+    assert run_cli(capsys, "tables", "--n=17", "--kind=sets") == (0, out)
 
 
 def test_tables_mu_golden(capsys):
@@ -158,14 +160,85 @@ def test_argument_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
         tower_path = str(tmp_path / "t17.tower")
         run_cli(capsys, "build", "--n", "17", "--out", tower_path)
         argv = [tower_path if a == "{tower}" else a for a in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Each failure kind of the argument parser, on each command where it
+# applies: the command line, and the words its one error line must name.
+USAGE_ERRORS = {
+    "no-command": ("", "no command"),
+    "unknown-command": ("bogus", "bogus"),
+    "build-unknown-option": ("build --n 17 --bogus 1", "build --bogus"),
+    "verify-unknown-option": ("verify --tower t --bogus", "verify --bogus"),
+    "tables-unknown-option": ("tables --n 17 --kind sets --k 1", "tables --k"),
+    "compile-unknown-option": ("compile --tower t --target arith --out p --x=1", "compile --x"),
+    "render-unknown-option": ("render --tower t --out p --vertices 5", "render --vertices"),
+    "constructible-unknown-option": ("constructible 17 --n 17", "constructible --n"),
+    "build-missing-value": ("build --n 17 --out", "build --out"),
+    "build-value-is-an-option": ("build --out --n 17", "build --out"),
+    "verify-missing-value": ("verify --tower t --precision", "verify --precision"),
+    "tables-missing-value": ("tables --n 17 --kind mu --m", "tables --m"),
+    "compile-missing-value": ("compile --tower t --target arith --out", "compile --out"),
+    "render-missing-value": ("render --tower t --out p --max-vertices", "render --max-vertices"),
+    "build-non-integer": ("build --n x", "build --n 'x'"),
+    "verify-non-integer": ("verify --tower t --precision=1.5", "verify --precision '1.5'"),
+    "tables-non-integer": ("tables --n 17 --kind square --i=", "tables --i ''"),
+    "render-non-integer": ("render --tower t --out p --max-vertices all", "render --max-vertices 'all'"),
+    "constructible-non-integer": ("constructible x", "constructible n 'x'"),
+    "build-choice": ("build --n 17 --schedule fast", "build --schedule 'fast'"),
+    "tables-choice": ("tables --n 17 --kind cubes", "tables --kind 'cubes'"),
+    "compile-choice": ("compile --tower t --target=svg --out p", "compile --target 'svg'"),
+    "build-required": ("build --schedule full", "build --n"),
+    "verify-required": ("verify --no-oracle", "verify --tower"),
+    "tables-required": ("tables --n 17", "tables --kind"),
+    "compile-required": ("compile --tower t --target geom", "compile --out"),
+    "render-required": ("render --out p", "render --tower"),
+    "constructible-required": ("constructible", "constructible n"),
+    "build-abbreviation": ("build --n 3 --sched full", "build --sched"),
+    "verify-abbreviation": ("verify --tow t", "verify --tow"),
+    "tables-abbreviation": ("tables --n 17 --kin sets", "tables --kin"),
+    "compile-abbreviation": ("compile --tower t --targ arith --out p", "compile --targ"),
+    "render-abbreviation": ("render --tower t --out p --max 5", "render --max"),
+    "constructible-abbreviation": ("constructible 17 --he", "constructible --he"),
+    "flag-with-value": ("verify --tower t --no-oracle=yes", "verify --no-oracle"),
+    "extra-argument": ("constructible 17 5", "constructible '5'"),
+}
+
+
+@pytest.mark.parametrize("line, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_every_bad_argument_is_one_error_line(line, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # nothing is read or written, even with a bad path
+    code, err = _stderr_of(capsys, line.split())
+    assert code == 2
+    assert err.startswith("error: ")
+    assert all(word in err for word in named.split()), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *cli._OPTIONS])
+def test_help_lists_every_option_with_its_default(command, flag, capsys):
+    argv = [flag] if command is None else [command, flag]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    for name in cli._OPTIONS if command is None else [command]:
+        _, what, options = cli._OPTIONS[name]
+        assert f"{name}: {what}" in lines
+        for option, (kind, default, text) in options.items():
+            if default == "required":
+                shown = "required"
+            elif kind is None:
+                shown = "default: off"
+            else:
+                shown = f"default: {'none' if default is None else default}"
+            assert any(line.startswith(f"  {option} ") and line.endswith(f"{text} ({shown})")
+                       for line in lines), option
 
 
 @pytest.mark.parametrize(
