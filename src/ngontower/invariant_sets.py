@@ -3,7 +3,10 @@ parts of S read from it.
 
 The family is ordered by the factor rule: set k starts at the pair of
 q^(k-1) mod n (default factor q = 3) and is completed by doubling.  This
-ordering is what makes product decompositions shift-equivariant.
+ordering is what makes product decompositions shift-equivariant.  Euler's
+criterion on q proves that the starts partition the pairs, so a table holds
+only its starts until its pairs are read; the first read walks every set
+and runs the walk's own partition and wrap checks.
 
 Two families of parts are split on the way from S down to p_1:
 
@@ -17,6 +20,7 @@ tower, its file and its checks share these; `splitting` derives products.
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import UsageError, VerificationError
@@ -31,19 +35,40 @@ class InvalidFactor(UsageError):
 class InvariantSetTable:
     """Ordered invariant sets plus the pair -> (set, position) lookup.
 
-    sets[k-1] holds the pair numbers of set k in natural order (each entry the
-    doubled predecessor).  set_of / pos_of are 1-based lookup arrays of C
-    ints indexed by pair number (slot 0 unused).
+    Set k is the doubling orbit of pair `starts[k-1]`, the pair of
+    q^(k-1) mod n.  `build_invariant_sets` admits q by Euler's criterion
+    (`validate_factor`), which proves that these starts meet each doubling
+    coset exactly once, so the sets partition the pairs; the starts are all
+    that is held until the pairs themselves are read.  sets[k-1] then holds
+    the pair numbers of set k in natural order (each entry the doubled
+    predecessor), and set_of / pos_of are 1-based lookup arrays of C ints
+    indexed by pair number (slot 0 unused).  The first read of any of the
+    three walks every set from its start (`_walk`, with its partition and
+    wrap checks) and keeps the result.
     """
 
     params: FermatParams
     factor: int
-    sets: tuple[tuple[int, ...], ...]
-    set_of: array = field(repr=False, compare=False)
-    pos_of: array = field(repr=False, compare=False)
+    starts: array = field(repr=False, compare=False)
+
+    @cached_property
+    def _walked(self) -> tuple:
+        return _walk(self)
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        return self._walked[0]
+
+    @property
+    def set_of(self) -> array:
+        return self._walked[1]
+
+    @property
+    def pos_of(self) -> array:
+        return self._walked[2]
 
     def first_pair(self, k: int) -> int:
-        return self.sets[k - 1][0]
+        return self.starts[k - 1]
 
     def pairs_of_set(self, k: int) -> tuple[int, ...]:
         return self.sets[k - 1]
@@ -70,22 +95,31 @@ def validate_factor(q: int, params: FermatParams) -> bool:
 
 
 def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetTable:
-    """Build the ordered family of invariant sets for the given factor: set k
-    is the orbit of the pair of q^(k-1) mod n under p -> min(2p, n - 2p),
-    each pair entered in the lookup arrays as it is walked.  Raises
-    InvalidFactor for a factor `validate_factor` refuses, and
-    VerificationError for a pair met twice or never, or a factor rule that
-    does not wrap back to set 1."""
+    """The ordered family of invariant sets for the given factor: set k
+    starts at the pair of q^(k-1) mod n.  Only the starts are computed here;
+    the pairs are walked on first read (`InvariantSetTable`).  Raises
+    InvalidFactor for a factor `validate_factor` refuses."""
     if not validate_factor(factor, params):
         raise InvalidFactor(f"factor {factor} does not generate the set family for n={params.n}")
+    n, starts, degree = params.n, array("i"), 1
+    for _ in range(params.ng):
+        starts.append(min(degree, n - degree))
+        degree = degree * factor % n
+    return InvariantSetTable(params=params, factor=factor, starts=starts)
+
+
+def _walk(table: InvariantSetTable) -> tuple:
+    """(sets, set_of, pos_of): set k is the orbit of its start under
+    p -> min(2p, n - 2p), each pair entered in the lookup arrays as it is
+    walked.  Raises VerificationError for a pair met twice or never, or a
+    factor rule that does not wrap back to set 1."""
+    params = table.params
     n, ng, npairs = params.n, params.ng, params.npairs
     set_of = array("i", [0]) * (npairs + 1)
     pos_of = array("i", [0]) * (npairs + 1)
     sets = []
-    start_degree = 1
-    for k in range(1, ng + 1):
-        start = p = min(start_degree, n - start_degree)
-        row = []
+    for k, start in enumerate(table.starts, start=1):
+        p, row = start, []
         while not row or p != start:
             if set_of[p]:
                 raise VerificationError(f"pair {p} appears in sets {set_of[p]} and {k}")
@@ -93,21 +127,14 @@ def build_invariant_sets(params: FermatParams, factor: int = 3) -> InvariantSetT
             set_of[p], pos_of[p] = k, len(row)
             p = 2 * p if 2 * p <= npairs else n - 2 * p  # 2p mod n folded, as p < n/2
         sets.append(tuple(row))
-        start_degree = (start_degree * factor) % n
     if set_of.count(0) != 1:
         missing = [p for p in range(1, npairs + 1) if not set_of[p]]
         raise VerificationError(f"pairs not covered: {missing[:10]}...")
     # Circularity: one more factor step from the last start must re-enter set 1.
-    if ng > 1 and set_of[min(start_degree, n - start_degree)] != 1:
+    wrap = pow(table.factor, ng, n)
+    if ng > 1 and set_of[min(wrap, n - wrap)] != 1:
         raise VerificationError("factor rule does not wrap back to set 1")
-
-    return InvariantSetTable(
-        params=params,
-        factor=factor,
-        sets=tuple(sets),
-        set_of=set_of,
-        pos_of=pos_of,
-    )
+    return tuple(sets), set_of, pos_of
 
 
 def locate_pair(table: InvariantSetTable, p: int) -> tuple[int, int]:

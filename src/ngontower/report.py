@@ -12,14 +12,22 @@ from . import reference_tables as ref
 from .invariant_sets import InvariantSetTable, PartRef, f_part, g_part, split_children
 from .period_algebra import set_product, set_square
 from .splitting import mu_groups, mu_table
-from .tower import CosineCache, Tower
+from .tower import CosineCache, SignAmbiguous, Tower
 
 
 def left_is_larger(split: PartRef, table: InvariantSetTable, cache: CosineCache) -> bool:
     """Whether the left half of `split` (`split_children`) has the larger
-    exact cosine sum."""
+    cosine sum, proven: the two sums must differ by more than the sum of
+    their error bounds (`part_bound`), or SignAmbiguous is raised."""
     left, right = split_children(split, table)
-    return cache.part_fixed(left) > cache.part_fixed(right)
+    lf, rf = cache.part_fixed(left), cache.part_fixed(right)
+    bound = cache.part_bound(left) + cache.part_bound(right)
+    if abs(lf - rf) <= bound:
+        raise SignAmbiguous(
+            f"{split.label(table)}: its halves' cosine sums differ by {abs(lf - rf)} units "
+            f"of 2^-{cache.scale_bits}, within their bound {bound}; raise the precision"
+        )
+    return lf > rf
 
 
 def f_sign_sets(table: InvariantSetTable, cache: CosineCache) -> dict[int, frozenset]:

@@ -77,7 +77,9 @@ class Lines:
                     else:
                         shapes.setdefault((l2, l1, -d % stride, n1 != n2, stride), []).append((k, i))
             best, chosen = None, []
-            for shape in sorted(shapes, key=lambda s: (-len(shapes[s]), s)):
+            # A shape of one pair ends the loop before it could be chosen.
+            repeated = [shape for shape, pairs in shapes.items() if len(pairs) > 1]
+            for shape in sorted(repeated, key=lambda s: (-len(shapes[s]), s)):
                 pairs = shapes[shape]
                 if len(pairs) < max(2, len(chosen)):
                     break

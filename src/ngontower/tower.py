@@ -27,6 +27,7 @@ from array import array
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 import mpmath as mp
 from mpmath.libmp import (
     from_man_exp, mpf_abs, mpf_gt, mpf_lt, mpf_sub, normalize, round_nearest, round_up, to_str,
@@ -428,10 +429,15 @@ def evaluate_tower(tower: Tower) -> tuple:
     rounded once to `precision` bits.  Each node is checked in ints when its
     roots land: a value v with radius r at scale 2^F and its part's sum T of
     m entries at scale 2^S must meet |v 2^(S-F) - T| <= r 2^(S-F) + 4m.
-    Then each value of the node's instructions that no later instruction
-    reads is dropped, and last p1, cos and sin run: p1 must lie within
-    `value_tolerance` of 2cos(2 pi / n).  Writes the tower's report; returns
-    the program and the proven sign (-1, 0 or 1) of each of its instruction
+    Then every value whose last reader ran in the node's segment is
+    dropped, found among the segment's own instructions and its operand
+    columns, so only the values that a later instruction reads are held;
+    last p1, cos and sin run: p1 must lie within `value_tolerance` of
+    2cos(2 pi / n).  The cosine sums read only each invariant set's start;
+    Euler's criterion on the factor proves that the starts partition the
+    pairs, so the pair table, whose walk checks that again on its first
+    read, is not walked here.  Writes the tower's report; returns the
+    program and the proven sign (-1, 0 or 1) of each of its instruction
     values; no value outlives the run."""
     from .construction import RUN_GUARD_BITS, NegativeRadicand, _run, compile_to_arith, proven_signs
 
@@ -443,10 +449,12 @@ def evaluate_tower(tower: Tower) -> tuple:
     shift = cache.scale_bits - scale  # S - F
     prog = compile_to_arith(tower)
     # The last instruction that reads each one, 0 for none; an absent
-    # operand, -1, writes the extra slot.
+    # operand, -1, names the extra slot, marked as read past every segment
+    # so that no drop below reaches vals[-1].
     last = array("i", bytes(4 * len(prog.ops) + 4))
     for i, x, y in zip(range(len(prog.ops)), prog.a, prog.b):
         last[x] = last[y] = i
+    last[-1] = len(prog.ops)
     vals, rads, signs = [], [], array("b")
     worst = [0, 0, 0]  # |v 2^(S-F) - T| (2^-S), Vieta residual (2^-2F), radius (2^-F)
     k = first = 0
@@ -469,7 +477,9 @@ def evaluate_tower(tower: Tower) -> tuple:
                         )
                     worst[0], worst[2] = max(worst[0], err), max(worst[2], rads[i])
                 worst[1] = max(worst[1], abs(vals[left] * vals[right] - (vals[prod] << scale)))
-                for i in range(first, end):
+                # Drop each value whose last reader has run: the segment's
+                # own, and the earlier ones that its operands name.
+                for i in chain(range(first, end), prog.a[first:end], prog.b[first:end]):
                     if last[i] < end:
                         vals[i] = rads[i] = None
                 first = end

@@ -7,6 +7,8 @@ import time
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import is_not
 from pathlib import Path
 
 import mpmath as mp
@@ -162,12 +164,43 @@ def test_evaluation_runs_the_program_node_by_node(n, kind, request, monkeypatch)
     assert runs == list(zip([0] + ends[:-1], ends))
 
 
+@pytest.mark.parametrize("n, kind", [(257, "full"), (65537, "pruned")])
+def test_evaluation_drops_each_value_after_its_last_reader(n, kind, request, monkeypatch):
+    # When each run begins, the runs before it have ended a node's segment:
+    # every value and radius still held must have a reader at or past the
+    # start of this run.  p1's last reader is the HALF of the outputs' run.
+    from ngontower import construction
+
+    tower, run, held_at = _tower(n, kind, request), construction._run, []
+    last: list[int] = []
+
+    def checked(prog, first, end, vals, rads, scale):
+        if not last:
+            last.extend([-1] * len(prog.ops))
+            for i, operands in enumerate(zip(prog.a, prog.b)):
+                for x in operands:
+                    if x >= 0:
+                        last[x] = i
+        held = list(compress(count(), map(is_not, vals, repeat(None))))
+        assert held == list(compress(count(), map(is_not, rads, repeat(None))))
+        stale = [i for i in held if last[i] < first]
+        assert not stale, (first, stale[:5])
+        held_at.append(len(held))
+        run(prog, first, end, vals, rads, scale)
+
+    monkeypatch.setattr(construction, "_run", checked)
+    prog, _ = evaluate_tower(tower)
+    assert len(held_at) == len(prog.nodes) + 1
+    assert max(held_at) < len(prog.ops) // 4, max(held_at)
+
+
 def test_streamed_evaluation_holds_only_live_values(tower65537):
     # Above the signed tower, the evaluation holds the program (0.4 MB of
     # columns), the last reader of each instruction (0.1 MB) and, at most,
-    # the values that a later instruction reads (about 5,100 of 28,008)
-    # with their radii, plus one sign byte per instruction: 2.0 MB at its
-    # peak, where all 28,008 values and radii take 4.3 MB.
+    # the values that a later instruction reads (at most 1,991 of 28,008
+    # when a node's run begins) with their radii, plus one sign byte per
+    # instruction: 1.4 MB at its peak, where all 28,008 values and radii
+    # take 4.3 MB.
     evaluate_tower(tower65537)  # every cosine sum it reads is cached
     tracemalloc.start()
     try:

@@ -1,10 +1,13 @@
+from array import array
 from itertools import islice
 
 import pytest
 
 from ngontower import reference_tables as ref
+from ngontower.errors import VerificationError
 from ngontower.invariant_sets import (
     InvalidFactor,
+    InvariantSetTable,
     build_invariant_sets,
     locate_pair,
     validate_factor,
@@ -171,14 +174,35 @@ def _reference_sets(params, factor):
 
 @pytest.mark.parametrize("n", [3, 5, 17, 257, 65537])
 def test_inline_orbit_walk_matches_the_per_pair_reference(n):
+    # A table holds its starts until a pair is read; then one walk fills the
+    # sets and both lookups, and each set begins at its start.
     params = FermatParams.from_n(n)
-    factors = list(islice((q for q in range(1, n) if validate_factor(q, params)), 3))
-    assert len(factors) == min(3, n - 1)
+    factors = list(islice((q for q in range(1, n) if validate_factor(q, params)), 8))
+    assert len(factors) == min(8, n - 1 if params.ng == 1 else (n - 1) // 2)
     for q in factors:
         table = build_invariant_sets(params, factor=q)
+        starts = [table.first_pair(k) for k in range(1, params.ng + 1)]
+        assert "_walked" not in vars(table)
+        assert starts == [row[0] for row in table.sets]
         assert (table.sets, list(table.set_of), list(table.pos_of)) == _reference_sets(params, q)
     if params.ng > 1:
         invalid = next(q for q in range(1, n) if not validate_factor(q, params))
         for q in (invalid, 0, n):
             with pytest.raises(InvalidFactor):
                 build_invariant_sets(params, factor=q)
+
+
+@pytest.mark.parametrize("starts, factor, message", [
+    ([1, 2], 3, "pair 2 appears in sets 1 and 2"),
+    ([1], 3, r"pairs not covered: \[3, 5, 6, 7\]"),
+    ([1, 3], 17, "factor rule does not wrap back to set 1"),
+])
+def test_the_walk_checks_the_starts_on_first_read(starts, factor, message, params17):
+    # `build_invariant_sets` admits only starts that Euler's criterion proves
+    # to partition the pairs, so these tables are made by hand: each is
+    # refused when its pairs are first read, not when it is made.
+    table = InvariantSetTable(params17, factor, array("i", starts))
+    assert table.first_pair(1) == 1
+    for read in ("sets", "set_of", "pos_of"):
+        with pytest.raises(VerificationError, match=message):
+            getattr(table, read)

@@ -122,3 +122,29 @@ def test_stored_towers_are_checked_without_the_derivation(n, request, tmp_path, 
     assert result.stdout == out
     assert _written(there) == _written(here)
     assert set(_written(here)) == {"t.tower", "p.arith", "p.geom", "p.svg"}
+
+
+# The stored commands that read no pair of the invariant sets' table: the
+# cosine sums need only each set's start, so the table is never walked.
+# `verify` with the oracle places its parts by their pairs, so it walks it.
+UNWALKED_COMMANDS = [["verify", "--tower", "t.tower", "--no-oracle"], *STORED_COMMANDS[1:]]
+
+
+@pytest.mark.parametrize("fixture", ["tower257_full", "tower65537"])
+def test_stored_towers_are_checked_without_the_pair_table(fixture, request, tmp_path, monkeypatch, capsys):
+    from ngontower import invariant_sets
+
+    tower = request.getfixturevalue(fixture)
+    dump_tower(tower, str(tmp_path / "t.tower"))
+    monkeypatch.chdir(tmp_path)
+    walk, walked = invariant_sets._walk, []
+
+    def counted(table):
+        walked.append(table.params.n)
+        return walk(table)
+
+    monkeypatch.setattr(invariant_sets, "_walk", counted)
+    for argv in UNWALKED_COMMANDS:
+        assert (main(argv), walked) == (0, []), argv
+    assert (main(STORED_COMMANDS[0]), walked) == (0, [tower.params.n])
+    assert f"oracle-checked {len(tower.nodes)} " in capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ngontower.invariant_sets import f_part, g_part
+from ngontower.invariant_sets import f_part, g_part, split_children
 from ngontower.residues import rho
 from ngontower.tower import (
     CosineCache,
@@ -141,6 +141,36 @@ def test_sign_ambiguous_raises(params257, table257):
     tower = build_schedule(params257, table257, kind="pruned")
     with pytest.raises(SignAmbiguous):
         resolve_signs(tower, 4)  # absurdly low precision
+
+
+class _GivenSums:
+    """A cosine cache's bounds and scale with the sums given instead."""
+
+    def __init__(self, cache, sums):
+        self.scale_bits, self.part_bound, self.sums = cache.scale_bits, cache.part_bound, sums
+
+    def part_fixed(self, part):
+        return self.sums[part]
+
+
+@pytest.mark.parametrize("split", [f_part(1, 1), g_part(2, 1, 2)])
+def test_report_signs_are_proven_or_refused(split, params17, table17):
+    # `tables --kind signs` and the report's sign diff decide a split only
+    # when its halves' sums differ by more than their two error bounds.
+    from ngontower.report import left_is_larger
+
+    cache = CosineCache(params17, table17, 128)
+    left, right = split_children(split, table17)
+    bound = cache.part_bound(left) + cache.part_bound(right)
+    real = cache.part_fixed(left)
+    for gap, expected in ((bound + 1, True), (-bound - 1, False)):
+        sums = _GivenSums(cache, {left: real + gap, right: real})
+        assert left_is_larger(split, table17, sums) is expected
+    for gap in (bound, 1, 0, -1, -bound):
+        sums = _GivenSums(cache, {left: real + gap, right: real})
+        with pytest.raises(SignAmbiguous, match=f"within their bound {bound}; raise the precision$"):
+            left_is_larger(split, table17, sums)
+    assert left_is_larger(split, table17, cache) == (cache.part_fixed(left) > cache.part_fixed(right))
 
 
 def test_determinism(tmp_path):
