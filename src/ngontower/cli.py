@@ -24,13 +24,12 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _check_precision(args, n: int | None = None) -> int | None:
-    """--precision, checked; when it is not given, the default for n (None
-    when a tower header decides)."""
+def _check_precision(args, n: int) -> int:
+    """build's --precision, checked; when it is not given, the default for n."""
     from .tower import MAX_PRECISION, default_precision
 
     if args.precision is None:
-        return None if n is None else default_precision(n)
+        return default_precision(n)
     if args.precision < 1:
         raise UsageError(f"--precision must be a positive number of bits, got {args.precision}")
     if args.precision > MAX_PRECISION:
@@ -48,7 +47,8 @@ def cmd_build(args) -> int:
     precision = _check_precision(args, params.n)
     table = build_invariant_sets(params, factor=args.factor)
     tower = build_schedule(params, table, args.schedule)
-    verify_tower(tower, precision, oracle=not args.no_oracle)
+    tower.precision = precision
+    verify_tower(tower, oracle=not args.no_oracle)
     if args.out:
         dump_tower(tower, args.out)
         print(f"tower written to {args.out}")
@@ -60,9 +60,8 @@ def cmd_verify(args) -> int:
     from .towerfile import load_tower
     from .verify import verify_tower
 
-    _check_precision(args)
     tower = load_tower(args.tower)
-    verify_tower(tower, args.precision, oracle=not args.no_oracle)
+    verify_tower(tower, oracle=not args.no_oracle)
     print(
         f"tower for n={tower.params.n} verified: {len(tower.nodes)} nodes, "
         f"oracle-checked {tower.report.oracle_checked} product expressions"
@@ -79,10 +78,9 @@ def cmd_tables(args) -> int:
     from .report import f_sign_sets
     from .period_algebra import set_product, set_square
     from .splitting import mu_groups, mu_table
-    from .tower import CosineCache
+    from .tower import CosineCache, default_precision
 
     params = FermatParams.from_n(args.n)
-    precision = _check_precision(args, params.n)
     table = build_invariant_sets(params, factor=args.factor)
     kind = args.kind
     if kind == "sets":
@@ -110,7 +108,7 @@ def cmd_tables(args) -> int:
         steps = params.ng.bit_length() - 1
         if args.m is not None and not 1 <= args.m <= steps:
             raise UsageError(f"no sign step {args.m} for n={params.n}, which has {steps}")
-        cache = CosineCache(params, table, precision)
+        cache = CosineCache(params, table, default_precision(params.n))
         for step, greater in f_sign_sets(table, cache).items():
             if args.m is not None and step != args.m:
                 continue
@@ -192,7 +190,6 @@ _OPTIONS = {
     }),
     "verify": (cmd_verify, "re-check a stored tower", {
         "--tower": (str, _REQUIRED, "the tower file"),
-        "--precision": (int, None, "mantissa bits; none: the tower header's"),
         "--no-oracle": (None, False, "skip exact product checks"),
     }),
     "tables": (cmd_tables, "print derivation tables", {
@@ -202,7 +199,6 @@ _OPTIONS = {
         "--j": (int, None, "the second set of a product"),
         "--m": (int, None, "the level of mu and ksets, the one step of signs"),
         "--factor": (int, 3, "the factor that orders the invariant sets"),
-        "--precision": (int, None, "mantissa bits of the signs' cosine sums; none: as build"),
     }),
     "compile": (cmd_compile, "lower a tower to a program", {
         "--tower": (str, _REQUIRED, "the tower file"),

@@ -766,8 +766,7 @@ def emit_svg(tower: Tower, max_vertices: int = 0) -> str:
         span = max(2 * mp.pi * count / n, mp.mpf(1e-6))
         scale = half * 0.9 * float(0.6 / span)
         cx, cy = half - scale + half * 0.45, half
-    xy = [(fmt(cx + scale * x), fmt(cy - scale * y)) for x, y in verts]
-    pts = " ".join(f"{x},{y}" for x, y in xy)
+    pts = " ".join(f"{fmt(cx + scale * x)},{fmt(cy - scale * y)}" for x, y in verts)
     lines += [
         f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(scale)}" fill="none" '
         'stroke="#bbbbbb" stroke-width="1"/>',
@@ -777,6 +776,7 @@ def emit_svg(tower: Tower, max_vertices: int = 0) -> str:
     if full:
         lines.append(f'<circle cx="{fmt(cx + scale)}" cy="{fmt(cy)}" r="3" fill="#cc0000"/>')
     else:
-        lines += [f'<circle cx="{x}" cy="{y}" r="2" fill="#cc0000"/>' for x, y in xy]
+        lines += [f'<circle cx="{fmt(cx + scale * x)}" cy="{fmt(cy - scale * y)}" r="2" '
+                  'fill="#cc0000"/>' for x, y in verts]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -3,31 +3,17 @@ plus the human-readable build report.
 
 Sign lists are recomputed from direct cosine sums for every level, whether or
 not the schedule kept the corresponding splits, so the comparisons do not
-depend on pruning decisions.
+depend on pruning decisions; each sign is proven by `tower.left_is_larger`,
+the rule that `resolve_signs` applies to every node.
 """
 
 import mpmath as mp
 
 from . import reference_tables as ref
-from .invariant_sets import InvariantSetTable, PartRef, f_part, g_part, split_children
+from .invariant_sets import InvariantSetTable, f_part, g_part
 from .period_algebra import set_product, set_square
 from .splitting import mu_groups, mu_table
-from .tower import CosineCache, SignAmbiguous, Tower
-
-
-def left_is_larger(split: PartRef, table: InvariantSetTable, cache: CosineCache) -> bool:
-    """Whether the left half of `split` (`split_children`) has the larger
-    cosine sum, proven: the two sums must differ by more than the sum of
-    their error bounds (`part_bound`), or SignAmbiguous is raised."""
-    left, right = split_children(split, table)
-    lf, rf = cache.part_fixed(left), cache.part_fixed(right)
-    bound = cache.part_bound(left) + cache.part_bound(right)
-    if abs(lf - rf) <= bound:
-        raise SignAmbiguous(
-            f"{split.label(table)}: its halves' cosine sums differ by {abs(lf - rf)} units "
-            f"of 2^-{cache.scale_bits}, within their bound {bound}; raise the precision"
-        )
-    return lf > rf
+from .tower import CosineCache, Tower, left_is_larger
 
 
 def f_sign_sets(table: InvariantSetTable, cache: CosineCache) -> dict[int, frozenset]:

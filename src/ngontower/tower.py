@@ -7,16 +7,17 @@ product is an integer (or half-integer) combination of earlier parts.  Signs
 published lists; evaluation cross-checks every node value against the same
 cosine sums, which are independent of the tower arithmetic.
 
-The checks run as one pipeline, `verify.verify_tower`: the optional exact
-oracle, then `resolve_signs`, which decides every sign from the cosine sums
-at the tower's precision and checks what a loaded tower stores (its signs,
-and its margins and values to within `value_tolerance`, compared exactly
-and at a bounded cost whatever a stored exponent is), then
-`evaluate_tower`.  That compiles the tower's arithmetic program, the one
-`compile` writes, runs it node by node on scaled ints with an error radius,
-and proves each node's values from their radius and the cosine sums' bound
-when its roots land; it writes the tower's one `VerificationReport`.  A
-precision that nobody gives is `default_precision(n)`.
+The checks run as one pipeline, `verify.verify_tower`, at the one precision
+the tower carries: the optional exact oracle, then `resolve_signs`, which
+proves every sign from the cosine sums by `left_is_larger`, the one sign
+rule, and checks what a loaded tower stores (its signs, and its margins and
+values to within `value_tolerance`, compared exactly and at a bounded cost
+whatever a stored exponent is), then `evaluate_tower`.  That compiles the
+tower's arithmetic program, the one `compile` writes, runs it node by node
+on scaled ints with an error radius, and proves each node's values from
+their radius and the cosine sums' bound when its roots land; it writes the
+tower's one `VerificationReport`.  A precision that nobody gives is
+`default_precision(n)`.
 
 Parts and products are `invariant_sets`' vocabulary.  Only `build_schedule`
 derives products, importing `splitting` when it runs, so reading and
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 import mpmath as mp
 from mpmath.libmp import (
-    from_man_exp, mpf_abs, mpf_gt, mpf_lt, mpf_sub, normalize, round_nearest, round_up, to_str,
+    from_man_exp, mpf_abs, mpf_gt, mpf_sub, normalize, round_nearest, round_up, to_str,
 )
 
 from .errors import VerificationError
@@ -60,7 +61,8 @@ def value_tolerance(precision: int):
 
 
 class SignAmbiguous(VerificationError):
-    """Two sides of a split are numerically too close at the working precision."""
+    """A split's sign is not proven: its halves' cosine sums differ by no
+    more than their error bounds (`left_is_larger`)."""
 
 
 @dataclass
@@ -369,35 +371,50 @@ def _farther_than(stored, ref: int, scale: int, tol_bits: int) -> bool:
     return mpf_gt(mpf_abs(diff), from_man_exp(1, tol_bits - scale))
 
 
-def resolve_signs(tower: Tower, precision: int) -> Tower:
-    """Decide which side of every split is larger, by direct cosine sums.
+def left_is_larger(
+    split: PartRef, table: InvariantSetTable, cache: CosineCache, node_id: int | None = None
+) -> bool:
+    """Whether the left half of `split` (`split_children`) has the larger
+    cosine sum, proven: the two sums must differ by more than the sum of
+    their error bounds (`part_bound`), or SignAmbiguous is raised, naming
+    `node_id` when one is given.  Every sign is decided by this test."""
+    left, right = split_children(split, table)
+    lf, rf = cache.part_fixed(left), cache.part_fixed(right)
+    bound = cache.part_bound(left) + cache.part_bound(right)
+    if abs(lf - rf) <= bound:
+        raise SignAmbiguous(
+            f"{split.label(table)}: its halves' cosine sums differ by {abs(lf - rf)} units "
+            f"of 2^-{cache.scale_bits}, within their bound {bound}; raise the precision",
+            node_id,
+        )
+    return lf > rf
+
+
+def resolve_signs(tower: Tower) -> Tower:
+    """Decide which side of every split is larger, by direct cosine sums at
+    the tower's precision, each sign proven by `left_is_larger`.
 
     Each margin |left - right| is the difference of the two sums, each
-    rounded once to `precision` bits, rounded once more; it is computed on
-    raw libmp values and kept on the node as an mpf.  What a node already
+    rounded once to the precision, rounded once more; it is computed on raw
+    libmp values and kept on the node as an mpf.  What a node already
     stores (a loaded tower) is checked, not trusted: a sign that disagrees
     raises VerificationError, and so does a margin or a value further than
-    `value_tolerance` of the coarser of the tower's and this run's precision
-    from the exact |left - right| and sums.  That comparison is exact (a
-    difference of exactly the tolerance passes) and costs a bounded amount
-    at any stored exponent (`_farther_than`).  A null value is not compared.
+    `value_tolerance` of the precision from the exact |left - right| and
+    sums, compared exactly (a difference of exactly the tolerance passes)
+    at a bounded cost whatever the stored exponent (`_farther_than`).
     """
+    precision = tower.precision
     cache = CosineCache(tower.params, tower.table, precision)
     scale = cache.scale_bits
-    threshold = from_man_exp(1, -(precision // 4))
-    tol_bits = scale - min(tower.precision or precision, precision) // 2  # tol 2^scale = 2^tol_bits
+    tol_bits = scale - precision // 2  # tol 2^scale = 2^tol_bits
     for node in tower.nodes:
+        # The node's own parts first: the cache keeps the first key of each.
         lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
+        larger = left_is_larger(node.splits, tower.table, cache, node.id)
         margin = mpf_abs(mpf_sub(
             _round_raw(lf, scale, precision), _round_raw(rf, scale, precision),
             precision, round_nearest,
         ))
-        if mpf_lt(margin, threshold):
-            raise SignAmbiguous(
-                f"node {node.id} ({node.splits.label()}): margin {to_str(margin, 6)} "
-                f"below 2^-{precision // 4}; raise the precision"
-            )
-        larger = lf > rf
         if node.left_is_larger is not None and node.left_is_larger != larger:
             raise VerificationError(
                 f"stored left_is_larger={node.left_is_larger} but cosine sums give "
@@ -417,7 +434,6 @@ def resolve_signs(tower: Tower, precision: int) -> Tower:
                 )
         node.left_is_larger = larger
         node.sign_margin = mp.mp.make_mpf(margin)
-    tower.precision = precision
     tower.cosines = cache
     return tower
 
@@ -521,6 +537,7 @@ def build_tower(
     params = FermatParams.from_n(n)
     table = build_invariant_sets(params, factor=factor)
     tower = build_schedule(params, table, kind)
-    resolve_signs(tower, default_precision(n) if precision is None else precision)
+    tower.precision = default_precision(n) if precision is None else precision
+    resolve_signs(tower)
     evaluate_tower(tower)
     return tower

@@ -1,12 +1,12 @@
 """The one check pipeline, `verify_tower`, and its exact oracle.
 
-`verify_tower` runs the checks that back a tower, in this order: the exact
-oracle on every product expression (optional), then `tower.resolve_signs`,
-which decides each sign from direct cosine sums or checks a stored one, then
-`tower.evaluate_tower`, which compiles the tower's arithmetic program (the
-one `compile` writes), runs it node by node, cross-checks each node value
-when it lands and then p1 against the same sums, and writes the tower's
-report.
+`verify_tower` runs the checks that back a tower, all at the precision the
+tower carries, in this order: the exact oracle on every product expression
+(optional), then `tower.resolve_signs`, which proves each sign from direct
+cosine sums or checks a stored one, then `tower.evaluate_tower`, which
+compiles the tower's arithmetic program (the one `compile` writes), runs it
+node by node, cross-checks each node value when it lands and then p1
+against the same sums, and writes the tower's report.
 Every command that reads a tower runs it: `build`, `verify`, `render`, and
 `compile`, which writes the program the pipeline ran.
 
@@ -39,19 +39,19 @@ def oracle_check_tower(tower: Tower) -> int:
     return len(tower.nodes)
 
 
-def verify_tower(tower: Tower, precision: int | None = None, oracle: bool = True) -> tuple:
+def verify_tower(tower: Tower, oracle: bool = True) -> tuple:
     """The check pipeline; raises the first `VerificationError` it meets.
 
     Runs the exact oracle on every product expression (when `oracle`), then
-    derives the signs from direct cosine sums at `precision` bits (the
-    tower's own when None; a stored sign, margin or value that disagrees
-    fails), then runs the tower's arithmetic program, cross-checking each
-    node value as it lands and then p1 against those sums.  The tower's
-    report records the result.  Returns the program that ran and the sign
-    (-1, 0 or 1) of each of its instruction values; no value is kept.
+    proves the signs from direct cosine sums at the tower's precision (a
+    stored sign, margin or value that disagrees fails), then runs the
+    tower's arithmetic program, cross-checking each node value as it lands
+    and then p1 against those sums.  The tower's report records the result.
+    Returns the program that ran and the sign (-1, 0 or 1) of each of its
+    instruction values; no value is kept.
     """
     checked = oracle_check_tower(tower) if oracle else 0
-    resolve_signs(tower, tower.precision if precision is None else precision)
+    resolve_signs(tower)
     run = evaluate_tower(tower)
     tower.report.oracle_checked = checked
     return run

@@ -140,9 +140,9 @@ def test_tables_signs_one_step(capsys):
         ["tables", "--n", "17", "--kind", "mu", "--m", "9"],
         ["tables", "--n", "17", "--kind", "ksets", "--m", "7"],
         ["tables", "--n", "17", "--kind", "product", "--i", "0", "--j", "1"],
-        ["tables", "--n", "17", "--kind", "signs", "--precision", "-5"],
+        ["tables", "--n", "17", "--kind", "signs", "--factor", "0"],
         ["build", "--n", "17", "--precision", "-5"],
-        ["verify", "--tower", "{tower}", "--precision", "0"],
+        ["render", "--tower", "{tower}", "--out", "{svg}", "--max-vertices", "-1"],
         ["build", "--n", "17", "--precision", "10000000"],
         ["tables", "--n", "17", "--kind", "signs", "--m", "9"],
         ["tables", "--n", "17", "--kind", "signs", "--m", "-1"],
@@ -151,20 +151,21 @@ def test_tables_signs_one_step(capsys):
         ["build", "--n", "5", "--factor", "-7"],
         ["constructible", "2"],
     ],
-    ids=["mu-level", "ksets-level", "product-set", "tables-precision", "build-precision",
-         "verify-precision", "build-precision-over-cap", "signs-step", "signs-step-negative",
+    ids=["mu-level", "ksets-level", "product-set", "tables-factor", "build-precision",
+         "render-max-vertices", "build-precision-over-cap", "signs-step", "signs-step-negative",
          "build-factor-0", "build-factor-negative", "constructible-2"],
 )
 def test_argument_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
     if "{tower}" in argv:
         tower_path = str(tmp_path / "t17.tower")
         run_cli(capsys, "build", "--n", "17", "--out", tower_path)
-        argv = [tower_path if a == "{tower}" else a for a in argv]
+        argv = [a.format(tower=tower_path, svg=tmp_path / "p.svg") for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "p.svg").exists()
 
 
 # Each failure kind of the argument parser, on each command where it
@@ -178,16 +179,18 @@ USAGE_ERRORS = {
     "compile-unknown-option": ("compile --tower t --target arith --out p --x=1", "compile --x"),
     "render-unknown-option": ("render --tower t --out p --vertices 5", "render --vertices"),
     "constructible-unknown-option": ("constructible 17 --n 17", "constructible --n"),
+    "verify-precision-is-unknown": ("verify --tower t --precision 64", "verify unknown --precision"),
+    "tables-precision-is-unknown": ("tables --n 17 --kind signs --precision 8", "tables unknown --precision"),
     "build-missing-value": ("build --n 17 --out", "build --out"),
     "build-value-is-an-option": ("build --out --n 17", "build --out"),
-    "verify-missing-value": ("verify --tower t --precision", "verify --precision"),
+    "verify-missing-value": ("verify --tower", "verify --tower"),
     "tables-missing-value": ("tables --n 17 --kind mu --m", "tables --m"),
     "compile-missing-value": ("compile --tower t --target arith --out", "compile --out"),
     "render-missing-value": ("render --tower t --out p --max-vertices", "render --max-vertices"),
     "build-non-integer": ("build --n x", "build --n 'x'"),
-    "verify-non-integer": ("verify --tower t --precision=1.5", "verify --precision '1.5'"),
     "tables-non-integer": ("tables --n 17 --kind square --i=", "tables --i ''"),
     "render-non-integer": ("render --tower t --out p --max-vertices all", "render --max-vertices 'all'"),
+    "render-fraction": ("render --tower t --out p --max-vertices=1.5", "render --max-vertices '1.5'"),
     "constructible-non-integer": ("constructible x", "constructible n 'x'"),
     "build-choice": ("build --n 17 --schedule fast", "build --schedule 'fast'"),
     "tables-choice": ("tables --n 17 --kind cubes", "tables --kind 'cubes'"),
@@ -239,6 +242,14 @@ def test_help_lists_every_option_with_its_default(command, flag, capsys):
                 shown = f"default: {'none' if default is None else default}"
             assert any(line.startswith(f"  {option} ") and line.endswith(f"{text} ({shown})")
                        for line in lines), option
+
+
+def test_only_build_takes_a_precision(capsys):
+    # Every tower is checked at the one precision it carries, which only
+    # `build` sets.
+    for command in cli._OPTIONS:
+        assert main([command, "--help"]) == 0
+        assert ("--precision" in capsys.readouterr().out) == (command == "build"), command
 
 
 @pytest.mark.parametrize(
@@ -629,35 +640,55 @@ def test_a_radius_that_proves_nothing_fails_verify(share, message, tmp_path, cap
     assert err.startswith("verification failure: ") and message in err
 
 
-@pytest.mark.parametrize("n, precision", [(65537, 12), (257, 4)])
-def test_verify_below_the_header_precision_blames_no_stored_field(
-    n, precision, tower65537, tmp_path, capsys
-):
-    # The stored margins and values are right to the coarser tolerance; a
-    # p-bit rounding of the cosine sums is not, so they are compared with the
-    # exact sums and only a margin too small for p bits fails.
-    path = tmp_path / "t.tower"
-    if n == 65537:
-        from ngontower.towerfile import dump_tower
+def test_build_257_full_at_8_bits(capsys):
+    # Every sign is proven from cosine sums at 2^-(8+64), whatever the
+    # precision, so 8 bits build and check the whole 257 tower.
+    code, out = run_cli(capsys, "build", "--n", "257", "--schedule", "full", "--precision", "8")
+    assert code == 0
+    assert "precision = 8 bits" in out and out.endswith("p1 verified\n")
 
-        dump_tower(tower65537, str(path))
-    else:
-        run_cli(capsys, "build", "--n", str(n), "--no-oracle", "--out", str(path))
-    argv = ["verify", "--tower", str(path), "--precision", str(precision), "--no-oracle"]
-    code, err = _stderr_of(capsys, argv)
+
+@pytest.mark.parametrize("n, precision", [(257, 4)])
+def test_verify_below_the_header_precision_blames_no_stored_field(
+    n, precision, params257, table257, tmp_path, capsys, monkeypatch
+):
+    # A tower written at 128 bits and checked at a lower header precision:
+    # its stored fields are within the coarser tolerance and every sign is
+    # still proven.  Tie one node's halves and only that sign fails.
+    from ngontower import tower as tower_module
+    from ngontower.tower import build_schedule
+
+    path = tmp_path / "t.tower"
+    run_cli(capsys, "build", "--n", str(n), "--no-oracle", "--out", str(path))
+    lines = path.read_text().splitlines()
+    _on_header("precision", precision)(lines)
+    path.write_text("\n".join(lines) + "\n")
+    code, _ = run_cli(capsys, "verify", "--tower", str(path), "--no-oracle")
+    assert code == 0
+    node = build_schedule(params257, table257, "pruned").nodes[-1]
+
+    class Tied(CosineCache):
+        def part_fixed(self, part):
+            return super().part_fixed(node.right if part == node.left else part)
+
+    monkeypatch.setattr(tower_module, "CosineCache", Tied)
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--no-oracle"])
     assert code == 1
-    assert err.startswith("verification failure: node ") and err.endswith("raise the precision\n")
+    assert err.startswith(f"verification failure: node {node.id}") and err.endswith("raise the precision\n")
 
 
 def test_an_unproven_sin_radicand_is_named(tower65537, tmp_path, capsys):
-    # At 50 bits every node passes, but sin(2pi/n)^2, about 9.2e-9, is not
-    # proven positive: the message names it as the node path names a
-    # discriminant.
+    # A tower whose header says 50 bits is checked at 50 bits: every node
+    # passes, but sin(2pi/n)^2, about 9.2e-9, is not proven positive.  The
+    # message names it as the node path names a discriminant.
     from ngontower.towerfile import dump_tower
 
     path = tmp_path / "t.tower"
     dump_tower(tower65537, str(path))
-    code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--precision", "50", "--no-oracle"])
+    lines = path.read_text().splitlines()
+    _on_header("precision", 50)(lines)
+    path.write_text("\n".join(lines) + "\n")
+    code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--no-oracle"])
     assert code == 1
     assert err.startswith("verification failure: sin(2pi/n)^2 = 9.19")
     assert err.endswith(" not proven positive\n")

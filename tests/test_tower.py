@@ -137,20 +137,57 @@ def test_5_and_3():
     assert tower.report.p1 == -1
 
 
-def test_sign_ambiguous_raises(params257, table257):
-    tower = build_schedule(params257, table257, kind="pruned")
-    with pytest.raises(SignAmbiguous):
-        resolve_signs(tower, 4)  # absurdly low precision
-
-
 class _GivenSums:
-    """A cosine cache's bounds and scale with the sums given instead."""
+    """A cosine cache with the sums of some parts given instead."""
 
     def __init__(self, cache, sums):
-        self.scale_bits, self.part_bound, self.sums = cache.scale_bits, cache.part_bound, sums
+        self.cache, self.sums = cache, sums
+        self.scale_bits, self.part_bound = cache.scale_bits, cache.part_bound
 
     def part_fixed(self, part):
-        return self.sums[part]
+        return self.sums[part] if part in self.sums else self.cache.part_fixed(part)
+
+
+def test_sign_ambiguous_raises(params257, table257, monkeypatch):
+    # At 4 bits every sign of the pruned 257 tower is still proven; tie the
+    # last node's halves and that node is named as unproven.
+    from ngontower import tower as tower_module
+
+    def pruned_at_4_bits():
+        tower = build_schedule(params257, table257, kind="pruned")
+        tower.precision = 4
+        return tower
+
+    assert all(node.left_is_larger is not None for node in resolve_signs(pruned_at_4_bits()).nodes)
+    last = pruned_at_4_bits().nodes[-1]
+    cache = CosineCache(params257, table257, 4)
+    sums = _GivenSums(cache, {last.left: cache.part_fixed(last.right)})
+    monkeypatch.setattr(tower_module, "CosineCache", lambda *args: sums)
+    with pytest.raises(SignAmbiguous, match=f"^node {last.id}: "):
+        resolve_signs(pruned_at_4_bits())
+
+
+@pytest.mark.parametrize("node_id", [0, 5])
+def test_resolve_signs_proves_every_sign_or_names_its_node(node_id, params17, table17, monkeypatch):
+    # A node's sign is decided only when its halves' sums differ by more
+    # than their two error bounds; otherwise the node is named as unproven.
+    from ngontower import tower as tower_module
+
+    cache = CosineCache(params17, table17, 128)
+    node = build_schedule(params17, table17, "full").nodes[node_id]
+    bound = cache.part_bound(node.left) + cache.part_bound(node.right)
+    real = cache.part_fixed(node.right)
+    for gap in (bound + 1, -bound - 1, bound, 1, 0, -1, -bound):
+        sums = _GivenSums(cache, {node.left: real + gap})
+        monkeypatch.setattr(tower_module, "CosineCache", lambda *args: sums)
+        tower = build_schedule(params17, table17, "full")
+        tower.precision = 128
+        if abs(gap) > bound:
+            assert resolve_signs(tower).nodes[node_id].left_is_larger is (gap > 0)
+            continue
+        message = f"^node {node_id}: .* within their bound {bound}; raise the precision$"
+        with pytest.raises(SignAmbiguous, match=message):
+            resolve_signs(tower)
 
 
 @pytest.mark.parametrize("split", [f_part(1, 1), g_part(2, 1, 2)])
@@ -391,7 +428,9 @@ def test_cosine_sums_walk_each_orbit(params65537, table65537, params257, table25
     assert calls.pop("cos_sin") == 2
     assert calls == Counter(range(1, params65537.ng + 1))
     calls.clear()
-    resolve_signs(build_schedule(params257, table257, "full"), 128)
+    tower = build_schedule(params257, table257, "full")
+    tower.precision = 128
+    resolve_signs(tower)
     assert calls.pop("cos_sin") == 2
     assert set(calls) == set(range(1, params257.ng + 1)) and max(calls.values()) <= 2
 
