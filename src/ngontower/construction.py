@@ -733,11 +733,11 @@ def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
     """First `count` vertices of the n-gon from the evaluated tower value:
     cos/sin(2 pi / n) from p1 at the tower's precision, then each vertex
     the one before rotated by it in ints at scale 2^_VERTEX_BITS."""
-    with mp.workprec(tower.precision):
+    one = 1 << _VERTEX_BITS
+    with mp.workprec(tower.precision):  # the rows' seeds round as the first is drawn
         cos_t = tower.report.p1 / 2
         rows = _rotations((cos_t, mp.sqrt(1 - cos_t * cos_t)), count, _VERTEX_BITS)
-    one = 1 << _VERTEX_BITS
-    return [(c / one, s / one) for c, s in rows]
+        return [(c / one, s / one) for c, s in rows]
 
 
 def emit_svg(tower: Tower, max_vertices: int = 0) -> str:

@@ -10,7 +10,7 @@ the rule that `resolve_signs` applies to every node.
 import mpmath as mp
 
 from . import reference_tables as ref
-from .invariant_sets import InvariantSetTable, f_part, g_part
+from .invariant_sets import InvariantSetTable, f_part, g_part, split_children
 from .period_algebra import set_product, set_square
 from .splitting import mu_groups, mu_table
 from .tower import CosineCache, Tower, left_is_larger
@@ -21,7 +21,8 @@ def f_sign_sets(table: InvariantSetTable, cache: CosineCache) -> dict[int, froze
     half, for every F level 2^(m+1) <= ng."""
     return {
         m + 1: frozenset(
-            j for j in range(1, (1 << m) + 1) if left_is_larger(f_part(j, 1 << m), table, cache)
+            j for j in range(1, (1 << m) + 1)
+            if left_is_larger(*split_children(f_part(j, 1 << m), table), cache)
         )
         for m in range(table.params.ng.bit_length() - 1)
     }
@@ -116,7 +117,7 @@ def sign_diffs(table: InvariantSetTable, cache: CosineCache) -> list[str]:
                     f"{sorted(mine)} vs published {sorted(published)}"
                 )
     for step, k, s, stride, expected in {257: ref.SIGNS_G_257, 65537: ref.SIGNS_G_65537}.get(n, ()):
-        mine = left_is_larger(g_part(k, s, stride), table, cache)
+        mine = left_is_larger(*split_children(g_part(k, s, stride), table), cache)
         if mine != expected:
             out.append(
                 f"step {step}: split of G{k}({s},{stride}) computed "

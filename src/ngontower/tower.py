@@ -9,15 +9,15 @@ cosine sums, which are independent of the tower arithmetic.
 
 The checks run as one pipeline, `verify.verify_tower`, at the one precision
 the tower carries: the optional exact oracle, then `resolve_signs`, which
-proves every sign from the cosine sums by `left_is_larger`, the one sign
-rule, and checks what a loaded tower stores (its signs, and its margins and
-values to within `value_tolerance`, compared exactly and at a bounded cost
-whatever a stored exponent is), then `evaluate_tower`.  That compiles the
-tower's arithmetic program, the one `compile` writes, runs it node by node
-on scaled ints with an error radius, and proves each node's values from
-their radius and the cosine sums' bound when its roots land; it writes the
-tower's one `VerificationReport`.  A precision that nobody gives is
-`default_precision(n)`.
+proves each sign from its node's two halves by `left_is_larger`, the one
+sign rule, and checks what a loaded tower stores (signs, and margins and
+values to a tolerance that covers their rounding, compared exactly at a
+bounded cost whatever a stored exponent is), then `evaluate_tower`.  That
+compiles the tower's arithmetic program, the one `compile` writes, runs it
+node by node on scaled ints with an error radius, and proves each node's
+values from their radius and the cosine sums' bound when its roots land,
+and p1 from its radius and 2cos(2 pi / n); it writes the tower's one
+`VerificationReport`.  A precision that nobody gives is `default_precision(n)`.
 
 Parts and products are `invariant_sets`' vocabulary.  Only `build_schedule`
 derives products, importing `splitting` when it runs, so reading and
@@ -26,7 +26,7 @@ checking a stored tower loads no derivation.
 
 from array import array
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 import mpmath as mp
@@ -53,11 +53,6 @@ MAX_PRECISION = 1 << 15
 def default_precision(n: int) -> int:
     """Mantissa bits for n when no argument or tower header gives them."""
     return 512 if n > 257 else 128
-
-
-def value_tolerance(precision: int):
-    """2^-(precision // 2): how far a value may sit from its direct cosine."""
-    return mp.mpf(2) ** (-(precision // 2))
 
 
 class SignAmbiguous(VerificationError):
@@ -278,8 +273,8 @@ class CosineCache:
         self.wide_bits = wide = self.scale_bits + self.ORBIT_BITS
         with mp.workprec(wide + 16):
             theta = 2 * mp.pi / params.n
-            self.low = _rotations(mp.cos_sin(theta), block, wide)
-            self.high = _rotations(mp.cos_sin(block * theta), npairs // block + 1, wide)
+            self.low = list(_rotations(mp.cos_sin(theta), block, wide))
+            self.high = list(_rotations(mp.cos_sin(block * theta), npairs // block + 1, wide))
         self.set_fixed = [0] + [sum(self._orbit(k)) for k in range(1, params.ng + 1)]
         self._entries: dict[int, list[int]] = {}  # set index -> its entries
         self._part: dict[PartRef, int] = {}
@@ -330,17 +325,15 @@ class CosineCache:
         return _rounded(self.part_fixed(part), self.scale_bits, self.precision)
 
 
-def _rotations(cos_sin, count: int, scale: int) -> list[tuple[int, int]]:
+def _rotations(cos_sin, count: int, scale: int) -> Iterator[tuple[int, int]]:
     """cos/sin(j a), j < count, as ints at scale 2^scale, from the mpf pair
-    `cos_sin` of a: row 1 is that pair rounded, and each next row the one
-    before rotated by it."""
+    `cos_sin` of a, rounded at the working precision when the first row is
+    asked for: row 1 is that pair, each next row the one before rotated by it."""
     c1, s1 = (int(mp.nint(mp.ldexp(x, scale))) for x in cos_sin)
     c, s = 1 << scale, 0
-    rows = []
     for _ in range(count):
-        rows.append((c, s))
+        yield c, s
         c, s = (c * c1 - s * s1) >> scale, (s * c1 + c * s1) >> scale
-    return rows
 
 
 def _round_raw(v: int, scale: int, precision: int) -> tuple:
@@ -372,19 +365,18 @@ def _farther_than(stored, ref: int, scale: int, tol_bits: int) -> bool:
 
 
 def left_is_larger(
-    split: PartRef, table: InvariantSetTable, cache: CosineCache, node_id: int | None = None
+    left: PartRef, right: PartRef, cache: CosineCache, node_id: int | None = None
 ) -> bool:
-    """Whether the left half of `split` (`split_children`) has the larger
-    cosine sum, proven: the two sums must differ by more than the sum of
-    their error bounds (`part_bound`), or SignAmbiguous is raised, naming
-    `node_id` when one is given.  Every sign is decided by this test."""
-    left, right = split_children(split, table)
+    """Whether `left`, one half of a split, has a larger cosine sum than
+    `right`, the other, proven: the two sums must differ by more than the
+    sum of their error bounds (`part_bound`), or SignAmbiguous is raised,
+    naming `node_id` when one is given.  Every sign is decided by this test."""
     lf, rf = cache.part_fixed(left), cache.part_fixed(right)
     bound = cache.part_bound(left) + cache.part_bound(right)
     if abs(lf - rf) <= bound:
         raise SignAmbiguous(
-            f"{split.label(table)}: its halves' cosine sums differ by {abs(lf - rf)} units "
-            f"of 2^-{cache.scale_bits}, within their bound {bound}; raise the precision",
+            f"halves {left.label()} and {right.label()}: cosine sums differ by {abs(lf - rf)} "
+            f"units of 2^-{cache.scale_bits}, within their bound {bound}; raise the precision",
             node_id,
         )
     return lf > rf
@@ -398,19 +390,19 @@ def resolve_signs(tower: Tower) -> Tower:
     rounded once to the precision, rounded once more; it is computed on raw
     libmp values and kept on the node as an mpf.  What a node already
     stores (a loaded tower) is checked, not trusted: a sign that disagrees
-    raises VerificationError, and so does a margin or a value further than
-    `value_tolerance` of the precision from the exact |left - right| and
-    sums, compared exactly (a difference of exactly the tolerance passes)
-    at a bounded cost whatever the stored exponent (`_farther_than`).
+    raises VerificationError, and so does a margin or a value further from
+    the exact |left - right| and sums than the tolerance: 2^-(p//2), or two
+    units in the p-th bit of the larger sum when that is more, which covers
+    a p-bit rounding of a value or the margin.  The comparison is exact (a
+    difference of exactly the tolerance passes) and of bounded cost
+    whatever the stored exponent (`_farther_than`).
     """
     precision = tower.precision
     cache = CosineCache(tower.params, tower.table, precision)
     scale = cache.scale_bits
-    tol_bits = scale - precision // 2  # tol 2^scale = 2^tol_bits
     for node in tower.nodes:
-        # The node's own parts first: the cache keeps the first key of each.
         lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
-        larger = left_is_larger(node.splits, tower.table, cache, node.id)
+        larger = left_is_larger(node.left, node.right, cache, node.id)
         margin = mpf_abs(mpf_sub(
             _round_raw(lf, scale, precision), _round_raw(rf, scale, precision),
             precision, round_nearest,
@@ -421,6 +413,7 @@ def resolve_signs(tower: Tower) -> Tower:
                 f"{larger} (margin {to_str(margin, 6)})",
                 node.id,
             )
+        tol_bits = max(scale - precision // 2, max(abs(lf), abs(rf)).bit_length() + 1 - precision)
         for name, stored, ref in (
             ("sign_margin", node.sign_margin, abs(lf - rf)),
             ("value_left", node.value_left, lf),
@@ -448,13 +441,14 @@ def evaluate_tower(tower: Tower) -> tuple:
     Then every value whose last reader ran in the node's segment is
     dropped, found among the segment's own instructions and its operand
     columns, so only the values that a later instruction reads are held;
-    last p1, cos and sin run: p1 must lie within `value_tolerance` of
-    2cos(2 pi / n).  The cosine sums read only each invariant set's start;
-    Euler's criterion on the factor proves that the starts partition the
-    pairs, so the pair table, whose walk checks that again on its first
-    read, is not walked here.  Writes the tower's report; returns the
-    program and the proven sign (-1, 0 or 1) of each of its instruction
-    values; no value outlives the run."""
+    last p1, cos and sin run, and p1's value v and radius r at scale 2^F
+    must meet |v - c| <= r + 1, c = 2cos(2 pi / n) 2^F rounded to an int.
+    The cosine sums read only each invariant set's start; Euler's criterion
+    on the factor proves that the starts partition the pairs, so the pair
+    table, whose walk checks that again on its first read, is not walked
+    here.  Writes the tower's report; returns the program and the proven
+    sign (-1, 0 or 1) of each of its instruction values; no value outlives
+    the run."""
     from .construction import RUN_GUARD_BITS, NegativeRadicand, _run, compile_to_arith, proven_signs
 
     cache = tower.cosines
@@ -520,9 +514,13 @@ def evaluate_tower(tower: Tower) -> tuple:
             min_sign_margin=min((node.sign_margin for node in tower.nodes), default=None),
             p1=_rounded(vals[prog.outputs["p1"]], scale, precision),
         )
+    with mp.workprec(max(precision, 64)):  # a cosine at 1 bit would make this 2.0
         report.p1_err = abs(report.p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
-    if report.p1_err > value_tolerance(precision):
-        raise VerificationError(f"p1 misses 2cos(2pi/n) by {mp.nstr(report.p1_err)}")
+    p1, r = vals[prog.outputs["p1"]], rads[prog.outputs["p1"]]
+    with mp.workprec(scale + 16):
+        gap = abs(p1 - int(mp.nint(mp.ldexp(2 * mp.cos(2 * mp.pi / tower.params.n), scale))))
+    if gap > r + 1:
+        raise VerificationError(f"p1 misses 2cos(2pi/n) by {gap} units of 2^-{scale}, radius {r}")
     tower.report = report
     return prog, signs
 

@@ -5,8 +5,8 @@ tower carries, in this order: the exact oracle on every product expression
 (optional), then `tower.resolve_signs`, which proves each sign from direct
 cosine sums or checks a stored one, then `tower.evaluate_tower`, which
 compiles the tower's arithmetic program (the one `compile` writes), runs it
-node by node, cross-checks each node value when it lands and then p1
-against the same sums, and writes the tower's report.
+node by node, proves each node value by its radius against the same sums
+and p1 against 2cos(2 pi / n), and writes the tower's report.
 Every command that reads a tower runs it: `build`, `verify`, `render`, and
 `compile`, which writes the program the pipeline ran.
 
@@ -45,10 +45,10 @@ def verify_tower(tower: Tower, oracle: bool = True) -> tuple:
     Runs the exact oracle on every product expression (when `oracle`), then
     proves the signs from direct cosine sums at the tower's precision (a
     stored sign, margin or value that disagrees fails), then runs the
-    tower's arithmetic program, cross-checking each node value as it lands
-    and then p1 against those sums.  The tower's report records the result.
-    Returns the program that ran and the sign (-1, 0 or 1) of each of its
-    instruction values; no value is kept.
+    tower's arithmetic program, proving each value by its radius against
+    those sums as it lands, then p1 against 2cos(2 pi / n).  The tower's
+    report records the result.  Returns the program that ran and the sign
+    (-1, 0 or 1) of each of its instruction values; no value is kept.
     """
     checked = oracle_check_tower(tower) if oracle else 0
     resolve_signs(tower)

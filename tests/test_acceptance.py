@@ -11,7 +11,7 @@ import mpmath as mp
 import pytest
 
 from ngontower import reference_tables as ref
-from ngontower.invariant_sets import LinearCombo, f_part, g_part
+from ngontower.invariant_sets import LinearCombo, f_part, g_part, split_children
 from ngontower.oracle import Oracle, OracleMismatch
 from ngontower.period_algebra import set_product, set_square
 from ngontower.residues import FermatParams, rho
@@ -119,7 +119,8 @@ def test_criterion_05_sign_reproduction(tower65537, tower257_full):
     for step, published in ref.SIGNS_F_257.items():
         ok &= signs257[step] == published
     for step, k, s, stride, expected in ref.SIGNS_G_257:
-        ok &= left_is_larger(g_part(k, s, stride), tower257_full.table, cache257) == expected
+        halves = split_children(g_part(k, s, stride), tower257_full.table)
+        ok &= left_is_larger(*halves, cache257) == expected
     diffs257 = reference_diffs(tower257_full)
     ok &= any("step 4 sign list" in d for d in diffs257)
 

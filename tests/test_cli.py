@@ -648,6 +648,19 @@ def test_build_257_full_at_8_bits(capsys):
     assert "precision = 8 bits" in out and out.endswith("p1 verified\n")
 
 
+@pytest.mark.parametrize("precision", [1, 2, 4, 6])
+@pytest.mark.parametrize("schedule", ["full", "pruned"])
+@pytest.mark.parametrize("n", [5, 17, 257])
+def test_a_tower_written_at_any_precision_passes_its_own_verify(n, schedule, precision, tmp_path, capsys):
+    # A stored value or margin is a p-bit rounding, which for a value above
+    # 2^(p/2) is more than 2^-(p//2) from its cosine sum: the tolerance also
+    # covers two units in the p-th bit of the larger half's sum.
+    path = tmp_path / "t.tower"
+    args = ["--n", str(n), "--schedule", schedule, "--precision", str(precision), "--no-oracle"]
+    assert run_cli(capsys, "build", *args, "--out", str(path))[0] == 0
+    assert run_cli(capsys, "verify", "--tower", str(path), "--no-oracle")[0] == 0
+
+
 @pytest.mark.parametrize("n, precision", [(257, 4)])
 def test_verify_below_the_header_precision_blames_no_stored_field(
     n, precision, params257, table257, tmp_path, capsys, monkeypatch

@@ -202,12 +202,64 @@ def test_report_signs_are_proven_or_refused(split, params17, table17):
     real = cache.part_fixed(left)
     for gap, expected in ((bound + 1, True), (-bound - 1, False)):
         sums = _GivenSums(cache, {left: real + gap, right: real})
-        assert left_is_larger(split, table17, sums) is expected
+        assert left_is_larger(left, right, sums) is expected
     for gap in (bound, 1, 0, -1, -bound):
         sums = _GivenSums(cache, {left: real + gap, right: real})
         with pytest.raises(SignAmbiguous, match=f"within their bound {bound}; raise the precision$"):
-            left_is_larger(split, table17, sums)
-    assert left_is_larger(split, table17, cache) == (cache.part_fixed(left) > cache.part_fixed(right))
+            left_is_larger(left, right, sums)
+    assert left_is_larger(left, right, cache) == (cache.part_fixed(left) > cache.part_fixed(right))
+
+
+def test_resolve_signs_builds_no_halves(params257, table257, monkeypatch):
+    # Each sign is decided on the two halves its node already holds: no
+    # split's halves are derived again while the signs are resolved.
+    from ngontower import tower as tower_module
+
+    tower = build_schedule(params257, table257, kind="pruned")
+    tower.precision = 128
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return split_children(*args)
+
+    monkeypatch.setattr(tower_module, "split_children", counted)
+    resolve_signs(tower)
+    assert calls == []
+    assert all(node.left_is_larger is not None for node in tower.nodes)
+
+
+@pytest.mark.parametrize("n, precision", [(17, 128), (257, 8)])
+def test_p1_is_proven_by_its_radius(n, precision, monkeypatch):
+    # p1's value v and radius r at scale 2^F must meet |v - c| <= r + 1,
+    # with c = 2cos(2pi/n) 2^F rounded to an int: p1 placed r + 1 units
+    # from c passes on either side, r + 2 units away it fails, however far
+    # below 2^-(precision // 2) that is.
+    from ngontower import construction
+    from ngontower.errors import VerificationError
+
+    run, scale = construction._run, precision + construction.RUN_GUARD_BITS
+    with mp.workprec(scale + 64):
+        c = int(mp.nint(2 * mp.cos(2 * mp.pi / n) * mp.mpf(2) ** scale))
+    for units, passes in ((1, True), (-1, True), (2, False), (-2, False)):
+        radius = []
+
+        def placed(prog, first, end, vals, rads, scale):
+            run(prog, first, end, vals, rads, scale)
+            if end == len(prog.ops):
+                p1 = prog.outputs["p1"]
+                radius.append(rads[p1])
+                vals[p1] = c + (rads[p1] + abs(units)) * (1 if units > 0 else -1)
+
+        monkeypatch.setattr(construction, "_run", placed)
+        if passes:
+            assert build_tower(n, "pruned", precision).report.p1 is not None
+            continue
+        with pytest.raises(VerificationError, match=r"^p1 misses 2cos\(2pi/n\) by ") as info:
+            build_tower(n, "pruned", precision)
+        r = radius[0]
+        assert r + 2 < 1 << (scale - precision // 2)
+        assert str(info.value) == f"p1 misses 2cos(2pi/n) by {r + 2} units of 2^-{scale}, radius {r}"
 
 
 def test_determinism(tmp_path):
