@@ -40,10 +40,11 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, pi
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_shift, round_nearest, to_int
 
 from .errors import VerificationError
 from .invariant_sets import LinearCombo, PartRef
@@ -55,13 +56,12 @@ RUN_GUARD_BITS = 32  # a program runs at scale 2^-(precision + RUN_GUARD_BITS)
 
 
 class NegativeRadicand(VerificationError):
-    """A SQRT operand, the mpf `radicand`, was not proven positive when the
-    arithmetic program was evaluated; `values` and `radii` hold those of the
-    instructions before it (None where a run no longer held one)."""
+    """A SQRT operand, the exact mpf `radicand`, was not proven positive
+    when the arithmetic program was evaluated."""
 
-    def __init__(self, radicand, values: list, radii: list):
+    def __init__(self, radicand):
         super().__init__(f"sqrt of {mp.nstr(radicand)}")
-        self.radicand, self.values, self.radii = radicand, values, radii
+        self.radicand = radicand
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def _run(prog: ArithProgram, first: int, end: int, vals: list, rads: list, scale
         else:  # SQRT: r(x) / (2 sqrt(x - r(x))), rounded up, + 1 if it rounds
             vx, rx = vals[x], rads[x]
             if vx <= rx:
-                raise NegativeRadicand(mp.ldexp(vx, -scale), vals, rads)
+                raise NegativeRadicand(mp.mp.make_mpf(from_man_exp(vx, -scale)))
             v = isqrt(vx << scale)
             r = (v * v != vx << scale) - (-(rx << scale) // (2 * isqrt(vx - rx << scale)))
         vals.append(v)
@@ -501,15 +501,13 @@ class _GeomBuilder:
         acc = self.add(acc, acc)
         return self.add(acc, p) if k % 2 else acc
 
-    def _lift_to_yaxis(self, p: int, sign: int) -> int:
+    def _turn_onto(self, p: int, sign: int, line: int | None = None) -> int:
+        """The point at p's distance from the center on `line`, a line
+        through the center, on its positive side for a positive sign.  None
+        is the y axis, drawn after the circle where it is first needed."""
         circ = self.prog.emit("CIRCLE", self.O, p)
-        branch = 1 if sign > 0 else 0
-        return self.prog.emit("INTERSECT_LC", self.yaxis(), circ, branch=branch)
-
-    def _drop_to_axis(self, p: int, sign: int) -> int:
-        circ = self.prog.emit("CIRCLE", self.O, p)
-        branch = 1 if sign > 0 else 0
-        return self.prog.emit("INTERSECT_LC", self.AXIS, circ, branch=branch)
+        line = self.yaxis() if line is None else line
+        return self.prog.emit("INTERSECT_LC", line, circ, branch=int(sign > 0))
 
     def _parallel_through(self, line: int, p: int) -> int:
         perp = self.prog.emit("PERPENDICULAR_AT", line, p)
@@ -520,11 +518,11 @@ class _GeomBuilder:
         y axis at (0, p*q).  pv and qv are the signs of p and q."""
         if pv == 0 or qv == 0:
             return self.O
-        yq = self._lift_to_yaxis(q, qv)
+        yq = self._turn_onto(q, qv)
         base = self.prog.emit("LINE", self.X, yq)
         par = self._parallel_through(base, p)
         prod_y = self.prog.emit("INTERSECT_LL", par, self.yaxis())
-        return self._drop_to_axis(prod_y, pv * qv)
+        return self._turn_onto(prod_y, pv * qv, self.AXIS)
 
     def sqrt(self, p: int, sign: int) -> int:
         """Semicircle over the diameter from (-1,0) to (p,0), p >= 0 of this
@@ -533,7 +531,7 @@ class _GeomBuilder:
         mid = self.prog.emit("MIDPOINT", minus_one, p)
         circ = self.prog.emit("CIRCLE", mid, p)
         height = self.prog.emit("INTERSECT_LC", self.yaxis(), circ, branch=1)
-        return self._drop_to_axis(height, sign)
+        return self._turn_onto(height, sign, self.AXIS)
 
     def carlyle(self, s: int, q: int, qv: int) -> tuple[int, int]:
         """The larger and the smaller root of x^2 - s x + q, qv the sign of q:
@@ -545,7 +543,7 @@ class _GeomBuilder:
         else:
             # (s, q): the perpendicular at s meets the parallel to the axis
             # through (0, q).
-            level = self.prog.emit("PERPENDICULAR_AT", self.yaxis(), self._lift_to_yaxis(q, qv))
+            level = self.prog.emit("PERPENDICULAR_AT", self.yaxis(), self._turn_onto(q, qv))
             above = self.prog.emit("PERPENDICULAR_AT", self.AXIS, s)
             corner = self.prog.emit("INTERSECT_LL", level, above)
         mid = self.prog.emit("MIDPOINT", self._unit_y, corner)
@@ -730,14 +728,14 @@ _VERTEX_BITS = 128
 
 
 def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
-    """First `count` vertices of the n-gon from the evaluated tower value:
-    cos/sin(2 pi / n) from p1 at the tower's precision, then each vertex
-    the one before rotated by it in ints at scale 2^_VERTEX_BITS."""
+    """First `count` vertices of the n-gon from the evaluated tower value, in
+    ints at scale 2^_VERTEX_BITS: cos(2 pi / n), p1 / 2 rounded to nearest,
+    and sin(2 pi / n), the floor of sqrt(1 - cos^2), then each vertex the
+    one before rotated by them."""
     one = 1 << _VERTEX_BITS
-    with mp.workprec(tower.precision):  # the rows' seeds round as the first is drawn
-        cos_t = tower.report.p1 / 2
-        rows = _rotations((cos_t, mp.sqrt(1 - cos_t * cos_t)), count, _VERTEX_BITS)
-        return [(c / one, s / one) for c, s in rows]
+    c1 = to_int(mpf_shift(tower.report.p1._mpf_, _VERTEX_BITS - 1), round_nearest)
+    rows = _rotations(c1, isqrt(one * one - c1 * c1), count, _VERTEX_BITS)
+    return [(c / one, s / one) for c, s in rows]
 
 
 def emit_svg(tower: Tower, max_vertices: int = 0) -> str:
@@ -763,8 +761,8 @@ def emit_svg(tower: Tower, max_vertices: int = 0) -> str:
         cx = cy = half
     else:
         # Zoom onto the arc covered by the drawn vertices, around (1, 0).
-        span = max(2 * mp.pi * count / n, mp.mpf(1e-6))
-        scale = half * 0.9 * float(0.6 / span)
+        span = max(2 * pi * count / n, 1e-6)
+        scale = half * 0.9 * (0.6 / span)
         cx, cy = half - scale + half * 0.45, half
     pts = " ".join(f"{fmt(cx + scale * x)},{fmt(cy - scale * y)}" for x, y in verts)
     lines += [

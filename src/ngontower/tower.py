@@ -70,7 +70,7 @@ class QuadraticNode:
     sum_source: int | None  # producing node id; None means the literal S = -1
     product_expr: LinearCombo
     left_is_larger: bool | None = None
-    sign_margin: object = None  # mpf lower bound on |left - right|
+    sign_margin: object = None  # mpf: |left - right| of the exact sums, rounded once
     value_left: object = None
     value_right: object = None
 
@@ -230,7 +230,8 @@ class CosineCache:
     x >> ORBIT_BITS.  With block B = 2^ceil(bits(npairs) / 2) (256 at
     n = 65537), `low[b]` = cos/sin(b theta), b < B, and `high[a]` =
     cos/sin(aB theta), a <= npairs / B, are ints at scale 2^W, each row the
-    one before rotated by row 1, the table's one mp.cos_sin (at W + 16 bits);
+    one before rotated by row 1, the table's one mp.cos_sin (at W + 16 bits)
+    rounded to nearest at scale 2^W;
     set k starts at (C_a C_b - S_a S_b) >> (W - 1) for its first pair aB + b.
     Held: the tables, `set_fixed[k]` (the exact sum of set k's entries), the
     entries of each set a strided G part reads (walked on first use), and
@@ -273,8 +274,11 @@ class CosineCache:
         self.wide_bits = wide = self.scale_bits + self.ORBIT_BITS
         with mp.workprec(wide + 16):
             theta = 2 * mp.pi / params.n
-            self.low = list(_rotations(mp.cos_sin(theta), block, wide))
-            self.high = list(_rotations(mp.cos_sin(block * theta), npairs // block + 1, wide))
+            row1, row_b = (
+                [int(mp.nint(mp.ldexp(x, wide))) for x in mp.cos_sin(a * theta)] for a in (1, block)
+            )
+        self.low = list(_rotations(*row1, block, wide))
+        self.high = list(_rotations(*row_b, npairs // block + 1, wide))
         self.set_fixed = [0] + [sum(self._orbit(k)) for k in range(1, params.ng + 1)]
         self._entries: dict[int, list[int]] = {}  # set index -> its entries
         self._part: dict[PartRef, int] = {}
@@ -325,11 +329,9 @@ class CosineCache:
         return _rounded(self.part_fixed(part), self.scale_bits, self.precision)
 
 
-def _rotations(cos_sin, count: int, scale: int) -> Iterator[tuple[int, int]]:
-    """cos/sin(j a), j < count, as ints at scale 2^scale, from the mpf pair
-    `cos_sin` of a, rounded at the working precision when the first row is
-    asked for: row 1 is that pair, each next row the one before rotated by it."""
-    c1, s1 = (int(mp.nint(mp.ldexp(x, scale))) for x in cos_sin)
+def _rotations(c1: int, s1: int, count: int, scale: int) -> Iterator[tuple[int, int]]:
+    """cos/sin(j a), j < count, as ints at scale 2^scale, from those of a,
+    (c1, s1): row 1 is that pair, each next row the one before rotated by it."""
     c, s = 1 << scale, 0
     for _ in range(count):
         yield c, s
@@ -386,16 +388,16 @@ def resolve_signs(tower: Tower) -> Tower:
     """Decide which side of every split is larger, by direct cosine sums at
     the tower's precision, each sign proven by `left_is_larger`.
 
-    Each margin |left - right| is the difference of the two sums, each
-    rounded once to the precision, rounded once more; it is computed on raw
-    libmp values and kept on the node as an mpf.  What a node already
-    stores (a loaded tower) is checked, not trusted: a sign that disagrees
-    raises VerificationError, and so does a margin or a value further from
-    the exact |left - right| and sums than the tolerance: 2^-(p//2), or two
-    units in the p-th bit of the larger sum when that is more, which covers
-    a p-bit rounding of a value or the margin.  The comparison is exact (a
-    difference of exactly the tolerance passes) and of bounded cost
-    whatever the stored exponent (`_farther_than`).
+    Each margin is the exact |left - right| of the two sums, the int that
+    `left_is_larger` compared, rounded once to the precision and kept on
+    the node as an mpf.  What a node already stores (a loaded tower) is
+    checked, not trusted: a sign that disagrees raises VerificationError,
+    and so does a margin or a value further from the exact |left - right|
+    and sums than the tolerance: 2^-(p//2), or two units in the p-th bit of
+    the larger sum when that is more, which covers a p-bit rounding of a
+    value or the margin.  The comparison is exact (a difference of exactly
+    the tolerance passes) and of bounded cost whatever the stored exponent
+    (`_farther_than`).
     """
     precision = tower.precision
     cache = CosineCache(tower.params, tower.table, precision)
@@ -403,19 +405,17 @@ def resolve_signs(tower: Tower) -> Tower:
     for node in tower.nodes:
         lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
         larger = left_is_larger(node.left, node.right, cache, node.id)
-        margin = mpf_abs(mpf_sub(
-            _round_raw(lf, scale, precision), _round_raw(rf, scale, precision),
-            precision, round_nearest,
-        ))
+        diff = abs(lf - rf)
+        margin = _rounded(diff, scale, precision)
         if node.left_is_larger is not None and node.left_is_larger != larger:
             raise VerificationError(
                 f"stored left_is_larger={node.left_is_larger} but cosine sums give "
-                f"{larger} (margin {to_str(margin, 6)})",
+                f"{larger} (margin {mp.nstr(margin, 6)})",
                 node.id,
             )
         tol_bits = max(scale - precision // 2, max(abs(lf), abs(rf)).bit_length() + 1 - precision)
         for name, stored, ref in (
-            ("sign_margin", node.sign_margin, abs(lf - rf)),
+            ("sign_margin", node.sign_margin, diff),
             ("value_left", node.value_left, lf),
             ("value_right", node.value_right, rf),
         ):
@@ -426,7 +426,7 @@ def resolve_signs(tower: Tower) -> Tower:
                     node.id,
                 )
         node.left_is_larger = larger
-        node.sign_margin = mp.mp.make_mpf(margin)
+        node.sign_margin = margin
     tower.cosines = cache
     return tower
 
@@ -443,6 +443,8 @@ def evaluate_tower(tower: Tower) -> tuple:
     columns, so only the values that a later instruction reads are held;
     last p1, cos and sin run, and p1's value v and radius r at scale 2^F
     must meet |v - c| <= r + 1, c = 2cos(2 pi / n) 2^F rounded to an int.
+    Each number the report carries is an int that a check compared,
+    rounded once to `precision` bits: p1_err is |v - c|.
     The cosine sums read only each invariant set's start; Euler's criterion
     on the factor proves that the starts partition the pairs, so the pair
     table, whose walk checks that again on its first read, is not walked
@@ -468,60 +470,58 @@ def evaluate_tower(tower: Tower) -> tuple:
     vals, rads, signs = [], [], array("b")
     worst = [0, 0, 0]  # |v 2^(S-F) - T| (2^-S), Vieta residual (2^-2F), radius (2^-F)
     k = first = 0
-    with mp.workprec(precision):
-        try:
-            for k, (prod, _, left, right) in enumerate(prog.nodes):
-                end = max(left, right) + 1  # one past the node's second root
-                _run(prog, first, end, vals, rads, scale)
-                signs.extend(proven_signs(vals, rads, first))
-                node = tower.nodes[k]
-                node.value_left = _rounded(vals[left], scale, precision)
-                node.value_right = _rounded(vals[right], scale, precision)
-                for part, i in ((node.left, left), (node.right, right)):
-                    err = abs((vals[i] << shift) - cache.part_fixed(part))
-                    if err > (rads[i] << shift) + cache.part_bound(part):
-                        value, ref = _rounded(vals[i], scale, precision), cache.part_value(part)
-                        raise VerificationError(
-                            f"{part.label(tower.table)} = {mp.nstr(value, 25)} but cosine sum "
-                            f"gives {mp.nstr(ref, 25)} (err {mp.nstr(abs(value - ref))})"
-                        )
-                    worst[0], worst[2] = max(worst[0], err), max(worst[2], rads[i])
-                worst[1] = max(worst[1], abs(vals[left] * vals[right] - (vals[prod] << scale)))
-                # Drop each value whose last reader has run: the segment's
-                # own, and the earlier ones that its operands name.
-                for i in chain(range(first, end), prog.a[first:end], prog.b[first:end]):
-                    if last[i] < end:
-                        vals[i] = rads[i] = None
-                first = end
-            k = len(prog.nodes)
-            _run(prog, first, len(prog.ops), vals, rads, scale)  # p1, cos and the sin(theta) SQRT
+    try:
+        for k, (prod, _, left, right) in enumerate(prog.nodes):
+            end = max(left, right) + 1  # one past the node's second root
+            _run(prog, first, end, vals, rads, scale)
             signs.extend(proven_signs(vals, rads, first))
-        except VerificationError as exc:  # a radicand, a sign or a check, of node k or the outputs
-            node_id = tower.nodes[k].id if k < len(tower.nodes) else None
-            message = str(exc)
-            if isinstance(exc, NegativeRadicand):
-                x, what = exc.radicand, "sin(2pi/n)^2 =" if node_id is None else "discriminant"
-                message = f"negative {what} {mp.nstr(x)}" if x < 0 else (
-                    f"{what} {mp.nstr(x)} not proven positive"
-                )
-            raise VerificationError(message, node_id) from None
-        report = VerificationReport(
-            node_count=len(tower.nodes),
-            per_step=dict(sorted(Counter(node.step for node in tower.nodes).items())),
-            max_value_err=_rounded(worst[0], cache.scale_bits, precision),
-            max_vieta_err=_rounded(worst[1], 2 * scale, precision),
-            max_value_radius=_rounded(worst[2], scale, precision),
-            min_sign_margin=min((node.sign_margin for node in tower.nodes), default=None),
-            p1=_rounded(vals[prog.outputs["p1"]], scale, precision),
-        )
-    with mp.workprec(max(precision, 64)):  # a cosine at 1 bit would make this 2.0
-        report.p1_err = abs(report.p1 - 2 * mp.cos(2 * mp.pi / tower.params.n))
+            node = tower.nodes[k]
+            node.value_left = _rounded(vals[left], scale, precision)
+            node.value_right = _rounded(vals[right], scale, precision)
+            for part, i in ((node.left, left), (node.right, right)):
+                err = abs((vals[i] << shift) - cache.part_fixed(part))
+                if err > (rads[i] << shift) + cache.part_bound(part):
+                    value, ref = _rounded(vals[i], scale, precision), cache.part_value(part)
+                    miss = _rounded(err, cache.scale_bits, precision)
+                    raise VerificationError(
+                        f"{part.label(tower.table)} = {mp.nstr(value, 25)} but cosine sum "
+                        f"gives {mp.nstr(ref, 25)} (err {mp.nstr(miss)})"
+                    )
+                worst[0], worst[2] = max(worst[0], err), max(worst[2], rads[i])
+            worst[1] = max(worst[1], abs(vals[left] * vals[right] - (vals[prod] << scale)))
+            # Drop each value whose last reader has run: the segment's
+            # own, and the earlier ones that its operands name.
+            for i in chain(range(first, end), prog.a[first:end], prog.b[first:end]):
+                if last[i] < end:
+                    vals[i] = rads[i] = None
+            first = end
+        k = len(prog.nodes)
+        _run(prog, first, len(prog.ops), vals, rads, scale)  # p1, cos and the sin(theta) SQRT
+        signs.extend(proven_signs(vals, rads, first))
+    except VerificationError as exc:  # a radicand, a sign or a check, of node k or the outputs
+        node_id = tower.nodes[k].id if k < len(tower.nodes) else None
+        message = str(exc)
+        if isinstance(exc, NegativeRadicand):
+            x, what = exc.radicand, "sin(2pi/n)^2 =" if node_id is None else "discriminant"
+            message = f"negative {what} {mp.nstr(x)}" if x < 0 else (
+                f"{what} {mp.nstr(x)} not proven positive"
+            )
+        raise VerificationError(message, node_id) from None
     p1, r = vals[prog.outputs["p1"]], rads[prog.outputs["p1"]]
     with mp.workprec(scale + 16):
         gap = abs(p1 - int(mp.nint(mp.ldexp(2 * mp.cos(2 * mp.pi / tower.params.n), scale))))
     if gap > r + 1:
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {gap} units of 2^-{scale}, radius {r}")
-    tower.report = report
+    tower.report = VerificationReport(
+        node_count=len(tower.nodes),
+        per_step=dict(sorted(Counter(node.step for node in tower.nodes).items())),
+        max_value_err=_rounded(worst[0], cache.scale_bits, precision),
+        max_vieta_err=_rounded(worst[1], 2 * scale, precision),
+        max_value_radius=_rounded(worst[2], scale, precision),
+        min_sign_margin=min((node.sign_margin for node in tower.nodes), default=None),
+        p1=_rounded(p1, scale, precision),
+        p1_err=_rounded(gap, scale, precision),
+    )
     return prog, signs
 
 

@@ -225,10 +225,11 @@ def _check_against_reference(prog, precision) -> bool:
     whose reference operand lies within its radius of a value <= 0, or where
     the reference stops.  Returns whether the run stopped."""
     scale = precision + RUN_GUARD_BITS
+    values, radii, stopped = [], [], False
     try:
-        (values, radii), stopped = arith_values(prog, precision), False
-    except NegativeRadicand as exc:
-        values, radii, stopped = exc.values, exc.radii, True
+        _run(prog, 0, len(prog.ops), values, radii, scale)
+    except NegativeRadicand:
+        stopped = True
     want = mpf_arith_values(prog, precision + 64)
     assert len(want) >= len(values) and (stopped or len(want) == len(values))
     for i, (v, r) in enumerate(zip(values, radii)):
@@ -420,9 +421,11 @@ def test_negative_radicand_rejected():
     c = prog.emit("CONST", value=Fraction(-2))
     s = prog.emit("SQRT", c)
     prog.outputs = {"x": s}
+    values, radii = [], []
     with pytest.raises(NegativeRadicand) as exc:
-        arith_values(prog, 128)
-    assert exc.value.values == [-2 << (128 + RUN_GUARD_BITS)] and exc.value.radii == [0]
+        _run(prog, 0, len(prog.ops), values, radii, 128 + RUN_GUARD_BITS)
+    assert exc.value.radicand == -2 and str(exc.value) == "sqrt of -2.0"
+    assert values == [-2 << (128 + RUN_GUARD_BITS)] and radii == [0]
 
 
 def test_radicand_not_proven_positive_rejected():
@@ -431,11 +434,12 @@ def test_radicand_not_proven_positive_rejected():
     two = prog.emit("CONST", value=Fraction(2))
     root = prog.emit("SQRT", two)
     prog.emit("SQRT", prog.emit("SUB", prog.emit("MUL", root, root), two))
-    with pytest.raises(NegativeRadicand) as exc:
-        arith_values(prog, 128)
-    assert abs(exc.value.values[-1]) <= exc.value.radii[-1] > 0
+    values, radii = [], []
+    with pytest.raises(NegativeRadicand):
+        _run(prog, 0, len(prog.ops), values, radii, 128 + RUN_GUARD_BITS)
+    assert abs(values[-1]) <= radii[-1] > 0
     with pytest.raises(VerificationError, match="sign of instruction 3 is not proven"):
-        proven_signs(exc.value.values, exc.value.radii)
+        proven_signs(values, radii)
 
 
 def _run_simple(ops):
@@ -688,6 +692,18 @@ def test_geom_cos_point_within_tolerance(n, kind, tower257_full):
     with mp.workprec(tower.precision):
         err = abs(res["cos"] - mp.cos(2 * mp.pi / n))
         assert err <= mp.mpf(2) ** -(tower.precision // 2)
+
+
+@pytest.mark.parametrize(
+    "fixture, max_vertices", [("tower257_full", 0), ("tower257_full", 64), ("tower65537", 64)]
+)
+def test_svg_ignores_the_working_precision(fixture, max_vertices, request):
+    # The vertices and the sector's zoom are computed in ints and floats, so
+    # an SVG does not follow whatever mpmath precision its caller has set.
+    tower = request.getfixturevalue(fixture)
+    svg = emit_svg(tower, max_vertices)
+    with mp.workprec(20):
+        assert emit_svg(tower, max_vertices) == svg
 
 
 def test_outputs_65537_match_golden(tower65537, tmp_path):

@@ -262,6 +262,42 @@ def test_p1_is_proven_by_its_radius(n, precision, monkeypatch):
         assert str(info.value) == f"p1 misses 2cos(2pi/n) by {r + 2} units of 2^-{scale}, radius {r}"
 
 
+@pytest.mark.parametrize("n, kind", [(3, "pruned"), (17, "pruned"), (257, "full")])
+def test_report_p1_error_is_the_proven_gap(n, kind):
+    # The report's |p1 - 2cos(2pi/n)| is the int gap that p1's check
+    # compares, |v - c| at scale 2^F, rounded once to the precision: 0 at
+    # n = 3, where p1 = -1 exactly, and not 0 where p1 is irrational.
+    from ngontower.construction import RUN_GUARD_BITS, arith_values, compile_to_arith
+    from ngontower.report import render_report
+    from ngontower.tower import _rounded
+
+    tower = build_tower(n, kind)
+    precision = tower.precision
+    scale = precision + RUN_GUARD_BITS
+    prog = compile_to_arith(tower)
+    v = arith_values(prog, precision)[0][prog.outputs["p1"]]
+    with mp.workprec(scale + 64):
+        c = int(mp.nint(2 * mp.cos(2 * mp.pi / n) * mp.mpf(2) ** scale))
+    gap = _rounded(abs(v - c), scale, precision)
+    assert tower.report.p1_err._mpf_ == gap._mpf_
+    line = f"|p1 - 2cos(2pi/n)| = {mp.nstr(gap, 8)}"
+    assert line in render_report(tower).splitlines()
+    assert (gap == 0) == (n == 3)
+
+
+def test_sign_margins_are_the_exact_differences_rounded_once(tower257_full):
+    # Each margin is |left - right| of the exact cosine sums, the int the
+    # sign was proven on, rounded once to the precision: not a difference
+    # of two roundings, rounded again.
+    from ngontower.tower import _round_raw
+
+    cache = tower257_full.cosines
+    for node in tower257_full.nodes:
+        lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
+        want = _round_raw(abs(lf - rf), cache.scale_bits, tower257_full.precision)
+        assert node.sign_margin._mpf_ == want, node.id
+
+
 def test_determinism(tmp_path):
     from ngontower.towerfile import dump_tower
 
