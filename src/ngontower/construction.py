@@ -44,7 +44,7 @@ from math import isqrt, pi
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_shift, round_nearest, to_int
+from mpmath.libmp import from_man_exp
 
 from .errors import VerificationError
 from .invariant_sets import LinearCombo, PartRef
@@ -721,21 +721,20 @@ def load_geom(path: str) -> GeomProgram:
 _VIEWPORT = 800  # an SVG's width and height, in pixels
 
 
-# Bits of the ints the vertices are rotated in: a step adds under 2.2 units
-# of 2^-128 (see `tower.CosineCache`), so 65537 steps stay within 2^-110, far
-# below a float's 2^-53.
+# Bits of the ints the vertices are rotated in: the seed is within 1/2 unit of
+# 2^-128 and a step adds under 2.2 (`tower.CosineCache`), so 65537 steps stay
+# within 2^-110, far below a float's 2^-53, at every precision.
 _VERTEX_BITS = 128
 
 
 def polygon_vertices(tower: Tower, count: int) -> list[tuple[float, float]]:
-    """First `count` vertices of the n-gon from the evaluated tower value, in
-    ints at scale 2^_VERTEX_BITS: cos(2 pi / n), p1 / 2 rounded to nearest,
-    and sin(2 pi / n), the floor of sqrt(1 - cos^2), then each vertex the
-    one before rotated by them."""
-    one = 1 << _VERTEX_BITS
-    c1 = to_int(mpf_shift(tower.report.p1._mpf_, _VERTEX_BITS - 1), round_nearest)
-    rows = _rotations(c1, isqrt(one * one - c1 * c1), count, _VERTEX_BITS)
-    return [(c / one, s / one) for c, s in rows]
+    """First `count` vertices of the n-gon, in ints at scale 2^_VERTEX_BITS:
+    (cos, sin)(2 pi / n), row 1 of the checked tower's cosine table rounded
+    to nearest, whatever the tower's precision, then each vertex the one
+    before rotated by it."""
+    one, shift = 1 << _VERTEX_BITS, tower.cosines.wide_bits - _VERTEX_BITS - 1
+    c1, s1 = ((x >> shift) + 1 >> 1 for x in tower.cosines.low[1])
+    return [(c / one, s / one) for c, s in _rotations(c1, s1, count, _VERTEX_BITS)]
 
 
 def emit_svg(tower: Tower, max_vertices: int = 0) -> str:

@@ -231,8 +231,9 @@ class CosineCache:
     n = 65537), `low[b]` = cos/sin(b theta), b < B, and `high[a]` =
     cos/sin(aB theta), a <= npairs / B, are ints at scale 2^W, each row the
     one before rotated by row 1, the table's one mp.cos_sin (at W + 16 bits)
-    rounded to nearest at scale 2^W;
-    set k starts at (C_a C_b - S_a S_b) >> (W - 1) for its first pair aB + b.
+    rounded to nearest at scale 2^W; set k starts at (C_a C_b - S_a S_b) >>
+    (W - 1) for its first pair aB + b.  Row 1 of `low` also checks p1 and
+    draws the polygon, so these two mp.cos_sin are every cosine of a run.
     Held: the tables, `set_fixed[k]` (the exact sum of set k's entries), the
     entries of each set a strided G part reads (walked on first use), and
     one int per part read.
@@ -442,7 +443,8 @@ def evaluate_tower(tower: Tower) -> tuple:
     dropped, found among the segment's own instructions and its operand
     columns, so only the values that a later instruction reads are held;
     last p1, cos and sin run, and p1's value v and radius r at scale 2^F
-    must meet |v - c| <= r + 1, c = 2cos(2 pi / n) 2^F rounded to an int.
+    must meet |v - c| <= r + 1, c = 2cos(2 pi / n) 2^F from the cosine
+    table's row 1 (scale 2^W), rounded to nearest: within 1/2 + 2^-(W-F-1) < 1.
     Each number the report carries is an int that a check compared,
     rounded once to `precision` bits: p1_err is |v - c|.
     The cosine sums read only each invariant set's start; Euler's criterion
@@ -508,8 +510,7 @@ def evaluate_tower(tower: Tower) -> tuple:
             )
         raise VerificationError(message, node_id) from None
     p1, r = vals[prog.outputs["p1"]], rads[prog.outputs["p1"]]
-    with mp.workprec(scale + 16):
-        gap = abs(p1 - int(mp.nint(mp.ldexp(2 * mp.cos(2 * mp.pi / tower.params.n), scale))))
+    gap = abs(p1 - ((cache.low[1][0] >> (cache.wide_bits - scale - 2)) + 1 >> 1))
     if gap > r + 1:
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {gap} units of 2^-{scale}, radius {r}")
     tower.report = VerificationReport(

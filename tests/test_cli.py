@@ -654,11 +654,32 @@ def test_build_257_full_at_8_bits(capsys):
 def test_a_tower_written_at_any_precision_passes_its_own_verify(n, schedule, precision, tmp_path, capsys):
     # A stored value or margin is a p-bit rounding, which for a value above
     # 2^(p/2) is more than 2^-(p//2) from its cosine sum: the tolerance also
-    # covers two units in the p-th bit of the larger half's sum.
-    path = tmp_path / "t.tower"
+    # covers two units in the p-th bit of the larger half's sum.  Its render
+    # is the true polygon, byte for byte the default precision's: the
+    # vertices are seeded from the cosine table, not from p1 at p bits.
+    path, svg = tmp_path / "t.tower", tmp_path / "t.svg"
     args = ["--n", str(n), "--schedule", schedule, "--precision", str(precision), "--no-oracle"]
     assert run_cli(capsys, "build", *args, "--out", str(path))[0] == 0
     assert run_cli(capsys, "verify", "--tower", str(path), "--no-oracle")[0] == 0
+    assert run_cli(capsys, "render", "--tower", str(path), "--out", str(svg))[0] == 0
+    expected = GOLDEN / f"polygon_{n}.svg"
+    if n == 5:  # no golden: the render of a default-precision build
+        default, expected = tmp_path / "d.tower", tmp_path / "d.svg"
+        assert run_cli(capsys, "build", "--n", "5", "--schedule", schedule, "--out", str(default))[0] == 0
+        assert run_cli(capsys, "render", "--tower", str(default), "--out", str(expected))[0] == 0
+    assert svg.read_text() == expected.read_text()
+
+
+def test_a_57_bit_65537_tower_renders_the_golden_sector(tmp_path, capsys):
+    # A sine taken from p1 at 57 bits is off by about 2^-44 (the rounding
+    # over sin(2pi/n)), enough to move the sector's sixth decimals.  Seeded
+    # from the cosine table, the sector is the golden one at any precision.
+    path, svg = tmp_path / "t.tower", tmp_path / "t.svg"
+    build = ["build", "--n", "65537", "--precision", "57", "--no-oracle", "--out", str(path)]
+    assert run_cli(capsys, *build)[0] == 0
+    render = ["render", "--tower", str(path), "--out", str(svg), "--max-vertices", "64"]
+    assert run_cli(capsys, *render)[0] == 0
+    assert svg.read_text() == (GOLDEN / "sector_65537.svg").read_text()
 
 
 @pytest.mark.parametrize("n, precision", [(257, 4)])

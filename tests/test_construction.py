@@ -442,6 +442,18 @@ def test_radicand_not_proven_positive_rejected():
         proven_signs(values, radii)
 
 
+def test_a_mul_rounds_up_its_radius_over_the_bits_it_drops():
+    # 1/16 * 1/16 at scale 2^4: the exact 1/256 is below one unit, so the
+    # product floors to 0 and its radius is the one unit dropped.
+    prog = ArithProgram()
+    sixteenth = prog.emit("CONST", value=Fraction(1, 16))
+    prog.emit("MUL", sixteenth, prog.emit("CONST", value=Fraction(1, 16)))
+    vals, rads = [], []
+    _run(prog, 0, len(prog.ops), vals, rads, 4)
+    assert (vals[-1], rads[-1]) == (0, 1)
+    assert abs(Fraction(vals[-1], 16) - Fraction(1, 256)) <= Fraction(rads[-1], 16)
+
+
 def _run_simple(ops):
     prog = ArithProgram()
     idx = None

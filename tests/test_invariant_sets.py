@@ -9,6 +9,8 @@ from ngontower.invariant_sets import (
     InvalidFactor,
     InvariantSetTable,
     build_invariant_sets,
+    check_part,
+    g_part,
     locate_pair,
     validate_factor,
 )
@@ -133,6 +135,15 @@ def test_one_set_accepts_every_positive_factor(n):
     for q in (0, -1):
         with pytest.raises(InvalidFactor, match=f"^factor {q} is not positive$"):
             validate_factor(q, params)
+
+
+@pytest.mark.parametrize("n", [17, 257, 65537])
+def test_check_part_refuses_a_g_stride_past_its_set(n):
+    # A G part's stride divides the 2^nu pairs of its set, so 2^(nu+1) does not.
+    params = FermatParams.from_n(n)
+    check_part(g_part(1, 1, 1 << params.nu), params)
+    with pytest.raises(ValueError, match="invalid part"):
+        check_part(g_part(1, 1, 2 << params.nu), params)
 
 
 def test_invalid_factor_rejected(params257):

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ngontower.invariant_sets import f_part, g_part, split_children
+from ngontower.errors import VerificationError
+from ngontower.invariant_sets import f_part, g_part, part_members, split_children
 from ngontower.residues import rho
 from ngontower.tower import (
     CosineCache,
     SignAmbiguous,
     build_schedule,
     build_tower,
+    evaluate_tower,
     resolve_signs,
 )
 
@@ -208,6 +210,62 @@ def test_report_signs_are_proven_or_refused(split, params17, table17):
         with pytest.raises(SignAmbiguous, match=f"within their bound {bound}; raise the precision$"):
             left_is_larger(left, right, sums)
     assert left_is_larger(left, right, cache) == (cache.part_fixed(left) > cache.part_fixed(right))
+
+
+def test_a_stored_value_is_checked_to_two_units_of_the_larger_sums_pth_bit(params17, table17):
+    # At 2 bits the tolerance's second term, two units in the 2nd bit of the
+    # larger half's sum, is the larger one: a stored value_left exactly that
+    # far from its sum passes on either side, one unit of 2^-S further fails.
+    from mpmath.libmp import from_man_exp
+
+    precision = 2
+    cache = CosineCache(params17, table17, precision)
+    scale = cache.scale_bits
+    node = build_schedule(params17, table17, "full").nodes[0]
+    lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
+    tol_bits = max(abs(lf), abs(rf)).bit_length() + 1 - precision
+    assert tol_bits > scale - precision // 2
+    for sign in (1, -1):
+        for beyond, passes in ((0, True), (1, False)):
+            tower = build_schedule(params17, table17, "full")
+            tower.precision = precision
+            stored = lf + sign * ((1 << tol_bits) + beyond)
+            tower.nodes[0].value_left = mp.mp.make_mpf(from_man_exp(stored, -scale))
+            if passes:
+                resolve_signs(tower)
+                continue
+            with pytest.raises(VerificationError, match="^node 0: stored value_left "):
+                resolve_signs(tower)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_a_node_value_is_checked_to_its_radius_plus_the_sums_bound(side, params17, table17):
+    # The last node's left value v, radius r (scale 2^F) against a cosine
+    # sum T (scale 2^S) put exactly r 2^(S-F) + part_bound from v 2^(S-F)
+    # passes; one unit of 2^-S further fails, naming the node.
+    from ngontower.construction import RUN_GUARD_BITS, arith_values, compile_to_arith
+
+    precision = 128
+    tower = build_schedule(params17, table17, "full")
+    tower.precision = precision
+    resolve_signs(tower)
+    prog = compile_to_arith(tower)
+    vals, rads = arith_values(prog, precision)
+    node, i = tower.nodes[-1], prog.nodes[-1][2]
+    shift = tower.cosines.scale_bits - precision - RUN_GUARD_BITS
+    at_bound = (vals[i] << shift) + side * ((rads[i] << shift) + tower.cosines.part_bound(node.left))
+
+    class Placed(CosineCache):
+        beyond = 0
+
+        def part_fixed(self, part):
+            return at_bound + side * self.beyond if part == node.left else super().part_fixed(part)
+
+    tower.cosines = Placed(params17, table17, precision)
+    evaluate_tower(tower)
+    tower.cosines.beyond = 1
+    with pytest.raises(VerificationError, match=f"^node {node.id}: .* but cosine sum gives "):
+        evaluate_tower(tower)
 
 
 def test_resolve_signs_builds_no_halves(params257, table257, monkeypatch):
@@ -478,6 +536,22 @@ def test_orbit_bits_must_cover_the_orbit_error(params65537, table65537, monkeypa
     monkeypatch.setattr(CosineCache, "ORBIT_BITS", 42)
     with pytest.raises(AssertionError, match="orbit bits"):
         CosineCache(params65537, table65537, 512)
+
+
+@pytest.mark.parametrize("n", [17, 257, 65537])
+def test_part_bound_is_four_units_a_pair(n, request):
+    # Every F and G part that `check_part` admits, its pairs counted from
+    # its members: an F part's sets times their pairs, a G part's pairs.
+    params, table = request.getfixturevalue(f"params{n}"), request.getfixturevalue(f"table{n}")
+    cache = CosineCache(params, table, 8)
+    f_strides = [1 << e for e in range(params.ng.bit_length())]
+    g_strides = [1 << e for e in range(params.nu + 1)]
+    parts = [f_part(j, s) for s in f_strides for j in range(1, s + 1)]
+    parts += [g_part(k, j, s) for k in range(1, params.ng + 1) for s in g_strides for j in range(1, s + 1)]
+    for part in parts:
+        members = part_members(part, table)
+        pairs = sum(len(table.sets[k - 1]) for k in members) if part.kind == "F" else len(members)
+        assert cache.part_bound(part) == 4 * pairs, part
 
 
 def test_rotation_tables_within_their_bound(cache65537):
