@@ -43,11 +43,9 @@ from fractions import Fraction
 from math import isqrt, pi
 from typing import NamedTuple
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp
-
 from .errors import VerificationError
 from .invariant_sets import LinearCombo, PartRef
+from .rawfloat import round_raw, to_text
 from .sharing import Lines
 from .tower import Tower, _root_part, _rotations
 
@@ -56,11 +54,11 @@ RUN_GUARD_BITS = 32  # a program runs at scale 2^-(precision + RUN_GUARD_BITS)
 
 
 class NegativeRadicand(VerificationError):
-    """A SQRT operand, the exact mpf `radicand`, was not proven positive
-    when the arithmetic program was evaluated."""
+    """A SQRT operand, the exact raw float `radicand` (`rawfloat`), was not
+    proven positive when the arithmetic program was evaluated."""
 
-    def __init__(self, radicand):
-        super().__init__(f"sqrt of {mp.nstr(radicand)}")
+    def __init__(self, radicand: tuple):
+        super().__init__(f"sqrt of {to_text(radicand)}")
         self.radicand = radicand
 
 
@@ -164,7 +162,7 @@ def _run(prog: ArithProgram, first: int, end: int, vals: list, rads: list, scale
         else:  # SQRT: r(x) / (2 sqrt(x - r(x))), rounded up, + 1 if it rounds
             vx, rx = vals[x], rads[x]
             if vx <= rx:
-                raise NegativeRadicand(mp.mp.make_mpf(from_man_exp(vx, -scale)))
+                raise NegativeRadicand(round_raw(vx, scale))
             v = isqrt(vx << scale)
             r = (v * v != vx << scale) - (-(rx << scale) // (2 * isqrt(vx - rx << scale)))
         vals.append(v)
@@ -397,6 +395,8 @@ def _intersect_lc(line, circle, branch, tol):
     disc = b * b - 4 * a * c
     if disc <= tol * a:
         raise VerificationError("line misses or is tangent to circle")
+    import mpmath as mp
+
     s = mp.sqrt(disc)
     ts = sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])
     t = ts[branch]
@@ -404,8 +404,10 @@ def _intersect_lc(line, circle, branch, tol):
 
 
 def execute_geom(prog: GeomProgram, precision: int) -> dict:
-    """Analytic interpreter; returns the named outputs, each an axis point's
-    x coordinate."""
+    """Analytic interpreter in mpmath, which no command runs; returns the
+    named outputs, each an axis point's x coordinate as an mpf."""
+    import mpmath as mp
+
     with mp.workprec(precision):
         tol = mp.mpf(2) ** (-precision + 8)
         objs: list = []

@@ -7,11 +7,10 @@ depend on pruning decisions; each sign is proven by `tower.left_is_larger`,
 the rule that `resolve_signs` applies to every node.
 """
 
-import mpmath as mp
-
 from . import reference_tables as ref
 from .invariant_sets import InvariantSetTable, f_part, g_part, split_children
 from .period_algebra import set_product, set_square
+from .rawfloat import to_text
 from .splitting import mu_groups, mu_table
 from .tower import CosineCache, Tower, left_is_larger
 
@@ -195,14 +194,14 @@ def render_report(tower: Tower) -> str:
         f"nodes = {rep.node_count}" + (f", per step {rep.per_step}" if rep.per_step else ""),
     ]
     if tower.nodes:
-        lines.append(f"min sign margin = {mp.nstr(rep.min_sign_margin, 8)}")
-        lines.append(f"max |value - cosine sum| = {mp.nstr(rep.max_value_err, 8)}")
-        lines.append(f"max Vieta residual = {mp.nstr(rep.max_vieta_err, 8)}")
-        lines.append(f"max value radius = {mp.nstr(rep.max_value_radius, 8)}")
+        lines.append(f"min sign margin = {to_text(rep.min_sign_margin, 8)}")
+        lines.append(f"max |value - cosine sum| = {to_text(rep.max_value_err, 8)}")
+        lines.append(f"max Vieta residual = {to_text(rep.max_vieta_err, 8)}")
+        lines.append(f"max value radius = {to_text(rep.max_value_radius, 8)}")
     if rep.oracle_checked:
         lines.append(f"oracle-verified product expressions = {rep.oracle_checked}")
-    lines.append(f"p1 = {mp.nstr(rep.p1, 40)}")
-    lines.append(f"|p1 - 2cos(2pi/n)| = {mp.nstr(rep.p1_err, 8)}")
+    lines.append(f"p1 = {to_text(rep.p1, 40)}")
+    lines.append(f"|p1 - 2cos(2pi/n)| = {to_text(rep.p1_err, 8)}")
     diffs = reference_diffs(tower)
     if diffs:
         lines.append("")

@@ -29,16 +29,13 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
-import mpmath as mp
-from mpmath.libmp import (
-    from_man_exp, mpf_abs, mpf_gt, mpf_sub, normalize, round_nearest, round_up, to_str,
-)
 
 from .errors import VerificationError
 from .invariant_sets import (
     InvariantSetTable, LinearCombo, PartRef, build_invariant_sets, check_part, f_part, g_part,
     locate_pair, split_children,
 )
+from .rawfloat import cos_sin_fixed, round_raw, to_text
 from .residues import FermatParams, rho
 
 
@@ -70,21 +67,23 @@ class QuadraticNode:
     sum_source: int | None  # producing node id; None means the literal S = -1
     product_expr: LinearCombo
     left_is_larger: bool | None = None
-    sign_margin: object = None  # mpf: |left - right| of the exact sums, rounded once
-    value_left: object = None
-    value_right: object = None
+    # Raw floats (`rawfloat`), as a tower file stores them.
+    sign_margin: tuple | None = None  # |left - right| of the exact sums, rounded once
+    value_left: tuple | None = None
+    value_right: tuple | None = None
 
 
 @dataclass
 class VerificationReport:
     node_count: int
     per_step: dict[int, int]
-    max_value_err: object = None
-    max_vieta_err: object = None
-    max_value_radius: object = None
-    min_sign_margin: object = None
-    p1: object = None
-    p1_err: object = None
+    # Raw floats (`rawfloat`), each an int a check compared, rounded once.
+    max_value_err: tuple | None = None
+    max_vieta_err: tuple | None = None
+    max_value_radius: tuple | None = None
+    min_sign_margin: tuple | None = None
+    p1: tuple | None = None
+    p1_err: tuple | None = None
     oracle_checked: int = 0
 
 
@@ -230,10 +229,11 @@ class CosineCache:
     x >> ORBIT_BITS.  With block B = 2^ceil(bits(npairs) / 2) (256 at
     n = 65537), `low[b]` = cos/sin(b theta), b < B, and `high[a]` =
     cos/sin(aB theta), a <= npairs / B, are ints at scale 2^W, each row the
-    one before rotated by row 1, the table's one mp.cos_sin (at W + 16 bits)
-    rounded to nearest at scale 2^W; set k starts at (C_a C_b - S_a S_b) >>
+    one before rotated by row 1, the table's one seed, (cos, sin)(theta) and
+    (cos, sin)(B theta) correctly rounded at scale 2^W by
+    `rawfloat.cos_sin_fixed`; set k starts at (C_a C_b - S_a S_b) >>
     (W - 1) for its first pair aB + b.  Row 1 of `low` also checks p1 and
-    draws the polygon, so these two mp.cos_sin are every cosine of a run.
+    draws the polygon, so these two seeds are every cosine of a run.
     Held: the tables, `set_fixed[k]` (the exact sum of set k's entries), the
     entries of each set a strided G part reads (walked on first use), and
     one int per part read.
@@ -273,11 +273,7 @@ class CosineCache:
             )
         self.scale_bits = precision + self.GUARD_BITS
         self.wide_bits = wide = self.scale_bits + self.ORBIT_BITS
-        with mp.workprec(wide + 16):
-            theta = 2 * mp.pi / params.n
-            row1, row_b = (
-                [int(mp.nint(mp.ldexp(x, wide))) for x in mp.cos_sin(a * theta)] for a in (1, block)
-            )
+        row1, row_b = (cos_sin_fixed(a, params.n, wide) for a in (1, block))
         self.low = list(_rotations(*row1, block, wide))
         self.high = list(_rotations(*row_b, npairs // block + 1, wide))
         self.set_fixed = [0] + [sum(self._orbit(k)) for k in range(1, params.ng + 1)]
@@ -325,9 +321,9 @@ class CosineCache:
         """4 m, the bound on `part_fixed`'s error for a part of m pairs."""
         return 4 * (self.params.npairs if part.kind == "F" else 1 << self.params.nu) // part.stride
 
-    def part_value(self, part: PartRef):
-        """`part_fixed` as an mpf, rounded once to `precision` bits."""
-        return _rounded(self.part_fixed(part), self.scale_bits, self.precision)
+    def part_value(self, part: PartRef) -> tuple:
+        """`part_fixed` as a raw float, rounded once to `precision` bits."""
+        return round_raw(self.part_fixed(part), self.scale_bits, self.precision)
 
 
 def _rotations(c1: int, s1: int, count: int, scale: int) -> Iterator[tuple[int, int]]:
@@ -339,32 +335,26 @@ def _rotations(c1: int, s1: int, count: int, scale: int) -> Iterator[tuple[int, 
         c, s = (c * c1 - s * s1) >> scale, (s * c1 + c * s1) >> scale
 
 
-def _round_raw(v: int, scale: int, precision: int) -> tuple:
-    """v 2^-scale as a raw mpf, rounded once to nearest at `precision` bits:
-    `from_man_exp`'s result, with the mantissa's length from `bit_length`
-    rather than the bit count that mpmath's pure-Python backend computes."""
-    man = abs(v)
-    return normalize(int(v < 0), man, -scale, man.bit_length(), precision, round_nearest)
-
-
-def _rounded(v: int, scale: int, precision: int):
-    """v 2^-scale as an mpf, rounded once to `precision` bits."""
-    return mp.mp.make_mpf(_round_raw(v, scale, precision))
-
-
-def _farther_than(stored, ref: int, scale: int, tol_bits: int) -> bool:
-    """Whether the raw mpf `stored` lies further than 2^(tol_bits - scale)
-    from ref 2^-scale, exactly.  When stored 2^scale is an int of at most
-    `scale` bits more than its mantissa, ints decide; at any other exponent
-    the difference is rounded away from zero to `scale` bits, which cannot
-    move it across the power-of-two tolerance and which libmp computes at a
-    bounded cost however far apart the exponents are."""
-    sign, man, exp, _ = stored
+def _farther_than(stored: tuple, ref: int, scale: int, tol_bits: int) -> bool:
+    """Whether the raw float `stored` lies further than T = 2^tol_bits units
+    of 2^-scale from ref 2^-scale, tol_bits >= 0, decided exactly in ints of
+    bounded size whatever its exponent.  With stored 2^scale = f + r, f an
+    int and 0 <= r < 1, and g = f - ref: it is further iff g > T, g < -T,
+    or g = T and r > 0.  A stored value of 2^(e + scale) or more in size,
+    e + scale > max(bits(ref), tol_bits), is further at once; below a unit,
+    f is 0 or -1 without shifting past its mantissa."""
+    sign, man, exp, bc = stored
     shift = exp + scale
-    if 0 <= shift <= scale:
-        return abs(((-man if sign else man) << shift) - ref) > 1 << tol_bits
-    diff = mpf_sub(stored, from_man_exp(ref, -scale), scale, round_up)
-    return mpf_gt(mpf_abs(diff), from_man_exp(1, tol_bits - scale))
+    if man and shift > max(ref.bit_length(), tol_bits):
+        return True
+    value = -man if sign else man
+    if shift >= 0:
+        whole, rest = value << shift, 0
+    else:
+        cut = min(-shift, bc + 1)  # past the mantissa, f is 0 or -1 and r > 0
+        whole, rest = value >> cut, man & ((1 << cut) - 1)
+    gap, tol = whole - ref, 1 << tol_bits
+    return gap > tol or gap < -tol or (gap == tol and rest > 0)
 
 
 def left_is_larger(
@@ -391,14 +381,14 @@ def resolve_signs(tower: Tower) -> Tower:
 
     Each margin is the exact |left - right| of the two sums, the int that
     `left_is_larger` compared, rounded once to the precision and kept on
-    the node as an mpf.  What a node already stores (a loaded tower) is
+    the node.  What a node already stores (a loaded tower) is
     checked, not trusted: a sign that disagrees raises VerificationError,
     and so does a margin or a value further from the exact |left - right|
     and sums than the tolerance: 2^-(p//2), or two units in the p-th bit of
     the larger sum when that is more, which covers a p-bit rounding of a
     value or the margin.  The comparison is exact (a difference of exactly
     the tolerance passes) and of bounded cost whatever the stored exponent
-    (`_farther_than`).
+    (`_farther_than`).  Margins are kept as raw floats (`rawfloat`).
     """
     precision = tower.precision
     cache = CosineCache(tower.params, tower.table, precision)
@@ -407,11 +397,11 @@ def resolve_signs(tower: Tower) -> Tower:
         lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
         larger = left_is_larger(node.left, node.right, cache, node.id)
         diff = abs(lf - rf)
-        margin = _rounded(diff, scale, precision)
+        margin = round_raw(diff, scale, precision)
         if node.left_is_larger is not None and node.left_is_larger != larger:
             raise VerificationError(
                 f"stored left_is_larger={node.left_is_larger} but cosine sums give "
-                f"{larger} (margin {mp.nstr(margin, 6)})",
+                f"{larger} (margin {to_text(margin)})",
                 node.id,
             )
         tol_bits = max(scale - precision // 2, max(abs(lf), abs(rf)).bit_length() + 1 - precision)
@@ -420,10 +410,10 @@ def resolve_signs(tower: Tower) -> Tower:
             ("value_left", node.value_left, lf),
             ("value_right", node.value_right, rf),
         ):
-            if stored is not None and _farther_than(stored._mpf_, ref, scale, tol_bits):
+            if stored is not None and _farther_than(stored, ref, scale, tol_bits):
                 raise VerificationError(
-                    f"stored {name} {mp.nstr(stored, 25)} but cosine sums give "
-                    f"{to_str(from_man_exp(ref, -scale), 25)}",
+                    f"stored {name} {to_text(stored, 25)} but cosine sums give "
+                    f"{to_text(round_raw(ref, scale), 25)}",
                     node.id,
                 )
         node.left_is_larger = larger
@@ -478,16 +468,16 @@ def evaluate_tower(tower: Tower) -> tuple:
             _run(prog, first, end, vals, rads, scale)
             signs.extend(proven_signs(vals, rads, first))
             node = tower.nodes[k]
-            node.value_left = _rounded(vals[left], scale, precision)
-            node.value_right = _rounded(vals[right], scale, precision)
+            node.value_left = round_raw(vals[left], scale, precision)
+            node.value_right = round_raw(vals[right], scale, precision)
             for part, i in ((node.left, left), (node.right, right)):
                 err = abs((vals[i] << shift) - cache.part_fixed(part))
                 if err > (rads[i] << shift) + cache.part_bound(part):
-                    value, ref = _rounded(vals[i], scale, precision), cache.part_value(part)
-                    miss = _rounded(err, cache.scale_bits, precision)
+                    value, ref = round_raw(vals[i], scale, precision), cache.part_value(part)
+                    miss = round_raw(err, cache.scale_bits, precision)
                     raise VerificationError(
-                        f"{part.label(tower.table)} = {mp.nstr(value, 25)} but cosine sum "
-                        f"gives {mp.nstr(ref, 25)} (err {mp.nstr(miss)})"
+                        f"{part.label(tower.table)} = {to_text(value, 25)} but cosine sum "
+                        f"gives {to_text(ref, 25)} (err {to_text(miss)})"
                     )
                 worst[0], worst[2] = max(worst[0], err), max(worst[2], rads[i])
             worst[1] = max(worst[1], abs(vals[left] * vals[right] - (vals[prod] << scale)))
@@ -505,23 +495,27 @@ def evaluate_tower(tower: Tower) -> tuple:
         message = str(exc)
         if isinstance(exc, NegativeRadicand):
             x, what = exc.radicand, "sin(2pi/n)^2 =" if node_id is None else "discriminant"
-            message = f"negative {what} {mp.nstr(x)}" if x < 0 else (
-                f"{what} {mp.nstr(x)} not proven positive"
+            message = f"negative {what} {to_text(x)}" if x[0] else (
+                f"{what} {to_text(x)} not proven positive"
             )
         raise VerificationError(message, node_id) from None
     p1, r = vals[prog.outputs["p1"]], rads[prog.outputs["p1"]]
     gap = abs(p1 - ((cache.low[1][0] >> (cache.wide_bits - scale - 2)) + 1 >> 1))
     if gap > r + 1:
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {gap} units of 2^-{scale}, radius {r}")
+    margin = min(
+        (abs(cache.part_fixed(node.left) - cache.part_fixed(node.right)) for node in tower.nodes),
+        default=None,
+    )
     tower.report = VerificationReport(
         node_count=len(tower.nodes),
         per_step=dict(sorted(Counter(node.step for node in tower.nodes).items())),
-        max_value_err=_rounded(worst[0], cache.scale_bits, precision),
-        max_vieta_err=_rounded(worst[1], 2 * scale, precision),
-        max_value_radius=_rounded(worst[2], scale, precision),
-        min_sign_margin=min((node.sign_margin for node in tower.nodes), default=None),
-        p1=_rounded(p1, scale, precision),
-        p1_err=_rounded(gap, scale, precision),
+        max_value_err=round_raw(worst[0], cache.scale_bits, precision),
+        max_vieta_err=round_raw(worst[1], 2 * scale, precision),
+        max_value_radius=round_raw(worst[2], scale, precision),
+        min_sign_margin=None if margin is None else round_raw(margin, cache.scale_bits, precision),
+        p1=round_raw(p1, scale, precision),
+        p1_err=round_raw(gap, scale, precision),
     )
     return prog, signs
 

@@ -11,11 +11,9 @@ and all, as `json.dumps` would.
 import json
 import re
 
-import mpmath as mp
-from mpmath.libmp import to_str
-
 from .errors import UsageError
 from .invariant_sets import LinearCombo, PartRef, build_invariant_sets, check_part
+from .rawfloat import to_text
 from .residues import FermatParams
 from .tower import (
     MAX_PRECISION,
@@ -52,22 +50,23 @@ def _coeff_from_json(num, den) -> int:
     return halves
 
 
-def _value_text(x) -> str:
-    """The JSON text of a value field: null, or its 30-digit decimal preview
-    (`mp.nstr(x, 30)`) and its raw mpf."""
+def _value_text(x: tuple | None) -> str:
+    """The JSON text of a value field: null, or the raw float's 30-digit
+    decimal preview (`rawfloat.to_text`) and its fields."""
     if x is None:
         return "null"
-    sign, man, exp, bc = x._mpf_
-    return f'{{"dec": "{to_str(x._mpf_, 30)}", "mpf": [{sign}, "{man:#x}", {exp}, {bc}]}}'
+    sign, man, exp, bc = x
+    return f'{{"dec": "{to_text(x, 30)}", "mpf": [{sign}, "{man:#x}", {exp}, {bc}]}}'
 
 
 _HEX = re.compile("0x[0-9a-f]+")
 
 
-def _value_from_json(d):
-    """The mpf a value field holds, refused unless it is the normal form that
-    mpmath writes: a sign of 0 or 1, a hex mantissa that is odd (or zero with
-    sign and exponent 0), an int exponent and the mantissa's bit length."""
+def _value_from_json(d) -> tuple | None:
+    """The raw float a value field holds, refused unless it is the normal
+    form that mpmath writes (and `rawfloat` too): a sign of 0 or 1, a hex
+    mantissa that is odd (or zero with sign and exponent 0), an int exponent
+    and the mantissa's bit length."""
     if d is None:
         return None
     sign, man_hex, exp, bc = d["mpf"]
@@ -81,7 +80,7 @@ def _value_from_json(d):
         and (man % 2 == 1 or (sign, man, exp) == (0, 0, 0))
     ):
         raise ValueError(f"mpf {d['mpf']} is not in mpmath's normal form")
-    return mp.mp.make_mpf((sign, man, exp, bc))
+    return (sign, man, exp, bc)
 
 
 _SIGN_TEXT = {True: "true", False: "false", None: "null"}

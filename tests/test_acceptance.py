@@ -22,7 +22,7 @@ from ngontower.verify import oracle_check_tower
 from oracle_helpers import decompose_into_sets
 from pair_reference import pv_mul, pv_of_part
 from paper_checks import coeff_sum, doubling_orbit, mu_via_linear_system, shift_combination
-from tower_values import part_values
+from tower_values import mpf, part_values
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,7 +135,7 @@ def test_criterion_05_sign_reproduction(tower65537, tower257_full):
     step10 = {
         j
         for j in ref.LIST181_65537
-        if cache65.part_value(f_part(j, 1024)) > cache65.part_value(f_part(j + 512, 1024))
+        if mpf(cache65.part_value(f_part(j, 1024))) > mpf(cache65.part_value(f_part(j + 512, 1024)))
     }
     ok &= step10 == set(ref.SIGNS_65537_STEP10)
     diffs65 = reference_diffs(tower65537)
@@ -156,13 +156,13 @@ def test_criterion_06_numeric_approximations(tower65537):
         ):
             printed = ref.APPROX_65537[name]
             decimals = len(printed.split(".")[1])
-            ok &= abs(cache.part_value(part) - mp.mpf(printed)) <= mp.mpf(10) ** (-decimals) / 2
-        diff = cache.part_value(f_part(1, 2)) - cache.part_value(f_part(2, 2))
+            ok &= abs(mpf(cache.part_value(part)) - mp.mpf(printed)) <= mp.mpf(10) ** (-decimals) / 2
+        diff = mpf(cache.part_value(f_part(1, 2))) - mpf(cache.part_value(f_part(2, 2)))
         ok &= abs(diff - mp.mpf("256.002")) <= mp.mpf("0.0005")
         # The product is exactly -4096 (proved via the oracle in criterion 1);
         # the published approximation -4095.9999987 is a digit transposition of
         # the product of its own printed factors, -4095.999987.
-        product = cache.part_value(f_part(1, 4)) * cache.part_value(f_part(3, 4))
+        product = mpf(cache.part_value(f_part(1, 4))) * mpf(cache.part_value(f_part(3, 4)))
         ok &= abs(product + 4096) < mp.mpf(2) ** -200
         printed_product = mp.mpf(ref.APPROX_65537["F(1,4)*F(3,4)"])
         factors_product = mp.mpf("-26.58292") * mp.mpf("154.0839")
@@ -179,13 +179,13 @@ def test_criterion_07_end_to_end_towers():
         tower = build_tower(n, precision=128)
         oracle_check_tower(tower)
         elapsed = time.monotonic() - t0
-        ok &= tower.report.p1_err < mp.mpf(2) ** -64 and elapsed < 5
+        ok &= mpf(tower.report.p1_err) < mp.mpf(2) ** -64 and elapsed < 5
         details.append(f"n={n}: {elapsed:.2f}s")
     t0 = time.monotonic()
     tower = build_tower(65537, precision=512)
     oracle_check_tower(tower)  # exact checks on the whole pruned path
     elapsed = time.monotonic() - t0
-    ok &= tower.report.p1_err < mp.mpf(2) ** -256 and elapsed < 600
+    ok &= mpf(tower.report.p1_err) < mp.mpf(2) ** -256 and elapsed < 600
     details.append(f"n=65537: {elapsed:.1f}s incl. {len(tower.nodes)} oracle checks")
     _report(7, "tower evaluation with oracle checks", ok, "; ".join(details))
 
@@ -299,7 +299,7 @@ def test_criterion_11_mu_recovery(tower257_full, tower65537, table257, table6553
         by_split = {n.splits: n for n in tower.nodes}
         level = [values[f_part(j, stride)] for j in range(1, stride + 1)]
         products = [
-            by_split[f_part(j, stride)].value_left * by_split[f_part(j, stride)].value_right
+            mpf(by_split[f_part(j, stride)].value_left) * mpf(by_split[f_part(j, stride)].value_right)
             for j in range(1, stride + 1)
         ]
         return level, products

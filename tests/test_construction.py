@@ -123,8 +123,8 @@ def test_program_values_are_the_tower_values(n, kind, request):
     assert len(prog.nodes) == len(tower.nodes)
     for node, (_, root, left, right) in zip(tower.nodes, prog.nodes):
         assert prog.instrs[root].op == "SQRT"
-        assert _stored(values[left], tower.precision)._mpf_ == node.value_left._mpf_
-        assert _stored(values[right], tower.precision)._mpf_ == node.value_right._mpf_
+        assert _stored(values[left], tower.precision)._mpf_ == node.value_left
+        assert _stored(values[right], tower.precision)._mpf_ == node.value_right
 
 
 @pytest.mark.parametrize(
@@ -139,10 +139,10 @@ def test_streamed_evaluation_gives_the_program_values(n, kind, request):
     values, radii = arith_values(compile_to_arith(tower), tower.precision)
     assert list(signs) == proven_signs(values, radii)
     for node, (_, _, left, right) in zip(tower.nodes, prog.nodes):
-        assert (node.value_left._mpf_, node.value_right._mpf_) == tuple(
+        assert (node.value_left, node.value_right) == tuple(
             _stored(values[i], tower.precision)._mpf_ for i in (left, right)
         )
-    assert tower.report.p1._mpf_ == _stored(values[prog.outputs["p1"]], tower.precision)._mpf_
+    assert tower.report.p1 == _stored(values[prog.outputs["p1"]], tower.precision)._mpf_
 
 
 @pytest.mark.parametrize("n, kind", [(17, "full"), (257, "pruned"), (65537, "pruned")])
@@ -424,7 +424,7 @@ def test_negative_radicand_rejected():
     values, radii = [], []
     with pytest.raises(NegativeRadicand) as exc:
         _run(prog, 0, len(prog.ops), values, radii, 128 + RUN_GUARD_BITS)
-    assert exc.value.radicand == -2 and str(exc.value) == "sqrt of -2.0"
+    assert exc.value.radicand == (1, 1, 1, 1) and str(exc.value) == "sqrt of -2.0"
     assert values == [-2 << (128 + RUN_GUARD_BITS)] and radii == [0]
 
 
@@ -665,19 +665,18 @@ def test_geom_roundtrip(tmp_path, tower17):
 
 
 def test_polygon_vertices(tower17):
-    verts = polygon_vertices(tower17, 17)
-    assert len(verts) == 17
-    assert abs(verts[0][0] - 1) < 1e-12 and abs(verts[0][1]) < 1e-12
-    for x, y in verts:
-        assert abs(x * x + y * y - 1) < 1e-12
-    # The same floats as complex rotations rounded at the tower's precision.
-    with mp.workprec(tower17.precision):
-        cos_t = tower17.report.p1 / 2
-        rot, z, ref = mp.mpc(cos_t, mp.sqrt(1 - cos_t * cos_t)), mp.mpc(1, 0), []
-        for _ in range(17):
-            ref.append((float(z.real), float(z.imag)))
-            z *= rot
-    assert verts == ref
+    # The vertices are cos/sin(2 pi k / 17) as floats, whatever the
+    # precision of the tower they are drawn from: 128 bits and 8.
+    with mp.workprec(256):
+        angles = [2 * mp.pi * k / 17 for k in range(17)]
+        ref = [(float(mp.cos(a)), float(mp.sin(a))) for a in angles]
+    for tower in (tower17, build_tower(17, "pruned", 8)):
+        verts = polygon_vertices(tower, 17)
+        assert len(verts) == 17
+        assert abs(verts[0][0] - 1) < 1e-12 and abs(verts[0][1]) < 1e-12
+        for x, y in verts:
+            assert abs(x * x + y * y - 1) < 1e-12
+        assert verts == ref, tower.precision
 
 
 def test_svg_deterministic(tower17):

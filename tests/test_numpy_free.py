@@ -1,13 +1,14 @@
-"""The program runs without numpy, which only the tests use, and checks a
-stored tower without the code that derives one.
+"""The program runs without numpy or mpmath, which only the tests use, and
+checks a stored tower without the code that derives one.
 
 Each command runs once in this process and once in a child interpreter in
 which `import numpy` fails (`sys.modules["numpy"] = None` before `ngontower`
 is imported); both must exit 0 and write the same bytes, and the child must
 end without `argparse`, `gettext` or `locale` imported, whose first use cost
-each command more than the n = 3 work.  The commands that read a stored
-tower run the same way with the derivation's modules blocked instead: the
-checker shares no code with what it checks.
+each command more than the n = 3 work.  Every command runs the same way with
+`import mpmath` failing, a verify that fails included.  The commands that
+read a stored tower run the same way with the derivation's modules blocked
+instead: the checker shares no code with what it checks.
 """
 
 import json
@@ -73,6 +74,63 @@ def test_every_command_runs_without_numpy(n, tmp_path, monkeypatch, capsys):
     assert result.stdout == out
     assert _written(there) == _written(here)
     assert set(_written(here)) == {"t.tower", "p.arith", "p.geom", "p.svg"}
+
+
+# Beside `_commands`: the tables that read the cosine sums, the one
+# command that reads no tower, and a verify of a tower with one stored value
+# changed, which fails and prints stored and computed numbers as text.
+def _every_command(n: int) -> list[list[str]]:
+    return _commands(n) + [
+        ["tables", "--n", str(n), "--kind", "signs"],
+        ["constructible", "255"],
+        ["verify", "--tower", "bad.tower"],
+    ]
+
+
+@pytest.mark.parametrize("n", [17, 257])
+def test_every_command_runs_without_mpmath(n, tmp_path, monkeypatch, capsys):
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    tower = build_tower(n)
+    tower.nodes[1].value_left = (0, 12345, -3, 14)
+    dump_tower(tower, str(here / "bad.tower"))
+    (there / "bad.tower").write_bytes((here / "bad.tower").read_bytes())
+    monkeypatch.chdir(here)
+    codes = [main(argv) for argv in _every_command(n)]
+    out, err = capsys.readouterr()
+    assert codes == [0] * (len(codes) - 1) + [1]
+    ref = {17: "2.049481177735315599625534", 257: "9.246073971189892058744173"}[n]
+    assert err == f"verification failure: node 1: stored value_left 1543.125 but cosine sums give {ref}\n"
+
+    script = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from ngontower.cli import main\n"
+        f"codes = [main(argv) for argv in {_every_command(n)!r}]\n"
+        "print(json.dumps(codes), file=sys.stderr)\n"
+    )
+    result = _child(script, there)
+    *child_err, last, empty = result.stderr.split("\n")
+    assert (json.loads(last), empty) == (codes, ""), result.stderr
+    assert "\n".join(child_err) + "\n" == err
+    assert result.stdout == out
+    assert _written(there) == _written(here)
+    assert set(_written(here)) == {"bad.tower", "t.tower", "p.arith", "p.geom", "p.svg"}
+
+
+def test_importing_every_module_leaves_mpmath_unimported(tmp_path):
+    script = (
+        "import importlib, json, pkgutil, sys\n"
+        "import ngontower\n"
+        "for info in pkgutil.iter_modules(ngontower.__path__):\n"
+        "    importlib.import_module('ngontower.' + info.name)\n"
+        "names = sorted(m for m in sys.modules if m.startswith('ngontower.'))\n"
+        "print(json.dumps([len(names), 'mpmath' in sys.modules]), file=sys.stderr)\n"
+    )
+    result = _child(script, tmp_path)
+    count, imported = json.loads(result.stderr.splitlines()[-1])
+    assert (count, imported) == (len(list((SRC / "ngontower").glob("*.py"))) - 1, False), result.stderr
 
 
 def test_a_build_leaves_numpy_unimported(tmp_path):

@@ -22,7 +22,7 @@ from ngontower.tower import (
 
 from pair_reference import part_pairs
 from paper_checks import NonIntegralSolution, mu_via_linear_system
-from tower_values import part_values
+from tower_values import mpf, part_values
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,8 +54,8 @@ def test_full_schedules_cover_every_split(tower257_full):
 def test_residual_bounds(tower257_full, tower65537):
     for tower in (tower257_full, tower65537):
         tol = mp.mpf(2) ** (-(tower.precision // 2))
-        assert tower.report.max_vieta_err < tol
-        assert tower.report.max_value_err < tol
+        assert mpf(tower.report.max_vieta_err) < tol
+        assert mpf(tower.report.max_value_err) < tol
 
 
 def test_65537_full_f_levels(table65537, params65537):
@@ -134,9 +134,9 @@ def test_17_closed_forms():
 def test_5_and_3():
     tower = build_tower(5)
     with mp.workprec(128):
-        assert abs(tower.report.p1 - (-1 + mp.sqrt(5)) / 2) < mp.mpf(2) ** -120
+        assert abs(mpf(tower.report.p1) - (-1 + mp.sqrt(5)) / 2) < mp.mpf(2) ** -120
     tower = build_tower(3)
-    assert tower.report.p1 == -1
+    assert mpf(tower.report.p1) == -1
 
 
 class _GivenSums:
@@ -212,11 +212,48 @@ def test_report_signs_are_proven_or_refused(split, params17, table17):
     assert left_is_larger(left, right, cache) == (cache.part_fixed(left) > cache.part_fixed(right))
 
 
+@pytest.mark.parametrize("side", [1, -1])
+def test_a_stored_value_exactly_at_the_tolerance_passes(side):
+    # T = 2^tol_bits units of 2^-scale: a stored value exactly T from the
+    # reference is not further; one unit further is, and so is any part
+    # of a unit, which only an exponent below -scale can store.
+    from ngontower.rawfloat import round_raw
+    from ngontower.tower import _farther_than
+
+    scale, tol_bits, ref = 80, 16, 12345 << 40
+    edge = ref + side * (1 << tol_bits)
+    assert not _farther_than(round_raw(edge, scale), ref, scale, tol_bits)
+    assert _farther_than(round_raw(edge + side, scale), ref, scale, tol_bits)
+    assert _farther_than(round_raw((edge << 10) + side, scale + 10), ref, scale, tol_bits)
+    assert not _farther_than(round_raw((edge << 10) - side, scale + 10), ref, scale, tol_bits)
+    # Above the scale: 2^100 against itself, one unit below it, and 0.
+    assert not _farther_than((0, 1, 100, 1), 1 << 180, scale, tol_bits)
+    assert not _farther_than((0, 1, 100, 1), (1 << 180) - 1, scale, tol_bits)
+    assert _farther_than((0, 1, 100, 1), 0, scale, tol_bits)
+
+
+@pytest.mark.parametrize("exp", [1 << 40, -(1 << 40)])
+def test_a_stored_exponent_of_2_to_the_40_is_decided_at_once(exp):
+    # Shifting a mantissa by 2^40 bits would take 2^37 bytes: the check
+    # decides without it, and in no time.
+    from time import perf_counter
+
+    from ngontower.tower import _farther_than
+
+    start = perf_counter()
+    assert _farther_than((0, 3, exp, 2), 0, 80, 16) is (exp > 0)
+    assert _farther_than((1, 3, exp, 2), 1 << 90, 80, 16)
+    # 3 2^-(2^40) is a part of a unit beyond T from -T, and within it from 1 - T.
+    assert _farther_than((0, 3, exp, 2), -(1 << 16), 80, 16)
+    assert _farther_than((0, 3, exp, 2), 1 - (1 << 16), 80, 16) is (exp > 0)
+    assert perf_counter() - start < 0.05
+
+
 def test_a_stored_value_is_checked_to_two_units_of_the_larger_sums_pth_bit(params17, table17):
     # At 2 bits the tolerance's second term, two units in the 2nd bit of the
     # larger half's sum, is the larger one: a stored value_left exactly that
     # far from its sum passes on either side, one unit of 2^-S further fails.
-    from mpmath.libmp import from_man_exp
+    from ngontower.rawfloat import round_raw
 
     precision = 2
     cache = CosineCache(params17, table17, precision)
@@ -230,7 +267,7 @@ def test_a_stored_value_is_checked_to_two_units_of_the_larger_sums_pth_bit(param
             tower = build_schedule(params17, table17, "full")
             tower.precision = precision
             stored = lf + sign * ((1 << tol_bits) + beyond)
-            tower.nodes[0].value_left = mp.mp.make_mpf(from_man_exp(stored, -scale))
+            tower.nodes[0].value_left = round_raw(stored, scale)
             if passes:
                 resolve_signs(tower)
                 continue
@@ -327,7 +364,7 @@ def test_report_p1_error_is_the_proven_gap(n, kind):
     # n = 3, where p1 = -1 exactly, and not 0 where p1 is irrational.
     from ngontower.construction import RUN_GUARD_BITS, arith_values, compile_to_arith
     from ngontower.report import render_report
-    from ngontower.tower import _rounded
+    from ngontower.rawfloat import round_raw
 
     tower = build_tower(n, kind)
     precision = tower.precision
@@ -336,24 +373,24 @@ def test_report_p1_error_is_the_proven_gap(n, kind):
     v = arith_values(prog, precision)[0][prog.outputs["p1"]]
     with mp.workprec(scale + 64):
         c = int(mp.nint(2 * mp.cos(2 * mp.pi / n) * mp.mpf(2) ** scale))
-    gap = _rounded(abs(v - c), scale, precision)
-    assert tower.report.p1_err._mpf_ == gap._mpf_
-    line = f"|p1 - 2cos(2pi/n)| = {mp.nstr(gap, 8)}"
+    gap = round_raw(abs(v - c), scale, precision)
+    assert tower.report.p1_err == gap
+    line = f"|p1 - 2cos(2pi/n)| = {mp.nstr(mpf(gap), 8)}"
     assert line in render_report(tower).splitlines()
-    assert (gap == 0) == (n == 3)
+    assert (mpf(gap) == 0) == (n == 3)
 
 
 def test_sign_margins_are_the_exact_differences_rounded_once(tower257_full):
     # Each margin is |left - right| of the exact cosine sums, the int the
     # sign was proven on, rounded once to the precision: not a difference
     # of two roundings, rounded again.
-    from ngontower.tower import _round_raw
+    from ngontower.rawfloat import round_raw
 
     cache = tower257_full.cosines
     for node in tower257_full.nodes:
         lf, rf = cache.part_fixed(node.left), cache.part_fixed(node.right)
-        want = _round_raw(abs(lf - rf), cache.scale_bits, tower257_full.precision)
-        assert node.sign_margin._mpf_ == want, node.id
+        want = round_raw(abs(lf - rf), cache.scale_bits, tower257_full.precision)
+        assert node.sign_margin == want, node.id
 
 
 def test_determinism(tmp_path):
@@ -383,8 +420,8 @@ def test_roundtrip(n, kind, tmp_path):
             coeffs = [expr.constant, *(c for c, _ in (*expr.linear, *expr.squares))]
             assert all(type(c) is int for c in coeffs)
         assert a.left_is_larger == b.left_is_larger
-        assert mp.mpf(a.value_left) == mp.mpf(b.value_left)
-        assert mp.mpf(a.value_right) == mp.mpf(b.value_right)
+        assert a.value_left == b.value_left
+        assert a.value_right == b.value_right
     # Second dump is byte-identical.
     path2 = tmp_path / "t2.tower"
     dump_tower(loaded, str(path2))
@@ -412,7 +449,7 @@ def _level_values_and_products(tower, m):
     level = [values[f_part(j, stride)] for j in range(1, stride + 1)]
     by_split = {n.splits: n for n in tower.nodes}
     products = [
-        by_split[f_part(j, stride)].value_left * by_split[f_part(j, stride)].value_right
+        mpf(by_split[f_part(j, stride)].value_left) * mpf(by_split[f_part(j, stride)].value_right)
         for j in range(1, stride + 1)
     ]
     return level, products
@@ -469,12 +506,12 @@ def _check_part_value(cache: CosineCache, part):
     # The table's part sum is the exact sum of its entries, rounded once.
     entries = sum(cache.pair_fixed(k) for k in part_pairs(part, cache.table))
     with mp.workprec(cache.precision):
-        assert cache.part_value(part) == mp.ldexp(mp.mpf(entries), -cache.scale_bits), part
+        assert mpf(cache.part_value(part)) == mp.ldexp(mp.mpf(entries), -cache.scale_bits), part
     ref, m = _reference_part(cache, part)
     with mp.workprec(cache.scale_bits + 64):
         # m entry errors, then one rounding to `precision` bits.
         tol = m * _entry_bound(cache) + abs(ref) * mp.mpf(2) ** -(cache.precision - 1)
-        assert abs(cache.part_value(part) - ref) <= tol, part
+        assert abs(mpf(cache.part_value(part)) - ref) <= tol, part
 
 
 @pytest.mark.parametrize("n, block", [(17, 4), (257, 16)])
@@ -568,20 +605,22 @@ def test_rotation_tables_within_their_bound(cache65537):
 
 
 def test_cosine_sums_walk_each_orbit(params65537, table65537, params257, table257, monkeypatch):
-    # Two mp.cos_sin calls for the whole cache, one walk per set to sum it,
+    # Two cosine seeds for the whole cache, one walk per set to sum it,
     # and at most one more per set for the strided G parts a full tower reads.
-    calls = Counter()
-    cos_sin, orbit = mp.cos_sin, CosineCache._orbit
+    from ngontower import tower as tower_module
 
-    def counted_cos_sin(angle):
+    calls = Counter()
+    cos_sin, orbit = tower_module.cos_sin_fixed, CosineCache._orbit
+
+    def counted_cos_sin(*args):
         calls["cos_sin"] += 1
-        return cos_sin(angle)
+        return cos_sin(*args)
 
     def counted_orbit(self, k):
         calls[k] += 1
         return orbit(self, k)
 
-    monkeypatch.setattr(mp, "cos_sin", counted_cos_sin)
+    monkeypatch.setattr(tower_module, "cos_sin_fixed", counted_cos_sin)
     CosineCache(params65537, table65537, 512)
     assert calls == Counter(cos_sin=2)
     calls.clear()
@@ -627,7 +666,7 @@ def test_cosine_part_sums_and_margins(n):
         (lv, _), (rv, _) = (_reference_part(cache, p) for p in (node.left, node.right))
         with mp.workprec(cache.scale_bits + 64):
             ref_margin = abs(lv - rv)
-            rel = abs(node.sign_margin - ref_margin) / ref_margin
+            rel = abs(mpf(node.sign_margin) - ref_margin) / ref_margin
             assert rel <= mp.mpf(2) ** -(tower.precision - 20), node.id
 
 
@@ -681,7 +720,7 @@ def test_tower_outputs_match_the_direct_cosine_table(tmp_path):
         with mp.workprec(256):
             old_value, _ = stored(old_margin)
             node = tower.nodes[old["id"]]
-            rel = abs(node.sign_margin - old_value) / old_value
+            rel = abs(mpf(node.sign_margin) - old_value) / old_value
             assert rel <= mp.mpf(2) ** -(tower.precision - 20)
             for part, (old_field, new_field) in zip((node.left, node.right), values):
                 (old_value, top), (new_value, new_top) = stored(old_field), stored(new_field)
@@ -702,6 +741,6 @@ def test_report_gives_the_largest_value_radius(tower65537):
     lines = render_report(build_tower(17)).splitlines()
     vieta = next(i for i, line in enumerate(lines) if line.startswith("max Vieta residual = "))
     assert lines[vieta + 1] == "max value radius = 1.3000328e-47"
-    radius = tower65537.report.max_value_radius
+    radius = mpf(tower65537.report.max_value_radius)
     assert f"max value radius = {mp.nstr(radius, 8)}" in render_report(tower65537).splitlines()
     assert radius <= mp.mpf(2) ** -460

@@ -69,7 +69,7 @@ def test_loaded_zero_negative_and_null_fields_match_the_reference(tmp_path):
     path = tmp_path / "edited.tower"
     path.write_text("\n".join(lines) + "\n")
     tower = load_tower(str(path))
-    assert tower.nodes[0].value_left == 0 and tower.nodes[0].value_right < 0
+    assert tower.nodes[0].value_left == (0, 0, 0, 0) and tower.nodes[0].value_right == (1, 3, -700, 2)
     assert tower.nodes[1].left_is_larger is False and tower.nodes[2].sign_margin is None
     assert _dumped(tower, tmp_path) == reference_dump(tower)
 

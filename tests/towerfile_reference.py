@@ -10,10 +10,11 @@ from ngontower.towerfile import FORMAT_NAME, FORMAT_VERSION
 
 
 def value_json(x):
-    """A value field as a JSON object: its 30-digit decimal preview and its
-    raw mpf, or None."""
+    """A value field as a JSON object: its 30-digit decimal preview, by
+    mpmath, and its raw fields, or None.  `x` is a raw float or an mpf."""
     if x is None:
         return None
+    x = x if isinstance(x, mp.mpf) else mp.mp.make_mpf(x)
     sign, man, exp, bc = x._mpf_
     return {"dec": mp.nstr(x, 30), "mpf": [sign, hex(man), exp, bc]}
 
