@@ -7,20 +7,4 @@ to p_1 = 2cos(2 pi / n), and lower the result to a straightedge/compass
 instruction program with SVG output.
 """
 
-from .residues import FermatParams, KNOWN_FERMAT_PRIMES
-from .invariant_sets import build_invariant_sets, locate_pair, validate_factor
-from .tower import build_tower, evaluate_tower, resolve_signs, build_schedule
-
-__all__ = [
-    "FermatParams",
-    "KNOWN_FERMAT_PRIMES",
-    "build_invariant_sets",
-    "locate_pair",
-    "validate_factor",
-    "build_tower",
-    "build_schedule",
-    "resolve_signs",
-    "evaluate_tower",
-]
-
 __version__ = "0.1.0"

@@ -117,7 +117,6 @@ def cmd_tables(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from .construction import dump_arith, dump_geom, lower_to_geom
     from .towerfile import load_tower
     from .verify import verify_tower
 
@@ -126,8 +125,10 @@ def cmd_compile(args) -> int:
     precision = tower.precision
     del tower  # lowering needs neither the nodes nor the cosine sums
     if args.target == "arith":
+        from .arith import dump_arith
         dump_arith(prog, args.out)
     else:
+        from .construction import dump_geom, lower_to_geom
         dump_geom(lower_to_geom(prog, precision, signs), args.out)
     print(f"{args.target} program written to {args.out} ({prog.sqrt_count()} square roots)")
     return 0

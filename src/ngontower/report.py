@@ -125,12 +125,10 @@ def sign_diffs(table: InvariantSetTable, cache: CosineCache) -> list[str]:
     return out
 
 
-def closure_lists(tower: Tower) -> dict[str, tuple[int, ...]]:
-    """The computed analogues of the published pruning lists (n=65537)."""
-    params = tower.params
-    if params.n != 65537 or tower.kind != "pruned":
-        return {}
-    step11 = sorted(n.splits.offset for n in tower.nodes if n.step == 11)
+def closure_diffs(tower: Tower) -> list[str]:
+    """The pruned 65537 schedule against the published pruning lists."""
+    if tower.params.n != 65537 or tower.kind != "pruned":
+        return []
     required_1024 = set()
     for node in tower.nodes:
         if node.step == 11:
@@ -138,26 +136,15 @@ def closure_lists(tower: Tower) -> dict[str, tuple[int, ...]]:
             for part in node.product_expr.referenced_parts():
                 assert part.kind == "F" and part.stride == 1024
                 required_1024.add(part.offset)
-    step10 = sorted(n.splits.offset for n in tower.nodes if n.step == 10)
-    both = sorted(j for j in range(1, 513) if j in required_1024 and j + 512 in required_1024)
-    return {
-        "split_1024": tuple(step11),
-        "required_1024": tuple(sorted(required_1024)),
-        "split_512": tuple(step10),
-        "both_halves": tuple(both),
-    }
-
-
-def closure_diffs(tower: Tower) -> list[str]:
-    lists = closure_lists(tower)
-    if not lists:
-        return []
     out = []
     comparisons = (
-        ("F(j,1024) splits", lists["split_1024"], ref.LIST18_65537, "65537-list18"),
-        ("required F(j,1024) values", lists["required_1024"], ref.LIST213_65537, "65537-list213-dup"),
-        ("F(j,512) splits", lists["split_512"], ref.LIST181_65537, None),
-        ("both-halves offsets", lists["both_halves"], ref.LIST32_65537, None),
+        ("F(j,1024) splits", [n.splits.offset for n in tower.nodes if n.step == 11],
+         ref.LIST18_65537, "65537-list18"),
+        ("required F(j,1024) values", required_1024, ref.LIST213_65537, "65537-list213-dup"),
+        ("F(j,512) splits", [n.splits.offset for n in tower.nodes if n.step == 10],
+         ref.LIST181_65537, None),
+        ("both-halves offsets", [j for j in range(1, 513) if {j, j + 512} <= required_1024],
+         ref.LIST32_65537, None),
     )
     for name, mine, published, erratum in comparisons:
         mine_set, published_set = set(mine), set(published)

@@ -33,7 +33,7 @@ from itertools import chain
 from .errors import VerificationError
 from .invariant_sets import (
     InvariantSetTable, LinearCombo, PartRef, build_invariant_sets, check_part, f_part, g_part,
-    locate_pair, split_children,
+    split_children,
 )
 from .rawfloat import cos_sin_fixed, round_raw, to_text
 from .residues import FermatParams, rho
@@ -221,7 +221,7 @@ def build_schedule(
 class CosineCache:
     """Direct part sums of 2cos(2 pi k / n), held as one sum per invariant set.
 
-    Pair k's entry `pair_fixed(k)` is 2cos(k theta) as an int at scale 2^F,
+    Pair k's entry (its one-pair G part) is 2cos(k theta), an int at scale 2^F,
     theta = 2 pi / n, F = precision + GUARD_BITS.  A set is the orbit of its
     first pair under doubling and 2cos 2a = (2cos a)^2 - 2, so its entries
     are walked at scale 2^W, W = F + ORBIT_BITS: the first from two tables,
@@ -232,8 +232,8 @@ class CosineCache:
     one before rotated by row 1, the table's one seed, (cos, sin)(theta) and
     (cos, sin)(B theta) correctly rounded at scale 2^W by
     `rawfloat.cos_sin_fixed`; set k starts at (C_a C_b - S_a S_b) >>
-    (W - 1) for its first pair aB + b.  Row 1 of `low` also checks p1 and
-    draws the polygon, so these two seeds are every cosine of a run.
+    (W - 1) for its first pair aB + b.  Row 1 of `low`, rounded by `row1`,
+    also checks p1 and draws the polygon, so these two seeds are every cosine.
     Held: the tables, `set_fixed[k]` (the exact sum of set k's entries), the
     entries of each set a strided G part reads (walked on first use), and
     one int per part read.
@@ -298,11 +298,6 @@ class CosineCache:
             entries = self._entries[k] = self._orbit(k)
         return entries
 
-    def pair_fixed(self, k: int) -> int:
-        """Pair k's entry, 1 <= k <= npairs; ValueError for any other k."""
-        set_index, pos = locate_pair(self.table, k)
-        return self._set_entries(set_index)[pos - 1]
-
     def part_fixed(self, part: PartRef) -> int:
         """The exact sum of the part's entries, at scale 2^scale_bits."""
         total = self._part.get(part)
@@ -316,6 +311,11 @@ class CosineCache:
                 total = sum(self._set_entries(part.set_index)[part.offset - 1 :: part.stride])
             self._part[part] = total
         return total
+
+    def row1(self, bits: int) -> tuple[int, int]:
+        """(cos, sin)(theta), `low[1]`, rounded to nearest at scale 2^bits, bits < W."""
+        shift = self.wide_bits - bits - 1
+        return tuple((x >> shift) + 1 >> 1 for x in self.low[1])
 
     def part_bound(self, part: PartRef) -> int:
         """4 m, the bound on `part_fixed`'s error for a part of m pairs."""
@@ -423,7 +423,7 @@ def resolve_signs(tower: Tower) -> Tower:
 
 
 def evaluate_tower(tower: Tower) -> tuple:
-    """Compile the tower's arithmetic program (`construction.compile_to_arith`)
+    """Compile the tower's arithmetic program (`arith.compile_to_arith`)
     and run it one node at a time, with the signs, precision and cosine sums
     that `resolve_signs` left, and store its values on the nodes, each
     rounded once to `precision` bits.  Each node is checked in ints when its
@@ -434,7 +434,7 @@ def evaluate_tower(tower: Tower) -> tuple:
     columns, so only the values that a later instruction reads are held;
     last p1, cos and sin run, and p1's value v and radius r at scale 2^F
     must meet |v - c| <= r + 1, c = 2cos(2 pi / n) 2^F from the cosine
-    table's row 1 (scale 2^W), rounded to nearest: within 1/2 + 2^-(W-F-1) < 1.
+    table's row 1 (scale 2^W), rounded by `row1`: within 1/2 + 2^-(W-F-1) < 1.
     Each number the report carries is an int that a check compared,
     rounded once to `precision` bits: p1_err is |v - c|.
     The cosine sums read only each invariant set's start; Euler's criterion
@@ -443,7 +443,7 @@ def evaluate_tower(tower: Tower) -> tuple:
     here.  Writes the tower's report; returns the program and the proven
     sign (-1, 0 or 1) of each of its instruction values; no value outlives
     the run."""
-    from .construction import RUN_GUARD_BITS, NegativeRadicand, _run, compile_to_arith, proven_signs
+    from .arith import RUN_GUARD_BITS, NegativeRadicand, _run, compile_to_arith, proven_signs
 
     cache = tower.cosines
     if cache is None:
@@ -500,7 +500,7 @@ def evaluate_tower(tower: Tower) -> tuple:
             )
         raise VerificationError(message, node_id) from None
     p1, r = vals[prog.outputs["p1"]], rads[prog.outputs["p1"]]
-    gap = abs(p1 - ((cache.low[1][0] >> (cache.wide_bits - scale - 2)) + 1 >> 1))
+    gap = abs(p1 - cache.row1(scale + 1)[0])
     if gap > r + 1:
         raise VerificationError(f"p1 misses 2cos(2pi/n) by {gap} units of 2^-{scale}, radius {r}")
     margin = min(

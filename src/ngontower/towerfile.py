@@ -66,7 +66,13 @@ def _value_from_json(d) -> tuple | None:
     """The raw float a value field holds, refused unless it is the normal
     form that mpmath writes (and `rawfloat` too): a sign of 0 or 1, a hex
     mantissa that is odd (or zero with sign and exponent 0), an int exponent
-    and the mantissa's bit length."""
+    and the mantissa's bit length; and refused unless it has at most
+    MAX_PRECISION mantissa bits and an exponent within +-2 MAX_PRECISION.
+    A tower of p <= MAX_PRECISION bits rounds each value to p bits at a
+    scale of at most 2^-(p + 64), and none reaches 2^17, so that range holds
+    every value a tower stores, with room for a wrong one, which its check
+    then fails.  Past it, the decimal text of a failure's message grows
+    without bound in time: many seconds for an exponent of 14,000 bits."""
     if d is None:
         return None
     sign, man_hex, exp, bc = d["mpf"]
@@ -80,6 +86,8 @@ def _value_from_json(d) -> tuple | None:
         and (man % 2 == 1 or (sign, man, exp) == (0, 0, 0))
     ):
         raise ValueError(f"mpf {d['mpf']} is not in mpmath's normal form")
+    if bc > MAX_PRECISION or abs(exp) > 2 * MAX_PRECISION:
+        raise ValueError(f"mpf {bc}-bit mantissa, {exp.bit_length()}-bit exponent: past what a tower stores")
     return (sign, man, exp, bc)
 
 

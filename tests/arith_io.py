@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 
-from ngontower.construction import ArithProgram
+from ngontower.arith import ArithProgram
 
 
 def load_arith(path: str) -> ArithProgram:

@@ -1,11 +1,11 @@
 """Test helper: the arithmetic IR on mpf objects, each op the mpf operation
 rounded to nearest.  Run at 64 bits more than the program's precision, it
-is the reference that every value `construction._run` gives must lie within
+is the reference that every value `arith._run` gives must lie within
 its radius of."""
 
 import mpmath as mp
 
-from ngontower.construction import ArithProgram
+from ngontower.arith import ArithProgram
 
 
 def mpf_arith_values(prog: ArithProgram, precision: int) -> list:

@@ -15,7 +15,7 @@ from ngontower import cli
 from ngontower.cli import main
 from ngontower.invariant_sets import PartRef, build_invariant_sets
 from ngontower.residues import FermatParams
-from ngontower.tower import CosineCache
+from ngontower.tower import MAX_PRECISION, CosineCache
 
 from oracle_helpers import prime_below_2_31
 from towerfile_reference import value_json
@@ -597,13 +597,13 @@ def test_a_sqrt_off_by_2_to_the_minus_300_fails_verify(tower65537, tmp_path, cap
     # Every SQRT adds 2^-300: node 0's values move by far less than
     # 2^-(precision // 2) = 2^-256, the rule a node value was once checked
     # by, but by far more than their radius and the cosine sums' bound.
-    from ngontower import construction
+    from ngontower import arith
     from ngontower.towerfile import dump_tower
 
     path = tmp_path / "t.tower"
     dump_tower(tower65537, str(path))
-    offset = 1 << (tower65537.precision + construction.RUN_GUARD_BITS - 300)
-    monkeypatch.setattr(construction, "isqrt", lambda x: math.isqrt(x) + offset)
+    offset = 1 << (tower65537.precision + arith.RUN_GUARD_BITS - 300)
+    monkeypatch.setattr(arith, "isqrt", lambda x: math.isqrt(x) + offset)
     code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--no-oracle"])
     assert code == 1
     assert err.startswith("verification failure: node 0: ") and "but cosine sum gives" in err
@@ -624,17 +624,17 @@ def test_a_radius_that_proves_nothing_fails_verify(share, message, tmp_path, cap
     # With all of it no sign is proven, from node 0's first CONST on.  With
     # half, node 0 still passes its check, but node 1's discriminant, though
     # positive, carries a larger radius, so its SQRT is refused.
-    from ngontower import construction
+    from ngontower import arith
 
     path = tmp_path / "t17.tower"
     run_cli(capsys, "build", "--n", "17", "--out", str(path))
-    run = construction._run
+    run = arith._run
 
     def inflated(prog, first, end, vals, rads, scale):
         run(prog, first, end, vals, rads, scale)
         rads[first:] = [max(r, share(v)) for v, r in zip(vals[first:], rads[first:])]
 
-    monkeypatch.setattr(construction, "_run", inflated)
+    monkeypatch.setattr(arith, "_run", inflated)
     code, err = _stderr_of(capsys, ["verify", "--tower", str(path), "--no-oracle"])
     assert code == 1
     assert err.startswith("verification failure: ") and message in err
@@ -736,9 +736,9 @@ def _sign_margin_1(node):
     node["sign_margin"] = value_json(mp.mpf(1))
 
 
-def _2_to_the(field, exponent):
+def _2_to_the(field, exponent, man=1):
     def change(node):
-        node[field]["mpf"] = [0, "0x1", exponent, 1]
+        node[field]["mpf"] = [0, hex(man), exponent, man.bit_length()]
 
     return change
 
@@ -777,25 +777,53 @@ def _commands_on(tower_path, tmp_path):
 @pytest.mark.parametrize(
     "change, field",
     [(_value_left_12345, "value_left"), (_sign_margin_1, "sign_margin"),
-     (_2_to_the("value_left", -10**12), "value_left"), (_2_to_the("value_left", 10**12), "value_left"),
+     (_2_to_the("value_left", 2 * MAX_PRECISION), "value_left"),
+     (_2_to_the("value_left", -2 * MAX_PRECISION), "value_left"),
+     (_2_to_the("value_left", -MAX_PRECISION, (1 << MAX_PRECISION) - 1), "value_left"),
      (_value_left_beyond_tol(192), "value_left"), (_value_left_beyond_tol(300), "value_left"),
      (_2_to_the("sign_margin", -700), "sign_margin")],
-    ids=["value-12345", "margin-1", "value-2^-10^12", "value-2^10^12", "value-tol-and-2^-192",
-         "value-tol-and-2^-300", "margin-2^-700"],
+    ids=["value-12345", "margin-1", "value-2^65536", "value-2^-65536", "value-32768-bits",
+         "value-tol-and-2^-192", "value-tol-and-2^-300", "margin-2^-700"],
 )
 def test_tampered_stored_field_fails_every_command(change, field, tmp_path, capsys):
     # Every command checks the stored values and margins against the cosine
     # sums before it trusts or overwrites them.  The comparison is exact: one
     # unit of the sums' scale past the tolerance fails.  A stored exponent
-    # outside the ints' bounded shift (2^(+-10^12), and 2^-300 and 2^-700,
-    # below the 2^-192 of the sums) decides by a difference rounded away
-    # from zero at that scale: it costs no 10^12-bit integer, and a value
-    # past the tolerance by less than the scale's unit still fails.
+    # outside the ints' bounded shift (2^(+-65536), the widest the loader
+    # takes, and 2^-300 and 2^-700, below the 2^-192 of the sums) decides by
+    # a difference rounded away from zero at that scale: it costs no
+    # 65536-bit integer, and a value past the tolerance by less than the
+    # scale's unit still fails.
     tower_path = _tampered_17(tmp_path, capsys, change)
     for argv in _commands_on(tower_path, tmp_path):
         code, err = _stderr_of(capsys, argv)
         assert code == 1
         assert err.startswith(f"verification failure: node 0: stored {field} ")
+    assert not any((tmp_path / f"p.{out}").exists() for out in ("arith", "geom", "svg"))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_2_to_the("value_left", -10**12), _2_to_the("value_left", 10**12),
+     _2_to_the("value_left", 1 << 40), _2_to_the("value_left", -(1 << 40)),
+     _2_to_the("value_left", 1 << 13999), _2_to_the("value_left", -(1 << 13999)),
+     _2_to_the("value_left", 2 * MAX_PRECISION + 1), _2_to_the("value_left", -2 * MAX_PRECISION - 1),
+     _2_to_the("value_left", -MAX_PRECISION, (1 << MAX_PRECISION) + 1)],
+    ids=["value-2^-10^12", "value-2^10^12", "value-2^2^40", "value-2^-2^40", "value-14000-bit-exponent",
+         "value-minus-14000-bit-exponent", "value-2^65537", "value-2^-65537", "value-32769-bits"],
+)
+def test_a_stored_value_no_tower_stores_is_refused_at_load(change, tmp_path, capsys):
+    # A tower of at most MAX_PRECISION bits stores no mantissa wider than
+    # that and no exponent past +-2 MAX_PRECISION, so the loader refuses
+    # one at once, naming its line.  Loaded, a 14,000-bit exponent cost the
+    # failure's decimal text 17 s on a 2-vCPU x86-64 host.
+    tower_path = _tampered_17(tmp_path, capsys, change)
+    for argv in _commands_on(tower_path, tmp_path):
+        start = time.perf_counter()
+        code, err = _stderr_of(capsys, argv)
+        assert (code, time.perf_counter() - start < 1) == (2, True), err
+        assert err.startswith(f"error: {tower_path} line 2: ValueError: mpf ")
+        assert err.endswith(": past what a tower stores\n")
     assert not any((tmp_path / f"p.{out}").exists() for out in ("arith", "geom", "svg"))
 
 

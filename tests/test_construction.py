@@ -14,25 +14,27 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from ngontower.construction import (
+from ngontower.arith import (
     RUN_GUARD_BITS,
     ArithInstr,
     ArithProgram,
     _ArithBuilder,
-    _GeomBuilder,
-    _node_interior,
     NegativeRadicand,
     arith_values,
     compile_to_arith,
     dump_arith,
+    proven_signs,
+    _run,
+)
+from ngontower.construction import (
+    _GeomBuilder,
+    _node_interior,
     dump_geom,
     emit_svg,
     execute_geom,
     load_geom,
     lower_to_geom,
     polygon_vertices,
-    proven_signs,
-    _run,
 )
 from ngontower.errors import VerificationError
 from ngontower.invariant_sets import LinearCombo, g_part
@@ -150,15 +152,15 @@ def test_evaluation_runs_the_program_node_by_node(n, kind, request, monkeypatch)
     # The runs tile the finished program: one per node, from the end of the
     # node before it to just past its second root, then one for p1, cos and
     # sin.
-    from ngontower import construction
+    from ngontower import arith
 
-    tower, run, runs = _tower(n, kind, request), construction._run, []
+    tower, run, runs = _tower(n, kind, request), arith._run, []
 
     def recorded(prog, first, end, vals, rads, scale):
         runs.append((first, end))
         run(prog, first, end, vals, rads, scale)
 
-    monkeypatch.setattr(construction, "_run", recorded)
+    monkeypatch.setattr(arith, "_run", recorded)
     prog, _ = evaluate_tower(tower)
     ends = [max(left, right) + 1 for _, _, left, right in prog.nodes] + [len(prog.ops)]
     assert runs == list(zip([0] + ends[:-1], ends))
@@ -169,9 +171,9 @@ def test_evaluation_drops_each_value_after_its_last_reader(n, kind, request, mon
     # When each run begins, the runs before it have ended a node's segment:
     # every value and radius still held must have a reader at or past the
     # start of this run.  p1's last reader is the HALF of the outputs' run.
-    from ngontower import construction
+    from ngontower import arith
 
-    tower, run, held_at = _tower(n, kind, request), construction._run, []
+    tower, run, held_at = _tower(n, kind, request), arith._run, []
     last: list[int] = []
 
     def checked(prog, first, end, vals, rads, scale):
@@ -188,7 +190,7 @@ def test_evaluation_drops_each_value_after_its_last_reader(n, kind, request, mon
         held_at.append(len(held))
         run(prog, first, end, vals, rads, scale)
 
-    monkeypatch.setattr(construction, "_run", checked)
+    monkeypatch.setattr(arith, "_run", checked)
     prog, _ = evaluate_tower(tower)
     assert len(held_at) == len(prog.nodes) + 1
     assert max(held_at) < len(prog.ops) // 4, max(held_at)

@@ -8,7 +8,9 @@ end without `argparse`, `gettext` or `locale` imported, whose first use cost
 each command more than the n = 3 work.  Every command runs the same way with
 `import mpmath` failing, a verify that fails included.  The commands that
 read a stored tower run the same way with the derivation's modules blocked
-instead: the checker shares no code with what it checks.
+instead: the checker shares no code with what it checks.  `verify`, `build`
+and the arithmetic `compile` run with `construction`, which only draws,
+blocked; the commands that read no tower load no tower engine at all.
 """
 
 import json
@@ -206,3 +208,52 @@ def test_stored_towers_are_checked_without_the_pair_table(fixture, request, tmp_
         assert (main(argv), walked) == (0, []), argv
     assert (main(STORED_COMMANDS[0]), walked) == (0, [tower.params.n])
     assert f"oracle-checked {len(tower.nodes)} " in capsys.readouterr().out
+
+
+# The commands that check or build and do not draw.
+UNDRAWN_COMMANDS = [
+    ["verify", "--tower", "t.tower"],
+    ["verify", "--tower", "t.tower", "--no-oracle"],
+    ["compile", "--tower", "t.tower", "--target", "arith", "--out", "p.arith"],
+    ["build", "--n", "257", "--out", "b.tower"],
+]
+
+
+@pytest.mark.parametrize("n", [17, 257])
+def test_towers_are_checked_and_built_without_the_drawing(n, tmp_path, monkeypatch, capsys):
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    dump_tower(build_tower(n), str(here / "t.tower"))
+    (there / "t.tower").write_bytes((here / "t.tower").read_bytes())
+    monkeypatch.chdir(here)
+    codes = [main(argv) for argv in UNDRAWN_COMMANDS]
+    out = capsys.readouterr().out
+    assert codes == [0] * len(codes)
+
+    script = (
+        "import sys\n"
+        "sys.modules['ngontower.construction'] = None\n"
+        "from ngontower.cli import main\n"
+        f"print(*[main(argv) for argv in {UNDRAWN_COMMANDS!r}], file=sys.stderr)\n"
+    )
+    result = _child(script, there)
+    assert result.stderr.split() == ["0"] * len(codes), result.stderr
+    assert result.stdout == out
+    assert _written(there) == _written(here)
+    assert set(_written(here)) == {"t.tower", "p.arith", "b.tower"}
+
+
+def test_commands_without_a_tower_load_no_tower_engine(tmp_path):
+    script = (
+        "import json, sys\n"
+        "import ngontower.cli\n"
+        "loaded = ['ngontower.tower' in sys.modules]\n"
+        "for argv in (['constructible', '15'], ['--help']):\n"
+        "    ngontower.cli.main(argv)\n"
+        "    loaded.append('ngontower.tower' in sys.modules)\n"
+        "print(json.dumps(loaded), file=sys.stderr)\n"
+    )
+    result = _child(script, tmp_path)
+    assert result.stdout.startswith("yes: 15 = 3 * 5 ") and "usage: ngontower" in result.stdout
+    assert json.loads(result.stderr.splitlines()[-1]) == [False, False, False], result.stderr

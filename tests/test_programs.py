@@ -8,14 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from ngontower.arith import _ARITH_OPS, ArithProgram, compile_to_arith, dump_arith
 from ngontower.construction import (
-    _ARITH_OPS,
     _GEOM_KINDS,
     _GEOM_OPS,
-    ArithProgram,
     GeomProgram,
-    compile_to_arith,
-    dump_arith,
     dump_geom,
     load_geom,
     lower_to_geom,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ngontower.construction import compile_to_arith
+from ngontower.arith import compile_to_arith
 from ngontower.invariant_sets import build_invariant_sets
 from ngontower.residues import FermatParams
 from ngontower.sharing import _MAX_SHARED, Lines

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngontower.errors import VerificationError
-from ngontower.invariant_sets import f_part, g_part, part_members, split_children
+from ngontower.invariant_sets import f_part, g_part, locate_pair, part_members, split_children
 from ngontower.residues import rho
 from ngontower.tower import (
     CosineCache,
@@ -280,7 +280,7 @@ def test_a_node_value_is_checked_to_its_radius_plus_the_sums_bound(side, params1
     # The last node's left value v, radius r (scale 2^F) against a cosine
     # sum T (scale 2^S) put exactly r 2^(S-F) + part_bound from v 2^(S-F)
     # passes; one unit of 2^-S further fails, naming the node.
-    from ngontower.construction import RUN_GUARD_BITS, arith_values, compile_to_arith
+    from ngontower.arith import RUN_GUARD_BITS, arith_values, compile_to_arith
 
     precision = 128
     tower = build_schedule(params17, table17, "full")
@@ -330,10 +330,10 @@ def test_p1_is_proven_by_its_radius(n, precision, monkeypatch):
     # with c = 2cos(2pi/n) 2^F rounded to an int: p1 placed r + 1 units
     # from c passes on either side, r + 2 units away it fails, however far
     # below 2^-(precision // 2) that is.
-    from ngontower import construction
+    from ngontower import arith
     from ngontower.errors import VerificationError
 
-    run, scale = construction._run, precision + construction.RUN_GUARD_BITS
+    run, scale = arith._run, precision + arith.RUN_GUARD_BITS
     with mp.workprec(scale + 64):
         c = int(mp.nint(2 * mp.cos(2 * mp.pi / n) * mp.mpf(2) ** scale))
     for units, passes in ((1, True), (-1, True), (2, False), (-2, False)):
@@ -346,7 +346,7 @@ def test_p1_is_proven_by_its_radius(n, precision, monkeypatch):
                 radius.append(rads[p1])
                 vals[p1] = c + (rads[p1] + abs(units)) * (1 if units > 0 else -1)
 
-        monkeypatch.setattr(construction, "_run", placed)
+        monkeypatch.setattr(arith, "_run", placed)
         if passes:
             assert build_tower(n, "pruned", precision).report.p1 is not None
             continue
@@ -362,7 +362,7 @@ def test_report_p1_error_is_the_proven_gap(n, kind):
     # The report's |p1 - 2cos(2pi/n)| is the int gap that p1's check
     # compares, |v - c| at scale 2^F, rounded once to the precision: 0 at
     # n = 3, where p1 = -1 exactly, and not 0 where p1 is irrational.
-    from ngontower.construction import RUN_GUARD_BITS, arith_values, compile_to_arith
+    from ngontower.arith import RUN_GUARD_BITS, arith_values, compile_to_arith
     from ngontower.report import render_report
     from ngontower.rawfloat import round_raw
 
@@ -483,10 +483,16 @@ def _reference_pair(n: int, k: int, bits: int):
         return 2 * mp.cos(k * (2 * mp.pi / n))
 
 
+def _pair_fixed(cache: CosineCache, k: int) -> int:
+    """Pair k's entry: the sum of its one-pair G part."""
+    set_index, pos = locate_pair(cache.table, k)
+    return cache.part_fixed(g_part(set_index, pos, 1 << cache.params.nu))
+
+
 def _entry_error(cache: CosineCache, k: int):
     bits = cache.scale_bits + 64
     with mp.workprec(bits):
-        entry = mp.ldexp(cache.pair_fixed(k), -cache.scale_bits)
+        entry = mp.ldexp(_pair_fixed(cache, k), -cache.scale_bits)
         return abs(entry - _reference_pair(cache.params.n, k, bits))
 
 
@@ -504,7 +510,7 @@ def _reference_part(cache: CosineCache, part):
 
 def _check_part_value(cache: CosineCache, part):
     # The table's part sum is the exact sum of its entries, rounded once.
-    entries = sum(cache.pair_fixed(k) for k in part_pairs(part, cache.table))
+    entries = sum(_pair_fixed(cache, k) for k in part_pairs(part, cache.table))
     with mp.workprec(cache.precision):
         assert mpf(cache.part_value(part)) == mp.ldexp(mp.mpf(entries), -cache.scale_bits), part
     ref, m = _reference_part(cache, part)
@@ -531,7 +537,7 @@ def cache65537(params65537, table65537):
 
 def _check_set_sums(cache: CosineCache, sets):
     for k in sets:
-        assert cache.set_fixed[k] == sum(map(cache.pair_fixed, cache.table.pairs_of_set(k))), k
+        assert cache.set_fixed[k] == sum(_pair_fixed(cache, p) for p in cache.table.pairs_of_set(k)), k
 
 
 @pytest.mark.parametrize("n", [17, 257])
@@ -563,9 +569,11 @@ def test_cosine_cache_holds_no_pair_table(params65537, table65537):
 
 @pytest.mark.parametrize("k", [0, -1, 17])
 def test_pair_fixed_refuses_a_pair_out_of_range(k, params17, table17):
+    # A pair's entry is read through its place in the sets, which refuses a
+    # pair outside 1..npairs.
     cache = CosineCache(params17, table17, 128)
     with pytest.raises(ValueError, match="out of range"):
-        cache.pair_fixed(k)
+        _pair_fixed(cache, k)
 
 
 def test_orbit_bits_must_cover_the_orbit_error(params65537, table65537, monkeypatch):
