@@ -10,13 +10,14 @@ proves it.  `evaluate_tower` runs the finished program one node at a
 time, checks each node when its roots land and keeps alive only the values
 a later instruction reads, plus one sign byte per instruction.
 
-A node's product expression is scaled once per distinct |coefficient|, and
-each partial sum that `sharing.Lines` finds shared by the nodes of a step is
-emitted once (`_ArithBuilder.combo`): at n = 65537 (factor 3) this cuts the
-ADD and SUB instructions by a third, 35,146 to 23,860.
+A node's product expression is scaled by one doubling chain shared by all
+its coefficients, with no MUL by a constant, and each partial sum that
+`sharing.Lines` finds shared by the nodes of a step is emitted once
+(`_ArithBuilder.combo`): at n = 65537 (factor 3) the sharing cuts the ADD
+and SUB instructions by 30%, 37,350 to 26,064.
 
 The program is held as flat columns (`ArithProgram`): at n = 65537 pruned
-they hold 0.37 MB, where an object per instruction took 4.8 MB.
+they hold 0.36 MB, where an object per instruction took 4.8 MB.
 `dump_arith` writes it as JSON lines (docs/program-format.md).  The checker
 loads this module alone; `construction` draws the program.
 """
@@ -202,13 +203,19 @@ class _ArithBuilder:
         return idx
 
     def combo(self, expr: LinearCombo, refs: dict, origin: int) -> int:
-        """The expression with shared sums and one scaling per distinct
-        |coefficient|: the terms (linear, then squares) are grouped by
-        |halves| in order of first appearance, a group's linear terms share
-        sums by `Lines.plan` (offsets taken relative to `origin`, the offset
-        of the node's split), each group is summed with its positive terms
-        first and scaled once, and the groups are added to the constant, or
-        to the first group when the constant is 0."""
+        """The expression with shared sums and one doubling chain: the terms
+        (linear, then squares) are grouped by |halves| c in order of first
+        appearance, a group's linear terms share sums by `Lines.plan`
+        (offsets taken relative to `origin`, the offset of the node's split),
+        the square of a CONST part (the root part) is a CONST, and each
+        group is summed (`_total`).  The whole part, the sum of
+        floor(c/2) times each group, is built by Horner over the bits of
+        floor(c/2): one doubling per bit below the top, each followed by the
+        groups with that bit set.  The odd groups are summed and halved
+        once, that half is added, and the constant is added last; when the
+        groups at the top bit are all negative, the rest is built negated
+        and subtracted from the constant, which is then CONST 0 where the
+        expression has none."""
         linear, pattern = expr.linear, []
         for h, p in linear:  # flat: a tuple per term would linger on the tuple free list
             pattern += (h, p.kind, p.set_index, p.stride, (p.offset - origin) % p.stride)
@@ -220,30 +227,42 @@ class _ArithBuilder:
             ]
         for halves, part in expr.squares:
             base = refs[part]
-            groups.setdefault(abs(halves), []).append((halves < 0, self.emit("MUL", base, base)))
-        acc = self.const(expr.constant) if expr.constant else None
-        for c, terms in groups.items():
-            terms.sort(key=lambda t: t[0])  # stable: positive terms first
-            negative = terms[0][0]  # every term is negative
-            total = terms[0][1]
-            for neg, term in terms[1:]:
-                total = self.emit("SUB" if neg != negative else "ADD", total, term)
-            total = self._scale(c, total)
-            if acc is None and negative:
-                acc = self.const(0)
-            acc = total if acc is None else self.emit("SUB" if negative else "ADD", acc, total)
-        return self.const(0) if acc is None else acc
+            value = self.prog.consts.get(base)
+            square = self.emit("MUL", base, base) if value is None else self.const(2 * value * value)
+            groups.setdefault(abs(halves), []).append((halves < 0, square))
+        totals = [(c, *self._total(terms)) for c, terms in groups.items()]
+        flip, acc = False, None  # acc is the sum so far, negated if flip
+        for bit in reversed(range(max((c >> 1 for c, _, _ in totals), default=0).bit_length())):
+            if acc is None:
+                flip, acc = self._total([(neg, t) for c, neg, t in totals if c >> 1 >> bit & 1])
+                continue
+            acc = self.emit("ADD", acc, acc)
+            for c, neg, t in totals:
+                if c >> 1 >> bit & 1:
+                    acc = self.emit("SUB" if neg != flip else "ADD", acc, t)
+        odd = [(neg != flip, t) for c, neg, t in totals if c & 1]
+        if odd:
+            negative, total = self._total(odd)
+            half = self.emit("HALF", total)
+            if acc is None:
+                flip, acc = negative, half
+            else:
+                acc = self.emit("SUB" if negative else "ADD", acc, half)
+        if acc is None:
+            return self.const(expr.constant)
+        if flip or expr.constant:
+            acc = self.emit("SUB" if flip else "ADD", self.const(expr.constant), acc)
+        return acc
 
-    def _scale(self, c: int, term: int) -> int:
-        """(c / 2) * term for c > 0 halves: HALF for an odd count, else MUL by
-        the whole multiple (none for 1)."""
-        if c % 2:
-            term = self.emit("HALF", term)
-        else:
-            c //= 2
-        if c != 1:
-            term = self.emit("MUL", self.const(2 * c), term)
-        return term
+    def _total(self, terms: list[tuple[bool, int]]) -> tuple[bool, int]:
+        """(negative, instruction) for the sum of the (negative, instruction)
+        terms, positive ones first: the instruction's value is the sum,
+        negated when every term is negative."""
+        terms.sort(key=lambda t: t[0])  # stable: positive terms first
+        negative, total = terms[0]
+        for neg, term in terms[1:]:
+            total = self.emit("SUB" if neg != negative else "ADD", total, term)
+        return negative, total
 
 
 def compile_to_arith(tower: Tower) -> ArithProgram:

@@ -7,15 +7,16 @@ the diameter from (0, 1) to (s, q) meets the axis at the two roots of
 x^2 - s x + q, in 9 steps against 17 for drawing the node's HALF, half^2,
 discriminant, SQRT and two roots one by one; those four are not drawn.
 Every other square root uses the semicircle rule (perpendicular height over
-a diameter split into D and 1), products of two general lengths the
-intercept construction, and integer scalings up to 64 binary doubling chains
-of compass transfers.  At n = 65537 (pruned, factor 3) the program has
-32,459 steps.  Every intersection branch is recorded at lowering time from
-the signs of the instruction values, so geometric execution never
+a diameter split into D and 1), every product the intercept construction,
+and each sum, difference and halving one compass transfer or midpoint, so
+the doubling chain that scales a product (`arith._ArithBuilder.combo`) is
+drawn one transfer per step.  At n = 65537 (pruned, factor 3) the program
+has 30,520 steps.  Every intersection branch is recorded at lowering time
+from the signs of the instruction values, so geometric execution never
 re-decides a choice.
 
 The program is held as flat columns (`GeomProgram`): at n = 65537 pruned
-they hold 0.59 MB, where an object per instruction took 6.8 MB.  The
+they hold 0.57 MB, where an object per instruction took 6.8 MB.  The
 program files are JSON lines (docs/program-format.md).
 """
 
@@ -30,8 +31,6 @@ from .arith import _ADD, _CONST, _HALF, _MUL, _SUB, ArithProgram, _Instrs, arith
 from .arith import compile_to_arith, dump_arith  # noqa: F401
 from .errors import VerificationError
 from .tower import Tower, _rotations
-
-_INTERCEPT_THRESHOLD = 64
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +226,6 @@ class _GeomBuilder:
         self._int_cache[k] = idx
         return idx
 
-    def scale_int(self, p: int, k: int) -> int:
-        """k*p by a binary doubling chain of compass transfers."""
-        if k == 0:
-            return self.O
-        if k < 0:
-            return self.sub(self.O, self.scale_int(p, -k))
-        if k == 1:
-            return p
-        acc = self.scale_int(p, k // 2)
-        acc = self.add(acc, acc)
-        return self.add(acc, p) if k % 2 else acc
-
     def _turn_onto(self, p: int, sign: int, line: int | None = None) -> int:
         """The point at p's distance from the center on `line`, a line
         through the center, on its positive side for a positive sign.  None
@@ -353,11 +340,7 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
         elif op == _HALF:
             loc[i] = b.half(loc[x])
         elif op == _MUL:
-            k = consts.get(x)
-            if k is not None and k.denominator == 1 and abs(k) <= _INTERCEPT_THRESHOLD:
-                loc[i] = b.scale_int(loc[y], int(k))
-            else:
-                loc[i] = b.mul(loc[x], loc[y], sign(x), sign(y))
+            loc[i] = b.mul(loc[x], loc[y], sign(x), sign(y))
         else:  # SQRT
             loc[i] = b.sqrt(loc[x], sign(x))
     for name, idx in prog.outputs.items():

@@ -72,22 +72,25 @@ def _value_from_json(d) -> tuple | None:
     scale of at most 2^-(p + 64), and none reaches 2^17, so that range holds
     every value a tower stores, with room for a wrong one, which its check
     then fails.  Past it, the decimal text of a failure's message grows
-    without bound in time: many seconds for an exponent of 14,000 bits."""
+    without bound in time: many seconds for an exponent of 14,000 bits.
+    The sizes are checked before the normal form, and a message gives a
+    wide field's bit length, so each message is one short line."""
     if d is None:
         return None
     sign, man_hex, exp, bc = d["mpf"]
     if not _HEX.fullmatch(man_hex):
-        raise ValueError(f"mantissa {man_hex!r} is not a lowercase hex string")
+        raise ValueError(f"mantissa {man_hex!r:.40} is not a lowercase hex string")
+    if not (type(sign) is type(exp) is type(bc) is int and sign in (0, 1)):
+        raise ValueError("mpf sign is not 0 or 1, or its exponent or bit count is not an int")
     man = int(man_hex, 16)
-    if not (
-        type(sign) is type(exp) is type(bc) is int
-        and sign in (0, 1)
-        and bc == man.bit_length()
-        and (man % 2 == 1 or (sign, man, exp) == (0, 0, 0))
-    ):
-        raise ValueError(f"mpf {d['mpf']} is not in mpmath's normal form")
-    if bc > MAX_PRECISION or abs(exp) > 2 * MAX_PRECISION:
-        raise ValueError(f"mpf {bc}-bit mantissa, {exp.bit_length()}-bit exponent: past what a tower stores")
+    if man.bit_length() > MAX_PRECISION or abs(bc) > MAX_PRECISION or abs(exp) > 2 * MAX_PRECISION:
+        raise ValueError(
+            f"mpf {man.bit_length()}-bit mantissa, {bc.bit_length()}-bit bit count, "
+            f"{exp.bit_length()}-bit exponent: past what a tower stores"
+        )
+    if bc != man.bit_length() or (man % 2 == 0 and (sign, man, exp) != (0, 0, 0)):
+        mantissa = f"{man.bit_length()}-bit {'odd' if man % 2 else 'even'} mantissa"
+        raise ValueError(f"mpf [{sign}, {mantissa}, {exp}, {bc}] is not in mpmath's normal form")
     return (sign, man, exp, bc)
 
 

@@ -827,6 +827,32 @@ def test_a_stored_value_no_tower_stores_is_refused_at_load(change, tmp_path, cap
     assert not any((tmp_path / f"p.{out}").exists() for out in ("arith", "geom", "svg"))
 
 
+def _mpf_of_value_left(mpf):
+    def change(node):
+        node["value_left"]["mpf"] = mpf
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "mpf",
+    [[0, "0x2", 1 << 13999, 2], [0, "0x3", 5, 1 << 13999], [0, "0x3", 5, -(1 << 13999)],
+     [1 << 13999, "0x3", 5, 2], [0, "0x" + "f" * 9000, 5, 36000], [0, "0x" + "g" * 9000, 5, 1],
+     [0, "0x" + "e" * 8000, 5, 32000]],
+    ids=["even-with-14000-bit-exponent", "14000-bit-bit-count", "negative-bit-count", "14000-bit-sign",
+         "36000-bit-mantissa", "not-hex", "even-32000-bit-mantissa"],
+)
+def test_a_value_refused_at_load_is_one_short_line(mpf, tmp_path, capsys):
+    # Each field's size is checked before the normal form, and a message
+    # gives a wide field's bit length, never its digits: at one time an even
+    # mantissa with a 14,000-bit exponent printed 4,304 characters.
+    tower_path = _tampered_17(tmp_path, capsys, _mpf_of_value_left(mpf))
+    for argv in _commands_on(tower_path, tmp_path):
+        code, err = _stderr_of(capsys, argv)
+        assert code == 2 and err.startswith(f"error: {tower_path} line 2: ValueError: "), err[:300]
+        assert len(err.replace(str(tower_path), "")) < 200, err[:300]
+
+
 def test_a_stored_value_exactly_tol_from_its_sum_passes_every_command(tmp_path, capsys):
     tower_path = _tampered_17(tmp_path, capsys, _value_left_beyond_tol())
     for argv in _commands_on(tower_path, tmp_path):

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngontower.arith import (
     RUN_GUARD_BITS,
@@ -199,9 +201,9 @@ def test_evaluation_drops_each_value_after_its_last_reader(n, kind, request, mon
 def test_streamed_evaluation_holds_only_live_values(tower65537):
     # Above the signed tower, the evaluation holds the program (0.4 MB of
     # columns), the last reader of each instruction (0.1 MB) and, at most,
-    # the values that a later instruction reads (at most 1,991 of 28,008
+    # the values that a later instruction reads (at most 1,989 of 28,242
     # when a node's run begins) with their radii, plus one sign byte per
-    # instruction: 1.4 MB at its peak, where all 28,008 values and radii
+    # instruction: 1.4 MB at its peak, where all 28,242 values and radii
     # take 4.3 MB.
     evaluate_tower(tower65537)  # every cosine sum it reads is cached
     tracemalloc.start()
@@ -293,8 +295,9 @@ def test_radius_holds_where_the_error_nearly_reaches_it(kind):
     assert not _check_against_reference(_edge_program(kind), 96)
 def _walked_product(prog, i, leaves, memo):
     """Instruction i as {part term: halves} plus the constant under (),
-    followed through ADD, SUB, HALF, MUL by a CONST and CONST down to the
-    node roots in `leaves`; MUL(root, root) is the square of its part."""
+    followed through ADD, SUB, HALF and CONST down to the node roots in
+    `leaves`; MUL(root, root) is the square of its part, and a product
+    scales by no other MUL."""
     if i in memo:
         return memo[i]
     op, args, value = prog.instrs[i]
@@ -311,9 +314,6 @@ def _walked_product(prog, i, leaves, memo):
         form = {key: c / 2 for key, c in _walked_product(prog, args[0], leaves, memo).items()}
     elif op == "MUL" and args[0] == args[1] and args[0] in leaves:
         form = {("squares", leaves[args[0]]): Fraction(2)}
-    elif op == "MUL" and prog.instrs[args[0]].op == "CONST" and args[0] not in leaves:
-        scale = prog.instrs[args[0]].value
-        form = {key: scale * c for key, c in _walked_product(prog, args[1], leaves, memo).items()}
     else:
         raise AssertionError(f"instruction {i} ({op}) is not part of a product expression")
     memo[i] = {key: c for key, c in form.items() if c}
@@ -359,22 +359,126 @@ def test_sums_are_shared_within_one_stride_only():
     assert [src for _, src, _, _ in terms] == [0, 1, 2, 3]
 
 
-def test_a_negative_first_group_is_subtracted_from_const_0():
-    # No derived tower reaches it, but a tower file can: with a constant of
-    # 0 and every term of the first coefficient group negative, that group is
-    # subtracted from CONST 0, and the result is still the exact product.
+# Parts of stride 8 in two sets, so that `Lines.plan` shares sums among them.
+_COMBO_PARTS = [g_part(k, j, 8) for k in (1, 2) for j in range(1, 9)]
+
+
+def _run_combo(constant, linear, squares, values):
+    """`combo` of the expression (constant + sum h p + sum h p^2) / 2 over
+    (halves, index into `_COMBO_PARTS`) terms, each part's value exact:
+    a set-1 part as a HALF (its square a MUL), a set-2 part as a CONST (its
+    square a CONST).  Returns the builder, the result's instruction, its
+    value and radius at scale 2^-64, and the exact value."""
     b = _ArithBuilder()
-    a, c, d = g_part(1, 1, 2), g_part(1, 2, 2), g_part(2, 1, 2)
-    values = {a: Fraction(3, 2), c: Fraction(5, 2), d: Fraction(-7, 4)}
-    refs = {part: b.emit("CONST", value=v) for part, v in values.items()}
-    expr = LinearCombo(0, ((-2, a), (-2, d), (3, c)), ((-1, a),))
+    refs = {}
+    for part, v in zip(_COMBO_PARTS, values):
+        const = b.emit("CONST", value=v if part.set_index == 2 else 2 * v)
+        refs[part] = const if part.set_index == 2 else b.emit("HALF", const)
+    expr = LinearCombo(
+        constant, tuple((h, _COMBO_PARTS[i]) for i, h in linear), tuple((h, _COMBO_PARTS[i]) for i, h in squares)
+    )
     out = b.combo(expr, refs, 1)
-    assert ArithInstr("CONST", (), Fraction(0)) in b.prog.instrs
     vals, rads = [], []
     _run(b.prog, 0, len(b.prog.ops), vals, rads, 64)
-    want = sum(Fraction(h, 2) * values[p] for h, p in expr.linear)
-    want += sum(Fraction(h, 2) * values[p] ** 2 for h, p in expr.squares)
-    assert abs(vals[out] - want * 2**64) <= rads[out]
+    want = Fraction(constant, 2) + sum(Fraction(h, 2) * values[i] for i, h in linear)
+    want += sum(Fraction(h, 2) * values[i] ** 2 for i, h in squares)
+    return b, out, vals[out], rads[out], want
+
+
+def _terms(max_size: int):
+    """{index into `_COMBO_PARTS`: halves in +-1..96}."""
+    return st.dictionaries(st.integers(0, len(_COMBO_PARTS) - 1), st.integers(-96, 96).filter(bool), max_size=max_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    constant=st.one_of(st.just(0), st.integers(-400, 400)),
+    linear=_terms(12),
+    squares=_terms(4),
+    values=st.lists(st.integers(-(1 << 20), 1 << 20), min_size=len(_COMBO_PARTS), max_size=len(_COMBO_PARTS)),
+    negative_top=st.booleans(),
+)
+def test_a_product_is_within_its_radius_of_the_exact_value(constant, linear, squares, values, negative_top):
+    # Constants 0 and not, halves in +-1..96, squares, and (negative_top)
+    # every term at the top bit of floor(|halves| / 2) negative, so that the
+    # sum is built negated and subtracted from the constant.
+    linear, squares = list(linear.items()), list(squares.items())
+    if negative_top:
+        top = max(((abs(h) >> 1).bit_length() for _, h in linear + squares), default=0)
+        linear, squares = (
+            [(i, -abs(h) if (abs(h) >> 1).bit_length() == top else h) for i, h in terms]
+            for terms in (linear, squares)
+        )
+    values = [Fraction(v, 1 << 10) for v in values]
+    _, _, got, radius, want = _run_combo(constant, linear, squares, values)
+    assert abs(got - want * 2**64) <= radius
+
+
+def test_a_negated_sum_is_subtracted_from_const_0_once():
+    # No derived tower reaches it, but a tower file can: with a constant of
+    # 0 and the groups at the top bit (halves 4 and 5, whole parts 2) all
+    # negative, the whole sum is built negated and subtracted from one
+    # CONST 0.  With a constant, it is subtracted from that, and there is no
+    # CONST 0.
+    values = [Fraction(3, 2), Fraction(5, 2)] + [Fraction(-7, 4)] * 14
+    linear, squares = [(0, -4), (8, -5), (1, 3)], [(0, 2)]
+    b, out, got, radius, want = _run_combo(0, linear, squares, values)
+    instrs = b.prog.instrs
+    zero = [i for i, instr in enumerate(instrs) if instr == ArithInstr("CONST", (), Fraction(0))]
+    assert len(zero) == 1
+    assert [i for i, instr in enumerate(instrs) if instr.op == "SUB" and instr.args[0] in zero] == [out]
+    assert abs(got - want * 2**64) <= radius
+    b, out, got, radius, want = _run_combo(6, linear, squares, values)
+    assert ArithInstr("CONST", (), Fraction(0)) not in b.prog.instrs
+    assert b.prog.instrs[out].op == "SUB" and b.prog.instrs[out].args[0] == b.const(6)
+    assert abs(got - want * 2**64) <= radius
+
+
+def _chain_steps(groups: list[tuple[int, bool]], constant: int) -> int:
+    """The steps that scaling a product took when each coefficient group
+    (halves c, whether its total is negated) was scaled on its own: a HALF
+    for odd c, then a binary doubling chain of compass transfers for m = c
+    (odd) or c / 2 (even), of bits(m) - 1 doublings and popcount(m) - 1
+    additions, and one transfer to add or subtract the group, except the
+    first when there is no constant and the group is not negated."""
+    steps = 0
+    for i, (c, negative) in enumerate(groups):
+        m = c if c % 2 else c // 2
+        steps += c % 2 + m.bit_length() - 1 + bin(m).count("1") - 1
+        steps += bool(constant or i or negative)
+    return steps
+
+
+@pytest.mark.parametrize("n, kind", [(17, "pruned"), (257, "full"), (257, "pruned"), (65537, "pruned")])
+def test_scaling_a_product_takes_no_more_steps_than_a_chain_per_group(n, kind, request, monkeypatch):
+    # Scaling a product is what `combo` emits after its groups' totals: each
+    # ADD, SUB and HALF lowers to one step, and a CONST's chain is drawn
+    # once per program.  Per node, the shared chain takes at most the steps
+    # of the groups' own chains.
+    from ngontower import arith
+
+    total, combo = arith._ArithBuilder._total, arith._ArithBuilder.combo
+    marks, spent = [], []  # (instructions so far, negated) after each total; (steps, chain steps)
+
+    def recorded_total(self, terms):
+        negative, idx = total(self, terms)
+        marks.append((len(self.prog.ops), negative))
+        return negative, idx
+
+    def recorded_combo(self, expr, refs, origin):
+        marks.clear()
+        out = combo(self, expr, refs, origin)
+        halves = list(dict.fromkeys(abs(h) for h, _ in expr.linear + expr.squares))
+        if halves:
+            tail = self.prog.ops[marks[len(halves) - 1][0]:]
+            groups = [(c, negative) for c, (_, negative) in zip(halves, marks)]
+            spent.append((len(tail) - tail.count(arith._CONST), _chain_steps(groups, expr.constant)))
+        return out
+
+    monkeypatch.setattr(arith._ArithBuilder, "_total", recorded_total)
+    monkeypatch.setattr(arith._ArithBuilder, "combo", recorded_combo)
+    compile_to_arith(_tower(n, kind, request))
+    assert all(steps <= chain for steps, chain in spent), spent
 
 
 @pytest.mark.parametrize("terms", [256, 4096])

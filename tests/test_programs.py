@@ -94,8 +94,8 @@ def test_dumped_programs_load_back_to_equal_columns(programs, tmp_path):
 
 
 def test_programs_hold_a_few_bytes_an_instruction(tower65537):
-    # 28,008 arithmetic instructions and 32,459 geometric steps hold 0.37
-    # and 0.59 MB as columns; as one object per instruction they held 4.8
+    # 28,242 arithmetic instructions and 30,520 geometric steps hold 0.36
+    # and 0.57 MB as columns; as one object per instruction they held 4.8
     # and 6.8 MB.
     prog, signs = evaluate_tower(tower65537)
     compile_to_arith(tower65537)  # every lazily built input is in place
@@ -110,8 +110,21 @@ def test_programs_hold_a_few_bytes_an_instruction(tower65537):
         held.append(tracemalloc.get_traced_memory()[0] - before)
     finally:
         tracemalloc.stop()
-    assert (len(arith.ops), len(geom.ops)) == (28_008, 32_459)
+    assert (len(arith.ops), len(geom.ops)) == (28_242, 30_520)
     assert held[0] <= 1_000_000 and held[1] <= 1_000_000, held
+
+
+@pytest.mark.parametrize(
+    "n, kind, chain_steps",
+    [(3, "full", 21), (3, "pruned", 21), (5, "full", 37), (5, "pruned", 37),
+     (17, "full", 157), (17, "pruned", 76), (257, "full", 2_557), (257, "pruned", 270)],
+)
+def test_geometric_steps_never_exceed_a_chain_per_coefficient_group(n, kind, chain_steps, request):
+    # chain_steps: the steps when each coefficient group of a product was
+    # scaled by its own doubling chain.
+    tower = request.getfixturevalue("tower257_full") if (n, kind) == (257, "full") else build_tower(n, kind)
+    prog, signs = evaluate_tower(tower)
+    assert len(lower_to_geom(prog, tower.precision, signs).ops) <= chain_steps
 
 
 def _arith_line(instr) -> str:
