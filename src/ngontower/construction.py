@@ -4,19 +4,22 @@ instruction stream, run that stream, and draw the polygon as SVG.
 The value v lives at the axis point (v, 0).  Each tower node, as
 `ArithProgram.nodes` marks it, is lowered to a Carlyle circle: the circle on
 the diameter from (0, 1) to (s, q) meets the axis at the two roots of
-x^2 - s x + q, in 9 steps against 17 for drawing the node's HALF, half^2,
-discriminant, SQRT and two roots one by one; those four are not drawn.
-Every other square root uses the semicircle rule (perpendicular height over
-a diameter split into D and 1), every product the intercept construction,
-and each sum, difference and halving one compass transfer or midpoint, so
-the doubling chain that scales a product (`arith._ArithBuilder.combo`) is
-drawn one transfer per step.  At n = 65537 (pruned, factor 3) the program
-has 30,520 steps.  Every intersection branch is recorded at lowering time
-from the signs of the instruction values, so geometric execution never
-re-decides a choice.
+x^2 - s x + q, in 7 steps (4 when q = 0) against 14 for drawing the node's
+HALF, half^2, discriminant, SQRT and two roots one by one; those four are
+not drawn, and neither is a root that no instruction or output reads.  The
+corner (s, q) and each product take one translation off the axis
+(`TRANSFER_LENGTH`, docs/program-format.md): a product is the line through
+(0, q) and (p, q - 1), which meets the axis at (pq, 0), in 5 steps.  Every
+other square root uses the semicircle rule (perpendicular height over a
+diameter split into D and 1), and each sum, difference and halving one
+compass transfer or midpoint, so the doubling chain that scales a product
+(`arith._ArithBuilder.combo`) is drawn one transfer per step.  At n = 65537
+(pruned, factor 3) the program has 28,907 steps.  Every intersection branch
+is recorded at lowering time from the signs of the instruction values, so
+geometric execution never re-decides a choice.
 
 The program is held as flat columns (`GeomProgram`): at n = 65537 pruned
-they hold 0.57 MB, where an object per instruction took 6.8 MB.  The
+they hold 0.56 MB, where an object per instruction took 6.8 MB.  The
 program files are JSON lines (docs/program-format.md).
 """
 
@@ -226,6 +229,12 @@ class _GeomBuilder:
         self._int_cache[k] = idx
         return idx
 
+    def unit_y(self) -> int:
+        """The point (0, 1), drawn where it is first needed."""
+        if self._unit_y is None:
+            self._unit_y = self.prog.emit("INTERSECT_LC", self.yaxis(), self.CIRCLE, branch=1)
+        return self._unit_y
+
     def _turn_onto(self, p: int, sign: int, line: int | None = None) -> int:
         """The point at p's distance from the center on `line`, a line
         through the center, on its positive side for a positive sign.  None
@@ -234,20 +243,16 @@ class _GeomBuilder:
         line = self.yaxis() if line is None else line
         return self.prog.emit("INTERSECT_LC", line, circ, branch=int(sign > 0))
 
-    def _parallel_through(self, line: int, p: int) -> int:
-        perp = self.prog.emit("PERPENDICULAR_AT", line, p)
-        return self.prog.emit("PERPENDICULAR_AT", perp, p)
-
     def mul(self, p: int, q: int, pv: int, qv: int) -> int:
-        """Intercept: line (1,0)-(0,q); its parallel through (p,0) meets the
-        y axis at (0, p*q).  pv and qv are the signs of p and q."""
+        """The line through (0, q) and (p, q - 1), the points (pt, q - t),
+        meets the axis at t = q, in (p*q, 0): 5 steps, whatever the signs.
+        pv and qv are the signs of p and q."""
         if pv == 0 or qv == 0:
             return self.O
         yq = self._turn_onto(q, qv)
-        base = self.prog.emit("LINE", self.X, yq)
-        par = self._parallel_through(base, p)
-        prod_y = self.prog.emit("INTERSECT_LL", par, self.yaxis())
-        return self._turn_onto(prod_y, pv * qv, self.AXIS)
+        other = self.prog.emit("TRANSFER_LENGTH", yq, self.unit_y(), p)
+        line = self.prog.emit("LINE", yq, other)
+        return self.prog.emit("INTERSECT_LL", line, self.AXIS)
 
     def sqrt(self, p: int, sign: int) -> int:
         """Semicircle over the diameter from (-1,0) to (p,0), p >= 0 of this
@@ -258,23 +263,19 @@ class _GeomBuilder:
         height = self.prog.emit("INTERSECT_LC", self.yaxis(), circ, branch=1)
         return self._turn_onto(height, sign, self.AXIS)
 
-    def carlyle(self, s: int, q: int, qv: int) -> tuple[int, int]:
+    def carlyle(self, s: int, q: int, qv: int, wanted: tuple) -> tuple[int | None, int | None]:
         """The larger and the smaller root of x^2 - s x + q, qv the sign of q:
-        the circle on the diameter from (0,1) to (s,q) meets the axis at both."""
-        if self._unit_y is None:
-            self._unit_y = self.prog.emit("INTERSECT_LC", self.yaxis(), self.CIRCLE, branch=1)
-        if qv == 0:
-            corner = s
-        else:
-            # (s, q): the perpendicular at s meets the parallel to the axis
-            # through (0, q).
-            level = self.prog.emit("PERPENDICULAR_AT", self.yaxis(), self._turn_onto(q, qv))
-            above = self.prog.emit("PERPENDICULAR_AT", self.AXIS, s)
-            corner = self.prog.emit("INTERSECT_LL", level, above)
-        mid = self.prog.emit("MIDPOINT", self._unit_y, corner)
-        circ = self.prog.emit("CIRCLE", mid, self._unit_y)
-        larger = self.prog.emit("INTERSECT_LC", self.AXIS, circ, branch=1)
-        return larger, self.prog.emit("INTERSECT_LC", self.AXIS, circ, branch=0)
+        the circle on the diameter from (0,1) to (s,q) meets the axis at both,
+        in 7 steps (4 when q = 0).  The corner (s, q) is (0, q) moved by s.
+        `wanted` says which of the two to draw; one not drawn is None."""
+        unit_y = self.unit_y()
+        corner = s if qv == 0 else self.prog.emit("TRANSFER_LENGTH", self._turn_onto(q, qv), self.O, s)
+        mid = self.prog.emit("MIDPOINT", unit_y, corner)
+        circ = self.prog.emit("CIRCLE", mid, unit_y)
+        return tuple(
+            self.prog.emit("INTERSECT_LC", self.AXIS, circ, branch=branch) if want else None
+            for branch, want in zip((1, 0), wanted)
+        )
 
 
 def _node_interior(prog: ArithProgram, node: tuple) -> tuple[int, tuple[int, ...]]:
@@ -294,8 +295,9 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
 
     Each node of `prog.nodes` gets its two roots from one Carlyle circle,
     placed at its first root instruction; its HALF, half^2, discriminant and
-    SQRT are not drawn, and no other instruction may use them.  Every other
-    instruction is lowered on its own.
+    SQRT are not drawn, and no other instruction may use them.  A root that
+    no instruction or output reads is not drawn either, though its circle
+    is.  Every other instruction is lowered on its own.
 
     Every branch is recorded from `signs`, the proven sign (-1, 0 or 1) of
     each instruction's value at `precision` bits, as `evaluate_tower` returns
@@ -306,21 +308,30 @@ def lower_to_geom(prog: ArithProgram, precision: int, signs=None) -> GeomProgram
     sign = signs.__getitem__
     b = _GeomBuilder()
     ops, consts = prog.ops, prog.consts
+    # read[i]: an instruction or an output reads i.  The spare last byte
+    # takes the -1 of a missing operand.
+    read = bytearray(len(ops) + 1)
+    for column in (prog.a, prog.b, prog.outputs.values()):
+        for j in column:
+            read[j] = 1
     loc: list[int | None] = [None] * len(ops)
     skipped: set[int] = set()
-    circles: dict[int, tuple[int, int, int, int]] = {}  # first root -> (sum, product, left, right)
+    circles: dict[int, tuple[int, int, int, int]] = {}  # first root -> (sum, product, larger, smaller)
     for node in prog.nodes:
         sum_idx, interior = _node_interior(prog, node)
-        skipped.update(interior)
         prod, _, left, right = node
-        circles[min(left, right)] = (sum_idx, prod, left, right)
+        skipped.update(interior)
+        skipped.add(max(left, right))
+        larger, smaller = (left, right) if ops[left] == _ADD else (right, left)
+        circles[min(left, right)] = (sum_idx, prod, larger, smaller)
     for i, op, x, y in zip(range(len(ops)), ops, prog.a, prog.b):
-        if i in skipped or loc[i] is not None:  # a node's interior or second root
+        if i in skipped:  # a node's interior or second root
             continue
         if i in circles:
-            sum_idx, prod, left, right = circles[i]
-            larger, smaller = b.carlyle(loc[sum_idx], loc[prod], sign(prod))
-            loc[left], loc[right] = (larger, smaller) if ops[left] == _ADD else (smaller, larger)
+            sum_idx, prod, larger, smaller = circles[i]
+            loc[larger], loc[smaller] = b.carlyle(
+                loc[sum_idx], loc[prod], sign(prod), (read[larger], read[smaller])
+            )
         elif op == _CONST:
             value = consts[i]
             p = b.int_const(value.numerator)

@@ -29,6 +29,13 @@ FORMAT_NAME = "ngontower-tower"
 FORMAT_VERSION = 1
 
 
+def _short(text: str, width: int = 40) -> str:
+    """`text` cut to `width` characters, "..." marking the cut: every stored
+    field a message quotes goes through here, so that a message is one short
+    line however wide the field."""
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 def _coeff_text(halves: int) -> str:
     return f"{halves}, 2" if halves % 2 else f"{halves // 2}, 1"
 
@@ -41,12 +48,14 @@ _MAX_HALVES = 1 << 31
 
 def _coeff_from_json(num, den) -> int:
     if not type(num) is type(den) is int:  # type, not isinstance: a bool is refused
-        raise TypeError(f"coefficient [{num!r}, {den!r}] is not a pair of integers")
+        raise TypeError(f"coefficient [{_short(repr(num))}, {_short(repr(den))}] is not a pair of integers")
     if den not in (1, 2):
-        raise ValueError(f"coefficient [{num}, {den}] has a denominator other than 1 or 2")
+        raise ValueError(
+            f"coefficient [{_short(repr(num))}, {_short(repr(den))}] has a denominator other than 1 or 2"
+        )
     halves = num * (2 // den)
     if abs(halves) >= _MAX_HALVES:
-        raise ValueError(f"coefficient [{num}, {den}] is 2^30 or more in size")
+        raise ValueError(f"coefficient [{_short(repr(num))}, {den}] is 2^30 or more in size")
     return halves
 
 
@@ -79,7 +88,7 @@ def _value_from_json(d) -> tuple | None:
         return None
     sign, man_hex, exp, bc = d["mpf"]
     if not _HEX.fullmatch(man_hex):
-        raise ValueError(f"mantissa {man_hex!r:.40} is not a lowercase hex string")
+        raise ValueError(f"mantissa {_short(repr(man_hex))} is not a lowercase hex string")
     if not (type(sign) is type(exp) is type(bc) is int and sign in (0, 1)):
         raise ValueError("mpf sign is not 0 or 1, or its exponent or bit count is not an int")
     man = int(man_hex, 16)
@@ -160,7 +169,7 @@ class _Reader:
         outside the table."""
         key = (d["kind"], d["offset"], d["stride"], d.get("set", 0))
         if not type(key[1]) is type(key[2]) is type(key[3]) is int:
-            raise TypeError(f"part {d} has an offset, stride or set that is not an integer")
+            raise TypeError(f"part {_short(repr(d))} has an offset, stride or set that is not an integer")
         part = self.parts.get(key)
         if part is None:
             part = PartRef(*key)
@@ -210,20 +219,20 @@ class _Reader:
         larger, margin = d["left_is_larger"], _value_from_json(d["sign_margin"])
         value_left, value_right = _value_from_json(d["value_left"]), _value_from_json(d["value_right"])
         if type(larger) not in (bool, type(None)):
-            raise ValueError(f"left_is_larger {larger!r} is neither a bool nor null")
+            raise ValueError(f"left_is_larger {_short(repr(larger))} is neither a bool nor null")
         if larger is not None and margin is None:
             raise ValueError("left_is_larger is set but sign_margin is null")
         if (value_left is None) != (value_right is None):
             raise ValueError("one of value_left and value_right is null")
         if type(d["id"]) is not int or d["id"] != node_id:
-            raise ValueError(f"node id {d['id']!r}, expected {node_id}")
+            raise ValueError(f"node id {_short(repr(d['id']))}, expected {node_id}")
         node = _place(splits, expr, node_id, table, by_child)
         if type(d["step"]) is not int or d["step"] != node.step:
-            raise ValueError(f"step {d['step']!r}, expected {node.step}")
+            raise ValueError(f"step {_short(repr(d['step']))}, expected {node.step}")
         if (left, right) != (node.left, node.right):
             raise ValueError(f"left and right are not the halves of {splits.label()}")
         if type(d["sum_source"]) not in (int, type(None)) or d["sum_source"] != node.sum_source:
-            raise ValueError(f"sum_source {d['sum_source']!r}, expected {node.sum_source}")
+            raise ValueError(f"sum_source {_short(repr(d['sum_source']))}, expected {node.sum_source}")
         node.left, node.right = left, right  # the reader's one object per part
         node.left_is_larger, node.sign_margin = larger, margin
         node.value_left, node.value_right = value_left, value_right
@@ -254,15 +263,15 @@ def _check_header(header) -> None:
     if header.get("format") != FORMAT_NAME:
         raise ValueError("not a tower document")
     if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported tower format version {header.get('version')}")
+        raise ValueError(f"unsupported tower format version {_short(repr(header.get('version')))}")
     for key in ("n", "factor"):
         if type(header[key]) is not int:
-            raise ValueError(f"{key} {header[key]!r} is not an integer")
+            raise ValueError(f"{key} {_short(repr(header[key]))} is not an integer")
     if header["schedule"] not in ("full", "pruned"):
-        raise ValueError(f"schedule {header['schedule']!r} is neither full nor pruned")
+        raise ValueError(f"schedule {_short(repr(header['schedule']))} is neither full nor pruned")
     precision = header["precision"]
     if precision is not None and not (type(precision) is int and 1 <= precision <= MAX_PRECISION):
-        raise ValueError(f"precision {precision!r} is not null or in 1..{MAX_PRECISION}")
+        raise ValueError(f"precision {_short(repr(precision))} is not null or in 1..{MAX_PRECISION}")
 
 
 def load_tower(path: str) -> Tower:
@@ -303,5 +312,7 @@ def load_tower(path: str) -> Tower:
             _check_schedule(tower)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError,
                 RecursionError) as exc:
-            raise UsageError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from exc
+            # The modules that check n, the factor and each part quote them
+            # whole: their messages are cut here.
+            raise UsageError(f"{path} line {lineno}: {type(exc).__name__}: {_short(str(exc), 150)}") from exc
     return tower

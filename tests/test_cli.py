@@ -1099,6 +1099,51 @@ def test_part_outside_table_is_a_usage_error(edit, bad_line, tmp_path, capsys):
     assert not (tmp_path / "p.geom").exists() and not (tmp_path / "p.svg").exists()
 
 
+def _set(*path_and_value):
+    """A node change that sets the field at `path` to `value`."""
+    *path, key, value = path_and_value
+
+    def change(node):
+        for step in path:
+            node = node[step]
+        node[key] = value
+
+    return change
+
+
+_WIDE = 1 << 13999  # 4,214 digits, within the 4,300 that `json.loads` reads
+_LONG = "y" * 5000
+
+
+@pytest.mark.parametrize(
+    "edit, bad_line",
+    [(_on_node(_set("id", _WIDE), 0), 2), (_on_node(_set("step", _WIDE), 0), 2),
+     (_on_node(_set("sum_source", _WIDE), 1), 3), (_on_node(_set("left_is_larger", _LONG), 0), 2),
+     (_on_header("precision", _WIDE), 1), (_on_header("version", _WIDE), 1),
+     (_on_header("n", _LONG), 1), (_on_header("n", _WIDE), 1), (_on_header("factor", _WIDE), 1),
+     (_on_header("schedule", _LONG), 1),
+     (_on_node(_set("product", "constant", [_WIDE, 3]), 0), 2),
+     (_on_node(_set("product", "constant", [3, _WIDE]), 0), 2),
+     (_on_node(_set("product", "constant", [_WIDE, 1]), 0), 2),
+     (_on_node(_set("product", "constant", [_LONG, 1]), 0), 2),
+     (_on_node(_set("splits", "offset", _LONG), 0), 2), (_on_node(_set("splits", "offset", _WIDE), 0), 2),
+     (_on_node(_set("left", "kind", _LONG), 0), 2)],
+    ids=["id", "step", "sum-source", "left-is-larger", "precision", "version", "n-string", "n-wide",
+         "factor", "schedule", "coefficient-over-3", "denominator", "coefficient-over-1",
+         "coefficient-string", "part-offset-string", "part-offset-wide", "part-kind"],
+)
+def test_a_wide_stored_field_is_quoted_short(edit, bad_line, tmp_path, capsys):
+    # Each stored field a load error quotes is cut to 40 characters, and a
+    # message from the modules that check n, the factor and the parts to
+    # 150: at one time each of these printed the field whole, in 4,270 to
+    # 5,136 characters.
+    tower_path = _edited_17(tmp_path, capsys, edit)
+    for argv in _commands_on(tower_path, tmp_path):
+        code, err = _stderr_of(capsys, argv)
+        assert code == 2 and err.startswith(f"error: {tower_path} line {bad_line}: "), err[:300]
+        assert len(err.replace(str(tower_path), "")) < 200, err[:300]
+
+
 def test_split_of_a_single_pair_is_refused_by_its_label(tmp_path, capsys):
     # A fourth line that splits p1 = G1(1,4), which node 2 produced.
     def split_p1(lines):

@@ -627,6 +627,100 @@ def test_carlyle_circle_places_both_roots(s, q, left_is_larger, roots):
         assert abs(res["right"] - roots[1]) < mp.mpf(2) ** -100
 
 
+def _drawn(b: _GeomBuilder, value: Fraction) -> int:
+    """The axis point of a dyadic `value`, drawn as `lower_to_geom` draws a
+    CONST."""
+    p = b.int_const(value.numerator)
+    for _ in range(value.denominator.bit_length() - 1):
+        p = b.half(p)
+    return p
+
+
+def _random_dyadic(rng: random.Random, sign: int) -> Fraction:
+    return sign * Fraction(rng.randint(1, 999), 1 << rng.randint(0, 8))
+
+
+def _exact(x: Fraction):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _axis_values(b: _GeomBuilder, **points) -> dict:
+    """The x coordinates of the named points, executed at 128 bits."""
+    for name, p in points.items():
+        b.prog.emit("POINT_ON_AXIS", p, name=name)
+    return execute_geom(b.prog, 128)
+
+
+@pytest.mark.parametrize(
+    "p_sign, q_sign, square",
+    [(p, q, False) for p in (-1, 0, 1) for q in (-1, 0, 1)] + [(p, p, True) for p in (-1, 0, 1)],
+)
+def test_a_product_takes_5_steps_at_any_signs(p_sign, q_sign, square):
+    # The line through (0, q) and (p, q - 1) meets the axis at (pq, 0): the
+    # sign of the product comes out of the geometry.  The y axis and (0, 1)
+    # are drawn once per program, before the product; a product by 0 is the
+    # center.  A square is p times itself.
+    rng = random.Random(f"{p_sign} {q_sign} {square}")
+    for _ in range(20):
+        b = _GeomBuilder()
+        b.unit_y()
+        pv = _random_dyadic(rng, p_sign)
+        qv = pv if square else _random_dyadic(rng, q_sign)
+        p = _drawn(b, pv)
+        q = p if square else _drawn(b, qv)
+        before = len(b.prog.ops)
+        prod = b.mul(p, q, p_sign, q_sign)
+        assert len(b.prog.ops) - before == (5 if p_sign and q_sign else 0)
+        got = _axis_values(b, prod=prod)["prod"]
+        with mp.workprec(128):
+            assert abs(got - _exact(pv * qv)) < mp.mpf(2) ** -100, (pv, qv)
+
+
+@pytest.mark.parametrize("q_sign, steps", [(-1, 7), (0, 4), (1, 7)])
+def test_a_carlyle_node_takes_7_steps_or_4_when_q_is_0(q_sign, steps):
+    # The corner (s, q) is (0, q) moved by s: one translation.  With q = 0
+    # the corner is s itself.
+    rng, checked = random.Random(q_sign), 0
+    for _ in range(40):
+        b = _GeomBuilder()
+        b.unit_y()
+        sv, qv = _random_dyadic(rng, rng.choice((-1, 1))), _random_dyadic(rng, q_sign)
+        if sv * sv <= 4 * qv:  # no two real roots
+            continue
+        checked += 1
+        s, q = _drawn(b, sv), _drawn(b, qv)
+        before = len(b.prog.ops)
+        larger, smaller = b.carlyle(s, q, q_sign, (True, True))
+        assert len(b.prog.ops) - before == steps
+        got = _axis_values(b, larger=larger, smaller=smaller)
+        with mp.workprec(128):
+            root = mp.sqrt(_exact(sv * sv - 4 * qv)) / 2
+            assert abs(got["larger"] - (_exact(sv) / 2 + root)) < mp.mpf(2) ** -100, (sv, qv)
+            assert abs(got["smaller"] - (_exact(sv) / 2 - root)) < mp.mpf(2) ** -100, (sv, qv)
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("read", ["left", "right"])
+def test_a_root_that_nothing_reads_is_not_drawn(read):
+    # Only one root of x^2 - x - 6 is an output, so the Carlyle circle meets
+    # the axis once.  Read by a later instruction, the other one is drawn.
+    prog = _node_program(1, -6, left_is_larger=False)
+    prog.outputs = {read: prog.outputs[read]}
+    geom = lower_to_geom(prog, 128, _signs(prog, 128))
+    assert _root_circles(geom) == ["axis"]
+    want = {"left": -2, "right": 3}
+    with mp.workprec(128):
+        assert abs(execute_geom(geom, 128)[read] - want[read]) < mp.mpf(2) ** -100
+    other = "right" if read == "left" else "left"
+    _, _, left, right = prog.nodes[0]
+    twice = {"left": left, "right": right}[other]
+    prog.outputs["twice"] = prog.emit("ADD", twice, twice)
+    geom = lower_to_geom(prog, 128, _signs(prog, 128))
+    assert _root_circles(geom) == ["axis", "axis"]
+    with mp.workprec(128):
+        assert abs(execute_geom(geom, 128)["twice"] - 2 * want[other]) < mp.mpf(2) ** -100
+
+
 def test_program_without_nodes_lowers_through_the_semicircle():
     prog = _node_program(1, -6, left_is_larger=False)
     prog.nodes = []
@@ -736,7 +830,7 @@ def test_lowering_fuzz():
         prog = _random_program(rng)
         values, _ = arith_values(prog, 96)
         want = _real(values[prog.outputs["out"]], 96)
-        if abs(want) > mp.mpf(10) ** 9:  # intercept slopes degenerate far out
+        if abs(want) > mp.mpf(10) ** 9:  # a product line nears the axis far out
             continue
         signs = [(v > 0) - (v < 0) for v in values]  # x - x is exactly 0 in ints
         geom = lower_to_geom(prog, 96, signs)

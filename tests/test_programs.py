@@ -94,8 +94,8 @@ def test_dumped_programs_load_back_to_equal_columns(programs, tmp_path):
 
 
 def test_programs_hold_a_few_bytes_an_instruction(tower65537):
-    # 28,242 arithmetic instructions and 30,520 geometric steps hold 0.36
-    # and 0.57 MB as columns; as one object per instruction they held 4.8
+    # 28,242 arithmetic instructions and 28,907 geometric steps hold 0.36
+    # and 0.56 MB as columns; as one object per instruction they held 4.8
     # and 6.8 MB.
     prog, signs = evaluate_tower(tower65537)
     compile_to_arith(tower65537)  # every lazily built input is in place
@@ -110,7 +110,7 @@ def test_programs_hold_a_few_bytes_an_instruction(tower65537):
         held.append(tracemalloc.get_traced_memory()[0] - before)
     finally:
         tracemalloc.stop()
-    assert (len(arith.ops), len(geom.ops)) == (28_242, 30_520)
+    assert (len(arith.ops), len(geom.ops)) == (28_242, 28_907)
     assert held[0] <= 1_000_000 and held[1] <= 1_000_000, held
 
 
@@ -125,6 +125,20 @@ def test_geometric_steps_never_exceed_a_chain_per_coefficient_group(n, kind, cha
     tower = request.getfixturevalue("tower257_full") if (n, kind) == (257, "full") else build_tower(n, kind)
     prog, signs = evaluate_tower(tower)
     assert len(lower_to_geom(prog, tower.precision, signs).ops) <= chain_steps
+
+
+@pytest.mark.parametrize(
+    "n, kind, steps",
+    [(3, "full", 19), (3, "pruned", 19), (5, "full", 30), (5, "pruned", 30),
+     (17, "full", 115), (17, "pruned", 60), (257, "full", 1_835), (257, "pruned", 217)],
+)
+def test_geometric_step_counts(n, kind, steps, request):
+    # Each Carlyle corner is one translation, each product 5 steps, and no
+    # root that nothing reads is drawn: 2,325 steps over these eight
+    # programs.
+    tower = request.getfixturevalue("tower257_full") if (n, kind) == (257, "full") else build_tower(n, kind)
+    prog, signs = evaluate_tower(tower)
+    assert len(lower_to_geom(prog, tower.precision, signs).ops) == steps
 
 
 def _arith_line(instr) -> str:
@@ -196,7 +210,7 @@ class _Raw(str):
      (8, {"branch": None}, "line 8: branch None is not 0 or 1"),
      (7, {"branch": 0}, "line 7: PERPENDICULAR_AT takes no branch"),
      (8, {"name": "cos"}, "line 8: INTERSECT_LC takes no name"),
-     (77, {"name": 5}, "line 77: name 5 is not a string"),
+     (59, {"name": 5}, "line 59: name 5 is not a string"),
      (1, {"outputs": {"p1": 28, "cos": 30, "sin": 34}}, "line 1: outputs .* do not match the named steps"),
      (1, [1], r"line 1: \[1\] is not a JSON object"),
      (8, [1], r"line 8: \[1\] is not a JSON object"),
